@@ -29,9 +29,6 @@ belongs to the flux at x = 0, the second half to the flux at x = L.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import forward, pchip
@@ -40,24 +37,6 @@ from .forward import EnthalpyField, Grid, _step_tridiagonal, solve_ibvp
 from .material import MaterialModel
 from .observation import Measurement, adjoint_source, observe
 from .pchip import FluxParameter, flux_interpolants
-
-
-@dataclass(frozen=True, eq=False)
-class GradientReport:
-    """Objective value, gradient, adjoint field, and solve diagnostics."""
-
-    objective: float
-    gradient: np.ndarray
-    adjoint_field: np.ndarray
-    diagnostics: dict
-
-    def to_json(self) -> str:
-        payload = {
-            "objective": float(self.objective),
-            "gradient": [float(v) for v in self.gradient],
-            "diagnostics": {k: float(v) for k, v in sorted(self.diagnostics.items())},
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def objective(
@@ -156,27 +135,15 @@ def compute_gradient(
     field: EnthalpyField | None = None,
     residual: np.ndarray | None = None,
     obj: float | None = None,
-) -> GradientReport:
+) -> tuple[float, np.ndarray]:
     """Full chain: state solve, residual injection, adjoint solve, assembly.
 
-    A previously computed (obj, residual, field) triple for the same
-    parameters can be passed in to skip the state solve.
+    Returns (objective value, gradient). A previously computed (obj,
+    residual, field) triple for the same parameters can be passed in to skip
+    the state solve.
     """
     if field is None or residual is None or obj is None:
         obj, residual, field = objective(fp, data, m, u0, g)
     src = adjoint_source(residual, data.spec, g)
     phi = solve_adjoint(field, m, fp, src, g)
-    grad = assemble_gradient(phi, field, fp, g)
-    dt = g.dt
-    diagnostics = {
-        "max_abs_adjoint": float(np.abs(phi).max()),
-        "trace_norm_x0": float(np.sqrt(np.sum(phi[:, 0] ** 2) * dt)),
-        "trace_norm_xL": float(np.sqrt(np.sum(phi[:, -1] ** 2) * dt)),
-        "max_abs_residual": float(np.abs(residual).max()) if residual.size else 0.0,
-    }
-    return GradientReport(
-        objective=float(obj),
-        gradient=grad,
-        adjoint_field=phi,
-        diagnostics=diagnostics,
-    )
+    return float(obj), assemble_gradient(phi, field, fp, g)

@@ -29,6 +29,7 @@ import json
 import logging
 import os
 import sys
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -42,10 +43,17 @@ log = logging.getLogger("heatflux")
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    """Write a uniquely named file beside `path`, then rename it into place:
+    concurrent runs never collide and readers never see a partial file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _csv_text(header, rows) -> str:
@@ -110,24 +118,36 @@ def _check_inverse_crime(cfg: ExperimentConfig, meta: dict, allow: bool) -> None
         )
 
 
-def _run_inversion(cfg: ExperimentConfig, meas: observation.Measurement):
+def _inversion_setup(cfg: ExperimentConfig):
+    """(material, inversion grid, flux partition, initial profile)."""
     material = config_mod.load_configured_material(cfg)
     grid = config_mod.inv_grid(cfg)
     partition = config_mod.inversion_partition(cfg)
     u0 = np.full(grid.nx, cfg.u0)
-    problem = optimizer.make_pde_problem(material, meas, u0, grid, partition, cfg.beta_max)
+    return material, grid, partition, u0
+
+
+def _solve(cfg: ExperimentConfig, problem: optimizer.Problem, method: str):
+    """Run the `method` solver ("pqn" or "landweber") with its configured budget."""
     solve_cfg = optimizer.SolveConfig(
-        max_iter=cfg.max_iter if cfg.method == "pqn" else cfg.landweber_max_iter,
+        max_iter=cfg.max_iter if method == "pqn" else cfg.landweber_max_iter,
         rho=cfg.rho,
         damping=cfg.landweber_damping,
     )
-    solver = optimizer.pqn_solve if cfg.method == "pqn" else optimizer.landweber_solve
+    solver = optimizer.pqn_solve if method == "pqn" else optimizer.landweber_solve
     state = solver(problem, solve_cfg)
     log.info(
         "%s finished: k=%d stop=%s normalized=%.3e",
-        cfg.method, state.iteration, state.stop_reason,
+        method, state.iteration, state.stop_reason,
         state.residual_history[-1] / problem.data_norm_sq,
     )
+    return state
+
+
+def _run_inversion(cfg: ExperimentConfig, meas: observation.Measurement):
+    material, grid, partition, u0 = _inversion_setup(cfg)
+    problem = optimizer.make_pde_problem(material, meas, u0, grid, partition, cfg.beta_max)
+    state = _solve(cfg, problem, cfg.method)
     norm_y = float(np.sum(meas.data**2))
     return state, problem, partition, norm_y
 
@@ -188,25 +208,22 @@ def cmd_invert(cfg: ExperimentConfig, out_dir: Path, allow_crime: bool) -> int:
     return 0
 
 
-def gradient_check(cfg: ExperimentConfig, flip_trace: bool = False) -> dict:
-    """Adjoint gradient vs central differences; `flip_trace` corrupts one
-    adjoint boundary trace on purpose so tests can confirm the check bites."""
+def _directional_error(dd_adj: float, dd_fd: float, fd: np.ndarray) -> float:
+    """|dd_adj - dd_fd| over the larger of |dd_fd| and ||fd||_2 / sqrt(dim),
+    the typical size of grad f . h for a random unit h: |dd_fd| alone blows
+    up for directions nearly orthogonal to the gradient."""
+    typical = float(np.linalg.norm(fd)) / np.sqrt(fd.size)
+    return abs(dd_adj - dd_fd) / max(abs(dd_fd), typical, 1e-30)
+
+
+def gradient_check(cfg: ExperimentConfig) -> dict:
+    """Adjoint gradient vs central differences of the objective."""
     _, meas = _simulate_measurement(cfg)
-    material = config_mod.load_configured_material(cfg)
-    grid = config_mod.inv_grid(cfg)
-    partition = config_mod.inversion_partition(cfg)
-    u0 = np.full(grid.nx, cfg.u0)
+    material, grid, partition, u0 = _inversion_setup(cfg)
     dim = 2 * cfg.n
     beta = 0.25 * cfg.beta_max * (1.0 + 0.5 * np.sin(np.arange(dim)))
     fp = pchip.FluxParameter(beta=beta, partition=partition, beta_max=cfg.beta_max)
-
-    f0, residual, field_u = adjoint.objective(fp, meas, material, u0, grid)
-    src = observation.adjoint_source(residual, meas.spec, grid)
-    phi = adjoint.solve_adjoint(field_u, material, fp, src, grid)
-    if flip_trace:
-        phi = phi.copy()
-        phi[:, 0] *= -1.0
-    grad = adjoint.assemble_gradient(phi, field_u, fp, grid)
+    f0, grad = adjoint.compute_gradient(fp, meas, material, u0, grid)
 
     def objective_at(b):
         return adjoint.objective(
@@ -229,9 +246,7 @@ def gradient_check(cfg: ExperimentConfig, flip_trace: bool = False) -> dict:
         h = rng.standard_normal(dim)
         h /= np.linalg.norm(h)
         dd_fd = (objective_at(beta + eps * h) - objective_at(beta - eps * h)) / (2.0 * eps)
-        dd_adj = float(grad @ h)
-        denom = max(abs(dd_fd), 1e-30)
-        directional.append(abs(dd_adj - dd_fd) / denom)
+        directional.append(_directional_error(float(grad @ h), dd_fd, fd))
 
     return {
         "objective": f0,
@@ -274,22 +289,10 @@ def _iterations_to_levels(pqn_hist, lw_hist):
 
 def cmd_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
     _, meas = _simulate_measurement(cfg)
-    material = config_mod.load_configured_material(cfg)
-    grid = config_mod.inv_grid(cfg)
-    partition = config_mod.inversion_partition(cfg)
-    u0 = np.full(grid.nx, cfg.u0)
-
+    material, grid, partition, u0 = _inversion_setup(cfg)
     problem = optimizer.make_pde_problem(material, meas, u0, grid, partition, cfg.beta_max)
-    pqn_state = optimizer.pqn_solve(
-        problem, optimizer.SolveConfig(max_iter=cfg.max_iter, rho=cfg.rho)
-    )
-    problem_lw = optimizer.make_pde_problem(material, meas, u0, grid, partition, cfg.beta_max)
-    lw_state = optimizer.landweber_solve(
-        problem_lw,
-        optimizer.SolveConfig(
-            max_iter=cfg.landweber_max_iter, rho=cfg.rho, damping=cfg.landweber_damping
-        ),
-    )
+    pqn_state = _solve(cfg, problem, "pqn")
+    lw_state = _solve(cfg, problem, "landweber")
 
     norm_y = float(np.sum(meas.data**2))
     n_rows = max(len(pqn_state.residual_history), len(lw_state.residual_history))

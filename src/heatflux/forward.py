@@ -27,8 +27,6 @@ adjoint-based gradients agree with finite differences of the objective.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,35 +225,25 @@ def solve_sensitivity(
 
     W = np.zeros((g.nt + 1, g.nx))
     ab = np.zeros((3, g.nx))
+    # Coefficients along the stored trajectory are evaluated once for the
+    # whole march, as in `solve_adjoint`; every evaluation is row-wise, so
+    # each step sees the same values as a per-step evaluation would.
+    du = np.diff(u.values, axis=1)
+    alpha_all, ap_all = pchip.eval(m.diffusivity, u.values, clamp=True)
+    amid_all = 0.5 * (alpha_all[:, :-1] + alpha_all[:, 1:])
+    b0p_all = pchip.eval(b0, u.values[:, 0], clamp=True)[1]
+    bLp_all = pchip.eval(bL, u.values[:, -1], clamp=True)[1]
+    G0 = pchip.grad_wrt_values_many(b0, u.values[:, 0], clamp=True)
+    GL = pchip.grad_wrt_values_many(bL, u.values[:, -1], clamp=True)
     for k in range(g.nt):
-        un = u.values[k]
         wn = W[k]
-        alpha, ap = pchip.eval(m.diffusivity, un, clamp=True)
-        amid = 0.5 * (alpha[:-1] + alpha[1:])
-        b0p = pchip.eval(b0, un[0], clamp=True)[1]
-        bLp = pchip.eval(bL, un[-1], clamp=True)[1]
-        src0 = float(pchip.grad_wrt_values(b0, un[0], clamp=True) @ h0)
-        srcL = float(pchip.grad_wrt_values(bL, un[-1], clamp=True) @ hL)
+        src0 = float(G0[k] @ h0)
+        srcL = float(GL[k] @ hL)
 
-        _diffusion_bands(ab, amid, r)
-        du_new = np.diff(u.values[k + 1])
-        rhs = wn - _transport_apply(ap, du_new, wn, r)
-        rhs[0] -= c * (b0p * wn[0] + src0)
-        rhs[-1] -= c * (bLp * wn[-1] + srcL)
+        _diffusion_bands(ab, amid_all[k], r)
+        rhs = wn - _transport_apply(ap_all[k], du[k + 1], wn, r)
+        rhs[0] -= c * (b0p_all[k] * wn[0] + src0)
+        rhs[-1] -= c * (bLp_all[k] * wn[-1] + srcL)
         W[k + 1] = _step_tridiagonal(ab, rhs, k + 1)
     return EnthalpyField(g, W)
 
-
-def render_field_csv(f: EnthalpyField) -> str:
-    """Field as CSV: first row sample times, first column node positions."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([""] + [repr(float(t)) for t in f.grid.ts()])
-    for j, x in enumerate(f.grid.xs()):
-        writer.writerow([repr(float(x))] + [repr(float(v)) for v in f.values[:, j]])
-    return buf.getvalue()
-
-
-def save_field(f: EnthalpyField, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(render_field_csv(f))

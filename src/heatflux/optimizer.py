@@ -79,8 +79,9 @@ class SolveConfig:
 @dataclass
 class OptimizerState:
     beta: np.ndarray
-    inv_hessian: np.ndarray
     beta_max: float
+    # The quasi-Newton metric; None for Landweber, which has none.
+    inv_hessian: np.ndarray | None = None
     iteration: int = 0
     residual_history: list = field(default_factory=list)
     active_I1: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
@@ -122,10 +123,12 @@ def search_direction(state: OptimizerState, grad: np.ndarray):
     return p, np.flatnonzero(in_I1), np.flatnonzero(in_I2)
 
 
-def armijo_projected(state: OptimizerState, objective_fn, p: np.ndarray, grad: np.ndarray):
+def armijo_projected(
+    state: OptimizerState, objective_fn, p: np.ndarray, grad: np.ndarray, lam: float = 1.0
+):
     """Backtracking line search on projected trial points.
 
-    Starting from step 1, halve until f(beta) - f(P(beta + lam p)) >=
+    Starting from step `lam`, halve until f(beta) - f(P(beta + lam p)) >=
     -c lam grad.p; raises LineSearchError when the step underflows.
     Returns (accepted step, projected point, its objective value).
     """
@@ -133,15 +136,14 @@ def armijo_projected(state: OptimizerState, objective_fn, p: np.ndarray, grad: n
         raise OptimizerError("line search requires the current objective value")
     f0 = state.residual_history[-1]
     slope = float(grad @ p)
-    lam = 1.0
     while True:
+        if lam < LAMBDA_MIN:
+            raise LineSearchError(f"no acceptable step above {LAMBDA_MIN:g}")
         trial = project_box(state.beta + lam * p, state.beta_max)
         f_trial = objective_fn(trial)
         if f0 - f_trial >= -ARMIJO_C * lam * slope:
             return lam, trial, f_trial
         lam *= ARMIJO_TAU
-        if lam < LAMBDA_MIN:
-            raise LineSearchError(f"no acceptable step above {LAMBDA_MIN:g}")
 
 
 def bfgs_inverse_update(S: np.ndarray, s_k: np.ndarray, g_k: np.ndarray) -> np.ndarray:
@@ -173,6 +175,42 @@ def _discrepancy_reached(f: float, problem: Problem, rho: float) -> bool:
     return f / problem.data_norm_sq <= rho * problem.delta
 
 
+def _start(problem: Problem, config: SolveConfig):
+    """State at the box-projected start point, its objective and gradient."""
+    beta = (
+        np.zeros(problem.dim)
+        if config.beta0 is None
+        else project_box(np.asarray(config.beta0, dtype=float), problem.beta_max)
+    )
+    state = OptimizerState(beta=beta, beta_max=problem.beta_max)
+    f, grad = problem.gradient(beta)
+    state.residual_history.append(f)
+    if config.track_iterates:
+        state.iterate_history.append(beta.copy())
+    return state, f, grad
+
+
+def _advance(
+    state: OptimizerState, config: SolveConfig, beta, f: float, step: float, active: int
+):
+    """Record an accepted iterate with its objective, step and active count."""
+    state.beta = beta
+    state.last_step = step
+    state.iteration += 1
+    state.residual_history.append(f)
+    state.step_history.append(step)
+    state.active_counts.append(active)
+    if config.track_iterates:
+        state.iterate_history.append(beta.copy())
+
+
+def _budget_spent(state: OptimizerState, f: float, problem: Problem, config: SolveConfig):
+    """Stop reason once the iteration budget runs out."""
+    reached = _discrepancy_reached(f, problem, config.rho)
+    state.stop_reason = "discrepancy" if reached else "max_iter"
+    return state
+
+
 def pqn_solve(problem: Problem, config: SolveConfig) -> OptimizerState:
     """Projected quasi-Newton iteration with discrepancy stopping.
 
@@ -182,21 +220,9 @@ def pqn_solve(problem: Problem, config: SolveConfig) -> OptimizerState:
     into flux configurations whose linearized boundary recursion amplifies,
     where the gradient guard can only shrink the step to underflow.
     """
-    beta = (
-        np.zeros(problem.dim)
-        if config.beta0 is None
-        else project_box(np.asarray(config.beta0, dtype=float), problem.beta_max)
-    )
-    state = OptimizerState(
-        beta=beta,
-        inv_hessian=np.eye(problem.dim),
-        beta_max=problem.beta_max,
-    )
-    f, grad = problem.gradient(beta)
-    state.residual_history.append(f)
+    state, f, grad = _start(problem, config)
+    state.inv_hessian = np.eye(problem.dim)
     grad_scale = float(np.abs(grad).max())
-    if config.track_iterates:
-        state.iterate_history.append(beta.copy())
 
     for _ in range(config.max_iter):
         if _discrepancy_reached(f, problem, config.rho):
@@ -211,57 +237,38 @@ def pqn_solve(problem: Problem, config: SolveConfig) -> OptimizerState:
             return state
         try:
             lam, beta_new, _ = armijo_projected(state, problem.objective, p, grad)
+            f_new, grad_new = problem.gradient(beta_new)
+            # The linearized boundary recursion amplifies perturbations at
+            # iterates whose flux curve has a steep falling flank where the
+            # boundary enthalpy lingers, so the adjoint (and hence the
+            # gradient) can come back many orders of magnitude too large even
+            # though the objective at the trial looks fine. Ingesting such a
+            # pair would poison the quasi-Newton metric and permanently stall
+            # the iteration; treat the trial as rejected and keep shrinking.
+            while float(np.abs(grad_new).max()) > GRAD_GUARD_FACTOR * grad_scale:
+                log.info(
+                    "pqn k=%d: gradient %.3e above scale %.3e, shrinking step",
+                    state.iteration, float(np.abs(grad_new).max()), grad_scale,
+                )
+                lam, beta_new, _ = armijo_projected(
+                    state, problem.objective, p, grad, lam * ARMIJO_TAU
+                )
+                f_new, grad_new = problem.gradient(beta_new)
         except LineSearchError:
             state.stop_reason = "line_search_failure"
             return state
-        f_new, grad_new = problem.gradient(beta_new)
-        # The linearized boundary recursion amplifies perturbations at
-        # iterates whose flux curve has a steep falling flank where the
-        # boundary enthalpy lingers, so the adjoint (and hence the gradient)
-        # can come back many orders of magnitude too large even though the
-        # objective at the trial looks fine. Ingesting such a pair would
-        # poison the quasi-Newton metric and permanently stall the
-        # iteration; treat the trial as rejected and keep shrinking.
-        slope = float(grad @ p)
-        f0 = state.residual_history[-1]
-        while float(np.abs(grad_new).max()) > GRAD_GUARD_FACTOR * grad_scale:
-            log.info(
-                "pqn k=%d: gradient %.3e above scale %.3e, shrinking step",
-                state.iteration, float(np.abs(grad_new).max()), grad_scale,
-            )
-            while True:
-                lam *= ARMIJO_TAU
-                if lam < LAMBDA_MIN:
-                    state.stop_reason = "line_search_failure"
-                    return state
-                beta_new = project_box(state.beta + lam * p, problem.beta_max)
-                f_try = problem.objective(beta_new)
-                if f0 - f_try >= -ARMIJO_C * lam * slope:
-                    break
-            f_new, grad_new = problem.gradient(beta_new)
         grad_scale = max(grad_scale, float(np.abs(grad_new).max()))
         state.inv_hessian = bfgs_inverse_update(
             state.inv_hessian, beta_new - state.beta, grad_new - grad
         )
-        state.beta = beta_new
-        state.last_step = lam
-        state.iteration += 1
-        state.residual_history.append(f_new)
-        state.step_history.append(lam)
-        state.active_counts.append(int(I1.size + I2.size))
-        if config.track_iterates:
-            state.iterate_history.append(beta_new.copy())
+        _advance(state, config, beta_new, f_new, lam, int(I1.size + I2.size))
         f, grad = f_new, grad_new
         log.debug(
             "pqn k=%d f=%.6e lam=%.3g active=%d",
             state.iteration, f, lam, I1.size + I2.size,
         )
 
-    if _discrepancy_reached(f, problem, config.rho):
-        state.stop_reason = "discrepancy"
-    else:
-        state.stop_reason = "max_iter"
-    return state
+    return _budget_spent(state, f, problem, config)
 
 
 def landweber_solve(problem: Problem, config: SolveConfig) -> OptimizerState:
@@ -270,21 +277,7 @@ def landweber_solve(problem: Problem, config: SolveConfig) -> OptimizerState:
     `config.damping` of None selects an automatic factor scaled so the first
     step moves the largest component by a tenth of the box width.
     """
-    beta = (
-        np.zeros(problem.dim)
-        if config.beta0 is None
-        else project_box(np.asarray(config.beta0, dtype=float), problem.beta_max)
-    )
-    state = OptimizerState(
-        beta=beta,
-        inv_hessian=np.eye(problem.dim),
-        beta_max=problem.beta_max,
-    )
-    f, grad = problem.gradient(beta)
-    state.residual_history.append(f)
-    if config.track_iterates:
-        state.iterate_history.append(beta.copy())
-
+    state, f, grad = _start(problem, config)
     if config.damping is None:
         gmax = float(np.abs(grad).max())
         damping = 0.1 * problem.beta_max / gmax if gmax > 0 else 1.0
@@ -303,7 +296,7 @@ def landweber_solve(problem: Problem, config: SolveConfig) -> OptimizerState:
         if np.abs(grad).max() == 0.0:
             state.stop_reason = "line_search_failure"
             return state
-        beta = project_box(beta - damping * grad, problem.beta_max)
+        beta = project_box(state.beta - damping * grad, problem.beta_max)
         f_new, grad = problem.gradient(beta)
         streak = streak + 1 if f_new > f else 0
         if streak >= DIVERGENCE_STREAK:
@@ -312,19 +305,10 @@ def landweber_solve(problem: Problem, config: SolveConfig) -> OptimizerState:
                 f"damping {damping:g} too large"
             )
         f = f_new
-        state.beta = beta
-        state.iteration += 1
-        state.residual_history.append(f)
-        state.step_history.append(damping)
-        state.active_counts.append(int((beta == 0.0).sum() + (beta == problem.beta_max).sum()))
-        if config.track_iterates:
-            state.iterate_history.append(beta.copy())
+        active = int((beta == 0.0).sum() + (beta == problem.beta_max).sum())
+        _advance(state, config, beta, f, damping, active)
 
-    if _discrepancy_reached(f, problem, config.rho):
-        state.stop_reason = "discrepancy"
-    else:
-        state.stop_reason = "max_iter"
-    return state
+    return _budget_spent(state, f, problem, config)
 
 
 def make_pde_problem(
@@ -373,11 +357,11 @@ def make_pde_problem(
 
     def gradient_fn(b: np.ndarray):
         c = _solve(np.asarray(b, dtype=float))
-        report = adjoint.compute_gradient(
+        f, grad = adjoint.compute_gradient(
             c["fp"], data, m, u0, g,
             field=c["field"], residual=c["residual"], obj=c["f"],
         )
-        return report.objective / norm_y, report.gradient * (scale / norm_y)
+        return f / norm_y, grad * (scale / norm_y)
 
     return Problem(
         dim=2 * partition.size,

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from heatflux import cli, config as config_mod
-from heatflux.cli import _iterations_to_levels, gradient_check, main
+from heatflux import adjoint, cli, config as config_mod
+from heatflux.cli import _directional_error, _iterations_to_levels, gradient_check, main
 
 
 SMALL = """
@@ -152,6 +152,15 @@ class TestInvert:
         assert main(["invert", "--config", str(redirected)]) == 0
         assert (inv_out / "beta.json").exists()
 
+    def test_stale_temporary_name_does_not_block_outputs(self, simulated):
+        # A directory squatting on the old fixed temporary name must not
+        # stop the atomic writes.
+        cfg_path, out_dir = simulated
+        (out_dir / "beta.json.tmp").mkdir()
+        assert main(["invert", "--config", str(cfg_path)]) == 0
+        assert json.loads((out_dir / "beta.json").read_text())["k_star"] <= 12
+        assert not [p for p in out_dir.iterdir() if p.name.endswith(".tmp") and p.is_file()]
+
     def test_determinism_across_runs(self, simulated, tmp_path):
         cfg_path, out_dir = simulated
         main(["invert", "--config", str(cfg_path)])
@@ -172,11 +181,37 @@ class TestGradcheck:
         assert report["max_directional_error"] <= 1e-2
         assert len(report["directional_errors"]) == 5
 
-    def test_corrupted_trace_is_caught(self, tmp_path):
+    def test_corrupted_trace_is_caught(self, tmp_path, monkeypatch):
         cfg_path, _ = write_config(tmp_path)
         cfg = config_mod.load_config(cfg_path)
-        report = gradient_check(cfg, flip_trace=True)
+        solve_adjoint = adjoint.solve_adjoint
+
+        def flipped(*args):
+            phi = solve_adjoint(*args).copy()
+            phi[:, 0] *= -1.0
+            return phi
+
+        monkeypatch.setattr(adjoint, "solve_adjoint", flipped)
+        report = gradient_check(cfg)
         assert report["passed"] is False
+
+    def test_directional_error_scale(self):
+        rng = np.random.default_rng(0)
+        fd = rng.standard_normal(16)
+        grad = fd * (1.0 + 1e-4 * rng.standard_normal(16))
+        h = rng.standard_normal(16)
+        h -= (h @ fd) / (fd @ fd) * fd
+        h /= np.linalg.norm(h)
+        # Orthogonal to the gradient: dd_fd is ~0, yet a gradient accurate
+        # to 1e-4 must pass.
+        dd_fd = float(fd @ h)
+        assert abs(dd_fd) < 1e-12
+        assert _directional_error(float(grad @ h), dd_fd, fd) <= 1e-2
+        corrupted = grad.copy()
+        corrupted[:8] *= -1.0
+        for d in (h, rng.standard_normal(16)):
+            d = d / np.linalg.norm(d)
+            assert _directional_error(float(corrupted @ d), float(fd @ d), fd) > 1e-2
 
 
 class TestLevels:

@@ -196,12 +196,3 @@ class TestErrors:
         with pytest.raises(ValidationError):
             forward.total_enthalpy(f, g.nt + 1)
 
-
-class TestSerialization:
-    def test_field_csv_layout(self, builtin_material):
-        g = Grid(L=0.05, T=1.0, nx=5, nt=3)
-        fp = constant_flux_parameter(0.0, beta_max=1.0)
-        f = forward.solve_ibvp(builtin_material, fp, np.full(g.nx, 1.0e9), g)
-        lines = forward.render_field_csv(f).splitlines()
-        assert len(lines) == 1 + g.nx
-        assert len(lines[0].split(",")) == 1 + g.nt + 1
