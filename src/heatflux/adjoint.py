@@ -70,24 +70,18 @@ def solve_adjoint(
     psi = np.zeros(g.nx)
     ab = np.zeros((3, g.nx))
     # Everything that does not depend on the freshly solved level is hoisted
-    # out of the march: weighted source rows, state increments, and the two
-    # boundary flux derivatives along the stored trajectory.
+    # out of the march: weighted source rows and the tangent march's frozen
+    # coefficients along the stored trajectory.
     weighted_src = g.dt * source
     weighted_src[:, 0] *= 2.0  # source density doubles on the wall half cells
     weighted_src[:, -1] *= 2.0
-    du = np.diff(u.values, axis=1)
-    alpha_all, ap_all = pchip.eval(m.diffusivity, u.values, clamp=True)
-    amid_all = 0.5 * (alpha_all[:, :-1] + alpha_all[:, 1:])
-    b0p_all = pchip.eval(b0, u.values[:, 0], clamp=True)[1]
-    bLp_all = pchip.eval(bL, u.values[:, -1], clamp=True)[1]
+    du, ap, amid, b0p, bLp = forward._trajectory_coefficients(u, m, b0, bL)
     for step in range(g.nt):
         s = g.nt - step - 1
-        ap = ap_all[s]
-        amid = amid_all[s]
 
         # The implicit operator is self-adjoint under the half-cell volume
         # weights, so the adjoint march reuses the state-step bands verbatim.
-        forward._diffusion_bands(ab, amid, r)
+        forward._diffusion_bands(ab, amid[s], r)
 
         rhs = psi + weighted_src[s + 1]
         psi = _step_tridiagonal(ab, rhs, step + 1)
@@ -96,9 +90,9 @@ def solve_adjoint(
         # correction and the Robin terms alpha' phi_x = beta' phi act on the
         # freshly solved level, mirroring the frozen-coefficient treatment of
         # the state march.
-        psi = psi - forward._transport_apply_t(ap, du[s + 1], psi, r)
-        psi[0] -= c * b0p_all[s] * phi[s, 0]
-        psi[-1] -= c * bLp_all[s] * phi[s, -1]
+        psi = psi - forward._transport_apply_t(ap[s], du[s + 1], psi, r)
+        psi[0] -= c * b0p[s] * phi[s, 0]
+        psi[-1] -= c * bLp[s] * phi[s, -1]
     return phi
 
 

@@ -155,6 +155,27 @@ def _transport_apply_t(
     return out
 
 
+def _trajectory_coefficients(
+    u: EnthalpyField, m: MaterialModel, b0: pchip.Pchip, bL: pchip.Pchip
+):
+    """Frozen coefficients of the linearized step at every level of `u`.
+
+    Returns (du, ap, amid, b0p, bLp): the state increments between
+    neighbouring nodes, d(alpha')/du at the nodes, the interface means of
+    alpha', and the two boundary flux slopes. The tangent march
+    (`solve_sensitivity`) and the adjoint march (`adjoint.solve_adjoint`)
+    both read them from here, so one is the transpose of the other on the
+    same numbers. Every evaluation is row-wise, so each level gets the values
+    a per-step evaluation would give.
+    """
+    du = np.diff(u.values, axis=1)
+    alpha, ap = pchip.eval(m.diffusivity, u.values, clamp=True)
+    amid = 0.5 * (alpha[:, :-1] + alpha[:, 1:])
+    b0p = pchip.eval(b0, u.values[:, 0], clamp=True)[1]
+    bLp = pchip.eval(bL, u.values[:, -1], clamp=True)[1]
+    return du, ap, amid, b0p, bLp
+
+
 def solve_ibvp(m: MaterialModel, fp: FluxParameter, u0, g: Grid) -> EnthalpyField:
     """March the nonlinear state equation forward over the whole grid.
 
@@ -225,14 +246,7 @@ def solve_sensitivity(
 
     W = np.zeros((g.nt + 1, g.nx))
     ab = np.zeros((3, g.nx))
-    # Coefficients along the stored trajectory are evaluated once for the
-    # whole march, as in `solve_adjoint`; every evaluation is row-wise, so
-    # each step sees the same values as a per-step evaluation would.
-    du = np.diff(u.values, axis=1)
-    alpha_all, ap_all = pchip.eval(m.diffusivity, u.values, clamp=True)
-    amid_all = 0.5 * (alpha_all[:, :-1] + alpha_all[:, 1:])
-    b0p_all = pchip.eval(b0, u.values[:, 0], clamp=True)[1]
-    bLp_all = pchip.eval(bL, u.values[:, -1], clamp=True)[1]
+    du, ap, amid, b0p, bLp = _trajectory_coefficients(u, m, b0, bL)
     G0 = pchip.grad_wrt_values_many(b0, u.values[:, 0], clamp=True)
     GL = pchip.grad_wrt_values_many(bL, u.values[:, -1], clamp=True)
     for k in range(g.nt):
@@ -240,10 +254,10 @@ def solve_sensitivity(
         src0 = float(G0[k] @ h0)
         srcL = float(GL[k] @ hL)
 
-        _diffusion_bands(ab, amid_all[k], r)
-        rhs = wn - _transport_apply(ap_all[k], du[k + 1], wn, r)
-        rhs[0] -= c * (b0p_all[k] * wn[0] + src0)
-        rhs[-1] -= c * (bLp_all[k] * wn[-1] + srcL)
+        _diffusion_bands(ab, amid[k], r)
+        rhs = wn - _transport_apply(ap[k], du[k + 1], wn, r)
+        rhs[0] -= c * (b0p[k] * wn[0] + src0)
+        rhs[-1] -= c * (bLp[k] * wn[-1] + srcL)
         W[k + 1] = _step_tridiagonal(ab, rhs, k + 1)
     return EnthalpyField(g, W)
 

@@ -9,9 +9,10 @@ when the first two secants disagree in sign; without the limiter the end
 intervals can leave the value envelope.
 
 Besides construction and evaluation this module provides the sensitivity of
-the interpolated value with respect to the data values (`grad_wrt_values`),
-which the adjoint gradient assembly relies on, and a nested-partition
-refinement loop (`refine_to_tolerance`).
+the interpolated value with respect to the data values
+(`grad_wrt_values_many`), which the tangent march and the adjoint gradient
+assembly rely on, and a nested-partition refinement loop
+(`refine_to_tolerance`).
 
 `FluxParameter` bundles the two boundary heat-flux value vectors that the
 inverse solver optimizes, together with their shared enthalpy partition and
@@ -22,11 +23,9 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-
-from bisect import bisect_right
 
 from .errors import RefinementError, ValidationError
 
@@ -59,7 +58,7 @@ class Pchip:
     knots: np.ndarray
     values: np.ndarray
     slopes: np.ndarray
-    interval_width: float
+    interval_width: float = field(init=False)
 
     def __post_init__(self):
         for name in ("knots", "values", "slopes"):
@@ -70,8 +69,7 @@ class Pchip:
         if not np.isfinite(self.values).all() or not np.isfinite(self.slopes).all():
             raise ValidationError("values and slopes must be finite")
         h = _uniform_spacing(self.knots)
-        if abs(h - self.interval_width) > EQUIDISTANT_RTOL * abs(h) * self.knots.size:
-            raise ValidationError("interval_width inconsistent with knots")
+        object.__setattr__(self, "interval_width", h)
         # Cache the per-interval cubic in the local coordinate t = (x - x_i)/h,
         # p(t) = c0 + t (c1 + t (c2 + t c3)), plus plain-float copies of all
         # arrays; evaluation sits in the innermost solver loops.
@@ -149,9 +147,8 @@ def build_pchip(knots, values) -> Pchip:
         raise ValidationError("values must match knots in shape")
     if not np.isfinite(values).all():
         raise ValidationError("values must be finite")
-    h = _uniform_spacing(knots)
-    slopes = _harmonic_slopes(values, h)
-    return Pchip(knots.copy(), values.copy(), slopes, h)
+    slopes = _harmonic_slopes(values, _uniform_spacing(knots))
+    return Pchip(knots.copy(), values.copy(), slopes)
 
 
 def _locate(p: Pchip, x, clamp: bool):
@@ -309,11 +306,6 @@ def grad_wrt_values_many(p: Pchip, x, clamp: bool = False) -> np.ndarray:
     return G
 
 
-def grad_wrt_values(p: Pchip, x: float, clamp: bool = False) -> np.ndarray:
-    """Sensitivity vector d p(x) / d values at a single point."""
-    return grad_wrt_values_many(p, [x], clamp=clamp)[0]
-
-
 def _sample(fn, xs: np.ndarray) -> np.ndarray:
     try:
         out = np.asarray(fn(xs), dtype=float)
@@ -376,7 +368,7 @@ class FluxParameter:
         part = np.asarray(self.partition, dtype=float)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "partition", part)
-        h = _uniform_spacing(part)
+        _uniform_spacing(part)
         if abs(part[0]) > EQUIDISTANT_RTOL * part[-1]:
             raise ValidationError("flux partition must start at 0")
         if beta.ndim != 1 or beta.size != 2 * part.size:
@@ -389,7 +381,6 @@ class FluxParameter:
             raise ValidationError("beta_max must be positive")
         if (beta < 0).any() or (beta > self.beta_max).any():
             raise ValidationError("beta outside the box [0, beta_max]")
-        _ = h
 
     @property
     def n(self) -> int:
@@ -419,14 +410,9 @@ def render_pchip_csv(p: Pchip) -> str:
     return buf.getvalue()
 
 
-def save_pchip(p: Pchip, path) -> None:
-    """Write the interpolant as `knot,value,slope` CSV rows."""
-    with open(path, "w", newline="") as fh:
-        fh.write(render_pchip_csv(p))
-
-
 def load_pchip(path) -> Pchip:
-    """Read an interpolant previously written by :func:`save_pchip`.
+    """Read an interpolant from the `knot,value,slope` CSV rows that
+    :func:`render_pchip_csv` writes.
 
     Stored slopes are taken as-is, so a file can carry interpolants whose
     derivatives were produced elsewhere, as long as the knots are equidistant.
@@ -442,5 +428,4 @@ def load_pchip(path) -> Pchip:
     if data.ndim != 2 or data.shape[1] != 3:
         raise ValidationError(f"{path}: expected 3 columns")
     knots, values, slopes = data.T
-    h = _uniform_spacing(knots)
-    return Pchip(knots, values, slopes, h)
+    return Pchip(knots, values, slopes)

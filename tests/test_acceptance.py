@@ -128,7 +128,7 @@ def test_criterion_3_pchip_suite():
         knots = np.arange(n, dtype=float)
         p = pchip.build_pchip(knots, vals)
         x = float(rng.uniform(0.0, n - 1.0))
-        grad = pchip.grad_wrt_values(p, x)
+        grad = pchip.grad_wrt_values_many(p, [x])[0]
         fd = np.zeros(n)
         h = 1e-6
         for j in range(n):
