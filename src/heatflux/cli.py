@@ -138,8 +138,7 @@ def _solve(cfg: ExperimentConfig, problem: optimizer.Problem, method: str):
     state = solver(problem, solve_cfg)
     log.info(
         "%s finished: k=%d stop=%s normalized=%.3e",
-        method, state.iteration, state.stop_reason,
-        state.residual_history[-1] / problem.data_norm_sq,
+        method, state.iteration, state.stop_reason, state.residual_history[-1],
     )
     return state
 

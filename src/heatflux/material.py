@@ -35,8 +35,6 @@ class MaterialModel:
     conductivity_table: np.ndarray
     enthalpy_table: np.ndarray
     diffusivity: pchip.Pchip
-    c_min: float
-    c_max: float
 
     @property
     def u_range(self) -> tuple[float, float]:
@@ -81,8 +79,6 @@ def build_material(theta_table, capacity_table, conductivity_table) -> MaterialM
     enthalpy = np.concatenate(([0.0], np.cumsum(increments)))
 
     alpha = cond / cap
-    c_min = float(alpha.min())
-    c_max = float(alpha.max())
 
     try:
         diffusivity = pchip.build_pchip(enthalpy, alpha)
@@ -96,8 +92,6 @@ def build_material(theta_table, capacity_table, conductivity_table) -> MaterialM
         conductivity_table=cond,
         enthalpy_table=enthalpy,
         diffusivity=diffusivity,
-        c_min=c_min,
-        c_max=c_max,
     )
 
 
@@ -153,13 +147,9 @@ def render_material_csv(m: MaterialModel) -> str:
     return buf.getvalue()
 
 
-def save_material(m: MaterialModel, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(render_material_csv(m))
-
-
 def load_material(path) -> MaterialModel:
-    """Build a material from a `theta,capacity,conductivity` CSV file."""
+    """Build a material from a `theta,capacity,conductivity` CSV file, the
+    layout :func:`render_material_csv` writes."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or [c.strip() for c in rows[0]] != MATERIAL_CSV_HEADER:

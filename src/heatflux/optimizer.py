@@ -7,8 +7,9 @@ that the once-masked matrix would still push outward. The step direction is
 the masked matrix applied to the negative gradient, the step length comes
 from Armijo backtracking on the projected trial points, and iterations stop
 once the normalized residual falls below rho times the recorded noise level
-(discrepancy principle), the iteration budget runs out, or the line search
-stalls.
+(discrepancy principle), the iteration budget runs out, the iterate is
+stationary, or the line search stalls. A trial point whose forward march
+diverges is a rejected trial, not the end of the run.
 
 The attenuated Landweber baseline iterates projected gradient descent with a
 constant damping factor, serving as the comparison method; a streak of ten
@@ -27,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import adjoint
-from .errors import LineSearchError, OptimizerError, ValidationError
+from .errors import DivergenceError, LineSearchError, OptimizerError, ValidationError
 from .forward import Grid
 from .material import MaterialModel
 from .observation import Measurement
@@ -51,18 +52,17 @@ class Problem:
     """Inverse problem seen by the solvers.
 
     `gradient` returns the pair (objective value, gradient vector) at a
-    point; `objective` just the value. `data_norm_sq` and `delta` feed the
-    discrepancy test f / data_norm_sq <= rho * delta. `param_scale` maps an
-    iterate back to physical flux values; problems built by
-    `make_pde_problem` are dimensionless (see there), so their box is [0, 1]
-    and their `data_norm_sq` is 1.
+    point; `objective` just the value. `delta` feeds the discrepancy test
+    f <= rho * delta, so f must be normalized the way `delta` is.
+    `param_scale` maps an iterate back to physical flux values; problems
+    built by `make_pde_problem` are dimensionless (see there): their box is
+    [0, 1] and their f is the misfit over the squared data norm.
     """
 
     dim: int
     beta_max: float
     objective: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], tuple[float, np.ndarray]]
-    data_norm_sq: float = 1.0
     delta: float = 0.0
     param_scale: float = 1.0
 
@@ -84,8 +84,6 @@ class OptimizerState:
     inv_hessian: np.ndarray | None = None
     iteration: int = 0
     residual_history: list = field(default_factory=list)
-    active_I1: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    active_I2: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     last_step: float = 0.0
     stop_reason: str | None = None
     step_history: list = field(default_factory=list)
@@ -129,8 +127,10 @@ def armijo_projected(
     """Backtracking line search on projected trial points.
 
     Starting from step `lam`, halve until f(beta) - f(P(beta + lam p)) >=
-    -c lam grad.p; raises LineSearchError when the step underflows.
-    Returns (accepted step, projected point, its objective value).
+    -c lam grad.p; a trial whose objective raises DivergenceError is
+    rejected like one that fails the test. Raises LineSearchError when the
+    step underflows. Returns (accepted step, projected point, its objective
+    value).
     """
     if not state.residual_history:
         raise OptimizerError("line search requires the current objective value")
@@ -140,9 +140,13 @@ def armijo_projected(
         if lam < LAMBDA_MIN:
             raise LineSearchError(f"no acceptable step above {LAMBDA_MIN:g}")
         trial = project_box(state.beta + lam * p, state.beta_max)
-        f_trial = objective_fn(trial)
-        if f0 - f_trial >= -ARMIJO_C * lam * slope:
-            return lam, trial, f_trial
+        try:
+            f_trial = objective_fn(trial)
+        except DivergenceError as exc:
+            log.info("trial step %.3g rejected: %s", lam, exc)
+        else:
+            if f0 - f_trial >= -ARMIJO_C * lam * slope:
+                return lam, trial, f_trial
         lam *= ARMIJO_TAU
 
 
@@ -172,7 +176,7 @@ def bfgs_inverse_update(S: np.ndarray, s_k: np.ndarray, g_k: np.ndarray) -> np.n
 
 
 def _discrepancy_reached(f: float, problem: Problem, rho: float) -> bool:
-    return f / problem.data_norm_sq <= rho * problem.delta
+    return f <= rho * problem.delta
 
 
 def _start(problem: Problem, config: SolveConfig):
@@ -229,11 +233,10 @@ def pqn_solve(problem: Problem, config: SolveConfig) -> OptimizerState:
             state.stop_reason = "discrepancy"
             return state
         p, I1, I2 = search_direction(state, grad)
-        state.active_I1, state.active_I2 = I1, I2
         free = problem.dim - I1.size - I2.size
         if free == 0 or np.abs(p).max() < STATIONARITY_RTOL * problem.beta_max:
             log.info("stationary point reached at iteration %d", state.iteration)
-            state.stop_reason = "line_search_failure"
+            state.stop_reason = "stationary"
             return state
         try:
             lam, beta_new, _ = armijo_projected(state, problem.objective, p, grad)
@@ -294,7 +297,7 @@ def landweber_solve(problem: Problem, config: SolveConfig) -> OptimizerState:
             state.stop_reason = "discrepancy"
             return state
         if np.abs(grad).max() == 0.0:
-            state.stop_reason = "line_search_failure"
+            state.stop_reason = "stationary"
             return state
         beta = project_box(state.beta - damping * grad, problem.beta_max)
         f_new, grad = problem.gradient(beta)
@@ -368,7 +371,6 @@ def make_pde_problem(
         beta_max=1.0,
         objective=objective_fn,
         gradient=gradient_fn,
-        data_norm_sq=1.0,
         delta=float(data.delta),
         param_scale=scale,
     )
@@ -383,17 +385,11 @@ def render_convergence_csv(state: OptimizerState, data_norm_sq: float) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["k", "f", "normalized_f", "lambda", "active_count"])
-    steps = [0.0] + list(state.step_history)
-    actives = [0] + list(state.active_counts)
+    steps = [0.0] + state.step_history
+    actives = [0] + state.active_counts
     for k, f in enumerate(state.residual_history):
         writer.writerow(
-            [
-                k,
-                repr(float(f * data_norm_sq)),
-                repr(float(f)),
-                repr(float(steps[k])) if k < len(steps) else repr(0.0),
-                actives[k] if k < len(actives) else 0,
-            ]
+            [k, repr(float(f * data_norm_sq)), repr(float(f)), repr(float(steps[k])), actives[k]]
         )
     return buf.getvalue()
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatflux import forward, observation, optimizer, pchip
-from heatflux.errors import LineSearchError, OptimizerError, ValidationError
+from heatflux.errors import DivergenceError, LineSearchError, OptimizerError, ValidationError
 from heatflux.forward import Grid
 from heatflux.observation import ObservationSpec
 from heatflux.optimizer import (
@@ -250,7 +250,33 @@ class TestPqnSolve:
     def test_stationary_point_stops_cleanly(self):
         prob = quadratic_problem(np.eye(2), np.full(2, 0.5), lift=1.0)
         state = pqn_solve(prob, SolveConfig(max_iter=500, beta0=np.full(2, 0.5)))
-        assert state.stop_reason == "line_search_failure"
+        assert state.stop_reason == "stationary"
+
+    def test_diverging_trial_is_rejected_not_fatal(self):
+        # The first direction (0.5, 5) overshoots into x_2 > 0.8, where the
+        # "march" blows up; those trials must shrink the step like a failed
+        # Armijo test instead of ending the run.
+        base = quadratic_problem(np.diag([1.0, 10.0]), np.full(2, 0.5))
+        diverged = []
+
+        def guarded(fn):
+            def call(x):
+                if (x > 0.8).any():
+                    diverged.append(x.copy())
+                    raise DivergenceError("non-finite trial march", step=1)
+                return fn(x)
+            return call
+
+        prob = Problem(
+            dim=2,
+            beta_max=1.0,
+            objective=guarded(base.objective),
+            gradient=guarded(base.gradient),
+        )
+        state = pqn_solve(prob, SolveConfig(max_iter=200))
+        assert diverged
+        assert (state.beta >= 0.0).all() and (state.beta <= 0.8).all()
+        assert np.abs(state.beta - 0.5).max() <= 1e-7
 
     def test_runs_are_deterministic(self):
         prob = quadratic_problem(np.diag([1.0, 3.0, 7.0]), np.array([0.2, 0.5, 0.9]))
@@ -301,7 +327,7 @@ class TestLandweber:
     def test_zero_gradient_plateau_stops(self):
         prob = quadratic_problem(np.eye(2), np.full(2, 0.5), lift=1.0)
         state = landweber_solve(prob, SolveConfig(max_iter=10, beta0=np.full(2, 0.5)))
-        assert state.stop_reason == "line_search_failure"
+        assert state.stop_reason == "stationary"
         assert state.iteration == 0
 
 
@@ -330,7 +356,6 @@ class TestPdeProblem:
         prob, meas = pde
         assert prob.dim == 8
         assert prob.beta_max == 1.0
-        assert prob.data_norm_sq == 1.0
         assert prob.param_scale == 2.0e6
         assert prob.delta == meas.delta
 
