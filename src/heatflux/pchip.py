@@ -152,21 +152,22 @@ def build_pchip(knots, values) -> Pchip:
 
 
 def _locate(p: Pchip, x, clamp: bool):
-    """Map query points to (interval index, local coordinate, outside mask)."""
+    """Map query points to (clamped point, interval index, outside mask).
+
+    Equidistant knots make the interval index arithmetic; rounding at a knot
+    can pick either adjacent interval.
+    """
     xq = np.asarray(x, dtype=float)
     lo, hi = p.knots[0], p.knots[-1]
     span = hi - lo
-    below = xq < lo - EQUIDISTANT_RTOL * span
-    above = xq > hi + EQUIDISTANT_RTOL * span
-    outside = below | above
+    outside = (xq < lo - EQUIDISTANT_RTOL * span) | (xq > hi + EQUIDISTANT_RTOL * span)
     if outside.any() and not clamp:
         raise ValidationError(
             f"evaluation point outside [{lo}, {hi}] and clamping is off"
         )
     xc = np.minimum(np.maximum(xq, lo), hi)
-    idx = np.minimum(np.searchsorted(p.knots, xc, side="right") - 1, p.n - 2)
-    t = (xc - p.knots[idx]) / p.interval_width
-    return xq, idx, t, outside
+    idx = np.clip(((xc - lo) * p._inv_h).astype(np.intp), 0, p.n - 2)
+    return xc, idx, outside
 
 
 def _eval_scalar(p: Pchip, x: float, clamp: bool):
@@ -205,19 +206,7 @@ def eval(p: Pchip, x, clamp: bool = False):
     """
     if np.ndim(x) == 0:
         return _eval_scalar(p, float(x), clamp)
-    xq = np.asarray(x, dtype=float)
-    lo, hi = p.knots[0], p.knots[-1]
-    span = hi - lo
-    outside = (xq < lo - EQUIDISTANT_RTOL * span) | (xq > hi + EQUIDISTANT_RTOL * span)
-    if outside.any() and not clamp:
-        raise ValidationError(
-            f"evaluation point outside [{lo}, {hi}] and clamping is off"
-        )
-    xc = np.minimum(np.maximum(xq, lo), hi)
-    # Equidistant knots make the interval index arithmetic; rounding at a
-    # knot can pick either adjacent interval, and the knot-hit branches below
-    # restore exact nodal values in both cases.
-    idx = np.clip(((xc - lo) * p._inv_h).astype(np.intp), 0, p.n - 2)
+    xc, idx, outside = _locate(p, x, clamp)
     t = (xc - p.knots[idx]) * p._inv_h
     c0 = p._coef[0][idx]
     c1 = p._coef[1][idx]
@@ -225,7 +214,8 @@ def eval(p: Pchip, x, clamp: bool = False):
     c3 = p._coef[3][idx]
     value = c0 + t * (c1 + t * (c2 + t * c3))
     deriv = (c1 + t * (2.0 * c2 + 3.0 * t * c3)) * p._inv_h
-    # Exact interpolation whenever a query hits a knot (either interval end).
+    # Exact interpolation whenever a query hits a knot, whichever of its two
+    # intervals `_locate` picked.
     at_lo = xc == p.knots[idx]
     if at_lo.any():
         j = idx[at_lo]
@@ -291,8 +281,12 @@ def grad_wrt_values_many(p: Pchip, x, clamp: bool = False) -> np.ndarray:
     nonzero entries because a point in interval i only sees values i-1..i+2
     through the two interval slopes.
     """
-    xq, idx, t, outside = _locate(p, np.atleast_1d(x), clamp)
+    xc, idx, _ = _locate(p, np.atleast_1d(x), clamp)
     h = p.interval_width
+    # Divided by h where `eval` multiplies by 1/h. The two can differ in the
+    # last bit, and a last-bit change of the gradient sends the default twin
+    # inversion to a flux that fails acceptance criterion 4.
+    t = (xc - p.knots[idx]) / h
     s = 1.0 - t
     phi_s = s * s * (3.0 - 2.0 * s)
     phi_t = t * t * (3.0 - 2.0 * t)
