@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import logging
 import os
@@ -66,6 +67,37 @@ def _csv_text(header, rows) -> str:
 
 def _fmt(value) -> str:
     return repr(float(value))
+
+
+def _json_text(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+CONVERGENCE_COLUMNS = ["k", "f", "normalized_f", "lambda", "active_count"]
+
+
+def _convergence_rows(state: optimizer.OptimizerState, data_norm_sq: float) -> list:
+    """Per-iteration rows under `CONVERGENCE_COLUMNS`.
+
+    Solver histories hold normalized misfits (see `make_pde_problem`);
+    `data_norm_sq` multiplies them back to raw residuals for the f column.
+    """
+    steps = [0.0] + state.step_history
+    actives = [0] + state.active_counts
+    return [
+        (k, _fmt(f * data_norm_sq), _fmt(f), _fmt(steps[k]), actives[k])
+        for k, f in enumerate(state.residual_history)
+    ]
+
+
+def _state_json(state: optimizer.OptimizerState, param_scale: float) -> str:
+    return _json_text(
+        {
+            "beta": [float(param_scale * v) for v in state.beta],
+            "k_star": int(state.iteration),
+            "stop_reason": state.stop_reason,
+        }
+    )
 
 
 def _simulate_measurement(cfg: ExperimentConfig):
@@ -152,12 +184,9 @@ def _run_inversion(cfg: ExperimentConfig, meas: observation.Measurement):
 
 
 def _write_inversion_outputs(cfg, out_dir: Path, state, problem, partition, norm_y) -> None:
-    _atomic_write(
-        out_dir / "beta.json", optimizer.render_state_json(state, problem.param_scale)
-    )
-    _atomic_write(
-        out_dir / "convergence.csv", optimizer.render_convergence_csv(state, norm_y)
-    )
+    _atomic_write(out_dir / "beta.json", _state_json(state, problem.param_scale))
+    convergence = _convergence_rows(state, norm_y)
+    _atomic_write(out_dir / "convergence.csv", _csv_text(CONVERGENCE_COLUMNS, convergence))
     beta_phys = problem.param_scale * state.beta
     fp = pchip.FluxParameter(beta=beta_phys, partition=partition, beta_max=cfg.beta_max)
     b0, bL = pchip.flux_interpolants(fp)
@@ -168,13 +197,9 @@ def _write_inversion_outputs(cfg, out_dir: Path, state, problem, partition, norm
     ]
     _atomic_write(out_dir / "fluxes.csv", _csv_text(["u", "beta0", "betaL"], rows))
 
-    curve = [
-        (k, _fmt(f * norm_y), _fmt(f))
-        for k, f in enumerate(state.residual_history)
-    ]
     _atomic_write(
         out_dir / "plotdata" / "residual_curve.csv",
-        _csv_text(["k", "f", "normalized_f"], curve),
+        _csv_text(CONVERGENCE_COLUMNS[:3], [row[:3] for row in convergence]),
     )
     exact = config_mod.exact_flux_parameter(cfg)
     if exact is not None:
@@ -259,8 +284,7 @@ def gradient_check(cfg: ExperimentConfig) -> dict:
 
 def cmd_gradcheck(cfg: ExperimentConfig, out_dir: Path) -> int:
     report = gradient_check(cfg)
-    payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    _atomic_write(out_dir / "gradcheck.json", payload)
+    _atomic_write(out_dir / "gradcheck.json", _json_text(report))
     log.info("gradcheck rel_l2=%.3e passed=%s", report["rel_l2_error"], report["passed"])
     return 0
 
@@ -270,20 +294,21 @@ def cmd_gradcheck(cfg: ExperimentConfig, out_dir: Path) -> int:
 SUPERIORITY_FACTOR = 0.3
 
 
-def _iterations_to_levels(pqn_hist, lw_hist):
-    """Checkpoint levels from the baseline curve and both methods' first
-    iteration reaching each level."""
-    lw_min = np.minimum.accumulate(np.asarray(lw_hist))
-    pqn_min = np.minimum.accumulate(np.asarray(pqn_hist))
-    last = len(lw_hist) - 1
+def _first_reach(running_min: np.ndarray, level: float):
+    """First iteration whose running minimum is at or below `level`, or None."""
+    reached = np.flatnonzero(running_min <= level)
+    return int(reached[0]) if reached.size else None
+
+
+def _iterations_to_levels(pqn_min: np.ndarray, lw_min: np.ndarray):
+    """Checkpoint levels from the baseline's running minimum and the first
+    quasi-Newton iteration reaching each level."""
+    last = lw_min.size - 1
     checkpoints = [k for k in (10, 20, 50, 100, 200, 500, 1000, 2000, 5000, last) if 0 < k <= last]
-    rows = []
-    for k in sorted(set(checkpoints)):
-        level = lw_min[k]
-        reached = np.flatnonzero(pqn_min <= level)
-        pqn_k = int(reached[0]) if reached.size else None
-        rows.append({"landweber_k": int(k), "level": float(level), "pqn_k": pqn_k})
-    return rows
+    return [
+        {"landweber_k": k, "level": float(lw_min[k]), "pqn_k": _first_reach(pqn_min, lw_min[k])}
+        for k in sorted(set(checkpoints))
+    ]
 
 
 def cmd_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -294,33 +319,27 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
     lw_state = _solve(cfg, problem, "landweber")
 
     norm_y = float(np.sum(meas.data**2))
-    n_rows = max(len(pqn_state.residual_history), len(lw_state.residual_history))
-    rows = []
-    for k in range(n_rows):
-        pf = pqn_state.residual_history[k] if k < len(pqn_state.residual_history) else ""
-        lf = lw_state.residual_history[k] if k < len(lw_state.residual_history) else ""
-        rows.append(
-            (
-                k,
-                _fmt(pf * norm_y) if pf != "" else "",
-                _fmt(pf) if pf != "" else "",
-                _fmt(lf * norm_y) if lf != "" else "",
-                _fmt(lf) if lf != "" else "",
-            )
-        )
+
+    def cells(f):
+        return ("", "") if f is None else (_fmt(f * norm_y), _fmt(f))
+
+    pqn_hist, lw_hist = pqn_state.residual_history, lw_state.residual_history
+    rows = [
+        (k, *cells(pf), *cells(lf))
+        for k, (pf, lf) in enumerate(itertools.zip_longest(pqn_hist, lw_hist))
+    ]
     _atomic_write(
         out_dir / "table.csv",
         _csv_text(["k", "pqn_f", "pqn_normalized", "landweber_f", "landweber_normalized"], rows),
     )
 
-    levels = _iterations_to_levels(pqn_state.residual_history, lw_state.residual_history)
+    pqn_min = np.minimum.accumulate(pqn_hist)
+    lw_min = np.minimum.accumulate(lw_hist)
     # The baseline's running minima are nested, so matching its best level
     # within the budget means every weaker level it passed through was also
     # matched within that budget.
-    lw_best = float(np.minimum.accumulate(lw_state.residual_history)[-1])
-    pqn_min = np.minimum.accumulate(pqn_state.residual_history)
-    reached = np.flatnonzero(pqn_min <= lw_best)
-    k_reach = int(reached[0]) if reached.size else None
+    lw_best = float(lw_min[-1])
+    k_reach = _first_reach(pqn_min, lw_best)
     budget = SUPERIORITY_FACTOR * lw_state.iteration
     superior = k_reach is not None and k_reach < budget
     summary = {
@@ -331,10 +350,10 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
         "landweber_best_normalized": lw_best,
         "pqn_iterations_to_baseline_best": k_reach,
         "superiority_factor": SUPERIORITY_FACTOR,
-        "levels": levels,
+        "levels": _iterations_to_levels(pqn_min, lw_min),
         "pqn_superior": bool(superior),
     }
-    _atomic_write(out_dir / "summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    _atomic_write(out_dir / "summary.json", _json_text(summary))
     log.info("compare: pqn k=%d (%s), landweber k=%d (%s), baseline best matched at k=%s",
              pqn_state.iteration, pqn_state.stop_reason,
              lw_state.iteration, lw_state.stop_reason, k_reach)

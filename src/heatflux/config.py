@@ -230,11 +230,11 @@ def leidenfrost_profiles(u_max: float, beta_max: float) -> tuple[pchip.Pchip, pc
         ramp = 1.0 - np.exp(-((knots / (0.05 * u_max)) ** 2))
         return np.clip(vals * ramp, 0.0, beta_max)
 
-    beta0 = pchip.build_pchip(
+    beta0 = pchip.Pchip(
         knots,
         profile(0.28 * beta_max, 0.30 * u_max, 0.16 * u_max, 0.08 * beta_max, 0.10 * u_max),
     )
-    betaL = pchip.build_pchip(
+    betaL = pchip.Pchip(
         knots,
         profile(0.24 * beta_max, 0.38 * u_max, 0.15 * u_max, 0.10 * beta_max, 0.10 * u_max),
     )
@@ -245,8 +245,8 @@ def exact_flux_parameter(cfg: ExperimentConfig) -> pchip.FluxParameter | None:
     """Exact fluxes as a single parameter vector on their own partition.
 
     Returns None when the config declares no exact fluxes. CSV sources must
-    share one knot vector between the two files; slopes stored in the files
-    are recomputed from the values by the shape-preserving rule.
+    share one knot vector between the two files; only their knot and value
+    columns are read (`pchip.load_pchip`).
     """
     if cfg.flux_source == "none":
         return None

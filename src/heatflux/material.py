@@ -81,10 +81,10 @@ def build_material(theta_table, capacity_table, conductivity_table) -> MaterialM
     alpha = cond / cap
 
     try:
-        diffusivity = pchip.build_pchip(enthalpy, alpha)
+        diffusivity = pchip.Pchip(enthalpy, alpha)
     except ValidationError:
         grid = np.linspace(0.0, enthalpy[-1], max(theta.size, 65))
-        diffusivity = pchip.build_pchip(grid, np.interp(grid, enthalpy, alpha))
+        diffusivity = pchip.Pchip(grid, np.interp(grid, enthalpy, alpha))
 
     return MaterialModel(
         theta_table=theta,

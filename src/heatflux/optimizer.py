@@ -18,9 +18,6 @@ consecutive residual increases aborts it as a damping problem.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import logging
 from dataclasses import dataclass, field
 from typing import Callable
@@ -375,29 +372,3 @@ def make_pde_problem(
         param_scale=scale,
     )
 
-
-def render_convergence_csv(state: OptimizerState, data_norm_sq: float) -> str:
-    """Per-iteration log: k, f, normalized_f, lambda, active_count.
-
-    Solver histories hold normalized misfits (see `make_pde_problem`);
-    `data_norm_sq` multiplies them back to raw residuals for the f column.
-    """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "f", "normalized_f", "lambda", "active_count"])
-    steps = [0.0] + state.step_history
-    actives = [0] + state.active_counts
-    for k, f in enumerate(state.residual_history):
-        writer.writerow(
-            [k, repr(float(f * data_norm_sq)), repr(float(f)), repr(float(steps[k])), actives[k]]
-        )
-    return buf.getvalue()
-
-
-def render_state_json(state: OptimizerState, param_scale: float = 1.0) -> str:
-    payload = {
-        "beta": [float(param_scale * v) for v in state.beta],
-        "k_star": int(state.iteration),
-        "stop_reason": state.stop_reason,
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -1,18 +1,22 @@
 """Shape-preserving piecewise cubic Hermite interpolation on equidistant knots.
 
-Interior derivatives are the harmonic mean of the two adjacent secant slopes
-and are zeroed wherever the secants change sign, so the interpolant stays
-inside the per-interval value envelope (no overshoot, no spurious wiggles).
-Endpoint derivatives come from the one-sided three-point formula, limited so
-they never point against the adjacent secant and never exceed three times it
-when the first two secants disagree in sign; without the limiter the end
-intervals can leave the value envelope.
+An interpolant is built one way, `Pchip(knots, values)`: its derivatives at
+the knots are a function of the values, never an input. Interior derivatives
+are the harmonic mean of the two adjacent secant slopes and are zeroed
+wherever the secants change sign, so the interpolant stays inside the
+per-interval value envelope (no overshoot, no spurious wiggles). Endpoint
+derivatives come from the one-sided three-point formula, limited so they never
+point against the adjacent secant and never exceed three times it when the
+first two secants disagree in sign; without the limiter the end intervals can
+leave the value envelope. One function, `_slope_rule`, applies this rule and
+gives the derivatives and, on demand, their Jacobian.
 
 Besides construction and evaluation this module provides the sensitivity of
 the interpolated value with respect to the data values
 (`grad_wrt_values_many`), which the tangent march and the adjoint gradient
 assembly rely on, and a nested-partition refinement loop
-(`refine_to_tolerance`).
+(`refine_to_tolerance`). A `knot,value,slope` CSV file loads from its knot and
+value columns alone.
 
 `FluxParameter` bundles the two boundary heat-flux value vectors that the
 inverse solver optimizes, together with their shared enthalpy partition and
@@ -53,38 +57,45 @@ def _uniform_spacing(knots: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Pchip:
-    """Monotonicity-preserving cubic Hermite interpolant on equidistant knots."""
+    """Monotonicity-preserving cubic Hermite interpolant on equidistant knots.
+
+    Built from its knots and values alone; the slopes follow from the values
+    by the shape-preserving rule (`_slope_rule`).
+    """
 
     knots: np.ndarray
     values: np.ndarray
-    slopes: np.ndarray
+    slopes: np.ndarray = field(init=False)
     interval_width: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("knots", "values", "slopes"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
-        if not (self.knots.shape == self.values.shape == self.slopes.shape):
-            raise ValidationError("knots, values and slopes must have equal shapes")
-        if not np.isfinite(self.values).all() or not np.isfinite(self.slopes).all():
-            raise ValidationError("values and slopes must be finite")
-        h = _uniform_spacing(self.knots)
+        knots = np.array(self.knots, dtype=float)
+        values = np.array(self.values, dtype=float)
+        if values.shape != knots.shape:
+            raise ValidationError("values must match knots in shape")
+        if not np.isfinite(values).all():
+            raise ValidationError("values must be finite")
+        h = _uniform_spacing(knots)
+        slopes, _ = _slope_rule(values, h)
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "slopes", slopes)
         object.__setattr__(self, "interval_width", h)
         # Cache the per-interval cubic in the local coordinate t = (x - x_i)/h,
         # p(t) = c0 + t (c1 + t (c2 + t c3)), plus plain-float copies of all
         # arrays; evaluation sits in the innermost solver loops.
-        fi, fj = self.values[:-1], self.values[1:]
-        di, dj = h * self.slopes[:-1], h * self.slopes[1:]
-        coef = np.empty((4, self.knots.size - 1))
+        fi, fj = values[:-1], values[1:]
+        di, dj = h * slopes[:-1], h * slopes[1:]
+        coef = np.empty((4, knots.size - 1))
         coef[0] = fi
         coef[1] = di
         coef[2] = 3.0 * (fj - fi) - 2.0 * di - dj
         coef[3] = 2.0 * (fi - fj) + di + dj
         object.__setattr__(self, "_coef", coef)
         object.__setattr__(self, "_clist", coef.tolist())
-        object.__setattr__(self, "_klist", self.knots.tolist())
-        object.__setattr__(self, "_vlist", self.values.tolist())
-        object.__setattr__(self, "_slist", self.slopes.tolist())
+        object.__setattr__(self, "_klist", knots.tolist())
+        object.__setattr__(self, "_vlist", values.tolist())
+        object.__setattr__(self, "_slist", slopes.tolist())
         object.__setattr__(self, "_inv_h", 1.0 / h)
 
     @property
@@ -92,63 +103,55 @@ class Pchip:
         return self.knots.size
 
 
-def _limit_endpoint(d: float, near: float, far: float) -> float:
-    """Clip a one-sided endpoint slope into the shape-preserving range.
+def _slope_rule(values: np.ndarray, h: float, jacobian: bool = False):
+    """Slopes of the shape-preserving construction, and with `jacobian` the
+    dense matrix J[k, i] = d slope_k / d value_i (else None).
 
-    `near` is the secant of the end interval, `far` the next one. A slope
-    pointing against `near` would immediately leave the interval envelope, so
-    it is zeroed; when the two secants disagree the magnitude is capped at
-    3 |near| (the classical monotonicity bound).
+    Each limiter branch sets a slope and its Jacobian row together, so J
+    differentiates the branch the slope took. Where a slope is pinned at 0 its
+    row is zero: the construction is not differentiable there, and 0 is the
+    subgradient that keeps the gradient defined everywhere.
     """
-    if np.sign(d) != np.sign(near):
-        return 0.0
-    if np.sign(near) != np.sign(far) and abs(d) > 3.0 * abs(near):
-        return 3.0 * near
-    return d
-
-
-def _harmonic_slopes(values: np.ndarray, h: float) -> np.ndarray:
-    """Derivative vector of the shape-preserving construction."""
-    delta = np.diff(values) / h
     n = values.size
-    d = np.empty(n)
-    d[0] = _limit_endpoint(1.5 * delta[0] - 0.5 * delta[1], delta[0], delta[1])
-    d[-1] = _limit_endpoint(1.5 * delta[-1] - 0.5 * delta[-2], delta[-1], delta[-2])
+    inv_h = 1.0 / h
+    delta = np.diff(values) / h
+    d = np.zeros(n)
+    J = np.zeros((n, n)) if jacobian else None
+    # Endpoints: the one-sided three-point formula, zeroed where it points
+    # against the end secant `near` (it would leave the interval envelope at
+    # once) and capped at 3 |near| where `near` and the next secant `far`
+    # disagree in sign (the classical monotonicity bound). `s` points inward.
+    for k, near, far, s in ((0, delta[0], delta[1], 1), (n - 1, delta[-1], delta[-2], -1)):
+        raw = 1.5 * near - 0.5 * far
+        if np.sign(raw) != np.sign(near):
+            continue
+        if np.sign(near) != np.sign(far) and abs(raw) > 3.0 * abs(near):
+            d[k], weights = 3.0 * near, (-3.0, 3.0)
+        else:
+            d[k], weights = raw, (-1.5, 2.0, -0.5)
+        if J is not None:
+            for j, w in enumerate(weights):
+                J[k, k + j * s] = w * s * inv_h
+    # Interior: harmonic mean where the adjacent secants agree in sign; zero on
+    # a sign change and in the flat case, which keeps each interval monotone.
     prod = delta[:-1] * delta[1:]
-    ssum = delta[:-1] + delta[1:]
-    # Harmonic mean where the secants agree in sign; zero on a sign change and
-    # in the degenerate flat case (both secants zero), which keeps the
-    # interpolant monotone on each interval.
-    interior = np.zeros(n - 2)
     ok = prod > 0.0
-    interior[ok] = 2.0 * np.abs(prod[ok]) / ssum[ok]
-    d[1:-1] = interior
-    return d
-
-
-def build_pchip(knots, values) -> Pchip:
-    """Construct the interpolant for the given equidistant data.
-
-    Parameters
-    ----------
-    knots : array_like
-        Strictly increasing, equidistant abscissae (at least 3).
-    values : array_like
-        Data values, same length as `knots`.
-
-    Raises
-    ------
-    ValidationError
-        If the partition is not equidistant/increasing or sizes mismatch.
-    """
-    knots = np.asarray(knots, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if values.shape != knots.shape:
-        raise ValidationError("values must match knots in shape")
-    if not np.isfinite(values).all():
-        raise ValidationError("values must be finite")
-    slopes = _harmonic_slopes(values, _uniform_spacing(knots))
-    return Pchip(knots.copy(), values.copy(), slopes)
+    d[1:-1][ok] = 2.0 * np.abs(prod[ok]) / (delta[:-1] + delta[1:])[ok]
+    if J is not None:
+        # The weights take the secants times 1/h, not the slopes' secants
+        # divided by h: the two differ in the last bit, and a last-bit change
+        # of the gradient sends the default twin inversion to a flux that
+        # fails acceptance criterion 4.
+        sec = np.diff(values) * inv_h
+        a, b = sec[:-1], sec[1:]
+        ssq = np.where(ok, (a + b) ** 2, 1.0)
+        dga = np.where(ok, 2.0 * b * b / ssq, 0.0)
+        dgb = np.where(ok, 2.0 * a * a / ssq, 0.0)
+        rows = np.arange(1, n - 1)
+        J[rows, rows - 1] = -dga * inv_h
+        J[rows, rows] = (dga - dgb) * inv_h
+        J[rows, rows + 1] = dgb * inv_h
+    return d, J
 
 
 def _locate(p: Pchip, x, clamp: bool):
@@ -231,49 +234,6 @@ def eval(p: Pchip, x, clamp: bool = False):
     return value, deriv
 
 
-def _slope_jacobian(p: Pchip) -> np.ndarray:
-    """Dense matrix J with J[k, i] = d slope_k / d value_i.
-
-    Rows of interior knots whose slope was zeroed by the sign rule are zero
-    (the construction is not differentiable there; 0 is the subgradient
-    choice that keeps the gradient defined everywhere).
-    """
-    n = p.n
-    inv_h = 1.0 / p.interval_width
-    delta = np.diff(p.values) * inv_h
-    J = np.zeros((n, n))
-    d0_raw = 1.5 * delta[0] - 0.5 * delta[1]
-    if np.sign(d0_raw) != np.sign(delta[0]):
-        pass  # limiter pinned the slope at 0; subgradient row stays zero
-    elif np.sign(delta[0]) != np.sign(delta[1]) and abs(d0_raw) > 3.0 * abs(delta[0]):
-        J[0, 0] = -3.0 * inv_h
-        J[0, 1] = 3.0 * inv_h
-    else:
-        J[0, 0] = -1.5 * inv_h
-        J[0, 1] = 2.0 * inv_h
-        J[0, 2] = -0.5 * inv_h
-    dn_raw = 1.5 * delta[-1] - 0.5 * delta[-2]
-    if np.sign(dn_raw) != np.sign(delta[-1]):
-        pass
-    elif np.sign(delta[-1]) != np.sign(delta[-2]) and abs(dn_raw) > 3.0 * abs(delta[-1]):
-        J[n - 1, n - 2] = -3.0 * inv_h
-        J[n - 1, n - 1] = 3.0 * inv_h
-    else:
-        J[n - 1, n - 1] = 1.5 * inv_h
-        J[n - 1, n - 2] = -2.0 * inv_h
-        J[n - 1, n - 3] = 0.5 * inv_h
-    a, b = delta[:-1], delta[1:]
-    ok = a * b > 0.0
-    ssq = np.where(ok, (a + b) ** 2, 1.0)
-    dga = np.where(ok, 2.0 * b * b / ssq, 0.0)
-    dgb = np.where(ok, 2.0 * a * a / ssq, 0.0)
-    rows = np.arange(1, n - 1)
-    J[rows, rows - 1] = -dga * inv_h
-    J[rows, rows] = (dga - dgb) * inv_h
-    J[rows, rows + 1] = dgb * inv_h
-    return J
-
-
 def grad_wrt_values_many(p: Pchip, x, clamp: bool = False) -> np.ndarray:
     """Rows of sensitivities d p(x_q) / d values for many query points.
 
@@ -292,7 +252,7 @@ def grad_wrt_values_many(p: Pchip, x, clamp: bool = False) -> np.ndarray:
     phi_t = t * t * (3.0 - 2.0 * t)
     H3 = -h * s * s * (s - 1.0)
     H4 = h * t * t * (t - 1.0)
-    J = _slope_jacobian(p)
+    _, J = _slope_rule(p.values, h, jacobian=True)
     G = H3[:, None] * J[idx] + H4[:, None] * J[idx + 1]
     rows = np.arange(idx.size)
     G[rows, idx] += phi_s
@@ -333,7 +293,7 @@ def refine_to_tolerance(sampler, a: float, b: float, epsilon: float, max_level: 
     err = np.inf
     for level in range(1, max_level + 1):
         knots = np.linspace(a, b, 2**level + 1)
-        p = build_pchip(knots, _sample(sampler, knots))
+        p = Pchip(knots, _sample(sampler, knots))
         err = float(np.abs(eval(p, dense)[0] - target).max())
         if err < epsilon:
             return level, p, err
@@ -390,8 +350,8 @@ def flux_interpolants(fp: FluxParameter) -> tuple[Pchip, Pchip]:
     """Interpolants (flux at x=0, flux at x=L) for the current parameters."""
     n = fp.n
     return (
-        build_pchip(fp.partition, fp.beta[:n]),
-        build_pchip(fp.partition, fp.beta[n:]),
+        Pchip(fp.partition, fp.beta[:n]),
+        Pchip(fp.partition, fp.beta[n:]),
     )
 
 
@@ -408,8 +368,8 @@ def load_pchip(path) -> Pchip:
     """Read an interpolant from the `knot,value,slope` CSV rows that
     :func:`render_pchip_csv` writes.
 
-    Stored slopes are taken as-is, so a file can carry interpolants whose
-    derivatives were produced elsewhere, as long as the knots are equidistant.
+    The slope column is not read: the slopes follow from the values, so the
+    value sensitivities differentiate the interpolant that is evaluated.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -421,5 +381,4 @@ def load_pchip(path) -> Pchip:
         raise ValidationError(f"{path}: non-numeric cell ({exc})") from exc
     if data.ndim != 2 or data.shape[1] != 3:
         raise ValidationError(f"{path}: expected 3 columns")
-    knots, values, slopes = data.T
-    return Pchip(knots, values, slopes)
+    return Pchip(data[:, 0], data[:, 1])

@@ -101,7 +101,7 @@ def test_criterion_3_pchip_suite():
         n = int(rng.integers(3, 12))
         vals = rng.uniform(-5.0, 5.0, n)
         knots = np.arange(n, dtype=float)
-        p = pchip.build_pchip(knots, vals)
+        p = pchip.Pchip(knots, vals)
         assert (pchip.eval(p, knots)[0] == vals).all()
         dense = np.linspace(0.0, n - 1.0, 40 * n)
         got = pchip.eval(p, dense)[0]
@@ -111,7 +111,7 @@ def test_criterion_3_pchip_suite():
             worst_excursion, (lo - got.min()) / span, (got.max() - hi) / span
         )
 
-    p = pchip.build_pchip(np.linspace(0.0, 4.0, 9), [0, 3, 1, 1, 5, 2, 8, 8, 7])
+    p = pchip.Pchip(np.linspace(0.0, 4.0, 9), [0, 3, 1, 1, 5, 2, 8, 8, 7])
     eps = 1e-8
     c1_defect = 0.0
     for i in range(1, p.n - 1):
@@ -126,7 +126,7 @@ def test_criterion_3_pchip_suite():
         n = int(rng.integers(3, 10))
         vals = rng.uniform(-2.0, 2.0, n)
         knots = np.arange(n, dtype=float)
-        p = pchip.build_pchip(knots, vals)
+        p = pchip.Pchip(knots, vals)
         x = float(rng.uniform(0.0, n - 1.0))
         grad = pchip.grad_wrt_values_many(p, [x])[0]
         fd = np.zeros(n)
@@ -136,8 +136,8 @@ def test_criterion_3_pchip_suite():
             up[j] += h
             dn[j] -= h
             fd[j] = (
-                pchip.eval(pchip.build_pchip(knots, up), x)[0]
-                - pchip.eval(pchip.build_pchip(knots, dn), x)[0]
+                pchip.eval(pchip.Pchip(knots, up), x)[0]
+                - pchip.eval(pchip.Pchip(knots, dn), x)[0]
             ) / (2.0 * h)
         denom = max(1.0, float(np.abs(fd).max()))
         worst_grad = max(worst_grad, float(np.abs(grad - fd).max()) / denom)
@@ -146,13 +146,13 @@ def test_criterion_3_pchip_suite():
     base = rng.uniform(-1.0, 1.0, 12)
     knots = np.arange(12, dtype=float)
     x = 2.5
-    v0 = pchip.eval(pchip.build_pchip(knots, base), x)[0]
+    v0 = pchip.eval(pchip.Pchip(knots, base), x)[0]
     for j in range(6, 12):
         moved = base.copy()
         moved[j] += 7.0
-        assert pchip.eval(pchip.build_pchip(knots, moved), x)[0] == v0
+        assert pchip.eval(pchip.Pchip(knots, moved), x)[0] == v0
 
-    hump = pchip.build_pchip([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+    hump = pchip.Pchip([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
     assert hump.slopes.tolist() == [2.0, 0.0, -2.0]
 
     epsilon = 1e-3
@@ -224,6 +224,45 @@ def test_criterion_4_twin_inversion_quality(twin_run):
     assert max(peaks) <= 1.0
     assert invert_seconds <= 600.0
     assert (np.diff(normalized) <= 0.0).all()
+
+
+# ---------------------------------------------------------------- criterion 5
+
+
+# A short, coarse twin experiment shared by criteria 5 and 7.
+COARSE_TWIN = (
+    "domain.T = 6.0\n"
+    "grids.sim.nx = 51\n"
+    "grids.sim.nt = 600\n"
+    "grids.inv.nx = 41\n"
+    "grids.inv.nt = 480\n"
+    "partition.n = 10\n"
+    "sensors.sample_interval = 0.2\n"
+)
+
+
+def test_criterion_5_pqn_beats_landweber(tmp_path):
+    cfg_path = tmp_path / "compare.cfg"
+    out = tmp_path / "out"
+    cfg_path.write_text(
+        COARSE_TWIN
+        + "optimizer.max_iter = 100\n"
+        + "optimizer.landweber_max_iter = 100\n"
+        + f"output.dir = {out}\n"
+    )
+    assert cli.main(["simulate", "--config", str(cfg_path)]) == 0
+    rc = cli.main(["compare", "--config", str(cfg_path)])
+    summary = json.loads((out / "summary.json").read_text())
+    k_reach = summary["pqn_iterations_to_baseline_best"]
+    budget = 0.3 * 100
+    print(
+        f"criterion 5: PQN stop {summary['pqn_stop_reason']} at k*={summary['pqn_iterations']}, "
+        f"matches Landweber's best level after {summary['landweber_iterations']} "
+        f"iterations at k={k_reach} < {budget:.0f}, exit {rc}"
+    )
+    assert rc == 0
+    assert summary["pqn_superior"] is True
+    assert k_reach is not None and k_reach < budget
 
 
 # ---------------------------------------------------------------- criterion 6
@@ -328,17 +367,7 @@ def test_criterion_6_algebraic_suites(builtin_material, monkeypatch):
 def test_criterion_7_determinism(tmp_path):
     cfg_path = tmp_path / "coarse.cfg"
     out = tmp_path / "out"
-    cfg_path.write_text(
-        "domain.T = 6.0\n"
-        "grids.sim.nx = 51\n"
-        "grids.sim.nt = 600\n"
-        "grids.inv.nx = 41\n"
-        "grids.inv.nt = 480\n"
-        "partition.n = 10\n"
-        "sensors.sample_interval = 0.2\n"
-        "optimizer.max_iter = 20\n"
-        f"output.dir = {out}\n"
-    )
+    cfg_path.write_text(COARSE_TWIN + "optimizer.max_iter = 20\n" + f"output.dir = {out}\n")
 
     def run_all():
         assert cli.main(["simulate", "--config", str(cfg_path)]) == 0

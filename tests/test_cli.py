@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from heatflux import adjoint, cli, config as config_mod
+from heatflux.optimizer import OptimizerState
 from heatflux.cli import _directional_error, _iterations_to_levels, gradient_check, main
 
 
@@ -218,7 +219,7 @@ class TestLevels:
     def test_checkpoints_track_running_minimum(self):
         lw = [100.0] + [100.0 / (k + 1) for k in range(30)]
         pqn = [100.0, 10.0, 1.0, 0.5]
-        rows = _iterations_to_levels(pqn, lw)
+        rows = _iterations_to_levels(np.minimum.accumulate(pqn), np.minimum.accumulate(lw))
         assert [r["landweber_k"] for r in rows] == [10, 20, 30]
         for r in rows:
             assert r["level"] == 100.0 / r["landweber_k"]
@@ -227,8 +228,32 @@ class TestLevels:
     def test_unreached_levels_reported_as_none(self):
         lw = list(np.linspace(100.0, 1.0, 25))
         pqn = [100.0, 50.0]
-        rows = _iterations_to_levels(pqn, lw)
+        rows = _iterations_to_levels(np.minimum.accumulate(pqn), np.minimum.accumulate(lw))
         assert rows[-1]["pqn_k"] is None
+
+
+class TestRendering:
+    def test_convergence_csv_denormalizes_f(self):
+        state = OptimizerState(beta=np.zeros(2), inv_hessian=np.eye(2), beta_max=1.0)
+        state.residual_history = [0.5, 0.125]
+        state.step_history = [1.0]
+        state.active_counts = [1]
+        rows = cli._convergence_rows(state, data_norm_sq=4.0)
+        lines = cli._csv_text(cli.CONVERGENCE_COLUMNS, rows).splitlines()
+        assert lines[0] == "k,f,normalized_f,lambda,active_count"
+        assert lines[1].split(",") == ["0", "2.0", "0.5", "0.0", "0"]
+        assert lines[2].split(",") == ["1", "0.5", "0.125", "1.0", "1"]
+
+    def test_state_json_rescales_beta(self):
+        state = OptimizerState(
+            beta=np.array([0.25, 1.0]), inv_hessian=np.eye(2), beta_max=1.0
+        )
+        state.iteration = 4
+        state.stop_reason = "discrepancy"
+        payload = json.loads(cli._state_json(state, param_scale=8.0))
+        assert payload["beta"] == [2.0, 8.0]
+        assert payload["k_star"] == 4
+        assert payload["stop_reason"] == "discrepancy"
 
 
 class TestParser:

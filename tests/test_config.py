@@ -161,7 +161,7 @@ class TestBuiltinProfiles:
     def test_csv_fluxes_must_share_partition(self, tmp_path):
         cfg = ExperimentConfig()
         b0, _ = config_mod.leidenfrost_profiles(cfg.u_max, cfg.beta_max)
-        other = pchip.build_pchip(
+        other = pchip.Pchip(
             np.linspace(0.0, cfg.u_max, 21), np.zeros(21)
         )
         p0 = tmp_path / "beta0.csv"

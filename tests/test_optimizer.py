@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatflux import forward, observation, optimizer, pchip
+from heatflux import forward, observation, pchip
 from heatflux.errors import DivergenceError, LineSearchError, OptimizerError, ValidationError
 from heatflux.forward import Grid
 from heatflux.observation import ObservationSpec
@@ -278,6 +278,27 @@ class TestPqnSolve:
         assert (state.beta >= 0.0).all() and (state.beta <= 0.8).all()
         assert np.abs(state.beta - 0.5).max() <= 1e-7
 
+    def test_gradient_guard_keeps_spiking_trials_out(self):
+        # Inside the band 0.1 < x_2 < 0.13 the gradient is 1e9 times too large
+        # while the objective stays smooth, as at a trial whose boundary march
+        # chatters. The guard must reject such trials instead of feeding the
+        # gradient to the BFGS update.
+        base = quadratic_problem(np.diag([1.0, 10.0]), np.array([0.5, 0.2]))
+        spikes = []
+
+        def gradient(x):
+            f, g = base.gradient(x)
+            if 0.1 < x[1] < 0.13:
+                spikes.append(x.copy())
+                return f, 1e9 * g
+            return f, g
+
+        prob = Problem(dim=2, beta_max=1.0, objective=base.objective, gradient=gradient)
+        state = pqn_solve(prob, SolveConfig(max_iter=200, track_iterates=True))
+        assert spikes
+        assert not any(0.1 < it[1] < 0.13 for it in state.iterate_history)
+        assert np.abs(state.beta - np.array([0.5, 0.2])).max() <= 1e-7
+
     def test_runs_are_deterministic(self):
         prob = quadratic_problem(np.diag([1.0, 3.0, 7.0]), np.array([0.2, 0.5, 0.9]))
         cfg = SolveConfig(max_iter=40, track_iterates=True)
@@ -380,27 +401,3 @@ class TestPdeProblem:
         assert state.residual_history[-1] < state.residual_history[0]
         assert (state.beta >= 0.0).all() and (state.beta <= 1.0).all()
 
-
-class TestRendering:
-    def test_convergence_csv_denormalizes_f(self):
-        state = OptimizerState(beta=np.zeros(2), inv_hessian=np.eye(2), beta_max=1.0)
-        state.residual_history = [0.5, 0.125]
-        state.step_history = [1.0]
-        state.active_counts = [1]
-        lines = optimizer.render_convergence_csv(state, data_norm_sq=4.0).splitlines()
-        assert lines[0] == "k,f,normalized_f,lambda,active_count"
-        assert lines[1].split(",") == ["0", "2.0", "0.5", "0.0", "0"]
-        assert lines[2].split(",") == ["1", "0.5", "0.125", "1.0", "1"]
-
-    def test_state_json_rescales_beta(self):
-        import json
-
-        state = OptimizerState(
-            beta=np.array([0.25, 1.0]), inv_hessian=np.eye(2), beta_max=1.0
-        )
-        state.iteration = 4
-        state.stop_reason = "discrepancy"
-        payload = json.loads(optimizer.render_state_json(state, param_scale=8.0))
-        assert payload["beta"] == [2.0, 8.0]
-        assert payload["k_star"] == 4
-        assert payload["stop_reason"] == "discrepancy"

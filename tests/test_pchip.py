@@ -20,54 +20,54 @@ def dense_points(p, per_interval=40):
 
 class TestConstruction:
     def test_symmetric_hump_slopes(self):
-        p = pchip.build_pchip([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+        p = pchip.Pchip([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
         assert p.slopes.tolist() == [2.0, 0.0, -2.0]
 
     def test_hump_midpoint_value_and_derivative(self):
         # Hermite cubic on [0,1] with f=(0,1), d=(2,0): p(t) = 2t - t^2.
-        p = pchip.build_pchip([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+        p = pchip.Pchip([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
         v, d = pchip.eval(p, 0.5)
         assert v == 0.75
         assert d == 1.0
 
     def test_interior_slope_is_harmonic_mean(self):
-        p = pchip.build_pchip([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
+        p = pchip.Pchip([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
         # secants 1 and 3 -> harmonic mean 2*1*3/(1+3) = 1.5
         assert p.slopes[1] == pytest.approx(1.5, rel=1e-15)
 
     def test_sign_change_zeroes_interior_slope(self):
-        p = pchip.build_pchip([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.5, 2.0])
+        p = pchip.Pchip([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.5, 2.0])
         assert p.slopes[1] == 0.0
         assert p.slopes[2] == 0.0
 
     def test_endpoint_slope_three_point_formula(self):
-        p = pchip.build_pchip([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
+        p = pchip.Pchip([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
         # 1.5*delta0 - 0.5*delta1 = 1.5 - 1.5 = 0 ... both secants positive,
         # raw value 0 has sign 0 != sign(1), so the limiter pins it at 0.
         assert p.slopes[0] == 0.0
 
     def test_endpoint_slope_kept_when_shape_safe(self):
-        p = pchip.build_pchip([0.0, 1.0, 2.0], [0.0, 2.0, 3.0])
+        p = pchip.Pchip([0.0, 1.0, 2.0], [0.0, 2.0, 3.0])
         # secants 2, 1 -> raw 1.5*2 - 0.5*1 = 2.5, same sign, no cap applies
         assert p.slopes[0] == 2.5
 
     def test_endpoint_slope_zeroed_against_secant(self):
         # raw d0 = 1.5*0.1 - 0.5*0.9 = -0.3 points against the first secant;
         # keeping it would drag the first interval below the data range.
-        p = pchip.build_pchip([0.0, 1.0, 2.0], [0.0, 0.1, 1.0])
+        p = pchip.Pchip([0.0, 1.0, 2.0], [0.0, 0.1, 1.0])
         assert p.slopes[0] == 0.0
         xs = np.linspace(0.0, 2.0, 2001)
         assert pchip.eval(p, xs)[0].min() >= 0.0
 
     def test_endpoint_slope_capped_on_secant_disagreement(self):
         # secants 0.1 and -2.1 disagree; raw d0 = 1.2 > 3*0.1 gets capped.
-        p = pchip.build_pchip([0.0, 1.0, 2.0], [0.0, 0.1, -2.0])
+        p = pchip.Pchip([0.0, 1.0, 2.0], [0.0, 0.1, -2.0])
         assert p.slopes[0] == pytest.approx(0.3, rel=1e-15)
 
     def test_flat_tail_zeroes_endpoint_slope(self):
         h = 0.25
         knots = h * np.arange(5)
-        p = pchip.build_pchip(knots, [0.0, 1.0, 0.5, 2.0, 2.0])
+        p = pchip.Pchip(knots, [0.0, 1.0, 0.5, 2.0, 2.0])
         # endpoint formula at the left gives (1.5*4 - 0.5*(-2)) = 7; at the
         # right the end secant is flat, so the slope collapses to 0.
         assert p.slopes[0] == pytest.approx(7.0, rel=1e-15)
@@ -75,23 +75,23 @@ class TestConstruction:
 
     def test_rejects_non_equidistant_knots(self):
         with pytest.raises(ValidationError):
-            pchip.build_pchip([0.0, 1.0, 3.0], [0.0, 1.0, 2.0])
+            pchip.Pchip([0.0, 1.0, 3.0], [0.0, 1.0, 2.0])
 
     def test_rejects_too_few_knots(self):
         with pytest.raises(ValidationError):
-            pchip.build_pchip([0.0, 1.0], [0.0, 1.0])
+            pchip.Pchip([0.0, 1.0], [0.0, 1.0])
 
     def test_rejects_decreasing_knots(self):
         with pytest.raises(ValidationError):
-            pchip.build_pchip([0.0, 2.0, 1.0], [0.0, 1.0, 2.0])
+            pchip.Pchip([0.0, 2.0, 1.0], [0.0, 1.0, 2.0])
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValidationError):
-            pchip.build_pchip([0.0, 1.0, 2.0], [0.0, 1.0])
+            pchip.Pchip([0.0, 1.0, 2.0], [0.0, 1.0])
 
     def test_rejects_non_finite_values(self):
         with pytest.raises(ValidationError):
-            pchip.build_pchip([0.0, 1.0, 2.0], [0.0, np.nan, 2.0])
+            pchip.Pchip([0.0, 1.0, 2.0], [0.0, np.nan, 2.0])
 
 
 class TestEvaluation:
@@ -99,13 +99,13 @@ class TestEvaluation:
         rng = np.random.default_rng(3)
         knots = np.linspace(-2.0, 7.0, 9)
         values = rng.uniform(-5.0, 5.0, 9)
-        p = pchip.build_pchip(knots, values)
+        p = pchip.Pchip(knots, values)
         v, d = pchip.eval(p, knots)
         assert (v == values).all()
         assert (d == p.slopes).all()
 
     def test_scalar_and_array_paths_agree(self):
-        p = pchip.build_pchip(np.linspace(0.0, 3.0, 7), [0, 2, 1, 4, 4, 3, 5])
+        p = pchip.Pchip(np.linspace(0.0, 3.0, 7), [0, 2, 1, 4, 4, 3, 5])
         xs = np.concatenate(
             [np.linspace(0.0, 3.0, 101), p.knots, [-1.0, -1e-3, 3.0 + 1e-3, 7.5]]
         )
@@ -116,14 +116,14 @@ class TestEvaluation:
             assert d == da[i]
 
     def test_outside_raises_without_clamp(self):
-        p = pchip.build_pchip([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+        p = pchip.Pchip([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
         with pytest.raises(ValidationError):
             pchip.eval(p, 2.5)
         with pytest.raises(ValidationError):
             pchip.eval(p, np.array([0.5, -0.5]))
 
     def test_clamp_extends_with_endpoint_values(self):
-        p = pchip.build_pchip([0.0, 1.0, 2.0], [3.0, 1.0, 4.0])
+        p = pchip.Pchip([0.0, 1.0, 2.0], [3.0, 1.0, 4.0])
         assert pchip.eval(p, -1.0, clamp=True) == (3.0, 0.0)
         assert pchip.eval(p, 9.0, clamp=True) == (4.0, 0.0)
         v, d = pchip.eval(p, np.array([-1.0, 9.0]), clamp=True)
@@ -131,7 +131,7 @@ class TestEvaluation:
         assert d.tolist() == [0.0, 0.0]
 
     def test_c1_continuity_at_interior_knots(self):
-        p = pchip.build_pchip(np.linspace(0.0, 4.0, 9), [0, 3, 1, 1, 5, 2, 8, 8, 7])
+        p = pchip.Pchip(np.linspace(0.0, 4.0, 9), [0, 3, 1, 1, 5, 2, 8, 8, 7])
         # A merely C0 interpolant would show O(1) derivative jumps here, far
         # beyond the O(eps * curvature) drift these tolerances allow.
         eps = 1e-8
@@ -148,7 +148,7 @@ class TestEvaluation:
     @given(values=VALUES)
     def test_envelope_containment(self, values):
         values = np.asarray(values)
-        p = pchip.build_pchip(np.arange(values.size, dtype=float), values)
+        p = pchip.Pchip(np.arange(values.size, dtype=float), values)
         dense = pchip.eval(p, dense_points(p))[0]
         span = values.max() - values.min()
         slack = 1e-12 * max(span, 1.0)
@@ -159,7 +159,7 @@ class TestEvaluation:
     @given(values=VALUES)
     def test_monotone_data_gives_monotone_interpolant(self, values):
         values = np.sort(np.asarray(values))
-        p = pchip.build_pchip(np.arange(values.size, dtype=float), values)
+        p = pchip.Pchip(np.arange(values.size, dtype=float), values)
         dense = pchip.eval(p, dense_points(p))[0]
         span = values.max() - values.min()
         assert (np.diff(dense) >= -1e-12 * max(span, 1.0)).all()
@@ -173,8 +173,8 @@ class TestValueSensitivity:
             vp[i] += eps
             vm[i] -= eps
             g[i] = (
-                pchip.eval(pchip.build_pchip(knots, vp), x)[0]
-                - pchip.eval(pchip.build_pchip(knots, vm), x)[0]
+                pchip.eval(pchip.Pchip(knots, vp), x)[0]
+                - pchip.eval(pchip.Pchip(knots, vm), x)[0]
             ) / (2 * eps)
         return g
 
@@ -184,7 +184,7 @@ class TestValueSensitivity:
         for _ in range(20):
             values = rng.uniform(-2.0, 2.0, 11)
             x = rng.uniform(0.0, 5.0)
-            got = pchip.grad_wrt_values_many(pchip.build_pchip(knots, values), [x])[0]
+            got = pchip.grad_wrt_values_many(pchip.Pchip(knots, values), [x])[0]
             want = self.grad_fd(knots, values, x)
             assert np.abs(got - want).max() < 1e-6
 
@@ -192,7 +192,7 @@ class TestValueSensitivity:
         knots = np.array([0.0, 1.0, 2.0, 3.0])
         for values in ([0.0, 0.1, 1.0, 2.0], [0.0, 0.1, -2.0, -2.5]):
             for x in (0.25, 0.5, 0.75):
-                p = pchip.build_pchip(knots, values)
+                p = pchip.Pchip(knots, values)
                 got = pchip.grad_wrt_values_many(p, [x])[0]
                 want = self.grad_fd(knots, values, x)
                 assert np.abs(got - want).max() < 1e-6
@@ -201,7 +201,7 @@ class TestValueSensitivity:
         rng = np.random.default_rng(4)
         knots = np.linspace(0.0, 9.0, 10)
         values = rng.uniform(0.0, 3.0, 10)
-        p = pchip.build_pchip(knots, values)
+        p = pchip.Pchip(knots, values)
         for x in (0.4, 3.7, 8.6):
             row = pchip.grad_wrt_values_many(p, [x])[0]
             nz = np.flatnonzero(row)
@@ -209,7 +209,7 @@ class TestValueSensitivity:
             assert nz.max() - nz.min() <= 3
 
     def test_at_knot_reduces_to_unit_weight(self):
-        p = pchip.build_pchip(np.linspace(0.0, 4.0, 5), [1.0, 3.0, 2.0, 5.0, 4.0])
+        p = pchip.Pchip(np.linspace(0.0, 4.0, 5), [1.0, 3.0, 2.0, 5.0, 4.0])
         row = pchip.grad_wrt_values_many(p, [2.0])[0]
         assert row[2] == pytest.approx(1.0, rel=1e-12)
 
@@ -224,7 +224,7 @@ class TestValueSensitivity:
             lo = rng.uniform(-5.0, 5.0)
             knots = np.linspace(lo, lo + rng.uniform(0.1, 1e3), n)
             values = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-3, 8)
-            p = pchip.build_pchip(knots, values)
+            p = pchip.Pchip(knots, values)
             span = knots[-1] - knots[0]
             xs = np.concatenate(
                 [
@@ -297,13 +297,32 @@ class TestFluxParameter:
 
 class TestSerialization:
     def test_save_load_round_trip(self, tmp_path):
-        p = pchip.build_pchip(np.linspace(0.0, 2.0, 5), [0.0, 1.0, 0.5, 2.0, 2.0])
+        p = pchip.Pchip(np.linspace(0.0, 2.0, 5), [0.0, 1.0, 0.5, 2.0, 2.0])
         path = tmp_path / "p.csv"
         path.write_text(pchip.render_pchip_csv(p))
         q = pchip.load_pchip(path)
         assert np.array_equal(p.knots, q.knots)
         assert np.array_equal(p.values, q.values)
         assert np.array_equal(p.slopes, q.slopes)
+
+    def test_loaded_interpolant_is_the_built_one(self, tmp_path):
+        # The slope column is not read: slopes that disagree with the values
+        # would make the value sensitivities differentiate another interpolant.
+        knots = np.linspace(0.0, 2.0, 5)
+        values = np.array([0.0, 1.0, 0.5, 2.0, 2.0])
+        path = tmp_path / "zero_slopes.csv"
+        path.write_text(
+            "knot,value,slope\n" + "".join(f"{k},{v},0.0\n" for k, v in zip(knots, values))
+        )
+        q = pchip.load_pchip(path)
+        p = pchip.Pchip(knots, values)
+        assert np.array_equal(q.slopes, p.slopes)
+        xs = np.linspace(0.0, 2.0, 41)
+        vq, dq = pchip.eval(q, xs)
+        vp, dp = pchip.eval(p, xs)
+        assert np.array_equal(vq, vp) and np.array_equal(dq, dp)
+        G = pchip.grad_wrt_values_many(q, xs)
+        assert np.abs(G @ values - vq).max() / np.abs(values).max() <= 1e-13
 
     def test_load_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
