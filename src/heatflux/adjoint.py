@@ -68,31 +68,31 @@ def solve_adjoint(
 
     phi = np.zeros((g.nt + 1, g.nx))
     psi = np.zeros(g.nx)
-    ab = np.zeros((3, g.nx))
     # Everything that does not depend on the freshly solved level is hoisted
-    # out of the march: weighted source rows and the tangent march's frozen
-    # coefficients along the stored trajectory.
+    # out of the march: weighted source rows, the tangent march's frozen
+    # coefficients and step bands along the stored trajectory, and their
+    # per-level products with the step constants (transport factors, Robin
+    # factors c*beta').
     weighted_src = g.dt * source
     weighted_src[:, 0] *= 2.0  # source density doubles on the wall half cells
     weighted_src[:, -1] *= 2.0
-    du, ap, amid, b0p, bLp = forward._trajectory_coefficients(u, m, b0, bL)
+    du, ap, bands, b0p, bLp = forward._trajectory_coefficients(u, m, b0, bL)
+    half_ap, wall0, wallL = forward._transport_factors(du, ap, r)
+    robin0 = c * b0p
+    robinL = c * bLp
     for step in range(g.nt):
         s = g.nt - step - 1
-
         # The implicit operator is self-adjoint under the half-cell volume
-        # weights, so the adjoint march reuses the state-step bands verbatim.
-        forward._diffusion_bands(ab, amid[s], r)
-
-        rhs = psi + weighted_src[s + 1]
-        psi = _step_tridiagonal(ab, rhs, step + 1)
-        phi[s] = psi
+        # weights, so the adjoint march solves with the state step's bands.
+        q = _step_tridiagonal(bands[s], psi + weighted_src[s + 1], step + 1)
+        phi[s] = q
         # Carry to the next (earlier) level: the transposed transport
         # correction and the Robin terms alpha' phi_x = beta' phi act on the
         # freshly solved level, mirroring the frozen-coefficient treatment of
         # the state march.
-        psi = psi - forward._transport_apply_t(ap[s], du[s + 1], psi, r)
-        psi[0] -= c * b0p[s] * phi[s, 0]
-        psi[-1] -= c * bLp[s] * phi[s, -1]
+        psi = q - forward._transport_apply_t(half_ap[s], wall0[s], wallL[s], du[s + 1], q)
+        psi[0] -= robin0[s] * q[0]
+        psi[-1] -= robinL[s] * q[-1]
     return phi
 
 

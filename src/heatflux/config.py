@@ -22,6 +22,7 @@ smooth decay to zero at zero enthalpy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -62,6 +63,13 @@ class ExperimentConfig:
     data_dir: str | None = None
 
     def __post_init__(self):
+        # NaN passes every comparison below, and inf overflows the grid and
+        # observation set-up, so non-finite values are rejected first.
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in (val if isinstance(val, tuple) else (val,))):
+                raise ValidationError(f"{f.name} must be finite")
         for name in ("L", "T", "u0", "u_max", "beta_max", "sample_interval", "rho"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")

@@ -23,10 +23,22 @@ implicit interface-mean stencil of the state march; the transport part
 level, exactly like the coefficients they derive from. The step is therefore
 the exact derivative of the discrete state step, which is what makes
 adjoint-based gradients agree with finite differences of the objective.
+
+The marches are kept lean without changing a bit of their output. The state
+march reads the diffusivity through `pchip.march_evaluator` (values only,
+set-up hoisted out of the loop, equal to `pchip.eval` bit for bit) and the
+boundary fluxes through `pchip._eval_scalar`. All three marches fill their
+bands with `_diffusion_bands`: the state march one level per step, the
+tangent and adjoint marches every level at once in the one pass over the
+trajectory that also gives their frozen coefficients
+(`_trajectory_coefficients`). The adjoint takes its transport factors from
+`_transport_factors`, formed once per march in the order the per-step
+products used, so every product rounds as it would inside the step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +46,13 @@ from scipy.linalg.lapack import dgtsv
 
 from . import pchip
 from .errors import DivergenceError, ValidationError
-from .material import MaterialModel, diffusivity_at
+from .material import MaterialModel
 from .pchip import FluxParameter, flux_interpolants
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
+
+# Nodes per block when the diffusivity is evaluated along a whole trajectory.
+_EVAL_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -99,7 +114,7 @@ def _step_tridiagonal(ab: np.ndarray, rhs: np.ndarray, step: int) -> np.ndarray:
     # elementwise isfinite scan in this per-step hot path. The dot can also
     # overflow for huge yet finite solutions, so a non-finite dot falls back
     # to the exact elementwise check before declaring divergence.
-    if info != 0 or (not np.isfinite(out @ out) and not np.isfinite(out).all()):
+    if info != 0 or (not math.isfinite(np.dot(out, out)) and not np.isfinite(out).all()):
         raise DivergenceError(f"solution became non-finite at time step {step}", step=step)
     return out
 
@@ -111,15 +126,20 @@ def _diffusion_bands(ab: np.ndarray, amid: np.ndarray, r: float) -> np.ndarray:
     Interior rows balance the two adjacent interface fluxes; the first and
     last rows are half-cell balances, equivalent to centered ghost points.
     The matrix is symmetric under the half-cell volume weighting, so it is
-    also the implicit operator of the adjoint march.
+    also the implicit operator of the adjoint march. A trailing axis on `ab`
+    (3, nx, levels) and `amid` (nx - 1, levels) fills many time levels at
+    once, with the same arithmetic per entry.
     """
-    ab[0, 1] = -2.0 * r * amid[0]
-    ab[0, 2:] = -r * amid[1:]
+    # Both off-diagonals hold -r*amid; the boundary rows double it, which is
+    # exact, so they equal -2r*amid bit for bit.
+    off = -r * amid
+    ab[0, 1:] = off
+    ab[2, :-1] = off
+    ab[0, 1] *= 2.0
+    ab[2, -2] *= 2.0
     ab[1, 0] = 1.0 + 2.0 * r * amid[0]
     ab[1, 1:-1] = 1.0 + r * (amid[:-1] + amid[1:])
     ab[1, -1] = 1.0 + 2.0 * r * amid[-1]
-    ab[2, :-2] = -r * amid[:-1]
-    ab[2, -2] = -2.0 * r * amid[-1]
     return ab
 
 
@@ -143,15 +163,34 @@ def _transport_apply(
     return out
 
 
+def _transport_factors(du: np.ndarray, ap: np.ndarray, r: float):
+    """Per-level factors of `_transport_apply_t` along a whole trajectory.
+
+    Row s holds the factors of the step from level s to s + 1: (0.5 r) ap at
+    the interior nodes and (r du_new) ap at the two walls, with du_new the
+    increments at level s + 1. Each product is formed in the order a
+    per-step evaluation of the transpose would use, so it rounds the same.
+    """
+    half_ap = (0.5 * r) * ap[:-1, 1:-1]
+    wall0 = (r * du[1:, 0]) * ap[:-1, 0]
+    wallL = (r * du[1:, -1]) * ap[:-1, -1]
+    return half_ap, wall0, wallL
+
+
 def _transport_apply_t(
-    ap: np.ndarray, du_new: np.ndarray, q: np.ndarray, r: float
+    half_ap: np.ndarray, wall0: float, wallL: float, du_new: np.ndarray, q: np.ndarray
 ) -> np.ndarray:
-    """Volume-weighted transpose of `_transport_apply`, for adjoint marches."""
-    dq = np.diff(q)
+    """Volume-weighted transpose of `_transport_apply`, for adjoint marches.
+
+    Takes one level of the factors `_transport_factors` hoists out of the
+    march.
+    """
+    dq = q[1:] - q[:-1]
+    pd = du_new * dq
     out = np.empty_like(q)
-    out[0] = r * du_new[0] * ap[0] * dq[0]
-    out[1:-1] = 0.5 * r * ap[1:-1] * (du_new[:-1] * dq[:-1] + du_new[1:] * dq[1:])
-    out[-1] = r * du_new[-1] * ap[-1] * dq[-1]
+    out[0] = wall0 * dq[0]
+    out[1:-1] = half_ap * (pd[:-1] + pd[1:])
+    out[-1] = wallL * dq[-1]
     return out
 
 
@@ -160,33 +199,49 @@ def _trajectory_coefficients(
 ):
     """Frozen coefficients of the linearized step at every level of `u`.
 
-    Returns (du, ap, amid, b0p, bLp): the state increments between
-    neighbouring nodes, d(alpha')/du at the nodes, the interface means of
-    alpha', and the two boundary flux slopes. The tangent march
-    (`solve_sensitivity`) and the adjoint march (`adjoint.solve_adjoint`)
-    both read them from here, so one is the transpose of the other on the
-    same numbers. Every evaluation is row-wise, so each level gets the values
-    a per-step evaluation would give.
+    Returns (du, ap, bands, b0p, bLp): the state increments between
+    neighbouring nodes, d(alpha')/du at the nodes, the implicit operator of
+    each step (`bands[k]`, for the step from level k, in `_diffusion_bands`
+    layout; the solve overwrites it, so each is used once), and the two
+    boundary flux slopes. The tangent march (`solve_sensitivity`) and the
+    adjoint march (`adjoint.solve_adjoint`) both read them from here, so one
+    is the transpose of the other on the same numbers. Every evaluation is
+    row-wise, so each level gets the values a per-step evaluation would give.
     """
     du = np.diff(u.values, axis=1)
-    alpha, ap = pchip.eval(m.diffusivity, u.values, clamp=True)
-    amid = 0.5 * (alpha[:, :-1] + alpha[:, 1:])
+    # The diffusivity is evaluated in blocks of levels whose temporaries stay
+    # small and cache-resident; one call on the whole trajectory spends most
+    # of its time allocating and faulting in trajectory-sized temporaries.
+    alpha, ap = np.empty_like(u.values), np.empty_like(u.values)
+    rows = max(1, _EVAL_BLOCK // u.grid.nx)
+    for i in range(0, u.grid.nt + 1, rows):
+        alpha[i:i + rows], ap[i:i + rows] = pchip.eval(
+            m.diffusivity, u.values[i:i + rows], clamp=True
+        )
+    amid = 0.5 * (alpha[:-1, :-1] + alpha[:-1, 1:])
+    # One contiguous (3, nx) block per step, filled through a view that puts
+    # the levels last.
+    bands = np.empty((u.grid.nt, 3, u.grid.nx))
+    _diffusion_bands(bands.transpose(1, 2, 0), amid.T, u.grid.dt / u.grid.dx**2)
     b0p = pchip.eval(b0, u.values[:, 0], clamp=True)[1]
     bLp = pchip.eval(bL, u.values[:, -1], clamp=True)[1]
-    return du, ap, amid, b0p, bLp
+    return du, ap, bands, b0p, bLp
 
 
 def solve_ibvp(m: MaterialModel, fp: FluxParameter, u0, g: Grid) -> EnthalpyField:
     """March the nonlinear state equation forward over the whole grid.
 
-    `u0` is the initial enthalpy profile (length nx). Boundary fluxes and
-    diffusivities are evaluated on the previous level with clamped
-    interpolation, so transient excursions beyond the tabulated ranges stay
-    well defined.
+    `u0` is the initial enthalpy profile (length nx, finite, inside the
+    material's enthalpy range). Boundary fluxes and diffusivities are
+    evaluated on the previous level with clamped interpolation, so transient
+    excursions beyond the tabulated ranges stay well defined; every solved
+    level is checked finite, so the evaluators only ever see finite input.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (g.nx,):
         raise ValidationError(f"u0 must have shape ({g.nx},)")
+    if not np.isfinite(u0).all():
+        raise ValidationError("u0 must be finite")
     umin, umax = m.u_range
     if (u0 < umin - 1e-9 * umax).any() or (u0 > umax * (1 + 1e-12)).any():
         raise ValidationError("u0 outside the material enthalpy range")
@@ -198,12 +253,13 @@ def solve_ibvp(m: MaterialModel, fp: FluxParameter, u0, g: Grid) -> EnthalpyFiel
     U = np.empty((g.nt + 1, g.nx))
     U[0] = u0
     ab = np.zeros((3, g.nx))
+    diffusivity = pchip.march_evaluator(m.diffusivity)
     for n in range(g.nt):
         un = U[n]
-        alpha = diffusivity_at(m, un)
+        alpha = diffusivity(un)
         amid = 0.5 * (alpha[:-1] + alpha[1:])
-        beta0 = pchip.eval(b0, un[0], clamp=True)[0]
-        betaL = pchip.eval(bL, un[-1], clamp=True)[0]
+        beta0 = pchip._eval_scalar(b0, float(un[0]), True)[0]
+        betaL = pchip._eval_scalar(bL, float(un[-1]), True)[0]
 
         _diffusion_bands(ab, amid, r)
         rhs = un.copy()
@@ -245,8 +301,7 @@ def solve_sensitivity(
     c = 2.0 * g.dt / g.dx
 
     W = np.zeros((g.nt + 1, g.nx))
-    ab = np.zeros((3, g.nx))
-    du, ap, amid, b0p, bLp = _trajectory_coefficients(u, m, b0, bL)
+    du, ap, bands, b0p, bLp = _trajectory_coefficients(u, m, b0, bL)
     G0 = pchip.grad_wrt_values_many(b0, u.values[:, 0], clamp=True)
     GL = pchip.grad_wrt_values_many(bL, u.values[:, -1], clamp=True)
     for k in range(g.nt):
@@ -254,10 +309,9 @@ def solve_sensitivity(
         src0 = float(G0[k] @ h0)
         srcL = float(GL[k] @ hL)
 
-        _diffusion_bands(ab, amid[k], r)
         rhs = wn - _transport_apply(ap[k], du[k + 1], wn, r)
         rhs[0] -= c * (b0p[k] * wn[0] + src0)
         rhs[-1] -= c * (bLp[k] * wn[-1] + srcL)
-        W[k + 1] = _step_tridiagonal(ab, rhs, k + 1)
+        W[k + 1] = _step_tridiagonal(bands[k], rhs, k + 1)
     return EnthalpyField(g, W)
 

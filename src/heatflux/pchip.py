@@ -11,12 +11,13 @@ first two secants disagree in sign; without the limiter the end intervals can
 leave the value envelope. One function, `_slope_rule`, applies this rule and
 gives the derivatives and, on demand, their Jacobian.
 
-Besides construction and evaluation this module provides the sensitivity of
-the interpolated value with respect to the data values
-(`grad_wrt_values_many`), which the tangent march and the adjoint gradient
-assembly rely on, and a nested-partition refinement loop
-(`refine_to_tolerance`). A `knot,value,slope` CSV file loads from its knot and
-value columns alone.
+Besides construction and evaluation (`eval`, and `march_evaluator`, its
+values-only form for the inner loop of a march) this module provides the
+sensitivity of the interpolated value with respect to the data values
+(`grad_wrt_values_many`, from the banded slope Jacobian), which the tangent
+march and the adjoint gradient assembly rely on, and a nested-partition
+refinement loop (`refine_to_tolerance`). A `knot,value,slope` CSV file loads
+from its knot and value columns alone.
 
 `FluxParameter` bundles the two boundary heat-flux value vectors that the
 inverse solver optimizes, together with their shared enthalpy partition and
@@ -104,8 +105,10 @@ class Pchip:
 
 
 def _slope_rule(values: np.ndarray, h: float, jacobian: bool = False):
-    """Slopes of the shape-preserving construction, and with `jacobian` the
-    dense matrix J[k, i] = d slope_k / d value_i (else None).
+    """Slopes of the shape-preserving construction, and with `jacobian` their
+    Jacobian as a band (else None): J[k, 2 + o] = d slope_k / d value_(k+o)
+    for o = -2..2. Interior rows use o = -1..1, the two end rows o = 0..2
+    inward.
 
     Each limiter branch sets a slope and its Jacobian row together, so J
     differentiates the branch the slope took. Where a slope is pinned at 0 its
@@ -116,7 +119,7 @@ def _slope_rule(values: np.ndarray, h: float, jacobian: bool = False):
     inv_h = 1.0 / h
     delta = np.diff(values) / h
     d = np.zeros(n)
-    J = np.zeros((n, n)) if jacobian else None
+    J = np.zeros((n, 5)) if jacobian else None
     # Endpoints: the one-sided three-point formula, zeroed where it points
     # against the end secant `near` (it would leave the interval envelope at
     # once) and capped at 3 |near| where `near` and the next secant `far`
@@ -131,7 +134,7 @@ def _slope_rule(values: np.ndarray, h: float, jacobian: bool = False):
             d[k], weights = raw, (-1.5, 2.0, -0.5)
         if J is not None:
             for j, w in enumerate(weights):
-                J[k, k + j * s] = w * s * inv_h
+                J[k, 2 + j * s] = w * s * inv_h
     # Interior: harmonic mean where the adjacent secants agree in sign; zero on
     # a sign change and in the flat case, which keeps each interval monotone.
     prod = delta[:-1] * delta[1:]
@@ -147,10 +150,9 @@ def _slope_rule(values: np.ndarray, h: float, jacobian: bool = False):
         ssq = np.where(ok, (a + b) ** 2, 1.0)
         dga = np.where(ok, 2.0 * b * b / ssq, 0.0)
         dgb = np.where(ok, 2.0 * a * a / ssq, 0.0)
-        rows = np.arange(1, n - 1)
-        J[rows, rows - 1] = -dga * inv_h
-        J[rows, rows] = (dga - dgb) * inv_h
-        J[rows, rows + 1] = dgb * inv_h
+        J[1:-1, 1] = -dga * inv_h
+        J[1:-1, 2] = (dga - dgb) * inv_h
+        J[1:-1, 3] = dgb * inv_h
     return d, J
 
 
@@ -234,6 +236,43 @@ def eval(p: Pchip, x, clamp: bool = False):
     return value, deriv
 
 
+def march_evaluator(p: Pchip):
+    """Values-only clamped evaluation of `p` for the inner loop of a march.
+
+    Returns a function of a finite array x that gives `eval(p, x,
+    clamp=True)[0]` bit for bit (for values without negative zeros, which a
+    diffusivity never has). The range, 1/h, the last interval index and a
+    table with one column per interval (left knot, c0..c3, right knot, right
+    value) are set up here once; each call clamps, indexes, gathers one
+    column per point, and runs Horner for the value only. A point that lands
+    on a right knot takes that knot's value, as in `eval`; on a left knot
+    t = 0 already gives c0.
+    """
+    lo, hi = p._klist[0], p._klist[-1]
+    inv_h = p._inv_h
+    last = p.n - 2
+    table = np.vstack([p.knots[:-1], p._coef, p.knots[1:], p.values[1:]])
+
+    def values(x):
+        xc = np.minimum(np.maximum(x, lo), hi)
+        idx = ((xc - lo) * inv_h).astype(np.intp)
+        np.minimum(idx, last, out=idx)
+        k0, c0, c1, c2, c3, k1, v1 = table.take(idx, axis=1)
+        t = (xc - k0) * inv_h
+        v = c3 * t
+        v += c2
+        v *= t
+        v += c1
+        v *= t
+        v += c0
+        at_hi = xc == k1
+        if at_hi.any():
+            v[at_hi] = v1[at_hi]
+        return v
+
+    return values
+
+
 def grad_wrt_values_many(p: Pchip, x, clamp: bool = False) -> np.ndarray:
     """Rows of sensitivities d p(x_q) / d values for many query points.
 
@@ -253,7 +292,15 @@ def grad_wrt_values_many(p: Pchip, x, clamp: bool = False) -> np.ndarray:
     H3 = -h * s * s * (s - 1.0)
     H4 = h * t * t * (t - 1.0)
     _, J = _slope_rule(p.values, h, jacobian=True)
-    G = H3[:, None] * J[idx] + H4[:, None] * J[idx + 1]
+    # Row q is H3 J[idx] + H4 J[idx + 1] plus the value weights. The two slope
+    # rows reach columns idx-1..idx+2 only; every other column is H3*0 + H4*0,
+    # formed as such so that its zero keeps its sign (-0.0 where t = 0).
+    G = np.empty((idx.size, p.n))
+    G[:] = (H3 * 0.0 + H4 * 0.0)[:, None]
+    cols = idx[:, None] + np.arange(-1, 3)
+    band = H3[:, None] * J[idx, 1:] + H4[:, None] * J[idx + 1, :-1]
+    q, j = np.nonzero((cols >= 0) & (cols < p.n))
+    G[q, cols[q, j]] = band[q, j]
     rows = np.arange(idx.size)
     G[rows, idx] += phi_s
     G[rows, idx + 1] += phi_t

@@ -77,6 +77,16 @@ class TestSimulate:
         cfg_path, _ = write_config(tmp_path, extra="fluxes.source = none\n")
         assert main(["simulate", "--config", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "line", ["initial.u0 = nan", "domain.T = inf", "optimizer.rho = nan"]
+    )
+    def test_non_finite_config_value_exits_2(self, tmp_path, line):
+        # Formerly a ValueError, an OverflowError (both exit 1) and, for rho,
+        # an accepted config whose discrepancy stop could never fire.
+        cfg_path, out_dir = write_config(tmp_path, extra=line + "\n")
+        assert main(["simulate", "--config", str(cfg_path)]) == 2
+        assert not (out_dir / "noisy.csv").exists()
+
 
 class TestInvert:
     @pytest.fixture

@@ -77,6 +77,22 @@ class TestValidation:
         with pytest.raises(ValidationError):
             ExperimentConfig(noise_amplitude=-1.0)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "initial.u0 = nan",
+            "domain.T = inf",
+            "optimizer.rho = nan",
+            "box.beta_max = -inf",
+            "sensors.positions = 0.01, nan",
+            "optimizer.landweber_damping = nan",
+        ],
+    )
+    def test_non_finite_values_rejected(self, line):
+        # NaN passes every ordering check, so each would otherwise slip through.
+        with pytest.raises(ValidationError, match="must be finite"):
+            parse_config_text(line + "\n")
+
 
 class TestDerivedObjects:
     def test_observation_times_cover_horizon(self):

@@ -183,6 +183,15 @@ class TestErrors:
         with pytest.raises(ValidationError):
             forward.solve_ibvp(builtin_material, fp, np.full(g.nx, 9.9e9), g)
 
+    def test_non_finite_u0_rejected(self, builtin_material):
+        g = Grid(L=0.05, T=1.0, nx=11, nt=5)
+        fp = constant_flux_parameter(0.0, beta_max=1.0)
+        for bad in (np.nan, np.inf):
+            u0 = np.full(g.nx, 1.0e9)
+            u0[4] = bad
+            with pytest.raises(ValidationError, match="finite"):
+                forward.solve_ibvp(builtin_material, fp, u0, g)
+
     def test_singular_system_raises_divergence(self):
         ab = np.zeros((3, 4))
         with pytest.raises(DivergenceError) as exc:

@@ -115,6 +115,34 @@ class TestEvaluation:
             assert v == va[i]
             assert d == da[i]
 
+    def test_march_evaluator_matches_eval_bitwise(self, builtin_material):
+        # The march evaluator drops the derivative, the outside mask and the
+        # left-knot fix-up; its values must still be eval's, bit for bit,
+        # including points whose index rounds down onto a right knot.
+        rng = np.random.default_rng(41)
+        cases = [builtin_material.diffusivity]
+        for _ in range(400):
+            n = int(rng.integers(3, 40))
+            lo = rng.uniform(-1e3, 1e3) * 10.0 ** rng.integers(-3, 7)
+            knots = np.linspace(lo, lo + rng.uniform(1e-3, 1e3) * 10.0 ** rng.integers(0, 8), n)
+            cases.append(pchip.Pchip(knots, rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-6, 10)))
+        right_knot_hits = 0
+        for p in cases:
+            k = p.knots
+            span = k[-1] - k[0]
+            xs = np.concatenate([
+                k,
+                np.nextafter(k, -np.inf),
+                np.nextafter(k, np.inf),
+                [k[0] - span, k[0] - 1e-3 * span, k[-1] + 1e-3 * span, k[-1] + span],
+                rng.uniform(k[0], k[-1], 200),
+            ])
+            got = pchip.march_evaluator(p)(xs)
+            assert got.tobytes() == pchip.eval(p, xs, clamp=True)[0].tobytes()
+            xc, idx, _ = pchip._locate(p, xs, True)
+            right_knot_hits += int(((xc == k[idx + 1]) & (idx + 1 < p.n - 1)).sum())
+        assert right_knot_hits > 0
+
     def test_outside_raises_without_clamp(self):
         p = pchip.Pchip([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
         with pytest.raises(ValidationError):
@@ -212,6 +240,43 @@ class TestValueSensitivity:
         p = pchip.Pchip(np.linspace(0.0, 4.0, 5), [1.0, 3.0, 2.0, 5.0, 4.0])
         row = pchip.grad_wrt_values_many(p, [2.0])[0]
         assert row[2] == pytest.approx(1.0, rel=1e-12)
+
+    def test_band_assembly_matches_dense_bitwise(self):
+        # Rows assembled from the banded slope Jacobian against the dense
+        # n x n products they replace, compared as bytes: zeros keep their
+        # sign (-0.0 wherever t = 0), limiter ties included.
+        rng = np.random.default_rng(29)
+        for trial in range(300):
+            n = int(rng.integers(3, 16))
+            lo = rng.uniform(-5.0, 5.0)
+            knots = np.linspace(lo, lo + rng.uniform(0.1, 1e3), n)
+            if trial % 2:
+                values = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-3, 8)
+            else:
+                values = np.round(rng.uniform(-2.0, 2.0, n))
+            p = pchip.Pchip(knots, values)
+            span = knots[-1] - knots[0]
+            xs = np.concatenate(
+                [knots, rng.uniform(knots[0], knots[-1], 30), [knots[0] - span, knots[-1] + span]]
+            )
+            _, band = pchip._slope_rule(p.values, p.interval_width, jacobian=True)
+            J = np.zeros((n, n))
+            for k in range(n):
+                for o in range(-2, 3):
+                    if 0 <= k + o < n:
+                        J[k, k + o] = band[k, 2 + o]
+            xc, idx, _ = pchip._locate(p, xs, True)
+            h = p.interval_width
+            t = (xc - knots[idx]) / h
+            s = 1.0 - t
+            H3 = -h * s * s * (s - 1.0)
+            H4 = h * t * t * (t - 1.0)
+            want = H3[:, None] * J[idx] + H4[:, None] * J[idx + 1]
+            rows = np.arange(idx.size)
+            want[rows, idx] += s * s * (3.0 - 2.0 * s)
+            want[rows, idx + 1] += t * t * (3.0 - 2.0 * t)
+            got = pchip.grad_wrt_values_many(p, xs, clamp=True)
+            assert got.tobytes() == want.tobytes()
 
     def test_rows_reproduce_values_by_homogeneity(self):
         # Slopes are positively homogeneous of degree 1 in the values, hence
