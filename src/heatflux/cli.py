@@ -133,10 +133,7 @@ def _load_measurement_files(cfg: ExperimentConfig, data_dir: Path):
     for p in (csv_path, meta_path):
         if not p.exists():
             raise ValidationError(f"measurement file missing: {p}")
-    meas = observation.load_measurement(csv_path, meta_path)
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    return meas, meta
+    return observation.load_measurement(csv_path, meta_path)
 
 
 def _check_inverse_crime(cfg: ExperimentConfig, meta: dict, allow: bool) -> None:
@@ -191,10 +188,8 @@ def _write_inversion_outputs(cfg, out_dir: Path, state, problem, partition, norm
     fp = pchip.FluxParameter(beta=beta_phys, partition=partition, beta_max=cfg.beta_max)
     b0, bL = pchip.flux_interpolants(fp)
     dense = np.linspace(0.0, cfg.u_max, 501)
-    rows = [
-        (_fmt(u), _fmt(v0), _fmt(vL))
-        for u, v0, vL in zip(dense, pchip.eval(b0, dense)[0], pchip.eval(bL, dense)[0])
-    ]
+    r0, rL = pchip.eval(b0, dense)[0], pchip.eval(bL, dense)[0]
+    rows = [tuple(_fmt(v) for v in row) for row in zip(dense, r0, rL)]
     _atomic_write(out_dir / "fluxes.csv", _csv_text(["u", "beta0", "betaL"], rows))
 
     _atomic_write(
@@ -204,16 +199,8 @@ def _write_inversion_outputs(cfg, out_dir: Path, state, problem, partition, norm
     exact = config_mod.exact_flux_parameter(cfg)
     if exact is not None:
         e0, eL = pchip.flux_interpolants(exact)
-        rows = [
-            (_fmt(u), _fmt(r0), _fmt(x0), _fmt(rL), _fmt(xL))
-            for u, r0, x0, rL, xL in zip(
-                dense,
-                pchip.eval(b0, dense)[0],
-                pchip.eval(e0, dense)[0],
-                pchip.eval(bL, dense)[0],
-                pchip.eval(eL, dense)[0],
-            )
-        ]
+        x0, xL = pchip.eval(e0, dense)[0], pchip.eval(eL, dense)[0]
+        rows = [tuple(_fmt(v) for v in row) for row in zip(dense, r0, x0, rL, xL)]
         _atomic_write(
             out_dir / "plotdata" / "flux_comparison.csv",
             _csv_text(

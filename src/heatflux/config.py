@@ -23,7 +23,7 @@ smooth decay to zero at zero enthalpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -81,6 +81,8 @@ class ExperimentConfig:
             raise ValidationError("partition needs at least 3 knots")
         if self.rho <= 1:
             raise ValidationError("rho must exceed 1")
+        if self.landweber_damping is not None and self.landweber_damping <= 0:
+            raise ValidationError("landweber damping must be positive or auto")
         if self.noise_amplitude < 0:
             raise ValidationError("noise amplitude must be nonnegative")
         if self.method not in ("pqn", "landweber"):
@@ -170,24 +172,6 @@ def load_config(path) -> ExperimentConfig:
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text)
-
-
-def render_config_text(cfg: ExperimentConfig) -> str:
-    """Inverse of `parse_config_text`, mostly for writing example files."""
-    by_field = {f_name: key for key, (f_name, _) in _KEYMAP.items()}
-    lines = []
-    for f in fields(cfg):
-        val = getattr(cfg, f.name)
-        if val is None:
-            rendered = "auto" if f.name == "landweber_damping" else "none"
-        elif isinstance(val, tuple):
-            rendered = ", ".join(repr(float(v)) for v in val)
-        elif isinstance(val, float):
-            rendered = repr(val)
-        else:
-            rendered = str(val)
-        lines.append(f"{by_field[f.name]} = {rendered}")
-    return "\n".join(lines) + "\n"
 
 
 def with_overrides(cfg: ExperimentConfig, **kwargs) -> ExperimentConfig:

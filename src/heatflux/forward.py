@@ -65,8 +65,8 @@ class Grid:
     nt: int
 
     def __post_init__(self):
-        if self.L <= 0 or self.T <= 0:
-            raise ValidationError("grid extents L and T must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.L, self.T)):
+            raise ValidationError("grid extents L and T must be finite and positive")
         if self.nx < 3:
             raise ValidationError("grid needs at least 3 space nodes")
         if self.nt < 1:

@@ -1,19 +1,16 @@
-"""Temperature/enthalpy transformation and enthalpy-dependent diffusivity.
+"""Enthalpy-dependent diffusivity from temperature tables.
 
 A material is described by tables of volumetric heat capacity C(theta) and
 conductivity k(theta). Integrating C from the reference temperature 273.15 K
-gives the enthalpy u, the state variable of the solvers; the interpolated
-ratio k/C over enthalpy is the diffusivity that drives conduction. Between
-table rows the enthalpy is piecewise linear in temperature (trapezoidal
-cumulative integral), so the inverse mapping is piecewise linear too and the
-round trip is exact up to roundoff.
+(trapezoidal cumulative integral) gives the enthalpy u, the state variable of
+the solvers; the interpolated ratio k/C over enthalpy is the diffusivity that
+drives conduction, and the only material quantity the marches read.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,17 +25,15 @@ MATERIAL_CSV_HEADER = ["theta", "capacity", "conductivity"]
 
 @dataclass(frozen=True, eq=False)
 class MaterialModel:
-    """Immutable material description with precomputed enthalpy table."""
+    """The diffusivity k/C over enthalpy, on equidistant knots from 0 to the
+    enthalpy of the table's top temperature."""
 
-    theta_table: np.ndarray
-    capacity_table: np.ndarray
-    conductivity_table: np.ndarray
-    enthalpy_table: np.ndarray
     diffusivity: pchip.Pchip
 
     @property
     def u_range(self) -> tuple[float, float]:
-        return 0.0, float(self.enthalpy_table[-1])
+        knots = self.diffusivity.knots
+        return float(knots[0]), float(knots[-1])
 
 
 def build_material(theta_table, capacity_table, conductivity_table) -> MaterialModel:
@@ -86,37 +81,7 @@ def build_material(theta_table, capacity_table, conductivity_table) -> MaterialM
         grid = np.linspace(0.0, enthalpy[-1], max(theta.size, 65))
         diffusivity = pchip.Pchip(grid, np.interp(grid, enthalpy, alpha))
 
-    return MaterialModel(
-        theta_table=theta,
-        capacity_table=cap,
-        conductivity_table=cond,
-        enthalpy_table=enthalpy,
-        diffusivity=diffusivity,
-    )
-
-
-def enthalpy_from_temperature(m: MaterialModel, theta):
-    """Cumulative enthalpy at the given temperature(s)."""
-    th = np.asarray(theta, dtype=float)
-    if (th < m.theta_table[0] - 1e-9).any() or (th > m.theta_table[-1] + 1e-9).any():
-        raise ValidationError("temperature outside the tabulated range")
-    out = np.interp(th, m.theta_table, m.enthalpy_table)
-    return float(out) if np.ndim(theta) == 0 else out
-
-
-def temperature_from_enthalpy(m: MaterialModel, u):
-    """Invert the enthalpy transform (monotone piecewise-linear inversion)."""
-    uq = np.asarray(u, dtype=float)
-    lo, hi = m.u_range
-    if (uq < lo - 1e-9 * hi).any() or (uq > hi * (1 + 1e-12) + 1e-9).any():
-        raise ValidationError(f"enthalpy outside [0, {hi:.6g}]")
-    out = np.interp(uq, m.enthalpy_table, m.theta_table)
-    return float(out) if np.ndim(u) == 0 else out
-
-
-def diffusivity_at(m: MaterialModel, u):
-    """Diffusivity values at the given enthalpies, clamped to the table range."""
-    return pchip.eval(m.diffusivity, u, clamp=True)[0]
+    return MaterialModel(diffusivity=diffusivity)
 
 
 @functools.cache
@@ -138,18 +103,11 @@ def builtin_material() -> MaterialModel:
     return build_material(theta, cap, cond)
 
 
-def render_material_csv(m: MaterialModel) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(MATERIAL_CSV_HEADER)
-    for th, c, k in zip(m.theta_table, m.capacity_table, m.conductivity_table):
-        writer.writerow([repr(float(th)), repr(float(c)), repr(float(k))])
-    return buf.getvalue()
-
-
 def load_material(path) -> MaterialModel:
-    """Build a material from a `theta,capacity,conductivity` CSV file, the
-    layout :func:`render_material_csv` writes."""
+    """Build a material from a CSV file with the header
+    `theta,capacity,conductivity` and one row per table temperature:
+    temperature in K, volumetric heat capacity in J/(m3 K) and conductivity
+    in W/(m K)."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or [c.strip() for c in rows[0]] != MATERIAL_CSV_HEADER:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +77,8 @@ class Measurement:
             )
         if not np.isfinite(data).all():
             raise ValidationError("measurement data must be finite")
-        if self.delta < 0:
-            raise ValidationError("delta must be nonnegative")
+        if not (math.isfinite(self.delta) and self.delta >= 0):
+            raise ValidationError("delta must be finite and nonnegative")
 
 
 def _check_spec_inside(spec: ObservationSpec, g: Grid) -> None:
@@ -184,13 +185,16 @@ def parse_measurement_csv(text: str) -> tuple[np.ndarray, ObservationSpec]:
     return data, spec
 
 
-def load_measurement(csv_path, meta_path) -> Measurement:
+def load_measurement(csv_path, meta_path) -> tuple[Measurement, dict]:
+    """The measurement in `csv_path` with the noise record in `meta_path`,
+    and the whole parsed meta payload (it may carry further keys, such as
+    the simulation grid)."""
     with open(csv_path, newline="") as fh:
         data, spec = parse_measurement_csv(fh.read())
-    with open(meta_path) as fh:
-        meta = json.load(fh)
     try:
-        return Measurement(
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        meas = Measurement(
             data=data,
             spec=spec,
             delta=float(meta["delta"]),
@@ -199,3 +203,6 @@ def load_measurement(csv_path, meta_path) -> Measurement:
         )
     except KeyError as exc:
         raise ValidationError(f"{meta_path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{meta_path}: malformed noise record ({exc})") from exc
+    return meas, meta

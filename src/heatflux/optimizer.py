@@ -81,7 +81,6 @@ class OptimizerState:
     inv_hessian: np.ndarray | None = None
     iteration: int = 0
     residual_history: list = field(default_factory=list)
-    last_step: float = 0.0
     stop_reason: str | None = None
     step_history: list = field(default_factory=list)
     active_counts: list = field(default_factory=list)
@@ -196,7 +195,6 @@ def _advance(
 ):
     """Record an accepted iterate with its objective, step and active count."""
     state.beta = beta
-    state.last_step = step
     state.iteration += 1
     state.residual_history.append(f)
     state.step_history.append(step)
@@ -286,7 +284,6 @@ def landweber_solve(problem: Problem, config: SolveConfig) -> OptimizerState:
         damping = float(config.damping)
         if damping <= 0:
             raise ValidationError("landweber damping must be positive")
-    state.last_step = damping
 
     streak = 0
     for _ in range(config.max_iter):

@@ -27,7 +27,7 @@ box bound.
 from __future__ import annotations
 
 import csv
-import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -378,8 +378,8 @@ class FluxParameter:
             )
         if not np.isfinite(beta).all():
             raise ValidationError("beta must be finite")
-        if self.beta_max <= 0:
-            raise ValidationError("beta_max must be positive")
+        if not (math.isfinite(self.beta_max) and self.beta_max > 0):
+            raise ValidationError("beta_max must be finite and positive")
         if (beta < 0).any() or (beta > self.beta_max).any():
             raise ValidationError("beta outside the box [0, beta_max]")
 
@@ -402,18 +402,9 @@ def flux_interpolants(fp: FluxParameter) -> tuple[Pchip, Pchip]:
     )
 
 
-def render_pchip_csv(p: Pchip) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(PCHIP_CSV_HEADER)
-    for k, v, d in zip(p.knots, p.values, p.slopes):
-        writer.writerow([repr(float(k)), repr(float(v)), repr(float(d))])
-    return buf.getvalue()
-
-
 def load_pchip(path) -> Pchip:
-    """Read an interpolant from the `knot,value,slope` CSV rows that
-    :func:`render_pchip_csv` writes.
+    """Read an interpolant from a CSV file with the header `knot,value,slope`
+    and one row per knot.
 
     The slope column is not read: the slopes follow from the values, so the
     value sensitivities differentiate the interpolant that is evaluated.

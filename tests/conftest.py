@@ -1,4 +1,5 @@
-"""Shared fixtures: materials, coarse grids, and manufactured solutions."""
+"""Shared fixtures: materials, coarse grids, manufactured solutions, and
+CSV input files."""
 
 import numpy as np
 import pytest
@@ -34,3 +35,19 @@ def constant_material():
 @pytest.fixture
 def coarse_grid():
     return Grid(L=0.05, T=2.0, nx=21, nt=40)
+
+
+@pytest.fixture
+def write_csv(tmp_path):
+    """Write `rows` under `header` to `tmp_path / name`, floats as `repr`
+    (which round-trips exactly), and return the path. Builds the input files
+    that `load_material` and `load_pchip` read."""
+
+    def write(name, header, rows):
+        lines = [",".join(header)]
+        lines += [",".join(repr(float(v)) for v in row) for row in rows]
+        path = tmp_path / name
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    return write

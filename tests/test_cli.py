@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from heatflux import adjoint, cli, config as config_mod
+from heatflux import adjoint, cli, config as config_mod, forward, material
 from heatflux.optimizer import OptimizerState
 from heatflux.cli import _directional_error, _iterations_to_levels, gradient_check, main
 
@@ -77,6 +77,26 @@ class TestSimulate:
         cfg_path, _ = write_config(tmp_path, extra="fluxes.source = none\n")
         assert main(["simulate", "--config", str(cfg_path)]) == 2
 
+    def test_csv_material_matches_builtin(self, tmp_path, write_csv):
+        # The builtin tables written out with the expressions of
+        # `material.builtin_material` must give the same readings, bytewise.
+        theta = material.THETA_REF + 50.0 * np.arange(31)
+        cap = np.full(theta.shape, 3.8e6)
+        cond = (
+            34.0
+            - 10.0 * np.exp(-(((theta - 1100.0) / 140.0) ** 2))
+            + 6.0 * np.exp(-(((theta - material.THETA_REF) / 250.0) ** 2))
+        )
+        table = write_csv("steel.csv", material.MATERIAL_CSV_HEADER, zip(theta, cap, cond))
+        readings = {}
+        for source in ("builtin", table):
+            run_dir = tmp_path / f"run{len(readings)}"
+            run_dir.mkdir()
+            cfg_path, out_dir = write_config(run_dir, extra=f"material.source = {source}\n")
+            assert main(["simulate", "--config", str(cfg_path)]) == 0
+            readings[source] = [(out_dir / n).read_bytes() for n in ("clean.csv", "noisy.csv")]
+        assert readings["builtin"] == readings[table]
+
     @pytest.mark.parametrize(
         "line", ["initial.u0 = nan", "domain.T = inf", "optimizer.rho = nan"]
     )
@@ -142,6 +162,25 @@ class TestInvert:
         cfg_path, _ = write_config(tmp_path)
         assert main(["invert", "--config", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text.replace('"delta": ', '"delta": NaN, "was": '),
+            lambda text: text.replace('"delta": ', '"delta": Infinity, "was": '),
+            lambda text: text[: len(text) // 2],
+            lambda text: text.replace('"delta": ', '"delta": "abc", "was": '),
+        ],
+        ids=["nan", "infinity", "truncated", "text"],
+    )
+    def test_bad_noise_record_exits_2(self, simulated, edit):
+        # NaN and Infinity used to exit 0 (NaN never stops by discrepancy,
+        # Infinity stops at the start point); the others raised a traceback.
+        cfg_path, out_dir = simulated
+        meta = out_dir / "meta.json"
+        meta.write_text(edit(meta.read_text()))
+        assert main(["invert", "--config", str(cfg_path)]) == 2
+        assert not (out_dir / "beta.json").exists()
+
     def test_landweber_method_writes_outputs(self, simulated):
         cfg_path, out_dir = simulated
         extra_cfg = cfg_path.read_text() + (
@@ -180,6 +219,24 @@ class TestInvert:
         main(["invert", "--config", str(cfg_path)])
         assert (out_dir / "beta.json").read_bytes() == first
         assert (out_dir / "convergence.csv").read_bytes() == first_conv
+
+
+class TestCompare:
+    def test_bad_landweber_damping_exits_2_before_any_solve(self, tmp_path, monkeypatch):
+        # Formerly `compare` ran the whole PQN solve before Landweber refused
+        # the damping.
+        calls = []
+        solve_ibvp = forward.solve_ibvp
+
+        def counted(*args):
+            calls.append(1)
+            return solve_ibvp(*args)
+
+        for module in (forward, cli, adjoint):
+            monkeypatch.setattr(module, "solve_ibvp", counted)
+        cfg_path, _ = write_config(tmp_path, extra="optimizer.landweber_damping = -1\n")
+        assert main(["compare", "--config", str(cfg_path)]) == 2
+        assert calls == []
 
 
 class TestGradcheck:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from heatflux import config as config_mod, pchip
-from heatflux.config import ExperimentConfig, parse_config_text, render_config_text
+from heatflux.config import ExperimentConfig, parse_config_text
 from heatflux.errors import ValidationError
 
 
@@ -20,9 +20,47 @@ class TestParsing:
         assert cfg.sample_interval == 0.1 and cfg.noise_amplitude == 2e6
         assert cfg.method == "pqn" and cfg.rho == 2.0
 
-    def test_roundtrip_through_text(self):
-        cfg = ExperimentConfig(seed=42, inv_nx=61, landweber_damping=0.25)
-        assert parse_config_text(render_config_text(cfg)) == cfg
+    def test_every_key_parses(self):
+        text = """
+            domain.L = 0.04
+            domain.T = 12.0
+            grids.sim.nx = 51
+            grids.sim.nt = 600
+            grids.inv.nx = 41
+            grids.inv.nt = 480
+            material.source = tables/steel.csv
+            initial.u0 = 5.0e9
+            partition.n = 12
+            partition.u_max = 5.4e9
+            box.beta_max = 1.5e7
+            sensors.positions = 0.005, 0.02 0.035
+            sensors.sample_interval = 0.25
+            noise.amplitude = 1e6
+            noise.seed = 42
+            optimizer.method = landweber
+            optimizer.rho = 1.5
+            optimizer.max_iter = 99
+            optimizer.landweber_damping = 0.25
+            optimizer.landweber_max_iter = 77
+            fluxes.source = csv
+            fluxes.beta0_csv = b0.csv
+            fluxes.betaL_csv = bL.csv
+            output.dir = results
+            data.dir = measured
+        """
+        keys = [line.split("=")[0].strip() for line in text.strip().splitlines()]
+        assert sorted(keys) == sorted(config_mod._KEYMAP)
+        assert parse_config_text(text) == ExperimentConfig(
+            L=0.04, T=12.0, sim_nx=51, sim_nt=600, inv_nx=41, inv_nt=480,
+            material_source="tables/steel.csv", u0=5.0e9, n=12, u_max=5.4e9,
+            beta_max=1.5e7, sensor_positions=(0.005, 0.02, 0.035),
+            sample_interval=0.25, noise_amplitude=1e6, seed=42, method="landweber",
+            rho=1.5, max_iter=99, landweber_damping=0.25, landweber_max_iter=77,
+            flux_source="csv", flux_beta0_csv="b0.csv", flux_betaL_csv="bL.csv",
+            output_dir="results", data_dir="measured",
+        )
+        cfg = parse_config_text("fluxes.beta0_csv = None\ndata.dir = none\n")
+        assert cfg.flux_beta0_csv is None and cfg.data_dir is None
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config_text("# header\n\nnoise.seed = 3  # trailing\n")
@@ -72,6 +110,11 @@ class TestValidation:
     def test_sample_interval_within_horizon(self):
         with pytest.raises(ValidationError):
             ExperimentConfig(sample_interval=31.0)
+
+    @pytest.mark.parametrize("damping", [-1.0, 0.0])
+    def test_landweber_damping_must_be_positive(self, damping):
+        with pytest.raises(ValidationError, match="damping"):
+            ExperimentConfig(landweber_damping=damping)
 
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValidationError):
@@ -161,29 +204,29 @@ class TestBuiltinProfiles:
         cfg = ExperimentConfig(flux_source="none")
         assert config_mod.exact_flux_parameter(cfg) is None
 
-    def test_csv_flux_source_roundtrip(self, tmp_path):
+    def test_csv_flux_source_roundtrip(self, write_csv):
         cfg = ExperimentConfig()
         b0, bL = config_mod.leidenfrost_profiles(cfg.u_max, cfg.beta_max)
-        p0 = tmp_path / "beta0.csv"
-        pL = tmp_path / "betaL.csv"
-        p0.write_text(pchip.render_pchip_csv(b0))
-        pL.write_text(pchip.render_pchip_csv(bL))
+        p0, pL = (
+            write_csv(name, pchip.PCHIP_CSV_HEADER, zip(p.knots, p.values, p.slopes))
+            for name, p in (("beta0.csv", b0), ("betaL.csv", bL))
+        )
         cfg_csv = ExperimentConfig(
             flux_source="csv", flux_beta0_csv=str(p0), flux_betaL_csv=str(pL)
         )
         fp = config_mod.exact_flux_parameter(cfg_csv)
         assert np.allclose(fp.beta[:41], b0.values, rtol=0, atol=0)
 
-    def test_csv_fluxes_must_share_partition(self, tmp_path):
+    def test_csv_fluxes_must_share_partition(self, write_csv):
         cfg = ExperimentConfig()
         b0, _ = config_mod.leidenfrost_profiles(cfg.u_max, cfg.beta_max)
         other = pchip.Pchip(
             np.linspace(0.0, cfg.u_max, 21), np.zeros(21)
         )
-        p0 = tmp_path / "beta0.csv"
-        pL = tmp_path / "betaL.csv"
-        p0.write_text(pchip.render_pchip_csv(b0))
-        pL.write_text(pchip.render_pchip_csv(other))
+        p0, pL = (
+            write_csv(name, pchip.PCHIP_CSV_HEADER, zip(p.knots, p.values, p.slopes))
+            for name, p in (("beta0.csv", b0), ("betaL.csv", other))
+        )
         cfg_csv = ExperimentConfig(
             flux_source="csv", flux_beta0_csv=str(p0), flux_betaL_csv=str(pL)
         )

@@ -41,6 +41,14 @@ class TestGrid:
         with pytest.raises(ValidationError):
             Grid(L=1.0, T=1.0, nx=5, nt=0)
 
+    @pytest.mark.parametrize("extent", [np.nan, np.inf])
+    def test_rejects_non_finite_extents(self, extent):
+        # NaN passed the old `<= 0` check and built a grid with dx = nan.
+        with pytest.raises(ValidationError, match="finite"):
+            Grid(L=extent, T=1.0, nx=5, nt=5)
+        with pytest.raises(ValidationError, match="finite"):
+            Grid(L=1.0, T=extent, nx=5, nt=5)
+
     def test_field_shape_is_validated(self):
         g = Grid(L=1.0, T=1.0, nx=5, nt=4)
         with pytest.raises(ValidationError):

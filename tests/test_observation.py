@@ -92,6 +92,14 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             Measurement(np.zeros((2, 3)), spec, delta=-1.0, seed=0, amplitude=0.0)
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        # A NaN delta never fires the discrepancy test; an infinite one fires
+        # it at the start point.
+        spec = ObservationSpec(positions=np.array([0.1]), times=np.array([1.0]))
+        with pytest.raises(ValidationError, match="delta"):
+            Measurement(np.zeros((1, 1)), spec, delta=delta, seed=0, amplitude=0.0)
+
 
 class TestNoise:
     @pytest.fixture
@@ -190,10 +198,31 @@ class TestSerialization:
         meta_path = tmp_path / "measurements.meta.json"
         csv_path.write_text(observation.render_measurement_csv(meas.data, spec))
         meta_path.write_text(observation.render_measurement_meta(meas))
-        back = observation.load_measurement(csv_path, meta_path)
+        back, meta = observation.load_measurement(csv_path, meta_path)
         assert (back.data == meas.data).all()
         assert back.delta == meas.delta
         assert back.seed == meas.seed and back.amplitude == meas.amplitude
+        assert meta == {"delta": meas.delta, "seed": 13, "amplitude": 1.0e6}
+
+    @pytest.mark.parametrize(
+        "meta",
+        [
+            '{"delta": NaN, "seed": 1, "amplitude": 0.0}',
+            '{"delta": Infinity, "seed": 1, "amplitude": 0.0}',
+            '{"delta": 0.1, "seed": 1, "amp',
+            '{"delta": "abc", "seed": 1, "amplitude": 0.0}',
+            '[0.1, 1, 0.0]',
+        ],
+        ids=["nan", "infinity", "truncated", "text", "list"],
+    )
+    def test_malformed_meta_is_a_validation_error(self, tmp_path, meta):
+        spec = ObservationSpec(positions=np.array([0.002]), times=np.array([1.0]))
+        csv_path = tmp_path / "m.csv"
+        meta_path = tmp_path / "m.meta.json"
+        csv_path.write_text(observation.render_measurement_csv(np.array([[1.0]]), spec))
+        meta_path.write_text(meta + "\n")
+        with pytest.raises(ValidationError):
+            observation.load_measurement(csv_path, meta_path)
 
     def test_meta_missing_key_is_reported(self, tmp_path):
         spec = ObservationSpec(positions=np.array([0.002]), times=np.array([1.0]))

@@ -327,7 +327,7 @@ class TestLandweber:
         prob = quadratic_problem(np.diag([1.0, 2.0]), np.array([0.4, 0.6]))
         state = landweber_solve(prob, SolveConfig(max_iter=1))
         _, g0 = prob.gradient(np.zeros(2))
-        assert state.last_step == pytest.approx(0.1 / np.abs(g0).max())
+        assert state.step_history[0] == pytest.approx(0.1 / np.abs(g0).max())
 
     def test_divergent_damping_aborts_with_diagnosis(self):
         # Damping just above the stability limit 2/L makes the error grow by

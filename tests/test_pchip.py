@@ -349,6 +349,12 @@ class TestFluxParameter:
         with pytest.raises(ValidationError):
             pchip.FluxParameter(beta=np.array([0, 1, -0.1, 0, 1, 2.0]), partition=part, beta_max=4.0)
 
+    @pytest.mark.parametrize("beta_max", [np.nan, np.inf, 0.0])
+    def test_rejects_non_finite_or_nonpositive_bound(self, beta_max):
+        # NaN passed the old `<= 0` check and then accepted any beta.
+        with pytest.raises(ValidationError, match="beta_max"):
+            pchip.FluxParameter(np.full(6, 5.0), np.linspace(0.0, 1.0, 3), beta_max)
+
     def test_rejects_wrong_length_and_offset_partition(self):
         with pytest.raises(ValidationError):
             pchip.FluxParameter(
@@ -361,23 +367,21 @@ class TestFluxParameter:
 
 
 class TestSerialization:
-    def test_save_load_round_trip(self, tmp_path):
+    def test_save_load_round_trip(self, write_csv):
         p = pchip.Pchip(np.linspace(0.0, 2.0, 5), [0.0, 1.0, 0.5, 2.0, 2.0])
-        path = tmp_path / "p.csv"
-        path.write_text(pchip.render_pchip_csv(p))
+        path = write_csv("p.csv", pchip.PCHIP_CSV_HEADER, zip(p.knots, p.values, p.slopes))
         q = pchip.load_pchip(path)
         assert np.array_equal(p.knots, q.knots)
         assert np.array_equal(p.values, q.values)
         assert np.array_equal(p.slopes, q.slopes)
 
-    def test_loaded_interpolant_is_the_built_one(self, tmp_path):
+    def test_loaded_interpolant_is_the_built_one(self, write_csv):
         # The slope column is not read: slopes that disagree with the values
         # would make the value sensitivities differentiate another interpolant.
         knots = np.linspace(0.0, 2.0, 5)
         values = np.array([0.0, 1.0, 0.5, 2.0, 2.0])
-        path = tmp_path / "zero_slopes.csv"
-        path.write_text(
-            "knot,value,slope\n" + "".join(f"{k},{v},0.0\n" for k, v in zip(knots, values))
+        path = write_csv(
+            "zero_slopes.csv", pchip.PCHIP_CSV_HEADER, zip(knots, values, np.zeros(5))
         )
         q = pchip.load_pchip(path)
         p = pchip.Pchip(knots, values)
