@@ -50,18 +50,18 @@ def objective(
 
 
 def solve_adjoint(
-    u: EnthalpyField, m: MaterialModel, fp: FluxParameter, source: np.ndarray, g: Grid
+    u: EnthalpyField, m: MaterialModel, fp: FluxParameter, source: np.ndarray
 ) -> np.ndarray:
-    """Backward adjoint solve, returned in original time orientation.
+    """Backward adjoint solve along the trajectory `u`, returned in original
+    time orientation.
 
-    `source` is the (nt+1) x nx injected residual field. The returned array
-    phi has the same shape with phi[nt] = 0 exactly.
+    `source` is the (nt+1) x nx injected residual field on the trajectory's
+    grid. The returned array phi has the same shape with phi[nt] = 0 exactly.
     """
-    if u.grid != g:
-        raise ValidationError("trajectory grid does not match the requested grid")
+    g = u.grid
     source = np.asarray(source, dtype=float)
-    if source.shape != (g.nt + 1, g.nx):
-        raise ValidationError(f"source must have shape {(g.nt + 1, g.nx)}")
+    if source.shape != u.values.shape:
+        raise ValidationError(f"source must have shape {u.values.shape}")
     b0, bL = flux_interpolants(fp)
     r = g.dt / g.dx**2
     c = 2.0 * g.dt / g.dx
@@ -96,9 +96,7 @@ def solve_adjoint(
     return phi
 
 
-def assemble_gradient(
-    phi: np.ndarray, u: EnthalpyField, fp: FluxParameter, g: Grid
-) -> np.ndarray:
+def assemble_gradient(phi: np.ndarray, u: EnthalpyField, fp: FluxParameter) -> np.ndarray:
     """Time integral of the weighted adjoint boundary traces.
 
     Left-rectangle weights (dt per step, nothing at t = T where phi vanishes)
@@ -107,9 +105,10 @@ def assemble_gradient(
     at level n with the multiplier of the n -> n+1 equation reproduces the
     discrete objective's gradient to rounding, not just to quadrature order.
     """
+    g = u.grid
     phi = np.asarray(phi, dtype=float)
-    if phi.shape != (g.nt + 1, g.nx) or u.values.shape != phi.shape:
-        raise ValidationError("phi and u must both live on the requested grid")
+    if phi.shape != u.values.shape:
+        raise ValidationError(f"phi must have the trajectory's shape {u.values.shape}")
     b0, bL = flux_interpolants(fp)
     w = np.full(g.nt + 1, g.dt)
     w[-1] = 0.0
@@ -121,23 +120,13 @@ def assemble_gradient(
 
 
 def compute_gradient(
-    fp: FluxParameter,
-    data: Measurement,
-    m: MaterialModel,
-    u0,
-    g: Grid,
-    field: EnthalpyField | None = None,
-    residual: np.ndarray | None = None,
-    obj: float | None = None,
-) -> tuple[float, np.ndarray]:
-    """Full chain: state solve, residual injection, adjoint solve, assembly.
-
-    Returns (objective value, gradient). A previously computed (obj,
-    residual, field) triple for the same parameters can be passed in to skip
-    the state solve.
-    """
-    if field is None or residual is None or obj is None:
-        obj, residual, field = objective(fp, data, m, u0, g)
-    src = adjoint_source(residual, data.spec, g)
-    phi = solve_adjoint(field, m, fp, src, g)
-    return float(obj), assemble_gradient(phi, field, fp, g)
+    fp: FluxParameter, data: Measurement, m: MaterialModel,
+    field: EnthalpyField, residual: np.ndarray,
+) -> np.ndarray:
+    """Gradient of the misfit at `fp` from its state `field` and sensor
+    `residual`, as `objective` returns them: residual injection, adjoint
+    solve along the field, and assembly. The objective value stays with the
+    caller."""
+    src = adjoint_source(residual, data.spec, field.grid)
+    phi = solve_adjoint(field, m, fp, src)
+    return assemble_gradient(phi, field, fp)

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import adjoint, config as config_mod, observation, optimizer, pchip
 from .config import ExperimentConfig
-from .errors import DivergenceError, HeatfluxError, OptimizerError, ValidationError
+from .errors import DivergenceError, OptimizerError, ValidationError
 from .forward import solve_ibvp
 
 log = logging.getLogger("heatflux")
@@ -101,7 +101,7 @@ def _state_json(state: optimizer.OptimizerState, param_scale: float) -> str:
 
 
 def _simulate_measurement(cfg: ExperimentConfig):
-    """Shared twin-data generation: returns (clean, measurement, spec)."""
+    """Shared twin-data generation: returns (clean, measurement)."""
     fp_exact = config_mod.exact_flux_parameter(cfg)
     if fp_exact is None:
         raise ValidationError("simulate needs exact fluxes (builtin or csv)")
@@ -234,7 +234,8 @@ def gradient_check(cfg: ExperimentConfig) -> dict:
     dim = 2 * cfg.n
     beta = 0.25 * cfg.beta_max * (1.0 + 0.5 * np.sin(np.arange(dim)))
     fp = pchip.FluxParameter(beta=beta, partition=partition, beta_max=cfg.beta_max)
-    f0, grad = adjoint.compute_gradient(fp, meas, material, u0, grid)
+    f0, residual, field = adjoint.objective(fp, meas, material, u0, grid)
+    grad = adjoint.compute_gradient(fp, meas, material, field, residual)
 
     def objective_at(b):
         return adjoint.objective(

@@ -96,6 +96,10 @@ class ExperimentConfig:
             raise ValidationError("sensor positions must lie strictly inside (0, L)")
         if self.sample_interval > self.T:
             raise ValidationError("sample interval exceeds the total time")
+        # `observation_spec` samples every T / round(T / interval) seconds.
+        m = round(self.T / self.sample_interval)
+        if abs(m * self.sample_interval - self.T) > 1e-9 * self.T:
+            raise ValidationError("sample interval must divide the total time")
 
 
 # Dotted config key -> (dataclass field, parser).

@@ -26,11 +26,12 @@ adjoint-based gradients agree with finite differences of the objective.
 
 The marches are kept lean without changing a bit of their output. The state
 march reads the diffusivity through `pchip.march_evaluator` (values only,
-set-up hoisted out of the loop, equal to `pchip.eval` bit for bit) and the
-boundary fluxes through `pchip._eval_scalar`. All three marches fill their
-bands with `_diffusion_bands`: the state march one level per step, the
-tangent and adjoint marches every level at once in the one pass over the
-trajectory that also gives their frozen coefficients
+from the interval table the interpolant was built with, equal to `pchip.eval`
+bit for bit) and the boundary fluxes through `pchip._eval_scalar`. The
+linearized marches take their grid from the trajectory they linearize about.
+All three marches fill their bands with `_diffusion_bands`: the state march
+one level per step, the tangent and adjoint marches every level at once in
+the one pass over the trajectory that also gives their frozen coefficients
 (`_trajectory_coefficients`). The adjoint takes its transport factors from
 `_transport_factors`, formed once per march in the order the per-step
 products used, so every product rounds as it would inside the step.
@@ -277,7 +278,7 @@ def total_enthalpy(f: EnthalpyField, step: int) -> float:
 
 
 def solve_sensitivity(
-    u: EnthalpyField, m: MaterialModel, fp: FluxParameter, h, g: Grid
+    u: EnthalpyField, m: MaterialModel, fp: FluxParameter, h
 ) -> EnthalpyField:
     """Directional derivative of the state with respect to the flux values.
 
@@ -287,9 +288,9 @@ def solve_sensitivity(
     the exact derivative of the corresponding state step: implicit diffusion
     with the same interface means, advective coefficient feedback and flux
     linearization frozen at the previous level. Linearity in `h` is exact.
+    The field lives on the trajectory's grid.
     """
-    if u.grid != g:
-        raise ValidationError("trajectory grid does not match the requested grid")
+    g = u.grid
     h = np.asarray(h, dtype=float)
     n = fp.n
     if h.shape != (2 * n,):

@@ -70,7 +70,6 @@ class SolveConfig:
     rho: float = 2.0
     beta0: np.ndarray | None = None
     damping: float | None = None
-    track_iterates: bool = False
 
 
 @dataclass
@@ -185,22 +184,18 @@ def _start(problem: Problem, config: SolveConfig):
     state = OptimizerState(beta=beta, beta_max=problem.beta_max)
     f, grad = problem.gradient(beta)
     state.residual_history.append(f)
-    if config.track_iterates:
-        state.iterate_history.append(beta.copy())
+    state.iterate_history.append(beta.copy())
     return state, f, grad
 
 
-def _advance(
-    state: OptimizerState, config: SolveConfig, beta, f: float, step: float, active: int
-):
+def _advance(state: OptimizerState, beta, f: float, step: float, active: int):
     """Record an accepted iterate with its objective, step and active count."""
     state.beta = beta
     state.iteration += 1
     state.residual_history.append(f)
     state.step_history.append(step)
     state.active_counts.append(active)
-    if config.track_iterates:
-        state.iterate_history.append(beta.copy())
+    state.iterate_history.append(beta.copy())
 
 
 def _budget_spent(state: OptimizerState, f: float, problem: Problem, config: SolveConfig):
@@ -259,7 +254,7 @@ def pqn_solve(problem: Problem, config: SolveConfig) -> OptimizerState:
         state.inv_hessian = bfgs_inverse_update(
             state.inv_hessian, beta_new - state.beta, grad_new - grad
         )
-        _advance(state, config, beta_new, f_new, lam, int(I1.size + I2.size))
+        _advance(state, beta_new, f_new, lam, int(I1.size + I2.size))
         f, grad = f_new, grad_new
         log.debug(
             "pqn k=%d f=%.6e lam=%.3g active=%d",
@@ -303,7 +298,7 @@ def landweber_solve(problem: Problem, config: SolveConfig) -> OptimizerState:
             )
         f = f_new
         active = int((beta == 0.0).sum() + (beta == problem.beta_max).sum())
-        _advance(state, config, beta, f, damping, active)
+        _advance(state, beta, f, damping, active)
 
     return _budget_spent(state, f, problem, config)
 
@@ -354,11 +349,8 @@ def make_pde_problem(
 
     def gradient_fn(b: np.ndarray):
         c = _solve(np.asarray(b, dtype=float))
-        f, grad = adjoint.compute_gradient(
-            c["fp"], data, m, u0, g,
-            field=c["field"], residual=c["residual"], obj=c["f"],
-        )
-        return f / norm_y, grad * (scale / norm_y)
+        grad = adjoint.compute_gradient(c["fp"], data, m, c["field"], c["residual"])
+        return c["f"] / norm_y, grad * (scale / norm_y)
 
     return Problem(
         dim=2 * partition.size,

@@ -11,8 +11,9 @@ first two secants disagree in sign; without the limiter the end intervals can
 leave the value envelope. One function, `_slope_rule`, applies this rule and
 gives the derivatives and, on demand, their Jacobian.
 
-Besides construction and evaluation (`eval`, and `march_evaluator`, its
-values-only form for the inner loop of a march) this module provides the
+Construction also builds the interpolant's one per-interval table, which
+every evaluator reads: `eval`, its scalar path, and `march_evaluator`, its
+values-only form for the inner loop of a march. The module also provides the
 sensitivity of the interpolated value with respect to the data values
 (`grad_wrt_values_many`, from the banded slope Jacobian), which the tangent
 march and the adjoint gradient assembly rely on, and a nested-partition
@@ -61,7 +62,8 @@ class Pchip:
     """Monotonicity-preserving cubic Hermite interpolant on equidistant knots.
 
     Built from its knots and values alone; the slopes follow from the values
-    by the shape-preserving rule (`_slope_rule`).
+    by the shape-preserving rule (`_slope_rule`). The per-interval table that
+    the evaluators read is built here too, once.
     """
 
     knots: np.ndarray
@@ -82,21 +84,21 @@ class Pchip:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "slopes", slopes)
         object.__setattr__(self, "interval_width", h)
-        # Cache the per-interval cubic in the local coordinate t = (x - x_i)/h,
-        # p(t) = c0 + t (c1 + t (c2 + t c3)), plus plain-float copies of all
-        # arrays; evaluation sits in the innermost solver loops.
+        # One column per interval, read by every evaluator: left knot, the
+        # cubic in the local coordinate t = (x - x_i)/h, p(t) = c0 + t (c1 +
+        # t (c2 + t c3)), right knot, right value, left and right slope.
+        # `_rows` holds the same numbers as plain floats for the scalar path;
+        # evaluation sits in the innermost solver loops.
         fi, fj = values[:-1], values[1:]
         di, dj = h * slopes[:-1], h * slopes[1:]
-        coef = np.empty((4, knots.size - 1))
-        coef[0] = fi
-        coef[1] = di
-        coef[2] = 3.0 * (fj - fi) - 2.0 * di - dj
-        coef[3] = 2.0 * (fi - fj) + di + dj
-        object.__setattr__(self, "_coef", coef)
-        object.__setattr__(self, "_clist", coef.tolist())
-        object.__setattr__(self, "_klist", knots.tolist())
-        object.__setattr__(self, "_vlist", values.tolist())
-        object.__setattr__(self, "_slist", slopes.tolist())
+        table = np.array([
+            knots[:-1], fi, di,
+            3.0 * (fj - fi) - 2.0 * di - dj,
+            2.0 * (fi - fj) + di + dj,
+            knots[1:], fj, slopes[:-1], slopes[1:],
+        ])
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_rows", table.T.tolist())
         object.__setattr__(self, "_inv_h", 1.0 / h)
 
     @property
@@ -176,27 +178,27 @@ def _locate(p: Pchip, x, clamp: bool):
 
 
 def _eval_scalar(p: Pchip, x: float, clamp: bool):
-    kl = p._klist
-    lo, hi = kl[0], kl[-1]
+    rows = p._rows
+    lo, hi = rows[0][0], rows[-1][5]
     tol = EQUIDISTANT_RTOL * (hi - lo)
     if x < lo - tol or x > hi + tol:
         if not clamp:
             raise ValidationError(
                 f"evaluation point outside [{lo}, {hi}] and clamping is off"
             )
-        return (p._vlist[0], 0.0) if x < lo else (p._vlist[-1], 0.0)
+        return (rows[0][1], 0.0) if x < lo else (rows[-1][6], 0.0)
     xc = lo if x < lo else (hi if x > hi else x)
     i = int((xc - lo) * p._inv_h)
     if i > p.n - 2:
         i = p.n - 2
     elif i < 0:
         i = 0
-    if xc == kl[i]:
-        return p._vlist[i], p._slist[i]
-    if xc == kl[i + 1]:
-        return p._vlist[i + 1], p._slist[i + 1]
-    t = (xc - kl[i]) * p._inv_h
-    c0, c1, c2, c3 = p._clist[0][i], p._clist[1][i], p._clist[2][i], p._clist[3][i]
+    k0, c0, c1, c2, c3, k1, v1, s0, s1 = rows[i]
+    if xc == k0:
+        return c0, s0
+    if xc == k1:
+        return v1, s1
+    t = (xc - k0) * p._inv_h
     value = c0 + t * (c1 + t * (c2 + t * c3))
     deriv = (c1 + t * (2.0 * c2 + 3.0 * t * c3)) * p._inv_h
     return value, deriv
@@ -212,25 +214,20 @@ def eval(p: Pchip, x, clamp: bool = False):
     if np.ndim(x) == 0:
         return _eval_scalar(p, float(x), clamp)
     xc, idx, outside = _locate(p, x, clamp)
-    t = (xc - p.knots[idx]) * p._inv_h
-    c0 = p._coef[0][idx]
-    c1 = p._coef[1][idx]
-    c2 = p._coef[2][idx]
-    c3 = p._coef[3][idx]
+    k0, c0, c1, c2, c3, k1, v1, s0, s1 = p._table.take(idx, axis=1)
+    t = (xc - k0) * p._inv_h
     value = c0 + t * (c1 + t * (c2 + t * c3))
     deriv = (c1 + t * (2.0 * c2 + 3.0 * t * c3)) * p._inv_h
     # Exact interpolation whenever a query hits a knot, whichever of its two
     # intervals `_locate` picked.
-    at_lo = xc == p.knots[idx]
+    at_lo = xc == k0
     if at_lo.any():
-        j = idx[at_lo]
-        value[at_lo] = p.values[j]
-        deriv[at_lo] = p.slopes[j]
-    at_hi = xc == p.knots[idx + 1]
+        value[at_lo] = c0[at_lo]
+        deriv[at_lo] = s0[at_lo]
+    at_hi = xc == k1
     if at_hi.any():
-        j = idx[at_hi] + 1
-        value[at_hi] = p.values[j]
-        deriv[at_hi] = p.slopes[j]
+        value[at_hi] = v1[at_hi]
+        deriv[at_hi] = s1[at_hi]
     if outside.any():
         deriv[outside] = 0.0
     return value, deriv
@@ -241,17 +238,17 @@ def march_evaluator(p: Pchip):
 
     Returns a function of a finite array x that gives `eval(p, x,
     clamp=True)[0]` bit for bit (for values without negative zeros, which a
-    diffusivity never has). The range, 1/h, the last interval index and a
-    table with one column per interval (left knot, c0..c3, right knot, right
-    value) are set up here once; each call clamps, indexes, gathers one
-    column per point, and runs Horner for the value only. A point that lands
-    on a right knot takes that knot's value, as in `eval`; on a left knot
-    t = 0 already gives c0.
+    diffusivity never has). It reads the first seven rows of the interval
+    table the interpolant was built with (left knot, c0..c3, right knot,
+    right value); each call clamps, indexes, gathers one column per point,
+    and runs Horner for the value only. A point that lands on a right knot
+    takes that knot's value, as in `eval`; on a left knot t = 0 already
+    gives c0.
     """
-    lo, hi = p._klist[0], p._klist[-1]
+    lo, hi = p._rows[0][0], p._rows[-1][5]
     inv_h = p._inv_h
     last = p.n - 2
-    table = np.vstack([p.knots[:-1], p._coef, p.knots[1:], p.values[1:]])
+    table = p._table[:7]
 
     def values(x):
         xc = np.minimum(np.maximum(x, lo), hi)
@@ -308,20 +305,18 @@ def grad_wrt_values_many(p: Pchip, x, clamp: bool = False) -> np.ndarray:
 
 
 def _sample(fn, xs: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(fn(xs), dtype=float)
-        if out.shape == xs.shape:
-            return out
-    except Exception:
-        pass
-    return np.array([float(fn(x)) for x in xs])
+    out = np.asarray(fn(xs), dtype=float)
+    if out.shape != xs.shape:
+        raise ValidationError(f"sampler returned shape {out.shape} for {xs.shape} points")
+    return out
 
 
 def refine_to_tolerance(sampler, a: float, b: float, epsilon: float, max_level: int = 12):
     """Double the partition density until the dense sup-error drops below epsilon.
 
     Level i uses 2**i + 1 equidistant knots on [a, b]; the error is estimated
-    on a uniform grid of 10001 points. Returns ``(level, interpolant,
+    on a uniform grid of 10001 points. `sampler` is called once per point
+    array and returns one value per point. Returns ``(level, interpolant,
     max_error)`` for the first satisfying level.
 
     Raises
@@ -329,7 +324,7 @@ def refine_to_tolerance(sampler, a: float, b: float, epsilon: float, max_level: 
     RefinementError
         If `max_level` is reached without meeting the tolerance.
     ValidationError
-        If epsilon is negative or the interval is empty.
+        If epsilon is negative, the interval is empty or a sample is misshapen.
     """
     if not b > a:
         raise ValidationError("refinement interval must satisfy b > a")

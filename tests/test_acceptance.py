@@ -295,9 +295,7 @@ def test_criterion_6_algebraic_suites(builtin_material, monkeypatch):
             A @ (x - xstar),
         ),
     )
-    state = optimizer.pqn_solve(
-        prob, optimizer.SolveConfig(max_iter=60, track_iterates=True)
-    )
+    state = optimizer.pqn_solve(prob, optimizer.SolveConfig(max_iter=60))
     monkeypatch.undo()
     assert secant_errors, "no BFGS update was applied"
     worst_secant = max(secant_errors)

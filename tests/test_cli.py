@@ -77,6 +77,12 @@ class TestSimulate:
         cfg_path, _ = write_config(tmp_path, extra="fluxes.source = none\n")
         assert main(["simulate", "--config", str(cfg_path)]) == 2
 
+    def test_sample_interval_not_dividing_horizon_exits_2(self, tmp_path):
+        # T = 4 with 0.3 would have sampled every 4/13 s instead.
+        cfg_path, out_dir = write_config(tmp_path, extra="sensors.sample_interval = 0.3\n")
+        assert main(["simulate", "--config", str(cfg_path)]) == 2
+        assert not (out_dir / "noisy.csv").exists()
+
     def test_csv_material_matches_builtin(self, tmp_path, write_csv):
         # The builtin tables written out with the expressions of
         # `material.builtin_material` must give the same readings, bytewise.

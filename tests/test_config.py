@@ -111,6 +111,21 @@ class TestValidation:
         with pytest.raises(ValidationError):
             ExperimentConfig(sample_interval=31.0)
 
+    @pytest.mark.parametrize("T, interval", [(1.0, 0.6), (30.0, 0.7)])
+    def test_sample_interval_must_divide_horizon(self, T, interval):
+        # observation_spec would sample at a spacing of T / round(T / interval)
+        # (0.4 and 0.6976 here), not at the configured interval.
+        with pytest.raises(ValidationError, match="divide"):
+            ExperimentConfig(T=T, sample_interval=interval)
+
+    @pytest.mark.parametrize(
+        "T, interval", [(30.0, 0.1), (10.0, 0.02), (6.0, 0.2), (12.0, 0.25), (4.0, 0.2)]
+    )
+    def test_dividing_sample_intervals_are_kept(self, T, interval):
+        spec = config_mod.observation_spec(ExperimentConfig(T=T, sample_interval=interval))
+        assert spec.times[-1] == T
+        assert np.abs(np.diff(spec.times) - interval).max() <= 1e-9 * T
+
     @pytest.mark.parametrize("damping", [-1.0, 0.0])
     def test_landweber_damping_must_be_positive(self, damping):
         with pytest.raises(ValidationError, match="damping"):

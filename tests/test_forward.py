@@ -126,7 +126,7 @@ class TestSensitivity:
 
     def test_zero_direction_gives_zero_field(self, setup):
         m, fp, u, g = setup
-        w = forward.solve_sensitivity(u, m, fp, np.zeros(2 * fp.n), g)
+        w = forward.solve_sensitivity(u, m, fp, np.zeros(2 * fp.n))
         assert np.abs(w.values).max() == 0.0
 
     def test_linearity_in_direction(self, setup):
@@ -134,9 +134,9 @@ class TestSensitivity:
         rng = np.random.default_rng(5)
         h1 = rng.standard_normal(2 * fp.n)
         h2 = rng.standard_normal(2 * fp.n)
-        w1 = forward.solve_sensitivity(u, m, fp, h1, g).values
-        w2 = forward.solve_sensitivity(u, m, fp, h2, g).values
-        w12 = forward.solve_sensitivity(u, m, fp, 2.0 * h1 - 3.0 * h2, g).values
+        w1 = forward.solve_sensitivity(u, m, fp, h1).values
+        w2 = forward.solve_sensitivity(u, m, fp, h2).values
+        w12 = forward.solve_sensitivity(u, m, fp, 2.0 * h1 - 3.0 * h2).values
         ref = 2.0 * w1 - 3.0 * w2
         scale = np.abs(ref).max()
         assert np.abs(w12 - ref).max() <= 1e-12 * scale
@@ -152,7 +152,7 @@ class TestSensitivity:
         u = forward.solve_ibvp(m, fp, np.full(g.nx, 5.0e9), g)
         rng = np.random.default_rng(6)
         h = rng.standard_normal(2 * fp.n)
-        w = forward.solve_sensitivity(u, m, fp, h, g).values
+        w = forward.solve_sensitivity(u, m, fp, h).values
         eps = 1.0e-3 * fp.beta_max / np.abs(h).max()
         up = forward.solve_ibvp(
             m,
@@ -173,13 +173,7 @@ class TestSensitivity:
     def test_direction_length_is_validated(self, setup):
         m, fp, u, g = setup
         with pytest.raises(ValidationError):
-            forward.solve_sensitivity(u, m, fp, np.zeros(3), g)
-
-    def test_grid_mismatch_is_rejected(self, setup):
-        m, fp, u, g = setup
-        other = Grid(L=g.L, T=g.T, nx=g.nx, nt=g.nt + 1)
-        with pytest.raises(ValidationError):
-            forward.solve_sensitivity(u, m, fp, np.zeros(2 * fp.n), other)
+            forward.solve_sensitivity(u, m, fp, np.zeros(3))
 
 
 class TestErrors:

@@ -152,7 +152,7 @@ def test_forward_march_matches_plain_code(marches, name):
 @pytest.mark.parametrize("name", ["exact", "random", "steep"])
 def test_adjoint_march_matches_plain_code(marches, builtin_material, name):
     fp, field, _, source = marches[name]
-    got = adjoint.solve_adjoint(field, builtin_material, fp, source, GRID)
+    got = adjoint.solve_adjoint(field, builtin_material, fp, source)
     want = plain_solve_adjoint(field, builtin_material, fp, source, GRID)
     assert got.tobytes() == want.tobytes()
 
@@ -161,7 +161,7 @@ def test_adjoint_march_matches_plain_code(marches, builtin_material, name):
 def test_tangent_march_matches_plain_code(marches, builtin_material, name):
     fp, field, _, _ = marches[name]
     h = np.random.default_rng(9).standard_normal(2 * fp.n)
-    got = forward.solve_sensitivity(field, builtin_material, fp, h, GRID)
+    got = forward.solve_sensitivity(field, builtin_material, fp, h)
     want = plain_solve_sensitivity(field, builtin_material, fp, h, GRID)
     assert got.values.tobytes() == want.tobytes()
 

@@ -18,6 +18,29 @@ def dense_points(p, per_interval=40):
     return np.linspace(p.knots[0], p.knots[-1], (p.n - 1) * per_interval + 1)
 
 
+def bitwise_cases(material):
+    """The builtin diffusivity and 400 random partitions, each with its every
+    knot, the neighbouring floats on both sides, points beyond both ends and
+    random interior points."""
+    rng = np.random.default_rng(41)
+    cases = [material.diffusivity]
+    for _ in range(400):
+        n = int(rng.integers(3, 40))
+        lo = rng.uniform(-1e3, 1e3) * 10.0 ** rng.integers(-3, 7)
+        knots = np.linspace(lo, lo + rng.uniform(1e-3, 1e3) * 10.0 ** rng.integers(0, 8), n)
+        cases.append(pchip.Pchip(knots, rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-6, 10)))
+    for p in cases:
+        k = p.knots
+        span = k[-1] - k[0]
+        yield p, np.concatenate([
+            k,
+            np.nextafter(k, -np.inf),
+            np.nextafter(k, np.inf),
+            [k[0] - span, k[0] - 1e-3 * span, k[-1] + 1e-3 * span, k[-1] + span],
+            rng.uniform(k[0], k[-1], 200),
+        ])
+
+
 class TestConstruction:
     def test_symmetric_hump_slopes(self):
         p = pchip.Pchip([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
@@ -104,43 +127,25 @@ class TestEvaluation:
         assert (v == values).all()
         assert (d == p.slopes).all()
 
-    def test_scalar_and_array_paths_agree(self):
-        p = pchip.Pchip(np.linspace(0.0, 3.0, 7), [0, 2, 1, 4, 4, 3, 5])
-        xs = np.concatenate(
-            [np.linspace(0.0, 3.0, 101), p.knots, [-1.0, -1e-3, 3.0 + 1e-3, 7.5]]
-        )
-        va, da = pchip.eval(p, xs, clamp=True)
-        for i, x in enumerate(xs):
-            v, d = pchip.eval(p, float(x), clamp=True)
-            assert v == va[i]
-            assert d == da[i]
+    def test_scalar_and_array_paths_agree(self, builtin_material):
+        # All three evaluators read one interval table; the scalar path must
+        # give the array path's value and derivative bit for bit.
+        for p, xs in bitwise_cases(builtin_material):
+            va, da = pchip.eval(p, xs, clamp=True)
+            scalar = np.array([pchip.eval(p, float(x), clamp=True) for x in xs])
+            assert scalar[:, 0].tobytes() == va.tobytes()
+            assert scalar[:, 1].tobytes() == da.tobytes()
 
     def test_march_evaluator_matches_eval_bitwise(self, builtin_material):
         # The march evaluator drops the derivative, the outside mask and the
         # left-knot fix-up; its values must still be eval's, bit for bit,
         # including points whose index rounds down onto a right knot.
-        rng = np.random.default_rng(41)
-        cases = [builtin_material.diffusivity]
-        for _ in range(400):
-            n = int(rng.integers(3, 40))
-            lo = rng.uniform(-1e3, 1e3) * 10.0 ** rng.integers(-3, 7)
-            knots = np.linspace(lo, lo + rng.uniform(1e-3, 1e3) * 10.0 ** rng.integers(0, 8), n)
-            cases.append(pchip.Pchip(knots, rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-6, 10)))
         right_knot_hits = 0
-        for p in cases:
-            k = p.knots
-            span = k[-1] - k[0]
-            xs = np.concatenate([
-                k,
-                np.nextafter(k, -np.inf),
-                np.nextafter(k, np.inf),
-                [k[0] - span, k[0] - 1e-3 * span, k[-1] + 1e-3 * span, k[-1] + span],
-                rng.uniform(k[0], k[-1], 200),
-            ])
+        for p, xs in bitwise_cases(builtin_material):
             got = pchip.march_evaluator(p)(xs)
             assert got.tobytes() == pchip.eval(p, xs, clamp=True)[0].tobytes()
             xc, idx, _ = pchip._locate(p, xs, True)
-            right_knot_hits += int(((xc == k[idx + 1]) & (idx + 1 < p.n - 1)).sum())
+            right_knot_hits += int(((xc == p.knots[idx + 1]) & (idx + 1 < p.n - 1)).sum())
         assert right_knot_hits > 0
 
     def test_outside_raises_without_clamp(self):
@@ -323,6 +328,11 @@ class TestRefinement:
             pchip.refine_to_tolerance(np.sin, 0.0, np.pi, 0.0, max_level=5)
         assert exc.value.level == 5
         assert exc.value.max_error > 0.0
+
+    def test_sampler_result_must_match_its_points(self):
+        # A scalar result used to trigger one call per point and pass.
+        with pytest.raises(ValidationError):
+            pchip.refine_to_tolerance(lambda x: 1.0, 0.0, 1.0, 1e-3)
 
     def test_rejects_bad_interval_and_tolerance(self):
         with pytest.raises(ValidationError):
