@@ -102,12 +102,6 @@ class ExperimentConfig:
             raise ValidationError("sample interval must divide the total time")
 
 
-# Dotted config key -> (dataclass field, parser).
-def _float(s): return float(s)
-def _int(s): return int(s)
-def _str(s): return s
-
-
 def _positions(s):
     return tuple(float(tok) for tok in s.replace(",", " ").split())
 
@@ -120,31 +114,32 @@ def _optional_str(s):
     return None if s.strip().lower() == "none" else s.strip()
 
 
+# Dotted config key -> (dataclass field, parser).
 _KEYMAP = {
-    "domain.L": ("L", _float),
-    "domain.T": ("T", _float),
-    "grids.sim.nx": ("sim_nx", _int),
-    "grids.sim.nt": ("sim_nt", _int),
-    "grids.inv.nx": ("inv_nx", _int),
-    "grids.inv.nt": ("inv_nt", _int),
-    "material.source": ("material_source", _str),
-    "initial.u0": ("u0", _float),
-    "partition.n": ("n", _int),
-    "partition.u_max": ("u_max", _float),
-    "box.beta_max": ("beta_max", _float),
+    "domain.L": ("L", float),
+    "domain.T": ("T", float),
+    "grids.sim.nx": ("sim_nx", int),
+    "grids.sim.nt": ("sim_nt", int),
+    "grids.inv.nx": ("inv_nx", int),
+    "grids.inv.nt": ("inv_nt", int),
+    "material.source": ("material_source", str),
+    "initial.u0": ("u0", float),
+    "partition.n": ("n", int),
+    "partition.u_max": ("u_max", float),
+    "box.beta_max": ("beta_max", float),
     "sensors.positions": ("sensor_positions", _positions),
-    "sensors.sample_interval": ("sample_interval", _float),
-    "noise.amplitude": ("noise_amplitude", _float),
-    "noise.seed": ("seed", _int),
-    "optimizer.method": ("method", _str),
-    "optimizer.rho": ("rho", _float),
-    "optimizer.max_iter": ("max_iter", _int),
+    "sensors.sample_interval": ("sample_interval", float),
+    "noise.amplitude": ("noise_amplitude", float),
+    "noise.seed": ("seed", int),
+    "optimizer.method": ("method", str),
+    "optimizer.rho": ("rho", float),
+    "optimizer.max_iter": ("max_iter", int),
     "optimizer.landweber_damping": ("landweber_damping", _damping),
-    "optimizer.landweber_max_iter": ("landweber_max_iter", _int),
-    "fluxes.source": ("flux_source", _str),
+    "optimizer.landweber_max_iter": ("landweber_max_iter", int),
+    "fluxes.source": ("flux_source", str),
     "fluxes.beta0_csv": ("flux_beta0_csv", _optional_str),
     "fluxes.betaL_csv": ("flux_betaL_csv", _optional_str),
-    "output.dir": ("output_dir", _str),
+    "output.dir": ("output_dir", str),
     "data.dir": ("data_dir", _optional_str),
 }
 

@@ -1,4 +1,4 @@
-"""Finite-difference solvers for the quasilinear cooling problem.
+"""Finite-difference state march for the quasilinear cooling problem.
 
 State equation: u_t = (alpha'(u) u_x)_x on (0, L), with enthalpy-dependent
 boundary extraction alpha'(u) u_x = beta0(u) at x = 0 and -alpha'(u) u_x =
@@ -15,26 +15,11 @@ trapezoid weights the scheme satisfies the discrete energy identity
 
 exactly, which mirrors the continuous energy balance of the model.
 
-`solve_sensitivity` integrates the linearization of the parameter-to-state
-map: w_t = (alpha'(u) w)_xx with boundary terms beta'(u) w + grad_beta(u) . h,
-along a stored trajectory u. The diffusive part (alpha'(u) w_x)_x reuses the
-implicit interface-mean stencil of the state march; the transport part
-(alpha''(u) u_x w)_x and the flux linearization are frozen at the previous
-level, exactly like the coefficients they derive from. The step is therefore
-the exact derivative of the discrete state step, which is what makes
-adjoint-based gradients agree with finite differences of the objective.
-
-The marches are kept lean without changing a bit of their output. The state
-march reads the diffusivity through `pchip.march_evaluator` (values only,
+The march reads the diffusivity through `pchip.march_evaluator` (values only,
 from the interval table the interpolant was built with, equal to `pchip.eval`
-bit for bit) and the boundary fluxes through `pchip._eval_scalar`. The
-linearized marches take their grid from the trajectory they linearize about.
-All three marches fill their bands with `_diffusion_bands`: the state march
-one level per step, the tangent and adjoint marches every level at once in
-the one pass over the trajectory that also gives their frozen coefficients
-(`_trajectory_coefficients`). The adjoint takes its transport factors from
-`_transport_factors`, formed once per march in the order the per-step
-products used, so every product rounds as it would inside the step.
+bit for bit) and the boundary fluxes through `pchip._eval_scalar`. Its
+linearization, the tangent march and its transpose, lives in `adjoint`, which
+fills its step bands with this module's `_diffusion_bands`.
 """
 
 from __future__ import annotations
@@ -51,9 +36,6 @@ from .material import MaterialModel
 from .pchip import FluxParameter, flux_interpolants
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
-
-# Nodes per block when the diffusivity is evaluated along a whole trajectory.
-_EVAL_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -80,12 +62,6 @@ class Grid:
     @property
     def dt(self) -> float:
         return self.T / self.nt
-
-    def xs(self) -> np.ndarray:
-        return np.linspace(0.0, self.L, self.nx)
-
-    def ts(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.nt + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,91 +120,6 @@ def _diffusion_bands(ab: np.ndarray, amid: np.ndarray, r: float) -> np.ndarray:
     return ab
 
 
-def _transport_apply(
-    ap: np.ndarray, du_new: np.ndarray, w: np.ndarray, r: float
-) -> np.ndarray:
-    """Advective part of the linearized step applied to a perturbation w.
-
-    Differentiating the implicit diffusion term with respect to its lagged
-    coefficients gives, per row, interface products of d(alpha')/du (`ap`),
-    the new-level state increments `du_new`, and w. `_transport_apply_t` is
-    the exact transpose of this map under the half-cell volume weights; the
-    pair keeps sensitivity and adjoint marches exactly dual.
-    """
-    pw = ap * w
-    pw2 = pw[:-1] + pw[1:]
-    out = np.empty_like(w)
-    out[0] = -r * du_new[0] * pw2[0]
-    out[1:-1] = 0.5 * r * (du_new[:-1] * pw2[:-1] - du_new[1:] * pw2[1:])
-    out[-1] = r * du_new[-1] * pw2[-1]
-    return out
-
-
-def _transport_factors(du: np.ndarray, ap: np.ndarray, r: float):
-    """Per-level factors of `_transport_apply_t` along a whole trajectory.
-
-    Row s holds the factors of the step from level s to s + 1: (0.5 r) ap at
-    the interior nodes and (r du_new) ap at the two walls, with du_new the
-    increments at level s + 1. Each product is formed in the order a
-    per-step evaluation of the transpose would use, so it rounds the same.
-    """
-    half_ap = (0.5 * r) * ap[:-1, 1:-1]
-    wall0 = (r * du[1:, 0]) * ap[:-1, 0]
-    wallL = (r * du[1:, -1]) * ap[:-1, -1]
-    return half_ap, wall0, wallL
-
-
-def _transport_apply_t(
-    half_ap: np.ndarray, wall0: float, wallL: float, du_new: np.ndarray, q: np.ndarray
-) -> np.ndarray:
-    """Volume-weighted transpose of `_transport_apply`, for adjoint marches.
-
-    Takes one level of the factors `_transport_factors` hoists out of the
-    march.
-    """
-    dq = q[1:] - q[:-1]
-    pd = du_new * dq
-    out = np.empty_like(q)
-    out[0] = wall0 * dq[0]
-    out[1:-1] = half_ap * (pd[:-1] + pd[1:])
-    out[-1] = wallL * dq[-1]
-    return out
-
-
-def _trajectory_coefficients(
-    u: EnthalpyField, m: MaterialModel, b0: pchip.Pchip, bL: pchip.Pchip
-):
-    """Frozen coefficients of the linearized step at every level of `u`.
-
-    Returns (du, ap, bands, b0p, bLp): the state increments between
-    neighbouring nodes, d(alpha')/du at the nodes, the implicit operator of
-    each step (`bands[k]`, for the step from level k, in `_diffusion_bands`
-    layout; the solve overwrites it, so each is used once), and the two
-    boundary flux slopes. The tangent march (`solve_sensitivity`) and the
-    adjoint march (`adjoint.solve_adjoint`) both read them from here, so one
-    is the transpose of the other on the same numbers. Every evaluation is
-    row-wise, so each level gets the values a per-step evaluation would give.
-    """
-    du = np.diff(u.values, axis=1)
-    # The diffusivity is evaluated in blocks of levels whose temporaries stay
-    # small and cache-resident; one call on the whole trajectory spends most
-    # of its time allocating and faulting in trajectory-sized temporaries.
-    alpha, ap = np.empty_like(u.values), np.empty_like(u.values)
-    rows = max(1, _EVAL_BLOCK // u.grid.nx)
-    for i in range(0, u.grid.nt + 1, rows):
-        alpha[i:i + rows], ap[i:i + rows] = pchip.eval(
-            m.diffusivity, u.values[i:i + rows], clamp=True
-        )
-    amid = 0.5 * (alpha[:-1, :-1] + alpha[:-1, 1:])
-    # One contiguous (3, nx) block per step, filled through a view that puts
-    # the levels last.
-    bands = np.empty((u.grid.nt, 3, u.grid.nx))
-    _diffusion_bands(bands.transpose(1, 2, 0), amid.T, u.grid.dt / u.grid.dx**2)
-    b0p = pchip.eval(b0, u.values[:, 0], clamp=True)[1]
-    bLp = pchip.eval(bL, u.values[:, -1], clamp=True)[1]
-    return du, ap, bands, b0p, bLp
-
-
 def solve_ibvp(m: MaterialModel, fp: FluxParameter, u0, g: Grid) -> EnthalpyField:
     """March the nonlinear state equation forward over the whole grid.
 
@@ -275,44 +166,3 @@ def total_enthalpy(f: EnthalpyField, step: int) -> float:
     if not 0 <= step <= f.grid.nt:
         raise ValidationError(f"step {step} outside [0, {f.grid.nt}]")
     return float(_trapz(f.values[step], dx=f.grid.dx))
-
-
-def solve_sensitivity(
-    u: EnthalpyField, m: MaterialModel, fp: FluxParameter, h
-) -> EnthalpyField:
-    """Directional derivative of the state with respect to the flux values.
-
-    Solves the linear problem w_t = (alpha'(u) w)_xx with w(0, .) = 0 and
-    boundary conditions (alpha'(u) w)_x = beta'(u) w + grad_beta(u) . h at
-    x = 0 (mirrored at x = L), along the stored trajectory `u`. Each step is
-    the exact derivative of the corresponding state step: implicit diffusion
-    with the same interface means, advective coefficient feedback and flux
-    linearization frozen at the previous level. Linearity in `h` is exact.
-    The field lives on the trajectory's grid.
-    """
-    g = u.grid
-    h = np.asarray(h, dtype=float)
-    n = fp.n
-    if h.shape != (2 * n,):
-        raise ValidationError(f"direction must have shape ({2 * n},)")
-    b0, bL = flux_interpolants(fp)
-    h0, hL = h[:n], h[n:]
-
-    r = g.dt / g.dx**2
-    c = 2.0 * g.dt / g.dx
-
-    W = np.zeros((g.nt + 1, g.nx))
-    du, ap, bands, b0p, bLp = _trajectory_coefficients(u, m, b0, bL)
-    G0 = pchip.grad_wrt_values_many(b0, u.values[:, 0], clamp=True)
-    GL = pchip.grad_wrt_values_many(bL, u.values[:, -1], clamp=True)
-    for k in range(g.nt):
-        wn = W[k]
-        src0 = float(G0[k] @ h0)
-        srcL = float(GL[k] @ hL)
-
-        rhs = wn - _transport_apply(ap[k], du[k + 1], wn, r)
-        rhs[0] -= c * (b0p[k] * wn[0] + src0)
-        rhs[-1] -= c * (bLp[k] * wn[-1] + srcL)
-        W[k + 1] = _step_tridiagonal(bands[k], rhs, k + 1)
-    return EnthalpyField(g, W)
-

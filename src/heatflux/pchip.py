@@ -9,16 +9,16 @@ derivatives come from the one-sided three-point formula, limited so they never
 point against the adjacent secant and never exceed three times it when the
 first two secants disagree in sign; without the limiter the end intervals can
 leave the value envelope. One function, `_slope_rule`, applies this rule and
-gives the derivatives and, on demand, their Jacobian.
+gives the derivatives and their Jacobian, both built with the interpolant.
 
 Construction also builds the interpolant's one per-interval table, which
 every evaluator reads: `eval`, its scalar path, and `march_evaluator`, its
 values-only form for the inner loop of a march. The module also provides the
 sensitivity of the interpolated value with respect to the data values
-(`grad_wrt_values_many`, from the banded slope Jacobian), which the tangent
-march and the adjoint gradient assembly rely on, and a nested-partition
-refinement loop (`refine_to_tolerance`). A `knot,value,slope` CSV file loads
-from its knot and value columns alone.
+(`grad_wrt_values_many`, from the stored banded slope Jacobian), which the
+tangent march and the adjoint gradient assembly rely on, and a
+nested-partition refinement loop (`refine_to_tolerance`). A
+`knot,value,slope` CSV file loads from its knot and value columns alone.
 
 `FluxParameter` bundles the two boundary heat-flux value vectors that the
 inverse solver optimizes, together with their shared enthalpy partition and
@@ -63,7 +63,8 @@ class Pchip:
 
     Built from its knots and values alone; the slopes follow from the values
     by the shape-preserving rule (`_slope_rule`). The per-interval table that
-    the evaluators read is built here too, once.
+    the evaluators read and the banded slope Jacobian that
+    `grad_wrt_values_many` reads are built here too, once.
     """
 
     knots: np.ndarray
@@ -79,11 +80,12 @@ class Pchip:
         if not np.isfinite(values).all():
             raise ValidationError("values must be finite")
         h = _uniform_spacing(knots)
-        slopes, _ = _slope_rule(values, h)
+        slopes, jac = _slope_rule(values, h)
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "slopes", slopes)
         object.__setattr__(self, "interval_width", h)
+        object.__setattr__(self, "_slope_jac", jac)
         # One column per interval, read by every evaluator: left knot, the
         # cubic in the local coordinate t = (x - x_i)/h, p(t) = c0 + t (c1 +
         # t (c2 + t c3)), right knot, right value, left and right slope.
@@ -106,11 +108,10 @@ class Pchip:
         return self.knots.size
 
 
-def _slope_rule(values: np.ndarray, h: float, jacobian: bool = False):
-    """Slopes of the shape-preserving construction, and with `jacobian` their
-    Jacobian as a band (else None): J[k, 2 + o] = d slope_k / d value_(k+o)
-    for o = -2..2. Interior rows use o = -1..1, the two end rows o = 0..2
-    inward.
+def _slope_rule(values: np.ndarray, h: float):
+    """Slopes of the shape-preserving construction and their Jacobian as a
+    band: J[k, 2 + o] = d slope_k / d value_(k+o) for o = -2..2. Interior
+    rows use o = -1..1, the two end rows o = 0..2 inward.
 
     Each limiter branch sets a slope and its Jacobian row together, so J
     differentiates the branch the slope took. Where a slope is pinned at 0 its
@@ -121,7 +122,7 @@ def _slope_rule(values: np.ndarray, h: float, jacobian: bool = False):
     inv_h = 1.0 / h
     delta = np.diff(values) / h
     d = np.zeros(n)
-    J = np.zeros((n, 5)) if jacobian else None
+    J = np.zeros((n, 5))
     # Endpoints: the one-sided three-point formula, zeroed where it points
     # against the end secant `near` (it would leave the interval envelope at
     # once) and capped at 3 |near| where `near` and the next secant `far`
@@ -134,27 +135,25 @@ def _slope_rule(values: np.ndarray, h: float, jacobian: bool = False):
             d[k], weights = 3.0 * near, (-3.0, 3.0)
         else:
             d[k], weights = raw, (-1.5, 2.0, -0.5)
-        if J is not None:
-            for j, w in enumerate(weights):
-                J[k, 2 + j * s] = w * s * inv_h
+        for j, w in enumerate(weights):
+            J[k, 2 + j * s] = w * s * inv_h
     # Interior: harmonic mean where the adjacent secants agree in sign; zero on
     # a sign change and in the flat case, which keeps each interval monotone.
     prod = delta[:-1] * delta[1:]
     ok = prod > 0.0
     d[1:-1][ok] = 2.0 * np.abs(prod[ok]) / (delta[:-1] + delta[1:])[ok]
-    if J is not None:
-        # The weights take the secants times 1/h, not the slopes' secants
-        # divided by h: the two differ in the last bit, and a last-bit change
-        # of the gradient sends the default twin inversion to a flux that
-        # fails acceptance criterion 4.
-        sec = np.diff(values) * inv_h
-        a, b = sec[:-1], sec[1:]
-        ssq = np.where(ok, (a + b) ** 2, 1.0)
-        dga = np.where(ok, 2.0 * b * b / ssq, 0.0)
-        dgb = np.where(ok, 2.0 * a * a / ssq, 0.0)
-        J[1:-1, 1] = -dga * inv_h
-        J[1:-1, 2] = (dga - dgb) * inv_h
-        J[1:-1, 3] = dgb * inv_h
+    # The weights take the secants times 1/h, not the slopes' secants divided
+    # by h: the two differ in the last bit, and a last-bit change of the
+    # gradient sends the default twin inversion to a flux that fails
+    # acceptance criterion 4.
+    sec = np.diff(values) * inv_h
+    a, b = sec[:-1], sec[1:]
+    ssq = np.where(ok, (a + b) ** 2, 1.0)
+    dga = np.where(ok, 2.0 * b * b / ssq, 0.0)
+    dgb = np.where(ok, 2.0 * a * a / ssq, 0.0)
+    J[1:-1, 1] = -dga * inv_h
+    J[1:-1, 2] = (dga - dgb) * inv_h
+    J[1:-1, 3] = dgb * inv_h
     return d, J
 
 
@@ -288,7 +287,7 @@ def grad_wrt_values_many(p: Pchip, x, clamp: bool = False) -> np.ndarray:
     phi_t = t * t * (3.0 - 2.0 * t)
     H3 = -h * s * s * (s - 1.0)
     H4 = h * t * t * (t - 1.0)
-    _, J = _slope_rule(p.values, h, jacobian=True)
+    J = p._slope_jac
     # Row q is H3 J[idx] + H4 J[idx + 1] plus the value weights. The two slope
     # rows reach columns idx-1..idx+2 only; every other column is H3*0 + H4*0,
     # formed as such so that its zero keeps its sign (-0.0 where t = 0).
@@ -382,10 +381,6 @@ class FluxParameter:
     def n(self) -> int:
         """Number of knots per flux."""
         return self.partition.size
-
-    @property
-    def u_max(self) -> float:
-        return float(self.partition[-1])
 
 
 def flux_interpolants(fp: FluxParameter) -> tuple[Pchip, Pchip]:

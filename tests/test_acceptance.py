@@ -53,7 +53,7 @@ def _cosine_defect(material, alpha, nx, nt, L=0.05, T=2.0, amplitude=4.0e9):
     part = np.linspace(0.0, 8.0e9, 9)
     vals = alpha * mu * part
     fp = pchip.FluxParameter(np.concatenate([vals, vals]), part, 2.0e6)
-    u0 = amplitude * np.cos(mu * (g.xs() - L / 2))
+    u0 = amplitude * np.cos(mu * (np.linspace(0.0, L, g.nx) - L / 2))
     f = forward.solve_ibvp(material, fp, u0, g)
     dmax = 0.0
     for n in range(g.nt):
@@ -187,6 +187,7 @@ def twin_run(tmp_path_factory):
     return config_mod.load_config(cfg_path), out, invert_seconds
 
 
+@pytest.mark.slow
 def test_criterion_4_twin_inversion_quality(twin_run):
     cfg, out, invert_seconds = twin_run
     meta = json.loads((out / "meta.json").read_text())

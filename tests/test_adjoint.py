@@ -64,7 +64,7 @@ class TestExactness:
         rng = np.random.default_rng(17)
         for _ in range(5):
             h = rng.standard_normal(12)
-            W = forward.solve_sensitivity(field, m, fp, h)
+            W = adjoint.solve_sensitivity(field, m, fp, h)
             pairing = float(np.sum(residual * observation.observe(W, spec)))
             assert float(grad @ h) == pytest.approx(pairing, rel=1e-12)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from heatflux import forward, pchip
+from heatflux import adjoint, forward, pchip
 from heatflux.errors import DivergenceError, ValidationError
 from heatflux.forward import EnthalpyField, Grid
 
@@ -29,7 +29,8 @@ class TestGrid:
         g = Grid(L=0.05, T=30.0, nx=101, nt=3000)
         assert g.dx == pytest.approx(5e-4)
         assert g.dt == pytest.approx(0.01)
-        assert g.xs().size == 101 and g.ts().size == 3001
+        assert g.dx * (g.nx - 1) == pytest.approx(g.L)
+        assert g.dt * g.nt == pytest.approx(g.T)
 
     def test_rejects_degenerate_grids(self):
         with pytest.raises(ValidationError):
@@ -66,7 +67,7 @@ class TestInvariants:
     def test_zero_flux_conserves_total_enthalpy(self, builtin_material):
         g = Grid(L=0.05, T=10.0, nx=31, nt=50)
         fp = constant_flux_parameter(0.0, beta_max=1.0)
-        u0 = 4.0e9 + 1.0e9 * np.sin(np.pi * g.xs() / g.L)
+        u0 = 4.0e9 + 1.0e9 * np.sin(np.pi * np.linspace(0.0, g.L, g.nx) / g.L)
         f = forward.solve_ibvp(builtin_material, fp, u0, g)
         e0 = forward.total_enthalpy(f, 0)
         for n in range(1, g.nt + 1):
@@ -107,7 +108,7 @@ class TestManufactured:
         g = Grid(L=0.05, T=2.0, nx=21, nt=40)
         flux = -a * gcurv * g.L / 2.0
         fp = constant_flux_parameter(flux)
-        xs = g.xs()
+        xs = np.linspace(0.0, g.L, g.nx)
         u_exact = lambda t: ustar + a * gcurv * t + 0.5 * gcurv * (xs - g.L / 2) ** 2
         f = forward.solve_ibvp(constant_material, fp, u_exact(0.0), g)
         err = max(
@@ -126,7 +127,7 @@ class TestSensitivity:
 
     def test_zero_direction_gives_zero_field(self, setup):
         m, fp, u, g = setup
-        w = forward.solve_sensitivity(u, m, fp, np.zeros(2 * fp.n))
+        w = adjoint.solve_sensitivity(u, m, fp, np.zeros(2 * fp.n))
         assert np.abs(w.values).max() == 0.0
 
     def test_linearity_in_direction(self, setup):
@@ -134,9 +135,9 @@ class TestSensitivity:
         rng = np.random.default_rng(5)
         h1 = rng.standard_normal(2 * fp.n)
         h2 = rng.standard_normal(2 * fp.n)
-        w1 = forward.solve_sensitivity(u, m, fp, h1).values
-        w2 = forward.solve_sensitivity(u, m, fp, h2).values
-        w12 = forward.solve_sensitivity(u, m, fp, 2.0 * h1 - 3.0 * h2).values
+        w1 = adjoint.solve_sensitivity(u, m, fp, h1).values
+        w2 = adjoint.solve_sensitivity(u, m, fp, h2).values
+        w12 = adjoint.solve_sensitivity(u, m, fp, 2.0 * h1 - 3.0 * h2).values
         ref = 2.0 * w1 - 3.0 * w2
         scale = np.abs(ref).max()
         assert np.abs(w12 - ref).max() <= 1e-12 * scale
@@ -152,7 +153,7 @@ class TestSensitivity:
         u = forward.solve_ibvp(m, fp, np.full(g.nx, 5.0e9), g)
         rng = np.random.default_rng(6)
         h = rng.standard_normal(2 * fp.n)
-        w = forward.solve_sensitivity(u, m, fp, h).values
+        w = adjoint.solve_sensitivity(u, m, fp, h).values
         eps = 1.0e-3 * fp.beta_max / np.abs(h).max()
         up = forward.solve_ibvp(
             m,
@@ -173,7 +174,7 @@ class TestSensitivity:
     def test_direction_length_is_validated(self, setup):
         m, fp, u, g = setup
         with pytest.raises(ValidationError):
-            forward.solve_sensitivity(u, m, fp, np.zeros(3))
+            adjoint.solve_sensitivity(u, m, fp, np.zeros(3))
 
 
 class TestErrors:

@@ -1,14 +1,20 @@
 """March kernels against the plain per-step code they replace, bit for bit.
 
-The forward march evaluates the diffusivity through `pchip.march_evaluator`;
-all three marches share one lean band fill, which the tangent and adjoint
-marches apply to every level of the trajectory at once; the adjoint reads
-transport and Robin factors hoisted over the whole trajectory. The plain
-marches below keep the straightforward per-step form: `pchip.eval` for every
-coefficient (on the whole trajectory in one call), each band written from
-`amid` inside the step, every product formed inside the step.
+The forward march (`forward.solve_ibvp`) evaluates the diffusivity through
+`pchip.march_evaluator`; all three marches share one lean band fill, which
+the tangent and adjoint marches (`adjoint.solve_sensitivity`,
+`adjoint.solve_adjoint`) apply to every level of the trajectory at once; the
+adjoint reads transport and Robin factors hoisted over the whole trajectory.
+The plain marches below keep the straightforward per-step form: `pchip.eval`
+for every coefficient (on the whole trajectory in one call), each band
+written from `amid` inside the step, every product formed inside the step.
 Both must give the same bytes on every case, including a steep box-corner
 iterate whose boundary stability number c*beta' exceeds 2.
+
+On the same cases the co-located pair is checked for duality: the adjoint
+gradient of a dense random source, applied to a direction h, equals the
+source's pairing with the tangent field W_h to rounding, because each adjoint
+step is the volume-weighted transpose of a tangent step.
 """
 
 import numpy as np
@@ -108,7 +114,7 @@ def plain_solve_sensitivity(u, m, fp, h, g):
     for k in range(g.nt):
         wn = W[k]
         plain_bands(ab, amid[k], r)
-        rhs = wn - forward._transport_apply(ap[k], du[k + 1], wn, r)
+        rhs = wn - adjoint._transport_apply(ap[k], du[k + 1], wn, r)
         rhs[0] -= c * (b0p[k] * wn[0] + float(G0[k] @ h[:n]))
         rhs[-1] -= c * (bLp[k] * wn[-1] + float(GL[k] @ h[n:]))
         W[k + 1] = forward._step_tridiagonal(ab, rhs, k + 1)
@@ -161,9 +167,25 @@ def test_adjoint_march_matches_plain_code(marches, builtin_material, name):
 def test_tangent_march_matches_plain_code(marches, builtin_material, name):
     fp, field, _, _ = marches[name]
     h = np.random.default_rng(9).standard_normal(2 * fp.n)
-    got = forward.solve_sensitivity(field, builtin_material, fp, h)
+    got = adjoint.solve_sensitivity(field, builtin_material, fp, h)
     want = plain_solve_sensitivity(field, builtin_material, fp, h, GRID)
     assert got.values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["exact", "random", "steep"])
+def test_adjoint_gradient_is_dual_to_tangent_march(marches, builtin_material, name):
+    # <grad, h> = sum(W_h * S) dx dt for a dense source S: the adjoint march
+    # and assembly are the exact transpose of the tangent march, also at the
+    # box corner where c*beta' > 2.
+    fp, field, _, source = marches[name]
+    m = builtin_material
+    grad = adjoint.assemble_gradient(adjoint.solve_adjoint(field, m, fp, source), field, fp)
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        h = rng.standard_normal(2 * fp.n)
+        W = adjoint.solve_sensitivity(field, m, fp, h).values
+        pairing = float(np.sum(W * source)) * GRID.dx * GRID.dt
+        assert float(grad @ h) == pytest.approx(pairing, rel=1e-12)
 
 
 def test_steep_case_reaches_the_chattering_regime(marches):
@@ -185,7 +207,7 @@ def test_transport_pair_is_a_volume_weighted_transpose():
     w, q = rng.standard_normal(nx), rng.standard_normal(nx)
     vol = np.ones(nx)
     vol[[0, -1]] = 0.5
-    half_ap, wall0, wallL = forward._transport_factors(du, ap, r)
-    lhs = q @ (vol * forward._transport_apply(ap[0], du[1], w, r))
-    rhs = w @ (vol * forward._transport_apply_t(half_ap[0], wall0[0], wallL[0], du[1], q))
+    half_ap, wall0, wallL = adjoint._transport_factors(du, ap, r)
+    lhs = q @ (vol * adjoint._transport_apply(ap[0], du[1], w, r))
+    rhs = w @ (vol * adjoint._transport_apply_t(half_ap[0], wall0[0], wallL[0], du[1], q))
     assert lhs == pytest.approx(rhs, rel=1e-12)

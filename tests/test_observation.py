@@ -10,8 +10,8 @@ from heatflux.observation import Measurement, ObservationSpec
 
 
 def bilinear_field(g, a=2.0e9, b=3.0e10, c=-4.0e7, d=5.0e8):
-    ts = g.ts()[:, None]
-    xs = g.xs()[None, :]
+    ts = np.linspace(0.0, g.T, g.nt + 1)[:, None]
+    xs = np.linspace(0.0, g.L, g.nx)[None, :]
     return EnthalpyField(g, a + b * xs + c * ts + d * xs * ts), (a, b, c, d)
 
 

@@ -264,7 +264,7 @@ class TestValueSensitivity:
             xs = np.concatenate(
                 [knots, rng.uniform(knots[0], knots[-1], 30), [knots[0] - span, knots[-1] + span]]
             )
-            _, band = pchip._slope_rule(p.values, p.interval_width, jacobian=True)
+            band = p._slope_jac
             J = np.zeros((n, n))
             for k in range(n):
                 for o in range(-2, 3):
@@ -350,7 +350,7 @@ class TestFluxParameter:
         assert np.array_equal(b0.values, beta[:5])
         assert np.array_equal(bL.values, beta[5:])
         assert fp.n == 5
-        assert fp.u_max == 10.0
+        assert fp.partition[-1] == 10.0
 
     def test_rejects_out_of_box_values(self):
         part = np.linspace(0.0, 10.0, 3)
