@@ -44,7 +44,9 @@ and read their frozen coefficients from one pass over it
 once with the state march's `_diffusion_bands`. The adjoint takes its
 transport factors from `_transport_factors`, formed once per march in the
 order the per-step products used, so every product rounds as it would inside
-the step.
+the step. Its steps allocate nothing: each right-hand side is formed in the
+row of the output it is solved for, `_transport_apply_t` writes into buffers
+of the march, and the two wall rows are updated with Python floats.
 """
 
 from __future__ import annotations
@@ -57,10 +59,6 @@ from .forward import EnthalpyField, Grid, _diffusion_bands, _step_tridiagonal, s
 from .material import MaterialModel
 from .observation import Measurement, adjoint_source, observe
 from .pchip import FluxParameter, flux_interpolants
-
-# Nodes per block when the diffusivity is evaluated along a whole trajectory.
-_EVAL_BLOCK = 16384
-
 
 def objective(
     fp: FluxParameter, data: Measurement, m: MaterialModel, u0, g: Grid
@@ -107,19 +105,23 @@ def _transport_factors(du: np.ndarray, ap: np.ndarray, r: float):
 
 
 def _transport_apply_t(
-    half_ap: np.ndarray, wall0: float, wallL: float, du_new: np.ndarray, q: np.ndarray
+    half_ap: np.ndarray, wall0: float, wallL: float, du_new: np.ndarray, q: np.ndarray,
+    out: np.ndarray, pd: np.ndarray,
 ) -> np.ndarray:
     """Volume-weighted transpose of `_transport_apply`, for adjoint marches.
 
     Takes one level of the factors `_transport_factors` hoists out of the
-    march.
+    march, the wall factors as Python floats. Writes the result into `out`
+    (nx entries) and returns it; `pd` (nx - 1 entries) is scratch.
     """
-    dq = q[1:] - q[:-1]
-    pd = du_new * dq
-    out = np.empty_like(q)
-    out[0] = wall0 * dq[0]
-    out[1:-1] = half_ap * (pd[:-1] + pd[1:])
-    out[-1] = wallL * dq[-1]
+    np.subtract(q[1:], q[:-1], out=pd)
+    dq_0, dq_L = pd.item(0), pd.item(-1)
+    pd *= du_new
+    inner = out[1:-1]
+    np.add(pd[:-1], pd[1:], out=inner)
+    inner *= half_ap
+    out[0] = wall0 * dq_0
+    out[-1] = wallL * dq_L
     return out
 
 
@@ -135,23 +137,22 @@ def _trajectory_coefficients(
     boundary flux slopes. The tangent march (`solve_sensitivity`) and the
     adjoint march (`solve_adjoint`) both read them from here, so one is the
     transpose of the other on the same numbers. Every evaluation is
-    row-wise, so each level gets the values a per-step evaluation would give.
+    elementwise, so each level gets the values a per-step evaluation would
+    give.
     """
+    g = u.grid
     du = np.diff(u.values, axis=1)
-    # The diffusivity is evaluated in blocks of levels whose temporaries stay
-    # small and cache-resident; one call on the whole trajectory spends most
-    # of its time allocating and faulting in trajectory-sized temporaries.
-    alpha, ap = np.empty_like(u.values), np.empty_like(u.values)
-    rows = max(1, _EVAL_BLOCK // u.grid.nx)
-    for i in range(0, u.grid.nt + 1, rows):
-        alpha[i:i + rows], ap[i:i + rows] = pchip.eval(
-            m.diffusivity, u.values[i:i + rows], clamp=True
-        )
-    amid = 0.5 * (alpha[:-1, :-1] + alpha[:-1, 1:])
+    alpha, ap = pchip.eval(m.diffusivity, u.values, clamp=True)
+    # The extended interface means of every step, (amid[0], amid, amid[-1]).
+    e = np.empty((g.nt, g.nx + 1))
+    amid = e[:, 1:-1]
+    np.add(alpha[:-1, :-1], alpha[:-1, 1:], out=amid)
+    amid *= 0.5
+    e[:, 0], e[:, -1] = amid[:, 0], amid[:, -1]
     # One contiguous (3, nx) block per step, filled through a view that puts
     # the levels last.
-    bands = np.empty((u.grid.nt, 3, u.grid.nx))
-    _diffusion_bands(bands.transpose(1, 2, 0), amid.T, u.grid.dt / u.grid.dx**2)
+    bands = np.empty((g.nt, 3, g.nx))
+    _diffusion_bands(bands.transpose(1, 2, 0), e.T, g.dt / g.dx**2)
     b0p = pchip.eval(b0, u.values[:, 0], clamp=True)[1]
     bLp = pchip.eval(bL, u.values[:, -1], clamp=True)[1]
     return du, ap, bands, b0p, bLp
@@ -215,32 +216,38 @@ def solve_adjoint(
     c = 2.0 * g.dt / g.dx
 
     phi = np.zeros((g.nt + 1, g.nx))
+    # Every step works in these buffers: the carried level psi and the
+    # transpose's output and scratch. Its right-hand side is formed in the
+    # row of phi it solves for and solved there.
     psi = np.zeros(g.nx)
+    tq, pd = np.empty(g.nx), np.empty(g.nx - 1)
     # Everything that does not depend on the freshly solved level is hoisted
     # out of the march: weighted source rows, the tangent march's frozen
     # coefficients and step bands along the stored trajectory, and their
     # per-level products with the step constants (transport factors, Robin
-    # factors c*beta').
+    # factors c*beta'). The wall factors go to the loop as Python floats.
     weighted_src = g.dt * source
     weighted_src[:, 0] *= 2.0  # source density doubles on the wall half cells
     weighted_src[:, -1] *= 2.0
     du, ap, bands, b0p, bLp = _trajectory_coefficients(u, m, b0, bL)
     half_ap, wall0, wallL = _transport_factors(du, ap, r)
-    robin0 = c * b0p
-    robinL = c * bLp
+    wall0, wallL = wall0.tolist(), wallL.tolist()
+    robin0, robinL = (c * b0p).tolist(), (c * bLp).tolist()
     for step in range(g.nt):
         s = g.nt - step - 1
         # The implicit operator is self-adjoint under the half-cell volume
         # weights, so the adjoint march solves with the state step's bands.
-        q = _step_tridiagonal(bands[s], psi + weighted_src[s + 1], step + 1)
-        phi[s] = q
+        q = phi[s]
+        np.add(psi, weighted_src[s + 1], out=q)
+        _step_tridiagonal(bands[s], q, step + 1)
         # Carry to the next (earlier) level: the transposed transport
         # correction and the Robin terms alpha' phi_x = beta' phi act on the
         # freshly solved level, mirroring the frozen-coefficient treatment of
         # the state march.
-        psi = q - _transport_apply_t(half_ap[s], wall0[s], wallL[s], du[s + 1], q)
-        psi[0] -= robin0[s] * q[0]
-        psi[-1] -= robinL[s] * q[-1]
+        _transport_apply_t(half_ap[s], wall0[s], wallL[s], du[s + 1], q, tq, pd)
+        np.subtract(q, tq, out=psi)
+        psi[0] = psi.item(0) - robin0[s] * q.item(0)
+        psi[-1] = psi.item(-1) - robinL[s] * q.item(-1)
     return phi
 
 

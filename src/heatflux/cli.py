@@ -270,7 +270,8 @@ def gradient_check(cfg: ExperimentConfig) -> dict:
     }
 
 
-def cmd_gradcheck(cfg: ExperimentConfig, out_dir: Path) -> int:
+def cmd_gradcheck(cfg: ExperimentConfig, out_dir: Path, allow_crime: bool) -> int:
+    _check_inverse_crime(cfg, {"sim_nx": cfg.sim_nx, "sim_nt": cfg.sim_nt}, allow_crime)
     report = gradient_check(cfg)
     _atomic_write(out_dir / "gradcheck.json", _json_text(report))
     log.info("gradcheck rel_l2=%.3e passed=%s", report["rel_l2_error"], report["passed"])
@@ -299,7 +300,8 @@ def _iterations_to_levels(pqn_min: np.ndarray, lw_min: np.ndarray):
     ]
 
 
-def cmd_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
+def cmd_compare(cfg: ExperimentConfig, out_dir: Path, allow_crime: bool) -> int:
+    _check_inverse_crime(cfg, {"sim_nx": cfg.sim_nx, "sim_nt": cfg.sim_nt}, allow_crime)
     _, meas = _simulate_measurement(cfg)
     material, grid, partition, u0 = _inversion_setup(cfg)
     problem = optimizer.make_pde_problem(material, meas, u0, grid, partition, cfg.beta_max)
@@ -393,8 +395,8 @@ def main(argv=None) -> int:
         if args.command == "invert":
             return cmd_invert(cfg, out_dir, args.allow_inverse_crime)
         if args.command == "gradcheck":
-            return cmd_gradcheck(cfg, out_dir)
-        return cmd_compare(cfg, out_dir)
+            return cmd_gradcheck(cfg, out_dir, args.allow_inverse_crime)
+        return cmd_compare(cfg, out_dir, args.allow_inverse_crime)
     except ValidationError as exc:
         log.error("validation error: %s", exc)
         return 2

@@ -17,9 +17,13 @@ exactly, which mirrors the continuous energy balance of the model.
 
 The march reads the diffusivity through `pchip.march_evaluator` (values only,
 from the interval table the interpolant was built with, equal to `pchip.eval`
-bit for bit) and the boundary fluxes through `pchip._eval_scalar`. Its
-linearization, the tangent march and its transpose, lives in `adjoint`, which
-fills its step bands with this module's `_diffusion_bands`.
+bit for bit) and the boundary fluxes through `pchip._eval_scalar`. A step
+allocates nothing: the evaluator writes into a buffer of the march, the
+interface means and the bands are filled in place, and the right-hand side is
+formed in the next level of the output field and solved there. The buffers
+live for one call. Its linearization, the tangent march and its transpose,
+lives in `adjoint`, which fills its step bands with this module's
+`_diffusion_bands`.
 """
 
 from __future__ import annotations
@@ -81,11 +85,10 @@ class EnthalpyField:
 
 def _step_tridiagonal(ab: np.ndarray, rhs: np.ndarray, step: int) -> np.ndarray:
     # Direct LAPACK tridiagonal solve; the bands are rebuilt every step, so
-    # letting the factorization overwrite them costs nothing.
-    _, _, _, out, info = dgtsv(
-        ab[2, :-1], ab[1], ab[0, 1:], rhs,
-        overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
-    )
+    # letting the factorization overwrite them costs nothing. A contiguous
+    # `rhs` is solved in place and returned; the flags go positionally
+    # (overwrite dl, d, du and b), which skips keyword parsing per step.
+    _, _, _, out, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, 1, 1, 1, 1)
     # A single BLAS reduction detects NaN and inf anywhere in the solution
     # (both propagate through the dot product) far cheaper than an
     # elementwise isfinite scan in this per-step hot path. The dot can also
@@ -96,27 +99,32 @@ def _step_tridiagonal(ab: np.ndarray, rhs: np.ndarray, step: int) -> np.ndarray:
     return out
 
 
-def _diffusion_bands(ab: np.ndarray, amid: np.ndarray, r: float) -> np.ndarray:
-    """Fill the banded implicit operator I + r*K for interface means `amid`.
+def _diffusion_bands(ab: np.ndarray, e: np.ndarray, r: float) -> np.ndarray:
+    """Fill the banded implicit operator I + r*K from extended interface means.
 
+    `e` holds the nx - 1 interface means amid of the diffusivity with each
+    end value repeated, nx + 1 entries: e = (amid[0], amid, amid[-1]).
     Banded layout: ab[0, j] = A[j-1, j], ab[1, j] = A[j, j], ab[2, j] = A[j+1, j].
     Interior rows balance the two adjacent interface fluxes; the first and
     last rows are half-cell balances, equivalent to centered ghost points.
-    The matrix is symmetric under the half-cell volume weighting, so it is
-    also the implicit operator of the adjoint march. A trailing axis on `ab`
-    (3, nx, levels) and `amid` (nx - 1, levels) fills many time levels at
-    once, with the same arithmetic per entry.
+    With the repeated ends every diagonal entry is 1 + r*(e[j] + e[j+1]):
+    the wall rows get r*(2 amid), which equals (2r)*amid bit for bit because
+    doubling is exact. The matrix is symmetric under the half-cell volume
+    weighting, so it is also the implicit operator of the adjoint march. A
+    trailing axis on `ab` (3, nx, levels) and `e` (nx + 1, levels) fills
+    many time levels at once, with the same arithmetic per entry. Every
+    entry is written in place.
     """
     # Both off-diagonals hold -r*amid; the boundary rows double it, which is
     # exact, so they equal -2r*amid bit for bit.
-    off = -r * amid
-    ab[0, 1:] = off
-    ab[2, :-1] = off
+    np.multiply(e[1:-1], -r, out=ab[0, 1:])
+    ab[2, :-1] = ab[0, 1:]
     ab[0, 1] *= 2.0
     ab[2, -2] *= 2.0
-    ab[1, 0] = 1.0 + 2.0 * r * amid[0]
-    ab[1, 1:-1] = 1.0 + r * (amid[:-1] + amid[1:])
-    ab[1, -1] = 1.0 + 2.0 * r * amid[-1]
+    diag = ab[1]
+    np.add(e[:-1], e[1:], out=diag)
+    diag *= r
+    diag += 1.0
     return ab
 
 
@@ -144,20 +152,28 @@ def solve_ibvp(m: MaterialModel, fp: FluxParameter, u0, g: Grid) -> EnthalpyFiel
 
     U = np.empty((g.nt + 1, g.nx))
     U[0] = u0
+    # Every step works in these buffers: the diffusivity, the extended
+    # interface means and the bands. Its right-hand side is written into the
+    # next level of U and solved there.
     ab = np.zeros((3, g.nx))
-    diffusivity = pchip.march_evaluator(m.diffusivity)
+    alpha = np.empty(g.nx)
+    e = np.empty(g.nx + 1)
+    amid = e[1:-1]
+    diffusivity = pchip.march_evaluator(m.diffusivity, g.nx)
     for n in range(g.nt):
-        un = U[n]
-        alpha = diffusivity(un)
-        amid = 0.5 * (alpha[:-1] + alpha[1:])
-        beta0 = pchip._eval_scalar(b0, float(un[0]), True)[0]
-        betaL = pchip._eval_scalar(bL, float(un[-1]), True)[0]
-
-        _diffusion_bands(ab, amid, r)
-        rhs = un.copy()
-        rhs[0] -= c * beta0
-        rhs[-1] -= c * betaL
-        U[n + 1] = _step_tridiagonal(ab, rhs, n + 1)
+        un, rhs = U[n], U[n + 1]
+        diffusivity(un, alpha)
+        np.add(alpha[:-1], alpha[1:], out=amid)
+        amid *= 0.5
+        e[0], e[-1] = amid[0], amid[-1]
+        _diffusion_bands(ab, e, r)
+        u_0, u_L = un.item(0), un.item(-1)
+        beta0 = pchip._eval_scalar(b0, u_0, True)[0]
+        betaL = pchip._eval_scalar(bL, u_L, True)[0]
+        rhs[:] = un
+        rhs[0] = u_0 - c * beta0
+        rhs[-1] = u_L - c * betaL
+        _step_tridiagonal(ab, rhs, n + 1)
     return EnthalpyField(g, U)
 
 

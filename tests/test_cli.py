@@ -245,6 +245,38 @@ class TestCompare:
         assert calls == []
 
 
+class TestInverseCrime:
+    # `compare` and `gradcheck` simulate their data on the config's own
+    # simulation grid, so an inversion grid equal to it is the inverse crime.
+    CRIME = "grids.inv.nx = 41\ngrids.inv.nt = 400\n"
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        solve_ibvp = forward.solve_ibvp
+
+        def counted(*args):
+            calls.append(1)
+            return solve_ibvp(*args)
+
+        for module in (forward, cli, adjoint):
+            monkeypatch.setattr(module, "solve_ibvp", counted)
+        return calls
+
+    @pytest.mark.parametrize("command", ["compare", "gradcheck"])
+    def test_same_grid_exits_2_before_any_solve(self, tmp_path, solves, command):
+        cfg_path, out_dir = write_config(tmp_path, extra=self.CRIME)
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert solves == []
+        assert not out_dir.exists()
+
+    def test_flag_lets_gradcheck_run(self, tmp_path, solves):
+        cfg_path, out_dir = write_config(tmp_path, extra=self.CRIME)
+        assert main(["gradcheck", "--config", str(cfg_path), "--allow-inverse-crime"]) == 0
+        assert solves
+        assert json.loads((out_dir / "gradcheck.json").read_text())["passed"] is True
+
+
 class TestGradcheck:
     def test_report_passes_on_small_config(self, tmp_path):
         cfg_path, out_dir = write_config(tmp_path)

@@ -9,7 +9,11 @@ The plain marches below keep the straightforward per-step form: `pchip.eval`
 for every coefficient (on the whole trajectory in one call), each band
 written from `amid` inside the step, every product formed inside the step.
 Both must give the same bytes on every case, including a steep box-corner
-iterate whose boundary stability number c*beta' exceeds 2.
+iterate whose boundary stability number c*beta' exceeds 2 and a profile
+whose nodes sit on the diffusivity's knots and below its range, and must
+stop with `DivergenceError` at the same step when a level goes non-finite.
+The buffered marches must also leave their inputs alone and hand out a new
+field on every call.
 
 On the same cases the co-located pair is checked for duality: the adjoint
 gradient of a dense random source, applied to a direction h, equals the
@@ -20,8 +24,9 @@ step is the volume-weighted transpose of a tangent step.
 import numpy as np
 import pytest
 
-from heatflux import adjoint, forward, pchip
+from heatflux import adjoint, forward, material, pchip
 from heatflux.config import ExperimentConfig, exact_flux_parameter, inversion_partition
+from heatflux.errors import DivergenceError
 from heatflux.forward import Grid
 
 # c = 2 dt/dx = 33, the inversion grid's boundary number (32.7).
@@ -137,48 +142,75 @@ def flux_cases():
     }
 
 
+def knot_material(m):
+    """The diffusivity of `m` resampled on 31 knots from 0 to 5.74e9, a
+    spacing at which nine knots round down into the interval on their left:
+    a node there takes the evaluators' right-knot branch, and on two of them
+    the cubic misses the knot's value in the last bit."""
+    knots = np.linspace(0.0, 5.74e9, 31)
+    values = pchip.eval(m.diffusivity, knots, clamp=True)[0]
+    return material.MaterialModel(diffusivity=pchip.Pchip(knots, values))
+
+
+def knot_profile(m, nx):
+    """Pairs of nodes on the diffusivity's knots, hottest at x = 0, and the
+    last node just below the material range (inside the tolerance
+    `solve_ibvp` allows), so the evaluators clamp it. A pair's interface
+    mean is its diffusivity exactly, so a last-bit change of that value
+    reaches the bands."""
+    u0 = np.repeat(m.diffusivity.knots[::-1], 2)[:nx]
+    u0[-1] = m.diffusivity.knots[0] - 1.0
+    return u0
+
+
+CASES = ["exact", "random", "steep", "knots"]
+
+
 @pytest.fixture(scope="module")
 def marches(builtin_material):
-    m, g = builtin_material, GRID
-    u0 = np.full(g.nx, CFG.u0)
+    """name -> (material, flux, field, plain field, adjoint source)."""
+    g = GRID
+    flat = np.full(g.nx, CFG.u0)
     source = np.random.default_rng(5).standard_normal((g.nt + 1, g.nx))
+    cases = {name: (builtin_material, fp, flat) for name, fp in flux_cases().items()}
+    knot_m = knot_material(builtin_material)
+    cases["knots"] = (knot_m, exact_flux_parameter(CFG), knot_profile(knot_m, g.nx))
     out = {}
-    for name, fp in flux_cases().items():
+    for name, (m, fp, u0) in cases.items():
         field = forward.solve_ibvp(m, fp, u0, g)
-        out[name] = (fp, field, plain_solve_ibvp(m, fp, u0, g), source)
+        out[name] = (m, fp, field, plain_solve_ibvp(m, fp, u0, g), source)
     return out
 
 
-@pytest.mark.parametrize("name", ["exact", "random", "steep"])
+@pytest.mark.parametrize("name", CASES)
 def test_forward_march_matches_plain_code(marches, name):
-    _, field, plain, _ = marches[name]
+    _, _, field, plain, _ = marches[name]
     assert field.values.tobytes() == plain.tobytes()
 
 
-@pytest.mark.parametrize("name", ["exact", "random", "steep"])
-def test_adjoint_march_matches_plain_code(marches, builtin_material, name):
-    fp, field, _, source = marches[name]
-    got = adjoint.solve_adjoint(field, builtin_material, fp, source)
-    want = plain_solve_adjoint(field, builtin_material, fp, source, GRID)
+@pytest.mark.parametrize("name", CASES)
+def test_adjoint_march_matches_plain_code(marches, name):
+    m, fp, field, _, source = marches[name]
+    got = adjoint.solve_adjoint(field, m, fp, source)
+    want = plain_solve_adjoint(field, m, fp, source, GRID)
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("name", ["exact", "random", "steep"])
-def test_tangent_march_matches_plain_code(marches, builtin_material, name):
-    fp, field, _, _ = marches[name]
+@pytest.mark.parametrize("name", CASES)
+def test_tangent_march_matches_plain_code(marches, name):
+    m, fp, field, _, _ = marches[name]
     h = np.random.default_rng(9).standard_normal(2 * fp.n)
-    got = adjoint.solve_sensitivity(field, builtin_material, fp, h)
-    want = plain_solve_sensitivity(field, builtin_material, fp, h, GRID)
+    got = adjoint.solve_sensitivity(field, m, fp, h)
+    want = plain_solve_sensitivity(field, m, fp, h, GRID)
     assert got.values.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", ["exact", "random", "steep"])
-def test_adjoint_gradient_is_dual_to_tangent_march(marches, builtin_material, name):
+def test_adjoint_gradient_is_dual_to_tangent_march(marches, name):
     # <grad, h> = sum(W_h * S) dx dt for a dense source S: the adjoint march
     # and assembly are the exact transpose of the tangent march, also at the
     # box corner where c*beta' > 2.
-    fp, field, _, source = marches[name]
-    m = builtin_material
+    m, fp, field, _, source = marches[name]
     grad = adjoint.assemble_gradient(adjoint.solve_adjoint(field, m, fp, source), field, fp)
     rng = np.random.default_rng(21)
     for _ in range(5):
@@ -189,7 +221,7 @@ def test_adjoint_gradient_is_dual_to_tangent_march(marches, builtin_material, na
 
 
 def test_steep_case_reaches_the_chattering_regime(marches):
-    fp, field, _, _ = marches["steep"]
+    _, fp, field, _, _ = marches["steep"]
     c = 2.0 * GRID.dt / GRID.dx
     b0, bL = pchip.flux_interpolants(fp)
     worst = max(
@@ -197,6 +229,65 @@ def test_steep_case_reaches_the_chattering_regime(marches):
         np.abs(pchip.eval(bL, field.values[:, -1], clamp=True)[1]).max(),
     )
     assert c * worst > 2.0
+
+
+def test_knot_case_takes_the_right_knot_and_clamp_branches(marches):
+    # The levels the forward march evaluated its diffusivity on: some node
+    # must round down onto the right knot of its interval (the branch that
+    # takes the knot's value) and some must lie below the table.
+    m, _, field, _, _ = marches["knots"]
+    p = m.diffusivity
+    levels = field.values[:-1]
+    xc, idx, _ = pchip._locate(p, levels, True)
+    assert ((xc == p.knots[idx + 1]) & (idx + 1 < p.n - 1)).any()
+    assert (levels < p.knots[0]).any()
+
+
+def test_forward_divergence_step_matches_plain_code(builtin_material):
+    # Both fluxes rise to 1e307 below 5.2e9, where c*beta overflows: the
+    # level after the boundary cools that far is non-finite.
+    exact = exact_flux_parameter(CFG)
+    part = exact.partition
+    beta = np.where(np.tile(part, 2) < 5.2e9, 1e307, exact.beta)
+    u0 = np.full(GRID.nx, CFG.u0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fp = pchip.FluxParameter(beta, part, 1e307)
+        with pytest.raises(DivergenceError) as got:
+            forward.solve_ibvp(builtin_material, fp, u0, GRID)
+        with pytest.raises(DivergenceError) as want:
+            plain_solve_ibvp(builtin_material, fp, u0, GRID)
+    assert got.value.step == want.value.step > 1
+
+
+def test_adjoint_divergence_step_matches_plain_code(marches):
+    m, fp, field, _, source = marches["exact"]
+    source = source.copy()
+    source[40, 3] = np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as got:
+            adjoint.solve_adjoint(field, m, fp, source)
+        with pytest.raises(DivergenceError) as want:
+            plain_solve_adjoint(field, m, fp, source, GRID)
+    assert got.value.step == want.value.step == GRID.nt - 39
+
+
+def test_adjoint_march_leaves_its_inputs_alone(marches):
+    m, fp, field, _, source = marches["steep"]
+    before = (source.tobytes(), field.values.tobytes())
+    adjoint.solve_adjoint(field, m, fp, source)
+    assert (source.tobytes(), field.values.tobytes()) == before
+
+
+def test_forward_marches_return_independent_fields(marches):
+    # The march solves into its own output: a second call must not write
+    # into the field the first one returned.
+    m, fp, _, plain, _ = marches["exact"]
+    steep_fp = marches["steep"][1]
+    first = forward.solve_ibvp(m, fp, np.full(GRID.nx, CFG.u0), GRID)
+    second = forward.solve_ibvp(m, steep_fp, np.full(GRID.nx, CFG.u0), GRID)
+    assert not np.shares_memory(first.values, second.values)
+    assert first.values.tobytes() == plain.tobytes()
+    assert second.values.tobytes() != plain.tobytes()
 
 
 def test_transport_pair_is_a_volume_weighted_transpose():
@@ -209,5 +300,9 @@ def test_transport_pair_is_a_volume_weighted_transpose():
     vol[[0, -1]] = 0.5
     half_ap, wall0, wallL = adjoint._transport_factors(du, ap, r)
     lhs = q @ (vol * adjoint._transport_apply(ap[0], du[1], w, r))
-    rhs = w @ (vol * adjoint._transport_apply_t(half_ap[0], wall0[0], wallL[0], du[1], q))
+    out, pd = np.empty(nx), np.empty(nx - 1)
+    applied = adjoint._transport_apply_t(
+        half_ap[0], float(wall0[0]), float(wallL[0]), du[1], q, out, pd
+    )
+    rhs = w @ (vol * applied)
     assert lhs == pytest.approx(rhs, rel=1e-12)

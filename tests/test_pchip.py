@@ -142,7 +142,7 @@ class TestEvaluation:
         # including points whose index rounds down onto a right knot.
         right_knot_hits = 0
         for p, xs in bitwise_cases(builtin_material):
-            got = pchip.march_evaluator(p)(xs)
+            got = pchip.march_evaluator(p, xs.size)(xs, np.empty(xs.size))
             assert got.tobytes() == pchip.eval(p, xs, clamp=True)[0].tobytes()
             xc, idx, _ = pchip._locate(p, xs, True)
             right_knot_hits += int(((xc == p.knots[idx + 1]) & (idx + 1 < p.n - 1)).sum())
