@@ -39,22 +39,33 @@ belongs to the flux at x = 0, the second half to the flux at x = L.
 
 The marches are kept lean without changing a bit of their output. Both
 linearized marches take their grid from the trajectory they linearize about
-and read their frozen coefficients from one pass over it
-(`_trajectory_coefficients`), which also fills the bands of every step at
-once with the state march's `_diffusion_bands`. The adjoint takes its
-transport factors from `_transport_factors`, formed once per march in the
-order the per-step products used, so every product rounds as it would inside
-the step. Its steps allocate nothing: each right-hand side is formed in the
-row of the output it is solved for, `_transport_apply_t` writes into buffers
-of the march, and the two wall rows are updated with Python floats.
+and walk it in blocks of consecutive steps (`_step_blocks`), as many levels
+as fill one `pchip.eval` block (180 at 91 nodes): the tangent march forward
+in time, the adjoint march backward. Just before it marches through a block,
+a march computes the block's frozen coefficients (`_step_coefficients`),
+which also fills the bands of the block's steps at once with the state
+march's `_diffusion_bands`; so it holds one block of coefficients, not a
+trajectory of them. The adjoint takes a block's transport factors from
+`_transport_factors`, formed in the order the per-step products used, so
+every product rounds as it would inside the step. Its steps allocate
+nothing: each right-hand side is formed in the row of the output it is
+solved for, `_transport_apply_t` writes into buffers of the march, and the
+two wall rows are updated with Python floats. Each adjoint step keeps
+dgtsv's singularity test; the finiteness of the solved levels is checked
+once per block (`_check_block`), which raises at the step a per-step check
+would: the march is linear, so a non-finite level only carries non-finite
+values forward.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 
 from . import pchip
-from .errors import ValidationError
+from .errors import DivergenceError, ValidationError
 from .forward import EnthalpyField, Grid, _diffusion_bands, _step_tridiagonal, solve_ibvp
 from .material import MaterialModel
 from .observation import Measurement, adjoint_source, observe
@@ -90,17 +101,18 @@ def _transport_apply(
     return out
 
 
-def _transport_factors(du: np.ndarray, ap: np.ndarray, r: float):
-    """Per-level factors of `_transport_apply_t` along a whole trajectory.
+def _transport_factors(du_new: np.ndarray, ap: np.ndarray, r: float):
+    """Per-step factors of `_transport_apply_t` for a block of steps.
 
-    Row s holds the factors of the step from level s to s + 1: (0.5 r) ap at
-    the interior nodes and (r du_new) ap at the two walls, with du_new the
-    increments at level s + 1. Each product is formed in the order a
+    Row i of `du_new` holds the increments at the new level of step i and
+    row i of `ap` d(alpha')/du at its old level, as `_step_coefficients`
+    returns them. Row i of the result holds (0.5 r) ap at the interior nodes
+    and (r du_new) ap at the two walls. Each product is formed in the order a
     per-step evaluation of the transpose would use, so it rounds the same.
     """
-    half_ap = (0.5 * r) * ap[:-1, 1:-1]
-    wall0 = (r * du[1:, 0]) * ap[:-1, 0]
-    wallL = (r * du[1:, -1]) * ap[:-1, -1]
+    half_ap = (0.5 * r) * ap[:, 1:-1]
+    wall0 = (r * du_new[:, 0]) * ap[:, 0]
+    wallL = (r * du_new[:, -1]) * ap[:, -1]
     return half_ap, wall0, wallL
 
 
@@ -125,36 +137,48 @@ def _transport_apply_t(
     return out
 
 
-def _trajectory_coefficients(
-    u: EnthalpyField, m: MaterialModel, b0: pchip.Pchip, bL: pchip.Pchip
-):
-    """Frozen coefficients of the linearized step at every level of `u`.
+def _step_blocks(g: Grid) -> list[tuple[int, int]]:
+    """The steps of a march on `g` in blocks (lo, hi) of consecutive steps.
 
-    Returns (du, ap, bands, b0p, bLp): the state increments between
-    neighbouring nodes, d(alpha')/du at the nodes, the implicit operator of
-    each step (`bands[k]`, for the step from level k, in `_diffusion_bands`
-    layout; the solve overwrites it, so each is used once), and the two
-    boundary flux slopes. The tangent march (`solve_sensitivity`) and the
-    adjoint march (`solve_adjoint`) both read them from here, so one is the
-    transpose of the other on the same numbers. Every evaluation is
-    elementwise, so each level gets the values a per-step evaluation would
-    give.
+    A block has as many levels as fit in one `pchip.eval` block, so its
+    diffusivity is one evaluation block; the last block takes the rest.
+    """
+    levels = max(1, pchip._EVAL_BLOCK // g.nx)
+    return [(lo, min(lo + levels, g.nt)) for lo in range(0, g.nt, levels)]
+
+
+def _step_coefficients(
+    u: EnthalpyField, m: MaterialModel, b0: pchip.Pchip, bL: pchip.Pchip, lo: int, hi: int
+):
+    """Frozen coefficients of the linearized steps lo, ..., hi - 1 along `u`.
+
+    Returns (du, ap, bands, b0p, bLp), row i for the step from level lo + i:
+    the state increments between neighbouring nodes at its new level, and at
+    its old level d(alpha')/du at the nodes, its implicit operator
+    (`bands[i]`, in `_diffusion_bands` layout; the solve overwrites it, so
+    each is used once) and the two boundary flux slopes. The tangent march
+    (`solve_sensitivity`) and the adjoint march (`solve_adjoint`) both read
+    them from here, a block at a time, so one is the transpose of the other
+    on the same numbers. Every evaluation is elementwise per level, so each
+    level gets the values a per-step evaluation would give, whatever the
+    block.
     """
     g = u.grid
-    du = np.diff(u.values, axis=1)
-    alpha, ap = pchip.eval(m.diffusivity, u.values, clamp=True)
+    levels = u.values[lo:hi]
+    du = np.diff(u.values[lo + 1 : hi + 1], axis=1)
+    alpha, ap = pchip.eval(m.diffusivity, levels, clamp=True)
     # The extended interface means of every step, (amid[0], amid, amid[-1]).
-    e = np.empty((g.nt, g.nx + 1))
+    e = np.empty((hi - lo, g.nx + 1))
     amid = e[:, 1:-1]
-    np.add(alpha[:-1, :-1], alpha[:-1, 1:], out=amid)
+    np.add(alpha[:, :-1], alpha[:, 1:], out=amid)
     amid *= 0.5
     e[:, 0], e[:, -1] = amid[:, 0], amid[:, -1]
     # One contiguous (3, nx) block per step, filled through a view that puts
     # the levels last.
-    bands = np.empty((g.nt, 3, g.nx))
+    bands = np.empty((hi - lo, 3, g.nx))
     _diffusion_bands(bands.transpose(1, 2, 0), e.T, g.dt / g.dx**2)
-    b0p = pchip.eval(b0, u.values[:, 0], clamp=True)[1]
-    bLp = pchip.eval(bL, u.values[:, -1], clamp=True)[1]
+    b0p = pchip.eval(b0, levels[:, 0], clamp=True)[1]
+    bLp = pchip.eval(bL, levels[:, -1], clamp=True)[1]
     return du, ap, bands, b0p, bLp
 
 
@@ -183,19 +207,40 @@ def solve_sensitivity(
     c = 2.0 * g.dt / g.dx
 
     W = np.zeros((g.nt + 1, g.nx))
-    du, ap, bands, b0p, bLp = _trajectory_coefficients(u, m, b0, bL)
     G0 = pchip.grad_wrt_values_many(b0, u.values[:, 0], clamp=True)
     GL = pchip.grad_wrt_values_many(bL, u.values[:, -1], clamp=True)
-    for k in range(g.nt):
-        wn = W[k]
-        src0 = float(G0[k] @ h0)
-        srcL = float(GL[k] @ hL)
+    for lo, hi in _step_blocks(g):
+        du, ap, bands, b0p, bLp = _step_coefficients(u, m, b0, bL, lo, hi)
+        for i, k in enumerate(range(lo, hi)):
+            wn = W[k]
+            src0 = float(G0[k] @ h0)
+            srcL = float(GL[k] @ hL)
 
-        rhs = wn - _transport_apply(ap[k], du[k + 1], wn, r)
-        rhs[0] -= c * (b0p[k] * wn[0] + src0)
-        rhs[-1] -= c * (bLp[k] * wn[-1] + srcL)
-        W[k + 1] = _step_tridiagonal(bands[k], rhs, k + 1)
+            rhs = wn - _transport_apply(ap[i], du[i], wn, r)
+            rhs[0] -= c * (b0p[i] * wn[0] + src0)
+            rhs[-1] -= c * (bLp[i] * wn[-1] + srcL)
+            W[k + 1] = _step_tridiagonal(bands[i], rhs, k + 1)
     return EnthalpyField(g, W)
+
+
+def _check_block(phi: np.ndarray, lo: int, hi: int) -> None:
+    """Raise `DivergenceError` at the first adjoint step, in march order,
+    whose level of `phi` among lo, ..., hi - 1 is non-finite.
+
+    The march runs from level hi - 1 down to lo and the adjoint step that
+    solves level s is step nt - s, the step a per-step test raises at. One
+    BLAS reduction clears a finite block; NaN and inf propagate through it,
+    and a non-finite dot of huge finite levels falls back to the exact
+    elementwise scan.
+    """
+    rows = phi[lo:hi]
+    flat = rows.reshape(-1)
+    if math.isfinite(np.dot(flat, flat)):
+        return
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        step = phi.shape[0] - 1 - (lo + int(bad[-1]))
+        raise DivergenceError(f"solution became non-finite at time step {step}", step=step)
 
 
 def solve_adjoint(
@@ -221,33 +266,44 @@ def solve_adjoint(
     # row of phi it solves for and solved there.
     psi = np.zeros(g.nx)
     tq, pd = np.empty(g.nx), np.empty(g.nx - 1)
-    # Everything that does not depend on the freshly solved level is hoisted
-    # out of the march: weighted source rows, the tangent march's frozen
-    # coefficients and step bands along the stored trajectory, and their
-    # per-level products with the step constants (transport factors, Robin
-    # factors c*beta'). The wall factors go to the loop as Python floats.
-    weighted_src = g.dt * source
-    weighted_src[:, 0] *= 2.0  # source density doubles on the wall half cells
-    weighted_src[:, -1] *= 2.0
-    du, ap, bands, b0p, bLp = _trajectory_coefficients(u, m, b0, bL)
-    half_ap, wall0, wallL = _transport_factors(du, ap, r)
-    wall0, wallL = wall0.tolist(), wallL.tolist()
-    robin0, robinL = (c * b0p).tolist(), (c * bLp).tolist()
-    for step in range(g.nt):
-        s = g.nt - step - 1
-        # The implicit operator is self-adjoint under the half-cell volume
-        # weights, so the adjoint march solves with the state step's bands.
-        q = phi[s]
-        np.add(psi, weighted_src[s + 1], out=q)
-        _step_tridiagonal(bands[s], q, step + 1)
-        # Carry to the next (earlier) level: the transposed transport
-        # correction and the Robin terms alpha' phi_x = beta' phi act on the
-        # freshly solved level, mirroring the frozen-coefficient treatment of
-        # the state march.
-        _transport_apply_t(half_ap[s], wall0[s], wallL[s], du[s + 1], q, tq, pd)
-        np.subtract(q, tq, out=psi)
-        psi[0] = psi.item(0) - robin0[s] * q.item(0)
-        psi[-1] = psi.item(-1) - robinL[s] * q.item(-1)
+    for lo, hi in reversed(_step_blocks(g)):
+        # Everything that does not depend on the freshly solved level is
+        # hoisted out of the block's steps: weighted source rows, the tangent
+        # march's frozen coefficients and step bands, their per-step products
+        # with the step constants (transport factors, Robin factors c*beta'),
+        # and the three band views dgtsv solves with. The wall and Robin
+        # factors go to the loop as Python floats.
+        du, ap, bands, b0p, bLp = _step_coefficients(u, m, b0, bL, lo, hi)
+        weighted_src = g.dt * source[lo + 1 : hi + 1]
+        weighted_src[:, 0] *= 2.0  # source density doubles on the wall half cells
+        weighted_src[:, -1] *= 2.0
+        half_ap, wall0, wallL = _transport_factors(du, ap, r)
+        wall0, wallL = wall0.tolist(), wallL.tolist()
+        robin0, robinL = (c * b0p).tolist(), (c * bLp).tolist()
+        sub, diag, sup = list(bands[:, 2, :-1]), list(bands[:, 1]), list(bands[:, 0, 1:])
+        # The block's levels are checked once, after its last step; until
+        # then the arithmetic on a non-finite level must not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(hi - lo - 1, -1, -1):
+                s = lo + i
+                # The implicit operator is self-adjoint under the half-cell
+                # volume weights, so the adjoint march solves with the state
+                # step's bands.
+                q = phi[s]
+                np.add(psi, weighted_src[i], out=q)
+                if dgtsv(sub[i], diag[i], sup[i], q, 1, 1, 1, 1)[-1] != 0:
+                    _check_block(phi, s + 1, hi)
+                    step = g.nt - s
+                    raise DivergenceError(f"singular step matrix at time step {step}", step=step)
+                # Carry to the next (earlier) level: the transposed transport
+                # correction and the Robin terms alpha' phi_x = beta' phi act
+                # on the freshly solved level, mirroring the frozen-coefficient
+                # treatment of the state march.
+                _transport_apply_t(half_ap[i], wall0[i], wallL[i], du[i], q, tq, pd)
+                np.subtract(q, tq, out=psi)
+                psi[0] = psi.item(0) - robin0[i] * q.item(0)
+                psi[-1] = psi.item(-1) - robinL[i] * q.item(-1)
+            _check_block(phi, lo, hi)
     return phi
 
 

@@ -21,8 +21,10 @@ bit for bit) and the boundary fluxes through `pchip._eval_scalar`. A step
 allocates nothing: the evaluator writes into a buffer of the march, the
 interface means and the bands are filled in place, and the right-hand side is
 formed in the next level of the output field and solved there. The buffers
-live for one call. Its linearization, the tangent march and its transpose,
-lives in `adjoint`, which fills its step bands with this module's
+live for one call. Each step tests the level it starts from through the two
+wall values it reads anyway, and scans back for the first non-finite level
+only when they are not finite. Its linearization, the tangent march and its
+transpose, lives in `adjoint`, which fills its step bands with this module's
 `_diffusion_bands`.
 """
 
@@ -88,6 +90,9 @@ def _step_tridiagonal(ab: np.ndarray, rhs: np.ndarray, step: int) -> np.ndarray:
     # letting the factorization overwrite them costs nothing. A contiguous
     # `rhs` is solved in place and returned; the flags go positionally
     # (overwrite dl, d, du and b), which skips keyword parsing per step.
+    # The tangent march checks every step here. The state march and the
+    # adjoint march call dgtsv themselves and check their levels less often
+    # (see `solve_ibvp` and `adjoint.solve_adjoint`).
     _, _, _, out, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, 1, 1, 1, 1)
     # A single BLAS reduction detects NaN and inf anywhere in the solution
     # (both propagate through the dot product) far cheaper than an
@@ -97,6 +102,21 @@ def _step_tridiagonal(ab: np.ndarray, rhs: np.ndarray, step: int) -> np.ndarray:
     if info != 0 or (not math.isfinite(np.dot(out, out)) and not np.isfinite(out).all()):
         raise DivergenceError(f"solution became non-finite at time step {step}", step=step)
     return out
+
+
+def _raise_first_nonfinite(U: np.ndarray, k: int) -> None:
+    """Raise `DivergenceError` at the first of the non-finite levels of `U`
+    that run back from level `k`; do nothing when level k is finite.
+
+    Level n is solved by step n. A non-finite entry anywhere in a level makes
+    every entry of the next level non-finite (the solve carries it to every
+    row, and 0 * inf is NaN), so the run starts at most one level back.
+    """
+    if np.isfinite(U[k]).all():
+        return
+    while k > 0 and not np.isfinite(U[k - 1]).all():
+        k -= 1
+    raise DivergenceError(f"solution became non-finite at time step {k}", step=k)
 
 
 def _diffusion_bands(ab: np.ndarray, e: np.ndarray, r: float) -> np.ndarray:
@@ -134,8 +154,9 @@ def solve_ibvp(m: MaterialModel, fp: FluxParameter, u0, g: Grid) -> EnthalpyFiel
     `u0` is the initial enthalpy profile (length nx, finite, inside the
     material's enthalpy range). Boundary fluxes and diffusivities are
     evaluated on the previous level with clamped interpolation, so transient
-    excursions beyond the tabulated ranges stay well defined; every solved
-    level is checked finite, so the evaluators only ever see finite input.
+    excursions beyond the tabulated ranges stay well defined. The march
+    stops with `DivergenceError` at the first non-finite level, and the
+    boundary fluxes are only ever evaluated at finite wall values.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (g.nx,):
@@ -153,27 +174,37 @@ def solve_ibvp(m: MaterialModel, fp: FluxParameter, u0, g: Grid) -> EnthalpyFiel
     U = np.empty((g.nt + 1, g.nx))
     U[0] = u0
     # Every step works in these buffers: the diffusivity, the extended
-    # interface means and the bands. Its right-hand side is written into the
-    # next level of U and solved there.
+    # interface means, the bands and the three views of them dgtsv solves
+    # with. Its right-hand side is written into the next level of U and
+    # solved there.
     ab = np.zeros((3, g.nx))
+    sub, diag, sup = ab[2, :-1], ab[1], ab[0, 1:]
     alpha = np.empty(g.nx)
     e = np.empty(g.nx + 1)
     amid = e[1:-1]
     diffusivity = pchip.march_evaluator(m.diffusivity, g.nx)
-    for n in range(g.nt):
-        un, rhs = U[n], U[n + 1]
-        diffusivity(un, alpha)
-        np.add(alpha[:-1], alpha[1:], out=amid)
-        amid *= 0.5
-        e[0], e[-1] = amid[0], amid[-1]
-        _diffusion_bands(ab, e, r)
-        u_0, u_L = un.item(0), un.item(-1)
-        beta0 = pchip._eval_scalar(b0, u_0, True)[0]
-        betaL = pchip._eval_scalar(bL, u_L, True)[0]
-        rhs[:] = un
-        rhs[0] = u_0 - c * beta0
-        rhs[-1] = u_L - c * betaL
-        _step_tridiagonal(ab, rhs, n + 1)
+    # A non-finite level shows in the wall values of the next level at the
+    # latest; until then the arithmetic on it must not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(g.nt):
+            un, rhs = U[n], U[n + 1]
+            u_0, u_L = un.item(0), un.item(-1)
+            if not math.isfinite(u_0 + u_L):
+                _raise_first_nonfinite(U, n)
+            diffusivity(un, alpha)
+            np.add(alpha[:-1], alpha[1:], out=amid)
+            amid *= 0.5
+            e[0], e[-1] = amid[0], amid[-1]
+            _diffusion_bands(ab, e, r)
+            beta0 = pchip._eval_scalar(b0, u_0, True)[0]
+            betaL = pchip._eval_scalar(bL, u_L, True)[0]
+            rhs[:] = un
+            rhs[0] = u_0 - c * beta0
+            rhs[-1] = u_L - c * betaL
+            if dgtsv(sub, diag, sup, rhs, 1, 1, 1, 1)[-1] != 0:
+                _raise_first_nonfinite(U, n)
+                raise DivergenceError(f"singular step matrix at time step {n + 1}", step=n + 1)
+        _raise_first_nonfinite(U, g.nt)
     return EnthalpyField(g, U)
 
 

@@ -9,7 +9,8 @@ from Armijo backtracking on the projected trial points, and iterations stop
 once the normalized residual falls below rho times the recorded noise level
 (discrepancy principle), the iteration budget runs out, the iterate is
 stationary, or the line search stalls. A trial point whose forward march
-diverges is a rejected trial, not the end of the run.
+diverges is a rejected trial, not the end of the run, and so is an accepted
+trial whose gradient diverges or comes back non-finite.
 
 The attenuated Landweber baseline iterates projected gradient descent with a
 constant damping factor, serving as the comparison method; a streak of ten
@@ -19,6 +20,7 @@ consecutive residual increases aborts it as a damping problem.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -228,29 +230,35 @@ def pqn_solve(problem: Problem, config: SolveConfig) -> OptimizerState:
             log.info("stationary point reached at iteration %d", state.iteration)
             state.stop_reason = "stationary"
             return state
+        # The linearized boundary recursion amplifies perturbations at
+        # iterates whose flux curve has a steep falling flank where the
+        # boundary enthalpy lingers, so the adjoint (and hence the gradient)
+        # can come back many orders of magnitude too large, non-finite, or
+        # overflow altogether, even though the objective at the trial looks
+        # fine. Ingesting such a pair would poison the quasi-Newton metric
+        # and permanently stall the iteration; treat the trial as rejected
+        # and keep shrinking.
+        lam = 1.0
         try:
-            lam, beta_new, _ = armijo_projected(state, problem.objective, p, grad)
-            f_new, grad_new = problem.gradient(beta_new)
-            # The linearized boundary recursion amplifies perturbations at
-            # iterates whose flux curve has a steep falling flank where the
-            # boundary enthalpy lingers, so the adjoint (and hence the
-            # gradient) can come back many orders of magnitude too large even
-            # though the objective at the trial looks fine. Ingesting such a
-            # pair would poison the quasi-Newton metric and permanently stall
-            # the iteration; treat the trial as rejected and keep shrinking.
-            while float(np.abs(grad_new).max()) > GRAD_GUARD_FACTOR * grad_scale:
-                log.info(
-                    "pqn k=%d: gradient %.3e above scale %.3e, shrinking step",
-                    state.iteration, float(np.abs(grad_new).max()), grad_scale,
-                )
-                lam, beta_new, _ = armijo_projected(
-                    state, problem.objective, p, grad, lam * ARMIJO_TAU
-                )
-                f_new, grad_new = problem.gradient(beta_new)
+            while True:
+                lam, beta_new, _ = armijo_projected(state, problem.objective, p, grad, lam)
+                try:
+                    f_new, grad_new = problem.gradient(beta_new)
+                except DivergenceError as exc:
+                    log.info("pqn k=%d: gradient diverged (%s), shrinking step", state.iteration, exc)
+                else:
+                    gmax = float(np.abs(grad_new).max())
+                    if math.isfinite(gmax) and gmax <= GRAD_GUARD_FACTOR * grad_scale:
+                        break
+                    log.info(
+                        "pqn k=%d: gradient %.3e above scale %.3e, shrinking step",
+                        state.iteration, gmax, grad_scale,
+                    )
+                lam *= ARMIJO_TAU
         except LineSearchError:
             state.stop_reason = "line_search_failure"
             return state
-        grad_scale = max(grad_scale, float(np.abs(grad_new).max()))
+        grad_scale = max(grad_scale, gmax)
         state.inv_hessian = bfgs_inverse_update(
             state.inv_hessian, beta_new - state.beta, grad_new - grad
         )

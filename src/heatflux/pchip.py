@@ -255,7 +255,7 @@ def _eval_array(p: Pchip, x: np.ndarray, clamp: bool):
 def march_evaluator(p: Pchip, size: int):
     """Values-only clamped evaluation of `p` for the inner loop of a march.
 
-    Returns a function `values(x, out)` of a finite array x of `size` points
+    Returns a function `values(x, out)` of an array x of `size` points
     that writes `eval(p, x, clamp=True)[0]` into the caller's buffer `out`,
     bit for bit (for values without negative zeros, which a diffusivity never
     has), and returns `out`. It reads the first seven rows of the interval
@@ -263,7 +263,9 @@ def march_evaluator(p: Pchip, size: int):
     right value); each call clamps, indexes, gathers one column per point,
     and runs Horner for the value only, all in scratch buffers allocated here
     once. A point that lands on a right knot takes that knot's value, as in
-    `eval`; on a left knot t = 0 already gives c0.
+    `eval`; on a left knot t = 0 already gives c0. A non-finite point gives
+    a meaningless value, not an error: the state march evaluates at most one
+    non-finite level and then stops with `DivergenceError`.
     """
     # The scalars go in as 0-d arrays: a ufunc converts a Python float
     # operand on every call, about 0.4 us where the whole operation on 91
@@ -285,9 +287,9 @@ def march_evaluator(p: Pchip, size: int):
         np.multiply(t, inv_h, out=t)
         # Assigning floats to an integer array truncates toward zero, as
         # `astype` does. After the minimum the index is at most `last`, so
-        # the gather's 'clip' mode never clips; it skips the buffered copy
-        # that the default mode makes to keep `cols` intact should an index
-        # be bad.
+        # for finite x the gather's 'clip' mode never clips; it skips the
+        # buffered copy that the default mode makes to keep `cols` intact
+        # should an index be bad.
         idx[...] = t
         np.minimum(idx, last, out=idx)
         table.take(idx, 1, cols, "clip")

@@ -1,9 +1,11 @@
 """Adjoint gradient: exactness against the tangent solver and finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from heatflux import adjoint, forward, observation, pchip
+from heatflux import adjoint, config, forward, observation, pchip
 from heatflux.errors import ValidationError
 from heatflux.forward import Grid
 from heatflux.observation import ObservationSpec
@@ -128,3 +130,23 @@ class TestAdjointField:
         with pytest.raises(ValidationError):
             adjoint.assemble_gradient(np.zeros((2, 2)), field, fp)
 
+    def test_solve_holds_one_block_of_coefficients(self, builtin_material):
+        # On the default inversion grid (91 x 3300) the march streams its
+        # frozen coefficients through the trajectory a block of levels at a
+        # time, so its heap peak, the phi it returns included, stays within
+        # 3x that phi; a pass over the whole trajectory at once holds about
+        # ten trajectory-sized arrays.
+        cfg = config.ExperimentConfig()
+        g = config.inv_grid(cfg)
+        fp = config.exact_flux_parameter(cfg)
+        field = forward.solve_ibvp(builtin_material, fp, np.full(g.nx, cfg.u0), g)
+        src = np.random.default_rng(4).standard_normal(field.values.shape)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            phi = adjoint.solve_adjoint(field, builtin_material, fp, src)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert phi.shape == (g.nt + 1, g.nx)
+        assert peak <= 3 * phi.nbytes

@@ -3,15 +3,19 @@
 The forward march (`forward.solve_ibvp`) evaluates the diffusivity through
 `pchip.march_evaluator`; all three marches share one lean band fill, which
 the tangent and adjoint marches (`adjoint.solve_sensitivity`,
-`adjoint.solve_adjoint`) apply to every level of the trajectory at once; the
-adjoint reads transport and Robin factors hoisted over the whole trajectory.
+`adjoint.solve_adjoint`) apply to a block of levels at a time; the adjoint
+reads transport and Robin factors hoisted over each block and checks its
+levels for finiteness once per block, the forward march through their wall
+values.
 The plain marches below keep the straightforward per-step form: `pchip.eval`
 for every coefficient (on the whole trajectory in one call), each band
 written from `amid` inside the step, every product formed inside the step.
 Both must give the same bytes on every case, including a steep box-corner
 iterate whose boundary stability number c*beta' exceeds 2 and a profile
 whose nodes sit on the diffusivity's knots and below its range, and must
-stop with `DivergenceError` at the same step when a level goes non-finite.
+stop with `DivergenceError` at the same step when a level goes non-finite,
+also with blocks short enough that the 120-step grid ends in a remainder
+block and the first non-finite level sits on a block edge.
 The buffered marches must also leave their inputs alone and hand out a new
 field on every call.
 
@@ -271,6 +275,97 @@ def test_adjoint_divergence_step_matches_plain_code(marches):
     assert got.value.step == want.value.step == GRID.nt - 39
 
 
+def short_blocks(monkeypatch, levels):
+    """Make the linearized marches walk GRID in blocks of `levels` steps."""
+    monkeypatch.setattr(pchip, "_EVAL_BLOCK", levels * GRID.nx)
+    blocks = adjoint._step_blocks(GRID)
+    assert blocks[0] == (0, levels) and blocks[-1][1] == GRID.nt
+    return blocks
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", CASES)
+def test_marches_match_plain_code_in_seven_level_blocks(marches, name, monkeypatch):
+    # 120 steps in blocks of 7 leave a one-step remainder block.
+    assert short_blocks(monkeypatch, 7)[-1] == (119, 120)
+    m, fp, field, plain, source = marches[name]
+    got = forward.solve_ibvp(m, fp, field.values[0], GRID)
+    assert got.values.tobytes() == plain.tobytes()
+    got = adjoint.solve_adjoint(field, m, fp, source)
+    assert got.tobytes() == plain_solve_adjoint(field, m, fp, source, GRID).tobytes()
+    h = np.random.default_rng(9).standard_normal(2 * fp.n)
+    got = adjoint.solve_sensitivity(field, m, fp, h)
+    assert got.values.tobytes() == plain_solve_sensitivity(field, m, fp, h, GRID).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", ["exact", "random", "steep"])
+def test_duality_holds_in_seven_level_blocks(marches, name, monkeypatch):
+    short_blocks(monkeypatch, 7)
+    test_adjoint_gradient_is_dual_to_tangent_march(marches, name)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "levels, s",
+    [
+        (7, 119),  # the one step of the remainder block, the first the march takes
+        (7, 118),  # the first step the march takes in a full block
+        (7, 112),  # the last step the march takes in a full block
+        (9, 118),  # inside the three-step remainder block
+    ],
+)
+def test_adjoint_divergence_step_at_block_edges(marches, monkeypatch, levels, s):
+    # An inf in source row s + 1 makes level s the first non-finite one:
+    # the adjoint raises at its step, nt - s, as the plain per-step code does.
+    m, fp, field, _, source = marches["exact"]
+    short_blocks(monkeypatch, levels)
+    source = source.copy()
+    source[s + 1, 3] = np.inf
+    with pytest.raises(DivergenceError) as got:
+        adjoint.solve_adjoint(field, m, fp, source)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as want:
+            plain_solve_adjoint(field, m, fp, source, GRID)
+    assert got.value.step == want.value.step == GRID.nt - s
+
+
+def test_forward_divergence_at_the_last_step_matches_plain_code(builtin_material):
+    # The fluxes of the divergence case above on a grid that ends with the
+    # first non-finite level: no later step reads its walls, so only the
+    # check after the march finds it. (Building their interpolant overflows
+    # in the slope rule, hence the errstate.)
+    exact = exact_flux_parameter(CFG)
+    part = exact.partition
+    beta = np.where(np.tile(part, 2) < 5.2e9, 1e307, exact.beta)
+    u0 = np.full(GRID.nx, CFG.u0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fp = pchip.FluxParameter(beta, part, 1e307)
+        with pytest.raises(DivergenceError) as full:
+            plain_solve_ibvp(builtin_material, fp, u0, GRID)
+        last = full.value.step
+        g = Grid(L=GRID.L, T=GRID.dt * last, nx=GRID.nx, nt=last)
+        with pytest.raises(DivergenceError) as got:
+            forward.solve_ibvp(builtin_material, fp, u0, g)
+        with pytest.raises(DivergenceError) as want:
+            plain_solve_ibvp(builtin_material, fp, u0, g)
+    assert got.value.step == want.value.step == g.nt
+
+
+def test_forward_scan_back_finds_an_interior_first_level():
+    # Level 5 goes non-finite at an interior node only, so its walls raise
+    # no alarm; the whole of level 6 follows. The alarm at level 6 must scan
+    # back to level 5, and a finite level must pass.
+    U = np.ones((9, 7))
+    U[5, 3] = np.nan
+    U[6:] = np.inf
+    forward._raise_first_nonfinite(U, 4)
+    for k in (5, 6, 8):
+        with pytest.raises(DivergenceError) as got:
+            forward._raise_first_nonfinite(U, k)
+        assert got.value.step == 5
+
+
 def test_adjoint_march_leaves_its_inputs_alone(marches):
     m, fp, field, _, source = marches["steep"]
     before = (source.tobytes(), field.values.tobytes())
@@ -298,7 +393,7 @@ def test_transport_pair_is_a_volume_weighted_transpose():
     w, q = rng.standard_normal(nx), rng.standard_normal(nx)
     vol = np.ones(nx)
     vol[[0, -1]] = 0.5
-    half_ap, wall0, wallL = adjoint._transport_factors(du, ap, r)
+    half_ap, wall0, wallL = adjoint._transport_factors(du[1:], ap[:1], r)
     lhs = q @ (vol * adjoint._transport_apply(ap[0], du[1], w, r))
     out, pd = np.empty(nx), np.empty(nx - 1)
     applied = adjoint._transport_apply_t(

@@ -299,6 +299,33 @@ class TestPqnSolve:
         assert not any(0.1 < it[1] < 0.13 for it in state.iterate_history)
         assert np.abs(state.beta - np.array([0.5, 0.2])).max() <= 1e-7
 
+    @pytest.mark.parametrize("failure", ["raises", "nan"])
+    def test_failing_gradient_at_accepted_trial_is_rejected_not_fatal(self, failure):
+        # Inside the band 0.1 < x_2 < 0.13, where the guard test's gradient
+        # spikes, the gradient here diverges (its adjoint march overflows) or
+        # comes back NaN, which the guard's comparison alone lets through,
+        # while the objective stays smooth. Such trials must shrink the step
+        # like a guard rejection instead of ending the run or reaching the
+        # BFGS update.
+        base = quadratic_problem(np.diag([1.0, 10.0]), np.array([0.5, 0.2]))
+        failed = []
+
+        def gradient(x):
+            f, g = base.gradient(x)
+            if 0.1 < x[1] < 0.13:
+                failed.append(x.copy())
+                if failure == "raises":
+                    raise DivergenceError("non-finite adjoint march", step=1)
+                return f, np.array([g[0], np.nan])
+            return f, g
+
+        prob = Problem(dim=2, beta_max=1.0, objective=base.objective, gradient=gradient)
+        state = pqn_solve(prob, SolveConfig(max_iter=200))
+        assert failed
+        assert not any(0.1 < it[1] < 0.13 for it in state.iterate_history)
+        assert np.isfinite(state.inv_hessian).all()
+        assert np.abs(state.beta - np.array([0.5, 0.2])).max() <= 1e-7
+
     def test_runs_are_deterministic(self):
         prob = quadratic_problem(np.diag([1.0, 3.0, 7.0]), np.array([0.2, 0.5, 0.9]))
         cfg = SolveConfig(max_iter=40)
