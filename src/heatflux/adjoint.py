@@ -17,11 +17,12 @@ The gradient is obtained from the continuous adjoint problem
    -alpha'(u) phi_x = betaL'(u) phi   at x = L,
 
 where v is the residual injected through the transposed observation
-operator. After the substitution tau = T - t this is a forward parabolic
-problem and is marched with the same semi-implicit tridiagonal stencil as
-the state equation; coefficients along the stored trajectory are taken at
-the original interval's earlier time level and the source at its later one,
-which picks up the residual at t = T. Each adjoint step is the exact
+operator, nonzero only at the time levels the sensor samples reach
+(`observation.adjoint_source`). After the substitution tau = T - t this is a
+forward parabolic problem and is marched with the same semi-implicit
+tridiagonal stencil as the state equation; coefficients along the stored
+trajectory are taken at the original interval's earlier time level and the
+source at its later one, which picks up the residual at t = T. Each adjoint step is the exact
 volume-weighted transpose of the tangent step: the implicit operator is
 self-adjoint under the half-cell weights, `_transport_apply_t` transposes
 `_transport_apply`, and the Robin terms mirror the flux linearization. The
@@ -35,7 +36,9 @@ The gradient itself is the time integral of the boundary traces:
 
 evaluated with per-step left-rectangle weights so that the assembly is the
 exact transpose of the lagged-flux march; the first half of the vector
-belongs to the flux at x = 0, the second half to the flux at x = L.
+belongs to the flux at x = 0, the second half to the flux at x = L. Those two
+traces are all of phi the gradient reads, so they are all `solve_adjoint`
+keeps.
 
 The marches are kept lean without changing a bit of their output. Both
 linearized marches take their grid from the trajectory they linearize about
@@ -48,13 +51,17 @@ march's `_diffusion_bands`; so it holds one block of coefficients, not a
 trajectory of them. The adjoint takes a block's transport factors from
 `_transport_factors`, formed in the order the per-step products used, so
 every product rounds as it would inside the step. Its steps allocate
-nothing: each right-hand side is formed in the row of the output it is
-solved for, `_transport_apply_t` writes into buffers of the march, and the
-two wall rows are updated with Python floats. Each adjoint step keeps
-dgtsv's singularity test; the finiteness of the solved levels is checked
-once per block (`_check_block`), which raises at the step a per-step check
-would: the march is linear, so a non-finite level only carries non-finite
-values forward.
+nothing: each right-hand side is formed in the row of the block's levels it
+is solved for, `_transport_apply_t` writes into buffers of the march, and the
+two wall rows are updated with Python floats. A step whose later level the
+samples reach adds that level's source row; any other step adds 0.0, which
+rounds exactly like a zero row. Each adjoint step keeps dgtsv's singularity
+test; the finiteness of the solved levels is checked once per block
+(`_check_block`), which raises at the step a per-step check would: the march
+is linear, so a non-finite level only carries non-finite values forward.
+The march itself is `_adjoint_blocks`, which hands out each block of solved
+levels once it is checked; `solve_adjoint` keeps their wall traces, and the
+tests every level.
 """
 
 from __future__ import annotations
@@ -106,14 +113,15 @@ def _transport_factors(du_new: np.ndarray, ap: np.ndarray, r: float):
 
     Row i of `du_new` holds the increments at the new level of step i and
     row i of `ap` d(alpha')/du at its old level, as `_step_coefficients`
-    returns them. Row i of the result holds (0.5 r) ap at the interior nodes
-    and (r du_new) ap at the two walls. Each product is formed in the order a
-    per-step evaluation of the transpose would use, so it rounds the same.
+    returns them. Row i of the result holds (0.5 r) ap at the interior nodes,
+    and entry i of two lists of Python floats (r du_new) ap at the two walls.
+    Each product is formed in the order a per-step evaluation of the
+    transpose would use, so it rounds the same.
     """
     half_ap = (0.5 * r) * ap[:, 1:-1]
     wall0 = (r * du_new[:, 0]) * ap[:, 0]
     wallL = (r * du_new[:, -1]) * ap[:, -1]
-    return half_ap, wall0, wallL
+    return half_ap, wall0.tolist(), wallL.tolist()
 
 
 def _transport_apply_t(
@@ -223,77 +231,74 @@ def solve_sensitivity(
     return EnthalpyField(g, W)
 
 
-def _check_block(phi: np.ndarray, lo: int, hi: int) -> None:
+def _check_block(block: np.ndarray, lo: int, nt: int) -> None:
     """Raise `DivergenceError` at the first adjoint step, in march order,
-    whose level of `phi` among lo, ..., hi - 1 is non-finite.
+    whose solved level in `block` (levels lo, lo + 1, ... of phi) is
+    non-finite.
 
-    The march runs from level hi - 1 down to lo and the adjoint step that
+    The march solves the block's last level first and the adjoint step that
     solves level s is step nt - s, the step a per-step test raises at. One
     BLAS reduction clears a finite block; NaN and inf propagate through it,
     and a non-finite dot of huge finite levels falls back to the exact
     elementwise scan.
     """
-    rows = phi[lo:hi]
-    flat = rows.reshape(-1)
-    if math.isfinite(np.dot(flat, flat)):
+    if math.isfinite(np.vdot(block, block)):
         return
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
     if bad.size:
-        step = phi.shape[0] - 1 - (lo + int(bad[-1]))
+        step = nt - (lo + int(bad[-1]))
         raise DivergenceError(f"solution became non-finite at time step {step}", step=step)
 
 
-def solve_adjoint(
-    u: EnthalpyField, m: MaterialModel, fp: FluxParameter, source: np.ndarray
-) -> np.ndarray:
-    """Backward adjoint solve along the trajectory `u`, returned in original
-    time orientation.
+def _adjoint_blocks(u: EnthalpyField, m: MaterialModel, fp: FluxParameter, source):
+    """The adjoint march along `u`, one block of steps at a time.
 
-    `source` is the (nt+1) x nx injected residual field on the trajectory's
-    grid. The returned array phi has the same shape with phi[nt] = 0 exactly.
+    Yields (lo, hi, block) for the blocks of `_step_blocks` from the last to
+    the first, once `_check_block` has passed them: `block` holds the solved
+    levels lo, ..., hi - 1 of phi. `source` is as `solve_adjoint` takes it.
     """
     g = u.grid
-    source = np.asarray(source, dtype=float)
-    if source.shape != u.values.shape:
-        raise ValidationError(f"source must have shape {u.values.shape}")
+    levels, rows = map(np.asarray, source)
+    if (levels.ndim != 1 or levels.dtype.kind not in "iu" or rows.shape != (levels.size, g.nx)
+            or ((levels < 0) | (levels > g.nt)).any() or (np.diff(levels) <= 0).any()):
+        raise ValidationError(f"source needs ascending levels in [0, {g.nt}], a {g.nx}-row each")
     b0, bL = flux_interpolants(fp)
     r = g.dt / g.dx**2
     c = 2.0 * g.dt / g.dx
 
-    phi = np.zeros((g.nt + 1, g.nx))
     # Every step works in these buffers: the carried level psi and the
     # transpose's output and scratch. Its right-hand side is formed in the
-    # row of phi it solves for and solved there.
+    # row of its block that it solves for and solved there.
     psi = np.zeros(g.nx)
     tq, pd = np.empty(g.nx), np.empty(g.nx - 1)
     for lo, hi in reversed(_step_blocks(g)):
         # Everything that does not depend on the freshly solved level is
-        # hoisted out of the block's steps: weighted source rows, the tangent
-        # march's frozen coefficients and step bands, their per-step products
-        # with the step constants (transport factors, Robin factors c*beta'),
-        # and the three band views dgtsv solves with. The wall and Robin
-        # factors go to the loop as Python floats.
+        # hoisted out of the block's steps: weighted source rows by step, the
+        # tangent march's frozen coefficients and step bands, their per-step
+        # products with the step constants (transport factors, Robin factors
+        # c*beta'), and the three band views dgtsv solves with. The wall and
+        # Robin factors go to the loop as Python floats.
         du, ap, bands, b0p, bLp = _step_coefficients(u, m, b0, bL, lo, hi)
-        weighted_src = g.dt * source[lo + 1 : hi + 1]
-        weighted_src[:, 0] *= 2.0  # source density doubles on the wall half cells
-        weighted_src[:, -1] *= 2.0
+        a, b = np.searchsorted(levels, (lo + 1, hi + 1))
+        weighted_src = g.dt * rows[a:b]
+        weighted_src[:, [0, -1]] *= 2.0  # source density doubles on the wall half cells
+        src = dict(zip((levels[a:b] - (lo + 1)).tolist(), weighted_src))
         half_ap, wall0, wallL = _transport_factors(du, ap, r)
-        wall0, wallL = wall0.tolist(), wallL.tolist()
         robin0, robinL = (c * b0p).tolist(), (c * bLp).tolist()
         sub, diag, sup = list(bands[:, 2, :-1]), list(bands[:, 1]), list(bands[:, 0, 1:])
+        block = np.empty((hi - lo, g.nx))
         # The block's levels are checked once, after its last step; until
         # then the arithmetic on a non-finite level must not warn.
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(hi - lo - 1, -1, -1):
-                s = lo + i
                 # The implicit operator is self-adjoint under the half-cell
                 # volume weights, so the adjoint march solves with the state
                 # step's bands.
-                q = phi[s]
-                np.add(psi, weighted_src[i], out=q)
+                q = block[i]
+                np.add(psi, src.get(i, 0.0), out=q)
                 if dgtsv(sub[i], diag[i], sup[i], q, 1, 1, 1, 1)[-1] != 0:
-                    _check_block(phi, s + 1, hi)
-                    step = g.nt - s
+                    _check_block(block[i + 1 :], lo + i + 1, g.nt)
+                    step = g.nt - lo - i
                     raise DivergenceError(f"singular step matrix at time step {step}", step=step)
                 # Carry to the next (earlier) level: the transposed transport
                 # correction and the Robin terms alpha' phi_x = beta' phi act
@@ -303,12 +308,30 @@ def solve_adjoint(
                 np.subtract(q, tq, out=psi)
                 psi[0] = psi.item(0) - robin0[i] * q.item(0)
                 psi[-1] = psi.item(-1) - robinL[i] * q.item(-1)
-            _check_block(phi, lo, hi)
-    return phi
+            _check_block(block, lo, g.nt)
+        yield lo, hi, block
 
 
-def assemble_gradient(phi: np.ndarray, u: EnthalpyField, fp: FluxParameter) -> np.ndarray:
-    """Time integral of the weighted adjoint boundary traces.
+def solve_adjoint(u: EnthalpyField, m: MaterialModel, fp: FluxParameter, source) -> np.ndarray:
+    """Backward adjoint solve along the trajectory `u`; returns the wall
+    traces of phi in original time orientation.
+
+    `source` is the injected residual as `observation.adjoint_source`
+    returns it: a pair (levels, rows) of ascending time levels and their
+    (len(levels), nx) source rows, zero at every other level; a dense
+    (nt+1) x nx source S is the pair (arange(nt + 1), S). The result is the
+    (nt+1, 2) array of phi at x = 0 (column 0) and x = L (column 1), with
+    its last row 0 exactly.
+    """
+    traces = np.zeros((u.grid.nt + 1, 2))
+    for lo, hi, block in _adjoint_blocks(u, m, fp, source):
+        traces[lo:hi] = block[:, [0, -1]]
+    return traces
+
+
+def assemble_gradient(traces: np.ndarray, u: EnthalpyField, fp: FluxParameter) -> np.ndarray:
+    """Time integral of the weighted adjoint boundary traces, as
+    `solve_adjoint` returns them.
 
     Left-rectangle weights (dt per step, nothing at t = T where phi vanishes)
     make this the exact transpose of the lagged-flux state march: each step's
@@ -317,16 +340,16 @@ def assemble_gradient(phi: np.ndarray, u: EnthalpyField, fp: FluxParameter) -> n
     discrete objective's gradient to rounding, not just to quadrature order.
     """
     g = u.grid
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != u.values.shape:
-        raise ValidationError(f"phi must have the trajectory's shape {u.values.shape}")
+    traces = np.asarray(traces, dtype=float)
+    if traces.shape != (g.nt + 1, 2):
+        raise ValidationError(f"traces must have shape {(g.nt + 1, 2)}")
     b0, bL = flux_interpolants(fp)
     w = np.full(g.nt + 1, g.dt)
     w[-1] = 0.0
     G0 = pchip.grad_wrt_values_many(b0, u.values[:, 0], clamp=True)
     GL = pchip.grad_wrt_values_many(bL, u.values[:, -1], clamp=True)
-    g0 = -(G0 * (w * phi[:, 0])[:, None]).sum(axis=0)
-    gL = -(GL * (w * phi[:, -1])[:, None]).sum(axis=0)
+    g0 = -(G0 * (w * traces[:, 0])[:, None]).sum(axis=0)
+    gL = -(GL * (w * traces[:, 1])[:, None]).sum(axis=0)
     return np.concatenate([g0, gL])
 
 
@@ -338,6 +361,5 @@ def compute_gradient(
     `residual`, as `objective` returns them: residual injection, adjoint
     solve along the field, and assembly. The objective value stays with the
     caller."""
-    src = adjoint_source(residual, data.spec, field.grid)
-    phi = solve_adjoint(field, m, fp, src)
-    return assemble_gradient(phi, field, fp)
+    traces = solve_adjoint(field, m, fp, adjoint_source(residual, data.spec, field.grid))
+    return assemble_gradient(traces, field, fp)

@@ -92,7 +92,7 @@ def _step_tridiagonal(ab: np.ndarray, rhs: np.ndarray, step: int) -> np.ndarray:
     # (overwrite dl, d, du and b), which skips keyword parsing per step.
     # The tangent march checks every step here. The state march and the
     # adjoint march call dgtsv themselves and check their levels less often
-    # (see `solve_ibvp` and `adjoint.solve_adjoint`).
+    # (see `solve_ibvp` and `adjoint._adjoint_blocks`).
     _, _, _, out, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, 1, 1, 1, 1)
     # A single BLAS reduction detects NaN and inf anywhere in the solution
     # (both propagate through the dot product) far cheaper than an

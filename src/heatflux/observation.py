@@ -3,9 +3,11 @@
 `observe` samples a space-time field at sensor positions and times using
 bilinear interpolation of the grid values. `adjoint_source` spreads residual
 entries back onto the grid with the transposed interpolation weights scaled
-by 1/(dx*dt), which makes the discrete duality
+by 1/(dx*dt). It returns only the time levels the samples reach, as a pair
+(levels, rows): every other level of the source is zero. That makes the
+discrete duality
 
-    (observe(w), v)_F == sum(w * adjoint_source(v)) * dx * dt
+    (observe(w), v)_F == sum(w[levels] * rows) * dx * dt
 
 hold to machine precision; the gradient check depends on that exactness.
 
@@ -81,21 +83,20 @@ class Measurement:
             raise ValidationError("delta must be finite and nonnegative")
 
 
-def _check_spec_inside(spec: ObservationSpec, g: Grid) -> None:
-    if (spec.positions <= 0).any() or (spec.positions >= g.L).any():
-        raise ValidationError("sensor positions must lie strictly inside (0, L)")
-    if (spec.times <= 0).any() or (spec.times > g.T * (1 + _TOL)).any():
-        raise ValidationError("sample times must lie inside (0, T]")
-
-
 def _weights(spec: ObservationSpec, g: Grid):
     """Shared interpolation cells and weights for observe / adjoint_source.
 
+    Sample j lies in space cell (ix, ix + 1) at weight wx of the right node,
+    and sample k in time cell (it[k], it[k] + 1) at weight wt[k] of the
+    later level; those two levels are the ones `adjoint_source` reaches.
     Samples at t = T fall into the last time cell with local weight 1, so
     both operators use identical (cell, weight) pairs and stay exact
     transposes of each other.
     """
-    _check_spec_inside(spec, g)
+    if (spec.positions <= 0).any() or (spec.positions >= g.L).any():
+        raise ValidationError("sensor positions must lie strictly inside (0, L)")
+    if (spec.times <= 0).any() or (spec.times > g.T * (1 + _TOL)).any():
+        raise ValidationError("sample times must lie inside (0, T]")
     ix = np.clip((spec.positions / g.dx).astype(int), 0, g.nx - 2)
     wx = spec.positions / g.dx - ix
     it = np.clip((spec.times / g.dt).astype(int), 0, g.nt - 1)
@@ -128,24 +129,35 @@ def add_noise(clean: np.ndarray, spec: ObservationSpec, amplitude: float, seed: 
     return Measurement(data=noisy, spec=spec, delta=delta, seed=seed, amplitude=amplitude)
 
 
-def adjoint_source(residual: np.ndarray, spec: ObservationSpec, g: Grid) -> np.ndarray:
-    """Spread residual entries onto the grid as discrete point sources."""
+def adjoint_source(residual, spec: ObservationSpec, g: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Spread residual entries onto the grid as discrete point sources.
+
+    Returns (levels, rows): the ascending time levels the samples reach and
+    the (len(levels), nx) source rows at those levels; the source is zero at
+    every other level. Each entry sums its contributions in the order sensor,
+    weight term, sample time, so it holds the bits of the same entry of a
+    dense (nt+1) x nx source summed in that order.
+    """
     residual = np.asarray(residual, dtype=float)
     if residual.shape != (spec.d, spec.m):
         raise ValidationError(
             f"residual shape {residual.shape} != (d, m) = {(spec.d, spec.m)}"
         )
     ix, wx, it, wt = _weights(spec, g)
-    S = np.zeros((g.nt + 1, g.nx))
+    # The levels some sample reaches, ascending: level it[k] is row at[k]
+    # and level it[k] + 1 the next row.
+    levels = np.flatnonzero(np.bincount(np.concatenate((it, it + 1))))
+    at = np.searchsorted(levels, it)
+    S = np.zeros((levels.size, g.nx))
     scale = 1.0 / (g.dx * g.dt)
     for j in range(spec.d):
         i, a = ix[j], wx[j]
         v = residual[j] * scale
-        np.add.at(S, (it, np.full(spec.m, i)), (1.0 - wt) * (1.0 - a) * v)
-        np.add.at(S, (it, np.full(spec.m, i + 1)), (1.0 - wt) * a * v)
-        np.add.at(S, (it + 1, np.full(spec.m, i)), wt * (1.0 - a) * v)
-        np.add.at(S, (it + 1, np.full(spec.m, i + 1)), wt * a * v)
-    return S
+        np.add.at(S, (at, np.full(spec.m, i)), (1.0 - wt) * (1.0 - a) * v)
+        np.add.at(S, (at, np.full(spec.m, i + 1)), (1.0 - wt) * a * v)
+        np.add.at(S, (at + 1, np.full(spec.m, i)), wt * (1.0 - a) * v)
+        np.add.at(S, (at + 1, np.full(spec.m, i + 1)), wt * a * v)
+    return levels, S
 
 
 def render_measurement_csv(data: np.ndarray, spec: ObservationSpec) -> str:

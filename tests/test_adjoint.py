@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from heatflux import adjoint, config, forward, observation, pchip
+from heatflux import adjoint, cli, config, forward, observation, pchip
 from heatflux.errors import ValidationError
 from heatflux.forward import Grid
 from heatflux.observation import ObservationSpec
@@ -38,6 +38,17 @@ def case(builtin_material):
     return make_case(builtin_material)
 
 
+def heap_peak(fn, *args):
+    """fn(*args) and the peak of the heap it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before, out
+    finally:
+        tracemalloc.stop()
+
+
 def gradient_at(fp, meas, m, u0, g):
     _, residual, field = adjoint.objective(fp, meas, m, u0, g)
     return adjoint.compute_gradient(fp, meas, m, field, residual)
@@ -54,7 +65,8 @@ class TestExactness:
         assert f == 0.0
         assert (grad == 0.0).all()
         src = observation.adjoint_source(residual, spec, g)
-        assert (adjoint.solve_adjoint(field, m, fp_true, src) == 0.0).all()
+        for _, _, block in adjoint._adjoint_blocks(field, m, fp_true, src):
+            assert (block == 0.0).all()
 
     def test_directional_duality_with_tangent_solver(self, case):
         # <grad, h> must equal sum(residual * observe(W_h)) to rounding: the
@@ -114,15 +126,30 @@ class TestAdjointField:
         m, g, u0, spec, meas, fp = case
         _, residual, field = adjoint.objective(fp, meas, m, u0, g)
         src = observation.adjoint_source(residual, spec, g)
-        phi = adjoint.solve_adjoint(field, m, fp, src)
-        assert (phi[-1] == 0.0).all()
-        assert phi.shape == (g.nt + 1, g.nx)
+        traces = adjoint.solve_adjoint(field, m, fp, src)
+        assert (traces[-1] == 0.0).all()
+        assert traces.shape == (g.nt + 1, 2)
 
     def test_source_shape_is_validated(self, case):
         m, g, u0, spec, meas, fp = case
-        field = forward.solve_ibvp(m, fp, u0, g)
         with pytest.raises(ValidationError):
-            adjoint.solve_adjoint(field, m, fp, np.zeros((3, 3)))
+            observation.adjoint_source(np.zeros((3, 25)), spec, g)
+        field = forward.solve_ibvp(m, fp, u0, g)
+        bad = [
+            ([3, 4], (3, 31)),  # fewer levels than rows
+            ([3, 4], (2, 30)),  # rows one node short
+            ([[3, 4]], (2, 31)),  # levels not 1-D
+            ([4, 3], (2, 31)),  # descending
+            ([3, 3], (2, 31)),  # repeated
+            ([-1, 3], (2, 31)),  # before the first level
+            ([3, 81], (2, 31)),  # after the last level
+            ([3.0, 4.0], (2, 31)),  # not integers
+        ]
+        for levels, shape in bad:
+            with pytest.raises(ValidationError):
+                adjoint.solve_adjoint(field, m, fp, (np.array(levels), np.zeros(shape)))
+        traces = adjoint.solve_adjoint(field, m, fp, (np.array([0, 80]), np.ones((2, 31))))
+        assert traces.shape == (g.nt + 1, 2)
 
     def test_assembly_shapes_are_validated(self, case):
         m, g, u0, spec, meas, fp = case
@@ -133,20 +160,32 @@ class TestAdjointField:
     def test_solve_holds_one_block_of_coefficients(self, builtin_material):
         # On the default inversion grid (91 x 3300) the march streams its
         # frozen coefficients through the trajectory a block of levels at a
-        # time, so its heap peak, the phi it returns included, stays within
-        # 3x that phi; a pass over the whole trajectory at once holds about
-        # ten trajectory-sized arrays.
+        # time, so its heap peak stays within 3x the trajectory; a pass over
+        # the whole trajectory at once holds about ten trajectory-sized
+        # arrays.
         cfg = config.ExperimentConfig()
         g = config.inv_grid(cfg)
         fp = config.exact_flux_parameter(cfg)
         field = forward.solve_ibvp(builtin_material, fp, np.full(g.nx, cfg.u0), g)
-        src = np.random.default_rng(4).standard_normal(field.values.shape)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            phi = adjoint.solve_adjoint(field, builtin_material, fp, src)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert phi.shape == (g.nt + 1, g.nx)
-        assert peak <= 3 * phi.nbytes
+        src = (np.arange(g.nt + 1), np.random.default_rng(4).standard_normal(field.values.shape))
+        peak, traces = heap_peak(adjoint.solve_adjoint, field, builtin_material, fp, src)
+        assert traces.shape == (g.nt + 1, 2)
+        assert peak <= 3 * field.values.nbytes
+
+    def test_gradient_holds_no_trajectory_sized_array(self, builtin_material):
+        # One gradient on the default twin data at 91 x 3300: the sparse
+        # source, the adjoint's one block of levels and its two wall traces
+        # keep the heap peak of the whole chain (source, march, assembly)
+        # near the march's block working set, about 1.7x the trajectory. A
+        # dense source and a returned phi add two trajectories (3.5x).
+        cfg = config.ExperimentConfig()
+        _, meas = cli._simulate_measurement(cfg)
+        g = config.inv_grid(cfg)
+        fp = config.exact_flux_parameter(cfg)
+        u0 = np.full(g.nx, cfg.u0)
+        _, residual, field = adjoint.objective(fp, meas, builtin_material, u0, g)
+        peak, grad = heap_peak(
+            adjoint.compute_gradient, fp, meas, builtin_material, field, residual
+        )
+        assert grad.shape == (2 * fp.n,)
+        assert peak <= 2.5 * field.values.nbytes

@@ -6,7 +6,9 @@ the tangent and adjoint marches (`adjoint.solve_sensitivity`,
 `adjoint.solve_adjoint`) apply to a block of levels at a time; the adjoint
 reads transport and Robin factors hoisted over each block and checks its
 levels for finiteness once per block, the forward march through their wall
-values.
+values. The adjoint keeps only its wall traces; the tests rebuild every level
+of phi from the blocks its march hands out (`adjoint._adjoint_blocks`), and
+feed it a source on every level or, as the sensors do, on some levels only.
 The plain marches below keep the straightforward per-step form: `pchip.eval`
 for every coefficient (on the whole trajectory in one call), each band
 written from `amid` inside the step, every product formed inside the step.
@@ -110,6 +112,31 @@ def plain_solve_adjoint(u, m, fp, source, g):
     return phi
 
 
+def dense_pair(source):
+    """A dense (nt+1) x nx source as the (levels, rows) pair the adjoint takes."""
+    return np.arange(len(source)), source
+
+
+def sparse_pair(source):
+    """Every third row of `source`, none of the last five: the pair, and the
+    dense source it stands for, zero on the other levels."""
+    levels = np.arange(1, len(source) - 5, 3)
+    dense = np.zeros_like(source)
+    dense[levels] = source[levels]
+    return (levels, source[levels]), dense
+
+
+def adjoint_levels(u, m, fp, source):
+    """Every level of phi, rebuilt from the blocks the adjoint march hands
+    out, after checking that `solve_adjoint` returns their wall columns."""
+    phi = np.zeros_like(u.values)
+    for lo, hi, block in adjoint._adjoint_blocks(u, m, fp, source):
+        phi[lo:hi] = block
+    traces = adjoint.solve_adjoint(u, m, fp, source)
+    assert traces.tobytes() == phi[:, [0, -1]].tobytes()
+    return phi
+
+
 def plain_solve_sensitivity(u, m, fp, h, g):
     b0, bL = pchip.flux_interpolants(fp)
     n = fp.n
@@ -195,9 +222,19 @@ def test_forward_march_matches_plain_code(marches, name):
 @pytest.mark.parametrize("name", CASES)
 def test_adjoint_march_matches_plain_code(marches, name):
     m, fp, field, _, source = marches[name]
-    got = adjoint.solve_adjoint(field, m, fp, source)
+    got = adjoint_levels(field, m, fp, dense_pair(source))
     want = plain_solve_adjoint(field, m, fp, source, GRID)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_adjoint_march_on_a_sparse_source_matches_plain_code(marches, name):
+    # The march adds 0.0 at the levels without a row, which must round as
+    # the plain code's zero rows do.
+    m, fp, field, _, source = marches[name]
+    pair, dense = sparse_pair(source)
+    got = adjoint_levels(field, m, fp, pair)
+    assert got.tobytes() == plain_solve_adjoint(field, m, fp, dense, GRID).tobytes()
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -215,7 +252,8 @@ def test_adjoint_gradient_is_dual_to_tangent_march(marches, name):
     # and assembly are the exact transpose of the tangent march, also at the
     # box corner where c*beta' > 2.
     m, fp, field, _, source = marches[name]
-    grad = adjoint.assemble_gradient(adjoint.solve_adjoint(field, m, fp, source), field, fp)
+    traces = adjoint.solve_adjoint(field, m, fp, dense_pair(source))
+    grad = adjoint.assemble_gradient(traces, field, fp)
     rng = np.random.default_rng(21)
     for _ in range(5):
         h = rng.standard_normal(2 * fp.n)
@@ -269,7 +307,7 @@ def test_adjoint_divergence_step_matches_plain_code(marches):
     source[40, 3] = np.inf
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as got:
-            adjoint.solve_adjoint(field, m, fp, source)
+            adjoint.solve_adjoint(field, m, fp, dense_pair(source))
         with pytest.raises(DivergenceError) as want:
             plain_solve_adjoint(field, m, fp, source, GRID)
     assert got.value.step == want.value.step == GRID.nt - 39
@@ -291,8 +329,11 @@ def test_marches_match_plain_code_in_seven_level_blocks(marches, name, monkeypat
     m, fp, field, plain, source = marches[name]
     got = forward.solve_ibvp(m, fp, field.values[0], GRID)
     assert got.values.tobytes() == plain.tobytes()
-    got = adjoint.solve_adjoint(field, m, fp, source)
+    got = adjoint_levels(field, m, fp, dense_pair(source))
     assert got.tobytes() == plain_solve_adjoint(field, m, fp, source, GRID).tobytes()
+    pair, dense = sparse_pair(source)
+    got = adjoint_levels(field, m, fp, pair)
+    assert got.tobytes() == plain_solve_adjoint(field, m, fp, dense, GRID).tobytes()
     h = np.random.default_rng(9).standard_normal(2 * fp.n)
     got = adjoint.solve_sensitivity(field, m, fp, h)
     assert got.values.tobytes() == plain_solve_sensitivity(field, m, fp, h, GRID).tobytes()
@@ -323,7 +364,7 @@ def test_adjoint_divergence_step_at_block_edges(marches, monkeypatch, levels, s)
     source = source.copy()
     source[s + 1, 3] = np.inf
     with pytest.raises(DivergenceError) as got:
-        adjoint.solve_adjoint(field, m, fp, source)
+        adjoint.solve_adjoint(field, m, fp, dense_pair(source))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as want:
             plain_solve_adjoint(field, m, fp, source, GRID)
@@ -369,7 +410,7 @@ def test_forward_scan_back_finds_an_interior_first_level():
 def test_adjoint_march_leaves_its_inputs_alone(marches):
     m, fp, field, _, source = marches["steep"]
     before = (source.tobytes(), field.values.tobytes())
-    adjoint.solve_adjoint(field, m, fp, source)
+    adjoint.solve_adjoint(field, m, fp, dense_pair(source))
     assert (source.tobytes(), field.values.tobytes()) == before
 
 

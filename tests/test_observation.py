@@ -143,6 +143,23 @@ class TestNoise:
             observation.add_noise(data, spec, amplitude=-1.0, seed=7)
 
 
+def dense_adjoint_source(residual, spec, g):
+    """The whole (nt+1) x nx source, summed sensor by sensor, weight term by
+    weight term, sample time by sample time: the reference for the sparse
+    rows `adjoint_source` returns."""
+    ix, wx, it, wt = observation._weights(spec, g)
+    S = np.zeros((g.nt + 1, g.nx))
+    scale = 1.0 / (g.dx * g.dt)
+    for j in range(spec.d):
+        i, a = ix[j], wx[j]
+        v = residual[j] * scale
+        np.add.at(S, (it, np.full(spec.m, i)), (1.0 - wt) * (1.0 - a) * v)
+        np.add.at(S, (it, np.full(spec.m, i + 1)), (1.0 - wt) * a * v)
+        np.add.at(S, (it + 1, np.full(spec.m, i)), wt * (1.0 - a) * v)
+        np.add.at(S, (it + 1, np.full(spec.m, i + 1)), wt * a * v)
+    return S
+
+
 class TestDuality:
     def test_injection_is_exact_transpose_of_sampling(self):
         g = Grid(L=0.05, T=3.0, nx=23, nt=17)
@@ -155,14 +172,50 @@ class TestDuality:
             w = rng.standard_normal((g.nt + 1, g.nx))
             v = rng.standard_normal((spec.d, spec.m))
             lhs = float(np.sum(observation.observe(EnthalpyField(g, w), spec) * v))
-            rhs = float(np.sum(w * observation.adjoint_source(v, spec, g)) * g.dx * g.dt)
+            levels, rows = observation.adjoint_source(v, spec, g)
+            rhs = float(np.sum(w[levels] * rows) * g.dx * g.dt)
             assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "positions, times",
+        [
+            # A sample at t = T (the last cell at weight 1), one before dt
+            # (level 0), a sensor in the last space cell (a wall column the
+            # march doubles).
+            ([0.0041, 0.0318, 0.0487], [0.05, 0.83, 1.371, 3.0]),
+            # Two sensors in one space cell, and samples a third of dt and
+            # one dt apart, so that several contributions share an entry and
+            # their order of summation decides its last bit.
+            (
+                [0.0173, 0.018, 0.0449, 0.0499],
+                [0.5, 0.56, 0.62, 0.5 + 3.0 / 17, 0.5 + 6.0 / 17, 2.95, 3.0],
+            ),
+            # A sample one dt after the other, on every level.
+            ([0.0031, 0.025], list(np.linspace(3.0 / 17, 3.0, 17))),
+        ],
+        ids=["edges", "shared-entries", "every-level"],
+    )
+    def test_sparse_rows_are_the_dense_source_bitwise(self, positions, times):
+        g = Grid(L=0.05, T=3.0, nx=23, nt=17)
+        spec = ObservationSpec(positions=np.array(positions), times=np.array(times))
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            v = rng.standard_normal((spec.d, spec.m)) * 10.0 ** rng.integers(-8, 8, spec.m)
+            levels, rows = observation.adjoint_source(v, spec, g)
+            dense = dense_adjoint_source(v, spec, g)
+            assert levels.dtype.kind == "i" and (np.diff(levels) > 0).all()
+            assert rows.tobytes() == dense[levels].tobytes()
+            others = np.setdiff1d(np.arange(g.nt + 1), levels)
+            assert not dense[others].any()
 
     def test_source_shape_checked(self):
         g = Grid(L=1.0, T=1.0, nx=5, nt=4)
         spec = ObservationSpec(positions=np.array([0.5]), times=np.array([0.5]))
         with pytest.raises(ValidationError):
             observation.adjoint_source(np.zeros((2, 2)), spec, g)
+        levels, rows = observation.adjoint_source(np.ones((1, 1)), spec, g)
+        assert levels.tolist() == [2, 3] and rows.shape == (2, g.nx)
 
 
 class TestSerialization:
