@@ -22,12 +22,12 @@ operator, nonzero only at the time levels the sensor samples reach
 forward parabolic problem and is marched with the same semi-implicit
 tridiagonal stencil as the state equation; coefficients along the stored
 trajectory are taken at the original interval's earlier time level and the
-source at its later one, which picks up the residual at t = T. Each adjoint step is the exact
-volume-weighted transpose of the tangent step: the implicit operator is
-self-adjoint under the half-cell weights, `_transport_apply_t` transposes
-`_transport_apply`, and the Robin terms mirror the flux linearization. The
-assembled gradient is therefore the gradient of the discrete objective up to
-rounding.
+source at its later one, which picks up the residual at t = T. Each adjoint
+step is the exact volume-weighted transpose of the tangent step: the
+implicit operator is self-adjoint under the half-cell weights, the adjoint
+step's transport correction transposes `_transport_apply`, and the Robin
+terms mirror the flux linearization. The assembled gradient is therefore the
+gradient of the discrete objective up to rounding.
 
 The gradient itself is the time integral of the boundary traces:
 
@@ -45,23 +45,26 @@ linearized marches take their grid from the trajectory they linearize about
 and walk it in blocks of consecutive steps (`_step_blocks`), as many levels
 as fill one `pchip.eval` block (180 at 91 nodes): the tangent march forward
 in time, the adjoint march backward. Just before it marches through a block,
-a march computes the block's frozen coefficients (`_step_coefficients`),
-which also fills the bands of the block's steps at once with the state
-march's `_diffusion_bands`; so it holds one block of coefficients, not a
-trajectory of them. The adjoint takes a block's transport factors from
-`_transport_factors`, formed in the order the per-step products used, so
-every product rounds as it would inside the step. Its steps allocate
-nothing: each right-hand side is formed in the row of the block's levels it
-is solved for, `_transport_apply_t` writes into buffers of the march, and the
-two wall rows are updated with Python floats. A step whose later level the
-samples reach adds that level's source row; any other step adds 0.0, which
-rounds exactly like a zero row. Each adjoint step keeps dgtsv's singularity
-test; the finiteness of the solved levels is checked once per block
-(`_check_block`), which raises at the step a per-step check would: the march
-is linear, so a non-finite level only carries non-finite values forward.
-The march itself is `_adjoint_blocks`, which hands out each block of solved
-levels once it is checked; `solve_adjoint` keeps their wall traces, and the
-tests every level.
+a march computes the block's frozen coefficients with the function
+`_step_coefficients` returns. That function holds one `pchip.march_evaluator`
+for the diffusivity and its slope, one for each boundary flux, and one block
+of coefficient buffers, all made once per march; it fills the bands of the
+block's steps at once, one contiguous row per step, with the state march's
+`_diffusion_bands`. So a march holds one block of coefficients, not a
+trajectory of them, and computes every block's in the same buffers. The
+adjoint forms a block's transport and Robin factors in the order the
+per-step products used, so every product rounds as it would inside the
+step. Its steps allocate nothing: each right-hand side is formed in the row
+of the block's levels it is solved for, the interior of the transport
+correction goes through buffers of the march, and the two wall values are
+formed in Python floats. A step whose later level the samples reach adds
+that level's source row; any other step adds a zero row. Each adjoint step
+keeps dgtsv's singularity test; the finiteness of the solved levels is
+checked once per block (`_check_block`), which raises at the step a
+per-step check would: the march is linear, so a non-finite level only
+carries non-finite values forward. The march itself is `_adjoint_blocks`,
+which hands out each block of solved levels once it is checked;
+`solve_adjoint` keeps their wall traces, and the tests every level.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ from scipy.linalg.lapack import dgtsv
 
 from . import pchip
 from .errors import DivergenceError, ValidationError
-from .forward import EnthalpyField, Grid, _diffusion_bands, _step_tridiagonal, solve_ibvp
+from .forward import EnthalpyField, Grid, _diffusion_bands, _solve_step, solve_ibvp
 from .material import MaterialModel
 from .observation import Measurement, adjoint_source, observe
 from .pchip import FluxParameter, flux_interpolants
@@ -95,7 +98,7 @@ def _transport_apply(
 
     Differentiating the implicit diffusion term with respect to its lagged
     coefficients gives, per row, interface products of d(alpha')/du (`ap`),
-    the new-level state increments `du_new`, and w. `_transport_apply_t` is
+    the new-level state increments `du_new`, and w. The adjoint step applies
     the exact transpose of this map under the half-cell volume weights; the
     pair keeps sensitivity and adjoint marches exactly dual.
     """
@@ -105,43 +108,6 @@ def _transport_apply(
     out[0] = -r * du_new[0] * pw2[0]
     out[1:-1] = 0.5 * r * (du_new[:-1] * pw2[:-1] - du_new[1:] * pw2[1:])
     out[-1] = r * du_new[-1] * pw2[-1]
-    return out
-
-
-def _transport_factors(du_new: np.ndarray, ap: np.ndarray, r: float):
-    """Per-step factors of `_transport_apply_t` for a block of steps.
-
-    Row i of `du_new` holds the increments at the new level of step i and
-    row i of `ap` d(alpha')/du at its old level, as `_step_coefficients`
-    returns them. Row i of the result holds (0.5 r) ap at the interior nodes,
-    and entry i of two lists of Python floats (r du_new) ap at the two walls.
-    Each product is formed in the order a per-step evaluation of the
-    transpose would use, so it rounds the same.
-    """
-    half_ap = (0.5 * r) * ap[:, 1:-1]
-    wall0 = (r * du_new[:, 0]) * ap[:, 0]
-    wallL = (r * du_new[:, -1]) * ap[:, -1]
-    return half_ap, wall0.tolist(), wallL.tolist()
-
-
-def _transport_apply_t(
-    half_ap: np.ndarray, wall0: float, wallL: float, du_new: np.ndarray, q: np.ndarray,
-    out: np.ndarray, pd: np.ndarray,
-) -> np.ndarray:
-    """Volume-weighted transpose of `_transport_apply`, for adjoint marches.
-
-    Takes one level of the factors `_transport_factors` hoists out of the
-    march, the wall factors as Python floats. Writes the result into `out`
-    (nx entries) and returns it; `pd` (nx - 1 entries) is scratch.
-    """
-    np.subtract(q[1:], q[:-1], out=pd)
-    dq_0, dq_L = pd.item(0), pd.item(-1)
-    pd *= du_new
-    inner = out[1:-1]
-    np.add(pd[:-1], pd[1:], out=inner)
-    inner *= half_ap
-    out[0] = wall0 * dq_0
-    out[-1] = wallL * dq_L
     return out
 
 
@@ -156,38 +122,49 @@ def _step_blocks(g: Grid) -> list[tuple[int, int]]:
 
 
 def _step_coefficients(
-    u: EnthalpyField, m: MaterialModel, b0: pchip.Pchip, bL: pchip.Pchip, lo: int, hi: int
+    u: EnthalpyField, m: MaterialModel, b0: pchip.Pchip, bL: pchip.Pchip, size: int
 ):
-    """Frozen coefficients of the linearized steps lo, ..., hi - 1 along `u`.
+    """The frozen coefficients of the linearized steps along `u`, a block of
+    at most `size` consecutive steps at a time.
 
-    Returns (du, ap, bands, b0p, bLp), row i for the step from level lo + i:
-    the state increments between neighbouring nodes at its new level, and at
-    its old level d(alpha')/du at the nodes, its implicit operator
-    (`bands[i]`, in `_diffusion_bands` layout; the solve overwrites it, so
-    each is used once) and the two boundary flux slopes. The tangent march
-    (`solve_sensitivity`) and the adjoint march (`solve_adjoint`) both read
-    them from here, a block at a time, so one is the transpose of the other
-    on the same numbers. Every evaluation is elementwise per level, so each
-    level gets the values a per-step evaluation would give, whatever the
-    block.
+    Returns a function `coefficients(lo, hi)` for a block of steps lo, ...,
+    hi - 1. It fills buffers made here once, one contiguous row per step,
+    and returns views of them, valid until its next call: (du, ap, off,
+    diag, b0p, bLp), row i for the step from level lo + i. They are the
+    state increments between neighbouring nodes at its new level, and at its
+    old level d(alpha')/du at the nodes, the off-diagonals and diagonal of
+    its implicit operator (`_diffusion_bands` layout; the solve overwrites
+    them, so each is used once) and the two boundary flux slopes. The
+    diffusivity and its slope come from one `pchip.march_evaluator` call
+    per block. The tangent march (`solve_sensitivity`) and the adjoint march
+    (`_adjoint_blocks`) both read them from here, so one is the transpose of
+    the other on the same numbers. Every evaluation is elementwise per
+    level, so each level gets the values a per-step evaluation would give,
+    whatever the block.
     """
     g = u.grid
-    levels = u.values[lo:hi]
-    du = np.diff(u.values[lo + 1 : hi + 1], axis=1)
-    alpha, ap = pchip.eval(m.diffusivity, levels, clamp=True)
-    # The extended interface means of every step, (amid[0], amid, amid[-1]).
-    e = np.empty((hi - lo, g.nx + 1))
-    amid = e[:, 1:-1]
-    np.add(alpha[:, :-1], alpha[:, 1:], out=amid)
-    amid *= 0.5
-    e[:, 0], e[:, -1] = amid[:, 0], amid[:, -1]
-    # One contiguous (3, nx) block per step, filled through a view that puts
-    # the levels last.
-    bands = np.empty((hi - lo, 3, g.nx))
-    _diffusion_bands(bands.transpose(1, 2, 0), e.T, g.dt / g.dx**2)
-    b0p = pchip.eval(b0, levels[:, 0], clamp=True)[1]
-    bLp = pchip.eval(bL, levels[:, -1], clamp=True)[1]
-    return du, ap, bands, b0p, bLp
+    U, nx = u.values, g.nx
+    alpha, ap = np.empty((size, nx)), np.empty((size, nx))
+    S, du = np.empty((size, nx + 1)), np.empty((size, nx - 1))
+    off, diag = np.empty((size, 2, nx - 1)), np.empty((size, nx))
+    b0p, bLp, flux = np.empty(size), np.empty(size), np.empty(size)
+    r = g.dt / g.dx**2
+    diffusivity = pchip.march_evaluator(m.diffusivity, size * nx)
+    flux0, fluxL = pchip.march_evaluator(b0, size), pchip.march_evaluator(bL, size)
+
+    def coefficients(lo: int, hi: int):
+        k = hi - lo
+        diffusivity(U[lo:hi].reshape(-1), alpha[:k].reshape(-1), ap[:k].reshape(-1))
+        Sk = S[:k]
+        np.add(alpha[:k, :-1], alpha[:k, 1:], out=Sk[:, 1:-1])
+        Sk[:, 0], Sk[:, -1] = Sk[:, 1], Sk[:, -2]
+        _diffusion_bands(Sk, off[:k], diag[:k], r)()
+        np.subtract(U[lo + 1 : hi + 1, 1:], U[lo + 1 : hi + 1, :-1], out=du[:k])
+        flux0(U[lo:hi, 0], flux[:k], b0p[:k])
+        fluxL(U[lo:hi, -1], flux[:k], bLp[:k])
+        return du[:k], ap[:k], off[:k], diag[:k], b0p[:k], bLp[:k]
+
+    return coefficients
 
 
 def solve_sensitivity(
@@ -217,8 +194,10 @@ def solve_sensitivity(
     W = np.zeros((g.nt + 1, g.nx))
     G0 = pchip.grad_wrt_values_many(b0, u.values[:, 0], clamp=True)
     GL = pchip.grad_wrt_values_many(bL, u.values[:, -1], clamp=True)
-    for lo, hi in _step_blocks(g):
-        du, ap, bands, b0p, bLp = _step_coefficients(u, m, b0, bL, lo, hi)
+    blocks = _step_blocks(g)
+    coefficients = _step_coefficients(u, m, b0, bL, blocks[0][1])
+    for lo, hi in blocks:
+        du, ap, off, diag, b0p, bLp = coefficients(lo, hi)
         for i, k in enumerate(range(lo, hi)):
             wn = W[k]
             src0 = float(G0[k] @ h0)
@@ -227,7 +206,7 @@ def solve_sensitivity(
             rhs = wn - _transport_apply(ap[i], du[i], wn, r)
             rhs[0] -= c * (b0p[i] * wn[0] + src0)
             rhs[-1] -= c * (bLp[i] * wn[-1] + srcL)
-            W[k + 1] = _step_tridiagonal(bands[i], rhs, k + 1)
+            W[k + 1] = _solve_step(off[i, 1], diag[i], off[i, 0], rhs, k + 1)
     return EnthalpyField(g, W)
 
 
@@ -265,49 +244,75 @@ def _adjoint_blocks(u: EnthalpyField, m: MaterialModel, fp: FluxParameter, sourc
     b0, bL = flux_interpolants(fp)
     r = g.dt / g.dx**2
     c = 2.0 * g.dt / g.dx
+    half_r = np.array(0.5 * r)
 
-    # Every step works in these buffers: the carried level psi and the
-    # transpose's output and scratch. Its right-hand side is formed in the
-    # row of its block that it solves for and solved there.
-    psi = np.zeros(g.nx)
-    tq, pd = np.empty(g.nx), np.empty(g.nx - 1)
-    for lo, hi in reversed(_step_blocks(g)):
+    blocks = _step_blocks(g)
+    size, nx = blocks[0][1], g.nx
+    coefficients = _step_coefficients(u, m, b0, bL, size)
+    # Every step works in these buffers: the carried level psi, the scratch
+    # of the transposed transport correction and a zero source row; a
+    # block's interior transport factors (0.5 r) ap go into `half_ap`. Each
+    # right-hand side is formed in the row of its block that it solves for
+    # and solved there.
+    psi, zero = np.zeros(nx), np.zeros(nx)
+    pd, inner = np.empty(nx - 1), np.empty(nx - 2)
+    psi_in, pd_lo, pd_hi = psi[1:-1], pd[:-1], pd[1:]
+    half_ap = np.empty((size, nx - 2))
+    for lo, hi in reversed(blocks):
         # Everything that does not depend on the freshly solved level is
-        # hoisted out of the block's steps: weighted source rows by step, the
-        # tangent march's frozen coefficients and step bands, their per-step
-        # products with the step constants (transport factors, Robin factors
-        # c*beta'), and the three band views dgtsv solves with. The wall and
+        # hoisted out of the block's steps: the frozen coefficients and step
+        # bands, their per-step products with the step constants (transport
+        # factors, Robin factors c*beta'), the weighted source rows, and the
+        # row views every step reads. Each product is formed in the order a
+        # per-step evaluation would use, so it rounds the same; the wall and
         # Robin factors go to the loop as Python floats.
-        du, ap, bands, b0p, bLp = _step_coefficients(u, m, b0, bL, lo, hi)
+        k = hi - lo
+        du, ap, off, diag, b0p, bLp = coefficients(lo, hi)
+        np.multiply(ap[:, 1:-1], half_r, out=half_ap[:k])
+        wall0 = ((r * du[:, 0]) * ap[:, 0]).tolist()
+        wallL = ((r * du[:, -1]) * ap[:, -1]).tolist()
+        robin0, robinL = (c * b0p).tolist(), (c * bLp).tolist()
+        # A step whose later level the samples miss adds the zero row.
         a, b = np.searchsorted(levels, (lo + 1, hi + 1))
         weighted_src = g.dt * rows[a:b]
         weighted_src[:, [0, -1]] *= 2.0  # source density doubles on the wall half cells
-        src = dict(zip((levels[a:b] - (lo + 1)).tolist(), weighted_src))
-        half_ap, wall0, wallL = _transport_factors(du, ap, r)
-        robin0, robinL = (c * b0p).tolist(), (c * bLp).tolist()
-        sub, diag, sup = list(bands[:, 2, :-1]), list(bands[:, 1]), list(bands[:, 0, 1:])
-        block = np.empty((hi - lo, g.nx))
+        src = [zero] * k
+        for i, row in zip((levels[a:b] - (lo + 1)).tolist(), weighted_src):
+            src[i] = row
+        block = np.empty((k, nx))
+        sub, dia, sup = list(off[:, 1]), list(diag), list(off[:, 0])
+        Q, Q_in = list(block), list(block[:, 1:-1])
+        Q_hi, Q_lo = list(block[:, 1:]), list(block[:, :-1])
+        du_rows, half_rows = list(du), list(half_ap[:k])
         # The block's levels are checked once, after its last step; until
         # then the arithmetic on a non-finite level must not warn.
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(hi - lo - 1, -1, -1):
+            for i in range(k - 1, -1, -1):
                 # The implicit operator is self-adjoint under the half-cell
                 # volume weights, so the adjoint march solves with the state
                 # step's bands.
-                q = block[i]
-                np.add(psi, src.get(i, 0.0), out=q)
-                if dgtsv(sub[i], diag[i], sup[i], q, 1, 1, 1, 1)[-1] != 0:
+                q = Q[i]
+                np.add(psi, src[i], out=q)
+                if dgtsv(sub[i], dia[i], sup[i], q, 1, 1, 1, 1)[-1] != 0:
                     _check_block(block[i + 1 :], lo + i + 1, g.nt)
                     step = g.nt - lo - i
                     raise DivergenceError(f"singular step matrix at time step {step}", step=step)
                 # Carry to the next (earlier) level: the transposed transport
                 # correction and the Robin terms alpha' phi_x = beta' phi act
                 # on the freshly solved level, mirroring the frozen-coefficient
-                # treatment of the state march.
-                _transport_apply_t(half_ap[i], wall0[i], wallL[i], du[i], q, tq, pd)
-                np.subtract(q, tq, out=psi)
-                psi[0] = psi.item(0) - robin0[i] * q.item(0)
-                psi[-1] = psi.item(-1) - robinL[i] * q.item(-1)
+                # treatment of the state march. Inside, the correction is
+                # (0.5 r) ap (du dq summed over the two adjacent intervals),
+                # where dq is the level's increment; on the walls it is
+                # (r du) ap dq, and each wall value is formed in Python floats
+                # as (q - correction) - robin q.
+                np.subtract(Q_hi[i], Q_lo[i], out=pd)
+                q0, qL, dq0, dqL = q.item(0), q.item(-1), pd.item(0), pd.item(-1)
+                pd *= du_rows[i]
+                np.add(pd_lo, pd_hi, out=inner)
+                inner *= half_rows[i]
+                np.subtract(Q_in[i], inner, out=psi_in)
+                psi[0] = (q0 - wall0[i] * dq0) - robin0[i] * q0
+                psi[-1] = (qL - wallL[i] * dqL) - robinL[i] * qL
             _check_block(block, lo, g.nt)
         yield lo, hi, block
 

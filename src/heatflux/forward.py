@@ -18,14 +18,17 @@ exactly, which mirrors the continuous energy balance of the model.
 The march reads the diffusivity through `pchip.march_evaluator` (values only,
 from the interval table the interpolant was built with, equal to `pchip.eval`
 bit for bit) and the boundary fluxes through `pchip._eval_scalar`. A step
-allocates nothing: the evaluator writes into a buffer of the march, the
-interface means and the bands are filled in place, and the right-hand side is
-formed in the next level of the output field and solved there. The buffers
-live for one call. Each step tests the level it starts from through the two
-wall values it reads anyway, and scans back for the first non-finite level
-only when they are not finite. Its linearization, the tangent march and its
-transpose, lives in `adjoint`, which fills its step bands with this module's
-`_diffusion_bands`.
+allocates nothing: the evaluator writes into a buffer of the march, the sums
+of neighbouring diffusivities go into another, `_diffusion_bands` fills the
+bands from them in one pass (four ufunc calls, the same bits as bands
+written from the interface means), and the right-hand side is formed in the
+next level of the output field and solved there. The buffers and their
+views live for one call. Each step tests the level it starts from through
+the two wall values it reads anyway, and scans back for the first
+non-finite level only when they are not finite. Its linearization, the
+tangent march and its transpose, lives in `adjoint`, which fills the bands
+of a block of steps at once with the same `_diffusion_bands` and solves the
+tangent steps with `_solve_step`.
 """
 
 from __future__ import annotations
@@ -86,6 +89,17 @@ class EnthalpyField:
 
 
 def _step_tridiagonal(ab: np.ndarray, rhs: np.ndarray, step: int) -> np.ndarray:
+    """`_solve_step` on bands in LAPACK's banded layout: ab[0, j] = A[j-1, j],
+    ab[1, j] = A[j, j], ab[2, j] = A[j+1, j]. The tests' plain per-step
+    marches fill and solve this layout."""
+    return _solve_step(ab[2, :-1], ab[1], ab[0, 1:], rhs, step)
+
+
+def _solve_step(
+    sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray, step: int
+) -> np.ndarray:
+    """Solve one step's tridiagonal system, raising `DivergenceError` at
+    `step` when it is singular or its solution is not finite."""
     # Direct LAPACK tridiagonal solve; the bands are rebuilt every step, so
     # letting the factorization overwrite them costs nothing. A contiguous
     # `rhs` is solved in place and returned; the flags go positionally
@@ -93,7 +107,7 @@ def _step_tridiagonal(ab: np.ndarray, rhs: np.ndarray, step: int) -> np.ndarray:
     # The tangent march checks every step here. The state march and the
     # adjoint march call dgtsv themselves and check their levels less often
     # (see `solve_ibvp` and `adjoint._adjoint_blocks`).
-    _, _, _, out, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, 1, 1, 1, 1)
+    _, _, _, out, info = dgtsv(sub, diag, sup, rhs, 1, 1, 1, 1)
     # A single BLAS reduction detects NaN and inf anywhere in the solution
     # (both propagate through the dot product) far cheaper than an
     # elementwise isfinite scan in this per-step hot path. The dot can also
@@ -119,33 +133,45 @@ def _raise_first_nonfinite(U: np.ndarray, k: int) -> None:
     raise DivergenceError(f"solution became non-finite at time step {k}", step=k)
 
 
-def _diffusion_bands(ab: np.ndarray, e: np.ndarray, r: float) -> np.ndarray:
-    """Fill the banded implicit operator I + r*K from extended interface means.
+def _diffusion_bands(S: np.ndarray, off: np.ndarray, diag: np.ndarray, r: float):
+    """Return `fill()`, the one-pass fill of the bands of the implicit
+    operator I + r*K from `S` into `off` and `diag`; r = dt/dx^2.
 
-    `e` holds the nx - 1 interface means amid of the diffusivity with each
-    end value repeated, nx + 1 entries: e = (amid[0], amid, amid[-1]).
-    Banded layout: ab[0, j] = A[j-1, j], ab[1, j] = A[j, j], ab[2, j] = A[j+1, j].
-    Interior rows balance the two adjacent interface fluxes; the first and
-    last rows are half-cell balances, equivalent to centered ghost points.
-    With the repeated ends every diagonal entry is 1 + r*(e[j] + e[j+1]):
-    the wall rows get r*(2 amid), which equals (2r)*amid bit for bit because
-    doubling is exact. The matrix is symmetric under the half-cell volume
-    weighting, so it is also the implicit operator of the adjoint march. A
-    trailing axis on `ab` (3, nx, levels) and `e` (nx + 1, levels) fills
-    many time levels at once, with the same arithmetic per entry. Every
-    entry is written in place.
+    `S` holds the nx - 1 sums s_j = alpha_j + alpha_(j+1) of neighbouring
+    nodal diffusivities with each end sum repeated, nx + 1 entries:
+    S = (s[0], s, s[-1]). One product s*(-r/2) fills both off-diagonals:
+    `off[0]` is the super-diagonal A[j, j+1] and `off[1]` the sub-diagonal
+    A[j+1, j], and the half-cell wall rows take s*(-r) at A[0, 1] and
+    A[nx-1, nx-2]. The diagonal is (S[j] + S[j+1])*(r/2) + 1. Interior rows
+    balance the two adjacent interface fluxes with the interface means
+    amid = s/2; the first and last rows are half-cell balances, equivalent
+    to centered ghost points. Each call of `fill` is four ufunc calls on
+    views made here once, and writes every entry in place.
+
+    These are the bands written from amid (-r*amid off the diagonal, doubled
+    on the walls, and 1 + r*(amid[j-1] + amid[j]) on it, with amid[0] and
+    amid[-1] doubled on the walls) bit for bit: halving and doubling are
+    exact, so s*(r/2), (s/2)*r and 2*((s/2)*r)/2 round alike. The identity
+    fails only where half a sum of diffusivities, or of two such sums, is
+    subnormal, or where the sum of two sums overflows. The matrix is
+    symmetric under the half-cell volume weighting, so it is also the
+    implicit operator of the adjoint march. Leading axes on `S`
+    (levels, nx + 1), `off` (levels, 2, nx - 1) and `diag` (levels, nx) fill
+    many time levels at once, each a contiguous row, with the same
+    arithmetic per entry.
     """
-    # Both off-diagonals hold -r*amid; the boundary rows double it, which is
-    # exact, so they equal -2r*amid bit for bit.
-    np.multiply(e[1:-1], -r, out=ab[0, 1:])
-    ab[2, :-1] = ab[0, 1:]
-    ab[0, 1] *= 2.0
-    ab[2, -2] *= 2.0
-    diag = ab[1]
-    np.add(e[:-1], e[1:], out=diag)
-    diag *= r
-    diag += 1.0
-    return ab
+    coef = np.full((2, S.shape[-1] - 2), -0.5 * r)
+    coef[0, 0] = coef[1, -1] = -r
+    half_r, one = np.array(0.5 * r), np.array(1.0)
+    s, S_lo, S_hi = S[..., None, 1:-1], S[..., :-1], S[..., 1:]
+
+    def fill():
+        np.multiply(s, coef, out=off)
+        np.add(S_lo, S_hi, out=diag)
+        np.multiply(diag, half_r, out=diag)
+        np.add(diag, one, out=diag)
+
+    return fill
 
 
 def solve_ibvp(m: MaterialModel, fp: FluxParameter, u0, g: Grid) -> EnthalpyField:
@@ -173,15 +199,16 @@ def solve_ibvp(m: MaterialModel, fp: FluxParameter, u0, g: Grid) -> EnthalpyFiel
 
     U = np.empty((g.nt + 1, g.nx))
     U[0] = u0
-    # Every step works in these buffers: the diffusivity, the extended
-    # interface means, the bands and the three views of them dgtsv solves
-    # with. Its right-hand side is written into the next level of U and
-    # solved there.
-    ab = np.zeros((3, g.nx))
-    sub, diag, sup = ab[2, :-1], ab[1], ab[0, 1:]
+    # Every step works in these buffers: the diffusivity, the extended sums
+    # of neighbouring diffusivities and the bands, with the views of them
+    # the step reads. Its right-hand side is written into the next level of
+    # U and solved there.
     alpha = np.empty(g.nx)
-    e = np.empty(g.nx + 1)
-    amid = e[1:-1]
+    S = np.empty(g.nx + 1)
+    s, a_lo, a_hi = S[1:-1], alpha[:-1], alpha[1:]
+    off, diag = np.empty((2, g.nx - 1)), np.empty(g.nx)
+    sup, sub = off
+    fill_bands = _diffusion_bands(S, off, diag, r)
     diffusivity = pchip.march_evaluator(m.diffusivity, g.nx)
     # A non-finite level shows in the wall values of the next level at the
     # latest; until then the arithmetic on it must not warn.
@@ -192,10 +219,9 @@ def solve_ibvp(m: MaterialModel, fp: FluxParameter, u0, g: Grid) -> EnthalpyFiel
             if not math.isfinite(u_0 + u_L):
                 _raise_first_nonfinite(U, n)
             diffusivity(un, alpha)
-            np.add(alpha[:-1], alpha[1:], out=amid)
-            amid *= 0.5
-            e[0], e[-1] = amid[0], amid[-1]
-            _diffusion_bands(ab, e, r)
+            np.add(a_lo, a_hi, out=s)
+            S[0], S[-1] = s[0], s[-1]
+            fill_bands()
             beta0 = pchip._eval_scalar(b0, u_0, True)[0]
             betaL = pchip._eval_scalar(bL, u_L, True)[0]
             rhs[:] = un

@@ -12,13 +12,18 @@ leave the value envelope. One function, `_slope_rule`, applies this rule and
 gives the derivatives and their Jacobian, both built with the interpolant.
 
 Construction also builds the interpolant's one per-interval table, which
-every evaluator reads: `eval`, its scalar path, and `march_evaluator`, its
-values-only form for the inner loop of a march. The module also provides the
-sensitivity of the interpolated value with respect to the data values
-(`grad_wrt_values_many`, from the stored banded slope Jacobian), which the
-tangent march and the adjoint gradient assembly rely on, and a
-nested-partition refinement loop (`refine_to_tolerance`). A
-`knot,value,slope` CSV file loads from its knot and value columns alone.
+both evaluators read: a scalar path, and `march_evaluator`, the one array
+evaluator, which writes values, or values and slopes, into buffers its
+caller owns and allocates nothing per call. `eval` runs a scalar on the one
+and an array on the other; the marches hold a `march_evaluator` for their
+whole run. Overflow-prone products in `_slope_rule` are taken on secants
+scaled by a power of two, so huge values give finite slopes with the bits
+of exact arithmetic. The module also provides the sensitivity of the
+interpolated value with respect to the data values (`grad_wrt_values_many`,
+from the stored banded slope Jacobian), which the tangent march and the
+adjoint gradient assembly rely on, and a nested-partition refinement loop
+(`refine_to_tolerance`). A `knot,value,slope` CSV file loads from its knot
+and value columns alone.
 
 `FluxParameter` bundles the two boundary heat-flux value vectors that the
 inverse solver optimizes, together with their shared enthalpy partition and
@@ -40,7 +45,8 @@ EQUIDISTANT_RTOL = 1e-12
 
 PCHIP_CSV_HEADER = ["knot", "value", "slope"]
 
-# Points per block when `eval` walks a large array.
+# Points per block when `eval` walks a large array; the linearized marches
+# take as many levels per block as fit in it.
 _EVAL_BLOCK = 16384
 
 
@@ -144,15 +150,26 @@ def _slope_rule(values: np.ndarray, h: float):
             J[k, 2 + j * s] = w * s * inv_h
     # Interior: harmonic mean where the adjacent secants agree in sign; zero on
     # a sign change and in the flat case, which keeps each interval monotone.
-    prod = delta[:-1] * delta[1:]
+    # A pair of secants above 2**510 could overflow the products and squares
+    # below, so it is scaled by a power of two that brings it under 1; every
+    # other pair keeps scale 1 and its bits. Such a scale changes no bit of a
+    # product ratio or of a mean divided back by it, so a scaled pair gets
+    # the slope and Jacobian entries of an unbounded exponent range, unless
+    # its smaller secant underflows under the scale.
+    big = np.maximum(np.abs(delta[:-1]), np.abs(delta[1:]))
+    scale = np.ones(n - 2)
+    over = big > 2.0**510
+    scale[over] = np.ldexp(1.0, -np.frexp(big[over])[1])
+    a, b = delta[:-1] * scale, delta[1:] * scale
+    prod = a * b
     ok = prod > 0.0
-    d[1:-1][ok] = 2.0 * np.abs(prod[ok]) / (delta[:-1] + delta[1:])[ok]
+    d[1:-1][ok] = 2.0 * np.abs(prod[ok]) / (a + b)[ok] / scale[ok]
     # The weights take the secants times 1/h, not the slopes' secants divided
     # by h: the two differ in the last bit, and a last-bit change of the
     # gradient sends the default twin inversion to a flux that fails
     # acceptance criterion 4.
     sec = np.diff(values) * inv_h
-    a, b = sec[:-1], sec[1:]
+    a, b = sec[:-1] * scale, sec[1:] * scale
     ssq = np.where(ok, (a + b) ** 2, 1.0)
     dga = np.where(ok, 2.0 * b * b / ssq, 0.0)
     dgb = np.where(ok, 2.0 * a * a / ssq, 0.0)
@@ -162,6 +179,19 @@ def _slope_rule(values: np.ndarray, h: float):
     return d, J
 
 
+def _outside(p: Pchip, xq: np.ndarray, clamp: bool) -> np.ndarray:
+    """Mask of the points outside the knot range by more than its rounding
+    tolerance; raises if there is one and `clamp` is off."""
+    lo, hi = p.knots[0], p.knots[-1]
+    span = hi - lo
+    outside = (xq < lo - EQUIDISTANT_RTOL * span) | (xq > hi + EQUIDISTANT_RTOL * span)
+    if not clamp and outside.any():
+        raise ValidationError(
+            f"evaluation point outside [{lo}, {hi}] and clamping is off"
+        )
+    return outside
+
+
 def _locate(p: Pchip, x, clamp: bool):
     """Map query points to (clamped point, interval index, outside mask).
 
@@ -169,13 +199,8 @@ def _locate(p: Pchip, x, clamp: bool):
     can pick either adjacent interval.
     """
     xq = np.asarray(x, dtype=float)
+    outside = _outside(p, xq, clamp)
     lo, hi = p.knots[0], p.knots[-1]
-    span = hi - lo
-    outside = (xq < lo - EQUIDISTANT_RTOL * span) | (xq > hi + EQUIDISTANT_RTOL * span)
-    if outside.any() and not clamp:
-        raise ValidationError(
-            f"evaluation point outside [{lo}, {hi}] and clamping is off"
-        )
     xc = np.minimum(np.maximum(xq, lo), hi)
     idx = np.clip(((xc - lo) * p._inv_h).astype(np.intp), 0, p._last)
     return xc, idx, outside
@@ -215,98 +240,140 @@ def eval(p: Pchip, x, clamp: bool = False):
     the knot range evaluate to the nearest endpoint value with derivative 0;
     without it they raise a :class:`ValidationError`.
 
-    Arrays are evaluated in blocks of `_EVAL_BLOCK` points, whose temporaries
-    stay small and cache-resident: one pass over a whole trajectory spends
+    A scalar takes the scalar path. An array runs through one
+    `march_evaluator`, in blocks of `_EVAL_BLOCK` points whose buffers stay
+    small and cache-resident: one pass over a whole trajectory would spend
     most of its time allocating and faulting in trajectory-sized temporaries.
     Every value is elementwise, so the blocks change no bit.
     """
     if np.ndim(x) == 0:
         return _eval_scalar(p, float(x), clamp)
     xq = np.asarray(x, dtype=float)
+    if not clamp:
+        _outside(p, xq, clamp)
     value, deriv = np.empty(xq.shape), np.empty(xq.shape)
     flat_x, flat_v, flat_d = xq.reshape(-1), value.reshape(-1), deriv.reshape(-1)
+    evaluate = march_evaluator(p, min(flat_x.size, _EVAL_BLOCK))
     for i in range(0, flat_x.size, _EVAL_BLOCK):
         block = slice(i, i + _EVAL_BLOCK)
-        flat_v[block], flat_d[block] = _eval_array(p, flat_x[block], clamp)
-    return value, deriv
-
-
-def _eval_array(p: Pchip, x: np.ndarray, clamp: bool):
-    xc, idx, outside = _locate(p, x, clamp)
-    k0, c0, c1, c2, c3, k1, v1, s0, s1 = p._table.take(idx, axis=1)
-    t = (xc - k0) * p._inv_h
-    value = c0 + t * (c1 + t * (c2 + t * c3))
-    deriv = (c1 + t * (2.0 * c2 + 3.0 * t * c3)) * p._inv_h
-    # Exact interpolation whenever a query hits a knot, whichever of its two
-    # intervals `_locate` picked.
-    at_lo = xc == k0
-    if at_lo.any():
-        value[at_lo] = c0[at_lo]
-        deriv[at_lo] = s0[at_lo]
-    at_hi = xc == k1
-    if at_hi.any():
-        value[at_hi] = v1[at_hi]
-        deriv[at_hi] = s1[at_hi]
-    if outside.any():
-        deriv[outside] = 0.0
+        evaluate(flat_x[block], flat_v[block], flat_d[block])
     return value, deriv
 
 
 def march_evaluator(p: Pchip, size: int):
-    """Values-only clamped evaluation of `p` for the inner loop of a march.
+    """Clamped evaluation of `p` in buffers, for the inner loops of the marches.
 
-    Returns a function `values(x, out)` of an array x of `size` points
-    that writes `eval(p, x, clamp=True)[0]` into the caller's buffer `out`,
-    bit for bit (for values without negative zeros, which a diffusivity never
-    has), and returns `out`. It reads the first seven rows of the interval
-    table the interpolant was built with (left knot, c0..c3, right knot,
-    right value); each call clamps, indexes, gathers one column per point,
-    and runs Horner for the value only, all in scratch buffers allocated here
-    once. A point that lands on a right knot takes that knot's value, as in
-    `eval`; on a left knot t = 0 already gives c0. A non-finite point gives
-    a meaningless value, not an error: the state march evaluates at most one
-    non-finite level and then stops with `DivergenceError`.
+    Returns a function `evaluate(x, values, slopes=None)` of a 1-D array x of
+    at most `size` points. It writes the values of `eval(p, x, clamp=True)`
+    into the caller's buffer `values` and, when `slopes` is given, the
+    derivatives into `slopes`, bit for bit, and returns `values`. Each call
+    clamps, indexes, gathers one column of the interval table per point and
+    runs Horner, all in scratch buffers allocated here once; a shorter x runs
+    on the first entries of the same buffers.
+
+    Both outputs follow `eval`'s rules: a point on a knot takes the knot's
+    value and slope, whichever of the two intervals its index rounds to, and
+    a point outside the tolerance of the knot range takes the end value and
+    slope 0. The values-only call (the state march's) gathers the first
+    seven rows of the table and skips the left-knot and outside fix-ups: on
+    a left knot t = 0 already gives c0 (for values without negative zeros,
+    which a diffusivity never has), and the values need no outside mask. A
+    non-finite point gives a meaningless value, not an error: the state
+    march evaluates at most one non-finite level and then stops with
+    `DivergenceError`.
     """
     # The scalars go in as 0-d arrays: a ufunc converts a Python float
     # operand on every call, about 0.4 us where the whole operation on 91
     # points takes about 1 us. The arithmetic is the same either way.
-    lo, hi = np.array(p._rows[0][0]), np.array(p._rows[-1][5])
-    inv_h = np.array(p._inv_h)
-    last = np.array(p._last, dtype=np.intp)
-    table = p._table[:7]
-    xc, t = np.empty(size), np.empty(size)
-    idx = np.empty(size, dtype=np.intp)
-    cols = np.empty((7, size))
-    k0, c0, c1, c2, c3, k1, v1 = cols
-    at_hi = np.empty(size, dtype=bool)
+    rows = p._rows
+    lo, hi = rows[0][0], rows[-1][5]
+    span = hi - lo
+    consts = (
+        np.array(lo), np.array(hi),
+        np.array(lo - EQUIDISTANT_RTOL * span), np.array(hi + EQUIDISTANT_RTOL * span),
+        np.array(p._inv_h), np.array(3.0), p._table,
+    )
+    buffers = (
+        np.empty(size), np.empty(size), np.empty(size, dtype=np.intp),
+        np.empty(size, dtype=bool), np.empty(size, dtype=bool), np.empty(9 * size),
+    )
+    return _march_kernel(consts, buffers, size)
 
-    def values(x, out):
+
+def _march_kernel(consts, buffers, n: int):
+    """The `march_evaluator` function on the first n entries of its buffers.
+
+    A module-level function, so that the evaluator holds no reference cycle:
+    its buffers go as soon as the march drops it, not at the next full
+    garbage collection.
+    """
+    lo, hi, lo_out, hi_out, inv_h, three, table = consts
+    table7 = table[:7]
+    xc, t, idx, hit, far = (b[:n] for b in buffers[:5])
+    cols = buffers[5][: 9 * n].reshape(9, n)
+    cols7 = cols[:7]
+    k0, c0, c1, c2, c3, k1, v1, s0, s1 = cols
+
+    def evaluate(x, values, slopes=None):
+        if x.size != n:
+            return _march_kernel(consts, buffers, x.size)(x, values, slopes)
         np.maximum(x, lo, out=xc)
         np.minimum(xc, hi, out=xc)
         np.subtract(xc, lo, out=t)
         np.multiply(t, inv_h, out=t)
         # Assigning floats to an integer array truncates toward zero, as
-        # `astype` does. After the minimum the index is at most `last`, so
-        # for finite x the gather's 'clip' mode never clips; it skips the
-        # buffered copy that the default mode makes to keep `cols` intact
-        # should an index be bad.
+        # `astype` does, and the gather's 'clip' mode clips the index to the
+        # last interval, as `_locate` does; it also skips the buffered copy
+        # that the default mode makes.
         idx[...] = t
-        np.minimum(idx, last, out=idx)
-        table.take(idx, 1, cols, "clip")
+        if slopes is None:
+            table7.take(idx, 1, cols7, "clip")
+        else:
+            table.take(idx, 1, cols, "clip")
         np.subtract(xc, k0, out=t)
         np.multiply(t, inv_h, out=t)
-        np.multiply(c3, t, out=out)
-        out += c2
-        out *= t
-        out += c1
-        out *= t
-        out += c0
-        np.equal(xc, k1, out=at_hi)
-        if np.count_nonzero(at_hi):
-            np.copyto(out, v1, where=at_hi)
-        return out
+        np.multiply(c3, t, out=values)
+        values += c2
+        values *= t
+        values += c1
+        values *= t
+        values += c0
+        if slopes is None:
+            np.equal(xc, k1, out=hit)
+            if np.count_nonzero(hit):
+                np.copyto(values, v1, where=hit)
+            return values
+        # (c1 + t (2 c2 + (3 t) c3)) / h, rounded as `_eval_scalar` rounds
+        # it; c2 + c2 is 2 c2 exactly, formed in the gathered column the
+        # values are done with.
+        np.multiply(t, three, out=slopes)
+        slopes *= c3
+        np.add(c2, c2, out=c2)
+        slopes += c2
+        slopes *= t
+        slopes += c1
+        slopes *= inv_h
+        np.equal(xc, k0, out=hit)
+        on_knot = np.count_nonzero(hit)
+        if on_knot:
+            np.copyto(values, c0, where=hit)
+            np.copyto(slopes, s0, where=hit)
+        np.equal(xc, k1, out=hit)
+        on_right_knot = np.count_nonzero(hit)
+        if on_right_knot:
+            np.copyto(values, v1, where=hit)
+            np.copyto(slopes, s1, where=hit)
+        # A point outside the range is clamped onto an end knot, so without
+        # knot hits there is none.
+        if on_knot or on_right_knot:
+            np.less(x, lo_out, out=hit)
+            np.greater(x, hi_out, out=far)
+            np.logical_or(hit, far, out=hit)
+            if np.count_nonzero(hit):
+                np.copyto(slopes, 0.0, where=hit)
+        return values
 
-    return values
+    return evaluate
 
 
 def grad_wrt_values_many(p: Pchip, x, clamp: bool = False) -> np.ndarray:

