@@ -43,7 +43,7 @@ keeps.
 The marches are kept lean without changing a bit of their output. Both
 linearized marches take their grid from the trajectory they linearize about
 and walk it in blocks of consecutive steps (`_step_blocks`), as many levels
-as fill one `pchip.eval` block (180 at 91 nodes): the tangent march forward
+as fill `_BLOCK_NODES` nodes (180 at 91 nodes): the tangent march forward
 in time, the adjoint march backward. Just before it marches through a block,
 a march computes the block's frozen coefficients with the function
 `_step_coefficients` returns. That function holds one `pchip.march_evaluator`
@@ -58,28 +58,33 @@ step. Its steps allocate nothing: each right-hand side is formed in the row
 of the block's levels it is solved for, the interior of the transport
 correction goes through buffers of the march, and the two wall values are
 formed in Python floats. A step whose later level the samples reach adds
-that level's source row; any other step adds a zero row. Each adjoint step
-keeps dgtsv's singularity test; the finiteness of the solved levels is
-checked once per block (`_check_block`), which raises at the step a
-per-step check would: the march is linear, so a non-finite level only
-carries non-finite values forward. The march itself is `_adjoint_blocks`,
-which hands out each block of solved levels once it is checked;
-`solve_adjoint` keeps their wall traces, and the tests every level.
+that level's source row; any other step adds a zero row. The tangent march
+forms each right-hand side in the next level of its field. Both solve it
+there with dgtsv and check as the state march does, through
+`forward._check_levels`: on a singular step, and once per block for the
+finiteness of the block's solved levels, which raises at the step a
+per-step check would. The adjoint march itself is `_adjoint_blocks`, which
+hands out each block of solved levels once it is checked; `solve_adjoint`
+keeps their wall traces, and the tests every level.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from . import pchip
-from .errors import DivergenceError, ValidationError
-from .forward import EnthalpyField, Grid, _diffusion_bands, _solve_step, solve_ibvp
+from .errors import ValidationError
+from .forward import EnthalpyField, Grid, _check_levels, _diffusion_bands, solve_ibvp
 from .material import MaterialModel
 from .observation import Measurement, adjoint_source, observe
 from .pchip import FluxParameter, flux_interpolants
+
+# Nodes per block of the linearized marches: a block has as many levels as
+# fill this many nodes (180 at 91 nodes), so that its coefficient buffers
+# stay small and cache-resident.
+_BLOCK_NODES = 16384
+
 
 def objective(
     fp: FluxParameter, data: Measurement, m: MaterialModel, u0, g: Grid
@@ -114,10 +119,10 @@ def _transport_apply(
 def _step_blocks(g: Grid) -> list[tuple[int, int]]:
     """The steps of a march on `g` in blocks (lo, hi) of consecutive steps.
 
-    A block has as many levels as fit in one `pchip.eval` block, so its
-    diffusivity is one evaluation block; the last block takes the rest.
+    A block has as many levels as fit in `_BLOCK_NODES` nodes, at least
+    one; the last block takes the rest.
     """
-    levels = max(1, pchip._EVAL_BLOCK // g.nx)
+    levels = max(1, _BLOCK_NODES // g.nx)
     return [(lo, min(lo + levels, g.nt)) for lo in range(0, g.nt, levels)]
 
 
@@ -198,42 +203,28 @@ def solve_sensitivity(
     coefficients = _step_coefficients(u, m, b0, bL, blocks[0][1])
     for lo, hi in blocks:
         du, ap, off, diag, b0p, bLp = coefficients(lo, hi)
-        for i, k in enumerate(range(lo, hi)):
-            wn = W[k]
-            src0 = float(G0[k] @ h0)
-            srcL = float(GL[k] @ hL)
+        # The block's levels are checked once, after its last step; until
+        # then the arithmetic on a non-finite level must not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, k in enumerate(range(lo, hi)):
+                wn, rhs = W[k], W[k + 1]
+                src0 = float(G0[k] @ h0)
+                srcL = float(GL[k] @ hL)
 
-            rhs = wn - _transport_apply(ap[i], du[i], wn, r)
-            rhs[0] -= c * (b0p[i] * wn[0] + src0)
-            rhs[-1] -= c * (bLp[i] * wn[-1] + srcL)
-            W[k + 1] = _solve_step(off[i, 1], diag[i], off[i, 0], rhs, k + 1)
+                np.subtract(wn, _transport_apply(ap[i], du[i], wn, r), out=rhs)
+                rhs[0] -= c * (b0p[i] * wn[0] + src0)
+                rhs[-1] -= c * (bLp[i] * wn[-1] + srcL)
+                if dgtsv(off[i, 1], diag[i], off[i, 0], rhs, 1, 1, 1, 1)[-1] != 0:
+                    _check_levels(W[lo + 1 : k + 1], lo + 1, singular=k + 1)
+            _check_levels(W[lo + 1 : hi + 1], lo + 1)
     return EnthalpyField(g, W)
-
-
-def _check_block(block: np.ndarray, lo: int, nt: int) -> None:
-    """Raise `DivergenceError` at the first adjoint step, in march order,
-    whose solved level in `block` (levels lo, lo + 1, ... of phi) is
-    non-finite.
-
-    The march solves the block's last level first and the adjoint step that
-    solves level s is step nt - s, the step a per-step test raises at. One
-    BLAS reduction clears a finite block; NaN and inf propagate through it,
-    and a non-finite dot of huge finite levels falls back to the exact
-    elementwise scan.
-    """
-    if math.isfinite(np.vdot(block, block)):
-        return
-    bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
-    if bad.size:
-        step = nt - (lo + int(bad[-1]))
-        raise DivergenceError(f"solution became non-finite at time step {step}", step=step)
 
 
 def _adjoint_blocks(u: EnthalpyField, m: MaterialModel, fp: FluxParameter, source):
     """The adjoint march along `u`, one block of steps at a time.
 
     Yields (lo, hi, block) for the blocks of `_step_blocks` from the last to
-    the first, once `_check_block` has passed them: `block` holds the solved
+    the first, once `_check_levels` has passed them: `block` holds the solved
     levels lo, ..., hi - 1 of phi. `source` is as `solve_adjoint` takes it.
     """
     g = u.grid
@@ -280,6 +271,9 @@ def _adjoint_blocks(u: EnthalpyField, m: MaterialModel, fp: FluxParameter, sourc
         for i, row in zip((levels[a:b] - (lo + 1)).tolist(), weighted_src):
             src[i] = row
         block = np.empty((k, nx))
+        # The step that solves level s is step nt - s, so `block[::-1]`
+        # holds the block's levels in march order from step `first` on.
+        first = g.nt - hi + 1
         sub, dia, sup = list(off[:, 1]), list(diag), list(off[:, 0])
         Q, Q_in = list(block), list(block[:, 1:-1])
         Q_hi, Q_lo = list(block[:, 1:]), list(block[:, :-1])
@@ -294,9 +288,7 @@ def _adjoint_blocks(u: EnthalpyField, m: MaterialModel, fp: FluxParameter, sourc
                 q = Q[i]
                 np.add(psi, src[i], out=q)
                 if dgtsv(sub[i], dia[i], sup[i], q, 1, 1, 1, 1)[-1] != 0:
-                    _check_block(block[i + 1 :], lo + i + 1, g.nt)
-                    step = g.nt - lo - i
-                    raise DivergenceError(f"singular step matrix at time step {step}", step=step)
+                    _check_levels(block[:i:-1], first, singular=g.nt - lo - i)
                 # Carry to the next (earlier) level: the transposed transport
                 # correction and the Robin terms alpha' phi_x = beta' phi act
                 # on the freshly solved level, mirroring the frozen-coefficient
@@ -313,7 +305,7 @@ def _adjoint_blocks(u: EnthalpyField, m: MaterialModel, fp: FluxParameter, sourc
                 np.subtract(Q_in[i], inner, out=psi_in)
                 psi[0] = (q0 - wall0[i] * dq0) - robin0[i] * q0
                 psi[-1] = (qL - wallL[i] * dqL) - robinL[i] * qL
-            _check_block(block, lo, g.nt)
+            _check_levels(block[::-1], first)
         yield lo, hi, block
 
 

@@ -23,12 +23,17 @@ of neighbouring diffusivities go into another, `_diffusion_bands` fills the
 bands from them in one pass (four ufunc calls, the same bits as bands
 written from the interface means), and the right-hand side is formed in the
 next level of the output field and solved there. The buffers and their
-views live for one call. Each step tests the level it starts from through
-the two wall values it reads anyway, and scans back for the first
-non-finite level only when they are not finite. Its linearization, the
-tangent march and its transpose, lives in `adjoint`, which fills the bands
-of a block of steps at once with the same `_diffusion_bands` and solves the
-tangent steps with `_solve_step`.
+views live for one call. Its linearization, the tangent march and its
+transpose, lives in `adjoint`, which fills the bands of a block of steps at
+once with the same `_diffusion_bands`.
+
+All three marches solve alike: each right-hand side is formed in the row of
+the output it is solved for and solved there by dgtsv, and one function,
+`_check_levels`, raises `DivergenceError` at the step a per-step test of
+every solved level would give. The state march calls it when one of the
+two wall values a step reads anyway is not finite, on a singular step and
+once after its last step; the linearized marches on a singular step and
+once per block.
 """
 
 from __future__ import annotations
@@ -88,49 +93,27 @@ class EnthalpyField:
             raise ValidationError(f"field shape {vals.shape} != grid shape {expected}")
 
 
-def _step_tridiagonal(ab: np.ndarray, rhs: np.ndarray, step: int) -> np.ndarray:
-    """`_solve_step` on bands in LAPACK's banded layout: ab[0, j] = A[j-1, j],
-    ab[1, j] = A[j, j], ab[2, j] = A[j+1, j]. The tests' plain per-step
-    marches fill and solve this layout."""
-    return _solve_step(ab[2, :-1], ab[1], ab[0, 1:], rhs, step)
+def _check_levels(levels: np.ndarray, first_step: int, singular: int | None = None) -> None:
+    """Raise `DivergenceError` for the solved levels of a march, `levels` in
+    march order, row i solved by step first_step + i: at the first non-finite
+    row, else at step `singular` (whose step matrix was singular) when it is
+    given; else return.
 
-
-def _solve_step(
-    sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray, step: int
-) -> np.ndarray:
-    """Solve one step's tridiagonal system, raising `DivergenceError` at
-    `step` when it is singular or its solution is not finite."""
-    # Direct LAPACK tridiagonal solve; the bands are rebuilt every step, so
-    # letting the factorization overwrite them costs nothing. A contiguous
-    # `rhs` is solved in place and returned; the flags go positionally
-    # (overwrite dl, d, du and b), which skips keyword parsing per step.
-    # The tangent march checks every step here. The state march and the
-    # adjoint march call dgtsv themselves and check their levels less often
-    # (see `solve_ibvp` and `adjoint._adjoint_blocks`).
-    _, _, _, out, info = dgtsv(sub, diag, sup, rhs, 1, 1, 1, 1)
-    # A single BLAS reduction detects NaN and inf anywhere in the solution
-    # (both propagate through the dot product) far cheaper than an
-    # elementwise isfinite scan in this per-step hot path. The dot can also
-    # overflow for huge yet finite solutions, so a non-finite dot falls back
-    # to the exact elementwise check before declaring divergence.
-    if info != 0 or (not math.isfinite(np.dot(out, out)) and not np.isfinite(out).all()):
-        raise DivergenceError(f"solution became non-finite at time step {step}", step=step)
-    return out
-
-
-def _raise_first_nonfinite(U: np.ndarray, k: int) -> None:
-    """Raise `DivergenceError` at the first of the non-finite levels of `U`
-    that run back from level `k`; do nothing when level k is finite.
-
-    Level n is solved by step n. A non-finite entry anywhere in a level makes
-    every entry of the next level non-finite (the solve carries it to every
-    row, and 0 * inf is NaN), so the run starts at most one level back.
+    All three marches check here. One BLAS reduction clears a finite run:
+    NaN and inf propagate through it, and a non-finite dot of huge finite
+    levels falls back to the exact elementwise scan. The adjoint hands in a
+    block it solved backward in time as a reversed view; the reduction runs
+    over its rows as stored, so the finite path copies nothing, and only the
+    scan reads the rows in march order.
     """
-    if np.isfinite(U[k]).all():
-        return
-    while k > 0 and not np.isfinite(U[k - 1]).all():
-        k -= 1
-    raise DivergenceError(f"solution became non-finite at time step {k}", step=k)
+    stored = levels[::-1] if levels.strides[0] < 0 else levels
+    if not math.isfinite(np.vdot(stored, stored)):
+        bad = np.flatnonzero(~np.isfinite(levels).all(axis=1))
+        if bad.size:
+            step = first_step + int(bad[0])
+            raise DivergenceError(f"solution became non-finite at time step {step}", step=step)
+    if singular is not None:
+        raise DivergenceError(f"singular step matrix at time step {singular}", step=singular)
 
 
 def _diffusion_bands(S: np.ndarray, off: np.ndarray, diag: np.ndarray, r: float):
@@ -217,7 +200,7 @@ def solve_ibvp(m: MaterialModel, fp: FluxParameter, u0, g: Grid) -> EnthalpyFiel
             un, rhs = U[n], U[n + 1]
             u_0, u_L = un.item(0), un.item(-1)
             if not math.isfinite(u_0 + u_L):
-                _raise_first_nonfinite(U, n)
+                _check_levels(U[1 : n + 1], 1)
             diffusivity(un, alpha)
             np.add(a_lo, a_hi, out=s)
             S[0], S[-1] = s[0], s[-1]
@@ -228,9 +211,8 @@ def solve_ibvp(m: MaterialModel, fp: FluxParameter, u0, g: Grid) -> EnthalpyFiel
             rhs[0] = u_0 - c * beta0
             rhs[-1] = u_L - c * betaL
             if dgtsv(sub, diag, sup, rhs, 1, 1, 1, 1)[-1] != 0:
-                _raise_first_nonfinite(U, n)
-                raise DivergenceError(f"singular step matrix at time step {n + 1}", step=n + 1)
-        _raise_first_nonfinite(U, g.nt)
+                _check_levels(U[1 : n + 1], 1, singular=n + 1)
+        _check_levels(U[1:], 1)
     return EnthalpyField(g, U)
 
 

@@ -18,12 +18,13 @@ caller owns and allocates nothing per call. `eval` runs a scalar on the one
 and an array on the other; the marches hold a `march_evaluator` for their
 whole run. Overflow-prone products in `_slope_rule` are taken on secants
 scaled by a power of two, so huge values give finite slopes with the bits
-of exact arithmetic. The module also provides the sensitivity of the
-interpolated value with respect to the data values (`grad_wrt_values_many`,
-from the stored banded slope Jacobian), which the tangent march and the
-adjoint gradient assembly rely on, and a nested-partition refinement loop
-(`refine_to_tolerance`). A `knot,value,slope` CSV file loads from its knot
-and value columns alone.
+of exact arithmetic; values near the float range whose secants, end slopes
+or cubic coefficients overflow even so are refused. The module also
+provides the sensitivity of the interpolated value with respect to the data
+values (`grad_wrt_values_many`, from the stored banded slope Jacobian),
+which the tangent march and the adjoint gradient assembly rely on, and a
+nested-partition refinement loop (`refine_to_tolerance`). A
+`knot,value,slope` CSV file loads from its knot and value columns alone.
 
 `FluxParameter` bundles the two boundary heat-flux value vectors that the
 inverse solver optimizes, together with their shared enthalpy partition and
@@ -44,10 +45,6 @@ from .errors import RefinementError, ValidationError
 EQUIDISTANT_RTOL = 1e-12
 
 PCHIP_CSV_HEADER = ["knot", "value", "slope"]
-
-# Points per block when `eval` walks a large array; the linearized marches
-# take as many levels per block as fit in it.
-_EVAL_BLOCK = 16384
 
 
 def _uniform_spacing(knots: np.ndarray) -> float:
@@ -89,26 +86,31 @@ class Pchip:
         if not np.isfinite(values).all():
             raise ValidationError("values must be finite")
         h = _uniform_spacing(knots)
-        slopes, jac = _slope_rule(values, h)
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "slopes", slopes)
-        object.__setattr__(self, "interval_width", h)
-        object.__setattr__(self, "_slope_jac", jac)
         # One column per interval, read by every evaluator: left knot, the
         # cubic in the local coordinate t = (x - x_i)/h, p(t) = c0 + t (c1 +
         # t (c2 + t c3)), right knot, right value, left and right slope.
         # `_rows` holds the same numbers as plain floats for the scalar path,
         # and `_last` is the index of the last interval; evaluation sits in
-        # the innermost solver loops.
-        fi, fj = values[:-1], values[1:]
-        di, dj = h * slopes[:-1], h * slopes[1:]
-        table = np.array([
-            knots[:-1], fi, di,
-            3.0 * (fj - fi) - 2.0 * di - dj,
-            2.0 * (fi - fj) + di + dj,
-            knots[1:], fj, slopes[:-1], slopes[1:],
-        ])
+        # the innermost solver loops. Values near the float range can
+        # overflow a secant, an end slope or a cubic coefficient; such an
+        # interpolant would evaluate to NaN, so it is refused.
+        with np.errstate(over="ignore", invalid="ignore"):
+            slopes, jac = _slope_rule(values, h)
+            fi, fj = values[:-1], values[1:]
+            di, dj = h * slopes[:-1], h * slopes[1:]
+            table = np.array([
+                knots[:-1], fi, di,
+                3.0 * (fj - fi) - 2.0 * di - dj,
+                2.0 * (fi - fj) + di + dj,
+                knots[1:], fj, slopes[:-1], slopes[1:],
+            ])
+        if not (np.isfinite(slopes).all() and np.isfinite(table).all()):
+            raise ValidationError("values too large: the interpolant's slopes or cubic overflow")
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "slopes", slopes)
+        object.__setattr__(self, "interval_width", h)
+        object.__setattr__(self, "_slope_jac", jac)
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_rows", table.T.tolist())
         object.__setattr__(self, "_inv_h", 1.0 / h)
@@ -240,11 +242,9 @@ def eval(p: Pchip, x, clamp: bool = False):
     the knot range evaluate to the nearest endpoint value with derivative 0;
     without it they raise a :class:`ValidationError`.
 
-    A scalar takes the scalar path. An array runs through one
-    `march_evaluator`, in blocks of `_EVAL_BLOCK` points whose buffers stay
-    small and cache-resident: one pass over a whole trajectory would spend
-    most of its time allocating and faulting in trajectory-sized temporaries.
-    Every value is elementwise, so the blocks change no bit.
+    A scalar takes the scalar path, and an array one call of a
+    `march_evaluator` of its size. The marches hold evaluators of their own;
+    no caller in the package passes more than 10,001 points.
     """
     if np.ndim(x) == 0:
         return _eval_scalar(p, float(x), clamp)
@@ -252,11 +252,7 @@ def eval(p: Pchip, x, clamp: bool = False):
     if not clamp:
         _outside(p, xq, clamp)
     value, deriv = np.empty(xq.shape), np.empty(xq.shape)
-    flat_x, flat_v, flat_d = xq.reshape(-1), value.reshape(-1), deriv.reshape(-1)
-    evaluate = march_evaluator(p, min(flat_x.size, _EVAL_BLOCK))
-    for i in range(0, flat_x.size, _EVAL_BLOCK):
-        block = slice(i, i + _EVAL_BLOCK)
-        evaluate(flat_x[block], flat_v[block], flat_d[block])
+    march_evaluator(p, xq.size)(xq.reshape(-1), value.reshape(-1), deriv.reshape(-1))
     return value, deriv
 
 

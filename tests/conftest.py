@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from heatflux import material as material_mod
-from heatflux.forward import Grid
+from heatflux import pchip
+from heatflux.forward import EnthalpyField, Grid
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +31,24 @@ def make_constant_material(alpha: float, u_top: float = 8.0e9):
 @pytest.fixture(scope="session")
 def constant_material():
     return make_constant_material(4.0e-6)
+
+
+@pytest.fixture
+def singular_level_case():
+    """(grid, material, trajectory, flux): a made-up trajectory on three nodes
+    with r = 1 whose level 4 sits where the diffusivity is -1/4: the bands
+    of the step from that level, 0.5 on the diagonal, 0.5 and 0.25 off it,
+    make I + rK exactly singular (its eigenvalues are 1 + r*alpha*(0, 2,
+    4)). Every other level sits at 0, where the diffusivity is 1. The
+    fluxes are zero."""
+    g = Grid(L=2.0, T=8.0, nx=3, nt=8)
+    m = material_mod.MaterialModel(
+        diffusivity=pchip.Pchip([0.0, 1.0, 2.0], [1.0, -0.25, 1.0])
+    )
+    U = np.zeros((g.nt + 1, g.nx))
+    U[4] = 1.0
+    fp = pchip.FluxParameter(np.zeros(6), np.linspace(0.0, 2.0, 3), 1.0)
+    return g, m, EnthalpyField(g, U), fp
 
 
 @pytest.fixture

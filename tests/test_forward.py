@@ -195,11 +195,13 @@ class TestErrors:
             with pytest.raises(ValidationError, match="finite"):
                 forward.solve_ibvp(builtin_material, fp, u0, g)
 
-    def test_singular_system_raises_divergence(self):
-        ab = np.zeros((3, 4))
-        with pytest.raises(DivergenceError) as exc:
-            forward._step_tridiagonal(ab, np.ones(4), step=7)
-        assert exc.value.step == 7
+    def test_singular_system_raises_divergence(self, singular_level_case):
+        # From u0 = 1, where the diffusivity is -1/4, the first step's matrix
+        # is exactly singular.
+        g, m, _, fp = singular_level_case
+        with pytest.raises(DivergenceError, match="singular step matrix") as exc:
+            forward.solve_ibvp(m, fp, np.ones(g.nx), g)
+        assert exc.value.step == 1
 
     def test_total_enthalpy_step_bounds(self, builtin_material):
         g = Grid(L=0.05, T=1.0, nx=11, nt=5)

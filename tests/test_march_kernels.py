@@ -7,23 +7,27 @@ block of levels at a time, `adjoint.solve_sensitivity` and
 `adjoint.solve_adjoint`), and fill their bands in one pass from the sums of
 neighbouring diffusivities (`forward._diffusion_bands`), one contiguous row
 per step. The adjoint reads transport and Robin factors hoisted over each
-block, forms its wall values in Python floats, and checks its levels for
-finiteness once per block, the forward march through their wall values.
+block and forms its wall values in Python floats. Every march solves each
+step in place in its output and raises through one check,
+`forward._check_levels`: the linearized marches once per block and on a
+singular step, the forward march when a wall value is not finite, on a
+singular step and after its last step.
 The adjoint keeps only its wall traces; the tests rebuild every level of
 phi from the blocks its march hands out (`adjoint._adjoint_blocks`), and
 feed it a source on every level or, as the sensors do, on some levels only.
 The plain marches below keep the straightforward per-step form: `pchip.eval`
 for every coefficient (on the whole trajectory in one call; the tests of
 `pchip` hold the evaluator to plain numpy code), each band written from
-`amid` inside the step, every product formed inside the step.
+`amid` inside the step, every product formed inside the step, and every
+solved level checked at its step (`plain_step`).
 Both must give the same bytes on every case, including a steep box-corner
 iterate whose boundary stability number c*beta' exceeds 2 and a profile
 whose nodes sit on the diffusivity's knots and below its range, and must
 stop with `DivergenceError` at the same step when a level goes non-finite,
 also with blocks short enough that the 120-step grid ends in a remainder
-block and the first non-finite level sits on a block edge. An adjoint step
-whose matrix is exactly singular raises at its step, or at an earlier
-non-finite level of its block.
+block and the first non-finite level sits on a block edge. An adjoint or
+tangent step whose matrix is exactly singular raises at its step, or at an
+earlier non-finite level of its block.
 The buffered marches must also leave their inputs alone and hand out a new
 field on every call.
 
@@ -37,6 +41,7 @@ import gc
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgtsv
 
 from heatflux import adjoint, forward, material, pchip
 from heatflux.config import ExperimentConfig, exact_flux_parameter, inversion_partition
@@ -57,6 +62,18 @@ def plain_bands(ab, amid, r):
     ab[2, :-2] = -r * amid[:-1]
     ab[2, -2] = -2.0 * r * amid[-1]
     return ab
+
+
+def plain_step(ab, rhs, step):
+    """Solve one step on bands in LAPACK's banded layout (ab[0, j] = A[j-1, j],
+    ab[1, j] = A[j, j], ab[2, j] = A[j+1, j]), checked as a per-step march
+    checks it."""
+    _, _, _, out, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
+    if info != 0:
+        raise DivergenceError(f"singular step matrix at time step {step}", step=step)
+    if not np.isfinite(out).all():
+        raise DivergenceError(f"solution became non-finite at time step {step}", step=step)
+    return out
 
 
 def plain_coefficients(u, m, b0, bL):
@@ -85,7 +102,7 @@ def plain_solve_ibvp(m, fp, u0, g):
         rhs = un.copy()
         rhs[0] -= c * beta0
         rhs[-1] -= c * betaL
-        U[n + 1] = forward._step_tridiagonal(ab, rhs, n + 1)
+        U[n + 1] = plain_step(ab, rhs, n + 1)
     return U
 
 
@@ -112,7 +129,7 @@ def plain_solve_adjoint(u, m, fp, source, g):
     for step in range(g.nt):
         s = g.nt - step - 1
         plain_bands(ab, amid[s], r)
-        psi = forward._step_tridiagonal(ab, psi + weighted_src[s + 1], step + 1)
+        psi = plain_step(ab, psi + weighted_src[s + 1], step + 1)
         phi[s] = psi
         psi = psi - plain_transport_apply_t(ap[s], du[s + 1], psi, r)
         psi[0] -= c * b0p[s] * phi[s, 0]
@@ -161,7 +178,7 @@ def plain_solve_sensitivity(u, m, fp, h, g):
         rhs = wn - adjoint._transport_apply(ap[k], du[k + 1], wn, r)
         rhs[0] -= c * (b0p[k] * wn[0] + float(G0[k] @ h[:n]))
         rhs[-1] -= c * (bLp[k] * wn[-1] + float(GL[k] @ h[n:]))
-        W[k + 1] = forward._step_tridiagonal(ab, rhs, k + 1)
+        W[k + 1] = plain_step(ab, rhs, k + 1)
     return W
 
 
@@ -323,7 +340,7 @@ def test_adjoint_divergence_step_matches_plain_code(marches):
 
 def short_blocks(monkeypatch, levels):
     """Make the linearized marches walk GRID in blocks of `levels` steps."""
-    monkeypatch.setattr(pchip, "_EVAL_BLOCK", levels * GRID.nx)
+    monkeypatch.setattr(adjoint, "_BLOCK_NODES", levels * GRID.nx)
     blocks = adjoint._step_blocks(GRID)
     assert blocks[0] == (0, levels) and blocks[-1][1] == GRID.nt
     return blocks
@@ -400,30 +417,17 @@ def test_forward_divergence_at_the_last_step_matches_plain_code(builtin_material
 
 def test_forward_scan_back_finds_an_interior_first_level():
     # Level 5 goes non-finite at an interior node only, so its walls raise
-    # no alarm; the whole of level 6 follows. The alarm at level 6 must scan
-    # back to level 5, and a finite level must pass.
+    # no alarm; the whole of level 6 follows. The check the alarm at level 6
+    # makes, and the one after the last step, must find level 5; finite
+    # levels must pass.
     U = np.ones((9, 7))
     U[5, 3] = np.nan
     U[6:] = np.inf
-    forward._raise_first_nonfinite(U, 4)
+    forward._check_levels(U[1:5], 1)
     for k in (5, 6, 8):
         with pytest.raises(DivergenceError) as got:
-            forward._raise_first_nonfinite(U, k)
+            forward._check_levels(U[1 : k + 1], 1)
         assert got.value.step == 5
-
-
-def singular_level_case():
-    """A made-up trajectory on three nodes with r = 1 whose level 4 sits where
-    the diffusivity is -1/4: the bands of the step from that level, 0.5 on
-    the diagonal, 0.5 and 0.25 off it, make I + rK exactly singular (its
-    eigenvalues are 1 + r*alpha*(0, 2, 4)). Every other level sits where
-    the diffusivity is 1."""
-    g = Grid(L=2.0, T=8.0, nx=3, nt=8)
-    m = material.MaterialModel(diffusivity=pchip.Pchip([0.0, 1.0, 2.0], [1.0, -0.25, 1.0]))
-    U = np.zeros((g.nt + 1, g.nx))
-    U[4] = 1.0
-    fp = pchip.FluxParameter(np.zeros(6), np.linspace(0.0, 2.0, 3), 1.0)
-    return g, m, forward.EnthalpyField(g, U), fp
 
 
 @pytest.mark.parametrize(
@@ -436,12 +440,69 @@ def singular_level_case():
         (6, [np.inf, 0.0, 0.0], 3, "non-finite"),
     ],
 )
-def test_adjoint_singular_step_raises_at_its_step(source_level, row, step, message):
-    g, m, u, fp = singular_level_case()
+def test_adjoint_singular_step_raises_at_its_step(
+    singular_level_case, source_level, row, step, message
+):
+    g, m, u, fp = singular_level_case
     source = (np.array([source_level]), np.array([row]))
     with pytest.raises(DivergenceError, match=message) as got:
         adjoint.solve_adjoint(u, m, fp, source)
     assert got.value.step == step
+
+
+@pytest.mark.parametrize(
+    "hot_level, step, message",
+    [
+        # Every level solved before it is finite: the step from level 4 raises.
+        (None, 5, "singular step matrix"),
+        # Level 3 is non-finite, solved two steps earlier in the same block:
+        # the march reports that step, as the per-step check does.
+        (2, 3, "non-finite"),
+    ],
+)
+def test_tangent_singular_step_raises_at_its_step(singular_level_case, hot_level, step, message):
+    # The direction weighs only the last knot of the flux at x = 0, with a
+    # weight whose boundary source c*h overflows. A wall on that knot (the
+    # hot level) gives a non-finite next level; at 0 the weight drops out.
+    g, m, u, fp = singular_level_case
+    if hot_level is not None:
+        u.values[hot_level] = 2.0
+    h = np.zeros(2 * fp.n)
+    h[fp.n - 1] = 1e308
+    with pytest.raises(DivergenceError, match=message) as got:
+        adjoint.solve_sensitivity(u, m, fp, h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError, match=message) as want:
+            plain_solve_sensitivity(u, m, fp, h, g)
+    assert got.value.step == want.value.step == step
+
+
+@pytest.mark.parametrize(
+    "levels, s",
+    [
+        (7, 120),  # the one step of the remainder block
+        (7, 113),  # the first step of a full block
+        (7, 119),  # the last step of a full block
+        (9, 119),  # inside the three-step remainder block
+    ],
+)
+def test_tangent_divergence_step_at_block_edges(marches, monkeypatch, levels, s):
+    # An inf on the x = 0 wall of trajectory level s makes the state
+    # increment of the step that ends there non-finite, so level s of W is
+    # the first non-finite one: the tangent march raises at its step, s, as
+    # the plain per-step code does.
+    m, fp, field, _, _ = marches["exact"]
+    short_blocks(monkeypatch, levels)
+    U = field.values.copy()
+    U[s, 0] = np.inf
+    u = forward.EnthalpyField(GRID, U)
+    h = np.random.default_rng(9).standard_normal(2 * fp.n)
+    with pytest.raises(DivergenceError, match="non-finite") as got:
+        adjoint.solve_sensitivity(u, m, fp, h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as want:
+            plain_solve_sensitivity(u, m, fp, h, GRID)
+    assert got.value.step == want.value.step == s
 
 
 def test_marches_leave_no_reference_cycles(marches):

@@ -132,6 +132,22 @@ class TestConstruction:
         assert (big.slopes.view(np.int64) == (small.slopes * 2.0**600).view(np.int64)).all()
         assert (big._slope_jac.view(np.int64) == small._slope_jac.view(np.int64)).all()
 
+    @pytest.mark.parametrize(
+        "knots, values",
+        [
+            # The secants overflow: 1e308 over a spacing of 1/8.
+            (np.linspace(0.0, 0.5, 5), [0.0, 1e308, 0.0, 1e308, 0.0]),
+            # The end slopes' three-point formula overflows.
+            (np.linspace(0.0, 4.0, 5), [0.0, 1.7e308, 1.7e308, 1.7e308, 0.0]),
+        ],
+    )
+    def test_overflowing_slopes_are_refused(self, knots, values):
+        # Built anyway, such an interpolant holds inf and NaN slopes and
+        # table entries and evaluates to NaN. It must be refused, with no
+        # overflow warning on the way.
+        with pytest.raises(ValidationError, match="too large"):
+            pchip.Pchip(knots, values)
+
     @pytest.mark.parametrize("magnitude", [1e-170, 1.0, 1e150])
     def test_slopes_below_the_scale_threshold_keep_their_bits(self, magnitude):
         # The plain harmonic mean, on products that may underflow to zero
@@ -186,17 +202,15 @@ class TestEvaluation:
             assert scalar[:, 0].tobytes() == va.tobytes()
             assert scalar[:, 1].tobytes() == da.tobytes()
 
-    def test_march_evaluator_matches_eval_bitwise(self, builtin_material, monkeypatch):
+    def test_march_evaluator_matches_eval_bitwise(self, builtin_material):
         # Both calls of the buffered evaluator, and `eval` on it, give the
         # plain evaluation's values and slopes bit for bit: on knots, on
         # points whose index rounds down onto a right knot, below and above
-        # the range, on a call shorter than the evaluator's buffers, and in
-        # `eval`'s blocks with a short remainder. The values-only call skips
-        # the left-knot and outside fix-ups, which must not show.
-        monkeypatch.setattr(pchip, "_EVAL_BLOCK", 64)
+        # the range, and on a call shorter than the evaluator's buffers. The
+        # values-only call skips the left-knot and outside fix-ups, which
+        # must not show.
         right_knot_hits = 0
         for p, xs in bitwise_cases(builtin_material):
-            assert xs.size % 64
             value, slope = plain_eval(p, xs)
             evaluate = pchip.march_evaluator(p, xs.size)
             values, slopes = np.empty(xs.size), np.empty(xs.size)
