@@ -117,33 +117,62 @@ def _simulate_measurement(cfg: ExperimentConfig):
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     clean, meas = _simulate_measurement(cfg)
-    log.info("simulated %d x %d readings, delta = %.3e", meas.spec.d, meas.spec.m, meas.delta)
-    _atomic_write(out_dir / "clean.csv", observation.render_measurement_csv(clean, meas.spec))
-    _atomic_write(out_dir / "noisy.csv", observation.render_measurement_csv(meas.data, meas.spec))
-    meta = observation.render_measurement_meta(
-        meas, extra={"sim_nx": cfg.sim_nx, "sim_nt": cfg.sim_nt}
-    )
-    _atomic_write(out_dir / "meta.json", meta)
+    spec = meas.spec
+    log.info("simulated %d x %d readings, delta = %.3e", spec.d, spec.m, meas.delta)
+    # Measurement CSV: first row sample times, first column sensor depths.
+    header = [""] + [_fmt(t) for t in spec.times]
+    for name, data in (("clean.csv", clean), ("noisy.csv", meas.data)):
+        rows = ([_fmt(x)] + [_fmt(v) for v in row] for x, row in zip(spec.positions, data))
+        _atomic_write(out_dir / name, _csv_text(header, rows))
+    meta = {
+        "delta": float(meas.delta), "seed": int(meas.seed), "amplitude": float(meas.amplitude),
+        "sim_nx": cfg.sim_nx, "sim_nt": cfg.sim_nt,
+    }
+    _atomic_write(out_dir / "meta.json", _json_text(meta))
     return 0
 
 
-def _load_measurement_files(cfg: ExperimentConfig, data_dir: Path):
-    csv_path = data_dir / "noisy.csv"
-    meta_path = data_dir / "meta.json"
+def _read_measurement(data_dir: Path) -> tuple[observation.Measurement, tuple]:
+    """The noisy readings and noise record in `data_dir`, and the (nx, nt)
+    of the simulation grid that produced them (None where meta.json has none)."""
+    csv_path, meta_path = data_dir / "noisy.csv", data_dir / "meta.json"
     for p in (csv_path, meta_path):
         if not p.exists():
             raise ValidationError(f"measurement file missing: {p}")
-    return observation.load_measurement(csv_path, meta_path)
+    head, table = config_mod.read_table(csv_path)
+    if len(head) < 2 or not table.size:
+        raise ValidationError(f"{csv_path}: needs a time row and sensor rows")
+    try:
+        times = [float(c) for c in head[1:]]
+    except ValueError as exc:
+        raise ValidationError(f"{csv_path}: non-numeric cell ({exc})") from exc
+    spec = observation.ObservationSpec(positions=table[:, 0], times=times)
+    try:
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        meas = observation.Measurement(
+            data=table[:, 1:],
+            spec=spec,
+            delta=float(meta["delta"]),
+            seed=int(meta["seed"]),
+            amplitude=float(meta["amplitude"]),
+        )
+    except KeyError as exc:
+        raise ValidationError(f"{meta_path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{meta_path}: malformed noise record ({exc})") from exc
+    return meas, (meta.get("sim_nx"), meta.get("sim_nt"))
 
 
-def _check_inverse_crime(cfg: ExperimentConfig, meta: dict, allow: bool) -> None:
-    sim_nx, sim_nt = meta.get("sim_nx"), meta.get("sim_nt")
-    if sim_nx is None or sim_nt is None:
+def _check_inverse_crime(cfg: ExperimentConfig, sim: tuple, allow: bool) -> None:
+    """Refuse an inversion grid sharing `nx` or `nt` with the simulation
+    grid `sim` = (nx, nt) of the data, unless `allow`; skip an unknown grid."""
+    if allow or None in sim:
         return
-    if (cfg.inv_nx == sim_nx or cfg.inv_nt == sim_nt) and not allow:
+    if cfg.inv_nx == sim[0] or cfg.inv_nt == sim[1]:
         raise ValidationError(
             f"inversion grid {cfg.inv_nx}x{cfg.inv_nt} shares a resolution with the "
-            f"simulation grid {sim_nx}x{sim_nt}; pass --allow-inverse-crime to override"
+            f"simulation grid {sim[0]}x{sim[1]}; pass --allow-inverse-crime to override"
         )
 
 
@@ -212,8 +241,8 @@ def _write_inversion_outputs(cfg, out_dir: Path, state, problem, partition, norm
 
 def cmd_invert(cfg: ExperimentConfig, out_dir: Path, allow_crime: bool) -> int:
     data_dir = Path(cfg.data_dir) if cfg.data_dir else Path(cfg.output_dir)
-    meas, meta = _load_measurement_files(cfg, data_dir)
-    _check_inverse_crime(cfg, meta, allow_crime)
+    meas, sim = _read_measurement(data_dir)
+    _check_inverse_crime(cfg, sim, allow_crime)
     state, problem, partition, norm_y = _run_inversion(cfg, meas)
     _write_inversion_outputs(cfg, out_dir, state, problem, partition, norm_y)
     return 0
@@ -271,7 +300,7 @@ def gradient_check(cfg: ExperimentConfig) -> dict:
 
 
 def cmd_gradcheck(cfg: ExperimentConfig, out_dir: Path, allow_crime: bool) -> int:
-    _check_inverse_crime(cfg, {"sim_nx": cfg.sim_nx, "sim_nt": cfg.sim_nt}, allow_crime)
+    _check_inverse_crime(cfg, (cfg.sim_nx, cfg.sim_nt), allow_crime)
     report = gradient_check(cfg)
     _atomic_write(out_dir / "gradcheck.json", _json_text(report))
     log.info("gradcheck rel_l2=%.3e passed=%s", report["rel_l2_error"], report["passed"])
@@ -301,7 +330,7 @@ def _iterations_to_levels(pqn_min: np.ndarray, lw_min: np.ndarray):
 
 
 def cmd_compare(cfg: ExperimentConfig, out_dir: Path, allow_crime: bool) -> int:
-    _check_inverse_crime(cfg, {"sim_nx": cfg.sim_nx, "sim_nt": cfg.sim_nt}, allow_crime)
+    _check_inverse_crime(cfg, (cfg.sim_nx, cfg.sim_nt), allow_crime)
     _, meas = _simulate_measurement(cfg)
     material, grid, partition, u0 = _inversion_setup(cfg)
     problem = optimizer.make_pde_problem(material, meas, u0, grid, partition, cfg.beta_max)

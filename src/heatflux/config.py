@@ -22,6 +22,7 @@ smooth decay to zero at zero enthalpy.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -30,8 +31,16 @@ import numpy as np
 from . import pchip
 from .errors import ValidationError
 from .forward import Grid
-from .material import MaterialModel, builtin_material, load_material
+from .material import MaterialModel, build_material, builtin_material
 from .observation import ObservationSpec
+
+# Headers of the input tables: one row per knot of an exact flux (the slope
+# column is not read: slopes follow from the values, so the value
+# sensitivities differentiate the interpolant that is evaluated), and one row
+# per material temperature in K with the volumetric heat capacity in
+# J/(m3 K) and the conductivity in W/(m K).
+FLUX_CSV_HEADER = ["knot", "value", "slope"]
+MATERIAL_CSV_HEADER = ["theta", "capacity", "conductivity"]
 
 
 @dataclass(frozen=True)
@@ -85,6 +94,8 @@ class ExperimentConfig:
             raise ValidationError("landweber damping must be positive or auto")
         if self.noise_amplitude < 0:
             raise ValidationError("noise amplitude must be nonnegative")
+        if self.seed < 0:
+            raise ValidationError("noise seed must be nonnegative")
         if self.method not in ("pqn", "landweber"):
             raise ValidationError(f"unknown optimizer method {self.method!r}")
         if self.flux_source not in ("builtin", "csv", "none"):
@@ -198,10 +209,33 @@ def observation_spec(cfg: ExperimentConfig) -> ObservationSpec:
     )
 
 
+def read_table(path, header=None) -> tuple[list, np.ndarray]:
+    """The first row of the CSV file at `path` and the rows under it as floats.
+
+    Blank lines are skipped. Every other row must have as many cells as the
+    first, and the first must be `header` when one is given.
+    """
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    head = [c.strip() for c in rows[0]] if rows else []
+    if header is not None and head != header:
+        raise ValidationError(f"{path}: expected header {','.join(header)}")
+    for lineno, row in enumerate(rows[1:], start=2):
+        if row and len(row) != len(head):
+            raise ValidationError(f"{path}: row {lineno} has {len(row)} cells, not {len(head)}")
+    body = [row for row in rows[1:] if row]
+    try:
+        table = np.array([[float(c) for c in row] for row in body])
+    except ValueError as exc:
+        raise ValidationError(f"{path}: non-numeric cell ({exc})") from exc
+    return head, table.reshape(len(body), len(head))
+
+
 def load_configured_material(cfg: ExperimentConfig) -> MaterialModel:
     if cfg.material_source == "builtin":
         return builtin_material()
-    return load_material(cfg.material_source)
+    _, table = read_table(cfg.material_source, MATERIAL_CSV_HEADER)
+    return build_material(*table.T)
 
 
 def leidenfrost_profiles(u_max: float, beta_max: float) -> tuple[pchip.Pchip, pchip.Pchip]:
@@ -237,7 +271,7 @@ def exact_flux_parameter(cfg: ExperimentConfig) -> pchip.FluxParameter | None:
 
     Returns None when the config declares no exact fluxes. CSV sources must
     share one knot vector between the two files; only their knot and value
-    columns are read (`pchip.load_pchip`).
+    columns are read (see `FLUX_CSV_HEADER`).
     """
     if cfg.flux_source == "none":
         return None
@@ -246,8 +280,8 @@ def exact_flux_parameter(cfg: ExperimentConfig) -> pchip.FluxParameter | None:
     else:
         if not cfg.flux_beta0_csv or not cfg.flux_betaL_csv:
             raise ValidationError("flux CSV paths required for fluxes.source = csv")
-        b0 = pchip.load_pchip(cfg.flux_beta0_csv)
-        bL = pchip.load_pchip(cfg.flux_betaL_csv)
+        b0, bL = (pchip.Pchip(*read_table(path, FLUX_CSV_HEADER)[1].T[:2])
+                  for path in (cfg.flux_beta0_csv, cfg.flux_betaL_csv))
         if b0.n != bL.n or np.abs(b0.knots - bL.knots).max() > 1e-9 * cfg.u_max:
             raise ValidationError("exact flux files must share one partition")
     return pchip.FluxParameter(

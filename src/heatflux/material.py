@@ -9,7 +9,6 @@ drives conduction, and the only material quantity the marches read.
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
 
@@ -19,8 +18,6 @@ from . import pchip
 from .errors import ValidationError
 
 THETA_REF = 273.15
-
-MATERIAL_CSV_HEADER = ["theta", "capacity", "conductivity"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,23 +98,3 @@ def builtin_material() -> MaterialModel:
         + 6.0 * np.exp(-(((theta - THETA_REF) / 250.0) ** 2))
     )
     return build_material(theta, cap, cond)
-
-
-def load_material(path) -> MaterialModel:
-    """Build a material from a CSV file with the header
-    `theta,capacity,conductivity` and one row per table temperature:
-    temperature in K, volumetric heat capacity in J/(m3 K) and conductivity
-    in W/(m K)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [c.strip() for c in rows[0]] != MATERIAL_CSV_HEADER:
-        raise ValidationError(
-            f"{path}: expected header {','.join(MATERIAL_CSV_HEADER)}"
-        )
-    try:
-        data = np.array([[float(c) for c in row] for row in rows[1:] if row])
-    except ValueError as exc:
-        raise ValidationError(f"{path}: non-numeric cell ({exc})") from exc
-    if data.ndim != 2 or data.shape[1] != 3:
-        raise ValidationError(f"{path}: expected 3 columns")
-    return build_material(data[:, 0], data[:, 1], data[:, 2])

@@ -18,9 +18,6 @@ generator; the recorded relative noise level is the smallest delta with
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -158,63 +155,3 @@ def adjoint_source(residual, spec: ObservationSpec, g: Grid) -> tuple[np.ndarray
         np.add.at(S, (at + 1, np.full(spec.m, i)), wt * (1.0 - a) * v)
         np.add.at(S, (at + 1, np.full(spec.m, i + 1)), wt * a * v)
     return levels, S
-
-
-def render_measurement_csv(data: np.ndarray, spec: ObservationSpec) -> str:
-    """Readings as CSV: first row sample times, first column sensor depths."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([""] + [repr(float(t)) for t in spec.times])
-    for j, x in enumerate(spec.positions):
-        writer.writerow([repr(float(x))] + [repr(float(v)) for v in data[j]])
-    return buf.getvalue()
-
-
-def render_measurement_meta(meas: Measurement, extra: dict | None = None) -> str:
-    payload = {
-        "delta": float(meas.delta),
-        "seed": int(meas.seed),
-        "amplitude": float(meas.amplitude),
-    }
-    if extra:
-        payload.update(extra)
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def parse_measurement_csv(text: str) -> tuple[np.ndarray, ObservationSpec]:
-    rows = list(csv.reader(io.StringIO(text)))
-    if len(rows) < 2 or len(rows[0]) < 2:
-        raise ValidationError("measurement CSV needs a time row and sensor rows")
-    try:
-        times = np.array([float(c) for c in rows[0][1:]])
-        positions = np.array([float(r[0]) for r in rows[1:] if r])
-        data = np.array([[float(c) for c in r[1:]] for r in rows[1:] if r])
-    except ValueError as exc:
-        raise ValidationError(f"measurement CSV has a non-numeric cell ({exc})") from exc
-    spec = ObservationSpec(positions=positions, times=times)
-    if data.shape != (spec.d, spec.m):
-        raise ValidationError("measurement CSV rows have inconsistent lengths")
-    return data, spec
-
-
-def load_measurement(csv_path, meta_path) -> tuple[Measurement, dict]:
-    """The measurement in `csv_path` with the noise record in `meta_path`,
-    and the whole parsed meta payload (it may carry further keys, such as
-    the simulation grid)."""
-    with open(csv_path, newline="") as fh:
-        data, spec = parse_measurement_csv(fh.read())
-    try:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-        meas = Measurement(
-            data=data,
-            spec=spec,
-            delta=float(meta["delta"]),
-            seed=int(meta["seed"]),
-            amplitude=float(meta["amplitude"]),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"{meta_path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{meta_path}: malformed noise record ({exc})") from exc
-    return meas, meta

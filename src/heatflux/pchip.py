@@ -23,8 +23,7 @@ or cubic coefficients overflow even so are refused. The module also
 provides the sensitivity of the interpolated value with respect to the data
 values (`grad_wrt_values_many`, from the stored banded slope Jacobian),
 which the tangent march and the adjoint gradient assembly rely on, and a
-nested-partition refinement loop (`refine_to_tolerance`). A
-`knot,value,slope` CSV file loads from its knot and value columns alone.
+nested-partition refinement loop (`refine_to_tolerance`).
 
 `FluxParameter` bundles the two boundary heat-flux value vectors that the
 inverse solver optimizes, together with their shared enthalpy partition and
@@ -33,7 +32,6 @@ box bound.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -43,8 +41,6 @@ from .errors import RefinementError, ValidationError
 
 # Relative tolerance for accepting a knot vector as equidistant.
 EQUIDISTANT_RTOL = 1e-12
-
-PCHIP_CSV_HEADER = ["knot", "value", "slope"]
 
 
 def _uniform_spacing(knots: np.ndarray) -> float:
@@ -493,23 +489,3 @@ def flux_interpolants(fp: FluxParameter) -> tuple[Pchip, Pchip]:
         Pchip(fp.partition, fp.beta[:n]),
         Pchip(fp.partition, fp.beta[n:]),
     )
-
-
-def load_pchip(path) -> Pchip:
-    """Read an interpolant from a CSV file with the header `knot,value,slope`
-    and one row per knot.
-
-    The slope column is not read: the slopes follow from the values, so the
-    value sensitivities differentiate the interpolant that is evaluated.
-    """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [c.strip() for c in rows[0]] != PCHIP_CSV_HEADER:
-        raise ValidationError(f"{path}: expected header {','.join(PCHIP_CSV_HEADER)}")
-    try:
-        data = np.array([[float(c) for c in row] for row in rows[1:] if row])
-    except ValueError as exc:
-        raise ValidationError(f"{path}: non-numeric cell ({exc})") from exc
-    if data.ndim != 2 or data.shape[1] != 3:
-        raise ValidationError(f"{path}: expected 3 columns")
-    return Pchip(data[:, 0], data[:, 1])

@@ -59,8 +59,8 @@ def coarse_grid():
 @pytest.fixture
 def write_csv(tmp_path):
     """Write `rows` under `header` to `tmp_path / name`, floats as `repr`
-    (which round-trips exactly), and return the path. Builds the input files
-    that `load_material` and `load_pchip` read."""
+    (which round-trips exactly), and return the path. Builds the flux and
+    material tables that `config.read_table` reads."""
 
     def write(name, header, rows):
         lines = [",".join(header)]

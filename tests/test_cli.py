@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from heatflux import adjoint, cli, config as config_mod, forward, material
+from heatflux.errors import ValidationError
 from heatflux.optimizer import OptimizerState
 from heatflux.cli import _directional_error, _iterations_to_levels, gradient_check, main
 
@@ -28,6 +29,21 @@ def write_config(tmp_path, name="exp.cfg", extra=""):
     out_dir = tmp_path / "out"
     path.write_text(SMALL + f"output.dir = {out_dir}\n" + extra)
     return path, out_dir
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Forward solves made through any module that calls `solve_ibvp`."""
+    calls = []
+    solve_ibvp = forward.solve_ibvp
+
+    def counted(*args):
+        calls.append(1)
+        return solve_ibvp(*args)
+
+    for module in (forward, cli, adjoint):
+        monkeypatch.setattr(module, "solve_ibvp", counted)
+    return calls
 
 
 class TestSimulate:
@@ -93,7 +109,7 @@ class TestSimulate:
             - 10.0 * np.exp(-(((theta - 1100.0) / 140.0) ** 2))
             + 6.0 * np.exp(-(((theta - material.THETA_REF) / 250.0) ** 2))
         )
-        table = write_csv("steel.csv", material.MATERIAL_CSV_HEADER, zip(theta, cap, cond))
+        table = write_csv("steel.csv", config_mod.MATERIAL_CSV_HEADER, zip(theta, cap, cond))
         readings = {}
         for source in ("builtin", table):
             run_dir = tmp_path / f"run{len(readings)}"
@@ -102,6 +118,17 @@ class TestSimulate:
             assert main(["simulate", "--config", str(cfg_path)]) == 0
             readings[source] = [(out_dir / n).read_bytes() for n in ("clean.csv", "noisy.csv")]
         assert readings["builtin"] == readings[table]
+
+    @pytest.mark.parametrize(
+        "extra, flags", [("noise.seed = -1\n", []), ("", ["--seed", "-1"])], ids=["config", "flag"]
+    )
+    def test_negative_seed_exits_2_before_any_solve(self, tmp_path, solves, extra, flags):
+        # Formerly a ValueError traceback (exit 1) from the noise generator,
+        # after the forward solve.
+        cfg_path, out_dir = write_config(tmp_path, extra=extra)
+        assert main(["simulate", "--config", str(cfg_path), *flags]) == 2
+        assert solves == []
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "line", ["initial.u0 = nan", "domain.T = inf", "optimizer.rho = nan"]
@@ -143,9 +170,7 @@ class TestInvert:
     def test_convergence_f_is_normalized_times_data_norm(self, simulated):
         cfg_path, out_dir = simulated
         main(["invert", "--config", str(cfg_path)])
-        noisy, _ = __import__("heatflux.observation", fromlist=["x"]).parse_measurement_csv(
-            (out_dir / "noisy.csv").read_text()
-        )
+        noisy = cli._read_measurement(out_dir)[0].data
         norm_y = float(np.sum(noisy**2))
         rows = (out_dir / "convergence.csv").read_text().splitlines()[1:]
         for row in rows:
@@ -184,6 +209,18 @@ class TestInvert:
         cfg_path, out_dir = simulated
         meta = out_dir / "meta.json"
         meta.write_text(edit(meta.read_text()))
+        assert main(["invert", "--config", str(cfg_path)]) == 2
+        assert not (out_dir / "beta.json").exists()
+
+    def test_noisy_row_of_wrong_length_exits_2(self, simulated):
+        # Formerly reported as a non-numeric cell.
+        cfg_path, out_dir = simulated
+        noisy = out_dir / "noisy.csv"
+        lines = noisy.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        noisy.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError, match="row 3 has 20 cells, not 21"):
+            cli._read_measurement(out_dir)
         assert main(["invert", "--config", str(cfg_path)]) == 2
         assert not (out_dir / "beta.json").exists()
 
@@ -228,40 +265,18 @@ class TestInvert:
 
 
 class TestCompare:
-    def test_bad_landweber_damping_exits_2_before_any_solve(self, tmp_path, monkeypatch):
+    def test_bad_landweber_damping_exits_2_before_any_solve(self, tmp_path, solves):
         # Formerly `compare` ran the whole PQN solve before Landweber refused
         # the damping.
-        calls = []
-        solve_ibvp = forward.solve_ibvp
-
-        def counted(*args):
-            calls.append(1)
-            return solve_ibvp(*args)
-
-        for module in (forward, cli, adjoint):
-            monkeypatch.setattr(module, "solve_ibvp", counted)
         cfg_path, _ = write_config(tmp_path, extra="optimizer.landweber_damping = -1\n")
         assert main(["compare", "--config", str(cfg_path)]) == 2
-        assert calls == []
+        assert solves == []
 
 
 class TestInverseCrime:
     # `compare` and `gradcheck` simulate their data on the config's own
     # simulation grid, so an inversion grid equal to it is the inverse crime.
     CRIME = "grids.inv.nx = 41\ngrids.inv.nt = 400\n"
-
-    @pytest.fixture
-    def solves(self, monkeypatch):
-        calls = []
-        solve_ibvp = forward.solve_ibvp
-
-        def counted(*args):
-            calls.append(1)
-            return solve_ibvp(*args)
-
-        for module in (forward, cli, adjoint):
-            monkeypatch.setattr(module, "solve_ibvp", counted)
-        return calls
 
     @pytest.mark.parametrize("command", ["compare", "gradcheck"])
     def test_same_grid_exits_2_before_any_solve(self, tmp_path, solves, command):

@@ -135,6 +135,15 @@ class TestValidation:
         with pytest.raises(ValidationError):
             ExperimentConfig(noise_amplitude=-1.0)
 
+    def test_negative_seed_rejected(self):
+        # Formerly accepted, then a ValueError traceback from the noise
+        # generator after the forward solve.
+        with pytest.raises(ValidationError, match="seed"):
+            parse_config_text("noise.seed = -1\n")
+        with pytest.raises(ValidationError, match="seed"):
+            config_mod.with_overrides(ExperimentConfig(), seed=-1)
+        assert ExperimentConfig(seed=0).seed == 0
+
     @pytest.mark.parametrize(
         "line",
         [
@@ -223,7 +232,7 @@ class TestBuiltinProfiles:
         cfg = ExperimentConfig()
         b0, bL = config_mod.leidenfrost_profiles(cfg.u_max, cfg.beta_max)
         p0, pL = (
-            write_csv(name, pchip.PCHIP_CSV_HEADER, zip(p.knots, p.values, p.slopes))
+            write_csv(name, config_mod.FLUX_CSV_HEADER, zip(p.knots, p.values, p.slopes))
             for name, p in (("beta0.csv", b0), ("betaL.csv", bL))
         )
         cfg_csv = ExperimentConfig(
@@ -239,7 +248,7 @@ class TestBuiltinProfiles:
             np.linspace(0.0, cfg.u_max, 21), np.zeros(21)
         )
         p0, pL = (
-            write_csv(name, pchip.PCHIP_CSV_HEADER, zip(p.knots, p.values, p.slopes))
+            write_csv(name, config_mod.FLUX_CSV_HEADER, zip(p.knots, p.values, p.slopes))
             for name, p in (("beta0.csv", b0), ("betaL.csv", other))
         )
         cfg_csv = ExperimentConfig(
@@ -251,3 +260,27 @@ class TestBuiltinProfiles:
     def test_csv_source_requires_both_paths(self):
         with pytest.raises(ValidationError):
             config_mod.exact_flux_parameter(ExperimentConfig(flux_source="csv"))
+
+
+class TestTables:
+    """Both input tables go through `read_table`; a short or long row is
+    reported as such, not as a non-numeric cell."""
+
+    def test_flux_row_of_wrong_length_is_reported(self, tmp_path):
+        path = tmp_path / "beta0.csv"
+        path.write_text("knot,value,slope\n0.0,1.0,0.0\n1.0,2.0\n2.0,3.0,0.0\n")
+        cfg = ExperimentConfig(
+            flux_source="csv", flux_beta0_csv=str(path), flux_betaL_csv=str(path)
+        )
+        with pytest.raises(ValidationError, match="row 3 has 2 cells, not 3"):
+            config_mod.exact_flux_parameter(cfg)
+
+    def test_material_row_of_wrong_length_is_reported(self, tmp_path):
+        path = tmp_path / "steel.csv"
+        path.write_text(
+            "theta,capacity,conductivity\n273.15,3.8e6,30.0\n\n"
+            "373.15,3.8e6,30.0,1.0\n473.15,3.8e6,30.0\n"
+        )
+        cfg = ExperimentConfig(material_source=str(path))
+        with pytest.raises(ValidationError, match="row 4 has 4 cells, not 3"):
+            config_mod.load_configured_material(cfg)

@@ -1,0 +1,32 @@
+"""Layering: the numerical modules do no file work.
+
+The file formats live in `cli` (measurement and result files) and `config`
+(config files and input tables); the pipeline's modules see arrays only.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import heatflux
+
+NUMERIC_MODULES = ["pchip", "material", "forward", "observation", "adjoint", "optimizer"]
+FILE_MODULES = {"csv", "io", "json"}
+
+
+def imported_modules(path: Path) -> set:
+    """Top-level names of every module imported anywhere in `path`."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("module", NUMERIC_MODULES)
+def test_numeric_module_imports_no_file_format(module):
+    path = Path(heatflux.__file__).parent / f"{module}.py"
+    assert not imported_modules(path) & FILE_MODULES

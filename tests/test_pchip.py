@@ -1,10 +1,12 @@
-"""Shape-preserving interpolation: construction, evaluation, sensitivities."""
+"""Shape-preserving interpolation: construction, evaluation, sensitivities,
+and flux tables read into interpolants."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heatflux import pchip
+from heatflux import config, pchip
+from heatflux.config import ExperimentConfig
 from heatflux.errors import RefinementError, ValidationError
 
 VALUES = st.lists(
@@ -459,10 +461,20 @@ class TestFluxParameter:
 
 
 class TestSerialization:
+    """Flux tables as the config reads them (`fluxes.source = csv`)."""
+
+    @staticmethod
+    def load(path) -> pchip.Pchip:
+        """The interpolant configured from the flux table at `path`."""
+        cfg = ExperimentConfig(
+            flux_source="csv", flux_beta0_csv=str(path), flux_betaL_csv=str(path)
+        )
+        return pchip.flux_interpolants(config.exact_flux_parameter(cfg))[0]
+
     def test_save_load_round_trip(self, write_csv):
         p = pchip.Pchip(np.linspace(0.0, 2.0, 5), [0.0, 1.0, 0.5, 2.0, 2.0])
-        path = write_csv("p.csv", pchip.PCHIP_CSV_HEADER, zip(p.knots, p.values, p.slopes))
-        q = pchip.load_pchip(path)
+        path = write_csv("p.csv", config.FLUX_CSV_HEADER, zip(p.knots, p.values, p.slopes))
+        q = self.load(path)
         assert np.array_equal(p.knots, q.knots)
         assert np.array_equal(p.values, q.values)
         assert np.array_equal(p.slopes, q.slopes)
@@ -473,9 +485,9 @@ class TestSerialization:
         knots = np.linspace(0.0, 2.0, 5)
         values = np.array([0.0, 1.0, 0.5, 2.0, 2.0])
         path = write_csv(
-            "zero_slopes.csv", pchip.PCHIP_CSV_HEADER, zip(knots, values, np.zeros(5))
+            "zero_slopes.csv", config.FLUX_CSV_HEADER, zip(knots, values, np.zeros(5))
         )
-        q = pchip.load_pchip(path)
+        q = self.load(path)
         p = pchip.Pchip(knots, values)
         assert np.array_equal(q.slopes, p.slopes)
         xs = np.linspace(0.0, 2.0, 41)
@@ -489,10 +501,10 @@ class TestSerialization:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValidationError):
-            pchip.load_pchip(path)
+            self.load(path)
 
     def test_load_rejects_non_numeric(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("knot,value,slope\n0.0,x,0.0\n")
         with pytest.raises(ValidationError):
-            pchip.load_pchip(path)
+            self.load(path)
