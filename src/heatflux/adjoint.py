@@ -52,20 +52,21 @@ of coefficient buffers, all made once per march; it fills the bands of the
 block's steps at once, one contiguous row per step, with the state march's
 `_diffusion_bands`. So a march holds one block of coefficients, not a
 trajectory of them, and computes every block's in the same buffers. The
-adjoint forms a block's transport and Robin factors in the order the
-per-step products used, so every product rounds as it would inside the
-step. Its steps allocate nothing: each right-hand side is formed in the row
-of the block's levels it is solved for, the interior of the transport
-correction goes through buffers of the march, and the two wall values are
-formed in Python floats. A step whose later level the samples reach adds
-that level's source row; any other step adds a zero row. The tangent march
-forms each right-hand side in the next level of its field. Both solve it
-there with dgtsv and check as the state march does, through
-`forward._check_levels`: on a singular step, and once per block for the
-finiteness of the block's solved levels, which raises at the step a
-per-step check would. The adjoint march itself is `_adjoint_blocks`, which
-hands out each block of solved levels once it is checked; `solve_adjoint`
-keeps their wall traces, and the tests every level.
+adjoint forms a block's transport, wall and Robin factors in numpy, in the
+order the per-step products used, so every product rounds as it would
+inside the step, and then runs the block's step loop compiled (`marchlib`,
+`_march.c`): each step adds the level's source row, or 0.0 where the
+samples miss the level, to the carried level in the row of the block it
+solves for, solves it there with scipy's LAPACK dgtsv, and carries the
+solved level through the transposed transport correction and the two Robin
+walls, with the numpy code's operations in their order. The tangent march
+(numpy; only tests call it) forms each right-hand side in the next level of
+its field and solves it there with dgtsv. Both check as the state march
+does, through `forward._check_levels`: on a singular step, and once per
+block for the finiteness of the block's solved levels, which raises at the
+step a per-step check would. The adjoint march itself is `_adjoint_blocks`,
+which hands out each block of solved levels once it is checked;
+`solve_adjoint` keeps their wall traces, and the tests every level.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from . import pchip
+from . import marchlib, pchip
 from .errors import ValidationError
 from .forward import EnthalpyField, Grid, _check_levels, _diffusion_bands, solve_ibvp
 from .material import MaterialModel
@@ -240,72 +241,46 @@ def _adjoint_blocks(u: EnthalpyField, m: MaterialModel, fp: FluxParameter, sourc
     blocks = _step_blocks(g)
     size, nx = blocks[0][1], g.nx
     coefficients = _step_coefficients(u, m, b0, bL, size)
-    # Every step works in these buffers: the carried level psi, the scratch
-    # of the transposed transport correction and a zero source row; a
-    # block's interior transport factors (0.5 r) ap go into `half_ap`. Each
-    # right-hand side is formed in the row of its block that it solves for
-    # and solved there.
-    psi, zero = np.zeros(nx), np.zeros(nx)
-    pd, inner = np.empty(nx - 1), np.empty(nx - 2)
-    psi_in, pd_lo, pd_hi = psi[1:-1], pd[:-1], pd[1:]
+    # The carried level psi, a block's interior transport factors (0.5 r) ap
+    # and the source row of each of its steps.
+    psi = np.zeros(nx)
     half_ap = np.empty((size, nx - 2))
+    src_row = np.empty(size, dtype=marchlib.INDEX)
     for lo, hi in reversed(blocks):
         # Everything that does not depend on the freshly solved level is
-        # hoisted out of the block's steps: the frozen coefficients and step
-        # bands, their per-step products with the step constants (transport
-        # factors, Robin factors c*beta'), the weighted source rows, and the
-        # row views every step reads. Each product is formed in the order a
-        # per-step evaluation would use, so it rounds the same; the wall and
-        # Robin factors go to the loop as Python floats.
+        # formed here for the whole block: the frozen coefficients and step
+        # bands, their products with the step constants (transport factors,
+        # wall factors (r du) ap, Robin factors c*beta') and the weighted
+        # source rows. Each product is formed in the order a per-step
+        # evaluation would use, so it rounds the same.
         k = hi - lo
         du, ap, off, diag, b0p, bLp = coefficients(lo, hi)
         np.multiply(ap[:, 1:-1], half_r, out=half_ap[:k])
-        wall0 = ((r * du[:, 0]) * ap[:, 0]).tolist()
-        wallL = ((r * du[:, -1]) * ap[:, -1]).tolist()
-        robin0, robinL = (c * b0p).tolist(), (c * bLp).tolist()
-        # A step whose later level the samples miss adds the zero row.
+        wall0 = (r * du[:, 0]) * ap[:, 0]
+        wallL = (r * du[:, -1]) * ap[:, -1]
         a, b = np.searchsorted(levels, (lo + 1, hi + 1))
         weighted_src = g.dt * rows[a:b]
         weighted_src[:, [0, -1]] *= 2.0  # source density doubles on the wall half cells
-        src = [zero] * k
-        for i, row in zip((levels[a:b] - (lo + 1)).tolist(), weighted_src):
-            src[i] = row
+        # A step whose later level the samples miss (row -1) adds 0.0.
+        src_row[:k] = -1
+        src_row[levels[a:b] - (lo + 1)] = np.arange(b - a)
         block = np.empty((k, nx))
         # The step that solves level s is step nt - s, so `block[::-1]`
-        # holds the block's levels in march order from step `first` on.
+        # holds the block's levels in march order from step `first` on. The
+        # implicit operator is self-adjoint under the half-cell volume
+        # weights, so the adjoint march solves with the state step's bands.
+        # Each step carries the solved level q to the next (earlier) one:
+        # the transposed transport correction and the Robin terms alpha'
+        # phi_x = beta' phi act on q, mirroring the frozen-coefficient
+        # treatment of the state march.
         first = g.nt - hi + 1
-        sub, dia, sup = list(off[:, 1]), list(diag), list(off[:, 0])
-        Q, Q_in = list(block), list(block[:, 1:-1])
-        Q_hi, Q_lo = list(block[:, 1:]), list(block[:, :-1])
-        du_rows, half_rows = list(du), list(half_ap[:k])
-        # The block's levels are checked once, after its last step; until
-        # then the arithmetic on a non-finite level must not warn.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(k - 1, -1, -1):
-                # The implicit operator is self-adjoint under the half-cell
-                # volume weights, so the adjoint march solves with the state
-                # step's bands.
-                q = Q[i]
-                np.add(psi, src[i], out=q)
-                if dgtsv(sub[i], dia[i], sup[i], q, 1, 1, 1, 1)[-1] != 0:
-                    _check_levels(block[:i:-1], first, singular=g.nt - lo - i)
-                # Carry to the next (earlier) level: the transposed transport
-                # correction and the Robin terms alpha' phi_x = beta' phi act
-                # on the freshly solved level, mirroring the frozen-coefficient
-                # treatment of the state march. Inside, the correction is
-                # (0.5 r) ap (du dq summed over the two adjacent intervals),
-                # where dq is the level's increment; on the walls it is
-                # (r du) ap dq, and each wall value is formed in Python floats
-                # as (q - correction) - robin q.
-                np.subtract(Q_hi[i], Q_lo[i], out=pd)
-                q0, qL, dq0, dqL = q.item(0), q.item(-1), pd.item(0), pd.item(-1)
-                pd *= du_rows[i]
-                np.add(pd_lo, pd_hi, out=inner)
-                inner *= half_rows[i]
-                np.subtract(Q_in[i], inner, out=psi_in)
-                psi[0] = (q0 - wall0[i] * dq0) - robin0[i] * q0
-                psi[-1] = (qL - wallL[i] * dqL) - robinL[i] * qL
-            _check_levels(block[::-1], first)
+        singular = marchlib.adjoint_block(
+            psi, block, off, diag, du, half_ap[:k], wall0, wallL, c * b0p, c * bLp,
+            np.ascontiguousarray(weighted_src, dtype=float), src_row[:k],
+        )
+        if singular is not None:
+            _check_levels(block[:singular:-1], first, singular=g.nt - lo - singular)
+        _check_levels(block[::-1], first)
         yield lo, hi, block
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import adjoint, config as config_mod, observation, optimizer, pchip
 from .config import ExperimentConfig
-from .errors import DivergenceError, OptimizerError, ValidationError
+from .errors import BuildError, DivergenceError, OptimizerError, ValidationError
 from .forward import solve_ibvp
 
 log = logging.getLogger("heatflux")
@@ -435,6 +435,9 @@ def main(argv=None) -> int:
     except OptimizerError as exc:
         log.error("optimizer failure: %s", exc)
         return 4
+    except BuildError as exc:
+        log.error("build error: %s", exc)
+        return 2
     except OSError as exc:
         log.error("io error: %s", exc)
         return 2

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: validation problems exit with 2,
-solver divergence with 3, optimizer failures with 4.
+The CLI maps these onto process exit codes: validation problems and a failed
+build of the compiled march library exit with 2, solver divergence with 3,
+optimizer failures with 4.
 """
 
 
@@ -36,3 +37,8 @@ class OptimizerError(HeatfluxError):
 
 class LineSearchError(OptimizerError):
     """Projected Armijo backtracking underflowed the step length."""
+
+
+class BuildError(HeatfluxError):
+    """The compiled march library could not be built (no C compiler `cc`, or
+    the compile failed); the message names the command."""

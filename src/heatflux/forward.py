@@ -15,25 +15,24 @@ trapezoid weights the scheme satisfies the discrete energy identity
 
 exactly, which mirrors the continuous energy balance of the model.
 
-The march reads the diffusivity through `pchip.march_evaluator` (values only,
-from the interval table the interpolant was built with, equal to `pchip.eval`
-bit for bit) and the boundary fluxes through `pchip._eval_scalar`. A step
-allocates nothing: the evaluator writes into a buffer of the march, the sums
-of neighbouring diffusivities go into another, `_diffusion_bands` fills the
-bands from them in one pass (four ufunc calls, the same bits as bands
-written from the interface means), and the right-hand side is formed in the
-next level of the output field and solved there. The buffers and their
-views live for one call. Its linearization, the tangent march and its
-transpose, lives in `adjoint`, which fills the bands of a block of steps at
-once with the same `_diffusion_bands`.
+The step loop runs compiled (`marchlib`, `_march.c`). Per step it
+evaluates the diffusivity as `pchip.march_evaluator` does (clamped, from
+the interval table the interpolant was built with), sums neighbouring
+diffusivities, fills the bands as `_diffusion_bands` does, evaluates the two
+boundary fluxes as `pchip._eval_scalar` does, forms the right-hand side in
+the next level of the output field and solves it there with scipy's LAPACK
+dgtsv: the numpy march's operations in its order, so every level keeps its
+bits. Its linearization, the tangent march and its transpose, lives in
+`adjoint`, which fills the bands of a block of steps at once with
+`_diffusion_bands`.
 
 All three marches solve alike: each right-hand side is formed in the row of
 the output it is solved for and solved there by dgtsv, and one function,
 `_check_levels`, raises `DivergenceError` at the step a per-step test of
-every solved level would give. The state march calls it when one of the
-two wall values a step reads anyway is not finite, on a singular step and
-once after its last step; the linearized marches on a singular step and
-once per block.
+every solved level would give. The state march calls it when a wall value
+of a level is not finite (its compiled loop stops there, before any flux
+is evaluated on it), on a singular step and once after its last step; the
+linearized marches on a singular step and once per block.
 """
 
 from __future__ import annotations
@@ -42,9 +41,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
-from . import pchip
+from . import marchlib
 from .errors import DivergenceError, ValidationError
 from .material import MaterialModel
 from .pchip import FluxParameter, flux_interpolants
@@ -141,7 +139,9 @@ def _diffusion_bands(S: np.ndarray, off: np.ndarray, diag: np.ndarray, r: float)
     implicit operator of the adjoint march. Leading axes on `S`
     (levels, nx + 1), `off` (levels, 2, nx - 1) and `diag` (levels, nx) fill
     many time levels at once, each a contiguous row, with the same
-    arithmetic per entry.
+    arithmetic per entry; the linearized marches fill a block of steps so.
+    The state march's compiled loop fills one step's bands with the same
+    operations.
     """
     coef = np.full((2, S.shape[-1] - 2), -0.5 * r)
     coef[0, 0] = coef[1, -1] = -r
@@ -182,37 +182,15 @@ def solve_ibvp(m: MaterialModel, fp: FluxParameter, u0, g: Grid) -> EnthalpyFiel
 
     U = np.empty((g.nt + 1, g.nx))
     U[0] = u0
-    # Every step works in these buffers: the diffusivity, the extended sums
-    # of neighbouring diffusivities and the bands, with the views of them
-    # the step reads. Its right-hand side is written into the next level of
-    # U and solved there.
-    alpha = np.empty(g.nx)
-    S = np.empty(g.nx + 1)
-    s, a_lo, a_hi = S[1:-1], alpha[:-1], alpha[1:]
-    off, diag = np.empty((2, g.nx - 1)), np.empty(g.nx)
-    sup, sub = off
-    fill_bands = _diffusion_bands(S, off, diag, r)
-    diffusivity = pchip.march_evaluator(m.diffusivity, g.nx)
-    # A non-finite level shows in the wall values of the next level at the
-    # latest; until then the arithmetic on it must not warn.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(g.nt):
-            un, rhs = U[n], U[n + 1]
-            u_0, u_L = un.item(0), un.item(-1)
-            if not math.isfinite(u_0 + u_L):
-                _check_levels(U[1 : n + 1], 1)
-            diffusivity(un, alpha)
-            np.add(a_lo, a_hi, out=s)
-            S[0], S[-1] = s[0], s[-1]
-            fill_bands()
-            beta0 = pchip._eval_scalar(b0, u_0, True)[0]
-            betaL = pchip._eval_scalar(bL, u_L, True)[0]
-            rhs[:] = un
-            rhs[0] = u_0 - c * beta0
-            rhs[-1] = u_L - c * betaL
-            if dgtsv(sub, diag, sup, rhs, 1, 1, 1, 1)[-1] != 0:
-                _check_levels(U[1 : n + 1], 1, singular=n + 1)
-        _check_levels(U[1:], 1)
+    # The compiled loop stops at a level with a non-finite wall value and at
+    # a singular step; `_check_levels` raises at the step a per-step check
+    # would give, and after the last step it finds a non-finite level the
+    # walls never showed.
+    interps = [marchlib.interpolant(p) for p in (m.diffusivity, b0, bL)]
+    stop, n = marchlib.forward_march(U, r, c, *interps)
+    if stop != marchlib.DONE:
+        _check_levels(U[1 : n + 1], 1, singular=n + 1 if stop == marchlib.SINGULAR else None)
+    _check_levels(U[1:], 1)
     return EnthalpyField(g, U)
 
 

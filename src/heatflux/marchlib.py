@@ -1,0 +1,158 @@
+"""The compiled step loops of the state and adjoint marches (`_march.c`).
+
+`forward.solve_ibvp` runs its whole step loop, and `adjoint._adjoint_blocks`
+the step loop of each block, in C; this module builds that library, loads it
+and calls it. The C loops do the numpy code's operations in the same order,
+with no fused multiply-adds, and solve with scipy's own LAPACK `dgtsv`
+(its address comes from `scipy.linalg.lapack.dgtsv._cpointer`), so the
+marches keep every bit.
+
+The library is compiled on first use with `COMPILE` (a C compiler `cc` must
+be on the path) and cached as `march-<key>.so` in `$XDG_CACHE_HOME/heatflux`
+(by default `~/.cache/heatflux`), where the key is the SHA-256 of the C
+source and the compile command: a changed source or command builds a new
+file, and an unchanged one loads the cached file without compiling. Where
+the cache cannot be written, the library is built in a fresh temporary
+directory, which is removed once it is loaded. A build is published with
+`os.replace`, so concurrent processes never load a half-written file. A
+failed build raises `BuildError`, which names the command.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from scipy.linalg.lapack import dgtsv
+
+from .errors import BuildError
+from .pchip import EQUIDISTANT_RTOL, Pchip
+
+SOURCE = Path(__file__).with_name("_march.c")
+# No -ffast-math and no -march=native: the loops must round as numpy does.
+COMPILE = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+# Stop codes of the C loops, and the type of `adjoint_block`'s source row
+# indices (C long).
+DONE, ALARM, SINGULAR = 0, 1, 2
+INDEX = np.dtype(ctypes.c_long)
+
+
+class Interp(ctypes.Structure):
+    """A `pchip.Pchip` as the C loops read it (`interp` in `_march.c`)."""
+
+    _fields_ = [
+        ("table", ctypes.c_void_p),
+        ("intervals", ctypes.c_long),
+        ("lo", ctypes.c_double),
+        ("hi", ctypes.c_double),
+        ("tol", ctypes.c_double),
+        ("inv_h", ctypes.c_double),
+    ]
+
+
+def cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(base) / "heatflux"
+
+
+def build(directory: Path, source: Path = SOURCE) -> Path:
+    """The library compiled from `source` in `directory`: the file already
+    there for the same source and `COMPILE`, or a new one compiled now."""
+    key = hashlib.sha256(source.read_bytes() + "\0".join(COMPILE).encode()).hexdigest()
+    target = Path(directory) / f"march-{key[:16]}.so"
+    if target.exists():
+        return target
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fd, partial = tempfile.mkstemp(suffix=".so", dir=target.parent)
+    os.close(fd)
+    command = [*COMPILE, "-o", partial, str(source)]
+    try:
+        done = subprocess.run(command, capture_output=True, text=True)
+        failure = done.stderr.strip() if done.returncode else None
+    except OSError as exc:
+        failure = str(exc)
+    if failure is not None:
+        os.unlink(partial)
+        raise BuildError(
+            f"cannot build the march library: `{' '.join(command)}` failed ({failure}); "
+            "heatflux needs a C compiler `cc` on first use"
+        )
+    os.replace(partial, target)
+    return target
+
+
+@functools.cache
+def _library():
+    """(library, address of scipy's dgtsv), loaded once per process."""
+    try:
+        lib = ctypes.CDLL(str(build(cache_dir())))
+    except OSError:
+        scratch = tempfile.mkdtemp(prefix="heatflux-")
+        try:
+            lib = ctypes.CDLL(str(build(Path(scratch))))
+        finally:
+            shutil.rmtree(scratch, ignore_errors=True)
+    pointer, index, interp = ctypes.c_void_p, ctypes.c_int, ctypes.POINTER(Interp)
+    lib.forward_march.argtypes = [index, index, ctypes.c_double, ctypes.c_double,
+                                  interp, interp, interp, pointer, pointer, pointer,
+                                  ctypes.POINTER(index)]
+    lib.adjoint_block.argtypes = [index, index] + [pointer] * 14 + [ctypes.POINTER(index)]
+    lib.forward_march.restype = lib.adjoint_block.restype = index
+    address = ctypes.pythonapi.PyCapsule_GetPointer
+    address.restype, address.argtypes = pointer, [ctypes.py_object, ctypes.c_char_p]
+    return lib, address(dgtsv._cpointer, None)
+
+
+def _addr(a: np.ndarray, shape: tuple, dtype=np.float64) -> int:
+    """The address of `a`, checked to be the C-contiguous array of this shape
+    and type that the C loops read or write."""
+    if a.shape != shape or a.dtype != dtype or not a.flags.c_contiguous:
+        raise ValueError(f"the compiled marches need a C-contiguous {np.dtype(dtype)} "
+                         f"array of shape {shape}, got {a.dtype} {a.shape}")
+    return a.ctypes.data
+
+
+def interpolant(p: Pchip) -> Interp:
+    """`p` for the C loops, with the clamping tolerance `pchip._eval_scalar`
+    takes. It reads `p`'s interval table, so `p` must outlive it."""
+    table = p._table
+    lo, hi = float(table[0, 0]), float(table[5, -1])
+    tol = EQUIDISTANT_RTOL * (hi - lo)
+    return Interp(_addr(table, (9, p.n - 1)), p.n - 1, lo, hi, tol, p._inv_h)
+
+
+def forward_march(U, r: float, c: float, alpha: Interp, b0: Interp,
+                  bL: Interp) -> tuple[int, int]:
+    """Run `forward_march` of `_march.c` on the field U, whose level 0 is
+    set. Returns (stop code, step)."""
+    (lib, solver), stop = _library(), ctypes.c_int()
+    nt, nx = U.shape[0] - 1, U.shape[1]
+    work = np.empty(5 * nx - 3)
+    code = lib.forward_march(nx, nt, r, c, alpha, b0, bL, _addr(U, U.shape),
+                             _addr(work, work.shape), solver, stop)
+    return code, stop.value
+
+
+def adjoint_block(psi, block, off, diag, du, half_ap, wall0, wallL, robin0, robinL,
+                  src, src_row) -> int | None:
+    """Run `adjoint_block` of `_march.c` on the k x nx `block`; returns the
+    row whose step matrix was singular, or None."""
+    (lib, solver), stop = _library(), ctypes.c_int()
+    k, nx = block.shape
+    pd = np.empty(nx - 1)
+    arrays = [(psi, (nx,)), (block, (k, nx)), (off, (k, 2, nx - 1)), (diag, (k, nx)),
+              (du, (k, nx - 1)), (half_ap, (k, nx - 2)), (wall0, (k,)), (wallL, (k,)),
+              (robin0, (k,)), (robinL, (k,)), (src, (src.shape[0], nx))]
+    if ((src_row < -1) | (src_row >= len(src))).any():
+        raise ValueError("source row index out of range")
+    code = lib.adjoint_block(nx, k, *(_addr(a, shape) for a, shape in arrays),
+                             _addr(src_row, (k,), INDEX), _addr(pd, pd.shape), solver, stop)
+    return stop.value if code == SINGULAR else None

@@ -13,13 +13,16 @@ gives the derivatives and their Jacobian, both built with the interpolant.
 
 Construction also builds the interpolant's one per-interval table, which
 both evaluators read: a scalar path, and `march_evaluator`, the one array
-evaluator, which writes values, or values and slopes, into buffers its
-caller owns and allocates nothing per call. `eval` runs a scalar on the one
-and an array on the other; the marches hold a `march_evaluator` for their
-whole run. Overflow-prone products in `_slope_rule` are taken on secants
-scaled by a power of two, so huge values give finite slopes with the bits
-of exact arithmetic; values near the float range whose secants, end slopes
-or cubic coefficients overflow even so are refused. The module also
+evaluator, which writes values and slopes into buffers its caller owns and
+allocates nothing per call. `eval` runs a scalar on the one and an array on
+the other; the linearized marches hold a `march_evaluator` for their whole
+run. The state march's compiled loop (`_march.c`) reads the same table: it
+repeats the evaluator's values for the diffusivity and the scalar path's
+values for the two boundary fluxes, operation for operation.
+Overflow-prone products in `_slope_rule` are taken on secants scaled by a
+power of two, so huge values give finite slopes with the bits of exact
+arithmetic; values near the float range whose secants, end slopes or cubic
+coefficients overflow even so are refused. The module also
 provides the sensitivity of the interpolated value with respect to the data
 values (`grad_wrt_values_many`, from the stored banded slope Jacobian),
 which the tangent march and the adjoint gradient assembly rely on, and a
@@ -253,26 +256,21 @@ def eval(p: Pchip, x, clamp: bool = False):
 
 
 def march_evaluator(p: Pchip, size: int):
-    """Clamped evaluation of `p` in buffers, for the inner loops of the marches.
+    """Clamped evaluation of `p` in buffers, for the coefficient passes of
+    the linearized marches.
 
-    Returns a function `evaluate(x, values, slopes=None)` of a 1-D array x of
-    at most `size` points. It writes the values of `eval(p, x, clamp=True)`
-    into the caller's buffer `values` and, when `slopes` is given, the
-    derivatives into `slopes`, bit for bit, and returns `values`. Each call
-    clamps, indexes, gathers one column of the interval table per point and
-    runs Horner, all in scratch buffers allocated here once; a shorter x runs
-    on the first entries of the same buffers.
+    Returns a function `evaluate(x, values, slopes)` of a 1-D array x of at
+    most `size` points. It writes the values and derivatives of `eval(p, x,
+    clamp=True)` into the caller's buffers `values` and `slopes`, bit for
+    bit, and returns `values`. Each call clamps, indexes, gathers one column
+    of the interval table per point and runs Horner, all in scratch buffers
+    allocated here once; a shorter x runs on the first entries of the same
+    buffers.
 
     Both outputs follow `eval`'s rules: a point on a knot takes the knot's
     value and slope, whichever of the two intervals its index rounds to, and
     a point outside the tolerance of the knot range takes the end value and
-    slope 0. The values-only call (the state march's) gathers the first
-    seven rows of the table and skips the left-knot and outside fix-ups: on
-    a left knot t = 0 already gives c0 (for values without negative zeros,
-    which a diffusivity never has), and the values need no outside mask. A
-    non-finite point gives a meaningless value, not an error: the state
-    march evaluates at most one non-finite level and then stops with
-    `DivergenceError`.
+    slope 0. A non-finite point gives a meaningless value, not an error.
     """
     # The scalars go in as 0-d arrays: a ufunc converts a Python float
     # operand on every call, about 0.4 us where the whole operation on 91
@@ -300,13 +298,11 @@ def _march_kernel(consts, buffers, n: int):
     garbage collection.
     """
     lo, hi, lo_out, hi_out, inv_h, three, table = consts
-    table7 = table[:7]
     xc, t, idx, hit, far = (b[:n] for b in buffers[:5])
     cols = buffers[5][: 9 * n].reshape(9, n)
-    cols7 = cols[:7]
     k0, c0, c1, c2, c3, k1, v1, s0, s1 = cols
 
-    def evaluate(x, values, slopes=None):
+    def evaluate(x, values, slopes):
         if x.size != n:
             return _march_kernel(consts, buffers, x.size)(x, values, slopes)
         np.maximum(x, lo, out=xc)
@@ -318,10 +314,7 @@ def _march_kernel(consts, buffers, n: int):
         # last interval, as `_locate` does; it also skips the buffered copy
         # that the default mode makes.
         idx[...] = t
-        if slopes is None:
-            table7.take(idx, 1, cols7, "clip")
-        else:
-            table.take(idx, 1, cols, "clip")
+        table.take(idx, 1, cols, "clip")
         np.subtract(xc, k0, out=t)
         np.multiply(t, inv_h, out=t)
         np.multiply(c3, t, out=values)
@@ -330,11 +323,6 @@ def _march_kernel(consts, buffers, n: int):
         values += c1
         values *= t
         values += c0
-        if slopes is None:
-            np.equal(xc, k1, out=hit)
-            if np.count_nonzero(hit):
-                np.copyto(values, v1, where=hit)
-            return values
         # (c1 + t (2 c2 + (3 t) c3)) / h, rounded as `_eval_scalar` rounds
         # it; c2 + c2 is 2 c2 exactly, formed in the gathered column the
         # values are done with.

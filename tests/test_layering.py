@@ -1,7 +1,10 @@
-"""Layering: the numerical modules do no file work.
+"""Layering: the numerical modules do no file work, and one module builds
+and calls the compiled marches.
 
 The file formats live in `cli` (measurement and result files) and `config`
 (config files and input tables); the pipeline's modules see arrays only.
+`marchlib` alone starts the compiler and talks to the compiled library;
+`forward`, `adjoint` and `pchip` reach it through `marchlib` only.
 """
 
 import ast
@@ -13,6 +16,7 @@ import heatflux
 
 NUMERIC_MODULES = ["pchip", "material", "forward", "observation", "adjoint", "optimizer"]
 FILE_MODULES = {"csv", "io", "json"}
+NATIVE_MODULES = {"ctypes", "subprocess"}
 
 
 def imported_modules(path: Path) -> set:
@@ -30,3 +34,11 @@ def imported_modules(path: Path) -> set:
 def test_numeric_module_imports_no_file_format(module):
     path = Path(heatflux.__file__).parent / f"{module}.py"
     assert not imported_modules(path) & FILE_MODULES
+
+
+def test_only_the_loader_builds_or_calls_native_code():
+    package = Path(heatflux.__file__).parent
+    users = {
+        path.stem for path in package.glob("*.py") if imported_modules(path) & NATIVE_MODULES
+    }
+    assert users == {"marchlib"}

@@ -1,17 +1,19 @@
 """March kernels against the plain per-step code they replace, bit for bit.
 
-All three marches evaluate through buffered `pchip.march_evaluator`s held
-for the whole march (the forward march its diffusivity values; the tangent
-and adjoint marches the diffusivity, its slope and the flux slopes of a
-block of levels at a time, `adjoint.solve_sensitivity` and
-`adjoint.solve_adjoint`), and fill their bands in one pass from the sums of
-neighbouring diffusivities (`forward._diffusion_bands`), one contiguous row
-per step. The adjoint reads transport and Robin factors hoisted over each
-block and forms its wall values in Python floats. Every march solves each
-step in place in its output and raises through one check,
-`forward._check_levels`: the linearized marches once per block and on a
-singular step, the forward march when a wall value is not finite, on a
-singular step and after its last step.
+The state march runs its step loop compiled (`marchlib`, `_march.c`): per
+step the diffusivity values of `pchip.march_evaluator`, the one-pass band
+fill of `forward._diffusion_bands` and the scalar flux values of
+`pchip._eval_scalar`, repeated operation for operation, and scipy's dgtsv.
+The linearized marches compute their coefficients in numpy a block of
+levels at a time (`adjoint._step_coefficients`: buffered
+`pchip.march_evaluator`s for the diffusivity, its slope and the flux
+slopes, the same band fill, one contiguous row per step); the adjoint runs
+each block's step loop compiled, on transport and Robin factors hoisted
+over the block, and the tangent march (`adjoint.solve_sensitivity`) stays
+numpy. Every march solves each step in place in its output and raises
+through one check, `forward._check_levels`: the linearized marches once per
+block and on a singular step, the forward march at a level with a
+non-finite wall value, on a singular step and after its last step.
 The adjoint keeps only its wall traces; the tests rebuild every level of
 phi from the blocks its march hands out (`adjoint._adjoint_blocks`), and
 feed it a source on every level or, as the sensors do, on some levels only.
@@ -22,10 +24,12 @@ for every coefficient (on the whole trajectory in one call; the tests of
 solved level checked at its step (`plain_step`).
 Both must give the same bytes on every case, including a steep box-corner
 iterate whose boundary stability number c*beta' exceeds 2 and a profile
-whose nodes sit on the diffusivity's knots and below its range, and must
-stop with `DivergenceError` at the same step when a level goes non-finite,
-also with blocks short enough that the 120-step grid ends in a remainder
-block and the first non-finite level sits on a block edge. An adjoint or
+whose nodes sit on the diffusivity's knots and below its range, walls on
+knots of the fluxes, and a carried adjoint level with a negative zero where
+the samples miss the level, and must stop with `DivergenceError` at the
+same step when a level goes non-finite, also with blocks short enough that
+the 120-step grid ends in a remainder block and the first non-finite level
+sits on a block edge. An adjoint or
 tangent step whose matrix is exactly singular raises at its step, or at an
 earlier non-finite level of its block.
 The buffered marches must also leave their inputs alone and hand out a new
@@ -310,6 +314,28 @@ def test_knot_case_takes_the_right_knot_and_clamp_branches(marches):
     assert (levels < p.knots[0]).any()
 
 
+def test_forward_march_takes_a_flux_knot_value_on_the_knot(builtin_material):
+    # The walls start on knots 9 and 12 of their flux, which round down into
+    # the interval on their left, where the cubic misses the knot's value
+    # in the last bit: the march must take the knot's value there, as
+    # `pchip.eval` does. The fluxes are large enough for that bit to reach
+    # the next level.
+    part = np.linspace(0.0, 5.74e9, 31)
+    values = np.random.default_rng(0).uniform(0.0, 1e9, part.size)
+    fp = pchip.FluxParameter(np.tile(values, 2), part, 1e9)
+    b0 = pchip.flux_interpolants(fp)[0]
+    for k in (9, 12):
+        x = part[k]
+        i = int((x - part[0]) * b0._inv_h)
+        k0, c0, c1, c2, c3 = b0._rows[i][:5]
+        t = (x - k0) * b0._inv_h
+        assert i == k - 1 and c0 + t * (c1 + t * (c2 + t * c3)) != values[k]
+    u0 = np.full(GRID.nx, part[9])
+    u0[-1] = part[12]
+    got = forward.solve_ibvp(builtin_material, fp, u0, GRID)
+    assert got.values.tobytes() == plain_solve_ibvp(builtin_material, fp, u0, GRID).tobytes()
+
+
 def test_forward_divergence_step_matches_plain_code(builtin_material):
     # Both fluxes rise to 1e307 below 5.2e9, where c*beta overflows: the
     # level after the boundary cools that far is non-finite.
@@ -336,6 +362,23 @@ def test_adjoint_divergence_step_matches_plain_code(marches):
         with pytest.raises(DivergenceError) as want:
             plain_solve_adjoint(field, m, fp, source, GRID)
     assert got.value.step == want.value.step == GRID.nt - 39
+
+
+def test_adjoint_march_adds_zero_on_a_negative_zero_level():
+    # Three nodes, steep diffusivity, flat levels and one subnormal source
+    # row at the last level: two steps later the carried level psi holds a
+    # -0.0 where the samples miss the level. The march must add 0.0 there,
+    # as the plain code's zero source row does (-0.0 + 0.0 is +0.0), not
+    # pass psi through: the solved level then differs in the sign of a zero.
+    g = Grid(L=2.0, T=4.0, nx=3, nt=4)
+    m = material.MaterialModel(diffusivity=pchip.Pchip([0.0, 1.0, 2.0], [1.0, 50.0, 1.0]))
+    U = np.repeat([[0.5], [2.0], [2.0], [0.0], [1.0]], 3, axis=1)
+    u = forward.EnthalpyField(g, U)
+    fp = pchip.FluxParameter([0.5, 1.0, 0.5, 0.5, 0.0, 0.5], np.linspace(0.0, 2.0, 3), 1.0)
+    source = np.zeros((g.nt + 1, g.nx))
+    source[4, 1] = -1e-323
+    got = adjoint_levels(u, m, fp, (np.array([4]), source[4:]))
+    assert got.tobytes() == plain_solve_adjoint(u, m, fp, source, g).tobytes()
 
 
 def short_blocks(monkeypatch, levels):

@@ -205,12 +205,10 @@ class TestEvaluation:
             assert scalar[:, 1].tobytes() == da.tobytes()
 
     def test_march_evaluator_matches_eval_bitwise(self, builtin_material):
-        # Both calls of the buffered evaluator, and `eval` on it, give the
-        # plain evaluation's values and slopes bit for bit: on knots, on
-        # points whose index rounds down onto a right knot, below and above
-        # the range, and on a call shorter than the evaluator's buffers. The
-        # values-only call skips the left-knot and outside fix-ups, which
-        # must not show.
+        # The buffered evaluator, and `eval` on it, give the plain
+        # evaluation's values and slopes bit for bit: on knots, on points
+        # whose index rounds down onto a right knot, below and above the
+        # range, and on a call shorter than the evaluator's buffers.
         right_knot_hits = 0
         for p, xs in bitwise_cases(builtin_material):
             value, slope = plain_eval(p, xs)
@@ -219,8 +217,6 @@ class TestEvaluation:
             assert evaluate(xs, values, slopes) is values
             assert (values.view(np.int64) == value.view(np.int64)).all()
             assert (slopes.view(np.int64) == slope.view(np.int64)).all()
-            values = evaluate(xs, np.empty(xs.size))
-            assert (values.view(np.int64) == value.view(np.int64)).all()
             short = xs[: xs.size // 2]
             values = evaluate(short, np.empty(short.size), slopes[: short.size])
             assert (values.view(np.int64) == value[: short.size].view(np.int64)).all()
