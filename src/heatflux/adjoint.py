@@ -44,29 +44,30 @@ The marches are kept lean without changing a bit of their output. Both
 linearized marches take their grid from the trajectory they linearize about
 and walk it in blocks of consecutive steps (`_step_blocks`), as many levels
 as fill `_BLOCK_NODES` nodes (180 at 91 nodes): the tangent march forward
-in time, the adjoint march backward. Just before it marches through a block,
-a march computes the block's frozen coefficients with the function
-`_step_coefficients` returns. That function holds one `pchip.march_evaluator`
-for the diffusivity and its slope, one for each boundary flux, and one block
-of coefficient buffers, all made once per march; it fills the bands of the
-block's steps at once, one contiguous row per step, with the state march's
-`_diffusion_bands`. So a march holds one block of coefficients, not a
-trajectory of them, and computes every block's in the same buffers. The
-adjoint forms a block's transport, wall and Robin factors in numpy, in the
-order the per-step products used, so every product rounds as it would
-inside the step, and then runs the block's step loop compiled (`marchlib`,
-`_march.c`): each step adds the level's source row, or 0.0 where the
-samples miss the level, to the carried level in the row of the block it
-solves for, solves it there with scipy's LAPACK dgtsv, and carries the
-solved level through the transposed transport correction and the two Robin
-walls, with the numpy code's operations in their order. The tangent march
-(numpy; only tests call it) forms each right-hand side in the next level of
-its field and solves it there with dgtsv. Both check as the state march
-does, through `forward._check_levels`: on a singular step, and once per
-block for the finiteness of the block's solved levels, which raises at the
-step a per-step check would. The adjoint march itself is `_adjoint_blocks`,
-which hands out each block of solved levels once it is checked;
-`solve_adjoint` keeps their wall traces, and the tests every level.
+in time, the adjoint march backward. The adjoint runs each block compiled
+(`marchlib`, `_march.c`): just before each step it computes that step's
+frozen coefficients from the two trajectory levels of the state step (the
+diffusivity and its slope as `pchip.march_evaluator` gives them, the bands
+as `forward._diffusion_bands` fills them, the flux slopes, the increments
+of the later level, and their products with the step constants), adds the
+level's weighted source row, or 0.0 where the samples miss the level, to
+the carried level in the row of the block it solves for, solves it there
+with scipy's LAPACK dgtsv, and carries the solved level through the
+transposed transport correction and the two Robin walls, all with the
+numpy code's operations in their order. The tangent march (numpy; only
+tests call it) computes a block's coefficients at once with the function
+`_step_coefficients` returns, the same numbers, into buffers made once per
+march, then forms each right-hand side in the next level of its field and
+solves it there with dgtsv. Both check as the state march does, through
+`forward._check_levels`: on a singular step, and once per block for the
+finiteness of the block's solved levels, which raises at the step a
+per-step check would. The adjoint march itself is `_adjoint_blocks`, which
+hands out each block of solved levels once it is checked; `solve_adjoint`
+keeps their wall traces, and the tests every level. `assemble_gradient`
+sums the weighted traces over the levels in one compiled pass per wall,
+one band of at most four entries per level, with the bits of the dense
+rows of `pchip.grad_wrt_values_many` summed by numpy; no (nt+1) x n
+matrix is built.
 """
 
 from __future__ import annotations
@@ -142,11 +143,11 @@ def _step_coefficients(
     its implicit operator (`_diffusion_bands` layout; the solve overwrites
     them, so each is used once) and the two boundary flux slopes. The
     diffusivity and its slope come from one `pchip.march_evaluator` call
-    per block. The tangent march (`solve_sensitivity`) and the adjoint march
-    (`_adjoint_blocks`) both read them from here, so one is the transpose of
-    the other on the same numbers. Every evaluation is elementwise per
-    level, so each level gets the values a per-step evaluation would give,
-    whatever the block.
+    per block. The tangent march (`solve_sensitivity`) reads them from here;
+    the adjoint march computes the same numbers per step in its compiled
+    loop, so one is the transpose of the other on the same numbers. Every
+    evaluation is elementwise per level, so each level gets the values a
+    per-step evaluation would give, whatever the block.
     """
     g = u.grid
     U, nx = u.values, g.nx
@@ -236,35 +237,17 @@ def _adjoint_blocks(u: EnthalpyField, m: MaterialModel, fp: FluxParameter, sourc
     b0, bL = flux_interpolants(fp)
     r = g.dt / g.dx**2
     c = 2.0 * g.dt / g.dx
-    half_r = np.array(0.5 * r)
-
-    blocks = _step_blocks(g)
-    size, nx = blocks[0][1], g.nx
-    coefficients = _step_coefficients(u, m, b0, bL, size)
-    # The carried level psi, a block's interior transport factors (0.5 r) ap
-    # and the source row of each of its steps.
-    psi = np.zeros(nx)
-    half_ap = np.empty((size, nx - 2))
-    src_row = np.empty(size, dtype=marchlib.INDEX)
-    for lo, hi in reversed(blocks):
-        # Everything that does not depend on the freshly solved level is
-        # formed here for the whole block: the frozen coefficients and step
-        # bands, their products with the step constants (transport factors,
-        # wall factors (r du) ap, Robin factors c*beta') and the weighted
-        # source rows. Each product is formed in the order a per-step
-        # evaluation would use, so it rounds the same.
-        k = hi - lo
-        du, ap, off, diag, b0p, bLp = coefficients(lo, hi)
-        np.multiply(ap[:, 1:-1], half_r, out=half_ap[:k])
-        wall0 = (r * du[:, 0]) * ap[:, 0]
-        wallL = (r * du[:, -1]) * ap[:, -1]
-        a, b = np.searchsorted(levels, (lo + 1, hi + 1))
-        weighted_src = g.dt * rows[a:b]
-        weighted_src[:, [0, -1]] *= 2.0  # source density doubles on the wall half cells
-        # A step whose later level the samples miss (row -1) adds 0.0.
-        src_row[:k] = -1
-        src_row[levels[a:b] - (lo + 1)] = np.arange(b - a)
-        block = np.empty((k, nx))
+    interps = [marchlib.interpolant(p) for p in (m.diffusivity, b0, bL)]
+    U = np.ascontiguousarray(u.values)
+    rows = np.ascontiguousarray(rows, dtype=float)
+    # The source row of each level; -1 where the samples miss the level,
+    # whose step adds 0.0.
+    row_of = np.full(g.nt + 1, -1, dtype=marchlib.INDEX)
+    row_of[levels] = np.arange(levels.size)
+    # The carried level psi.
+    psi = np.zeros(g.nx)
+    for lo, hi in reversed(_step_blocks(g)):
+        block = np.empty((hi - lo, g.nx))
         # The step that solves level s is step nt - s, so `block[::-1]`
         # holds the block's levels in march order from step `first` on. The
         # implicit operator is self-adjoint under the half-cell volume
@@ -275,8 +258,7 @@ def _adjoint_blocks(u: EnthalpyField, m: MaterialModel, fp: FluxParameter, sourc
         # treatment of the state march.
         first = g.nt - hi + 1
         singular = marchlib.adjoint_block(
-            psi, block, off, diag, du, half_ap[:k], wall0, wallL, c * b0p, c * bLp,
-            np.ascontiguousarray(weighted_src, dtype=float), src_row[:k],
+            psi, block, U[lo : hi + 1], r, c, g.dt, *interps, rows, row_of[lo + 1 : hi + 1]
         )
         if singular is not None:
             _check_levels(block[:singular:-1], first, singular=g.nt - lo - singular)
@@ -310,19 +292,24 @@ def assemble_gradient(traces: np.ndarray, u: EnthalpyField, fp: FluxParameter) -
     boundary term enters through the earlier time level, so pairing the trace
     at level n with the multiplier of the n -> n+1 equation reproduces the
     discrete objective's gradient to rounding, not just to quadrature order.
+
+    The sum runs compiled (`marchlib`), one pass per wall over the levels:
+    each level adds the at most four nonzero entries of its
+    `pchip.grad_wrt_values_many` row, formed with that function's
+    operations and times the weighted trace, to an accumulator that starts
+    at +0.0, in level order. That is how numpy's axis-0 sum adds the dense
+    rows, and the dense rows' other entries are zeros (NaN only on a NaN
+    wall value or a non-finite trace, and then added too), which leave such
+    a sum as it is; so the result has the dense reduction's bits.
     """
     g = u.grid
-    traces = np.asarray(traces, dtype=float)
+    traces = np.ascontiguousarray(traces, dtype=float)
     if traces.shape != (g.nt + 1, 2):
         raise ValidationError(f"traces must have shape {(g.nt + 1, 2)}")
     b0, bL = flux_interpolants(fp)
-    w = np.full(g.nt + 1, g.dt)
-    w[-1] = 0.0
-    G0 = pchip.grad_wrt_values_many(b0, u.values[:, 0], clamp=True)
-    GL = pchip.grad_wrt_values_many(bL, u.values[:, -1], clamp=True)
-    g0 = -(G0 * (w * traces[:, 0])[:, None]).sum(axis=0)
-    gL = -(GL * (w * traces[:, 1])[:, None]).sum(axis=0)
-    return np.concatenate([g0, gL])
+    return marchlib.assemble_gradient(
+        np.ascontiguousarray(u.values), traces, g.dt, *map(marchlib.interpolant, (b0, bL))
+    )
 
 
 def compute_gradient(

@@ -23,8 +23,9 @@ boundary fluxes as `pchip._eval_scalar` does, forms the right-hand side in
 the next level of the output field and solves it there with scipy's LAPACK
 dgtsv: the numpy march's operations in its order, so every level keeps its
 bits. Its linearization, the tangent march and its transpose, lives in
-`adjoint`, which fills the bands of a block of steps at once with
-`_diffusion_bands`.
+`adjoint`: the tangent march fills the bands of a block of steps at once
+with `_diffusion_bands`, and the compiled adjoint march fills each step's
+as the state march does.
 
 All three marches solve alike: each right-hand side is formed in the row of
 the output it is solved for and solved there by dgtsv, and one function,

@@ -1,11 +1,14 @@
-"""The compiled step loops of the state and adjoint marches (`_march.c`).
+"""The compiled step loops of the state and adjoint marches and the
+compiled gradient assembly (`_march.c`).
 
-`forward.solve_ibvp` runs its whole step loop, and `adjoint._adjoint_blocks`
-the step loop of each block, in C; this module builds that library, loads it
-and calls it. The C loops do the numpy code's operations in the same order,
-with no fused multiply-adds, and solve with scipy's own LAPACK `dgtsv`
-(its address comes from `scipy.linalg.lapack.dgtsv._cpointer`), so the
-marches keep every bit.
+`forward.solve_ibvp` runs its whole step loop in C, `adjoint._adjoint_blocks`
+each block of steps together with the frozen coefficients of each step, and
+`adjoint.assemble_gradient` its sum over the levels; this module builds that
+library, loads it and calls it. The C code does the numpy code's operations
+in the same order, with no fused multiply-adds, and the loops solve with
+scipy's own LAPACK `dgtsv` (its address comes from
+`scipy.linalg.lapack.dgtsv._cpointer`), so the marches and the gradient keep
+every bit.
 
 The library is compiled on first use with `COMPILE` (a C compiler `cc` must
 be on the path) and cached as `march-<key>.so` in `$XDG_CACHE_HOME/heatflux`
@@ -16,6 +19,10 @@ the cache cannot be written, the library is built in a fresh temporary
 directory, which is removed once it is loaded. A build is published with
 `os.replace`, so concurrent processes never load a half-written file. A
 failed build raises `BuildError`, which names the command.
+
+The C code writes through raw pointers, so every wrapper here checks the
+shape, dtype and contiguity of each array it passes (`_addr`) and the range
+of every index the C code follows, and raises `ValueError` before the call.
 """
 
 from __future__ import annotations
@@ -55,6 +62,8 @@ class Interp(ctypes.Structure):
         ("hi", ctypes.c_double),
         ("tol", ctypes.c_double),
         ("inv_h", ctypes.c_double),
+        ("h", ctypes.c_double),
+        ("jac", ctypes.c_void_p),
     ]
 
 
@@ -104,8 +113,13 @@ def _library():
     lib.forward_march.argtypes = [index, index, ctypes.c_double, ctypes.c_double,
                                   interp, interp, interp, pointer, pointer, pointer,
                                   ctypes.POINTER(index)]
-    lib.adjoint_block.argtypes = [index, index] + [pointer] * 14 + [ctypes.POINTER(index)]
+    lib.adjoint_block.argtypes = [index, index, ctypes.c_double, ctypes.c_double,
+                                  ctypes.c_double, interp, interp, interp] + [pointer] * 7 + [
+                                  ctypes.POINTER(index)]
+    lib.assemble_gradient.argtypes = [index, index, ctypes.c_double, pointer, pointer,
+                                      interp, interp, pointer]
     lib.forward_march.restype = lib.adjoint_block.restype = index
+    lib.assemble_gradient.restype = None
     address = ctypes.pythonapi.PyCapsule_GetPointer
     address.restype, address.argtypes = pointer, [ctypes.py_object, ctypes.c_char_p]
     return lib, address(dgtsv._cpointer, None)
@@ -121,12 +135,14 @@ def _addr(a: np.ndarray, shape: tuple, dtype=np.float64) -> int:
 
 
 def interpolant(p: Pchip) -> Interp:
-    """`p` for the C loops, with the clamping tolerance `pchip._eval_scalar`
-    takes. It reads `p`'s interval table, so `p` must outlive it."""
+    """`p` for the C code, with the clamping tolerance `pchip._eval_scalar`
+    takes. It reads `p`'s interval table and slope Jacobian, so `p` must
+    outlive it."""
     table = p._table
     lo, hi = float(table[0, 0]), float(table[5, -1])
     tol = EQUIDISTANT_RTOL * (hi - lo)
-    return Interp(_addr(table, (9, p.n - 1)), p.n - 1, lo, hi, tol, p._inv_h)
+    return Interp(_addr(table, (9, p.n - 1)), p.n - 1, lo, hi, tol, p._inv_h,
+                  p.interval_width, _addr(p._slope_jac, (p.n, 5)))
 
 
 def forward_march(U, r: float, c: float, alpha: Interp, b0: Interp,
@@ -141,18 +157,31 @@ def forward_march(U, r: float, c: float, alpha: Interp, b0: Interp,
     return code, stop.value
 
 
-def adjoint_block(psi, block, off, diag, du, half_ap, wall0, wallL, robin0, robinL,
-                  src, src_row) -> int | None:
-    """Run `adjoint_block` of `_march.c` on the k x nx `block`; returns the
-    row whose step matrix was singular, or None."""
+def adjoint_block(psi, block, U, r: float, c: float, dt: float, alpha: Interp,
+                  b0: Interp, bL: Interp, src, src_row) -> int | None:
+    """Run `adjoint_block` of `_march.c` on the k x nx `block` along the
+    k + 1 trajectory levels U, with the source rows `src` that `src_row`
+    picks per step (-1: none); returns the row whose step matrix was
+    singular, or None."""
     (lib, solver), stop = _library(), ctypes.c_int()
     k, nx = block.shape
-    pd = np.empty(nx - 1)
-    arrays = [(psi, (nx,)), (block, (k, nx)), (off, (k, 2, nx - 1)), (diag, (k, nx)),
-              (du, (k, nx - 1)), (half_ap, (k, nx - 2)), (wall0, (k,)), (wallL, (k,)),
-              (robin0, (k,)), (robinL, (k,)), (src, (src.shape[0], nx))]
+    work = np.empty(7 * nx - 4)
+    arrays = [(U, (k + 1, nx)), (psi, (nx,)), (block, (k, nx)), (src, (src.shape[0], nx))]
     if ((src_row < -1) | (src_row >= len(src))).any():
         raise ValueError("source row index out of range")
-    code = lib.adjoint_block(nx, k, *(_addr(a, shape) for a, shape in arrays),
-                             _addr(src_row, (k,), INDEX), _addr(pd, pd.shape), solver, stop)
+    code = lib.adjoint_block(nx, k, r, c, dt, alpha, b0, bL,
+                             *(_addr(a, shape) for a, shape in arrays),
+                             _addr(src_row, (k,), INDEX), _addr(work, work.shape), solver, stop)
     return stop.value if code == SINGULAR else None
+
+
+def assemble_gradient(U, traces, dt: float, b0: Interp, bL: Interp) -> np.ndarray:
+    """Run `assemble_gradient` of `_march.c` on the trajectory U and the
+    (levels, 2) wall traces; returns the gradient, the values of the flux
+    at x = 0 first."""
+    lib = _library()[0]
+    levels, nx = U.shape
+    grad = np.empty((b0.intervals + 1) + (bL.intervals + 1))
+    lib.assemble_gradient(levels, nx, dt, _addr(U, U.shape), _addr(traces, (levels, 2)),
+                          b0, bL, _addr(grad, grad.shape))
+    return grad

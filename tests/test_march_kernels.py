@@ -1,19 +1,26 @@
-"""March kernels against the plain per-step code they replace, bit for bit.
+"""March kernels and the gradient assembly against the plain per-step code
+they replace, bit for bit.
 
 The state march runs its step loop compiled (`marchlib`, `_march.c`): per
 step the diffusivity values of `pchip.march_evaluator`, the one-pass band
 fill of `forward._diffusion_bands` and the scalar flux values of
 `pchip._eval_scalar`, repeated operation for operation, and scipy's dgtsv.
-The linearized marches compute their coefficients in numpy a block of
-levels at a time (`adjoint._step_coefficients`: buffered
-`pchip.march_evaluator`s for the diffusivity, its slope and the flux
-slopes, the same band fill, one contiguous row per step); the adjoint runs
-each block's step loop compiled, on transport and Robin factors hoisted
-over the block, and the tangent march (`adjoint.solve_sensitivity`) stays
-numpy. Every march solves each step in place in its output and raises
-through one check, `forward._check_levels`: the linearized marches once per
-block and on a singular step, the forward march at a level with a
-non-finite wall value, on a singular step and after its last step.
+The adjoint runs each block of steps compiled as well, and computes each
+step's frozen coefficients in that loop just before the step: the
+diffusivity and its slope and the flux slopes as `pchip.march_evaluator`
+gives them (with its knot and outside fix-ups of the slope), the same band
+fill, and the transport, wall, Robin and source factors in the order the
+numpy products used. The tangent march (`adjoint.solve_sensitivity`) stays
+numpy and computes its coefficients a block of levels at a time
+(`adjoint._step_coefficients`). `adjoint.assemble_gradient` sums the at
+most four band entries of each level's `pchip.grad_wrt_values_many` row,
+compiled, and must give the bytes of the dense reduction it replaced
+(`dense_gradient`) on every case, on walls on flux knots, outside the
+partition, with knots no wall reaches and on non-finite input. Every march
+solves each step in place in its output and raises through one check,
+`forward._check_levels`: the linearized marches once per block and on a
+singular step, the forward march at a level with a non-finite wall value,
+on a singular step and after its last step.
 The adjoint keeps only its wall traces; the tests rebuild every level of
 phi from the blocks its march hands out (`adjoint._adjoint_blocks`), and
 feed it a source on every level or, as the sensors do, on some levels only.
@@ -25,13 +32,14 @@ solved level checked at its step (`plain_step`).
 Both must give the same bytes on every case, including a steep box-corner
 iterate whose boundary stability number c*beta' exceeds 2 and a profile
 whose nodes sit on the diffusivity's knots and below its range, walls on
-knots of the fluxes, and a carried adjoint level with a negative zero where
-the samples miss the level, and must stop with `DivergenceError` at the
-same step when a level goes non-finite, also with blocks short enough that
-the 120-step grid ends in a remainder block and the first non-finite level
-sits on a block edge. An adjoint or
-tangent step whose matrix is exactly singular raises at its step, or at an
-earlier non-finite level of its block.
+knots of the fluxes, a made-up trajectory whose every level sits on knots
+where Horner's slope misses the knot's slope, and a carried adjoint level
+with a negative zero where the samples miss the level, and must stop with
+`DivergenceError` at the same step when a level goes non-finite, also with
+blocks short enough that the 120-step grid ends in a remainder block and
+the first non-finite level sits on a block edge. An adjoint or tangent
+step whose matrix is exactly singular raises at its step, or at an earlier
+non-finite level of its block.
 The buffered marches must also leave their inputs alone and hand out a new
 field on every call.
 
@@ -184,6 +192,30 @@ def plain_solve_sensitivity(u, m, fp, h, g):
         rhs[-1] -= c * (bLp[k] * wn[-1] + float(GL[k] @ h[n:]))
         W[k + 1] = plain_step(ab, rhs, k + 1)
     return W
+
+
+def dense_gradient(traces, u, fp, g):
+    """The dense reduction `adjoint.assemble_gradient` replaced: every row
+    of `pchip.grad_wrt_values_many` at the wall values of every level,
+    weighted by dt times the trace (0 at the last level) and summed over the
+    levels by numpy."""
+    b0, bL = pchip.flux_interpolants(fp)
+    w = np.full(g.nt + 1, g.dt)
+    w[-1] = 0.0
+    G0 = pchip.grad_wrt_values_many(b0, u.values[:, 0], clamp=True)
+    GL = pchip.grad_wrt_values_many(bL, u.values[:, -1], clamp=True)
+    g0 = -(G0 * (w * traces[:, 0])[:, None]).sum(axis=0)
+    gL = -(GL * (w * traces[:, 1])[:, None]).sum(axis=0)
+    return np.concatenate([g0, gL])
+
+
+def left_knot_slope_misses(p, x):
+    """Mask of the points of x that sit on the left knot of their interval
+    (inside the range) where Horner's slope there, c1 (1/h), misses the
+    knot's slope in the last bit."""
+    xc, idx, outside = pchip._locate(p, x, True)
+    k0, c1, s0 = p._table[0, idx], p._table[2, idx], p._table[7, idx]
+    return (xc == k0) & ~outside & (c1 * p._inv_h != s0)
 
 
 def flux_cases():
@@ -379,6 +411,97 @@ def test_adjoint_march_adds_zero_on_a_negative_zero_level():
     source[4, 1] = -1e-323
     got = adjoint_levels(u, m, fp, (np.array([4]), source[4:]))
     assert got.tobytes() == plain_solve_adjoint(u, m, fp, source, g).tobytes()
+
+
+def test_adjoint_march_takes_the_knot_slopes_on_the_knots(builtin_material):
+    # The knots case's forward march leaves the knots after level 0, and no
+    # adjoint step reads the slopes of level 0. So on every level of this
+    # made-up trajectory the nodes sit in turn on a knot where Horner's
+    # slope, c1 (1/h), misses the knot's slope in the last bit, and on the
+    # top knot: the large increments between the two carry that bit into the
+    # transport term. The march must take the knot's slope there, as
+    # `pchip.march_evaluator` does.
+    m = knot_material(builtin_material)
+    p = m.diffusivity
+    missed = p.knots[left_knot_slope_misses(p, p.knots)]
+    assert missed.size >= 5
+    profile = np.resize(np.stack([missed, np.full(missed.size, p.knots[-1])], 1), GRID.nx)
+    u = forward.EnthalpyField(GRID, np.tile(profile, (GRID.nt + 1, 1)))
+    fp = exact_flux_parameter(CFG)
+    source = np.random.default_rng(5).standard_normal((GRID.nt + 1, GRID.nx))
+    got = adjoint_levels(u, m, fp, dense_pair(source))
+    assert got.tobytes() == plain_solve_adjoint(u, m, fp, source, GRID).tobytes()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_assembly_matches_the_dense_reduction(marches, name):
+    m, fp, field, _, source = marches[name]
+    traces = adjoint.solve_adjoint(field, m, fp, dense_pair(source))
+    got = adjoint.assemble_gradient(traces, field, fp)
+    assert got.tobytes() == dense_gradient(traces, field, fp, GRID).tobytes()
+
+
+def wall_case(walls):
+    """A made-up trajectory on GRID whose two walls take the values `walls`
+    (cycled over the levels; the interior is irrelevant to the assembly),
+    and random traces, nonzero at the last level too, whose weight is 0."""
+    U = np.zeros((GRID.nt + 1, GRID.nx))
+    U[:, 0] = np.resize(walls, GRID.nt + 1)
+    U[:, -1] = np.resize(walls[::-1], GRID.nt + 1)
+    traces = np.random.default_rng(31).standard_normal((GRID.nt + 1, 2))
+    return forward.EnthalpyField(GRID, U), traces
+
+
+def test_assembly_matches_the_dense_reduction_on_flux_knots():
+    # Walls on every knot of a 31-knot partition on which nine knots round
+    # into the interval on their left (t = 1 there), while the others sit
+    # at t = 0 of their own interval, where a dense row holds -0.0 off the
+    # band.
+    part = np.linspace(0.0, 5.74e9, 31)
+    values = np.random.default_rng(0).uniform(0.0, 1e9, 2 * part.size)
+    fp = pchip.FluxParameter(values, part, 1e9)
+    _, idx, _ = pchip._locate(pchip.flux_interpolants(fp)[0], part, True)
+    inner = np.arange(1, part.size - 1)
+    assert (idx[inner] == inner).any() and (idx[inner] == inner - 1).any()
+    u, traces = wall_case(part)
+    got = adjoint.assemble_gradient(traces, u, fp)
+    assert got.tobytes() == dense_gradient(traces, u, fp, GRID).tobytes()
+
+
+def test_assembly_matches_the_dense_reduction_outside_the_partition():
+    # Wall values below 0 and above u_max, by more and by less than the
+    # clamping tolerance: all clamp onto an end knot.
+    fp = exact_flux_parameter(CFG)
+    top = fp.partition[-1]
+    walls = np.array([-1e9, -1e-3, -1e-9, top + 1e-3, top + 1e9, 0.5 * top])
+    u, traces = wall_case(walls)
+    got = adjoint.assemble_gradient(traces, u, fp)
+    assert got.tobytes() == dense_gradient(traces, u, fp, GRID).tobytes()
+
+
+def test_assembly_matches_the_dense_reduction_with_zero_entries():
+    # The walls stay inside two intervals of the partition, so most knots
+    # get no weight: their entries are zeros, with the dense sum's sign.
+    fp = exact_flux_parameter(CFG)
+    part = fp.partition
+    walls = np.linspace(part[10], part[12], 7)[1:-1]
+    u, traces = wall_case(walls)
+    got = adjoint.assemble_gradient(traces, u, fp)
+    want = dense_gradient(traces, u, fp, GRID)
+    assert (want == 0.0).sum() >= fp.n and got.tobytes() == want.tobytes()
+
+
+def test_assembly_matches_the_dense_reduction_on_non_finite_input():
+    # A NaN wall value and an infinite trace make the dense row entries of
+    # their level NaN off the band, where the assembly adds no band entry.
+    fp = exact_flux_parameter(CFG)
+    u, traces = wall_case(fp.partition)
+    u.values[5, 0] = np.nan
+    traces[9, 1] = np.inf
+    got = adjoint.assemble_gradient(traces, u, fp)
+    with np.errstate(invalid="ignore"):
+        want = dense_gradient(traces, u, fp, GRID)
+    assert np.isnan(want).sum() >= 2 * fp.n - 4 and got.tobytes() == want.tobytes()
 
 
 def short_blocks(monkeypatch, levels):

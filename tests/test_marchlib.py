@@ -1,8 +1,10 @@
-"""The loader of the compiled march library: its cache and its build error."""
+"""The loader of the compiled march library: its cache, its build error and
+the argument checks that guard the C code's raw pointers."""
 
+import numpy as np
 import pytest
 
-from heatflux import marchlib
+from heatflux import marchlib, pchip
 from heatflux.errors import BuildError
 
 
@@ -48,3 +50,76 @@ def test_unwritable_cache_builds_in_a_temporary_directory(tmp_path, monkeypatch)
     lib, solver = marchlib._library.__wrapped__()
     assert lib.forward_march and solver
     assert list(tmp_path.iterdir()) == [blocker]
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.zeros((3, 4)),  # the wrong shape
+        np.zeros((4, 3), dtype=np.float32),  # the wrong dtype
+        np.zeros((4, 6))[:, ::2],  # a strided view
+        np.zeros((4, 3), order="F"),  # Fortran order
+    ],
+)
+def test_addr_refuses_an_array_the_c_code_cannot_read(a):
+    with pytest.raises(ValueError, match="C-contiguous float64 array of shape \\(4, 3\\)"):
+        marchlib._addr(a, (4, 3))
+
+
+# One interpolant for the wrapper calls below; it must outlive its Interp.
+FLAT = pchip.Pchip([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
+
+
+def adjoint_args(k=3, nx=5):
+    """Valid arguments of `marchlib.adjoint_block`: k steps on nx nodes along
+    a flat trajectory, with a source of two rows that the first step reads."""
+    p = marchlib.interpolant(FLAT)
+    src_row = np.full(k, -1, dtype=marchlib.INDEX)
+    src_row[0] = 1
+    return dict(psi=np.zeros(nx), block=np.empty((k, nx)), U=np.zeros((k + 1, nx)),
+                r=1.0, c=1.0, dt=1.0, alpha=p, b0=p, bL=p, src=np.ones((2, nx)),
+                src_row=src_row)
+
+
+def test_adjoint_block_runs_on_valid_arguments():
+    args = adjoint_args()
+    assert marchlib.adjoint_block(**args) is None
+    assert np.isfinite(args["block"]).all() and (args["block"][0] != 0.0).any()
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("U", np.zeros((3, 5))),  # as many trajectory levels as steps, not one more
+        ("psi", np.zeros(5, dtype=np.float32)),
+        ("block", np.empty((3, 10))[:, ::2]),
+        ("src", np.ones((2, 4))),
+        ("src_row", np.array([-1, -1, 1], dtype=np.int32)),
+    ],
+)
+def test_adjoint_block_refuses_a_misshapen_array(name, value):
+    args = adjoint_args()
+    args[name] = value
+    with pytest.raises(ValueError, match="C-contiguous"):
+        marchlib.adjoint_block(**args)
+
+
+@pytest.mark.parametrize("row", [2, -2])
+def test_adjoint_block_refuses_a_source_row_out_of_range(row):
+    args = adjoint_args()
+    args["src_row"][1] = row
+    with pytest.raises(ValueError, match="source row index out of range"):
+        marchlib.adjoint_block(**args)
+
+
+def test_forward_march_refuses_a_fortran_ordered_field():
+    p = marchlib.interpolant(FLAT)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        marchlib.forward_march(np.zeros((4, 5), order="F"), 1.0, 1.0, p, p, p)
+
+
+@pytest.mark.parametrize("traces", [np.zeros((4, 3)), np.zeros((3, 2)), np.zeros((2, 4)).T])
+def test_assemble_gradient_refuses_misshapen_traces(traces):
+    p = marchlib.interpolant(FLAT)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        marchlib.assemble_gradient(np.zeros((4, 5)), traces, 1.0, p, p)
