@@ -1,18 +1,22 @@
-/* Step loops of the state march and of the adjoint march, and the adjoint
- * gradient assembly.
+/* Step loops of the state march and of the two linearized marches, the
+ * tangent and the adjoint, and the adjoint gradient assembly.
  *
  * `marchlib` compiles this file with `-O2 -ffp-contract=off` and calls it
  * through ctypes. Each function does the operations of the numpy code it
  * replaced in the same order, one IEEE operation per numpy operation and no
  * contraction into fused multiply-adds, and the loops solve with the LAPACK
  * routine dgtsv whose address the caller passes in (scipy's own). So every
- * level and every gradient entry has the bits the numpy code gave.
+ * level and every gradient entry has the bits the numpy code gave. One
+ * evaluator (`march_eval`) gives every interpolated value and slope, and
+ * one function (`step_coefficients`) the frozen coefficients that a tangent
+ * step and its transpose, the adjoint step, both read.
  *
- * Neither loop raises: each returns a stop code and the step it stopped
- * at, and the caller raises through `forward._check_levels`.
+ * No loop raises: each returns a stop code and the step it stopped at, and
+ * the caller raises through `forward._check_levels`.
  */
 
 #include <math.h>
+#include <stddef.h>
 
 typedef void dgtsv_fn(const int *n, const int *nrhs, double *dl, double *d,
                       double *du, double *b, const int *ldb, int *info);
@@ -57,12 +61,15 @@ static double locate(const interp *p, double x, long *i)
     return xc;
 }
 
-/* The value `pchip.march_evaluator` gives at x: Horner in the local
- * coordinate, and the right value on the right knot. It skips the
- * evaluator's left-knot and outside fix-ups of the value: on a left knot
- * t = 0 gives c0 already (for values without negative zeros, which a
- * diffusivity never has), and a point outside is clamped onto an end knot. */
-static double march_value(const interp *p, double x)
+/* The value of `p` at x, as `pchip.eval(p, x, clamp=True)` gives it, and
+ * its slope in *slope unless slope is NULL: x clamped into the knot range,
+ * Horner in t = (xc - x_i) (1/h) for the value and ((3t c3 + (c2 + c2)) t +
+ * c1) (1/h) for the slope, the knot's value and slope on a left or a right
+ * knot, and slope 0 outside the tolerance of the knot range. The left-knot
+ * fix-up matters for the slope, where Horner gives c1 (1/h), which can
+ * differ from the left slope in the last bit. Inlined, a call with a NULL
+ * slope does none of the slope's work. */
+static inline double march_eval(const interp *p, double x, double *slope)
 {
     long i;
     double xc = locate(p, x, &i);
@@ -73,65 +80,34 @@ static double march_value(const interp *p, double x)
     v += ROW(p, 2, i);
     v *= t;
     v += ROW(p, 1, i);
-    return xc == ROW(p, 5, i) ? ROW(p, 6, i) : v;
-}
-
-/* The value and, in *slope, the slope `pchip.march_evaluator` gives at x,
- * with all of its fix-ups: the knot's value and slope on a left or a right
- * knot, and slope 0 outside the tolerance of the knot range. The slope
- * needs the left-knot fix-up: there Horner gives c1 (1/h), which can differ
- * from the left slope in the last bit. */
-static double march_eval(const interp *p, double x, double *slope)
-{
-    long i;
-    double xc = locate(p, x, &i);
-    double t = (xc - ROW(p, 0, i)) * p->inv_h;
-    double v = ROW(p, 4, i) * t;
-    v += ROW(p, 3, i);
-    v *= t;
-    v += ROW(p, 2, i);
-    v *= t;
-    v += ROW(p, 1, i);
-    double d = t * 3.0;
-    d *= ROW(p, 4, i);
-    d += ROW(p, 3, i) + ROW(p, 3, i);
-    d *= t;
-    d += ROW(p, 2, i);
-    d *= p->inv_h;
-    if (xc == ROW(p, 0, i)) {
-        v = ROW(p, 1, i);
-        d = ROW(p, 7, i);
-    } else if (xc == ROW(p, 5, i)) {
-        v = ROW(p, 6, i);
-        d = ROW(p, 8, i);
+    int left = xc == ROW(p, 0, i), right = xc == ROW(p, 5, i);
+    if (slope) {
+        double d = t * 3.0;
+        d *= ROW(p, 4, i);
+        d += ROW(p, 3, i) + ROW(p, 3, i);
+        d *= t;
+        d += ROW(p, 2, i);
+        d *= p->inv_h;
+        if (left)
+            d = ROW(p, 7, i);
+        else if (right)
+            d = ROW(p, 8, i);
+        if (x < p->lo - p->tol || x > p->hi + p->tol)
+            d = 0.0;
+        *slope = d;
     }
-    if (x < p->lo - p->tol || x > p->hi + p->tol)
-        d = 0.0;
-    *slope = d;
-    return v;
+    return left ? ROW(p, 1, i) : (right ? ROW(p, 6, i) : v);
 }
 
-/* The value `pchip._eval_scalar(p, x, True)` gives at a finite x. */
-static double scalar_value(const interp *p, double x)
-{
-    long last = p->intervals - 1;
-    if (x < p->lo - p->tol || x > p->hi + p->tol)
-        return x < p->lo ? ROW(p, 1, 0) : ROW(p, 6, last);
-    double xc = x < p->lo ? p->lo : (x > p->hi ? p->hi : x);
-    long i = interval(p, (xc - p->lo) * p->inv_h);
-    if (xc == ROW(p, 0, i))
-        return ROW(p, 1, i);
-    if (xc == ROW(p, 5, i))
-        return ROW(p, 6, i);
-    double t = (xc - ROW(p, 0, i)) * p->inv_h;
-    return ROW(p, 1, i) + t * (ROW(p, 2, i) + t * (ROW(p, 3, i) + t * ROW(p, 4, i)));
-}
-
-/* The bands of the implicit operator I + r K of one step, from the nodal
- * diffusivities `alpha`, as `forward._diffusion_bands` fills them: the sums
- * s of neighbouring diffusivities, s (-r/2) off the diagonal and s (-r) at
- * the two wall entries, (s[j-1] + s[j]) (r/2) + 1 on it with each end sum
- * doubled. */
+/* The bands of the implicit operator I + r K of one step, r = dt/dx^2,
+ * from the nodal diffusivities `alpha`: the sums s of neighbouring
+ * diffusivities, s (-r/2) off the diagonal and s (-r) at the two wall
+ * entries, (s[j-1] + s[j]) (r/2) + 1 on it with each end sum doubled.
+ * Interior rows balance the two interface fluxes with the interface means
+ * s/2, the wall rows are half-cell balances. These are the bands written
+ * from the means bit for bit (halving and doubling are exact) unless half a
+ * sum is subnormal or a sum of two sums overflows. The matrix is symmetric
+ * under the half-cell volume weights, so it is the adjoint's operator too. */
 static void fill_bands(int nx, double r, const double *alpha, double *s,
                        double *sup, double *sub, double *diag)
 {
@@ -174,9 +150,9 @@ int forward_march(int nx, int nt, double r, double c, const interp *alpha_p,
             return ALARM;
         }
         for (int j = 0; j < nx; j++)
-            alpha[j] = march_value(alpha_p, un[j]);
+            alpha[j] = march_eval(alpha_p, un[j], NULL);
         fill_bands(nx, r, alpha, s, sup, sub, diag);
-        double beta0 = scalar_value(b0, u0), betaL = scalar_value(bL, uL);
+        double beta0 = march_eval(b0, u0, NULL), betaL = march_eval(bL, uL, NULL);
         for (int j = 1; j < nx - 1; j++)
             rhs[j] = un[j];
         rhs[0] = u0 - c * beta0;
@@ -190,19 +166,81 @@ int forward_march(int nx, int nt, double r, double c, const interp *alpha_p,
     return DONE;
 }
 
+/* The frozen coefficients of the state step from trajectory level u, the
+ * one source of both linearized steps: the diffusivity and its slope ap,
+ * the bands and the two flux slopes b0', bL'. `work` holds them as alpha,
+ * ap, s, sup, sub, diag (6 nx - 3 doubles). */
+static void step_coefficients(int nx, double r, const interp *alpha_p,
+                              const interp *b0, const interp *bL,
+                              const double *u, double *work, double *b0p,
+                              double *bLp)
+{
+    double *alpha = work, *ap = alpha + nx, *s = ap + nx, *sup = s + nx - 1;
+    for (int j = 0; j < nx; j++)
+        alpha[j] = march_eval(alpha_p, u[j], &ap[j]);
+    fill_bands(nx, r, alpha, s, sup, sup + nx - 1, sup + 2 * (nx - 1));
+    march_eval(b0, u[0], b0p);
+    march_eval(bL, u[nx - 1], bLp);
+}
+
+/* The tangent march on the (nt+1) x nx field W, whose level 0 is given,
+ * along the trajectory U of the same shape, with the wall sources of step
+ * k in src[2k] (x = 0) and src[2k + 1] (x = L). Step k takes the
+ * coefficients of level k of U and the increments du of level k + 1, and
+ * forms in level k + 1 of W the level k less its transport correction,
+ * with pw2[j] = ap[j] w[j] + ap[j+1] w[j+1]: ((-r) du[0]) pw2[0] on the
+ * first row, (r/2) (du[j-1] pw2[j-1] - du[j] pw2[j]) inside and
+ * (r du[nx-2]) pw2[nx-2] on the last; then it takes c (beta' w + src) off
+ * each wall entry and solves there. `work` holds 7 nx - 4 doubles.
+ *
+ * Returns DONE after step nt - 1, or SINGULAR with *stop = k when the
+ * matrix of step k is singular. */
+int tangent_march(int nx, int nt, double r, double c, const interp *alpha_p,
+                  const interp *b0, const interp *bL, const double *U,
+                  double *W, const double *src, double *work,
+                  dgtsv_fn *dgtsv, int *stop)
+{
+    const int one = 1;
+    const double half_r = 0.5 * r;
+    double *ap = work + nx, *sup = ap + 2 * nx - 1, *sub = sup + nx - 1;
+    double *diag = sub + nx - 1, *pw2 = diag + nx;
+    int info;
+
+    for (int k = 0; k < nt; k++) {
+        const double *u = U + (long)k * nx, *un = u + nx;
+        const double *w = W + (long)k * nx;
+        double *rhs = W + (long)(k + 1) * nx, b0p, bLp;
+        step_coefficients(nx, r, alpha_p, b0, bL, u, work, &b0p, &bLp);
+        for (int j = 0; j < nx - 1; j++)
+            pw2[j] = ap[j] * w[j] + ap[j + 1] * w[j + 1];
+        for (int j = 1; j < nx - 1; j++)
+            rhs[j] = w[j] - half_r * ((un[j] - un[j - 1]) * pw2[j - 1]
+                                      - (un[j + 1] - un[j]) * pw2[j]);
+        rhs[0] = w[0] - ((-r) * (un[1] - un[0])) * pw2[0];
+        rhs[nx - 1] = w[nx - 1] - (r * (un[nx - 1] - un[nx - 2])) * pw2[nx - 2];
+        rhs[0] -= c * (b0p * w[0] + src[2 * k]);
+        rhs[nx - 1] -= c * (bLp * w[nx - 1] + src[2 * k + 1]);
+        dgtsv(&nx, &one, sub, diag, sup, rhs, &nx, &info);
+        if (info != 0) {
+            *stop = k;
+            return SINGULAR;
+        }
+    }
+    return DONE;
+}
+
 /* The steps of one block of the adjoint march: k levels, solved from row
  * k - 1 of `block` (k x nx) down to row 0, along the k + 1 trajectory
  * levels U (k + 1 x nx) of the block's state steps.
  *
- * Step i first computes the frozen coefficients of the state step from
- * level i of U, as `adjoint._step_coefficients` does: the diffusivity and
- * its slope ap, the bands, the two flux slopes b0', bL', and the
- * increments du of level i + 1. It forms psi + dt src in row i, the source
- * row src_row[i] of `src` with its two wall entries doubled (+ 0.0 where
- * src_row[i] < 0, a level the samples miss), solves it there and carries
- * the solved level q to psi: inside q minus (pd[j] + pd[j+1]) (ap (r/2))
- * with pd = du dq, and on the walls (q - ((r du) ap) dq) - (c beta') q.
- * `work` holds 7 nx - 4 doubles.
+ * Step i takes the coefficients of level i of U, as the tangent step from
+ * that level does, and the increments du of level i + 1. It forms psi + dt
+ * src in row i, the source row src_row[i] of `src` with its two wall
+ * entries doubled (+ 0.0 where src_row[i] < 0, a level the samples miss),
+ * solves it there and carries the solved level q to psi through the
+ * transpose of the tangent step's transport correction and walls: inside q
+ * minus (pd[j] + pd[j+1]) (ap (r/2)) with pd = du dq, and on the walls
+ * (q - ((r du) ap) dq) - (c beta') q. `work` holds 7 nx - 4 doubles.
  *
  * Returns DONE, or SINGULAR with *stop = i when the matrix of row i is
  * singular. */
@@ -214,19 +252,14 @@ int adjoint_block(int nx, int k, double r, double c, double dt,
 {
     const int one = 1;
     const double half_r = 0.5 * r;
-    double *alpha = work, *ap = alpha + nx, *s = ap + nx, *sup = s + nx - 1;
-    double *sub = sup + nx - 1, *diag = sub + nx - 1, *pd = diag + nx;
+    double *ap = work + nx, *sup = ap + 2 * nx - 1, *sub = sup + nx - 1;
+    double *diag = sub + nx - 1, *pd = diag + nx;
     int info;
 
     for (int i = k - 1; i >= 0; i--) {
         const double *u = U + (long)i * nx, *un = u + nx;
-        double *q = block + (long)i * nx;
-        for (int j = 0; j < nx; j++)
-            alpha[j] = march_eval(alpha_p, u[j], &ap[j]);
-        fill_bands(nx, r, alpha, s, sup, sub, diag);
-        double b0p, bLp;
-        march_eval(b0, u[0], &b0p);
-        march_eval(bL, u[nx - 1], &bLp);
+        double *q = block + (long)i * nx, b0p, bLp;
+        step_coefficients(nx, r, alpha_p, b0, bL, u, work, &b0p, &bLp);
         if (src_row[i] < 0) {
             for (int j = 0; j < nx; j++)
                 q[j] = psi[j] + 0.0;

@@ -25,7 +25,7 @@ trajectory are taken at the original interval's earlier time level and the
 source at its later one, which picks up the residual at t = T. Each adjoint
 step is the exact volume-weighted transpose of the tangent step: the
 implicit operator is self-adjoint under the half-cell weights, the adjoint
-step's transport correction transposes `_transport_apply`, and the Robin
+step's transport correction transposes the tangent step's, and the Robin
 terms mirror the flux linearization. The assembled gradient is therefore the
 gradient of the discrete objective up to rounding.
 
@@ -40,51 +40,51 @@ belongs to the flux at x = 0, the second half to the flux at x = L. Those two
 traces are all of phi the gradient reads, so they are all `solve_adjoint`
 keeps.
 
-The marches are kept lean without changing a bit of their output. Both
-linearized marches take their grid from the trajectory they linearize about
-and walk it in blocks of consecutive steps (`_step_blocks`), as many levels
-as fill `_BLOCK_NODES` nodes (180 at 91 nodes): the tangent march forward
-in time, the adjoint march backward. The adjoint runs each block compiled
-(`marchlib`, `_march.c`): just before each step it computes that step's
-frozen coefficients from the two trajectory levels of the state step (the
-diffusivity and its slope as `pchip.march_evaluator` gives them, the bands
-as `forward._diffusion_bands` fills them, the flux slopes, the increments
-of the later level, and their products with the step constants), adds the
-level's weighted source row, or 0.0 where the samples miss the level, to
-the carried level in the row of the block it solves for, solves it there
-with scipy's LAPACK dgtsv, and carries the solved level through the
-transposed transport correction and the two Robin walls, all with the
-numpy code's operations in their order. The tangent march (numpy; only
-tests call it) computes a block's coefficients at once with the function
-`_step_coefficients` returns, the same numbers, into buffers made once per
-march, then forms each right-hand side in the next level of its field and
-solves it there with dgtsv. Both check as the state march does, through
-`forward._check_levels`: on a singular step, and once per block for the
-finiteness of the block's solved levels, which raises at the step a
-per-step check would. The adjoint march itself is `_adjoint_blocks`, which
-hands out each block of solved levels once it is checked; `solve_adjoint`
-keeps their wall traces, and the tests every level. `assemble_gradient`
-sums the weighted traces over the levels in one compiled pass per wall,
-one band of at most four entries per level, with the bits of the dense
-rows of `pchip.grad_wrt_values_many` summed by numpy; no (nt+1) x n
-matrix is built.
+Both linearized marches run compiled (`marchlib`, `_march.c`) with the
+numpy code's operations in their order, and take their grid from the
+trajectory they linearize about. Just before each step they compute that
+step's frozen coefficients from the trajectory level it starts from with
+one C function, the one both marches call: the diffusivity and its slope,
+the bands of the state step, and the two flux slopes; the increments of
+the later level and their products with the step constants follow. So each
+adjoint step is the transpose of the tangent step on the same numbers by
+construction. The tangent march (`solve_sensitivity`; only tests call it)
+is one C call per solve: per step it subtracts the transport correction,
+takes the linearized wall fluxes off the wall entries, and solves in the
+next level of its field with scipy's LAPACK dgtsv. Its wall sources,
+grad_beta(u) . h, are numpy dots, one per level and wall, formed before the
+call. The adjoint march (`_adjoint_blocks`) walks the trajectory backward
+in blocks of consecutive steps (`_step_blocks`), as many levels as fill
+`_BLOCK_NODES` nodes (180 at 91 nodes): per step it adds the level's
+weighted source row, or 0.0 where the samples miss the level, to the
+carried level in the row of the block it solves for, solves it there, and
+carries the solved level through the transposed transport correction and
+the two Robin walls. Both check as the state march does, through
+`forward._check_levels`: on a singular step, and on the solved levels,
+once per solve for the tangent and once per block for the adjoint, which
+raises at the step a per-step check would. `_adjoint_blocks` hands out
+each block of solved levels once it is checked; `solve_adjoint` keeps
+their wall traces, and the tests every level. `assemble_gradient` sums the
+weighted traces over the levels in one compiled pass per wall, one band of
+at most four entries per level, with the bits of the dense rows of
+`pchip.grad_wrt_values_many` summed by numpy; no (nt+1) x n matrix is
+built.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from . import marchlib, pchip
 from .errors import ValidationError
-from .forward import EnthalpyField, Grid, _check_levels, _diffusion_bands, solve_ibvp
+from .forward import EnthalpyField, Grid, _check_levels, solve_ibvp
 from .material import MaterialModel
 from .observation import Measurement, adjoint_source, observe
 from .pchip import FluxParameter, flux_interpolants
 
-# Nodes per block of the linearized marches: a block has as many levels as
-# fill this many nodes (180 at 91 nodes), so that its coefficient buffers
-# stay small and cache-resident.
+# Nodes per block of the adjoint march: a block has as many levels as fill
+# this many nodes (180 at 91 nodes), so that the block of phi it hands out
+# stays small and cache-resident.
 _BLOCK_NODES = 16384
 
 
@@ -98,26 +98,6 @@ def objective(
     return f, residual, field
 
 
-def _transport_apply(
-    ap: np.ndarray, du_new: np.ndarray, w: np.ndarray, r: float
-) -> np.ndarray:
-    """Advective part of the linearized step applied to a perturbation w.
-
-    Differentiating the implicit diffusion term with respect to its lagged
-    coefficients gives, per row, interface products of d(alpha')/du (`ap`),
-    the new-level state increments `du_new`, and w. The adjoint step applies
-    the exact transpose of this map under the half-cell volume weights; the
-    pair keeps sensitivity and adjoint marches exactly dual.
-    """
-    pw = ap * w
-    pw2 = pw[:-1] + pw[1:]
-    out = np.empty_like(w)
-    out[0] = -r * du_new[0] * pw2[0]
-    out[1:-1] = 0.5 * r * (du_new[:-1] * pw2[:-1] - du_new[1:] * pw2[1:])
-    out[-1] = r * du_new[-1] * pw2[-1]
-    return out
-
-
 def _step_blocks(g: Grid) -> list[tuple[int, int]]:
     """The steps of a march on `g` in blocks (lo, hi) of consecutive steps.
 
@@ -126,52 +106,6 @@ def _step_blocks(g: Grid) -> list[tuple[int, int]]:
     """
     levels = max(1, _BLOCK_NODES // g.nx)
     return [(lo, min(lo + levels, g.nt)) for lo in range(0, g.nt, levels)]
-
-
-def _step_coefficients(
-    u: EnthalpyField, m: MaterialModel, b0: pchip.Pchip, bL: pchip.Pchip, size: int
-):
-    """The frozen coefficients of the linearized steps along `u`, a block of
-    at most `size` consecutive steps at a time.
-
-    Returns a function `coefficients(lo, hi)` for a block of steps lo, ...,
-    hi - 1. It fills buffers made here once, one contiguous row per step,
-    and returns views of them, valid until its next call: (du, ap, off,
-    diag, b0p, bLp), row i for the step from level lo + i. They are the
-    state increments between neighbouring nodes at its new level, and at its
-    old level d(alpha')/du at the nodes, the off-diagonals and diagonal of
-    its implicit operator (`_diffusion_bands` layout; the solve overwrites
-    them, so each is used once) and the two boundary flux slopes. The
-    diffusivity and its slope come from one `pchip.march_evaluator` call
-    per block. The tangent march (`solve_sensitivity`) reads them from here;
-    the adjoint march computes the same numbers per step in its compiled
-    loop, so one is the transpose of the other on the same numbers. Every
-    evaluation is elementwise per level, so each level gets the values a
-    per-step evaluation would give, whatever the block.
-    """
-    g = u.grid
-    U, nx = u.values, g.nx
-    alpha, ap = np.empty((size, nx)), np.empty((size, nx))
-    S, du = np.empty((size, nx + 1)), np.empty((size, nx - 1))
-    off, diag = np.empty((size, 2, nx - 1)), np.empty((size, nx))
-    b0p, bLp, flux = np.empty(size), np.empty(size), np.empty(size)
-    r = g.dt / g.dx**2
-    diffusivity = pchip.march_evaluator(m.diffusivity, size * nx)
-    flux0, fluxL = pchip.march_evaluator(b0, size), pchip.march_evaluator(bL, size)
-
-    def coefficients(lo: int, hi: int):
-        k = hi - lo
-        diffusivity(U[lo:hi].reshape(-1), alpha[:k].reshape(-1), ap[:k].reshape(-1))
-        Sk = S[:k]
-        np.add(alpha[:k, :-1], alpha[:k, 1:], out=Sk[:, 1:-1])
-        Sk[:, 0], Sk[:, -1] = Sk[:, 1], Sk[:, -2]
-        _diffusion_bands(Sk, off[:k], diag[:k], r)()
-        np.subtract(U[lo + 1 : hi + 1, 1:], U[lo + 1 : hi + 1, :-1], out=du[:k])
-        flux0(U[lo:hi, 0], flux[:k], b0p[:k])
-        fluxL(U[lo:hi, -1], flux[:k], bLp[:k])
-        return du[:k], ap[:k], off[:k], diag[:k], b0p[:k], bLp[:k]
-
-    return coefficients
 
 
 def solve_sensitivity(
@@ -193,32 +127,22 @@ def solve_sensitivity(
     if h.shape != (2 * n,):
         raise ValidationError(f"direction must have shape ({2 * n},)")
     b0, bL = flux_interpolants(fp)
-    h0, hL = h[:n], h[n:]
-
-    r = g.dt / g.dx**2
-    c = 2.0 * g.dt / g.dx
-
+    U = np.ascontiguousarray(u.values)
+    # The wall sources grad_beta(u) . h of each step: one BLAS dot per row,
+    # whose summation order the C loop could not repeat. A non-finite one is
+    # left to the level check, so it must not warn.
+    G0 = pchip.grad_wrt_values_many(b0, U[:-1, 0], clamp=True)
+    GL = pchip.grad_wrt_values_many(bL, U[:-1, -1], clamp=True)
+    src = np.empty((g.nt, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(g.nt):
+            src[k] = G0[k] @ h[:n], GL[k] @ h[n:]
     W = np.zeros((g.nt + 1, g.nx))
-    G0 = pchip.grad_wrt_values_many(b0, u.values[:, 0], clamp=True)
-    GL = pchip.grad_wrt_values_many(bL, u.values[:, -1], clamp=True)
-    blocks = _step_blocks(g)
-    coefficients = _step_coefficients(u, m, b0, bL, blocks[0][1])
-    for lo, hi in blocks:
-        du, ap, off, diag, b0p, bLp = coefficients(lo, hi)
-        # The block's levels are checked once, after its last step; until
-        # then the arithmetic on a non-finite level must not warn.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i, k in enumerate(range(lo, hi)):
-                wn, rhs = W[k], W[k + 1]
-                src0 = float(G0[k] @ h0)
-                srcL = float(GL[k] @ hL)
-
-                np.subtract(wn, _transport_apply(ap[i], du[i], wn, r), out=rhs)
-                rhs[0] -= c * (b0p[i] * wn[0] + src0)
-                rhs[-1] -= c * (bLp[i] * wn[-1] + srcL)
-                if dgtsv(off[i, 1], diag[i], off[i, 0], rhs, 1, 1, 1, 1)[-1] != 0:
-                    _check_levels(W[lo + 1 : k + 1], lo + 1, singular=k + 1)
-            _check_levels(W[lo + 1 : hi + 1], lo + 1)
+    interps = [marchlib.interpolant(p) for p in (m.diffusivity, b0, bL)]
+    singular = marchlib.tangent_march(W, U, src, g.dt / g.dx**2, 2.0 * g.dt / g.dx, *interps)
+    if singular is not None:
+        _check_levels(W[1 : singular + 1], 1, singular=singular + 1)
+    _check_levels(W[1:], 1)
     return EnthalpyField(g, W)
 
 

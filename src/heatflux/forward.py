@@ -16,16 +16,14 @@ trapezoid weights the scheme satisfies the discrete energy identity
 exactly, which mirrors the continuous energy balance of the model.
 
 The step loop runs compiled (`marchlib`, `_march.c`). Per step it
-evaluates the diffusivity as `pchip.march_evaluator` does (clamped, from
-the interval table the interpolant was built with), sums neighbouring
-diffusivities, fills the bands as `_diffusion_bands` does, evaluates the two
-boundary fluxes as `pchip._eval_scalar` does, forms the right-hand side in
-the next level of the output field and solves it there with scipy's LAPACK
-dgtsv: the numpy march's operations in its order, so every level keeps its
-bits. Its linearization, the tangent march and its transpose, lives in
-`adjoint`: the tangent march fills the bands of a block of steps at once
-with `_diffusion_bands`, and the compiled adjoint march fills each step's
-as the state march does.
+evaluates the diffusivity and the two boundary fluxes as `pchip.eval`
+does (clamped, from the interval table the interpolant was built with),
+fills the bands of I + r K from the sums of neighbouring diffusivities,
+forms the right-hand side in the next level of the output field and solves
+it there with scipy's LAPACK dgtsv: the numpy march's operations in its
+order, so every level keeps its bits. Its linearization, the tangent march
+and its transpose, lives in `adjoint`; both of those compiled marches fill
+each step's bands with the state march's band fill.
 
 All three marches solve alike: each right-hand side is formed in the row of
 the output it is solved for and solved there by dgtsv, and one function,
@@ -33,7 +31,8 @@ the output it is solved for and solved there by dgtsv, and one function,
 every solved level would give. The state march calls it when a wall value
 of a level is not finite (its compiled loop stops there, before any flux
 is evaluated on it), on a singular step and once after its last step; the
-linearized marches on a singular step and once per block.
+tangent march on a singular step and once after its last step, and the
+adjoint march on a singular step and once per block.
 """
 
 from __future__ import annotations
@@ -98,12 +97,17 @@ def _check_levels(levels: np.ndarray, first_step: int, singular: int | None = No
     row, else at step `singular` (whose step matrix was singular) when it is
     given; else return.
 
-    All three marches check here. One BLAS reduction clears a finite run:
-    NaN and inf propagate through it, and a non-finite dot of huge finite
-    levels falls back to the exact elementwise scan. The adjoint hands in a
-    block it solved backward in time as a reversed view; the reduction runs
-    over its rows as stored, so the finite path copies nothing, and only the
-    scan reads the rows in march order.
+    All three marches check here once their compiled loop has stopped: the
+    state and tangent marches on their whole field (or the levels before
+    the step they stopped at), the adjoint on each block. A compiled loop
+    runs on past a non-finite level (the state march up to the next
+    non-finite wall value), so this reports the first one. One BLAS
+    reduction clears a finite run: NaN and inf propagate through it, and a
+    non-finite dot of huge finite levels falls back to the exact
+    elementwise scan. The adjoint hands in a block it solved backward in
+    time as a reversed view; the reduction runs over its rows as stored, so
+    the finite path copies nothing, and only the scan reads the rows in
+    march order.
     """
     stored = levels[::-1] if levels.strides[0] < 0 else levels
     if not math.isfinite(np.vdot(stored, stored)):
@@ -113,49 +117,6 @@ def _check_levels(levels: np.ndarray, first_step: int, singular: int | None = No
             raise DivergenceError(f"solution became non-finite at time step {step}", step=step)
     if singular is not None:
         raise DivergenceError(f"singular step matrix at time step {singular}", step=singular)
-
-
-def _diffusion_bands(S: np.ndarray, off: np.ndarray, diag: np.ndarray, r: float):
-    """Return `fill()`, the one-pass fill of the bands of the implicit
-    operator I + r*K from `S` into `off` and `diag`; r = dt/dx^2.
-
-    `S` holds the nx - 1 sums s_j = alpha_j + alpha_(j+1) of neighbouring
-    nodal diffusivities with each end sum repeated, nx + 1 entries:
-    S = (s[0], s, s[-1]). One product s*(-r/2) fills both off-diagonals:
-    `off[0]` is the super-diagonal A[j, j+1] and `off[1]` the sub-diagonal
-    A[j+1, j], and the half-cell wall rows take s*(-r) at A[0, 1] and
-    A[nx-1, nx-2]. The diagonal is (S[j] + S[j+1])*(r/2) + 1. Interior rows
-    balance the two adjacent interface fluxes with the interface means
-    amid = s/2; the first and last rows are half-cell balances, equivalent
-    to centered ghost points. Each call of `fill` is four ufunc calls on
-    views made here once, and writes every entry in place.
-
-    These are the bands written from amid (-r*amid off the diagonal, doubled
-    on the walls, and 1 + r*(amid[j-1] + amid[j]) on it, with amid[0] and
-    amid[-1] doubled on the walls) bit for bit: halving and doubling are
-    exact, so s*(r/2), (s/2)*r and 2*((s/2)*r)/2 round alike. The identity
-    fails only where half a sum of diffusivities, or of two such sums, is
-    subnormal, or where the sum of two sums overflows. The matrix is
-    symmetric under the half-cell volume weighting, so it is also the
-    implicit operator of the adjoint march. Leading axes on `S`
-    (levels, nx + 1), `off` (levels, 2, nx - 1) and `diag` (levels, nx) fill
-    many time levels at once, each a contiguous row, with the same
-    arithmetic per entry; the linearized marches fill a block of steps so.
-    The state march's compiled loop fills one step's bands with the same
-    operations.
-    """
-    coef = np.full((2, S.shape[-1] - 2), -0.5 * r)
-    coef[0, 0] = coef[1, -1] = -r
-    half_r, one = np.array(0.5 * r), np.array(1.0)
-    s, S_lo, S_hi = S[..., None, 1:-1], S[..., :-1], S[..., 1:]
-
-    def fill():
-        np.multiply(s, coef, out=off)
-        np.add(S_lo, S_hi, out=diag)
-        np.multiply(diag, half_r, out=diag)
-        np.add(diag, one, out=diag)
-
-    return fill
 
 
 def solve_ibvp(m: MaterialModel, fp: FluxParameter, u0, g: Grid) -> EnthalpyField:

@@ -1,14 +1,14 @@
-"""The compiled step loops of the state and adjoint marches and the
-compiled gradient assembly (`_march.c`).
+"""The compiled step loops of the state march and of the tangent and
+adjoint marches, and the compiled gradient assembly (`_march.c`).
 
-`forward.solve_ibvp` runs its whole step loop in C, `adjoint._adjoint_blocks`
-each block of steps together with the frozen coefficients of each step, and
-`adjoint.assemble_gradient` its sum over the levels; this module builds that
-library, loads it and calls it. The C code does the numpy code's operations
-in the same order, with no fused multiply-adds, and the loops solve with
-scipy's own LAPACK `dgtsv` (its address comes from
+`forward.solve_ibvp` runs its whole step loop in C, `adjoint.solve_sensitivity`
+its whole tangent march, `adjoint._adjoint_blocks` each block of adjoint
+steps, and `adjoint.assemble_gradient` its sum over the levels; this module
+builds that library, loads it and calls it. The C code does the numpy
+code's operations in the same order, with no fused multiply-adds, and the
+loops solve with scipy's own LAPACK `dgtsv` (its address comes from
 `scipy.linalg.lapack.dgtsv._cpointer`), so the marches and the gradient keep
-every bit.
+every bit. This is the one module that imports LAPACK.
 
 The library is compiled on first use with `COMPILE` (a C compiler `cc` must
 be on the path) and cached as `march-<key>.so` in `$XDG_CACHE_HOME/heatflux`
@@ -110,15 +110,13 @@ def _library():
         finally:
             shutil.rmtree(scratch, ignore_errors=True)
     pointer, index, interp = ctypes.c_void_p, ctypes.c_int, ctypes.POINTER(Interp)
-    lib.forward_march.argtypes = [index, index, ctypes.c_double, ctypes.c_double,
-                                  interp, interp, interp, pointer, pointer, pointer,
-                                  ctypes.POINTER(index)]
-    lib.adjoint_block.argtypes = [index, index, ctypes.c_double, ctypes.c_double,
-                                  ctypes.c_double, interp, interp, interp] + [pointer] * 7 + [
-                                  ctypes.POINTER(index)]
+    head, stop = [index, index, ctypes.c_double, ctypes.c_double], ctypes.POINTER(index)
+    lib.forward_march.argtypes = head + [interp] * 3 + [pointer] * 3 + [stop]
+    lib.tangent_march.argtypes = head + [interp] * 3 + [pointer] * 5 + [stop]
+    lib.adjoint_block.argtypes = head + [ctypes.c_double] + [interp] * 3 + [pointer] * 7 + [stop]
     lib.assemble_gradient.argtypes = [index, index, ctypes.c_double, pointer, pointer,
                                       interp, interp, pointer]
-    lib.forward_march.restype = lib.adjoint_block.restype = index
+    lib.forward_march.restype = lib.adjoint_block.restype = lib.tangent_march.restype = index
     lib.assemble_gradient.restype = None
     address = ctypes.pythonapi.PyCapsule_GetPointer
     address.restype, address.argtypes = pointer, [ctypes.py_object, ctypes.c_char_p]
@@ -135,8 +133,8 @@ def _addr(a: np.ndarray, shape: tuple, dtype=np.float64) -> int:
 
 
 def interpolant(p: Pchip) -> Interp:
-    """`p` for the C code, with the clamping tolerance `pchip._eval_scalar`
-    takes. It reads `p`'s interval table and slope Jacobian, so `p` must
+    """`p` for the C code, with the clamping tolerance `pchip.eval` takes.
+    It reads `p`'s interval table and slope Jacobian, so `p` must
     outlive it."""
     table = p._table
     lo, hi = float(table[0, 0]), float(table[5, -1])
@@ -155,6 +153,20 @@ def forward_march(U, r: float, c: float, alpha: Interp, b0: Interp,
     code = lib.forward_march(nx, nt, r, c, alpha, b0, bL, _addr(U, U.shape),
                              _addr(work, work.shape), solver, stop)
     return code, stop.value
+
+
+def tangent_march(W, U, src, r: float, c: float, alpha: Interp, b0: Interp,
+                  bL: Interp) -> int | None:
+    """Run `tangent_march` of `_march.c` on the field W, whose level 0 is
+    set, along the trajectory U of its shape, with the (nt, 2) wall sources
+    `src`; returns the step whose matrix was singular, or None."""
+    (lib, solver), stop = _library(), ctypes.c_int()
+    nt, nx = W.shape[0] - 1, W.shape[1]
+    work = np.empty(7 * nx - 4)
+    code = lib.tangent_march(nx, nt, r, c, alpha, b0, bL, _addr(U, W.shape),
+                             _addr(W, W.shape), _addr(src, (nt, 2)),
+                             _addr(work, work.shape), solver, stop)
+    return stop.value if code == SINGULAR else None
 
 
 def adjoint_block(psi, block, U, r: float, c: float, dt: float, alpha: Interp,

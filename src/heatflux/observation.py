@@ -102,16 +102,15 @@ def _weights(spec: ObservationSpec, g: Grid):
 
 
 def observe(f: EnthalpyField, spec: ObservationSpec) -> np.ndarray:
-    """Bilinear samples of the field, shape (d, m)."""
+    """Bilinear samples of the field, shape (d, m): each sensor's two nodes
+    interpolated in time first, then the two in space, over all sensors at
+    once."""
     ix, wx, it, wt = _weights(spec, f.grid)
     U = f.values
-    out = np.empty((spec.d, spec.m))
-    for j in range(spec.d):
-        i, a = ix[j], wx[j]
-        col0 = (1.0 - wt) * U[it, i] + wt * U[it + 1, i]
-        col1 = (1.0 - wt) * U[it, i + 1] + wt * U[it + 1, i + 1]
-        out[j] = (1.0 - a) * col0 + a * col1
-    return out
+    i, a = ix[:, None], wx[:, None]
+    col0 = (1.0 - wt) * U[it, i] + wt * U[it + 1, i]
+    col1 = (1.0 - wt) * U[it, i + 1] + wt * U[it + 1, i + 1]
+    return (1.0 - a) * col0 + a * col1
 
 
 def add_noise(clean: np.ndarray, spec: ObservationSpec, amplitude: float, seed: int) -> Measurement:

@@ -12,14 +12,11 @@ leave the value envelope. One function, `_slope_rule`, applies this rule and
 gives the derivatives and their Jacobian, both built with the interpolant.
 
 Construction also builds the interpolant's one per-interval table, which
-both evaluators read: a scalar path, and `march_evaluator`, the one array
-evaluator, which writes values and slopes into buffers its caller owns and
-allocates nothing per call. `eval` runs a scalar on the one and an array on
-the other; the tangent march holds a `march_evaluator` for its whole run.
-The compiled loops (`_march.c`) read the same table: the state march
-repeats the evaluator's values for the diffusivity and the scalar path's
-values for the two boundary fluxes, and the adjoint march the evaluator's
-values and slopes, operation for operation.
+the one evaluator in each language reads: `eval` here, for a scalar or an
+array of points, and `march_eval` in the compiled loops (`_march.c`),
+which give the state march its diffusivity and boundary flux values and
+the linearized marches the diffusivity and flux slopes, operation for
+operation as `eval` gives them.
 Overflow-prone products in `_slope_rule` are taken on secants scaled by a
 power of two, so huge values give finite slopes with the bits of exact
 arithmetic; values near the float range whose secants, end slopes or cubic
@@ -88,14 +85,12 @@ class Pchip:
         if not np.isfinite(values).all():
             raise ValidationError("values must be finite")
         h = _uniform_spacing(knots)
-        # One column per interval, read by every evaluator: left knot, the
+        # One column per interval, read by both evaluators: left knot, the
         # cubic in the local coordinate t = (x - x_i)/h, p(t) = c0 + t (c1 +
         # t (c2 + t c3)), right knot, right value, left and right slope.
-        # `_rows` holds the same numbers as plain floats for the scalar path,
-        # and `_last` is the index of the last interval; evaluation sits in
-        # the innermost solver loops. Values near the float range can
-        # overflow a secant, an end slope or a cubic coefficient; such an
-        # interpolant would evaluate to NaN, so it is refused.
+        # Values near the float range can overflow a secant, an end slope or
+        # a cubic coefficient; such an interpolant would evaluate to NaN, so
+        # it is refused.
         with np.errstate(over="ignore", invalid="ignore"):
             slopes, jac = _slope_rule(values, h)
             fi, fj = values[:-1], values[1:]
@@ -114,9 +109,7 @@ class Pchip:
         object.__setattr__(self, "interval_width", h)
         object.__setattr__(self, "_slope_jac", jac)
         object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_rows", table.T.tolist())
         object.__setattr__(self, "_inv_h", 1.0 / h)
-        object.__setattr__(self, "_last", knots.size - 2)
 
     @property
     def n(self) -> int:
@@ -206,157 +199,34 @@ def _locate(p: Pchip, x, clamp: bool):
     outside = _outside(p, xq, clamp)
     lo, hi = p.knots[0], p.knots[-1]
     xc = np.minimum(np.maximum(xq, lo), hi)
-    idx = np.clip(((xc - lo) * p._inv_h).astype(np.intp), 0, p._last)
+    idx = np.clip(((xc - lo) * p._inv_h).astype(np.intp), 0, p.n - 2)
     return xc, idx, outside
-
-
-def _eval_scalar(p: Pchip, x: float, clamp: bool):
-    rows = p._rows
-    lo, hi = rows[0][0], rows[-1][5]
-    tol = EQUIDISTANT_RTOL * (hi - lo)
-    if x < lo - tol or x > hi + tol:
-        if not clamp:
-            raise ValidationError(
-                f"evaluation point outside [{lo}, {hi}] and clamping is off"
-            )
-        return (rows[0][1], 0.0) if x < lo else (rows[-1][6], 0.0)
-    xc = lo if x < lo else (hi if x > hi else x)
-    i = int((xc - lo) * p._inv_h)
-    if i > p._last:
-        i = p._last
-    elif i < 0:
-        i = 0
-    k0, c0, c1, c2, c3, k1, v1, s0, s1 = rows[i]
-    if xc == k0:
-        return c0, s0
-    if xc == k1:
-        return v1, s1
-    t = (xc - k0) * p._inv_h
-    value = c0 + t * (c1 + t * (c2 + t * c3))
-    deriv = (c1 + t * (2.0 * c2 + 3.0 * t * c3)) * p._inv_h
-    return value, deriv
 
 
 def eval(p: Pchip, x, clamp: bool = False):
     """Evaluate value and first derivative of the interpolant.
 
-    Accepts a scalar or an array of points. With ``clamp`` set, points outside
-    the knot range evaluate to the nearest endpoint value with derivative 0;
-    without it they raise a :class:`ValidationError`.
+    Accepts a scalar, which gives a pair of floats, or an array of points.
+    With ``clamp`` set, points outside the knot range evaluate to the
+    nearest endpoint value with derivative 0; without it they raise a
+    :class:`ValidationError`.
 
-    A scalar takes the scalar path, and an array one call of a
-    `march_evaluator` of its size. The tangent march holds one of its own;
-    no caller in the package passes more than 10,001 points.
+    Each point gathers its interval's column of the table and runs Horner
+    in t = (x - x_i) (1/h); a point on a knot takes the knot's value and
+    slope, whichever of the two intervals its index rounds to. A NaN point
+    gives NaN, with numpy's warning from the cast of its index.
     """
-    if np.ndim(x) == 0:
-        return _eval_scalar(p, float(x), clamp)
-    xq = np.asarray(x, dtype=float)
-    if not clamp:
-        _outside(p, xq, clamp)
-    value, deriv = np.empty(xq.shape), np.empty(xq.shape)
-    march_evaluator(p, xq.size)(xq.reshape(-1), value.reshape(-1), deriv.reshape(-1))
-    return value, deriv
-
-
-def march_evaluator(p: Pchip, size: int):
-    """Clamped evaluation of `p` in buffers, for the coefficient pass of the
-    tangent march (the compiled adjoint march repeats it per step).
-
-    Returns a function `evaluate(x, values, slopes)` of a 1-D array x of at
-    most `size` points. It writes the values and derivatives of `eval(p, x,
-    clamp=True)` into the caller's buffers `values` and `slopes`, bit for
-    bit, and returns `values`. Each call clamps, indexes, gathers one column
-    of the interval table per point and runs Horner, all in scratch buffers
-    allocated here once; a shorter x runs on the first entries of the same
-    buffers.
-
-    Both outputs follow `eval`'s rules: a point on a knot takes the knot's
-    value and slope, whichever of the two intervals its index rounds to, and
-    a point outside the tolerance of the knot range takes the end value and
-    slope 0. A non-finite point gives a meaningless value, not an error.
-    """
-    # The scalars go in as 0-d arrays: a ufunc converts a Python float
-    # operand on every call, about 0.4 us where the whole operation on 91
-    # points takes about 1 us. The arithmetic is the same either way.
-    rows = p._rows
-    lo, hi = rows[0][0], rows[-1][5]
-    span = hi - lo
-    consts = (
-        np.array(lo), np.array(hi),
-        np.array(lo - EQUIDISTANT_RTOL * span), np.array(hi + EQUIDISTANT_RTOL * span),
-        np.array(p._inv_h), np.array(3.0), p._table,
-    )
-    buffers = (
-        np.empty(size), np.empty(size), np.empty(size, dtype=np.intp),
-        np.empty(size, dtype=bool), np.empty(size, dtype=bool), np.empty(9 * size),
-    )
-    return _march_kernel(consts, buffers, size)
-
-
-def _march_kernel(consts, buffers, n: int):
-    """The `march_evaluator` function on the first n entries of its buffers.
-
-    A module-level function, so that the evaluator holds no reference cycle:
-    its buffers go as soon as the march drops it, not at the next full
-    garbage collection.
-    """
-    lo, hi, lo_out, hi_out, inv_h, three, table = consts
-    xc, t, idx, hit, far = (b[:n] for b in buffers[:5])
-    cols = buffers[5][: 9 * n].reshape(9, n)
-    k0, c0, c1, c2, c3, k1, v1, s0, s1 = cols
-
-    def evaluate(x, values, slopes):
-        if x.size != n:
-            return _march_kernel(consts, buffers, x.size)(x, values, slopes)
-        np.maximum(x, lo, out=xc)
-        np.minimum(xc, hi, out=xc)
-        np.subtract(xc, lo, out=t)
-        np.multiply(t, inv_h, out=t)
-        # Assigning floats to an integer array truncates toward zero, as
-        # `astype` does, and the gather's 'clip' mode clips the index to the
-        # last interval, as `_locate` does; it also skips the buffered copy
-        # that the default mode makes.
-        idx[...] = t
-        table.take(idx, 1, cols, "clip")
-        np.subtract(xc, k0, out=t)
-        np.multiply(t, inv_h, out=t)
-        np.multiply(c3, t, out=values)
-        values += c2
-        values *= t
-        values += c1
-        values *= t
-        values += c0
-        # (c1 + t (2 c2 + (3 t) c3)) / h, rounded as `_eval_scalar` rounds
-        # it; c2 + c2 is 2 c2 exactly, formed in the gathered column the
-        # values are done with.
-        np.multiply(t, three, out=slopes)
-        slopes *= c3
-        np.add(c2, c2, out=c2)
-        slopes += c2
-        slopes *= t
-        slopes += c1
-        slopes *= inv_h
-        np.equal(xc, k0, out=hit)
-        on_knot = np.count_nonzero(hit)
-        if on_knot:
-            np.copyto(values, c0, where=hit)
-            np.copyto(slopes, s0, where=hit)
-        np.equal(xc, k1, out=hit)
-        on_right_knot = np.count_nonzero(hit)
-        if on_right_knot:
-            np.copyto(values, v1, where=hit)
-            np.copyto(slopes, s1, where=hit)
-        # A point outside the range is clamped onto an end knot, so without
-        # knot hits there is none.
-        if on_knot or on_right_knot:
-            np.less(x, lo_out, out=hit)
-            np.greater(x, hi_out, out=far)
-            np.logical_or(hit, far, out=hit)
-            if np.count_nonzero(hit):
-                np.copyto(slopes, 0.0, where=hit)
-        return values
-
-    return evaluate
+    xc, idx, outside = _locate(p, x, clamp)
+    k0, c0, c1, c2, c3, k1, v1, s0, s1 = p._table[:, idx]
+    t = (xc - k0) * p._inv_h
+    value = c0 + t * (c1 + t * (c2 + t * c3))
+    slope = (c1 + t * (2.0 * c2 + 3.0 * t * c3)) * p._inv_h
+    at_lo, at_hi = xc == k0, xc == k1
+    value = np.where(at_lo, c0, np.where(at_hi, v1, value))
+    slope = np.where(outside, 0.0, np.where(at_lo, s0, np.where(at_hi, s1, slope)))
+    if value.ndim == 0:
+        return float(value), float(slope)
+    return value, slope
 
 
 def grad_wrt_values_many(p: Pchip, x, clamp: bool = False) -> np.ndarray:

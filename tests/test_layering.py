@@ -4,7 +4,9 @@ and calls the compiled marches.
 The file formats live in `cli` (measurement and result files) and `config`
 (config files and input tables); the pipeline's modules see arrays only.
 `marchlib` alone starts the compiler and talks to the compiled library;
-`forward`, `adjoint` and `pchip` reach it through `marchlib` only.
+`forward`, `adjoint` and `pchip` reach it through `marchlib` only. It is
+also the one module that imports LAPACK, so every tridiagonal solve runs in
+the compiled loops.
 """
 
 import ast
@@ -19,15 +21,22 @@ FILE_MODULES = {"csv", "io", "json"}
 NATIVE_MODULES = {"ctypes", "subprocess"}
 
 
-def imported_modules(path: Path) -> set:
-    """Top-level names of every module imported anywhere in `path`."""
+def imported_names(path: Path) -> set:
+    """Full dotted names of every module and `from` import in `path`:
+    `from a.b import c` gives a.b and a.b.c."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
-            names.update(alias.name.split(".")[0] for alias in node.names)
+            names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names.add(node.module.split(".")[0])
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
     return names
+
+
+def imported_modules(path: Path) -> set:
+    """Top-level names of every module imported anywhere in `path`."""
+    return {name.split(".")[0] for name in imported_names(path)}
 
 
 @pytest.mark.parametrize("module", NUMERIC_MODULES)
@@ -40,5 +49,15 @@ def test_only_the_loader_builds_or_calls_native_code():
     package = Path(heatflux.__file__).parent
     users = {
         path.stem for path in package.glob("*.py") if imported_modules(path) & NATIVE_MODULES
+    }
+    assert users == {"marchlib"}
+
+
+def test_only_the_loader_imports_lapack():
+    package = Path(heatflux.__file__).parent
+    users = {
+        path.stem
+        for path in package.glob("*.py")
+        if any(name.startswith("scipy.linalg.lapack") for name in imported_names(path))
     }
     assert users == {"marchlib"}

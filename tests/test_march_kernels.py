@@ -1,34 +1,35 @@
 """March kernels and the gradient assembly against the plain per-step code
 they replace, bit for bit.
 
-The state march runs its step loop compiled (`marchlib`, `_march.c`): per
-step the diffusivity values of `pchip.march_evaluator`, the one-pass band
-fill of `forward._diffusion_bands` and the scalar flux values of
-`pchip._eval_scalar`, repeated operation for operation, and scipy's dgtsv.
-The adjoint runs each block of steps compiled as well, and computes each
-step's frozen coefficients in that loop just before the step: the
-diffusivity and its slope and the flux slopes as `pchip.march_evaluator`
-gives them (with its knot and outside fix-ups of the slope), the same band
-fill, and the transport, wall, Robin and source factors in the order the
-numpy products used. The tangent march (`adjoint.solve_sensitivity`) stays
-numpy and computes its coefficients a block of levels at a time
-(`adjoint._step_coefficients`). `adjoint.assemble_gradient` sums the at
-most four band entries of each level's `pchip.grad_wrt_values_many` row,
-compiled, and must give the bytes of the dense reduction it replaced
-(`dense_gradient`) on every case, on walls on flux knots, outside the
-partition, with knots no wall reaches and on non-finite input. Every march
-solves each step in place in its output and raises through one check,
-`forward._check_levels`: the linearized marches once per block and on a
-singular step, the forward march at a level with a non-finite wall value,
-on a singular step and after its last step.
+Every march runs its step loop compiled (`marchlib`, `_march.c`), and one
+C evaluator gives every interpolated value and slope there with the
+operations of `pchip.eval` (its knot and outside fix-ups included). The
+state march evaluates the diffusivity and the two wall fluxes per step,
+fills the bands from the sums of neighbouring diffusivities, and solves
+with scipy's dgtsv. The tangent march (`adjoint.solve_sensitivity`, one C
+call per solve) and the adjoint (one C call per block of steps) take each
+step's frozen coefficients from one C function just before the step: the
+diffusivity and its slope, the same band fill and the flux slopes; then
+the transport, wall, Robin and source factors in the order the numpy
+products used. `adjoint.assemble_gradient` sums the at most four band
+entries of each level's `pchip.grad_wrt_values_many` row, compiled, and
+must give the bytes of the dense reduction it replaced (`dense_gradient`)
+on every case, on walls on flux knots, outside the partition, with knots
+no wall reaches and on non-finite input. Every march solves each step in
+place in its output and raises through one check, `forward._check_levels`:
+the tangent march on a singular step and after its last step, the adjoint
+once per block and on a singular step, the forward march at a level with a
+non-finite wall value, on a singular step and after its last step.
 The adjoint keeps only its wall traces; the tests rebuild every level of
 phi from the blocks its march hands out (`adjoint._adjoint_blocks`), and
 feed it a source on every level or, as the sensors do, on some levels only.
 The plain marches below keep the straightforward per-step form: `pchip.eval`
 for every coefficient (on the whole trajectory in one call; the tests of
 `pchip` hold the evaluator to plain numpy code), each band written from
-`amid` inside the step, every product formed inside the step, and every
-solved level checked at its step (`plain_step`).
+`amid` inside the step, every product formed inside the step (the tangent's
+transport term by `plain_transport_apply`, the numpy function the compiled
+tangent step replaced), and every solved level checked at its step
+(`plain_step`).
 Both must give the same bytes on every case, including a steep box-corner
 iterate whose boundary stability number c*beta' exceeds 2 and a profile
 whose nodes sit on the diffusivity's knots and below its range, walls on
@@ -36,11 +37,11 @@ knots of the fluxes, a made-up trajectory whose every level sits on knots
 where Horner's slope misses the knot's slope, and a carried adjoint level
 with a negative zero where the samples miss the level, and must stop with
 `DivergenceError` at the same step when a level goes non-finite, also with
-blocks short enough that the 120-step grid ends in a remainder block and
-the first non-finite level sits on a block edge. An adjoint or tangent
-step whose matrix is exactly singular raises at its step, or at an earlier
-non-finite level of its block.
-The buffered marches must also leave their inputs alone and hand out a new
+adjoint blocks short enough that the 120-step grid ends in a remainder
+block and the first non-finite level sits on a block edge. An adjoint or
+tangent step whose matrix is exactly singular raises at its step, or at an
+earlier non-finite level.
+The compiled marches must also leave their inputs alone and hand out a new
 field on every call.
 
 On the same cases the co-located pair is checked for duality: the adjoint
@@ -127,6 +128,26 @@ def plain_transport_apply_t(ap, du_new, q, r):
     return out
 
 
+def plain_transport_apply(
+    ap: np.ndarray, du_new: np.ndarray, w: np.ndarray, r: float
+) -> np.ndarray:
+    """Advective part of the linearized step applied to a perturbation w.
+
+    Differentiating the implicit diffusion term with respect to its lagged
+    coefficients gives, per row, interface products of d(alpha')/du (`ap`),
+    the new-level state increments `du_new`, and w. The adjoint step applies
+    the exact transpose of this map under the half-cell volume weights; the
+    pair keeps sensitivity and adjoint marches exactly dual.
+    """
+    pw = ap * w
+    pw2 = pw[:-1] + pw[1:]
+    out = np.empty_like(w)
+    out[0] = -r * du_new[0] * pw2[0]
+    out[1:-1] = 0.5 * r * (du_new[:-1] * pw2[:-1] - du_new[1:] * pw2[1:])
+    out[-1] = r * du_new[-1] * pw2[-1]
+    return out
+
+
 def plain_solve_adjoint(u, m, fp, source, g):
     b0, bL = pchip.flux_interpolants(fp)
     r = g.dt / g.dx**2
@@ -187,7 +208,7 @@ def plain_solve_sensitivity(u, m, fp, h, g):
     for k in range(g.nt):
         wn = W[k]
         plain_bands(ab, amid[k], r)
-        rhs = wn - adjoint._transport_apply(ap[k], du[k + 1], wn, r)
+        rhs = wn - plain_transport_apply(ap[k], du[k + 1], wn, r)
         rhs[0] -= c * (b0p[k] * wn[0] + float(G0[k] @ h[:n]))
         rhs[-1] -= c * (bLp[k] * wn[-1] + float(GL[k] @ h[n:]))
         W[k + 1] = plain_step(ab, rhs, k + 1)
@@ -359,13 +380,29 @@ def test_forward_march_takes_a_flux_knot_value_on_the_knot(builtin_material):
     for k in (9, 12):
         x = part[k]
         i = int((x - part[0]) * b0._inv_h)
-        k0, c0, c1, c2, c3 = b0._rows[i][:5]
+        k0, c0, c1, c2, c3 = b0._table[:5, i]
         t = (x - k0) * b0._inv_h
         assert i == k - 1 and c0 + t * (c1 + t * (c2 + t * c3)) != values[k]
     u0 = np.full(GRID.nx, part[9])
     u0[-1] = part[12]
     got = forward.solve_ibvp(builtin_material, fp, u0, GRID)
     assert got.values.tobytes() == plain_solve_ibvp(builtin_material, fp, u0, GRID).tobytes()
+
+
+def test_forward_march_takes_a_negative_zero_flux_value_on_its_knot():
+    # Both fluxes are -0.0 on their first knot, where they rise, and the
+    # field starts at -0.0: every wall sits on that knot, where Horner gives
+    # +0.0, not the knot's value. The march must take -0.0 there, as
+    # `pchip.eval` does: c beta then cancels the wall's -0.0 to +0.0, and
+    # the signs of the zeros of every level follow from it.
+    g = Grid(L=1.0, T=1.0, nx=5, nt=4)
+    m = material.MaterialModel(diffusivity=pchip.Pchip([0.0, 1.0, 2.0], [1.0, 2.0, 1.0]))
+    fp = pchip.FluxParameter([-0.0, 1.0, 2.0] * 2, np.linspace(0.0, 2.0, 3), 2.0)
+    u0 = np.full(g.nx, -0.0)
+    got = forward.solve_ibvp(m, fp, u0, g)
+    want = plain_solve_ibvp(m, fp, u0, g)
+    assert not want.any() and np.signbit(want).any() and not np.signbit(want[1, 0])
+    assert got.values.tobytes() == want.tobytes()
 
 
 def test_forward_divergence_step_matches_plain_code(builtin_material):
@@ -420,7 +457,7 @@ def test_adjoint_march_takes_the_knot_slopes_on_the_knots(builtin_material):
     # slope, c1 (1/h), misses the knot's slope in the last bit, and on the
     # top knot: the large increments between the two carry that bit into the
     # transport term. The march must take the knot's slope there, as
-    # `pchip.march_evaluator` does.
+    # `pchip.eval` does.
     m = knot_material(builtin_material)
     p = m.diffusivity
     missed = p.knots[left_knot_slope_misses(p, p.knots)]
@@ -431,6 +468,21 @@ def test_adjoint_march_takes_the_knot_slopes_on_the_knots(builtin_material):
     source = np.random.default_rng(5).standard_normal((GRID.nt + 1, GRID.nx))
     got = adjoint_levels(u, m, fp, dense_pair(source))
     assert got.tobytes() == plain_solve_adjoint(u, m, fp, source, GRID).tobytes()
+
+
+def test_tangent_march_takes_the_knot_slopes_on_the_knots(builtin_material):
+    # The made-up trajectory above, in the tangent march: the knot's slope
+    # must reach its transport term, whose large increments carry every bit
+    # of it, also on the two wall rows.
+    m = knot_material(builtin_material)
+    p = m.diffusivity
+    missed = p.knots[left_knot_slope_misses(p, p.knots)]
+    profile = np.resize(np.stack([missed, np.full(missed.size, p.knots[-1])], 1), GRID.nx)
+    u = forward.EnthalpyField(GRID, np.tile(profile, (GRID.nt + 1, 1)))
+    fp = exact_flux_parameter(CFG)
+    h = np.random.default_rng(9).standard_normal(2 * fp.n)
+    got = adjoint.solve_sensitivity(u, m, fp, h)
+    assert got.values.tobytes() == plain_solve_sensitivity(u, m, fp, h, GRID).tobytes()
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -505,7 +557,7 @@ def test_assembly_matches_the_dense_reduction_on_non_finite_input():
 
 
 def short_blocks(monkeypatch, levels):
-    """Make the linearized marches walk GRID in blocks of `levels` steps."""
+    """Make the adjoint march walk GRID in blocks of `levels` steps."""
     monkeypatch.setattr(adjoint, "_BLOCK_NODES", levels * GRID.nx)
     blocks = adjoint._step_blocks(GRID)
     assert blocks[0] == (0, levels) and blocks[-1][1] == GRID.nt
@@ -708,8 +760,8 @@ def test_forward_marches_return_independent_fields(marches):
 
 
 def test_transport_pair_is_a_volume_weighted_transpose():
-    # The adjoint march applies the plain transpose bit for bit (the tests
-    # above), so this pins it to the tangent march's transport term.
+    # The compiled marches apply the plain term and the plain transpose bit
+    # for bit (the tests above), so this pins the two to each other.
     rng = np.random.default_rng(3)
     nx, r = 17, 40.0
     ap = rng.uniform(-1.0, 1.0, (2, nx))
@@ -717,6 +769,6 @@ def test_transport_pair_is_a_volume_weighted_transpose():
     w, q = rng.standard_normal(nx), rng.standard_normal(nx)
     vol = np.ones(nx)
     vol[[0, -1]] = 0.5
-    lhs = q @ (vol * adjoint._transport_apply(ap[0], du[1], w, r))
+    lhs = q @ (vol * plain_transport_apply(ap[0], du[1], w, r))
     rhs = w @ (vol * plain_transport_apply_t(ap[0], du[1], q, r))
     assert lhs == pytest.approx(rhs, rel=1e-12)

@@ -112,6 +112,43 @@ def test_adjoint_block_refuses_a_source_row_out_of_range(row):
         marchlib.adjoint_block(**args)
 
 
+def tangent_args(nt=3, nx=5):
+    """Valid arguments of `marchlib.tangent_march`: nt steps on nx nodes
+    along a flat trajectory, with a wall source on the first step."""
+    p = marchlib.interpolant(FLAT)
+    src = np.zeros((nt, 2))
+    src[0] = 1.0, -1.0
+    return dict(W=np.zeros((nt + 1, nx)), U=np.zeros((nt + 1, nx)), src=src,
+                r=1.0, c=1.0, alpha=p, b0=p, bL=p)
+
+
+def test_tangent_march_runs_on_valid_arguments():
+    args = tangent_args()
+    assert marchlib.tangent_march(**args) is None
+    W = args["W"]
+    assert np.isfinite(W).all() and (W[0] == 0.0).all() and (W[1] != 0.0).any()
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("W", np.zeros((4, 6))),  # more nodes than the trajectory
+        ("U", np.zeros((3, 5))),  # as many trajectory levels as steps, not one more
+        ("src", np.zeros((4, 2))),  # a source row for the last level too
+        ("src", np.zeros((3, 3))),  # three walls
+        ("W", np.zeros((4, 5), dtype=np.float32)),
+        ("U", np.zeros((4, 5), order="F")),
+        ("src", np.zeros((2, 3)).T),
+    ],
+    ids=["W-shape", "U-levels", "src-levels", "src-walls", "W-dtype", "U-fortran", "src-fortran"],
+)
+def test_tangent_march_refuses_a_misshapen_array(name, value):
+    args = tangent_args()
+    args[name] = value
+    with pytest.raises(ValueError, match="C-contiguous"):
+        marchlib.tangent_march(**args)
+
+
 def test_forward_march_refuses_a_fortran_ordered_field():
     p = marchlib.interpolant(FLAT)
     with pytest.raises(ValueError, match="C-contiguous"):

@@ -19,7 +19,41 @@ def bilinear_field(g, a=2.0e9, b=3.0e10, c=-4.0e7, d=5.0e8):
     return EnthalpyField(g, a + b * xs + c * ts + d * xs * ts), (a, b, c, d)
 
 
+def plain_observe(f, spec):
+    """The samples sensor by sensor, in time and then in space: the
+    reference for the broadcast `observe`."""
+    ix, wx, it, wt = observation._weights(spec, f.grid)
+    U = f.values
+    out = np.empty((spec.d, spec.m))
+    for j in range(spec.d):
+        i, a = ix[j], wx[j]
+        col0 = (1.0 - wt) * U[it, i] + wt * U[it + 1, i]
+        col1 = (1.0 - wt) * U[it, i + 1] + wt * U[it + 1, i + 1]
+        out[j] = (1.0 - a) * col0 + a * col1
+    return out
+
+
 class TestObserve:
+    def test_matches_the_sensor_loop_bitwise(self):
+        # Random fields over many orders of magnitude, sensors in the first
+        # and last space cells, two in one cell, and samples at t = T and
+        # inside the first time cell.
+        g = Grid(L=0.05, T=3.0, nx=23, nt=17)
+        rng = np.random.default_rng(17)
+        specs = [
+            ObservationSpec(positions=np.array([0.0041, 0.0173, 0.018, 0.0487, 0.0499]),
+                            times=np.array([0.05, 0.56, 0.62, 1.371, 2.95, 3.0])),
+            ObservationSpec(positions=rng.uniform(1e-4, 0.0499, 9),
+                            times=np.sort(rng.uniform(1e-3, 3.0, 40))),
+        ]
+        for spec in specs:
+            for _ in range(10):
+                U = rng.standard_normal((g.nt + 1, g.nx)) * 10.0 ** rng.integers(-8, 10, g.nx)
+                f = EnthalpyField(g, U)
+                got = observation.observe(f, spec)
+                assert got.shape == (spec.d, spec.m)
+                assert got.tobytes() == plain_observe(f, spec).tobytes()
+
     def test_exact_on_bilinear_fields(self):
         g = Grid(L=0.05, T=3.0, nx=23, nt=17)
         f, (a, b, c, d) = bilinear_field(g)

@@ -196,8 +196,8 @@ class TestEvaluation:
         assert (d == p.slopes).all()
 
     def test_scalar_and_array_paths_agree(self, builtin_material):
-        # All three evaluators read one interval table; the scalar path must
-        # give the array path's value and derivative bit for bit.
+        # A scalar and an array go through one evaluator; a scalar must give
+        # the array's value and derivative bit for bit.
         for p, xs in bitwise_cases(builtin_material):
             va, da = pchip.eval(p, xs, clamp=True)
             scalar = np.array([pchip.eval(p, float(x), clamp=True) for x in xs])
@@ -205,22 +205,12 @@ class TestEvaluation:
             assert scalar[:, 1].tobytes() == da.tobytes()
 
     def test_march_evaluator_matches_eval_bitwise(self, builtin_material):
-        # The buffered evaluator, and `eval` on it, give the plain
-        # evaluation's values and slopes bit for bit: on knots, on points
-        # whose index rounds down onto a right knot, below and above the
-        # range, and on a call shorter than the evaluator's buffers.
+        # `eval` gives the plain evaluation's values and slopes bit for bit:
+        # on knots, on points whose index rounds down onto a right knot, and
+        # below and above the range.
         right_knot_hits = 0
         for p, xs in bitwise_cases(builtin_material):
             value, slope = plain_eval(p, xs)
-            evaluate = pchip.march_evaluator(p, xs.size)
-            values, slopes = np.empty(xs.size), np.empty(xs.size)
-            assert evaluate(xs, values, slopes) is values
-            assert (values.view(np.int64) == value.view(np.int64)).all()
-            assert (slopes.view(np.int64) == slope.view(np.int64)).all()
-            short = xs[: xs.size // 2]
-            values = evaluate(short, np.empty(short.size), slopes[: short.size])
-            assert (values.view(np.int64) == value[: short.size].view(np.int64)).all()
-            assert (slopes[: short.size].view(np.int64) == slope[: short.size].view(np.int64)).all()
             got = pchip.eval(p, xs, clamp=True)
             assert (got[0].view(np.int64) == value.view(np.int64)).all()
             assert (got[1].view(np.int64) == slope.view(np.int64)).all()
