@@ -1,15 +1,21 @@
 /* Step loops of the state march and of the two linearized marches, the
- * tangent and the adjoint, and the adjoint gradient assembly.
+ * tangent and the adjoint, the adjoint gradient assembly, and the
+ * tridiagonal solve they share.
  *
  * `marchlib` compiles this file with `-O2 -ffp-contract=off` and calls it
  * through ctypes. Each function does the operations of the numpy code it
  * replaced in the same order, one IEEE operation per numpy operation and no
- * contraction into fused multiply-adds, and the loops solve with the LAPACK
- * routine dgtsv whose address the caller passes in (scipy's own). So every
- * level and every gradient entry has the bits the numpy code gave. One
- * evaluator (`march_eval`) gives every interpolated value and slope, and
- * one function (`step_coefficients`) the frozen coefficients that a tangent
- * step and its transpose, the adjoint step, both read.
+ * contraction into fused multiply-adds, and every step solves with a port
+ * of LAPACK's dgtsv for one right-hand side that does dgtsv's operations in
+ * dgtsv's order (`eliminate`, `back_substitute`). So every level and every
+ * gradient entry has the bits the numpy code, which called LAPACK, gave.
+ * One evaluator (`march_eval`) gives every interpolated value and slope.
+ * The back substitution of a step evaluates the diffusivity (and for the
+ * linearized marches its slope) on the level the next step reads, node by
+ * node as the nodes are solved, so that work runs beside dgtsv's chain of
+ * divisions instead of before it; `fill_bands` and `wall_slopes` give the
+ * rest of the frozen coefficients that a tangent step and its transpose,
+ * the adjoint step, both read.
  *
  * No loop raises: each returns a stop code and the step it stopped at, and
  * the caller raises through `forward._check_levels`.
@@ -17,9 +23,6 @@
 
 #include <math.h>
 #include <stddef.h>
-
-typedef void dgtsv_fn(const int *n, const int *nrhs, double *dl, double *d,
-                      double *du, double *b, const int *ldb, int *info);
 
 /* A `pchip.Pchip` as the C code reads it: its interval table (9 rows of
  * `intervals` entries: left knot, c0, c1, c2, c3, right knot, right value,
@@ -125,23 +128,133 @@ static void fill_bands(int nx, double r, const double *alpha, double *s,
     diag[nx - 1] = (s[nx - 2] + s[nx - 2]) * half_r + 1.0;
 }
 
+/* The tridiagonal system (dl, d, du) x = b of order n >= 1 (dl and du the
+ * n - 1 entries below and above the diagonal d) as LAPACK's dgtsv
+ * eliminates it for one right-hand side: Gaussian elimination with
+ * partial pivoting, overwriting d and du with the upper triangle, dl with
+ * its second superdiagonal, and b. Row i keeps its pivot when |d[i]| >=
+ * |dl[i]| (NaN takes the interchange), and then fact = dl[i] / d[i],
+ * d[i+1] - du[i] fact, b[i+1] - fact b[i] and dl[i] = 0 (not on the last
+ * row); else rows i and i + 1 swap, with fact = d[i] / dl[i], dl[i] set to
+ * the old du[i+1] and du[i+1] = -(dl[i] fact) (neither on the last row).
+ * Returns dgtsv's info: 0, or the 1-based row of the first zero pivot, n
+ * when only the last one is zero; the system is then left as dgtsv leaves
+ * it. The pivot and the right-hand side of the row below are carried in
+ * registers while no rows swap, off the store-to-load path of the chain.
+ *
+ * IEEE 754 does not say which of two NaN operands a product returns, and C
+ * leaves it to the compiler's choice of registers; each product here names
+ * its operands in the order of the compiled dgtsv that scipy ships, and
+ * compiled with `marchlib.COMPILE` the port returns its NaNs too, signs
+ * included (the tests check it on `tridiagonal_solve`). */
+static int eliminate(int n, double *dl, double *d, double *du, double *b)
+{
+    double di = d[0], bi = b[0];
+    for (int i = 0; i < n - 1; i++) {
+        int last = i == n - 2;
+        if (fabs(di) >= fabs(dl[i])) {
+            if (di == 0.0)
+                return i + 1;
+            double fact = dl[i] / di;
+            di = d[i + 1] - du[i] * fact;
+            bi = b[i + 1] - fact * bi;
+            d[i + 1] = di;
+            b[i + 1] = bi;
+            if (!last)
+                dl[i] = 0.0;
+        } else {
+            double fact = d[i] / dl[i];
+            d[i] = dl[i];
+            double temp = d[i + 1];
+            d[i + 1] = du[i] - fact * temp;
+            if (!last) {
+                dl[i] = du[i + 1];
+                du[i + 1] = -(dl[i] * fact);
+            }
+            du[i] = temp;
+            temp = b[i];
+            b[i] = b[i + 1];
+            b[i + 1] = temp - fact * b[i + 1];
+            di = d[i + 1];
+            bi = b[i + 1];
+        }
+    }
+    return di == 0.0 ? n : 0;
+}
+
+/* Node i of the level the next step reads, as `back_substitute` takes it:
+ * alpha[i] = alpha(v[i]) and, unless ap is NULL, its slope in ap[i]; nothing
+ * where v is NULL. */
+static inline void evaluate_node(const interp *p, const double *v, double *alpha,
+                                 double *ap, int i)
+{
+    if (v)
+        alpha[i] = march_eval(p, v[i], ap ? &ap[i] : NULL);
+}
+
+/* dgtsv's back substitution on a system `eliminate` returned 0 for: b[n-1]
+ * / d[n-1], (b[n-2] - x[n-1] du[n-2]) / d[n-2], then (b[i] - du[i] x[i+1]
+ * - dl[i] x[i+2]) / d[i] upward, the dl term kept where dl[i] is 0 because
+ * it decides the sign of a zero and carries an inf or NaN of x[i+2]; x[i+1]
+ * is carried in a register and x[i+2] read back from b. As node i is
+ * solved it evaluates the diffusivity `p` at v[i] into alpha[i] and,
+ * unless ap is NULL, its slope into ap[i] (`evaluate_node`): v is the level
+ * the next step reads, the solution b itself for the state march and the
+ * next trajectory level for the linearized ones, or NULL for none. The
+ * evaluations do not feed the chain of divisions, so they run beside it. */
+static inline void back_substitute(int n, const double *dl, const double *d,
+                                   const double *du, double *b,
+                                   const interp *p, const double *v,
+                                   double *alpha, double *ap)
+{
+    b[n - 1] = b[n - 1] / d[n - 1];
+    evaluate_node(p, v, alpha, ap, n - 1);
+    if (n > 1) {
+        b[n - 2] = (b[n - 2] - b[n - 1] * du[n - 2]) / d[n - 2];
+        evaluate_node(p, v, alpha, ap, n - 2);
+    }
+    double x = b[n > 1 ? n - 2 : 0];
+    for (int i = n - 3; i >= 0; i--) {
+        x = (b[i] - du[i] * x - dl[i] * b[i + 2]) / d[i];
+        b[i] = x;
+        evaluate_node(p, v, alpha, ap, i);
+    }
+}
+
+/* dgtsv for one right-hand side: the solution in b and info returned, with
+ * dl, d and du overwritten as dgtsv overwrites them. The marches call its
+ * two halves; this whole is exported for the tests, which hold it to
+ * LAPACK's own dgtsv bit for bit. */
+int tridiagonal_solve(int n, double *dl, double *d, double *du, double *b)
+{
+    if (n < 1)
+        return 0;
+    int info = eliminate(n, dl, d, du, b);
+    if (info == 0)
+        back_substitute(n, dl, d, du, b, NULL, NULL, NULL, NULL);
+    return info;
+}
+
 /* The state march on the (nt+1) x nx field U, whose level 0 is given.
- * Step n evaluates the diffusivity on level n, fills the bands, forms the
+ * Step n fills the bands from the diffusivity of level n, forms the
  * right-hand side in level n + 1 with the two wall fluxes of level n, and
- * solves it there. `work` holds 5 nx - 3 doubles.
+ * solves it there; its back substitution evaluates the diffusivity of
+ * level n + 1, the one step n + 1 reads, as the nodes are solved. The
+ * diffusivity of level 0 is evaluated before the first step. `work` holds
+ * 5 nx - 3 doubles.
  *
  * Returns DONE after step nt - 1; ALARM with *stop = n when a wall value of
  * level n is not finite, before any flux is evaluated there; SINGULAR with
  * *stop = n when the matrix of step n is singular. */
 int forward_march(int nx, int nt, double r, double c, const interp *alpha_p,
                   const interp *b0, const interp *bL, double *U, double *work,
-                  dgtsv_fn *dgtsv, int *stop)
+                  int *stop)
 {
-    const int one = 1;
     double *alpha = work, *s = alpha + nx, *sup = s + nx - 1;
     double *sub = sup + nx - 1, *diag = sub + nx - 1;
-    int info;
 
+    for (int j = 0; j < nx; j++)
+        alpha[j] = march_eval(alpha_p, U[j], NULL);
     for (int n = 0; n < nt; n++) {
         double *un = U + (long)n * nx, *rhs = un + nx;
         double u0 = un[0], uL = un[nx - 1];
@@ -149,36 +262,37 @@ int forward_march(int nx, int nt, double r, double c, const interp *alpha_p,
             *stop = n;
             return ALARM;
         }
-        for (int j = 0; j < nx; j++)
-            alpha[j] = march_eval(alpha_p, un[j], NULL);
         fill_bands(nx, r, alpha, s, sup, sub, diag);
         double beta0 = march_eval(b0, u0, NULL), betaL = march_eval(bL, uL, NULL);
         for (int j = 1; j < nx - 1; j++)
             rhs[j] = un[j];
         rhs[0] = u0 - c * beta0;
         rhs[nx - 1] = uL - c * betaL;
-        dgtsv(&nx, &one, sub, diag, sup, rhs, &nx, &info);
-        if (info != 0) {
+        if (eliminate(nx, sub, diag, sup, rhs) != 0) {
             *stop = n;
             return SINGULAR;
         }
+        back_substitute(nx, sub, diag, sup, rhs, alpha_p,
+                        n + 1 < nt ? rhs : NULL, alpha, NULL);
     }
     return DONE;
 }
 
-/* The frozen coefficients of the state step from trajectory level u, the
- * one source of both linearized steps: the diffusivity and its slope ap,
- * the bands and the two flux slopes b0', bL'. `work` holds them as alpha,
- * ap, s, sup, sub, diag (6 nx - 3 doubles). */
-static void step_coefficients(int nx, double r, const interp *alpha_p,
-                              const interp *b0, const interp *bL,
-                              const double *u, double *work, double *b0p,
-                              double *bLp)
+/* The diffusivity and its slope on the trajectory level u, into alpha and
+ * ap: the first level a linearized march reads, before its first step. */
+static void level_coefficients(int nx, const interp *alpha_p, const double *u,
+                               double *alpha, double *ap)
 {
-    double *alpha = work, *ap = alpha + nx, *s = ap + nx, *sup = s + nx - 1;
     for (int j = 0; j < nx; j++)
         alpha[j] = march_eval(alpha_p, u[j], &ap[j]);
-    fill_bands(nx, r, alpha, s, sup, sup + nx - 1, sup + 2 * (nx - 1));
+}
+
+/* The slopes b0' and bL' of the two wall fluxes on the trajectory level
+ * u. With the bands from the level's diffusivity (`fill_bands`) and its
+ * slope, they are the frozen coefficients of both linearized steps. */
+static void wall_slopes(int nx, const interp *b0, const interp *bL,
+                        const double *u, double *b0p, double *bLp)
+{
     march_eval(b0, u[0], b0p);
     march_eval(bL, u[nx - 1], bLp);
 }
@@ -191,26 +305,27 @@ static void step_coefficients(int nx, double r, const interp *alpha_p,
  * with pw2[j] = ap[j] w[j] + ap[j+1] w[j+1]: ((-r) du[0]) pw2[0] on the
  * first row, (r/2) (du[j-1] pw2[j-1] - du[j] pw2[j]) inside and
  * (r du[nx-2]) pw2[nx-2] on the last; then it takes c (beta' w + src) off
- * each wall entry and solves there. `work` holds 7 nx - 4 doubles.
+ * each wall entry and solves there. Its back substitution evaluates the
+ * diffusivity and its slope on level k + 1 of U, which pw2 no longer
+ * needs. `work` holds 7 nx - 4 doubles.
  *
  * Returns DONE after step nt - 1, or SINGULAR with *stop = k when the
  * matrix of step k is singular. */
 int tangent_march(int nx, int nt, double r, double c, const interp *alpha_p,
                   const interp *b0, const interp *bL, const double *U,
-                  double *W, const double *src, double *work,
-                  dgtsv_fn *dgtsv, int *stop)
+                  double *W, const double *src, double *work, int *stop)
 {
-    const int one = 1;
     const double half_r = 0.5 * r;
-    double *ap = work + nx, *sup = ap + 2 * nx - 1, *sub = sup + nx - 1;
-    double *diag = sub + nx - 1, *pw2 = diag + nx;
-    int info;
+    double *alpha = work, *ap = alpha + nx, *s = ap + nx, *sup = s + nx - 1;
+    double *sub = sup + nx - 1, *diag = sub + nx - 1, *pw2 = diag + nx;
 
+    level_coefficients(nx, alpha_p, U, alpha, ap);
     for (int k = 0; k < nt; k++) {
         const double *u = U + (long)k * nx, *un = u + nx;
         const double *w = W + (long)k * nx;
         double *rhs = W + (long)(k + 1) * nx, b0p, bLp;
-        step_coefficients(nx, r, alpha_p, b0, bL, u, work, &b0p, &bLp);
+        fill_bands(nx, r, alpha, s, sup, sub, diag);
+        wall_slopes(nx, b0, bL, u, &b0p, &bLp);
         for (int j = 0; j < nx - 1; j++)
             pw2[j] = ap[j] * w[j] + ap[j + 1] * w[j + 1];
         for (int j = 1; j < nx - 1; j++)
@@ -220,11 +335,12 @@ int tangent_march(int nx, int nt, double r, double c, const interp *alpha_p,
         rhs[nx - 1] = w[nx - 1] - (r * (un[nx - 1] - un[nx - 2])) * pw2[nx - 2];
         rhs[0] -= c * (b0p * w[0] + src[2 * k]);
         rhs[nx - 1] -= c * (bLp * w[nx - 1] + src[2 * k + 1]);
-        dgtsv(&nx, &one, sub, diag, sup, rhs, &nx, &info);
-        if (info != 0) {
+        if (eliminate(nx, sub, diag, sup, rhs) != 0) {
             *stop = k;
             return SINGULAR;
         }
+        back_substitute(nx, sub, diag, sup, rhs, alpha_p,
+                        k + 1 < nt ? un : NULL, alpha, ap);
     }
     return DONE;
 }
@@ -240,7 +356,10 @@ int tangent_march(int nx, int nt, double r, double c, const interp *alpha_p,
  * solves it there and carries the solved level q to psi through the
  * transpose of the tangent step's transport correction and walls: inside q
  * minus (pd[j] + pd[j+1]) (ap (r/2)) with pd = du dq, and on the walls
- * (q - ((r du) ap) dq) - (c beta') q. `work` holds 7 nx - 4 doubles.
+ * (q - ((r du) ap) dq) - (c beta') q. Its back substitution evaluates the
+ * diffusivity and its slope on level i - 1 of U, the slope into the second
+ * of two slope buffers because the carry still reads level i's. The block's
+ * last level, k - 1, is evaluated on entry. `work` holds 8 nx - 4 doubles.
  *
  * Returns DONE, or SINGULAR with *stop = i when the matrix of row i is
  * singular. */
@@ -248,18 +367,20 @@ int adjoint_block(int nx, int k, double r, double c, double dt,
                   const interp *alpha_p, const interp *b0, const interp *bL,
                   const double *U, double *psi, double *block,
                   const double *src, const long *src_row, double *work,
-                  dgtsv_fn *dgtsv, int *stop)
+                  int *stop)
 {
-    const int one = 1;
     const double half_r = 0.5 * r;
-    double *ap = work + nx, *sup = ap + 2 * nx - 1, *sub = sup + nx - 1;
-    double *diag = sub + nx - 1, *pd = diag + nx;
-    int info;
+    double *alpha = work, *ap = alpha + nx, *s = ap + nx, *sup = s + nx - 1;
+    double *sub = sup + nx - 1, *diag = sub + nx - 1, *pd = diag + nx;
+    double *ap_next = pd + nx - 1;
 
+    if (k > 0)
+        level_coefficients(nx, alpha_p, U + (long)(k - 1) * nx, alpha, ap);
     for (int i = k - 1; i >= 0; i--) {
         const double *u = U + (long)i * nx, *un = u + nx;
         double *q = block + (long)i * nx, b0p, bLp;
-        step_coefficients(nx, r, alpha_p, b0, bL, u, work, &b0p, &bLp);
+        fill_bands(nx, r, alpha, s, sup, sub, diag);
+        wall_slopes(nx, b0, bL, u, &b0p, &bLp);
         if (src_row[i] < 0) {
             for (int j = 0; j < nx; j++)
                 q[j] = psi[j] + 0.0;
@@ -270,11 +391,12 @@ int adjoint_block(int nx, int k, double r, double c, double dt,
                 q[j] = psi[j] + dt * row[j];
             q[nx - 1] = psi[nx - 1] + (dt * row[nx - 1]) * 2.0;
         }
-        dgtsv(&nx, &one, sub, diag, sup, q, &nx, &info);
-        if (info != 0) {
+        if (eliminate(nx, sub, diag, sup, q) != 0) {
             *stop = i;
             return SINGULAR;
         }
+        back_substitute(nx, sub, diag, sup, q, alpha_p,
+                        i > 0 ? u - nx : NULL, alpha, ap_next);
         for (int j = 0; j < nx - 1; j++)
             pd[j] = q[j + 1] - q[j];
         double q0 = q[0], qL = q[nx - 1], dq0 = pd[0], dqL = pd[nx - 2];
@@ -285,6 +407,9 @@ int adjoint_block(int nx, int k, double r, double c, double dt,
             psi[j + 1] = q[j + 1] - (pd[j] + pd[j + 1]) * (ap[j + 1] * half_r);
         psi[0] = (q0 - ((r * du0) * ap[0]) * dq0) - (c * b0p) * q0;
         psi[nx - 1] = (qL - ((r * duL) * ap[nx - 1]) * dqL) - (c * bLp) * qL;
+        double *t = ap;
+        ap = ap_next;
+        ap_next = t;
     }
     return DONE;
 }

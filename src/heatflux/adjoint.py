@@ -42,24 +42,26 @@ keeps.
 
 Both linearized marches run compiled (`marchlib`, `_march.c`) with the
 numpy code's operations in their order, and take their grid from the
-trajectory they linearize about. Just before each step they compute that
-step's frozen coefficients from the trajectory level it starts from with
-one C function, the one both marches call: the diffusivity and its slope,
-the bands of the state step, and the two flux slopes; the increments of
-the later level and their products with the step constants follow. So each
-adjoint step is the transpose of the tangent step on the same numbers by
-construction. The tangent march (`solve_sensitivity`; only tests call it)
-is one C call per solve: per step it subtracts the transport correction,
-takes the linearized wall fluxes off the wall entries, and solves in the
-next level of its field with scipy's LAPACK dgtsv. Its wall sources,
-grad_beta(u) . h, are numpy dots, one per level and wall, formed before the
-call. The adjoint march (`_adjoint_blocks`) walks the trajectory backward
-in blocks of consecutive steps (`_step_blocks`), as many levels as fill
-`_BLOCK_NODES` nodes (180 at 91 nodes): per step it adds the level's
-weighted source row, or 0.0 where the samples miss the level, to the
-carried level in the row of the block it solves for, solves it there, and
-carries the solved level through the transposed transport correction and
-the two Robin walls. Both check as the state march does, through
+trajectory they linearize about. Each step reads its frozen coefficients
+from the trajectory level it starts from, computed with the same C code in
+both marches: the diffusivity and its slope, evaluated during the back
+substitution of the step before (the first level's before the first step)
+by the solve both marches and the state march share, a port of LAPACK's
+dgtsv; then the bands of the state step and the two flux slopes, just
+before the step; the increments of the later level and their products
+with the step constants follow. So each adjoint step is the transpose of
+the tangent step on the same numbers by construction. The tangent march
+(`solve_sensitivity`; only tests call it) is one C call per solve: per
+step it subtracts the transport correction, takes the linearized wall
+fluxes off the wall entries, and solves in the next level of its field.
+Its wall sources, grad_beta(u) . h, are numpy dots, one per level and wall,
+formed before the call. The adjoint march (`_adjoint_blocks`) walks the
+trajectory backward in blocks of consecutive steps (`_step_blocks`), as
+many levels as fill `_BLOCK_NODES` nodes (180 at 91 nodes): per step it
+adds the level's weighted source row, or 0.0 where the samples miss the
+level, to the carried level in the row of the block it solves for, solves
+it there, and carries the solved level through the transposed transport
+correction and the two Robin walls. Both check as the state march does, through
 `forward._check_levels`: on a singular step, and on the solved levels,
 once per solve for the tangent and once per block for the adjoint, which
 raises at the step a per-step check would. `_adjoint_blocks` hands out

@@ -16,23 +16,25 @@ trapezoid weights the scheme satisfies the discrete energy identity
 exactly, which mirrors the continuous energy balance of the model.
 
 The step loop runs compiled (`marchlib`, `_march.c`). Per step it
-evaluates the diffusivity and the two boundary fluxes as `pchip.eval`
-does (clamped, from the interval table the interpolant was built with),
 fills the bands of I + r K from the sums of neighbouring diffusivities,
-forms the right-hand side in the next level of the output field and solves
-it there with scipy's LAPACK dgtsv: the numpy march's operations in its
-order, so every level keeps its bits. Its linearization, the tangent march
-and its transpose, lives in `adjoint`; both of those compiled marches fill
-each step's bands with the state march's band fill.
+evaluates the two boundary fluxes as `pchip.eval` does (clamped, from the
+interval table the interpolant was built with), forms the right-hand side
+in the next level of the output field and solves it there with the
+library's port of LAPACK's dgtsv, whose back substitution evaluates the
+diffusivity of each node of the new level as soon as the node is solved,
+for the next step: the numpy march's operations in its order, so every
+level keeps its bits. Its linearization, the tangent march and its
+transpose, lives in `adjoint`; both of those compiled marches fill each
+step's bands with the state march's band fill.
 
 All three marches solve alike: each right-hand side is formed in the row of
-the output it is solved for and solved there by dgtsv, and one function,
-`_check_levels`, raises `DivergenceError` at the step a per-step test of
-every solved level would give. The state march calls it when a wall value
-of a level is not finite (its compiled loop stops there, before any flux
-is evaluated on it), on a singular step and once after its last step; the
-tangent march on a singular step and once after its last step, and the
-adjoint march on a singular step and once per block.
+the output it is solved for and solved there by the dgtsv port, and one
+function, `_check_levels`, raises `DivergenceError` at the step a per-step
+test of every solved level would give. The state march calls it when a
+wall value of a level is not finite (its compiled loop stops there, before
+any flux is evaluated on it), on a singular step and once after its last
+step; the tangent march on a singular step and once after its last step,
+and the adjoint march on a singular step and once per block.
 """
 
 from __future__ import annotations

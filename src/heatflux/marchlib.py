@@ -6,9 +6,12 @@ its whole tangent march, `adjoint._adjoint_blocks` each block of adjoint
 steps, and `adjoint.assemble_gradient` its sum over the levels; this module
 builds that library, loads it and calls it. The C code does the numpy
 code's operations in the same order, with no fused multiply-adds, and the
-loops solve with scipy's own LAPACK `dgtsv` (its address comes from
-`scipy.linalg.lapack.dgtsv._cpointer`), so the marches and the gradient keep
-every bit. This is the one module that imports LAPACK.
+loops solve with the library's own port of LAPACK's `dgtsv`, which does
+dgtsv's operations in dgtsv's order, so the marches and the gradient keep
+every bit of the numpy code that called LAPACK. No module of the package
+imports LAPACK or scipy; the library also exports the port as
+`tridiagonal_solve(n, dl, d, du, b)`, which returns dgtsv's info, for the
+tests that hold it to LAPACK's dgtsv.
 
 The library is compiled on first use with `COMPILE` (a C compiler `cc` must
 be on the path) and cached as `march-<key>.so` in `$XDG_CACHE_HOME/heatflux`
@@ -37,7 +40,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import BuildError
 from .pchip import EQUIDISTANT_RTOL, Pchip
@@ -100,7 +102,7 @@ def build(directory: Path, source: Path = SOURCE) -> Path:
 
 @functools.cache
 def _library():
-    """(library, address of scipy's dgtsv), loaded once per process."""
+    """The library, loaded once per process."""
     try:
         lib = ctypes.CDLL(str(build(cache_dir())))
     except OSError:
@@ -111,16 +113,16 @@ def _library():
             shutil.rmtree(scratch, ignore_errors=True)
     pointer, index, interp = ctypes.c_void_p, ctypes.c_int, ctypes.POINTER(Interp)
     head, stop = [index, index, ctypes.c_double, ctypes.c_double], ctypes.POINTER(index)
-    lib.forward_march.argtypes = head + [interp] * 3 + [pointer] * 3 + [stop]
-    lib.tangent_march.argtypes = head + [interp] * 3 + [pointer] * 5 + [stop]
-    lib.adjoint_block.argtypes = head + [ctypes.c_double] + [interp] * 3 + [pointer] * 7 + [stop]
+    lib.forward_march.argtypes = head + [interp] * 3 + [pointer] * 2 + [stop]
+    lib.tangent_march.argtypes = head + [interp] * 3 + [pointer] * 4 + [stop]
+    lib.adjoint_block.argtypes = head + [ctypes.c_double] + [interp] * 3 + [pointer] * 6 + [stop]
     lib.assemble_gradient.argtypes = [index, index, ctypes.c_double, pointer, pointer,
                                       interp, interp, pointer]
+    lib.tridiagonal_solve.argtypes = [index] + [pointer] * 4
     lib.forward_march.restype = lib.adjoint_block.restype = lib.tangent_march.restype = index
+    lib.tridiagonal_solve.restype = index
     lib.assemble_gradient.restype = None
-    address = ctypes.pythonapi.PyCapsule_GetPointer
-    address.restype, address.argtypes = pointer, [ctypes.py_object, ctypes.c_char_p]
-    return lib, address(dgtsv._cpointer, None)
+    return lib
 
 
 def _addr(a: np.ndarray, shape: tuple, dtype=np.float64) -> int:
@@ -147,11 +149,11 @@ def forward_march(U, r: float, c: float, alpha: Interp, b0: Interp,
                   bL: Interp) -> tuple[int, int]:
     """Run `forward_march` of `_march.c` on the field U, whose level 0 is
     set. Returns (stop code, step)."""
-    (lib, solver), stop = _library(), ctypes.c_int()
+    lib, stop = _library(), ctypes.c_int()
     nt, nx = U.shape[0] - 1, U.shape[1]
     work = np.empty(5 * nx - 3)
     code = lib.forward_march(nx, nt, r, c, alpha, b0, bL, _addr(U, U.shape),
-                             _addr(work, work.shape), solver, stop)
+                             _addr(work, work.shape), stop)
     return code, stop.value
 
 
@@ -160,12 +162,12 @@ def tangent_march(W, U, src, r: float, c: float, alpha: Interp, b0: Interp,
     """Run `tangent_march` of `_march.c` on the field W, whose level 0 is
     set, along the trajectory U of its shape, with the (nt, 2) wall sources
     `src`; returns the step whose matrix was singular, or None."""
-    (lib, solver), stop = _library(), ctypes.c_int()
+    lib, stop = _library(), ctypes.c_int()
     nt, nx = W.shape[0] - 1, W.shape[1]
     work = np.empty(7 * nx - 4)
     code = lib.tangent_march(nx, nt, r, c, alpha, b0, bL, _addr(U, W.shape),
                              _addr(W, W.shape), _addr(src, (nt, 2)),
-                             _addr(work, work.shape), solver, stop)
+                             _addr(work, work.shape), stop)
     return stop.value if code == SINGULAR else None
 
 
@@ -175,15 +177,15 @@ def adjoint_block(psi, block, U, r: float, c: float, dt: float, alpha: Interp,
     k + 1 trajectory levels U, with the source rows `src` that `src_row`
     picks per step (-1: none); returns the row whose step matrix was
     singular, or None."""
-    (lib, solver), stop = _library(), ctypes.c_int()
+    lib, stop = _library(), ctypes.c_int()
     k, nx = block.shape
-    work = np.empty(7 * nx - 4)
+    work = np.empty(8 * nx - 4)
     arrays = [(U, (k + 1, nx)), (psi, (nx,)), (block, (k, nx)), (src, (src.shape[0], nx))]
     if ((src_row < -1) | (src_row >= len(src))).any():
         raise ValueError("source row index out of range")
     code = lib.adjoint_block(nx, k, r, c, dt, alpha, b0, bL,
                              *(_addr(a, shape) for a, shape in arrays),
-                             _addr(src_row, (k,), INDEX), _addr(work, work.shape), solver, stop)
+                             _addr(src_row, (k,), INDEX), _addr(work, work.shape), stop)
     return stop.value if code == SINGULAR else None
 
 
@@ -191,7 +193,7 @@ def assemble_gradient(U, traces, dt: float, b0: Interp, bL: Interp) -> np.ndarra
     """Run `assemble_gradient` of `_march.c` on the trajectory U and the
     (levels, 2) wall traces; returns the gradient, the values of the flux
     at x = 0 first."""
-    lib = _library()[0]
+    lib = _library()
     levels, nx = U.shape
     grad = np.empty((b0.intervals + 1) + (bL.intervals + 1))
     lib.assemble_gradient(levels, nx, dt, _addr(U, U.shape), _addr(traces, (levels, 2)),

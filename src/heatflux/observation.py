@@ -18,6 +18,7 @@ generator; the recorded relative noise level is the smallest delta with
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,14 +32,19 @@ _TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class ObservationSpec:
-    """Sensor depths (strictly inside the slab) and ascending sample times."""
+    """Sensor depths (strictly inside the slab) and ascending sample times.
+
+    Both are read-only copies of what the caller passes, so that the weights
+    `_weights` caches for a spec cannot go stale.
+    """
 
     positions: np.ndarray
     times: np.ndarray
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        times = np.asarray(self.times, dtype=float)
+        pos = np.array(self.positions, dtype=float)
+        times = np.array(self.times, dtype=float)
+        pos.flags.writeable = times.flags.writeable = False
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "times", times)
         if pos.ndim != 1 or pos.size == 0 or times.ndim != 1 or times.size == 0:
@@ -80,6 +86,7 @@ class Measurement:
             raise ValidationError("delta must be finite and nonnegative")
 
 
+@functools.lru_cache(maxsize=16)
 def _weights(spec: ObservationSpec, g: Grid):
     """Shared interpolation cells and weights for observe / adjoint_source.
 
@@ -89,6 +96,10 @@ def _weights(spec: ObservationSpec, g: Grid):
     Samples at t = T fall into the last time cell with local weight 1, so
     both operators use identical (cell, weight) pairs and stay exact
     transposes of each other.
+
+    Computed once per (spec, grid) pair: a spec is its own key (it compares
+    by identity and its arrays are read-only), a grid compares by value. The
+    arrays returned are read-only, as they are shared between calls.
     """
     if (spec.positions <= 0).any() or (spec.positions >= g.L).any():
         raise ValidationError("sensor positions must lie strictly inside (0, L)")
@@ -98,6 +109,8 @@ def _weights(spec: ObservationSpec, g: Grid):
     wx = spec.positions / g.dx - ix
     it = np.clip((spec.times / g.dt).astype(int), 0, g.nt - 1)
     wt = spec.times / g.dt - it
+    for a in (ix, wx, it, wt):
+        a.flags.writeable = False
     return ix, wx, it, wt
 
 

@@ -4,12 +4,16 @@ and calls the compiled marches.
 The file formats live in `cli` (measurement and result files) and `config`
 (config files and input tables); the pipeline's modules see arrays only.
 `marchlib` alone starts the compiler and talks to the compiled library;
-`forward`, `adjoint` and `pchip` reach it through `marchlib` only. It is
-also the one module that imports LAPACK, so every tridiagonal solve runs in
-the compiled loops.
+`forward`, `adjoint` and `pchip` reach it through `marchlib` only. No module
+imports scipy: every tridiagonal solve runs in the compiled loops, on the
+library's own port of LAPACK's dgtsv, and scipy is a dependency of the
+tests and the benchmark only.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,11 +57,16 @@ def test_only_the_loader_builds_or_calls_native_code():
     assert users == {"marchlib"}
 
 
-def test_only_the_loader_imports_lapack():
+def test_no_module_imports_scipy():
     package = Path(heatflux.__file__).parent
-    users = {
-        path.stem
-        for path in package.glob("*.py")
-        if any(name.startswith("scipy.linalg.lapack") for name in imported_names(path))
-    }
-    assert users == {"marchlib"}
+    users = {path.stem for path in package.glob("*.py") if "scipy" in imported_modules(path)}
+    assert users == set()
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # A fresh interpreter: the package's imports and what they import.
+    program = "import heatflux.cli, sys; assert 'scipy' not in sys.modules"
+    source = Path(heatflux.__file__).parent.parent
+    done = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(source)}, timeout=120)
+    assert done.returncode == 0, done.stderr

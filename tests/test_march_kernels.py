@@ -3,12 +3,15 @@ they replace, bit for bit.
 
 Every march runs its step loop compiled (`marchlib`, `_march.c`), and one
 C evaluator gives every interpolated value and slope there with the
-operations of `pchip.eval` (its knot and outside fix-ups included). The
-state march evaluates the diffusivity and the two wall fluxes per step,
-fills the bands from the sums of neighbouring diffusivities, and solves
-with scipy's dgtsv. The tangent march (`adjoint.solve_sensitivity`, one C
-call per solve) and the adjoint (one C call per block of steps) take each
-step's frozen coefficients from one C function just before the step: the
+operations of `pchip.eval` (its knot and outside fix-ups included). Every
+march solves with the library's port of LAPACK's dgtsv, whose back
+substitution evaluates the diffusivity (with its slope, for the linearized
+marches) on the level the next step reads; `tests/test_marchlib.py` holds
+the port to scipy's dgtsv. The state march evaluates the two wall fluxes
+per step, fills the bands from the sums of neighbouring diffusivities, and
+solves. The tangent march (`adjoint.solve_sensitivity`, one C call per
+solve) and the adjoint (one C call per block of steps) read each step's
+frozen coefficients from the trajectory level the step starts from: the
 diffusivity and its slope, the same band fill and the flux slopes; then
 the transport, wall, Robin and source factors in the order the numpy
 products used. `adjoint.assemble_gradient` sums the at most four band
@@ -28,8 +31,9 @@ for every coefficient (on the whole trajectory in one call; the tests of
 `pchip` hold the evaluator to plain numpy code), each band written from
 `amid` inside the step, every product formed inside the step (the tangent's
 transport term by `plain_transport_apply`, the numpy function the compiled
-tangent step replaced), and every solved level checked at its step
-(`plain_step`).
+tangent step replaced), every step solved by scipy's LAPACK dgtsv, the
+reference the compiled port must match, and every solved level checked at
+its step (`plain_step`).
 Both must give the same bytes on every case, including a steep box-corner
 iterate whose boundary stability number c*beta' exceeds 2 and a profile
 whose nodes sit on the diffusivity's knots and below its range, walls on

@@ -1,8 +1,13 @@
 """The loader of the compiled march library: its cache, its build error and
-the argument checks that guard the C code's raw pointers."""
+the argument checks that guard the C code's raw pointers; and the library's
+tridiagonal solve, the port of LAPACK's dgtsv that every march step calls,
+held to scipy's dgtsv bit for bit (scipy is imported by the tests only)."""
+
+import itertools
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgtsv
 
 from heatflux import marchlib, pchip
 from heatflux.errors import BuildError
@@ -47,8 +52,8 @@ def test_unwritable_cache_builds_in_a_temporary_directory(tmp_path, monkeypatch)
     blocker.write_text("")
     monkeypatch.setattr(marchlib, "cache_dir", lambda: blocker / "heatflux")
     monkeypatch.setattr(marchlib.tempfile, "tempdir", str(tmp_path))
-    lib, solver = marchlib._library.__wrapped__()
-    assert lib.forward_march and solver
+    lib = marchlib._library.__wrapped__()
+    assert lib.forward_march and lib.tridiagonal_solve
     assert list(tmp_path.iterdir()) == [blocker]
 
 
@@ -160,3 +165,88 @@ def test_assemble_gradient_refuses_misshapen_traces(traces):
     p = marchlib.interpolant(FLAT)
     with pytest.raises(ValueError, match="C-contiguous"):
         marchlib.assemble_gradient(np.zeros((4, 5)), traces, 1.0, p, p)
+
+
+def port_solve(dl, d, du, b):
+    """The library's `tridiagonal_solve` on copies of the system, returned
+    as scipy's dgtsv returns its outputs: (dl, d, du, x, info)."""
+    dl, d, du, b = (np.array(a, dtype=float) for a in (dl, d, du, b))
+    info = marchlib._library().tridiagonal_solve(d.size, *(a.ctypes.data for a in (dl, d, du, b)))
+    return dl, d, du, b, info
+
+
+def assert_solves_as_lapack(dl, d, du, b):
+    """The port leaves every output array with LAPACK's bytes (signed zeros,
+    infinities and NaNs included) and returns its info; returns the port's
+    outputs."""
+    got = port_solve(dl, d, du, b)
+    with np.errstate(all="ignore"):
+        want = dgtsv(*(np.array(a, dtype=float) for a in (dl, d, du, b)))
+    assert got[4] == want[4]
+    for name, g, w in zip(("dl", "d", "du", "x"), got[:4], want[:4]):
+        assert g.tobytes() == w.tobytes(), f"{name}: {g} != {w}"
+    return got
+
+
+@pytest.mark.parametrize("n, seed", [(2, 0), (3, 1), (5, 2), (31, 3), (91, 4)])
+def test_tridiagonal_solve_matches_lapack_on_dominant_systems(n, seed):
+    rng = np.random.default_rng(seed)
+    dl, du = rng.uniform(-1, 1, n - 1), rng.uniform(-1, 1, n - 1)
+    d = 2.5 + rng.uniform(0, 1, n)
+    d[rng.uniform(size=n) < 0.5] *= -1
+    for scale in (1.0, 1e-300, 1e300):
+        got = assert_solves_as_lapack(dl * scale, d * scale, du * scale, rng.standard_normal(n))
+        assert got[4] == 0 and (got[0][:-1] == 0.0).all()  # no row swapped
+
+
+@pytest.mark.parametrize("row", [0, 2, 3], ids=["first", "middle", "last"])
+def test_tridiagonal_solve_matches_lapack_through_a_row_interchange(row):
+    # Five rows; row `row` has a pivot smaller than the entry below it, so
+    # rows `row` and `row` + 1 swap (row 3 is the last row that can).
+    dl = np.array([0.5, -1.0, 0.25, 2.0])
+    d = np.array([4.0, -3.0, 5.0, 4.5, 3.0])
+    du = np.array([1.0, 0.75, -1.5, 0.5])
+    d[row], dl[row] = 0.125, -6.0
+    got = assert_solves_as_lapack(dl, d, du, [1.0, -2.0, 0.5, 3.0, -1.0])
+    assert got[1][row] == -6.0  # the swapped-in row's entry is the pivot
+    if row < 3:
+        assert got[0][row] == du[row + 1]  # the second superdiagonal
+
+
+@pytest.mark.parametrize(
+    "dl, d, du, info",
+    [
+        ([0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0], 1),  # a zero first pivot
+        ([1.0, 0.0, 1.0], [1.0, 1.0, 2.0, 1.0], [1.0, 1.0, 1.0], 2),  # eliminated to zero
+        ([1.0, 0.5], [2.0, 1.0, 2.0], [1.0, 2.0], 3),  # only the last pivot
+        ([1.0], [1.0, 1.0], [1.0], 2),  # two equal rows
+        ([0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0], 1),  # all zero
+    ],
+)
+def test_tridiagonal_solve_reports_the_singular_row_lapack_reports(dl, d, du, info):
+    assert assert_solves_as_lapack(dl, d, du, np.arange(1.0, len(d) + 1))[4] == info
+
+
+def test_tridiagonal_solve_matches_lapack_on_non_finite_entries():
+    # Random systems whose entries are drawn from a pool of zeros of both
+    # signs, infinities, NaNs of both signs and tiny and huge numbers: every
+    # branch of the elimination, with NaN and inf in every position.
+    rng = np.random.default_rng(5)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -3.0, np.inf, -np.inf, np.nan, -np.nan,
+                     1e-300, 1e300])
+    for _ in range(3000):
+        n = int(rng.integers(2, 7))
+        dl, d, du, b = (pool[rng.integers(0, pool.size, k)] for k in (n - 1, n, n - 1, n))
+        assert_solves_as_lapack(dl, d, du, b)
+
+
+def test_tridiagonal_solve_keeps_the_signs_of_zeros():
+    # Right-hand sides of signed zeros on a system whose off-diagonals are
+    # zeros of both signs: the back substitution's dl term, 0 * x[i+2],
+    # decides the sign of 10 of the 16 solutions.
+    dl = np.array([-0.0, 0.0, -0.0])
+    d = np.array([-2.0, 3.0, -4.0, 5.0])
+    du = np.array([0.0, -0.0, -0.0])
+    for signs in itertools.product((0.0, -0.0), repeat=4):
+        x = assert_solves_as_lapack(dl, d, du, signs)[3]
+        assert (x == 0.0).all()

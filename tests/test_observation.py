@@ -20,9 +20,10 @@ def bilinear_field(g, a=2.0e9, b=3.0e10, c=-4.0e7, d=5.0e8):
 
 
 def plain_observe(f, spec):
-    """The samples sensor by sensor, in time and then in space: the
-    reference for the broadcast `observe`."""
-    ix, wx, it, wt = observation._weights(spec, f.grid)
+    """The samples sensor by sensor, in time and then in space, on weights
+    computed afresh: the reference for the broadcast `observe` and the
+    weights it caches."""
+    ix, wx, it, wt = observation._weights.__wrapped__(spec, f.grid)
     U = f.values
     out = np.empty((spec.d, spec.m))
     for j in range(spec.d):
@@ -53,6 +54,17 @@ class TestObserve:
                 got = observation.observe(f, spec)
                 assert got.shape == (spec.d, spec.m)
                 assert got.tobytes() == plain_observe(f, spec).tobytes()
+
+    def test_weights_are_computed_once_per_spec_and_grid(self):
+        g = Grid(L=0.05, T=3.0, nx=23, nt=17)
+        spec = ObservationSpec(positions=np.array([0.0041, 0.0318]), times=np.array([0.5, 3.0]))
+        first = observation._weights(spec, g)
+        assert observation._weights(spec, Grid(L=0.05, T=3.0, nx=23, nt=17)) is first
+        assert observation._weights(spec, Grid(L=0.05, T=3.0, nx=23, nt=18)) is not first
+        twin = ObservationSpec(positions=spec.positions, times=spec.times)
+        assert observation._weights(twin, g) is not first
+        for got, want in zip(first, observation._weights.__wrapped__(spec, g)):
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable
 
     def test_exact_on_bilinear_fields(self):
         g = Grid(L=0.05, T=3.0, nx=23, nt=17)
@@ -109,6 +121,15 @@ class TestObserve:
 
 
 class TestSpecValidation:
+    def test_arrays_are_read_only_copies(self):
+        positions, times = np.array([0.25, 0.5]), np.array([1.0, 2.0])
+        spec = ObservationSpec(positions=positions, times=times)
+        positions[0] = times[0] = 0.75
+        assert spec.positions.tolist() == [0.25, 0.5] and spec.times.tolist() == [1.0, 2.0]
+        for a in (spec.positions, spec.times):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
     def test_rejects_unsorted_times(self):
         with pytest.raises(ValidationError):
             ObservationSpec(
@@ -183,9 +204,9 @@ class TestNoise:
 
 def dense_adjoint_source(residual, spec, g):
     """The whole (nt+1) x nx source, summed sensor by sensor, weight term by
-    weight term, sample time by sample time: the reference for the sparse
-    rows `adjoint_source` returns."""
-    ix, wx, it, wt = observation._weights(spec, g)
+    weight term, sample time by sample time, on weights computed afresh: the
+    reference for the sparse rows `adjoint_source` returns."""
+    ix, wx, it, wt = observation._weights.__wrapped__(spec, g)
     S = np.zeros((g.nt + 1, g.nx))
     scale = 1.0 / (g.dx * g.dt)
     for j in range(spec.d):
