@@ -15,12 +15,19 @@
  * node as the nodes are solved, so that work runs beside dgtsv's chain of
  * divisions instead of before it; `fill_bands` and `wall_slopes` give the
  * rest of the frozen coefficients that a tangent step and its transpose,
- * the adjoint step, both read.
+ * the adjoint step, both read. Each loop is one call per solve: the
+ * adjoint march walks the whole trajectory backward, adds each level's
+ * sensor residual from a list of point sources as it goes, and keeps only
+ * the level it solves and the wall traces.
  *
- * No loop raises: each returns a stop code and the step it stopped at, and
- * the caller raises through `forward._check_levels`.
+ * No loop raises: each returns a stop code and the step or level it
+ * stopped at, and the caller raises `DivergenceError`. The state and
+ * tangent marches run on past a non-finite level, which
+ * `forward._check_levels` then finds; the adjoint march tests each level
+ * it solves and stops at the first non-finite one.
  */
 
+#include <float.h>
 #include <math.h>
 #include <stddef.h>
 
@@ -345,58 +352,86 @@ int tangent_march(int nx, int nt, double r, double c, const interp *alpha_p,
     return DONE;
 }
 
-/* The steps of one block of the adjoint march: k levels, solved from row
- * k - 1 of `block` (k x nx) down to row 0, along the k + 1 trajectory
- * levels U (k + 1 x nx) of the block's state steps.
+/* 1 when every entry of the level x is finite, else 0. */
+static int finite_level(int n, const double *x)
+{
+    int ok = 1;
+    for (int j = 0; j < n; j++)
+        ok &= fabs(x[j]) <= DBL_MAX;
+    return ok;
+}
+
+/* The adjoint march along the trajectory U ((nt+1) x nx), backward from
+ * level nt, where phi is 0, to level 0. The source is a list of point
+ * contributions in level order: those of level s are node[k] and value[k]
+ * for start[s] <= k < start[s + 1] (start has nt + 2 entries).
  *
- * Step i takes the coefficients of level i of U, as the tangent step from
- * that level does, and the increments du of level i + 1. It forms psi + dt
- * src in row i, the source row src_row[i] of `src` with its two wall
- * entries doubled (+ 0.0 where src_row[i] < 0, a level the samples miss),
- * solves it there and carries the solved level q to psi through the
- * transpose of the tangent step's transport correction and walls: inside q
- * minus (pd[j] + pd[j+1]) (ap (r/2)) with pd = du dq, and on the walls
- * (q - ((r du) ap) dq) - (c beta') q. Its back substitution evaluates the
- * diffusivity and its slope on level i - 1 of U, the slope into the second
- * of two slope buffers because the carry still reads level i's. The block's
- * last level, k - 1, is evaluated on entry. `work` holds 8 nx - 4 doubles.
+ * The step that solves level s takes the coefficients of level s of U, as
+ * the tangent step from that level does, and the increments du of level
+ * s + 1. It sums the contributions of level s + 1 in list order into a
+ * row that starts at +0.0, forms psi + dt row in q with the row's two wall
+ * entries doubled, solves it there and carries the solved level q to psi
+ * through the transpose of the tangent step's transport correction and
+ * walls: inside q minus (pd[j] + pd[j+1]) (ap (r/2)) with pd = du dq, and
+ * on the walls (q - ((r du) ap) dq) - (c beta') q. Its back substitution
+ * evaluates the diffusivity and its slope on level s - 1 of U, the slope
+ * into the second of two slope buffers because the carry still reads level
+ * s's. Level nt - 1 is evaluated before the first step.
  *
- * Returns DONE, or SINGULAR with *stop = i when the matrix of row i is
- * singular. */
-int adjoint_block(int nx, int k, double r, double c, double dt,
+ * Each solved level's two wall entries go to traces[2s] and traces[2s + 1],
+ * and the whole level to row s of phi unless phi is NULL; level nt is
+ * zeros in both. `work` holds 11 nx - 4 doubles.
+ *
+ * Returns DONE after the step that solves level 0; ALARM with *stop = s
+ * when the solved level s is the first that is not finite; SINGULAR with
+ * *stop = s when the matrix of the step that solves level s is singular. */
+int adjoint_march(int nx, int nt, double r, double c, double dt,
                   const interp *alpha_p, const interp *b0, const interp *bL,
-                  const double *U, double *psi, double *block,
-                  const double *src, const long *src_row, double *work,
-                  int *stop)
+                  const double *U, const ptrdiff_t *start, const ptrdiff_t *node,
+                  const double *value, double *traces, double *phi,
+                  double *work, int *stop)
 {
     const double half_r = 0.5 * r;
     double *alpha = work, *ap = alpha + nx, *s = ap + nx, *sup = s + nx - 1;
     double *sub = sup + nx - 1, *diag = sub + nx - 1, *pd = diag + nx;
-    double *ap_next = pd + nx - 1;
+    double *ap_next = pd + nx - 1, *psi = ap_next + nx, *q = psi + nx;
+    double *row = q + nx;
 
-    if (k > 0)
-        level_coefficients(nx, alpha_p, U + (long)(k - 1) * nx, alpha, ap);
-    for (int i = k - 1; i >= 0; i--) {
-        const double *u = U + (long)i * nx, *un = u + nx;
-        double *q = block + (long)i * nx, b0p, bLp;
+    traces[2 * (long)nt] = traces[2 * (long)nt + 1] = 0.0;
+    for (int j = 0; j < nx; j++)
+        psi[j] = 0.0;
+    if (phi)
+        for (int j = 0; j < nx; j++)
+            phi[(long)nt * nx + j] = 0.0;
+    level_coefficients(nx, alpha_p, U + (long)(nt - 1) * nx, alpha, ap);
+    for (int lv = nt - 1; lv >= 0; lv--) {
+        const double *u = U + (long)lv * nx, *un = u + nx;
+        double b0p, bLp;
         fill_bands(nx, r, alpha, s, sup, sub, diag);
         wall_slopes(nx, b0, bL, u, &b0p, &bLp);
-        if (src_row[i] < 0) {
-            for (int j = 0; j < nx; j++)
-                q[j] = psi[j] + 0.0;
-        } else {
-            const double *row = src + src_row[i] * nx;
-            q[0] = psi[0] + (dt * row[0]) * 2.0;
-            for (int j = 1; j < nx - 1; j++)
-                q[j] = psi[j] + dt * row[j];
-            q[nx - 1] = psi[nx - 1] + (dt * row[nx - 1]) * 2.0;
-        }
+        for (int j = 0; j < nx; j++)
+            row[j] = 0.0;
+        for (ptrdiff_t k = start[lv + 1]; k < start[lv + 2]; k++)
+            row[node[k]] += value[k];
+        q[0] = psi[0] + (dt * row[0]) * 2.0;
+        for (int j = 1; j < nx - 1; j++)
+            q[j] = psi[j] + dt * row[j];
+        q[nx - 1] = psi[nx - 1] + (dt * row[nx - 1]) * 2.0;
         if (eliminate(nx, sub, diag, sup, q) != 0) {
-            *stop = i;
+            *stop = lv;
             return SINGULAR;
         }
         back_substitute(nx, sub, diag, sup, q, alpha_p,
-                        i > 0 ? u - nx : NULL, alpha, ap_next);
+                        lv > 0 ? u - nx : NULL, alpha, ap_next);
+        traces[2 * (long)lv] = q[0];
+        traces[2 * (long)lv + 1] = q[nx - 1];
+        if (phi)
+            for (int j = 0; j < nx; j++)
+                phi[(long)lv * nx + j] = q[j];
+        if (!finite_level(nx, q)) {
+            *stop = lv;
+            return ALARM;
+        }
         for (int j = 0; j < nx - 1; j++)
             pd[j] = q[j + 1] - q[j];
         double q0 = q[0], qL = q[nx - 1], dq0 = pd[0], dqL = pd[nx - 2];

@@ -55,22 +55,21 @@ the tangent step on the same numbers by construction. The tangent march
 step it subtracts the transport correction, takes the linearized wall
 fluxes off the wall entries, and solves in the next level of its field.
 Its wall sources, grad_beta(u) . h, are numpy dots, one per level and wall,
-formed before the call. The adjoint march (`_adjoint_blocks`) walks the
-trajectory backward in blocks of consecutive steps (`_step_blocks`), as
-many levels as fill `_BLOCK_NODES` nodes (180 at 91 nodes): per step it
-adds the level's weighted source row, or 0.0 where the samples miss the
-level, to the carried level in the row of the block it solves for, solves
-it there, and carries the solved level through the transposed transport
-correction and the two Robin walls. Both check as the state march does, through
-`forward._check_levels`: on a singular step, and on the solved levels,
-once per solve for the tangent and once per block for the adjoint, which
-raises at the step a per-step check would. `_adjoint_blocks` hands out
-each block of solved levels once it is checked; `solve_adjoint` keeps
-their wall traces, and the tests every level. `assemble_gradient` sums the
-weighted traces over the levels in one compiled pass per wall, one band of
-at most four entries per level, with the bits of the dense rows of
-`pchip.grad_wrt_values_many` summed by numpy; no (nt+1) x n matrix is
-built.
+formed before the call, and it checks through `forward._check_levels` on a
+singular step and once after its last step. The adjoint march
+(`solve_adjoint`) is one C call per solve too, backward over the whole
+trajectory: per step it sums the point sources of the level
+(`observation.adjoint_source`) into a zero row in list order, adds the
+weighted row to the carried level, solves, keeps the solved level's two
+wall entries and carries it through the transposed transport correction
+and the two Robin walls. No level of phi is stored; the tests read every
+level through the `phi` window the call fills when given one. The loop
+stops on a singular step and at its first non-finite solved level, and
+`solve_adjoint` raises at that step, as a per-step check would.
+`assemble_gradient` sums the weighted traces over the levels in one
+compiled pass per wall, one band of at most four entries per level, with
+the bits of the dense rows of `pchip.grad_wrt_values_many` summed by numpy;
+no (nt+1) x n matrix is built.
 """
 
 from __future__ import annotations
@@ -79,15 +78,10 @@ import numpy as np
 
 from . import marchlib, pchip
 from .errors import ValidationError
-from .forward import EnthalpyField, Grid, _check_levels, solve_ibvp
+from .forward import EnthalpyField, Grid, _check_levels, _divergence, solve_ibvp
 from .material import MaterialModel
 from .observation import Measurement, adjoint_source, observe
 from .pchip import FluxParameter, flux_interpolants
-
-# Nodes per block of the adjoint march: a block has as many levels as fill
-# this many nodes (180 at 91 nodes), so that the block of phi it hands out
-# stays small and cache-resident.
-_BLOCK_NODES = 16384
 
 
 def objective(
@@ -98,16 +92,6 @@ def objective(
     residual = observe(field, data.spec) - data.data
     f = 0.5 * float(np.sum(residual**2))
     return f, residual, field
-
-
-def _step_blocks(g: Grid) -> list[tuple[int, int]]:
-    """The steps of a march on `g` in blocks (lo, hi) of consecutive steps.
-
-    A block has as many levels as fit in `_BLOCK_NODES` nodes, at least
-    one; the last block takes the rest.
-    """
-    levels = max(1, _BLOCK_NODES // g.nx)
-    return [(lo, min(lo + levels, g.nt)) for lo in range(0, g.nt, levels)]
 
 
 def solve_sensitivity(
@@ -148,64 +132,34 @@ def solve_sensitivity(
     return EnthalpyField(g, W)
 
 
-def _adjoint_blocks(u: EnthalpyField, m: MaterialModel, fp: FluxParameter, source):
-    """The adjoint march along `u`, one block of steps at a time.
-
-    Yields (lo, hi, block) for the blocks of `_step_blocks` from the last to
-    the first, once `_check_levels` has passed them: `block` holds the solved
-    levels lo, ..., hi - 1 of phi. `source` is as `solve_adjoint` takes it.
-    """
-    g = u.grid
-    levels, rows = map(np.asarray, source)
-    if (levels.ndim != 1 or levels.dtype.kind not in "iu" or rows.shape != (levels.size, g.nx)
-            or ((levels < 0) | (levels > g.nt)).any() or (np.diff(levels) <= 0).any()):
-        raise ValidationError(f"source needs ascending levels in [0, {g.nt}], a {g.nx}-row each")
-    b0, bL = flux_interpolants(fp)
-    r = g.dt / g.dx**2
-    c = 2.0 * g.dt / g.dx
-    interps = [marchlib.interpolant(p) for p in (m.diffusivity, b0, bL)]
-    U = np.ascontiguousarray(u.values)
-    rows = np.ascontiguousarray(rows, dtype=float)
-    # The source row of each level; -1 where the samples miss the level,
-    # whose step adds 0.0.
-    row_of = np.full(g.nt + 1, -1, dtype=marchlib.INDEX)
-    row_of[levels] = np.arange(levels.size)
-    # The carried level psi.
-    psi = np.zeros(g.nx)
-    for lo, hi in reversed(_step_blocks(g)):
-        block = np.empty((hi - lo, g.nx))
-        # The step that solves level s is step nt - s, so `block[::-1]`
-        # holds the block's levels in march order from step `first` on. The
-        # implicit operator is self-adjoint under the half-cell volume
-        # weights, so the adjoint march solves with the state step's bands.
-        # Each step carries the solved level q to the next (earlier) one:
-        # the transposed transport correction and the Robin terms alpha'
-        # phi_x = beta' phi act on q, mirroring the frozen-coefficient
-        # treatment of the state march.
-        first = g.nt - hi + 1
-        singular = marchlib.adjoint_block(
-            psi, block, U[lo : hi + 1], r, c, g.dt, *interps, rows, row_of[lo + 1 : hi + 1]
-        )
-        if singular is not None:
-            _check_levels(block[:singular:-1], first, singular=g.nt - lo - singular)
-        _check_levels(block[::-1], first)
-        yield lo, hi, block
-
-
-def solve_adjoint(u: EnthalpyField, m: MaterialModel, fp: FluxParameter, source) -> np.ndarray:
+def solve_adjoint(u: EnthalpyField, m: MaterialModel, fp: FluxParameter, source,
+                  phi: np.ndarray | None = None) -> np.ndarray:
     """Backward adjoint solve along the trajectory `u`; returns the wall
     traces of phi in original time orientation.
 
     `source` is the injected residual as `observation.adjoint_source`
-    returns it: a pair (levels, rows) of ascending time levels and their
-    (len(levels), nx) source rows, zero at every other level; a dense
-    (nt+1) x nx source S is the pair (arange(nt + 1), S). The result is the
+    returns it: point contributions (start, node, value) in level order,
+    those of level s at start[s] <= k < start[s + 1]. The result is the
     (nt+1, 2) array of phi at x = 0 (column 0) and x = L (column 1), with
-    its last row 0 exactly.
+    its last row 0 exactly. `phi`, when given, is an (nt+1) x nx array that
+    receives every level of phi as well.
     """
-    traces = np.zeros((u.grid.nt + 1, 2))
-    for lo, hi, block in _adjoint_blocks(u, m, fp, source):
-        traces[lo:hi] = block[:, [0, -1]]
+    g = u.grid
+    start, node, value = map(np.asarray, source)
+    b0, bL = flux_interpolants(fp)
+    interps = [marchlib.interpolant(p) for p in (m.diffusivity, b0, bL)]
+    traces = np.empty((g.nt + 1, 2))
+    try:
+        stop, level = marchlib.adjoint_march(
+            np.ascontiguousarray(u.values), start, node, value, g.dt / g.dx**2,
+            2.0 * g.dt / g.dx, g.dt, *interps, traces, phi,
+        )
+    except ValueError as exc:
+        raise ValidationError(
+            f"source or phi does not fit the {g.nt + 1} x {g.nx} grid: {exc}"
+        ) from None
+    if stop != marchlib.DONE:
+        raise _divergence(g.nt - level, singular=stop == marchlib.SINGULAR)
     return traces
 
 

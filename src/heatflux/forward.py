@@ -27,14 +27,16 @@ level keeps its bits. Its linearization, the tangent march and its
 transpose, lives in `adjoint`; both of those compiled marches fill each
 step's bands with the state march's band fill.
 
-All three marches solve alike: each right-hand side is formed in the row of
-the output it is solved for and solved there by the dgtsv port, and one
-function, `_check_levels`, raises `DivergenceError` at the step a per-step
-test of every solved level would give. The state march calls it when a
-wall value of a level is not finite (its compiled loop stops there, before
-any flux is evaluated on it), on a singular step and once after its last
-step; the tangent march on a singular step and once after its last step,
-and the adjoint march on a singular step and once per block.
+All three marches solve alike: each right-hand side is formed in the
+buffer it is solved in, and solved there by the dgtsv port, and each
+raises `DivergenceError` (`_divergence`) at the step a per-step test of
+every solved level would give. The state and tangent marches solve in the
+rows of their output and find that step with `_check_levels`: the state
+march when a wall value of a level is not finite (its compiled loop stops
+there, before any flux is evaluated on it), on a singular step and once
+after its last step; the tangent march on a singular step and once after
+its last step. The adjoint's compiled loop tests each level as it solves
+it and stops at a singular step or at the first non-finite level.
 """
 
 from __future__ import annotations
@@ -93,32 +95,33 @@ class EnthalpyField:
             raise ValidationError(f"field shape {vals.shape} != grid shape {expected}")
 
 
+def _divergence(step: int, singular: bool = False) -> DivergenceError:
+    """The error a march raises at `step`: its solved level is not finite,
+    or, with `singular`, its step matrix is singular."""
+    what = "singular step matrix" if singular else "solution became non-finite"
+    return DivergenceError(f"{what} at time step {step}", step=step)
+
+
 def _check_levels(levels: np.ndarray, first_step: int, singular: int | None = None) -> None:
     """Raise `DivergenceError` for the solved levels of a march, `levels` in
     march order, row i solved by step first_step + i: at the first non-finite
     row, else at step `singular` (whose step matrix was singular) when it is
     given; else return.
 
-    All three marches check here once their compiled loop has stopped: the
-    state and tangent marches on their whole field (or the levels before
-    the step they stopped at), the adjoint on each block. A compiled loop
-    runs on past a non-finite level (the state march up to the next
-    non-finite wall value), so this reports the first one. One BLAS
-    reduction clears a finite run: NaN and inf propagate through it, and a
-    non-finite dot of huge finite levels falls back to the exact
-    elementwise scan. The adjoint hands in a block it solved backward in
-    time as a reversed view; the reduction runs over its rows as stored, so
-    the finite path copies nothing, and only the scan reads the rows in
-    march order.
+    The state and tangent marches check here once their compiled loop has
+    stopped, on their whole field or on the levels before the step they
+    stopped at. Such a loop runs on past a non-finite level (the state
+    march up to the next non-finite wall value), so this reports the first
+    one. One BLAS reduction clears a finite run: NaN and inf propagate
+    through it, and a non-finite dot of huge finite levels falls back to
+    the exact elementwise scan.
     """
-    stored = levels[::-1] if levels.strides[0] < 0 else levels
-    if not math.isfinite(np.vdot(stored, stored)):
+    if not math.isfinite(np.vdot(levels, levels)):
         bad = np.flatnonzero(~np.isfinite(levels).all(axis=1))
         if bad.size:
-            step = first_step + int(bad[0])
-            raise DivergenceError(f"solution became non-finite at time step {step}", step=step)
+            raise _divergence(first_step + int(bad[0]))
     if singular is not None:
-        raise DivergenceError(f"singular step matrix at time step {singular}", step=singular)
+        raise _divergence(singular, singular=True)
 
 
 def solve_ibvp(m: MaterialModel, fp: FluxParameter, u0, g: Grid) -> EnthalpyField:

@@ -2,16 +2,17 @@
 adjoint marches, and the compiled gradient assembly (`_march.c`).
 
 `forward.solve_ibvp` runs its whole step loop in C, `adjoint.solve_sensitivity`
-its whole tangent march, `adjoint._adjoint_blocks` each block of adjoint
-steps, and `adjoint.assemble_gradient` its sum over the levels; this module
-builds that library, loads it and calls it. The C code does the numpy
-code's operations in the same order, with no fused multiply-adds, and the
-loops solve with the library's own port of LAPACK's `dgtsv`, which does
-dgtsv's operations in dgtsv's order, so the marches and the gradient keep
-every bit of the numpy code that called LAPACK. No module of the package
-imports LAPACK or scipy; the library also exports the port as
-`tridiagonal_solve(n, dl, d, du, b)`, which returns dgtsv's info, for the
-tests that hold it to LAPACK's dgtsv.
+its whole tangent march, `adjoint.solve_adjoint` its whole adjoint march,
+point sources included, and `adjoint.assemble_gradient` its sum over the
+levels, one C call each; this module builds that library, loads it and
+calls it, and keeps each interpolant's C view (`interpolant`) on the
+interpolant. The C code does the numpy code's operations in the same
+order, with no fused multiply-adds, and the loops solve with the library's
+own port of LAPACK's `dgtsv`, which does dgtsv's operations in dgtsv's
+order, so the marches and the gradient keep every bit of the numpy code
+that called LAPACK. No module of the package imports LAPACK or scipy; the
+library also exports the port as `tridiagonal_solve(n, dl, d, du, b)`,
+which returns dgtsv's info, for the tests that hold it to LAPACK's dgtsv.
 
 The library is compiled on first use with `COMPILE` (a C compiler `cc` must
 be on the path) and cached as `march-<key>.so` in `$XDG_CACHE_HOME/heatflux`
@@ -25,7 +26,8 @@ failed build raises `BuildError`, which names the command.
 
 The C code writes through raw pointers, so every wrapper here checks the
 shape, dtype and contiguity of each array it passes (`_addr`) and the range
-of every index the C code follows, and raises `ValueError` before the call.
+of every index the C code follows (the adjoint's level pointers and
+contribution nodes), and raises `ValueError` before the call.
 """
 
 from __future__ import annotations
@@ -48,10 +50,10 @@ SOURCE = Path(__file__).with_name("_march.c")
 # No -ffast-math and no -march=native: the loops must round as numpy does.
 COMPILE = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
-# Stop codes of the C loops, and the type of `adjoint_block`'s source row
-# indices (C long).
+# Stop codes of the C loops, and the type of the adjoint's level pointers and
+# contribution nodes (ptrdiff_t in C).
 DONE, ALARM, SINGULAR = 0, 1, 2
-INDEX = np.dtype(ctypes.c_long)
+INDEX = np.dtype(np.intp)
 
 
 class Interp(ctypes.Structure):
@@ -115,11 +117,11 @@ def _library():
     head, stop = [index, index, ctypes.c_double, ctypes.c_double], ctypes.POINTER(index)
     lib.forward_march.argtypes = head + [interp] * 3 + [pointer] * 2 + [stop]
     lib.tangent_march.argtypes = head + [interp] * 3 + [pointer] * 4 + [stop]
-    lib.adjoint_block.argtypes = head + [ctypes.c_double] + [interp] * 3 + [pointer] * 6 + [stop]
+    lib.adjoint_march.argtypes = head + [ctypes.c_double] + [interp] * 3 + [pointer] * 7 + [stop]
     lib.assemble_gradient.argtypes = [index, index, ctypes.c_double, pointer, pointer,
                                       interp, interp, pointer]
     lib.tridiagonal_solve.argtypes = [index] + [pointer] * 4
-    lib.forward_march.restype = lib.adjoint_block.restype = lib.tangent_march.restype = index
+    lib.forward_march.restype = lib.adjoint_march.restype = lib.tangent_march.restype = index
     lib.tridiagonal_solve.restype = index
     lib.assemble_gradient.restype = None
     return lib
@@ -136,13 +138,17 @@ def _addr(a: np.ndarray, shape: tuple, dtype=np.float64) -> int:
 
 def interpolant(p: Pchip) -> Interp:
     """`p` for the C code, with the clamping tolerance `pchip.eval` takes.
-    It reads `p`'s interval table and slope Jacobian, so `p` must
-    outlive it."""
-    table = p._table
-    lo, hi = float(table[0, 0]), float(table[5, -1])
-    tol = EQUIDISTANT_RTOL * (hi - lo)
-    return Interp(_addr(table, (9, p.n - 1)), p.n - 1, lo, hi, tol, p._inv_h,
-                  p.interval_width, _addr(p._slope_jac, (p.n, 5)))
+    Built on the first call and kept on `p`, so that it lives as long as
+    the interval table and slope Jacobian of `p` it reads."""
+    built = p.__dict__.get("_interp")
+    if built is None:
+        table = p._table
+        lo, hi = float(table[0, 0]), float(table[5, -1])
+        tol = EQUIDISTANT_RTOL * (hi - lo)
+        built = Interp(_addr(table, (9, p.n - 1)), p.n - 1, lo, hi, tol, p._inv_h,
+                       p.interval_width, _addr(p._slope_jac, (p.n, 5)))
+        object.__setattr__(p, "_interp", built)
+    return built
 
 
 def forward_march(U, r: float, c: float, alpha: Interp, b0: Interp,
@@ -171,22 +177,28 @@ def tangent_march(W, U, src, r: float, c: float, alpha: Interp, b0: Interp,
     return stop.value if code == SINGULAR else None
 
 
-def adjoint_block(psi, block, U, r: float, c: float, dt: float, alpha: Interp,
-                  b0: Interp, bL: Interp, src, src_row) -> int | None:
-    """Run `adjoint_block` of `_march.c` on the k x nx `block` along the
-    k + 1 trajectory levels U, with the source rows `src` that `src_row`
-    picks per step (-1: none); returns the row whose step matrix was
-    singular, or None."""
+def adjoint_march(U, start, node, value, r: float, c: float, dt: float, alpha: Interp,
+                  b0: Interp, bL: Interp, traces, phi=None) -> tuple[int, int]:
+    """Run `adjoint_march` of `_march.c` along the trajectory U with the
+    point sources (start, node, value): the (nt+1, 2) `traces` receive the
+    wall entries of every level of phi, and `phi`, when given, every level
+    (U's shape). Returns (stop code, level)."""
     lib, stop = _library(), ctypes.c_int()
-    k, nx = block.shape
-    work = np.empty(8 * nx - 4)
-    arrays = [(U, (k + 1, nx)), (psi, (nx,)), (block, (k, nx)), (src, (src.shape[0], nx))]
-    if ((src_row < -1) | (src_row >= len(src))).any():
-        raise ValueError("source row index out of range")
-    code = lib.adjoint_block(nx, k, r, c, dt, alpha, b0, bL,
-                             *(_addr(a, shape) for a, shape in arrays),
-                             _addr(src_row, (k,), INDEX), _addr(work, work.shape), stop)
-    return stop.value if code == SINGULAR else None
+    levels, nx = U.shape
+    k = node.size
+    work = np.empty(11 * nx - 4)
+    addrs = [_addr(U, U.shape), _addr(start, (levels + 1,), INDEX), _addr(node, (k,), INDEX),
+             _addr(value, (k,)), _addr(traces, (levels, 2)),
+             None if phi is None else _addr(phi, U.shape)]
+    if k and (node.min() < 0 or node.max() >= nx):
+        raise ValueError(f"contribution node outside [0, {nx})")
+    if (np.diff(start) < 0).any():
+        raise ValueError("level pointer decreases")
+    if start[0] < 0 or start[-1] > k:
+        raise ValueError(f"level pointer outside the {k} contributions")
+    code = lib.adjoint_march(nx, levels - 1, r, c, dt, alpha, b0, bL, *addrs,
+                             _addr(work, work.shape), stop)
+    return code, stop.value
 
 
 def assemble_gradient(U, traces, dt: float, b0: Interp, bL: Interp) -> np.ndarray:

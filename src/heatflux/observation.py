@@ -3,11 +3,11 @@
 `observe` samples a space-time field at sensor positions and times using
 bilinear interpolation of the grid values. `adjoint_source` spreads residual
 entries back onto the grid with the transposed interpolation weights scaled
-by 1/(dx*dt). It returns only the time levels the samples reach, as a pair
-(levels, rows): every other level of the source is zero. That makes the
-discrete duality
+by 1/(dx*dt), as a list of point contributions in time-level order
+(`PointSources`): every (level, node) entry of the source is the sum of the
+contributions listed at it. That makes the discrete duality
 
-    (observe(w), v)_F == sum(w[levels] * rows) * dx * dt
+    (observe(w), v)_F == sum_k w[level_k, node_k] * value_k * dx * dt
 
 hold to machine precision; the gradient check depends on that exactness.
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +35,8 @@ _TOL = 1e-9
 class ObservationSpec:
     """Sensor depths (strictly inside the slab) and ascending sample times.
 
-    Both are read-only copies of what the caller passes, so that the weights
-    `_weights` caches for a spec cannot go stale.
+    Both are read-only copies of what the caller passes, so that what
+    `_weights` and `_injection` keep on a spec cannot go stale.
     """
 
     positions: np.ndarray
@@ -47,6 +48,7 @@ class ObservationSpec:
         pos.flags.writeable = times.flags.writeable = False
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "times", times)
+        object.__setattr__(self, "_by_grid", {})
         if pos.ndim != 1 or pos.size == 0 or times.ndim != 1 or times.size == 0:
             raise ValidationError("positions and times must be non-empty 1-D arrays")
         if not np.isfinite(pos).all() or not np.isfinite(times).all():
@@ -86,7 +88,22 @@ class Measurement:
             raise ValidationError("delta must be finite and nonnegative")
 
 
-@functools.lru_cache(maxsize=16)
+def _per_grid(fn):
+    """`fn(spec, g)` computed once per grid and kept on the spec, so that it
+    lives as long as the spec does and no longer. The arrays it returns are
+    shared between calls and must be read-only."""
+
+    @functools.wraps(fn)
+    def kept(spec: ObservationSpec, g: Grid):
+        key = (fn.__name__, g)
+        if key not in spec._by_grid:
+            spec._by_grid[key] = fn(spec, g)
+        return spec._by_grid[key]
+
+    return kept
+
+
+@_per_grid
 def _weights(spec: ObservationSpec, g: Grid):
     """Shared interpolation cells and weights for observe / adjoint_source.
 
@@ -96,10 +113,6 @@ def _weights(spec: ObservationSpec, g: Grid):
     Samples at t = T fall into the last time cell with local weight 1, so
     both operators use identical (cell, weight) pairs and stay exact
     transposes of each other.
-
-    Computed once per (spec, grid) pair: a spec is its own key (it compares
-    by identity and its arrays are read-only), a grid compares by value. The
-    arrays returned are read-only, as they are shared between calls.
     """
     if (spec.positions <= 0).any() or (spec.positions >= g.L).any():
         raise ValidationError("sensor positions must lie strictly inside (0, L)")
@@ -112,6 +125,35 @@ def _weights(spec: ObservationSpec, g: Grid):
     for a in (ix, wx, it, wt):
         a.flags.writeable = False
     return ix, wx, it, wt
+
+
+@_per_grid
+def _injection(spec: ObservationSpec, g: Grid):
+    """The contributions of `adjoint_source` as tables: (start, node, idx,
+    coef), contribution k at node[k] with value coef[k] * (residual.ravel()
+    [idx[k]] * scale), those of level s at start[s] <= k < start[s + 1].
+
+    Each sample spreads four contributions, sample (j, k) with a = wx[j]:
+    (1 - wt[k]) (1 - a) at (it[k], ix[j]), (1 - wt[k]) a at (it[k], ix[j] +
+    1), wt[k] (1 - a) at (it[k] + 1, ix[j]) and wt[k] a at (it[k] + 1, ix[j]
+    + 1). They are listed by level in the order sensor, weight term, sample
+    time (a stable sort keeps it within a level), the order in which a
+    dense source summed them.
+    """
+    ix, wx, it, wt = _weights(spec, g)
+    a = wx[:, None]
+    # Axes (sensor, weight term, sample time), flattened in that order.
+    coef = np.stack([(1.0 - wt) * (1.0 - a), (1.0 - wt) * a, wt * (1.0 - a), wt * a], 1)
+    shape = coef.shape
+    level = np.broadcast_to(np.stack([it, it, it + 1, it + 1]), shape)
+    node = np.broadcast_to((ix[:, None] + np.array([0, 1, 0, 1]))[:, :, None], shape)
+    idx = np.broadcast_to(np.arange(spec.d * spec.m).reshape(spec.d, 1, spec.m), shape)
+    order = np.argsort(level, axis=None, kind="stable")
+    start = np.searchsorted(level.ravel()[order], np.arange(g.nt + 2))
+    tables = (start, node.ravel()[order], idx.ravel()[order], coef.ravel()[order])
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 def observe(f: EnthalpyField, spec: ObservationSpec) -> np.ndarray:
@@ -138,32 +180,33 @@ def add_noise(clean: np.ndarray, spec: ObservationSpec, amplitude: float, seed: 
     return Measurement(data=noisy, spec=spec, delta=delta, seed=seed, amplitude=amplitude)
 
 
-def adjoint_source(residual, spec: ObservationSpec, g: Grid) -> tuple[np.ndarray, np.ndarray]:
+class PointSources(NamedTuple):
+    """A source on the grid as point contributions in time-level order:
+    those of level s are at start[s] <= k < start[s + 1] (start has one
+    entry more than the grid has levels), contribution k adds value[k] at
+    node[k]."""
+
+    start: np.ndarray
+    node: np.ndarray
+    value: np.ndarray
+
+
+def adjoint_source(residual, spec: ObservationSpec, g: Grid) -> PointSources:
     """Spread residual entries onto the grid as discrete point sources.
 
-    Returns (levels, rows): the ascending time levels the samples reach and
-    the (len(levels), nx) source rows at those levels; the source is zero at
-    every other level. Each entry sums its contributions in the order sensor,
-    weight term, sample time, so it holds the bits of the same entry of a
-    dense (nt+1) x nx source summed in that order.
+    Returns the contributions of every sample to the four nodes around it
+    (`_injection`), in time-level order. Within a level they are listed in
+    the order sensor, weight term, sample time, so that summing a level's
+    contributions into a zero row in list order gives each entry the bits
+    of a dense (nt+1) x nx source summed in that order. Each value is the
+    interpolation weight times the scaled residual, the product the dense
+    sum added.
     """
     residual = np.asarray(residual, dtype=float)
     if residual.shape != (spec.d, spec.m):
         raise ValidationError(
             f"residual shape {residual.shape} != (d, m) = {(spec.d, spec.m)}"
         )
-    ix, wx, it, wt = _weights(spec, g)
-    # The levels some sample reaches, ascending: level it[k] is row at[k]
-    # and level it[k] + 1 the next row.
-    levels = np.flatnonzero(np.bincount(np.concatenate((it, it + 1))))
-    at = np.searchsorted(levels, it)
-    S = np.zeros((levels.size, g.nx))
+    start, node, idx, coef = _injection(spec, g)
     scale = 1.0 / (g.dx * g.dt)
-    for j in range(spec.d):
-        i, a = ix[j], wx[j]
-        v = residual[j] * scale
-        np.add.at(S, (at, np.full(spec.m, i)), (1.0 - wt) * (1.0 - a) * v)
-        np.add.at(S, (at, np.full(spec.m, i + 1)), (1.0 - wt) * a * v)
-        np.add.at(S, (at + 1, np.full(spec.m, i)), wt * (1.0 - a) * v)
-        np.add.at(S, (at + 1, np.full(spec.m, i + 1)), wt * a * v)
-    return levels, S
+    return PointSources(start, node, coef * (residual.ravel()[idx] * scale))

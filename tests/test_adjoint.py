@@ -1,5 +1,6 @@
 """Adjoint gradient: exactness against the tangent solver and finite differences."""
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -65,8 +66,9 @@ class TestExactness:
         assert f == 0.0
         assert (grad == 0.0).all()
         src = observation.adjoint_source(residual, spec, g)
-        for _, _, block in adjoint._adjoint_blocks(field, m, fp_true, src):
-            assert (block == 0.0).all()
+        phi = np.full_like(field.values, np.nan)
+        adjoint.solve_adjoint(field, m, fp_true, src, phi)
+        assert (phi == 0.0).all()
 
     def test_directional_duality_with_tangent_solver(self, case):
         # <grad, h> must equal sum(residual * observe(W_h)) to rounding: the
@@ -135,20 +137,25 @@ class TestAdjointField:
         with pytest.raises(ValidationError):
             observation.adjoint_source(np.zeros((3, 25)), spec, g)
         field = forward.solve_ibvp(m, fp, u0, g)
+        # Two point sources on level 3 and two on the last level, 80.
+        start = np.zeros(g.nt + 2, dtype=np.intp)
+        start[4:], start[-1] = 2, 4
+        good = observation.PointSources(start, np.array([0, 30, 7, 8]), np.ones(4))
+        decreasing, overrunning = start.copy(), start.copy()
+        decreasing[40], overrunning[-1] = 1, 5
         bad = [
-            ([3, 4], (3, 31)),  # fewer levels than rows
-            ([3, 4], (2, 30)),  # rows one node short
-            ([[3, 4]], (2, 31)),  # levels not 1-D
-            ([4, 3], (2, 31)),  # descending
-            ([3, 3], (2, 31)),  # repeated
-            ([-1, 3], (2, 31)),  # before the first level
-            ([3, 81], (2, 31)),  # after the last level
-            ([3.0, 4.0], (2, 31)),  # not integers
+            good._replace(start=start[:-1]),  # one level short
+            good._replace(start=start.astype(float)),  # not integers
+            good._replace(node=good.node[:3]),  # fewer nodes than values
+            good._replace(node=np.array([0, 31, 7, 8])),  # past the last node
+            good._replace(node=np.array([-1, 30, 7, 8])),  # before the first node
+            good._replace(start=decreasing),
+            good._replace(start=overrunning),  # past the end of the list
         ]
-        for levels, shape in bad:
+        for source in bad:
             with pytest.raises(ValidationError):
-                adjoint.solve_adjoint(field, m, fp, (np.array(levels), np.zeros(shape)))
-        traces = adjoint.solve_adjoint(field, m, fp, (np.array([0, 80]), np.ones((2, 31))))
+                adjoint.solve_adjoint(field, m, fp, source)
+        traces = adjoint.solve_adjoint(field, m, fp, good)
         assert traces.shape == (g.nt + 1, 2)
 
     def test_assembly_shapes_are_validated(self, case):
@@ -157,27 +164,31 @@ class TestAdjointField:
         with pytest.raises(ValidationError):
             adjoint.assemble_gradient(np.zeros((2, 2)), field, fp)
 
-    def test_solve_holds_one_block_of_coefficients(self, builtin_material):
-        # On the default inversion grid (91 x 3300) the march streams its
-        # frozen coefficients through the trajectory a block of levels at a
-        # time, so its heap peak stays within 3x the trajectory; a pass over
-        # the whole trajectory at once holds about ten trajectory-sized
-        # arrays.
+    def test_solve_holds_one_level_of_phi(self, builtin_material):
+        # On the default inversion grid (91 x 3300) the march computes each
+        # step's coefficients just before the step and keeps only the level
+        # it solves and the wall traces, so its heap peak is the traces and
+        # a few levels of work space, whatever the source: here a dense
+        # random source, one point contribution per node of every level.
         cfg = config.ExperimentConfig()
         g = config.inv_grid(cfg)
         fp = config.exact_flux_parameter(cfg)
         field = forward.solve_ibvp(builtin_material, fp, np.full(g.nx, cfg.u0), g)
-        src = (np.arange(g.nt + 1), np.random.default_rng(4).standard_normal(field.values.shape))
+        dense = np.random.default_rng(4).standard_normal(field.values.shape)
+        src = observation.PointSources(
+            np.arange(g.nt + 2) * g.nx, np.tile(np.arange(g.nx), g.nt + 1), dense.ravel()
+        )
         peak, traces = heap_peak(adjoint.solve_adjoint, field, builtin_material, fp, src)
         assert traces.shape == (g.nt + 1, 2)
-        assert peak <= 3 * field.values.nbytes
+        assert peak <= 2 * traces.nbytes
 
     def test_gradient_holds_no_trajectory_sized_array(self, builtin_material):
-        # One gradient on the default twin data at 91 x 3300: the sparse
-        # source, the adjoint's one block of levels and its two wall traces
-        # keep the heap peak of the whole chain (source, march, assembly)
-        # near the march's block working set, about 1.7x the trajectory. A
-        # dense source and a returned phi add two trajectories (3.5x).
+        # One gradient on the default twin data at 91 x 3300: the point
+        # sources (with the injection tables this first gradient on the spec
+        # builds), the adjoint's one solved level and its two wall traces
+        # keep the heap peak of the whole chain (source, march, assembly) at
+        # about 0.13x the trajectory. A dense source or the whole of phi
+        # would add a trajectory each.
         cfg = config.ExperimentConfig()
         _, meas = cli._simulate_measurement(cfg)
         g = config.inv_grid(cfg)
@@ -188,4 +199,34 @@ class TestAdjointField:
             adjoint.compute_gradient, fp, meas, builtin_material, field, residual
         )
         assert grad.shape == (2 * fp.n,)
-        assert peak <= 2.5 * field.values.nbytes
+        assert peak <= 0.25 * field.values.nbytes
+
+    def test_gradients_on_fresh_specs_keep_no_injection_tables(self, builtin_material):
+        # The `twin-short` benchmark size: 5 sensors, 500 samples, 91 x 1100.
+        # Each spec keeps its injection tables (about 0.25 MB here) while it
+        # lives, and no longer: after 20 gradients on 20 fresh specs, the
+        # memory kept is under 1 MiB, where a process-wide cache of the last
+        # 16 specs' tables would keep 4 MB.
+        cfg = config.ExperimentConfig(T=10.0, inv_nt=1100, sample_interval=0.02)
+        g = config.inv_grid(cfg)
+        fp = config.exact_flux_parameter(cfg)
+        field = forward.solve_ibvp(builtin_material, fp, np.full(g.nx, cfg.u0), g)
+        residual = np.random.default_rng(2).standard_normal((5, 500))
+
+        def gradient():
+            spec = config.observation_spec(cfg)
+            meas = observation.Measurement(np.zeros(residual.shape), spec, 0.0, 0, 0.0)
+            return adjoint.compute_gradient(fp, meas, builtin_material, field, residual)
+
+        first = gradient()
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(20):
+                assert gradient().tobytes() == first.tobytes()
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 1 << 20

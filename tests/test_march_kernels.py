@@ -9,23 +9,24 @@ substitution evaluates the diffusivity (with its slope, for the linearized
 marches) on the level the next step reads; `tests/test_marchlib.py` holds
 the port to scipy's dgtsv. The state march evaluates the two wall fluxes
 per step, fills the bands from the sums of neighbouring diffusivities, and
-solves. The tangent march (`adjoint.solve_sensitivity`, one C call per
-solve) and the adjoint (one C call per block of steps) read each step's
-frozen coefficients from the trajectory level the step starts from: the
-diffusivity and its slope, the same band fill and the flux slopes; then
+solves. The tangent march (`adjoint.solve_sensitivity`) and the adjoint
+march (`adjoint.solve_adjoint`), one C call per solve each, read each
+step's frozen coefficients from the trajectory level the step starts from:
+the diffusivity and its slope, the same band fill and the flux slopes; then
 the transport, wall, Robin and source factors in the order the numpy
-products used. `adjoint.assemble_gradient` sums the at most four band
+products used. The adjoint sums each level's point sources into a zero row
+in list order. `adjoint.assemble_gradient` sums the at most four band
 entries of each level's `pchip.grad_wrt_values_many` row, compiled, and
 must give the bytes of the dense reduction it replaced (`dense_gradient`)
 on every case, on walls on flux knots, outside the partition, with knots
 no wall reaches and on non-finite input. Every march solves each step in
-place in its output and raises through one check, `forward._check_levels`:
-the tangent march on a singular step and after its last step, the adjoint
-once per block and on a singular step, the forward march at a level with a
-non-finite wall value, on a singular step and after its last step.
-The adjoint keeps only its wall traces; the tests rebuild every level of
-phi from the blocks its march hands out (`adjoint._adjoint_blocks`), and
-feed it a source on every level or, as the sensors do, on some levels only.
+place: the state and tangent marches raise through `forward._check_levels`
+on a singular step and after their last step (the forward march also at a
+level with a non-finite wall value), and the adjoint's compiled loop stops
+at a singular step and at its first non-finite solved level.
+The adjoint keeps only its wall traces; the tests read every level of phi
+through the window `solve_adjoint` fills when given one, and feed it a
+source on every level or, as the sensors do, on some levels only.
 The plain marches below keep the straightforward per-step form: `pchip.eval`
 for every coefficient (on the whole trajectory in one call; the tests of
 `pchip` hold the evaluator to plain numpy code), each band written from
@@ -40,11 +41,10 @@ whose nodes sit on the diffusivity's knots and below its range, walls on
 knots of the fluxes, a made-up trajectory whose every level sits on knots
 where Horner's slope misses the knot's slope, and a carried adjoint level
 with a negative zero where the samples miss the level, and must stop with
-`DivergenceError` at the same step when a level goes non-finite, also with
-adjoint blocks short enough that the 120-step grid ends in a remainder
-block and the first non-finite level sits on a block edge. An adjoint or
-tangent step whose matrix is exactly singular raises at its step, or at an
-earlier non-finite level.
+`DivergenceError` at the same step when a level goes non-finite, on the
+first, an inner and the last step of the march, and when a finite level's
+carry overflows. An adjoint or tangent step whose matrix is exactly
+singular raises at its step, or at an earlier non-finite level.
 The compiled marches must also leave their inputs alone and hand out a new
 field on every call.
 
@@ -60,7 +60,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dgtsv
 
-from heatflux import adjoint, forward, material, pchip
+from heatflux import adjoint, forward, material, observation, pchip
 from heatflux.config import ExperimentConfig, exact_flux_parameter, inversion_partition
 from heatflux.errors import DivergenceError
 from heatflux.forward import Grid
@@ -174,28 +174,41 @@ def plain_solve_adjoint(u, m, fp, source, g):
     return phi
 
 
+def point_sources(levels, rows, nt):
+    """Source rows at `levels` (ascending) as the point contributions the
+    adjoint takes: one per node of each row, in node order."""
+    levels, rows = np.asarray(levels), np.asarray(rows, dtype=float)
+    counts = np.zeros(nt + 1, dtype=np.intp)
+    counts[levels] = rows.shape[1]
+    start = np.concatenate([[0], np.cumsum(counts)])
+    node = np.tile(np.arange(rows.shape[1]), len(levels))
+    return observation.PointSources(start, node, rows.ravel())
+
+
 def dense_pair(source):
-    """A dense (nt+1) x nx source as the (levels, rows) pair the adjoint takes."""
-    return np.arange(len(source)), source
+    """A dense (nt+1) x nx source as the point contributions the adjoint
+    takes."""
+    return point_sources(np.arange(len(source)), source, len(source) - 1)
 
 
 def sparse_pair(source):
-    """Every third row of `source`, none of the last five: the pair, and the
-    dense source it stands for, zero on the other levels."""
+    """Every third row of `source`, none of the last five: the point
+    contributions, and the dense source they stand for, zero on the other
+    levels."""
     levels = np.arange(1, len(source) - 5, 3)
     dense = np.zeros_like(source)
     dense[levels] = source[levels]
-    return (levels, source[levels]), dense
+    return point_sources(levels, source[levels], len(source) - 1), dense
 
 
 def adjoint_levels(u, m, fp, source):
-    """Every level of phi, rebuilt from the blocks the adjoint march hands
-    out, after checking that `solve_adjoint` returns their wall columns."""
-    phi = np.zeros_like(u.values)
-    for lo, hi, block in adjoint._adjoint_blocks(u, m, fp, source):
-        phi[lo:hi] = block
-    traces = adjoint.solve_adjoint(u, m, fp, source)
+    """Every level of phi, as the adjoint march writes it when given a
+    window onto the levels, after checking that the traces it returns are
+    their wall columns."""
+    phi = np.full_like(u.values, np.nan)
+    traces = adjoint.solve_adjoint(u, m, fp, source, phi)
     assert traces.tobytes() == phi[:, [0, -1]].tobytes()
+    assert traces.tobytes() == adjoint.solve_adjoint(u, m, fp, source).tobytes()
     return phi
 
 
@@ -450,7 +463,7 @@ def test_adjoint_march_adds_zero_on_a_negative_zero_level():
     fp = pchip.FluxParameter([0.5, 1.0, 0.5, 0.5, 0.0, 0.5], np.linspace(0.0, 2.0, 3), 1.0)
     source = np.zeros((g.nt + 1, g.nx))
     source[4, 1] = -1e-323
-    got = adjoint_levels(u, m, fp, (np.array([4]), source[4:]))
+    got = adjoint_levels(u, m, fp, point_sources([4], source[4:], g.nt))
     assert got.tobytes() == plain_solve_adjoint(u, m, fp, source, g).tobytes()
 
 
@@ -560,59 +573,45 @@ def test_assembly_matches_the_dense_reduction_on_non_finite_input():
     assert np.isnan(want).sum() >= 2 * fp.n - 4 and got.tobytes() == want.tobytes()
 
 
-def short_blocks(monkeypatch, levels):
-    """Make the adjoint march walk GRID in blocks of `levels` steps."""
-    monkeypatch.setattr(adjoint, "_BLOCK_NODES", levels * GRID.nx)
-    blocks = adjoint._step_blocks(GRID)
-    assert blocks[0] == (0, levels) and blocks[-1][1] == GRID.nt
-    return blocks
-
-
-@pytest.mark.parametrize("name", CASES)
-def test_marches_match_plain_code_in_seven_level_blocks(marches, name, monkeypatch):
-    # 120 steps in blocks of 7 leave a one-step remainder block.
-    assert short_blocks(monkeypatch, 7)[-1] == (119, 120)
-    m, fp, field, plain, source = marches[name]
-    got = forward.solve_ibvp(m, fp, field.values[0], GRID)
-    assert got.values.tobytes() == plain.tobytes()
-    got = adjoint_levels(field, m, fp, dense_pair(source))
-    assert got.tobytes() == plain_solve_adjoint(field, m, fp, source, GRID).tobytes()
-    pair, dense = sparse_pair(source)
-    got = adjoint_levels(field, m, fp, pair)
-    assert got.tobytes() == plain_solve_adjoint(field, m, fp, dense, GRID).tobytes()
-    h = np.random.default_rng(9).standard_normal(2 * fp.n)
-    got = adjoint.solve_sensitivity(field, m, fp, h)
-    assert got.values.tobytes() == plain_solve_sensitivity(field, m, fp, h, GRID).tobytes()
-
-
-@pytest.mark.parametrize("name", ["exact", "random", "steep"])
-def test_duality_holds_in_seven_level_blocks(marches, name, monkeypatch):
-    short_blocks(monkeypatch, 7)
-    test_adjoint_gradient_is_dual_to_tangent_march(marches, name)
-
-
 @pytest.mark.parametrize(
-    "levels, s",
+    "s",
     [
-        (7, 119),  # the one step of the remainder block, the first the march takes
-        (7, 118),  # the first step the march takes in a full block
-        (7, 112),  # the last step the march takes in a full block
-        (9, 118),  # inside the three-step remainder block
+        119,  # the first step the march takes
+        118,  # the second step
+        112,
+        0,  # the last step the march takes: no later step spreads the level
     ],
 )
-def test_adjoint_divergence_step_at_block_edges(marches, monkeypatch, levels, s):
+def test_adjoint_divergence_step_at_level(marches, s):
     # An inf in source row s + 1 makes level s the first non-finite one:
     # the adjoint raises at its step, nt - s, as the plain per-step code does.
     m, fp, field, _, source = marches["exact"]
-    short_blocks(monkeypatch, levels)
     source = source.copy()
     source[s + 1, 3] = np.inf
-    with pytest.raises(DivergenceError) as got:
+    with pytest.raises(DivergenceError, match="non-finite") as got:
         adjoint.solve_adjoint(field, m, fp, dense_pair(source))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as want:
             plain_solve_adjoint(field, m, fp, source, GRID)
     assert got.value.step == want.value.step == GRID.nt - s
+
+
+def test_adjoint_divergence_from_an_overflowing_carry(marches):
+    # A finite source row at level 61, 1e302 on the wall: level 60 is solved
+    # finite (to about 5e300), but the transport products of its carry
+    # overflow, so level 59 is the first non-finite one, a step after the
+    # row's own.
+    m, fp, field, _, source = marches["exact"]
+    source = source.copy()
+    source[61, 0] = 1e302
+    phi = np.zeros_like(field.values)
+    with pytest.raises(DivergenceError, match="non-finite") as got:
+        adjoint.solve_adjoint(field, m, fp, dense_pair(source), phi)
+    assert np.isfinite(phi[60]).all() and not np.isfinite(phi[59]).all()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as want:
+            plain_solve_adjoint(field, m, fp, source, GRID)
+    assert got.value.step == want.value.step == GRID.nt - 59
 
 
 def test_forward_divergence_at_the_last_step_matches_plain_code(builtin_material):
@@ -657,8 +656,8 @@ def test_forward_scan_back_finds_an_interior_first_level():
     [
         # Every level solved before it is finite: the step itself raises.
         (8, [1.0, 2.0, 3.0], 4, "singular step matrix"),
-        # Level 5 is non-finite, solved one step earlier in the same block:
-        # the march reports that step, as a per-step check would have.
+        # Level 5 is non-finite, solved one step earlier: the march stops
+        # there and reports that step, as a per-step check would have.
         (6, [np.inf, 0.0, 0.0], 3, "non-finite"),
     ],
 )
@@ -666,7 +665,7 @@ def test_adjoint_singular_step_raises_at_its_step(
     singular_level_case, source_level, row, step, message
 ):
     g, m, u, fp = singular_level_case
-    source = (np.array([source_level]), np.array([row]))
+    source = point_sources([source_level], [row], g.nt)
     with pytest.raises(DivergenceError, match=message) as got:
         adjoint.solve_adjoint(u, m, fp, source)
     assert got.value.step == step
@@ -677,8 +676,8 @@ def test_adjoint_singular_step_raises_at_its_step(
     [
         # Every level solved before it is finite: the step from level 4 raises.
         (None, 5, "singular step matrix"),
-        # Level 3 is non-finite, solved two steps earlier in the same block:
-        # the march reports that step, as the per-step check does.
+        # Level 3 is non-finite, solved two steps earlier: the march reports
+        # that step, as the per-step check does.
         (2, 3, "non-finite"),
     ],
 )
@@ -699,22 +698,13 @@ def test_tangent_singular_step_raises_at_its_step(singular_level_case, hot_level
     assert got.value.step == want.value.step == step
 
 
-@pytest.mark.parametrize(
-    "levels, s",
-    [
-        (7, 120),  # the one step of the remainder block
-        (7, 113),  # the first step of a full block
-        (7, 119),  # the last step of a full block
-        (9, 119),  # inside the three-step remainder block
-    ],
-)
-def test_tangent_divergence_step_at_block_edges(marches, monkeypatch, levels, s):
+@pytest.mark.parametrize("s", [120, 119, 113])
+def test_tangent_divergence_step_at_level(marches, s):
     # An inf on the x = 0 wall of trajectory level s makes the state
     # increment of the step that ends there non-finite, so level s of W is
     # the first non-finite one: the tangent march raises at its step, s, as
     # the plain per-step code does.
     m, fp, field, _, _ = marches["exact"]
-    short_blocks(monkeypatch, levels)
     U = field.values.copy()
     U[s, 0] = np.inf
     u = forward.EnthalpyField(GRID, U)

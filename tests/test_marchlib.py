@@ -1,9 +1,11 @@
-"""The loader of the compiled march library: its cache, its build error and
-the argument checks that guard the C code's raw pointers; and the library's
+"""The loader of the compiled march library: its cache, its build error, a
+compile of its source with warnings as errors, the interpolants it keeps
+and the argument checks that guard the C code's raw pointers; and the library's
 tridiagonal solve, the port of LAPACK's dgtsv that every march step calls,
 held to scipy's dgtsv bit for bit (scipy is imported by the tests only)."""
 
 import itertools
+import subprocess
 
 import numpy as np
 import pytest
@@ -45,6 +47,22 @@ def test_changed_source_builds_a_new_library(tmp_path):
     assert sorted(cache.iterdir()) == sorted([built, rebuilt])
 
 
+def test_source_compiles_without_warnings(tmp_path):
+    # The shipped command with GCC's common warnings as errors: a C warning
+    # fails the suite.
+    command = [*marchlib.COMPILE, "-Wall", "-Wextra", "-Werror", "-o",
+               str(tmp_path / "march.so"), str(marchlib.SOURCE)]
+    done = subprocess.run(command, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_interpolant_is_built_once_per_pchip():
+    p = pchip.Pchip([0.0, 1.0, 2.0], [1.0, 3.0, 2.0])
+    first = marchlib.interpolant(p)
+    assert marchlib.interpolant(p) is first
+    assert marchlib.interpolant(pchip.Pchip(p.knots, p.values)) is not first
+
+
 def test_unwritable_cache_builds_in_a_temporary_directory(tmp_path, monkeypatch):
     # A regular file where the cache directory should be: the library is
     # built in a temporary directory instead, which is gone once it is loaded.
@@ -75,46 +93,70 @@ def test_addr_refuses_an_array_the_c_code_cannot_read(a):
 FLAT = pchip.Pchip([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
 
 
-def adjoint_args(k=3, nx=5):
-    """Valid arguments of `marchlib.adjoint_block`: k steps on nx nodes along
-    a flat trajectory, with a source of two rows that the first step reads."""
+def adjoint_args():
+    """Valid arguments of `marchlib.adjoint_march`: 3 steps on 5 nodes along
+    a flat trajectory, with a point source on level 1 and two on level 3,
+    which the first step reads."""
     p = marchlib.interpolant(FLAT)
-    src_row = np.full(k, -1, dtype=marchlib.INDEX)
-    src_row[0] = 1
-    return dict(psi=np.zeros(nx), block=np.empty((k, nx)), U=np.zeros((k + 1, nx)),
-                r=1.0, c=1.0, dt=1.0, alpha=p, b0=p, bL=p, src=np.ones((2, nx)),
-                src_row=src_row)
+    return dict(U=np.zeros((4, 5)), start=np.array([0, 0, 1, 1, 3], dtype=marchlib.INDEX),
+                node=np.array([2, 0, 4], dtype=marchlib.INDEX), value=np.array([1.0, 2.0, -1.0]),
+                r=1.0, c=1.0, dt=1.0, alpha=p, b0=p, bL=p, traces=np.empty((4, 2)))
 
 
-def test_adjoint_block_runs_on_valid_arguments():
+def test_adjoint_march_runs_on_valid_arguments():
     args = adjoint_args()
-    assert marchlib.adjoint_block(**args) is None
-    assert np.isfinite(args["block"]).all() and (args["block"][0] != 0.0).any()
+    phi = np.full((4, 5), np.nan)
+    assert marchlib.adjoint_march(**args, phi=phi) == (marchlib.DONE, 0)
+    traces = args["traces"]
+    assert np.isfinite(phi).all() and (phi[3] == 0.0).all() and (phi[2] != 0.0).all()
+    assert traces.tobytes() == phi[:, [0, -1]].tobytes()
+    again = adjoint_args()
+    assert marchlib.adjoint_march(**again) == (marchlib.DONE, 0)
+    assert again["traces"].tobytes() == traces.tobytes()
 
 
 @pytest.mark.parametrize(
     "name, value",
     [
-        ("U", np.zeros((3, 5))),  # as many trajectory levels as steps, not one more
-        ("psi", np.zeros(5, dtype=np.float32)),
-        ("block", np.empty((3, 10))[:, ::2]),
-        ("src", np.ones((2, 4))),
-        ("src_row", np.array([-1, -1, 1], dtype=np.int32)),
+        ("U", np.zeros((4, 5), order="F")),
+        ("start", np.array([0, 0, 1, 3], dtype=marchlib.INDEX)),  # one level short
+        ("start", np.array([0, 0, 1, 1, 3], dtype=np.int32)),
+        ("node", np.array([2, 0], dtype=marchlib.INDEX)),  # fewer nodes than values
+        ("node", np.array([[2, 0, 4]], dtype=marchlib.INDEX)),
+        ("value", np.array([1.0, 2.0, -1.0], dtype=np.float32)),
+        ("value", np.array([1.0, 0.0, 2.0, 0.0, -1.0, 0.0])[::2]),
+        ("traces", np.empty((3, 2))),  # no trace for the last level
+        ("traces", np.empty((2, 4)).T),
+        ("phi", np.empty((4, 6))),
+        ("phi", np.empty((4, 5), dtype=np.float32)),
     ],
+    ids=["U-fortran", "start-levels", "start-dtype", "node-count", "node-2d", "value-dtype",
+         "value-strided", "traces-levels", "traces-fortran", "phi-shape", "phi-dtype"],
 )
-def test_adjoint_block_refuses_a_misshapen_array(name, value):
+def test_adjoint_march_refuses_a_misshapen_array(name, value):
     args = adjoint_args()
     args[name] = value
     with pytest.raises(ValueError, match="C-contiguous"):
-        marchlib.adjoint_block(**args)
+        marchlib.adjoint_march(**args)
 
 
-@pytest.mark.parametrize("row", [2, -2])
-def test_adjoint_block_refuses_a_source_row_out_of_range(row):
+@pytest.mark.parametrize(
+    "name, index, value, message",
+    [
+        ("node", 1, 5, "contribution node outside"),
+        ("node", 2, -1, "contribution node outside"),
+        ("start", 3, 0, "level pointer decreases"),
+        ("start", 4, 4, "level pointer outside"),
+        ("start", 0, -1, "level pointer outside"),
+    ],
+    ids=["node-past-the-wall", "node-negative", "start-decreases", "start-overruns",
+         "start-negative"],
+)
+def test_adjoint_march_refuses_an_index_out_of_range(name, index, value, message):
     args = adjoint_args()
-    args["src_row"][1] = row
-    with pytest.raises(ValueError, match="source row index out of range"):
-        marchlib.adjoint_block(**args)
+    args[name][index] = value
+    with pytest.raises(ValueError, match=message):
+        marchlib.adjoint_march(**args)
 
 
 def tangent_args(nt=3, nx=5):

@@ -65,6 +65,11 @@ class TestObserve:
         assert observation._weights(twin, g) is not first
         for got, want in zip(first, observation._weights.__wrapped__(spec, g)):
             assert got.tobytes() == want.tobytes() and not got.flags.writeable
+        tables = observation._injection(spec, g)
+        assert observation._injection(spec, Grid(L=0.05, T=3.0, nx=23, nt=17)) is tables
+        assert observation._injection(twin, g) is not tables
+        for got, want in zip(tables, observation._injection.__wrapped__(spec, g)):
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable
 
     def test_exact_on_bilinear_fields(self):
         g = Grid(L=0.05, T=3.0, nx=23, nt=17)
@@ -219,6 +224,11 @@ def dense_adjoint_source(residual, spec, g):
     return S
 
 
+def source_levels(src):
+    """The level of each point contribution of `src`."""
+    return np.repeat(np.arange(src.start.size - 1), np.diff(src.start))
+
+
 class TestDuality:
     def test_injection_is_exact_transpose_of_sampling(self):
         g = Grid(L=0.05, T=3.0, nx=23, nt=17)
@@ -231,8 +241,8 @@ class TestDuality:
             w = rng.standard_normal((g.nt + 1, g.nx))
             v = rng.standard_normal((spec.d, spec.m))
             lhs = float(np.sum(observation.observe(EnthalpyField(g, w), spec) * v))
-            levels, rows = observation.adjoint_source(v, spec, g)
-            rhs = float(np.sum(w[levels] * rows) * g.dx * g.dt)
+            src = observation.adjoint_source(v, spec, g)
+            rhs = float(np.sum(w[source_levels(src), src.node] * src.value) * g.dx * g.dt)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -255,25 +265,31 @@ class TestDuality:
         ids=["edges", "shared-entries", "every-level"],
     )
     def test_sparse_rows_are_the_dense_source_bitwise(self, positions, times):
+        # Each level's contributions summed into a zero row in list order, as
+        # the adjoint march sums them, give the dense source's rows.
         g = Grid(L=0.05, T=3.0, nx=23, nt=17)
         spec = ObservationSpec(positions=np.array(positions), times=np.array(times))
         rng = np.random.default_rng(8)
         for _ in range(10):
             v = rng.standard_normal((spec.d, spec.m)) * 10.0 ** rng.integers(-8, 8, spec.m)
-            levels, rows = observation.adjoint_source(v, spec, g)
-            dense = dense_adjoint_source(v, spec, g)
-            assert levels.dtype.kind == "i" and (np.diff(levels) > 0).all()
-            assert rows.tobytes() == dense[levels].tobytes()
-            others = np.setdiff1d(np.arange(g.nt + 1), levels)
-            assert not dense[others].any()
+            src = observation.adjoint_source(v, spec, g)
+            assert src.start.shape == (g.nt + 2,) and src.start[0] == 0
+            assert (np.diff(src.start) >= 0).all() and src.start[-1] == 4 * spec.d * spec.m
+            assert src.node.dtype == src.start.dtype == np.intp
+            rows = np.zeros((g.nt + 1, g.nx))
+            np.add.at(rows, (source_levels(src), src.node), src.value)
+            assert rows.tobytes() == dense_adjoint_source(v, spec, g).tobytes()
 
     def test_source_shape_checked(self):
         g = Grid(L=1.0, T=1.0, nx=5, nt=4)
         spec = ObservationSpec(positions=np.array([0.5]), times=np.array([0.5]))
         with pytest.raises(ValidationError):
             observation.adjoint_source(np.zeros((2, 2)), spec, g)
-        levels, rows = observation.adjoint_source(np.ones((1, 1)), spec, g)
-        assert levels.tolist() == [2, 3] and rows.shape == (2, g.nx)
+        # The sample sits on node 2 at level 2, where its weights are 1.
+        src = observation.adjoint_source(np.ones((1, 1)), spec, g)
+        assert src.start.tolist() == [0, 0, 0, 2, 4, 4]
+        assert src.node.tolist() == [2, 3, 2, 3]
+        assert src.value.tolist() == [1.0 / (g.dx * g.dt), 0.0, 0.0, 0.0]
 
 
 class TestSerialization:
