@@ -26,7 +26,8 @@ level with a non-finite wall value), and the adjoint's compiled loop stops
 at a singular step and at its first non-finite solved level.
 The adjoint keeps only its wall traces; the tests read every level of phi
 through the window `solve_adjoint` fills when given one, and feed it a
-source on every level or, as the sensors do, on some levels only.
+source on every level or, as the sensors do, on some levels only: every
+third level, or every other block of seven levels.
 The plain marches below keep the straightforward per-step form: `pchip.eval`
 for every coefficient (on the whole trajectory in one call; the tests of
 `pchip` hold the evaluator to plain numpy code), each band written from
@@ -42,8 +43,8 @@ knots of the fluxes, a made-up trajectory whose every level sits on knots
 where Horner's slope misses the knot's slope, and a carried adjoint level
 with a negative zero where the samples miss the level, and must stop with
 `DivergenceError` at the same step when a level goes non-finite, on the
-first, an inner and the last step of the march, and when a finite level's
-carry overflows. An adjoint or tangent step whose matrix is exactly
+first, an inner and the last step of the march, at the edge of a block of
+non-finite inputs, and when a finite level's carry overflows. An adjoint or tangent step whose matrix is exactly
 singular raises at its step, or at an earlier non-finite level.
 The compiled marches must also leave their inputs alone and hand out a new
 field on every call.
@@ -191,14 +192,27 @@ def dense_pair(source):
     return point_sources(np.arange(len(source)), source, len(source) - 1)
 
 
-def sparse_pair(source):
-    """Every third row of `source`, none of the last five: the point
+def rows_at(source, levels):
+    """The rows of `source` at `levels` (ascending): the point
     contributions, and the dense source they stand for, zero on the other
     levels."""
-    levels = np.arange(1, len(source) - 5, 3)
     dense = np.zeros_like(source)
     dense[levels] = source[levels]
     return point_sources(levels, source[levels], len(source) - 1), dense
+
+
+def sparse_pair(source):
+    """Every third row of `source`, none of the last five."""
+    return rows_at(source, np.arange(1, len(source) - 5, 3))
+
+
+def seven_level_blocks(source):
+    """The rows of `source` on every other block of seven levels, counted
+    from level 0: on GRID the march starts on the empty two-level remainder
+    (levels 119 and 120), then meets runs of seven rows and of seven empty
+    levels."""
+    levels = np.arange(len(source))
+    return rows_at(source, levels[levels // 7 % 2 == 0])
 
 
 def adjoint_levels(u, m, fp, source):
@@ -345,20 +359,42 @@ def test_tangent_march_matches_plain_code(marches, name):
     assert got.values.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("name", ["exact", "random", "steep"])
-def test_adjoint_gradient_is_dual_to_tangent_march(marches, name):
-    # <grad, h> = sum(W_h * S) dx dt for a dense source S: the adjoint march
-    # and assembly are the exact transpose of the tangent march, also at the
-    # box corner where c*beta' > 2.
-    m, fp, field, _, source = marches[name]
-    traces = adjoint.solve_adjoint(field, m, fp, dense_pair(source))
+def assert_dual(field, m, fp, pair, dense):
+    """<grad, h> = sum(W_h * S) dx dt for the source S that `pair` stands
+    for, on five random directions h."""
+    traces = adjoint.solve_adjoint(field, m, fp, pair)
     grad = adjoint.assemble_gradient(traces, field, fp)
     rng = np.random.default_rng(21)
     for _ in range(5):
         h = rng.standard_normal(2 * fp.n)
         W = adjoint.solve_sensitivity(field, m, fp, h).values
-        pairing = float(np.sum(W * source)) * GRID.dx * GRID.dt
+        pairing = float(np.sum(W * dense)) * GRID.dx * GRID.dt
         assert float(grad @ h) == pytest.approx(pairing, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["exact", "random", "steep"])
+def test_adjoint_gradient_is_dual_to_tangent_march(marches, name):
+    # For a dense source the adjoint march and assembly are the exact
+    # transpose of the tangent march, also at the box corner where
+    # c*beta' > 2.
+    m, fp, field, _, source = marches[name]
+    assert_dual(field, m, fp, dense_pair(source), source)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_marches_match_plain_code_in_seven_level_blocks(marches, name):
+    # The march adds runs of seven rows and runs of seven 0.0 rows, its
+    # level pointer standing still across each empty run.
+    m, fp, field, _, source = marches[name]
+    pair, dense = seven_level_blocks(source)
+    got = adjoint_levels(field, m, fp, pair)
+    assert got.tobytes() == plain_solve_adjoint(field, m, fp, dense, GRID).tobytes()
+
+
+@pytest.mark.parametrize("name", ["exact", "random", "steep"])
+def test_duality_holds_in_seven_level_blocks(marches, name):
+    m, fp, field, _, source = marches[name]
+    assert_dual(field, m, fp, *seven_level_blocks(source))
 
 
 def test_steep_case_reaches_the_chattering_regime(marches):
@@ -574,20 +610,23 @@ def test_assembly_matches_the_dense_reduction_on_non_finite_input():
 
 
 @pytest.mark.parametrize(
-    "s",
+    "levels, s",
     [
-        119,  # the first step the march takes
-        118,  # the second step
-        112,
-        0,  # the last step the march takes: no later step spreads the level
+        (7, 119),  # the first step the march takes
+        (7, 118),  # the second step
+        (7, 112),
+        (9, 118),
+        (7, 0),  # the last step the march takes: no later step spreads the level
     ],
 )
-def test_adjoint_divergence_step_at_level(marches, s):
-    # An inf in source row s + 1 makes level s the first non-finite one:
-    # the adjoint raises at its step, nt - s, as the plain per-step code does.
+def test_adjoint_divergence_step_at_block_edges(marches, levels, s):
+    # An inf in source rows s + 2 - levels .. s + 1 (those that exist): the
+    # march meets the block at its top edge, row s + 1, which makes level s
+    # the first non-finite one, and raises at its step, nt - s, as the
+    # plain per-step code does.
     m, fp, field, _, source = marches["exact"]
     source = source.copy()
-    source[s + 1, 3] = np.inf
+    source[max(s + 2 - levels, 0) : s + 2, 3] = np.inf
     with pytest.raises(DivergenceError, match="non-finite") as got:
         adjoint.solve_adjoint(field, m, fp, dense_pair(source))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -698,15 +737,24 @@ def test_tangent_singular_step_raises_at_its_step(singular_level_case, hot_level
     assert got.value.step == want.value.step == step
 
 
-@pytest.mark.parametrize("s", [120, 119, 113])
-def test_tangent_divergence_step_at_level(marches, s):
-    # An inf on the x = 0 wall of trajectory level s makes the state
-    # increment of the step that ends there non-finite, so level s of W is
-    # the first non-finite one: the tangent march raises at its step, s, as
-    # the plain per-step code does.
+@pytest.mark.parametrize(
+    "levels, s",
+    [
+        (7, 120),  # the last step the march takes
+        (7, 119),
+        (7, 113),
+        (9, 119),
+    ],
+)
+def test_tangent_divergence_step_at_block_edges(marches, levels, s):
+    # An inf on the x = 0 wall of trajectory levels s .. s + levels - 1
+    # (those that exist): the march meets the block at its lower edge, level
+    # s, which makes the state increment of the step that ends there
+    # non-finite, so level s of W is the first non-finite one: the tangent
+    # march raises at its step, s, as the plain per-step code does.
     m, fp, field, _, _ = marches["exact"]
     U = field.values.copy()
-    U[s, 0] = np.inf
+    U[s : s + levels, 0] = np.inf
     u = forward.EnthalpyField(GRID, U)
     h = np.random.default_rng(9).standard_normal(2 * fp.n)
     with pytest.raises(DivergenceError, match="non-finite") as got:
