@@ -2,7 +2,7 @@
  * tangent and the adjoint, the adjoint gradient assembly, and the
  * tridiagonal solve they share.
  *
- * `marchlib` compiles this file with `-O2 -ffp-contract=off` and calls it
+ * `marchlib` compiles this file with `-O3 -ffp-contract=off` and calls it
  * through ctypes. Each function does the operations of the numpy code it
  * replaced in the same order, one IEEE operation per numpy operation and no
  * contraction into fused multiply-adds, and every step solves with a port

@@ -14,11 +14,13 @@ that called LAPACK. No module of the package imports LAPACK or scipy; the
 library also exports the port as `tridiagonal_solve(n, dl, d, du, b)`,
 which returns dgtsv's info, for the tests that hold it to LAPACK's dgtsv.
 
-The library is compiled on first use with `COMPILE` (a C compiler `cc` must
-be on the path) and cached as `march-<key>.so` in `$XDG_CACHE_HOME/heatflux`
-(by default `~/.cache/heatflux`), where the key is the SHA-256 of the C
-source and the compile command: a changed source or command builds a new
-file, and an unchanged one loads the cached file without compiling. Where
+The library is compiled on first use with `COMPILE` (`-O3`, no fused
+multiply-adds; a C compiler `cc` must be on the path) and cached as
+`march-<key>.so` in `$XDG_CACHE_HOME/heatflux` (by default
+`~/.cache/heatflux`), where the key is the SHA-256 of the C source and the
+compile command: a changed source or command builds a new file, and an
+unchanged one loads the cached file without compiling. Files built for an
+earlier source or command are never loaded again and may be deleted. Where
 the cache cannot be written, the library is built in a fresh temporary
 directory, which is removed once it is loaded. A build is published with
 `os.replace`, so concurrent processes never load a half-written file. A
@@ -47,8 +49,11 @@ from .errors import BuildError
 from .pchip import EQUIDISTANT_RTOL, Pchip
 
 SOURCE = Path(__file__).with_name("_march.c")
-# No -ffast-math and no -march=native: the loops must round as numpy does.
-COMPILE = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# No -ffast-math and no fused multiply-adds: the loops must round as numpy
+# does, and they give the same bits at -O0 and -O3 (tests/test_marchlib.py).
+# No -march=native: a library cached in a shared home directory must not
+# depend on the CPU that built it.
+COMPILE = ("cc", "-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 # Stop codes of the C loops, and the type of the adjoint's level pointers and
 # contribution nodes (ptrdiff_t in C).
@@ -102,17 +107,9 @@ def build(directory: Path, source: Path = SOURCE) -> Path:
     return target
 
 
-@functools.cache
-def _library():
-    """The library, loaded once per process."""
-    try:
-        lib = ctypes.CDLL(str(build(cache_dir())))
-    except OSError:
-        scratch = tempfile.mkdtemp(prefix="heatflux-")
-        try:
-            lib = ctypes.CDLL(str(build(Path(scratch))))
-        finally:
-            shutil.rmtree(scratch, ignore_errors=True)
+def _load(path: Path) -> ctypes.CDLL:
+    """The library at `path`, its functions typed for ctypes."""
+    lib = ctypes.CDLL(str(path))
     pointer, index, interp = ctypes.c_void_p, ctypes.c_int, ctypes.POINTER(Interp)
     head, stop = [index, index, ctypes.c_double, ctypes.c_double], ctypes.POINTER(index)
     lib.forward_march.argtypes = head + [interp] * 3 + [pointer] * 2 + [stop]
@@ -125,6 +122,19 @@ def _library():
     lib.tridiagonal_solve.restype = index
     lib.assemble_gradient.restype = None
     return lib
+
+
+@functools.cache
+def _library():
+    """The library, loaded once per process."""
+    try:
+        return _load(build(cache_dir()))
+    except OSError:
+        scratch = tempfile.mkdtemp(prefix="heatflux-")
+        try:
+            return _load(build(Path(scratch)))
+        finally:
+            shutil.rmtree(scratch, ignore_errors=True)
 
 
 def _addr(a: np.ndarray, shape: tuple, dtype=np.float64) -> int:

@@ -156,16 +156,31 @@ def _injection(spec: ObservationSpec, g: Grid):
     return tables
 
 
+@_per_grid
+def _gather(spec: ObservationSpec, g: Grid):
+    """The tables `observe` reads: flat[j, k] = it[k] nx + ix[j], the index
+    of the earlier-level left node of sample (j, k) in the raveled field,
+    and the time weights (1 - wt, wt) as (m,) vectors and the space
+    weights (1 - wx, wx) as (d, 1) vectors."""
+    ix, wx, it, wt = _weights(spec, g)
+    a = wx[:, None]
+    tables = (it * g.nx + ix[:, None], 1.0 - wt, wt, 1.0 - a, a)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 def observe(f: EnthalpyField, spec: ObservationSpec) -> np.ndarray:
     """Bilinear samples of the field, shape (d, m): each sensor's two nodes
     interpolated in time first, then the two in space, over all sensors at
-    once."""
-    ix, wx, it, wt = _weights(spec, f.grid)
-    U = f.values
-    i, a = ix[:, None], wx[:, None]
-    col0 = (1.0 - wt) * U[it, i] + wt * U[it + 1, i]
-    col1 = (1.0 - wt) * U[it, i + 1] + wt * U[it + 1, i + 1]
-    return (1.0 - a) * col0 + a * col1
+    once. The four nodes of every sample are gathered from the raveled
+    field with one index table, shifted by one node and by one level."""
+    flat, wt0, wt1, wx0, wx1 = _gather(spec, f.grid)
+    u = f.values.ravel()
+    nx = f.grid.nx
+    col0 = wt0 * u[flat] + wt1 * u[nx:][flat]
+    col1 = wt0 * u[1:][flat] + wt1 * u[nx + 1 :][flat]
+    return wx0 * col0 + wx1 * col1
 
 
 def add_noise(clean: np.ndarray, spec: ObservationSpec, amplitude: float, seed: int) -> Measurement:

@@ -1,5 +1,6 @@
 """The loader of the compiled march library: its cache, its build error, a
-compile of its source with warnings as errors, the interpolants it keeps
+compile of its source with warnings as errors, the shipped optimized build
+held to an unoptimized one bit for bit, the interpolants it keeps
 and the argument checks that guard the C code's raw pointers; and the library's
 tridiagonal solve, the port of LAPACK's dgtsv that every march step calls,
 held to scipy's dgtsv bit for bit (scipy is imported by the tests only)."""
@@ -11,8 +12,10 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dgtsv
 
-from heatflux import marchlib, pchip
+from heatflux import adjoint, forward, marchlib, observation, pchip
+from heatflux.config import ExperimentConfig, exact_flux_parameter, inversion_partition
 from heatflux.errors import BuildError
+from heatflux.forward import Grid
 
 
 @pytest.mark.parametrize("command", [("false",), ("heatflux-no-such-compiler", "-O2")])
@@ -54,6 +57,53 @@ def test_source_compiles_without_warnings(tmp_path):
                str(tmp_path / "march.so"), str(marchlib.SOURCE)]
     done = subprocess.run(command, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def march_outputs(m, fp, u0, g, source):
+    """Every array the four compiled functions give on one case: the state
+    field, the tangent field along it in a random direction, every level of
+    phi with the wall traces, and the assembled gradient."""
+    field = forward.solve_ibvp(m, fp, u0, g)
+    h = np.random.default_rng(23).standard_normal(2 * fp.n)
+    W = adjoint.solve_sensitivity(field, m, fp, h)
+    phi = np.empty_like(field.values)
+    traces = adjoint.solve_adjoint(field, m, fp, source, phi)
+    return [field.values, W.values, phi, traces, adjoint.assemble_gradient(traces, field, fp)]
+
+
+def test_marches_match_an_unoptimized_build_bitwise(tmp_path, monkeypatch, builtin_material):
+    # The shipped library against the same source built at -O0 with the
+    # shipped flags otherwise: no fused multiply-adds, so the optimizer may
+    # reorder no floating-point operation, and every byte must agree. On the
+    # march tests' grid (c = 33), at the exact fluxes, random ones and the
+    # steep box corner where c*beta' exceeds 2, with a dense adjoint source.
+    assert "-O3" in marchlib.COMPILE and "-ffp-contract=off" in marchlib.COMPILE
+    command = ["-O0" if flag.startswith("-O") else flag for flag in marchlib.COMPILE]
+    path = tmp_path / "march-O0.so"
+    done = subprocess.run([*command, "-o", str(path), str(marchlib.SOURCE)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    unoptimized = marchlib._load(path)
+
+    cfg = ExperimentConfig()
+    g = Grid(L=0.05, T=3.3, nx=31, nt=120)
+    part, bmax = inversion_partition(cfg), cfg.beta_max
+    rng = np.random.default_rng(19)
+    steep = np.concatenate([np.where(part > 4.6e9, bmax, 0.0), np.where(part > 4.9e9, bmax, 0.0)])
+    fluxes = [exact_flux_parameter(cfg),
+              pchip.FluxParameter(rng.uniform(0.0, bmax, 2 * part.size), part, bmax),
+              pchip.FluxParameter(steep, part, bmax)]
+    u0 = np.full(g.nx, cfg.u0)
+    levels = g.nt + 1
+    source = observation.PointSources(np.arange(levels + 1) * g.nx,
+                                      np.tile(np.arange(g.nx), levels),
+                                      rng.standard_normal(levels * g.nx))
+    shipped = [march_outputs(builtin_material, fp, u0, g, source) for fp in fluxes]
+    monkeypatch.setattr(marchlib, "_library", lambda: unoptimized)
+    for fp, want in zip(fluxes, shipped):
+        got = march_outputs(builtin_material, fp, u0, g, source)
+        for name, a, b in zip(("state", "tangent", "phi", "traces", "gradient"), got, want):
+            assert a.tobytes() == b.tobytes(), name
 
 
 def test_interpolant_is_built_once_per_pchip():

@@ -1,7 +1,9 @@
 """Sensor sampling, noise bookkeeping, the sampling/injection transpose pair,
 and the measurement files they are written to."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -54,6 +56,12 @@ class TestObserve:
                 got = observation.observe(f, spec)
                 assert got.shape == (spec.d, spec.m)
                 assert got.tobytes() == plain_observe(f, spec).tobytes()
+            # Fields that are not C-contiguous: Fortran order and a strided view.
+            U = rng.standard_normal((g.nt + 1, 2 * g.nx))
+            for values in (np.asfortranarray(U[:, : g.nx]), U[:, ::2]):
+                f = EnthalpyField(g, values)
+                assert not f.values.flags.c_contiguous
+                assert observation.observe(f, spec).tobytes() == plain_observe(f, spec).tobytes()
 
     def test_weights_are_computed_once_per_spec_and_grid(self):
         g = Grid(L=0.05, T=3.0, nx=23, nt=17)
@@ -65,11 +73,19 @@ class TestObserve:
         assert observation._weights(twin, g) is not first
         for got, want in zip(first, observation._weights.__wrapped__(spec, g)):
             assert got.tobytes() == want.tobytes() and not got.flags.writeable
-        tables = observation._injection(spec, g)
-        assert observation._injection(spec, Grid(L=0.05, T=3.0, nx=23, nt=17)) is tables
-        assert observation._injection(twin, g) is not tables
-        for got, want in zip(tables, observation._injection.__wrapped__(spec, g)):
-            assert got.tobytes() == want.tobytes() and not got.flags.writeable
+        kept = []
+        for fn in (observation._injection, observation._gather):
+            tables = fn(spec, g)
+            assert fn(spec, Grid(L=0.05, T=3.0, nx=23, nt=17)) is tables
+            assert fn(spec, Grid(L=0.05, T=3.0, nx=23, nt=18)) is not tables
+            assert fn(twin, g) is not tables
+            for got, want in zip(tables, fn.__wrapped__(spec, g)):
+                assert got.tobytes() == want.tobytes() and not got.flags.writeable
+            kept += [weakref.ref(t) for t in tables]
+        # Nothing derived from a spec outlives it.
+        del spec, first, tables, got
+        gc.collect()
+        assert [r for r in kept if r() is not None] == []
 
     def test_exact_on_bilinear_fields(self):
         g = Grid(L=0.05, T=3.0, nx=23, nt=17)

@@ -3,7 +3,7 @@ and flux tables read into interpolants."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from heatflux import config, pchip
 from heatflux.config import ExperimentConfig
@@ -57,6 +57,66 @@ def plain_eval(p, xs):
     value[at_hi], slope[at_hi] = v1[at_hi], s1[at_hi]
     slope[outside] = 0.0
     return value, slope
+
+
+def plain_slope_rule(values, h):
+    """The slope rule written out plainly, the reference `pchip._slope_rule`
+    must match bit for bit: numpy scalars at the endpoints, and every
+    interior pair scaled, by 1 where its secants stay under 2**510."""
+    n = values.size
+    inv_h = 1.0 / h
+    delta = np.diff(values) / h
+    d = np.zeros(n)
+    J = np.zeros((n, 5))
+    for k, near, far, s in ((0, delta[0], delta[1], 1), (n - 1, delta[-1], delta[-2], -1)):
+        raw = 1.5 * near - 0.5 * far
+        if np.sign(raw) != np.sign(near):
+            continue
+        if np.sign(near) != np.sign(far) and abs(raw) > 3.0 * abs(near):
+            d[k], weights = 3.0 * near, (-3.0, 3.0)
+        else:
+            d[k], weights = raw, (-1.5, 2.0, -0.5)
+        for j, w in enumerate(weights):
+            J[k, 2 + j * s] = w * s * inv_h
+    big = np.maximum(np.abs(delta[:-1]), np.abs(delta[1:]))
+    scale = np.ones(n - 2)
+    over = big > 2.0**510
+    scale[over] = np.ldexp(1.0, -np.frexp(big[over])[1])
+    a, b = delta[:-1] * scale, delta[1:] * scale
+    prod = a * b
+    ok = prod > 0.0
+    d[1:-1][ok] = 2.0 * np.abs(prod[ok]) / (a + b)[ok] / scale[ok]
+    sec = np.diff(values) * inv_h
+    a, b = sec[:-1] * scale, sec[1:] * scale
+    ssq = np.where(ok, (a + b) ** 2, 1.0)
+    dga = np.where(ok, 2.0 * b * b / ssq, 0.0)
+    dgb = np.where(ok, 2.0 * a * a / ssq, 0.0)
+    J[1:-1, 1] = -dga * inv_h
+    J[1:-1, 2] = (dga - dgb) * inv_h
+    J[1:-1, 3] = dgb * inv_h
+    return d, J
+
+
+def built(make):
+    """What `make` returns, or the message of the `ValidationError` it raises."""
+    try:
+        return make()
+    except ValidationError as exc:
+        return str(exc)
+
+
+# Runs of equal values (plateaus and zeros), from tiny to the float range,
+# huge ones above 2**510 (the scaled branch) and near 1.7e308 (refused when
+# a secant, end slope or cubic coefficient overflows).
+MAGNITUDE = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=1e7),
+    st.floats(min_value=2.0**510, max_value=1.7e308),
+    st.floats(min_value=0.0, max_value=1.7e308),
+)
+RUNS = st.lists(st.tuples(MAGNITUDE, st.integers(1, 3)), min_size=2, max_size=10).map(
+    lambda runs: [v for v, k in runs for _ in range(k)]
+)
 
 
 class TestConstruction:
@@ -163,6 +223,19 @@ class TestConstruction:
             want = np.where(prod > 0.0, 2.0 * np.abs(prod) / (delta[:-1] + delta[1:]), 0.0)
             got = pchip.Pchip(knots, values).slopes[1:-1]
             assert (got.view(np.int64) == want.view(np.int64)).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(runs=RUNS, signs=st.lists(st.sampled_from([1.0, -1.0]), min_size=30, max_size=30),
+           h=st.floats(min_value=1e-3, max_value=1e9))
+    def test_slope_rule_matches_the_plain_rule_bitwise(self, runs, signs, h):
+        # Signed values, so secants change sign; overflowing secants too:
+        # both rules see the same infinities, and compare as bytes.
+        assume(len(runs) >= 3)
+        values = np.array(runs) * signs[: len(runs)]
+        with np.errstate(all="ignore"):
+            got, want = pchip._slope_rule(values, h), plain_slope_rule(values, h)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
 
     def test_rejects_non_equidistant_knots(self):
         with pytest.raises(ValidationError):
@@ -421,6 +494,27 @@ class TestFluxParameter:
         assert np.array_equal(bL.values, beta[5:])
         assert fp.n == 5
         assert fp.partition[-1] == 10.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(runs=RUNS, u_max=st.floats(min_value=1e-3, max_value=1e12))
+    def test_interpolants_are_the_public_constructor_bitwise(self, runs, u_max):
+        # `flux_interpolants` builds on the partition the parameter checked;
+        # each interpolant must equal `Pchip(partition, values)` byte for
+        # byte, or both must be refused as too large.
+        n = len(runs) // 2
+        assume(n >= 3)
+        part = np.linspace(0.0, u_max, n)
+        fp = pchip.FluxParameter(np.array(runs[: 2 * n]), part, 1.7e308)
+        wants = [built(lambda v=v: pchip.Pchip(part, v)) for v in (fp.beta[:n], fp.beta[n:])]
+        got = built(lambda: pchip.flux_interpolants(fp))
+        refused = [w for w in wants if isinstance(w, str)]
+        if refused:
+            assert got == refused[0]
+            return
+        for p, want in zip(got, wants):
+            for name in ("knots", "values", "slopes", "_slope_jac", "_table"):
+                assert getattr(p, name).tobytes() == getattr(want, name).tobytes(), name
+            assert (p.interval_width, p._inv_h) == (want.interval_width, want._inv_h)
 
     def test_rejects_out_of_box_values(self):
         part = np.linspace(0.0, 10.0, 3)
