@@ -20,11 +20,11 @@
  * sensor residual from a list of point sources as it goes, and keeps only
  * the level it solves and the wall traces.
  *
- * No loop raises: each returns a stop code and the step or level it
- * stopped at, and the caller raises `DivergenceError`. The state and
- * tangent marches run on past a non-finite level, which
- * `forward._check_levels` then finds; the adjoint march tests each level
- * it solves and stops at the first non-finite one.
+ * One stop rule for the three loops: the back substitution tests every
+ * entry it solves, and a loop stops at a singular step (SINGULAR) or at
+ * its first non-finite solved level (ALARM), with *stop set to that step,
+ * counted from 1 in march order. No loop raises: `marchlib` turns the stop
+ * into `DivergenceError`.
  */
 
 #include <float.h>
@@ -208,24 +208,30 @@ static inline void evaluate_node(const interp *p, const double *v, double *alpha
  * unless ap is NULL, its slope into ap[i] (`evaluate_node`): v is the level
  * the next step reads, the solution b itself for the state march and the
  * next trajectory level for the linearized ones, or NULL for none. The
- * evaluations do not feed the chain of divisions, so they run beside it. */
-static inline void back_substitute(int n, const double *dl, const double *d,
-                                   const double *du, double *b,
-                                   const interp *p, const double *v,
-                                   double *alpha, double *ap)
+ * evaluations and the finiteness test of each solved entry do not feed the
+ * chain of divisions, so they run beside it. Returns 1 when every entry of
+ * the solution is finite, else 0. */
+static inline int back_substitute(int n, const double *dl, const double *d,
+                                  const double *du, double *b,
+                                  const interp *p, const double *v,
+                                  double *alpha, double *ap)
 {
     b[n - 1] = b[n - 1] / d[n - 1];
+    int finite = fabs(b[n - 1]) <= DBL_MAX;
     evaluate_node(p, v, alpha, ap, n - 1);
     if (n > 1) {
         b[n - 2] = (b[n - 2] - b[n - 1] * du[n - 2]) / d[n - 2];
+        finite &= fabs(b[n - 2]) <= DBL_MAX;
         evaluate_node(p, v, alpha, ap, n - 2);
     }
     double x = b[n > 1 ? n - 2 : 0];
     for (int i = n - 3; i >= 0; i--) {
         x = (b[i] - du[i] * x - dl[i] * b[i + 2]) / d[i];
         b[i] = x;
+        finite &= fabs(x) <= DBL_MAX;
         evaluate_node(p, v, alpha, ap, i);
     }
+    return finite;
 }
 
 /* dgtsv for one right-hand side: the solution in b and info returned, with
@@ -242,17 +248,25 @@ int tridiagonal_solve(int n, double *dl, double *d, double *du, double *b)
     return info;
 }
 
-/* The state march on the (nt+1) x nx field U, whose level 0 is given.
- * Step n fills the bands from the diffusivity of level n, forms the
- * right-hand side in level n + 1 with the two wall fluxes of level n, and
- * solves it there; its back substitution evaluates the diffusivity of
+/* A loop's stop: `code` returned with *stop = step. */
+static int stopped(int *stop, int step, int code)
+{
+    *stop = step;
+    return code;
+}
+
+/* The state march on the (nt+1) x nx field U, whose level 0 is given and
+ * finite. Step n fills the bands from the diffusivity of level n, forms
+ * the right-hand side in level n + 1 with the two wall fluxes of level n,
+ * and solves it there; its back substitution evaluates the diffusivity of
  * level n + 1, the one step n + 1 reads, as the nodes are solved. The
  * diffusivity of level 0 is evaluated before the first step. `work` holds
  * 5 nx - 3 doubles.
  *
- * Returns DONE after step nt - 1; ALARM with *stop = n when a wall value of
- * level n is not finite, before any flux is evaluated there; SINGULAR with
- * *stop = n when the matrix of step n is singular. */
+ * Returns DONE after step nt - 1; SINGULAR with *stop = n + 1 when the
+ * matrix of step n is singular; ALARM with *stop = n + 1 when level n + 1
+ * is not finite, before any step reads it, so the fluxes are evaluated on
+ * finite walls only. */
 int forward_march(int nx, int nt, double r, double c, const interp *alpha_p,
                   const interp *b0, const interp *bL, double *U, double *work,
                   int *stop)
@@ -265,22 +279,17 @@ int forward_march(int nx, int nt, double r, double c, const interp *alpha_p,
     for (int n = 0; n < nt; n++) {
         double *un = U + (long)n * nx, *rhs = un + nx;
         double u0 = un[0], uL = un[nx - 1];
-        if (!isfinite(u0) || !isfinite(uL)) {
-            *stop = n;
-            return ALARM;
-        }
         fill_bands(nx, r, alpha, s, sup, sub, diag);
         double beta0 = march_eval(b0, u0, NULL), betaL = march_eval(bL, uL, NULL);
         for (int j = 1; j < nx - 1; j++)
             rhs[j] = un[j];
         rhs[0] = u0 - c * beta0;
         rhs[nx - 1] = uL - c * betaL;
-        if (eliminate(nx, sub, diag, sup, rhs) != 0) {
-            *stop = n;
-            return SINGULAR;
-        }
-        back_substitute(nx, sub, diag, sup, rhs, alpha_p,
-                        n + 1 < nt ? rhs : NULL, alpha, NULL);
+        if (eliminate(nx, sub, diag, sup, rhs) != 0)
+            return stopped(stop, n + 1, SINGULAR);
+        if (!back_substitute(nx, sub, diag, sup, rhs, alpha_p,
+                             n + 1 < nt ? rhs : NULL, alpha, NULL))
+            return stopped(stop, n + 1, ALARM);
     }
     return DONE;
 }
@@ -316,8 +325,9 @@ static void wall_slopes(int nx, const interp *b0, const interp *bL,
  * diffusivity and its slope on level k + 1 of U, which pw2 no longer
  * needs. `work` holds 7 nx - 4 doubles.
  *
- * Returns DONE after step nt - 1, or SINGULAR with *stop = k when the
- * matrix of step k is singular. */
+ * Returns DONE after step nt - 1; SINGULAR with *stop = k + 1 when the
+ * matrix of step k is singular; ALARM with *stop = k + 1 when level k + 1
+ * of W is not finite. */
 int tangent_march(int nx, int nt, double r, double c, const interp *alpha_p,
                   const interp *b0, const interp *bL, const double *U,
                   double *W, const double *src, double *work, int *stop)
@@ -342,23 +352,13 @@ int tangent_march(int nx, int nt, double r, double c, const interp *alpha_p,
         rhs[nx - 1] = w[nx - 1] - (r * (un[nx - 1] - un[nx - 2])) * pw2[nx - 2];
         rhs[0] -= c * (b0p * w[0] + src[2 * k]);
         rhs[nx - 1] -= c * (bLp * w[nx - 1] + src[2 * k + 1]);
-        if (eliminate(nx, sub, diag, sup, rhs) != 0) {
-            *stop = k;
-            return SINGULAR;
-        }
-        back_substitute(nx, sub, diag, sup, rhs, alpha_p,
-                        k + 1 < nt ? un : NULL, alpha, ap);
+        if (eliminate(nx, sub, diag, sup, rhs) != 0)
+            return stopped(stop, k + 1, SINGULAR);
+        if (!back_substitute(nx, sub, diag, sup, rhs, alpha_p,
+                             k + 1 < nt ? un : NULL, alpha, ap))
+            return stopped(stop, k + 1, ALARM);
     }
     return DONE;
-}
-
-/* 1 when every entry of the level x is finite, else 0. */
-static int finite_level(int n, const double *x)
-{
-    int ok = 1;
-    for (int j = 0; j < n; j++)
-        ok &= fabs(x[j]) <= DBL_MAX;
-    return ok;
 }
 
 /* The adjoint march along the trajectory U ((nt+1) x nx), backward from
@@ -382,9 +382,10 @@ static int finite_level(int n, const double *x)
  * and the whole level to row s of phi unless phi is NULL; level nt is
  * zeros in both. `work` holds 11 nx - 4 doubles.
  *
- * Returns DONE after the step that solves level 0; ALARM with *stop = s
- * when the solved level s is the first that is not finite; SINGULAR with
- * *stop = s when the matrix of the step that solves level s is singular. */
+ * Returns DONE after the step that solves level 0; SINGULAR with *stop =
+ * nt - s when the matrix of the step that solves level s is singular;
+ * ALARM with *stop = nt - s when the solved level s is not finite, after
+ * writing its traces and its row of phi. */
 int adjoint_march(int nx, int nt, double r, double c, double dt,
                   const interp *alpha_p, const interp *b0, const interp *bL,
                   const double *U, const ptrdiff_t *start, const ptrdiff_t *node,
@@ -417,21 +418,17 @@ int adjoint_march(int nx, int nt, double r, double c, double dt,
         for (int j = 1; j < nx - 1; j++)
             q[j] = psi[j] + dt * row[j];
         q[nx - 1] = psi[nx - 1] + (dt * row[nx - 1]) * 2.0;
-        if (eliminate(nx, sub, diag, sup, q) != 0) {
-            *stop = lv;
-            return SINGULAR;
-        }
-        back_substitute(nx, sub, diag, sup, q, alpha_p,
-                        lv > 0 ? u - nx : NULL, alpha, ap_next);
+        if (eliminate(nx, sub, diag, sup, q) != 0)
+            return stopped(stop, nt - lv, SINGULAR);
+        int finite = back_substitute(nx, sub, diag, sup, q, alpha_p,
+                                     lv > 0 ? u - nx : NULL, alpha, ap_next);
         traces[2 * (long)lv] = q[0];
         traces[2 * (long)lv + 1] = q[nx - 1];
         if (phi)
             for (int j = 0; j < nx; j++)
                 phi[(long)lv * nx + j] = q[j];
-        if (!finite_level(nx, q)) {
-            *stop = lv;
-            return ALARM;
-        }
+        if (!finite)
+            return stopped(stop, nt - lv, ALARM);
         for (int j = 0; j < nx - 1; j++)
             pd[j] = q[j + 1] - q[j];
         double q0 = q[0], qL = q[nx - 1], dq0 = pd[0], dqL = pd[nx - 2];

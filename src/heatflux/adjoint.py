@@ -55,17 +55,16 @@ the tangent step on the same numbers by construction. The tangent march
 step it subtracts the transport correction, takes the linearized wall
 fluxes off the wall entries, and solves in the next level of its field.
 Its wall sources, grad_beta(u) . h, are numpy dots, one per level and wall,
-formed before the call, and it checks through `forward._check_levels` on a
-singular step and once after its last step. The adjoint march
-(`solve_adjoint`) is one C call per solve too, backward over the whole
-trajectory: per step it sums the point sources of the level
-(`observation.adjoint_source`) into a zero row in list order, adds the
-weighted row to the carried level, solves, keeps the solved level's two
-wall entries and carries it through the transposed transport correction
-and the two Robin walls. No level of phi is stored; the tests read every
-level through the `phi` window the call fills when given one. The loop
-stops on a singular step and at its first non-finite solved level, and
-`solve_adjoint` raises at that step, as a per-step check would.
+formed before the call. The adjoint march (`solve_adjoint`) is one C call
+per solve too, backward over the whole trajectory: per step it sums the
+point sources of the level (`observation.adjoint_source`) into a zero row
+in list order, adds the weighted row to the carried level, solves, keeps
+the solved level's two wall entries and carries it through the transposed
+transport correction and the two Robin walls. No level of phi is stored;
+the tests read every level through the `phi` window the call fills when
+given one. Both stop as the state march does, at a singular step or at
+their first non-finite solved level, where `marchlib` raises
+`DivergenceError`.
 `assemble_gradient` sums the weighted traces over the levels in one
 compiled pass per wall, one band of at most four entries per level, with
 the bits of the dense rows of `pchip.grad_wrt_values_many` summed by numpy;
@@ -78,7 +77,7 @@ import numpy as np
 
 from . import marchlib, pchip
 from .errors import ValidationError
-from .forward import EnthalpyField, Grid, _check_levels, _divergence, solve_ibvp
+from .forward import EnthalpyField, Grid, solve_ibvp
 from .material import MaterialModel
 from .observation import Measurement, adjoint_source, observe
 from .pchip import FluxParameter, flux_interpolants
@@ -116,7 +115,7 @@ def solve_sensitivity(
     U = np.ascontiguousarray(u.values)
     # The wall sources grad_beta(u) . h of each step: one BLAS dot per row,
     # whose summation order the C loop could not repeat. A non-finite one is
-    # left to the level check, so it must not warn.
+    # left to the march's stop, so it must not warn.
     G0 = pchip.grad_wrt_values_many(b0, U[:-1, 0], clamp=True)
     GL = pchip.grad_wrt_values_many(bL, U[:-1, -1], clamp=True)
     src = np.empty((g.nt, 2))
@@ -125,10 +124,7 @@ def solve_sensitivity(
             src[k] = G0[k] @ h[:n], GL[k] @ h[n:]
     W = np.zeros((g.nt + 1, g.nx))
     interps = [marchlib.interpolant(p) for p in (m.diffusivity, b0, bL)]
-    singular = marchlib.tangent_march(W, U, src, g.dt / g.dx**2, 2.0 * g.dt / g.dx, *interps)
-    if singular is not None:
-        _check_levels(W[1 : singular + 1], 1, singular=singular + 1)
-    _check_levels(W[1:], 1)
+    marchlib.tangent_march(W, U, src, g.dt / g.dx**2, 2.0 * g.dt / g.dx, *interps)
     return EnthalpyField(g, W)
 
 
@@ -150,7 +146,7 @@ def solve_adjoint(u: EnthalpyField, m: MaterialModel, fp: FluxParameter, source,
     interps = [marchlib.interpolant(p) for p in (m.diffusivity, b0, bL)]
     traces = np.empty((g.nt + 1, 2))
     try:
-        stop, level = marchlib.adjoint_march(
+        marchlib.adjoint_march(
             np.ascontiguousarray(u.values), start, node, value, g.dt / g.dx**2,
             2.0 * g.dt / g.dx, g.dt, *interps, traces, phi,
         )
@@ -158,8 +154,6 @@ def solve_adjoint(u: EnthalpyField, m: MaterialModel, fp: FluxParameter, source,
         raise ValidationError(
             f"source or phi does not fit the {g.nt + 1} x {g.nx} grid: {exc}"
         ) from None
-    if stop != marchlib.DONE:
-        raise _divergence(g.nt - level, singular=stop == marchlib.SINGULAR)
     return traces
 
 

@@ -27,16 +27,12 @@ level keeps its bits. Its linearization, the tangent march and its
 transpose, lives in `adjoint`; both of those compiled marches fill each
 step's bands with the state march's band fill.
 
-All three marches solve alike: each right-hand side is formed in the
-buffer it is solved in, and solved there by the dgtsv port, and each
-raises `DivergenceError` (`_divergence`) at the step a per-step test of
-every solved level would give. The state and tangent marches solve in the
-rows of their output and find that step with `_check_levels`: the state
-march when a wall value of a level is not finite (its compiled loop stops
-there, before any flux is evaluated on it), on a singular step and once
-after its last step; the tangent march on a singular step and once after
-its last step. The adjoint's compiled loop tests each level as it solves
-it and stops at a singular step or at the first non-finite level.
+All three marches solve alike and stop alike: each right-hand side is
+formed in the buffer it is solved in and solved there by the dgtsv port,
+whose back substitution tests every entry it solves, and the march stops
+at a singular step or at its first non-finite solved level, where
+`marchlib` raises `DivergenceError`. So the state march evaluates the
+boundary fluxes on finite wall values only.
 """
 
 from __future__ import annotations
@@ -47,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import marchlib
-from .errors import DivergenceError, ValidationError
+from .errors import ValidationError
 from .material import MaterialModel
 from .pchip import FluxParameter, flux_interpolants
 
@@ -95,35 +91,6 @@ class EnthalpyField:
             raise ValidationError(f"field shape {vals.shape} != grid shape {expected}")
 
 
-def _divergence(step: int, singular: bool = False) -> DivergenceError:
-    """The error a march raises at `step`: its solved level is not finite,
-    or, with `singular`, its step matrix is singular."""
-    what = "singular step matrix" if singular else "solution became non-finite"
-    return DivergenceError(f"{what} at time step {step}", step=step)
-
-
-def _check_levels(levels: np.ndarray, first_step: int, singular: int | None = None) -> None:
-    """Raise `DivergenceError` for the solved levels of a march, `levels` in
-    march order, row i solved by step first_step + i: at the first non-finite
-    row, else at step `singular` (whose step matrix was singular) when it is
-    given; else return.
-
-    The state and tangent marches check here once their compiled loop has
-    stopped, on their whole field or on the levels before the step they
-    stopped at. Such a loop runs on past a non-finite level (the state
-    march up to the next non-finite wall value), so this reports the first
-    one. One BLAS reduction clears a finite run: NaN and inf propagate
-    through it, and a non-finite dot of huge finite levels falls back to
-    the exact elementwise scan.
-    """
-    if not math.isfinite(np.vdot(levels, levels)):
-        bad = np.flatnonzero(~np.isfinite(levels).all(axis=1))
-        if bad.size:
-            raise _divergence(first_step + int(bad[0]))
-    if singular is not None:
-        raise _divergence(singular, singular=True)
-
-
 def solve_ibvp(m: MaterialModel, fp: FluxParameter, u0, g: Grid) -> EnthalpyField:
     """March the nonlinear state equation forward over the whole grid.
 
@@ -131,8 +98,9 @@ def solve_ibvp(m: MaterialModel, fp: FluxParameter, u0, g: Grid) -> EnthalpyFiel
     material's enthalpy range). Boundary fluxes and diffusivities are
     evaluated on the previous level with clamped interpolation, so transient
     excursions beyond the tabulated ranges stay well defined. The march
-    stops with `DivergenceError` at the first non-finite level, and the
-    boundary fluxes are only ever evaluated at finite wall values.
+    stops with `DivergenceError` at a singular step or at the first
+    non-finite level, so the boundary fluxes are only ever evaluated at
+    finite wall values.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (g.nx,):
@@ -149,15 +117,7 @@ def solve_ibvp(m: MaterialModel, fp: FluxParameter, u0, g: Grid) -> EnthalpyFiel
 
     U = np.empty((g.nt + 1, g.nx))
     U[0] = u0
-    # The compiled loop stops at a level with a non-finite wall value and at
-    # a singular step; `_check_levels` raises at the step a per-step check
-    # would give, and after the last step it finds a non-finite level the
-    # walls never showed.
-    interps = [marchlib.interpolant(p) for p in (m.diffusivity, b0, bL)]
-    stop, n = marchlib.forward_march(U, r, c, *interps)
-    if stop != marchlib.DONE:
-        _check_levels(U[1 : n + 1], 1, singular=n + 1 if stop == marchlib.SINGULAR else None)
-    _check_levels(U[1:], 1)
+    marchlib.forward_march(U, r, c, *(marchlib.interpolant(p) for p in (m.diffusivity, b0, bL)))
     return EnthalpyField(g, U)
 
 

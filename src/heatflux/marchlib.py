@@ -14,6 +14,13 @@ that called LAPACK. No module of the package imports LAPACK or scipy; the
 library also exports the port as `tridiagonal_solve(n, dl, d, du, b)`,
 which returns dgtsv's info, for the tests that hold it to LAPACK's dgtsv.
 
+The three marches stop by one rule: the back substitution tests every
+entry it solves, and a loop stops at a singular step or at its first
+non-finite solved level and returns a stop code with that step, counted
+from 1 in march order. This module alone reads the codes: each march
+wrapper raises `DivergenceError` at that step (`_raise_on_stop`) and
+returns None when the march ran to its end.
+
 The library is compiled on first use with `COMPILE` (`-O3`, no fused
 multiply-adds; a C compiler `cc` must be on the path) and cached as
 `march-<key>.so` in `$XDG_CACHE_HOME/heatflux` (by default
@@ -45,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BuildError
+from .errors import BuildError, DivergenceError
 from .pchip import EQUIDISTANT_RTOL, Pchip
 
 SOURCE = Path(__file__).with_name("_march.c")
@@ -55,8 +62,8 @@ SOURCE = Path(__file__).with_name("_march.c")
 # depend on the CPU that built it.
 COMPILE = ("cc", "-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
-# Stop codes of the C loops, and the type of the adjoint's level pointers and
-# contribution nodes (ptrdiff_t in C).
+# Stop codes of the C loops (`_raise_on_stop`), and the type of the adjoint's
+# level pointers and contribution nodes (ptrdiff_t in C).
 DONE, ALARM, SINGULAR = 0, 1, 2
 INDEX = np.dtype(np.intp)
 
@@ -161,38 +168,47 @@ def interpolant(p: Pchip) -> Interp:
     return built
 
 
-def forward_march(U, r: float, c: float, alpha: Interp, b0: Interp,
-                  bL: Interp) -> tuple[int, int]:
+def _raise_on_stop(code: int, stop: ctypes.c_int) -> None:
+    """Raise `DivergenceError` for a C loop that returned `code` with the
+    step it stopped at, counted from 1 in march order, in `stop`: its step
+    matrix was singular (SINGULAR) or its solved level not finite (ALARM).
+    Return when it ran to the end (DONE)."""
+    if code != DONE:
+        what = "singular step matrix" if code == SINGULAR else "solution became non-finite"
+        raise DivergenceError(f"{what} at time step {stop.value}", step=stop.value)
+
+
+def forward_march(U, r: float, c: float, alpha: Interp, b0: Interp, bL: Interp) -> None:
     """Run `forward_march` of `_march.c` on the field U, whose level 0 is
-    set. Returns (stop code, step)."""
+    set and finite."""
     lib, stop = _library(), ctypes.c_int()
     nt, nx = U.shape[0] - 1, U.shape[1]
     work = np.empty(5 * nx - 3)
     code = lib.forward_march(nx, nt, r, c, alpha, b0, bL, _addr(U, U.shape),
                              _addr(work, work.shape), stop)
-    return code, stop.value
+    _raise_on_stop(code, stop)
 
 
 def tangent_march(W, U, src, r: float, c: float, alpha: Interp, b0: Interp,
-                  bL: Interp) -> int | None:
+                  bL: Interp) -> None:
     """Run `tangent_march` of `_march.c` on the field W, whose level 0 is
     set, along the trajectory U of its shape, with the (nt, 2) wall sources
-    `src`; returns the step whose matrix was singular, or None."""
+    `src`."""
     lib, stop = _library(), ctypes.c_int()
     nt, nx = W.shape[0] - 1, W.shape[1]
     work = np.empty(7 * nx - 4)
     code = lib.tangent_march(nx, nt, r, c, alpha, b0, bL, _addr(U, W.shape),
                              _addr(W, W.shape), _addr(src, (nt, 2)),
                              _addr(work, work.shape), stop)
-    return stop.value if code == SINGULAR else None
+    _raise_on_stop(code, stop)
 
 
 def adjoint_march(U, start, node, value, r: float, c: float, dt: float, alpha: Interp,
-                  b0: Interp, bL: Interp, traces, phi=None) -> tuple[int, int]:
+                  b0: Interp, bL: Interp, traces, phi=None) -> None:
     """Run `adjoint_march` of `_march.c` along the trajectory U with the
     point sources (start, node, value): the (nt+1, 2) `traces` receive the
     wall entries of every level of phi, and `phi`, when given, every level
-    (U's shape). Returns (stop code, level)."""
+    (U's shape), up to the level it stops at."""
     lib, stop = _library(), ctypes.c_int()
     levels, nx = U.shape
     k = node.size
@@ -208,7 +224,7 @@ def adjoint_march(U, start, node, value, r: float, c: float, dt: float, alpha: I
         raise ValueError(f"level pointer outside the {k} contributions")
     code = lib.adjoint_march(nx, levels - 1, r, c, dt, alpha, b0, bL, *addrs,
                              _addr(work, work.shape), stop)
-    return code, stop.value
+    _raise_on_stop(code, stop)
 
 
 def assemble_gradient(U, traces, dt: float, b0: Interp, bL: Interp) -> np.ndarray:

@@ -1,13 +1,16 @@
-"""Layering: the numerical modules do no file work, and one module builds
-and calls the compiled marches.
+"""Layering: the numerical modules do no file work, one module builds and
+calls the compiled marches, and no module reaches into another's private
+names.
 
 The file formats live in `cli` (measurement and result files) and `config`
 (config files and input tables); the pipeline's modules see arrays only.
 `marchlib` alone starts the compiler and talks to the compiled library;
-`forward`, `adjoint` and `pchip` reach it through `marchlib` only. No module
-imports scipy: every tridiagonal solve runs in the compiled loops, on the
-library's own port of LAPACK's dgtsv, and scipy is a dependency of the
-tests and the benchmark only.
+`forward`, `adjoint` and `pchip` reach it through `marchlib` only, and only
+`marchlib` reads the C loops' stop codes, which it turns into
+`DivergenceError`. No module imports a `_`-prefixed name from another
+module of the package. No module imports scipy: every tridiagonal solve
+runs in the compiled loops, on the library's own port of LAPACK's dgtsv,
+and scipy is a dependency of the tests and the benchmark only.
 """
 
 import ast
@@ -23,6 +26,8 @@ import heatflux
 NUMERIC_MODULES = ["pchip", "material", "forward", "observation", "adjoint", "optimizer"]
 FILE_MODULES = {"csv", "io", "json"}
 NATIVE_MODULES = {"ctypes", "subprocess"}
+STOP_CODES = {"DONE", "ALARM", "SINGULAR"}
+PACKAGE = Path(heatflux.__file__).parent
 
 
 def imported_names(path: Path) -> set:
@@ -70,3 +75,30 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     done = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(source)}, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "heatflux"
+            ):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [part for alias in node.names if alias.name.startswith("heatflux.")
+                         for part in alias.name.split(".")]
+            else:
+                continue
+            private.update(f"{path.stem}: {name}" for name in names if name.startswith("_"))
+    assert private == set()
+
+
+def test_only_the_loader_reads_the_stop_codes():
+    users = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name in STOP_CODES or isinstance(node, ast.alias) and node.name in STOP_CODES:
+                users.add(path.stem)
+    assert users == {"marchlib"}

@@ -20,10 +20,10 @@ entries of each level's `pchip.grad_wrt_values_many` row, compiled, and
 must give the bytes of the dense reduction it replaced (`dense_gradient`)
 on every case, on walls on flux knots, outside the partition, with knots
 no wall reaches and on non-finite input. Every march solves each step in
-place: the state and tangent marches raise through `forward._check_levels`
-on a singular step and after their last step (the forward march also at a
-level with a non-finite wall value), and the adjoint's compiled loop stops
-at a singular step and at its first non-finite solved level.
+place and stops by one rule: its back substitution tests every entry it
+solves, and the compiled loop stops at a singular step or at its first
+non-finite solved level, at an interior node as on a wall, and `marchlib`
+raises `DivergenceError` at that step.
 The adjoint keeps only its wall traces; the tests read every level of phi
 through the window `solve_adjoint` fills when given one, and feed it a
 source on every level or, as the sensors do, on some levels only: every
@@ -675,21 +675,6 @@ def test_forward_divergence_at_the_last_step_matches_plain_code(builtin_material
     assert got.value.step == want.value.step == g.nt
 
 
-def test_forward_scan_back_finds_an_interior_first_level():
-    # Level 5 goes non-finite at an interior node only, so its walls raise
-    # no alarm; the whole of level 6 follows. The check the alarm at level 6
-    # makes, and the one after the last step, must find level 5; finite
-    # levels must pass.
-    U = np.ones((9, 7))
-    U[5, 3] = np.nan
-    U[6:] = np.inf
-    forward._check_levels(U[1:5], 1)
-    for k in (5, 6, 8):
-        with pytest.raises(DivergenceError) as got:
-            forward._check_levels(U[1 : k + 1], 1)
-        assert got.value.step == 5
-
-
 @pytest.mark.parametrize(
     "source_level, row, step, message",
     [
@@ -738,23 +723,27 @@ def test_tangent_singular_step_raises_at_its_step(singular_level_case, hot_level
 
 
 @pytest.mark.parametrize(
-    "levels, s",
+    "levels, s, node",
     [
-        (7, 120),  # the last step the march takes
-        (7, 119),
-        (7, 113),
-        (9, 119),
+        (7, 120, 0),  # the last step the march takes
+        (7, 119, 0),
+        (7, 113, 0),
+        (9, 119, 0),
+        (7, 120, 15),  # an interior node: no wall value of U is non-finite
+        (7, 113, 15),
     ],
+    ids=["7-120", "7-119", "7-113", "9-119", "7-120-interior", "7-113-interior"],
 )
-def test_tangent_divergence_step_at_block_edges(marches, levels, s):
-    # An inf on the x = 0 wall of trajectory levels s .. s + levels - 1
-    # (those that exist): the march meets the block at its lower edge, level
-    # s, which makes the state increment of the step that ends there
-    # non-finite, so level s of W is the first non-finite one: the tangent
-    # march raises at its step, s, as the plain per-step code does.
+def test_tangent_divergence_step_at_block_edges(marches, levels, s, node):
+    # An inf at `node` (the x = 0 wall or an interior node) of trajectory
+    # levels s .. s + levels - 1 (those that exist): the march meets the
+    # block at its lower edge, level s, which makes the state increment of
+    # the step that ends there non-finite, so level s of W is the first
+    # non-finite one: the tangent march raises at its step, s, as the plain
+    # per-step code does.
     m, fp, field, _, _ = marches["exact"]
     U = field.values.copy()
-    U[s : s + levels, 0] = np.inf
+    U[s : s + levels, node] = np.inf
     u = forward.EnthalpyField(GRID, U)
     h = np.random.default_rng(9).standard_normal(2 * fp.n)
     with pytest.raises(DivergenceError, match="non-finite") as got:

@@ -1,12 +1,17 @@
 """The loader of the compiled march library: its cache, its build error, a
 compile of its source with warnings as errors, the shipped optimized build
-held to an unoptimized one bit for bit, the interpolants it keeps
-and the argument checks that guard the C code's raw pointers; and the library's
-tridiagonal solve, the port of LAPACK's dgtsv that every march step calls,
-held to scipy's dgtsv bit for bit (scipy is imported by the tests only)."""
+held to an unoptimized one bit for bit and at every stop, a run of the march
+tests on a build under the address and undefined-behaviour sanitizers, the
+interpolants it keeps and the argument checks that guard the C code's raw
+pointers; and the library's tridiagonal solve, the port of LAPACK's dgtsv
+that every march step calls, held to scipy's dgtsv bit for bit (scipy is
+imported by the tests only)."""
 
 import itertools
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +19,8 @@ from scipy.linalg.lapack import dgtsv
 
 from heatflux import adjoint, forward, marchlib, observation, pchip
 from heatflux.config import ExperimentConfig, exact_flux_parameter, inversion_partition
-from heatflux.errors import BuildError
-from heatflux.forward import Grid
+from heatflux.errors import BuildError, DivergenceError
+from heatflux.forward import EnthalpyField, Grid
 
 
 @pytest.mark.parametrize("command", [("false",), ("heatflux-no-such-compiler", "-O2")])
@@ -59,6 +64,25 @@ def test_source_compiles_without_warnings(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def compile_source(path, level, *flags):
+    """`_march.c` compiled into `path` with `COMPILE`'s flags, the
+    optimization `level` for its -O flag and `flags` added; returns path."""
+    command = [level if flag.startswith("-O") else flag for flag in marchlib.COMPILE]
+    done = subprocess.run([*command, *flags, "-o", str(path), str(marchlib.SOURCE)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return path
+
+
+@pytest.fixture(scope="module")
+def unoptimized(tmp_path_factory):
+    """The library built at -O0 with the shipped flags otherwise: no fused
+    multiply-adds, so the optimizer may reorder no floating-point operation,
+    and the shipped build must give every byte and every stop it gives."""
+    assert "-O3" in marchlib.COMPILE and "-ffp-contract=off" in marchlib.COMPILE
+    return marchlib._load(compile_source(tmp_path_factory.mktemp("O0") / "march.so", "-O0"))
+
+
 def march_outputs(m, fp, u0, g, source):
     """Every array the four compiled functions give on one case: the state
     field, the tangent field along it in a random direction, every level of
@@ -71,20 +95,10 @@ def march_outputs(m, fp, u0, g, source):
     return [field.values, W.values, phi, traces, adjoint.assemble_gradient(traces, field, fp)]
 
 
-def test_marches_match_an_unoptimized_build_bitwise(tmp_path, monkeypatch, builtin_material):
-    # The shipped library against the same source built at -O0 with the
-    # shipped flags otherwise: no fused multiply-adds, so the optimizer may
-    # reorder no floating-point operation, and every byte must agree. On the
-    # march tests' grid (c = 33), at the exact fluxes, random ones and the
-    # steep box corner where c*beta' exceeds 2, with a dense adjoint source.
-    assert "-O3" in marchlib.COMPILE and "-ffp-contract=off" in marchlib.COMPILE
-    command = ["-O0" if flag.startswith("-O") else flag for flag in marchlib.COMPILE]
-    path = tmp_path / "march-O0.so"
-    done = subprocess.run([*command, "-o", str(path), str(marchlib.SOURCE)],
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    unoptimized = marchlib._load(path)
-
+def test_marches_match_an_unoptimized_build_bitwise(monkeypatch, builtin_material, unoptimized):
+    # On the march tests' grid (c = 33), at the exact fluxes, random ones
+    # and the steep box corner where c*beta' exceeds 2, with a dense adjoint
+    # source.
     cfg = ExperimentConfig()
     g = Grid(L=0.05, T=3.3, nx=31, nt=120)
     part, bmax = inversion_partition(cfg), cfg.beta_max
@@ -104,6 +118,77 @@ def test_marches_match_an_unoptimized_build_bitwise(tmp_path, monkeypatch, built
         got = march_outputs(builtin_material, fp, u0, g, source)
         for name, a, b in zip(("state", "tangent", "phi", "traces", "gradient"), got, want):
             assert a.tobytes() == b.tobytes(), name
+
+
+def divergence(solve):
+    """The step and the message of the `DivergenceError` that `solve()`
+    raises."""
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as got:
+        solve()
+    return got.value.step, str(got.value)
+
+
+def test_march_stops_match_an_unoptimized_build(monkeypatch, builtin_material,
+                                                singular_level_case, unoptimized):
+    # Each march's stop on both builds: the state march where c*beta
+    # overflows (both fluxes 1e307 below 5.2e9), the adjoint at an inf in
+    # its source, and the tangent march, in a direction whose boundary
+    # source overflows, at a non-finite level and at a singular step.
+    cfg = ExperimentConfig()
+    g = Grid(L=0.05, T=3.3, nx=31, nt=120)
+    exact = exact_flux_parameter(cfg)
+    part = exact.partition
+    u0 = np.full(g.nx, cfg.u0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hot = pchip.FluxParameter(np.where(np.tile(part, 2) < 5.2e9, 1e307, exact.beta), part, 1e307)
+    field = forward.solve_ibvp(builtin_material, exact, u0, g)
+    levels = g.nt + 1
+    value = np.random.default_rng(19).standard_normal(levels * g.nx)
+    value[40 * g.nx + 3] = np.inf
+    source = observation.PointSources(np.arange(levels + 1) * g.nx,
+                                      np.tile(np.arange(g.nx), levels), value)
+    sg, sm, su, sfp = singular_level_case
+    h = np.zeros(2 * sfp.n)
+    h[sfp.n - 1] = 1e308
+    hot_level = su.values.copy()
+    hot_level[2] = 2.0
+    cases = [
+        lambda: forward.solve_ibvp(builtin_material, hot, u0, g),
+        lambda: adjoint.solve_adjoint(field, builtin_material, exact, source),
+        lambda: adjoint.solve_sensitivity(EnthalpyField(sg, hot_level), sm, sfp, h),
+        lambda: adjoint.solve_sensitivity(su, sm, sfp, h),
+    ]
+    shipped = [divergence(case) for case in cases]
+    assert [message.split(" at ")[0] for _, message in shipped] == [
+        "solution became non-finite"] * 3 + ["singular step matrix"]
+    monkeypatch.setattr(marchlib, "_library", lambda: unoptimized)
+    assert [divergence(case) for case in cases] == shipped
+
+
+def test_march_tests_pass_under_the_sanitizers(tmp_path):
+    # `_march.c` built at -O1 with the shipped flags otherwise under the
+    # address and undefined-behaviour sanitizers (float casts that overflow
+    # included), every report fatal, and put where the loader finds the
+    # shipped build; the march, state and adjoint tests then run on it in
+    # a fresh interpreter. The dgtsv port's comparison with LAPACK on
+    # non-finite systems (`tests/test_marchlib.py`) stays out: which NaN a
+    # product returns hangs on the registers the compiler picks, and the
+    # sanitizer build picks others.
+    runtime = Path(subprocess.run(["cc", "-print-file-name=libasan.so"], capture_output=True,
+                                  text=True, timeout=120).stdout.strip())
+    if not (runtime.is_absolute() and runtime.is_file()):
+        pytest.skip("the C compiler has no AddressSanitizer runtime (libasan.so) to preload")
+    shipped = marchlib.build(tmp_path / "heatflux")
+    compile_source(shipped, "-O1", "-fsanitize=address,undefined,float-cast-overflow",
+                   "-fno-sanitize-recover=all")
+    root = Path(__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "XDG_CACHE_HOME": str(tmp_path),
+           "LD_PRELOAD": str(runtime), "ASAN_OPTIONS": "detect_leaks=0"}
+    tests = ["tests/test_march_kernels.py", "tests/test_forward.py", "tests/test_adjoint.py"]
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, (done.stdout + done.stderr)[-4000:]
+    assert list(shipped.parent.iterdir()) == [shipped]  # no other build was loaded
 
 
 def test_interpolant_is_built_once_per_pchip():
@@ -156,12 +241,12 @@ def adjoint_args():
 def test_adjoint_march_runs_on_valid_arguments():
     args = adjoint_args()
     phi = np.full((4, 5), np.nan)
-    assert marchlib.adjoint_march(**args, phi=phi) == (marchlib.DONE, 0)
+    assert marchlib.adjoint_march(**args, phi=phi) is None
     traces = args["traces"]
     assert np.isfinite(phi).all() and (phi[3] == 0.0).all() and (phi[2] != 0.0).all()
     assert traces.tobytes() == phi[:, [0, -1]].tobytes()
     again = adjoint_args()
-    assert marchlib.adjoint_march(**again) == (marchlib.DONE, 0)
+    assert marchlib.adjoint_march(**again) is None
     assert again["traces"].tobytes() == traces.tobytes()
 
 
@@ -244,6 +329,29 @@ def test_tangent_march_refuses_a_misshapen_array(name, value):
     args[name] = value
     with pytest.raises(ValueError, match="C-contiguous"):
         marchlib.tangent_march(**args)
+
+
+def test_marches_stop_at_a_level_that_overflows_at_one_node():
+    # Two steps on 5 nodes with r = 1 on the flat diffusivity, and a wall
+    # term of 1.5e308 at x = 0 on the first step of each march (the flux
+    # there, the tangent's wall source, the adjoint's point source): the
+    # elimination stays finite and only the back substitution's last
+    # division, at node 0, overflows. Each march must stop at that level,
+    # step 1, not at the next one, which the infinite wall entry spoils.
+    p, hot = marchlib.interpolant(FLAT), pchip.Pchip([0.0, 1.0, 2.0], [1.5e308] * 3)
+    U, W, phi = np.zeros((3, 5)), np.zeros((3, 5)), np.zeros((3, 5))
+    src = np.array([[1.5e308, 0.0], [0.0, 0.0]])
+    start, node = np.array([0, 0, 0, 1], dtype=marchlib.INDEX), np.zeros(1, dtype=marchlib.INDEX)
+    marches = [
+        (lambda: marchlib.forward_march(U, 1.0, 1.0, p, marchlib.interpolant(hot), p), U[1]),
+        (lambda: marchlib.tangent_march(W, np.zeros((3, 5)), src, 1.0, 1.0, p, p, p), W[1]),
+        (lambda: marchlib.adjoint_march(np.zeros((3, 5)), start, node, np.array([0.75e308]),
+                                        1.0, 1.0, 1.0, p, p, p, np.empty((3, 2)), phi), phi[1]),
+    ]
+    for march, level in marches:
+        with pytest.raises(DivergenceError, match="non-finite at time step 1$"):
+            march()
+        assert np.isinf(level[0]) and np.isfinite(level[1:]).all()
 
 
 def test_forward_march_refuses_a_fortran_ordered_field():
