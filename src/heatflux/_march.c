@@ -18,7 +18,9 @@
  * the adjoint step, both read. Each loop is one call per solve: the
  * adjoint march walks the whole trajectory backward, adds each level's
  * sensor residual from a list of point sources as it goes, and keeps only
- * the level it solves and the wall traces.
+ * the level it solves and the wall traces. One row function (`value_row`)
+ * gives both linearized boundary terms, the tangent's wall sources and the
+ * gradient assembly, their row of value sensitivities.
  *
  * One stop rule for the three loops: the back substitution tests every
  * entry it solves, and a loop stops at a singular step (SINGULAR) or at
@@ -313,28 +315,68 @@ static void wall_slopes(int nx, const interp *b0, const interp *bL,
     march_eval(bL, u[nx - 1], bLp);
 }
 
+/* The row d p(x) / d values of the interpolant's values at the point x
+ * (clamped), with the operations of `pchip.grad_wrt_values_many`: t = (xc
+ * - x_i) / h, the Hermite weights, and H3 J[i] + H4 J[i+1] over columns i
+ * - 1 .. i + 2 with phi_s and phi_t added after them. Sets *i to the
+ * interval and band to those <= 4 entries (a column outside [0, n) is not
+ * in the row), and returns the row's every other entry, H3 0 + H4 0: a
+ * signed zero, NaN on a NaN x. Both linearized boundary terms read it: the
+ * tangent's wall sources and the gradient assembly. */
+static inline double value_row(const interp *p, double x, long *i, double band[4])
+{
+    double xc = locate(p, x, i);
+    double t = (xc - ROW(p, 0, *i)) / p->h;
+    double s = 1.0 - t;
+    double phi_s = s * s * (3.0 - 2.0 * s);
+    double phi_t = t * t * (3.0 - 2.0 * t);
+    double H3 = -p->h * s * s * (s - 1.0);
+    double H4 = p->h * t * t * (t - 1.0);
+    const double *J0 = p->jac + *i * 5, *J1 = J0 + 5;
+    for (int o = 0; o < 4; o++)
+        band[o] = H3 * J0[1 + o] + H4 * J1[o];
+    band[1] += phi_s;
+    band[2] += phi_t;
+    return H3 * 0.0 + H4 * 0.0;
+}
+
+/* The wall source of a tangent step: the dense `value_row` at the wall
+ * value x times the direction's values h, summed in column order from
+ * +0.0. The zeros off the band are multiplied too, so an inf or NaN
+ * anywhere in h gives NaN, as a dot product does. */
+static double wall_source(const interp *p, double x, const double *h)
+{
+    long i, n = p->intervals + 1;
+    double band[4], sum = 0.0;
+    double off = value_row(p, x, &i, band);
+    for (long j = 0; j < n; j++)
+        sum += (j >= i - 1 && j <= i + 2 ? band[j - i + 1] : off) * h[j];
+    return sum;
+}
+
 /* The tangent march on the (nt+1) x nx field W, whose level 0 is given,
- * along the trajectory U of the same shape, with the wall sources of step
- * k in src[2k] (x = 0) and src[2k + 1] (x = L). Step k takes the
+ * along the trajectory U of the same shape, in the direction h of the flux
+ * values, those of b0 first and those of bL after them. Step k takes the
  * coefficients of level k of U and the increments du of level k + 1, and
  * forms in level k + 1 of W the level k less its transport correction,
  * with pw2[j] = ap[j] w[j] + ap[j+1] w[j+1]: ((-r) du[0]) pw2[0] on the
  * first row, (r/2) (du[j-1] pw2[j-1] - du[j] pw2[j]) inside and
  * (r du[nx-2]) pw2[nx-2] on the last; then it takes c (beta' w + src) off
- * each wall entry and solves there. Its back substitution evaluates the
- * diffusivity and its slope on level k + 1 of U, which pw2 no longer
- * needs. `work` holds 7 nx - 4 doubles.
+ * each wall entry, src the `wall_source` of level k, and solves there.
+ * Its back substitution evaluates the diffusivity and its slope on level
+ * k + 1 of U, which pw2 no longer needs. `work` holds 7 nx - 4 doubles.
  *
  * Returns DONE after step nt - 1; SINGULAR with *stop = k + 1 when the
  * matrix of step k is singular; ALARM with *stop = k + 1 when level k + 1
  * of W is not finite. */
 int tangent_march(int nx, int nt, double r, double c, const interp *alpha_p,
                   const interp *b0, const interp *bL, const double *U,
-                  double *W, const double *src, double *work, int *stop)
+                  double *W, const double *h, double *work, int *stop)
 {
     const double half_r = 0.5 * r;
     double *alpha = work, *ap = alpha + nx, *s = ap + nx, *sup = s + nx - 1;
     double *sub = sup + nx - 1, *diag = sub + nx - 1, *pw2 = diag + nx;
+    const double *hL = h + b0->intervals + 1;
 
     level_coefficients(nx, alpha_p, U, alpha, ap);
     for (int k = 0; k < nt; k++) {
@@ -350,8 +392,8 @@ int tangent_march(int nx, int nt, double r, double c, const interp *alpha_p,
                                       - (un[j + 1] - un[j]) * pw2[j]);
         rhs[0] = w[0] - ((-r) * (un[1] - un[0])) * pw2[0];
         rhs[nx - 1] = w[nx - 1] - (r * (un[nx - 1] - un[nx - 2])) * pw2[nx - 2];
-        rhs[0] -= c * (b0p * w[0] + src[2 * k]);
-        rhs[nx - 1] -= c * (bLp * w[nx - 1] + src[2 * k + 1]);
+        rhs[0] -= c * (b0p * w[0] + wall_source(b0, u[0], h));
+        rhs[nx - 1] -= c * (bLp * w[nx - 1] + wall_source(bL, u[nx - 1], hL));
         if (eliminate(nx, sub, diag, sup, rhs) != 0)
             return stopped(stop, k + 1, SINGULAR);
         if (!back_substitute(nx, sub, diag, sup, rhs, alpha_p,
@@ -447,16 +489,12 @@ int adjoint_march(int nx, int nt, double r, double c, double dt,
 }
 
 /* One wall's half of `adjoint.assemble_gradient`: g = -sum over the levels
- * q of G[q] (w[q] trace[q]), where G[q] is the row `pchip.grad_wrt_values_many`
- * gives for the wall value x[q] (clamped) and w is dt on every level but
- * the last, where it is 0. Each row is formed with that function's
- * operations (t = (xc - x_i) / h, the Hermite weights, the <= 4 band
- * entries of H3 J[i] + H4 J[i+1] with phi_s and phi_t added after them),
- * and each entry times w trace is added to a +0.0 accumulator in level
- * order, as numpy's axis-0 sum adds the rows. The dense row's other
- * entries are H3 0 + H4 0, a zero times a finite weight, and a zero
- * leaves a sum that started at +0.0 as it is; only a NaN there (from a
- * NaN wall value or a non-finite weight) is added to them. */
+ * q of G[q] (w[q] trace[q]), where G[q] is the `value_row` of the wall
+ * value x[q] and w is dt on every level but the last, where it is 0. Each
+ * band entry times w trace is added to a +0.0 accumulator in level order,
+ * as numpy's axis-0 sum adds the dense rows. The row's other entries, a
+ * signed zero times a finite weight, leave such a sum as it is; only a NaN
+ * there (from a NaN wall value or a non-finite weight) is added to them. */
 static void assemble_wall(int levels, const double *x, long x_stride,
                           const double *trace, double dt, const interp *p,
                           double *g)
@@ -466,26 +504,14 @@ static void assemble_wall(int levels, const double *x, long x_stride,
         g[j] = 0.0;
     for (int q = 0; q < levels; q++) {
         long i;
-        double xc = locate(p, x[q * x_stride], &i);
-        double t = (xc - ROW(p, 0, i)) / p->h;
-        double s = 1.0 - t;
-        double phi_s = s * s * (3.0 - 2.0 * s);
-        double phi_t = t * t * (3.0 - 2.0 * t);
-        double H3 = -p->h * s * s * (s - 1.0);
-        double H4 = p->h * t * t * (t - 1.0);
-        double wt = (q < levels - 1 ? dt : 0.0) * trace[2 * q];
-        const double *J0 = p->jac + i * 5, *J1 = J0 + 5;
         double band[4];
-        for (int o = 0; o < 4; o++)
-            band[o] = H3 * J0[1 + o] + H4 * J1[o];
-        band[1] += phi_s;
-        band[2] += phi_t;
+        double wt = (q < levels - 1 ? dt : 0.0) * trace[2 * q];
+        double off = value_row(p, x[q * x_stride], &i, band) * wt;
         for (int o = 0; o < 4; o++) {
             long j = i - 1 + o;
             if (j >= 0 && j < n)
                 g[j] += band[o] * wt;
         }
-        double off = (H3 * 0.0 + H4 * 0.0) * wt;
         if (isnan(off))
             for (long j = 0; j < n; j++)
                 if (j < i - 1 || j > i + 2)

@@ -54,28 +54,30 @@ the tangent step on the same numbers by construction. The tangent march
 (`solve_sensitivity`; only tests call it) is one C call per solve: per
 step it subtracts the transport correction, takes the linearized wall
 fluxes off the wall entries, and solves in the next level of its field.
-Its wall sources, grad_beta(u) . h, are numpy dots, one per level and wall,
-formed before the call. The adjoint march (`solve_adjoint`) is one C call
-per solve too, backward over the whole trajectory: per step it sums the
-point sources of the level (`observation.adjoint_source`) into a zero row
-in list order, adds the weighted row to the carried level, solves, keeps
-the solved level's two wall entries and carries it through the transposed
-transport correction and the two Robin walls. No level of phi is stored;
+It forms each wall source, grad_beta(u) . h, inside the loop: the row of
+value sensitivities at the wall value, the row the gradient assembly reads
+too, times h, summed in column order, so no BLAS kernel decides its bits.
+The adjoint march (`solve_adjoint`) is one C call per solve too, backward
+over the whole trajectory: per step it sums the point sources of the level
+(`observation.adjoint_source`) into a zero row in list order, adds the
+weighted row to the carried level, solves, keeps the solved level's two
+wall entries and carries it through the transposed transport correction
+and the two Robin walls. No level of phi is stored;
 the tests read every level through the `phi` window the call fills when
 given one. Both stop as the state march does, at a singular step or at
 their first non-finite solved level, where `marchlib` raises
 `DivergenceError`.
 `assemble_gradient` sums the weighted traces over the levels in one
 compiled pass per wall, one band of at most four entries per level, with
-the bits of the dense rows of `pchip.grad_wrt_values_many` summed by numpy;
-no (nt+1) x n matrix is built.
+the bits of the dense rows of `pchip.grad_wrt_values_many` summed by numpy.
+Neither linearized boundary term builds an nt x n matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import marchlib, pchip
+from . import marchlib
 from .errors import ValidationError
 from .forward import EnthalpyField, Grid, solve_ibvp
 from .material import MaterialModel
@@ -104,27 +106,18 @@ def solve_sensitivity(
     the exact derivative of the corresponding state step: implicit diffusion
     with the same interface means, advective coefficient feedback and flux
     linearization frozen at the previous level. Linearity in `h` is exact.
-    The field lives on the trajectory's grid.
+    The field lives on the trajectory's grid. A non-finite entry of `h`,
+    in the band of the wall value or not, makes that wall's source
+    non-finite, and the march stops at step 1.
     """
     g = u.grid
-    h = np.asarray(h, dtype=float)
-    n = fp.n
-    if h.shape != (2 * n,):
-        raise ValidationError(f"direction must have shape ({2 * n},)")
-    b0, bL = flux_interpolants(fp)
-    U = np.ascontiguousarray(u.values)
-    # The wall sources grad_beta(u) . h of each step: one BLAS dot per row,
-    # whose summation order the C loop could not repeat. A non-finite one is
-    # left to the march's stop, so it must not warn.
-    G0 = pchip.grad_wrt_values_many(b0, U[:-1, 0], clamp=True)
-    GL = pchip.grad_wrt_values_many(bL, U[:-1, -1], clamp=True)
-    src = np.empty((g.nt, 2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(g.nt):
-            src[k] = G0[k] @ h[:n], GL[k] @ h[n:]
+    h = np.ascontiguousarray(h, dtype=float)
+    if h.shape != (2 * fp.n,):
+        raise ValidationError(f"direction must have shape ({2 * fp.n},)")
     W = np.zeros((g.nt + 1, g.nx))
-    interps = [marchlib.interpolant(p) for p in (m.diffusivity, b0, bL)]
-    marchlib.tangent_march(W, U, src, g.dt / g.dx**2, 2.0 * g.dt / g.dx, *interps)
+    interps = [marchlib.interpolant(p) for p in (m.diffusivity, *flux_interpolants(fp))]
+    marchlib.tangent_march(W, np.ascontiguousarray(u.values), h, g.dt / g.dx**2,
+                           2.0 * g.dt / g.dx, *interps)
     return EnthalpyField(g, W)
 
 

@@ -161,7 +161,11 @@ def _read_measurement(data_dir: Path) -> tuple[observation.Measurement, tuple]:
         raise ValidationError(f"{meta_path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{meta_path}: malformed noise record ({exc})") from exc
-    return meas, (meta.get("sim_nx"), meta.get("sim_nt"))
+    sim = (meta.get("sim_nx"), meta.get("sim_nt"))
+    for key, value in zip(("sim_nx", "sim_nt"), sim):
+        if key in meta and type(value) is not int:
+            raise ValidationError(f"{meta_path}: {key} must be an integer, got {value!r}")
+    return meas, sim
 
 
 def _check_inverse_crime(cfg: ExperimentConfig, sim: tuple, allow: bool) -> None:

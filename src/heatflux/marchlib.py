@@ -189,16 +189,17 @@ def forward_march(U, r: float, c: float, alpha: Interp, b0: Interp, bL: Interp) 
     _raise_on_stop(code, stop)
 
 
-def tangent_march(W, U, src, r: float, c: float, alpha: Interp, b0: Interp,
+def tangent_march(W, U, h, r: float, c: float, alpha: Interp, b0: Interp,
                   bL: Interp) -> None:
     """Run `tangent_march` of `_march.c` on the field W, whose level 0 is
-    set, along the trajectory U of its shape, with the (nt, 2) wall sources
-    `src`."""
+    set, along the trajectory U of its shape, in the direction h of the
+    flux values, those at x = 0 first; the march forms each step's two wall
+    sources, grad_beta(u) . h, from h."""
     lib, stop = _library(), ctypes.c_int()
     nt, nx = W.shape[0] - 1, W.shape[1]
     work = np.empty(7 * nx - 4)
     code = lib.tangent_march(nx, nt, r, c, alpha, b0, bL, _addr(U, W.shape),
-                             _addr(W, W.shape), _addr(src, (nt, 2)),
+                             _addr(W, W.shape), _addr(h, (b0.intervals + bL.intervals + 2,)),
                              _addr(work, work.shape), stop)
     _raise_on_stop(code, stop)
 

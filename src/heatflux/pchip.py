@@ -22,10 +22,10 @@ power of two, so huge values give finite slopes with the bits of exact
 arithmetic; values near the float range whose secants, end slopes or cubic
 coefficients overflow even so are refused. The module also
 provides the sensitivity of the interpolated value with respect to the data
-values (`grad_wrt_values_many`, from the stored banded slope Jacobian),
-which the tangent march relies on and whose arithmetic the compiled adjoint
-gradient assembly repeats band by band, and a nested-partition refinement
-loop (`refine_to_tolerance`).
+values (`grad_wrt_values_many`, from the stored banded slope Jacobian), the
+reference for the compiled row (`value_row` in `_march.c`) that the tangent
+march's wall sources and the adjoint gradient assembly read with its
+operations, and a nested-partition refinement loop (`refine_to_tolerance`).
 
 `FluxParameter` bundles the two boundary heat-flux value vectors that the
 inverse solver optimizes, together with their shared enthalpy partition and

@@ -182,6 +182,21 @@ class TestAdjointField:
         assert traces.shape == (g.nt + 1, 2)
         assert peak <= 2 * traces.nbytes
 
+    def test_tangent_march_holds_only_its_field(self, builtin_material):
+        # On the default inversion grid (91 x 3300) the march forms each
+        # step's wall sources from the direction inside the compiled loop, so
+        # its heap peak is the field W it returns and a few levels of work
+        # space (1.003x the field); two dense nt x n matrices of wall
+        # sensitivities would add 0.45x the field each.
+        cfg = config.ExperimentConfig()
+        g = config.inv_grid(cfg)
+        fp = config.exact_flux_parameter(cfg)
+        field = forward.solve_ibvp(builtin_material, fp, np.full(g.nx, cfg.u0), g)
+        h = np.random.default_rng(4).standard_normal(2 * fp.n)
+        peak, W = heap_peak(adjoint.solve_sensitivity, field, builtin_material, fp, h)
+        assert W.values.shape == field.values.shape
+        assert peak <= 1.1 * W.values.nbytes
+
     def test_gradient_holds_no_trajectory_sized_array(self, builtin_material):
         # One gradient on the default twin data at 91 x 3300: the point
         # sources (with the injection tables this first gradient on the spec

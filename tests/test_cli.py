@@ -212,6 +212,23 @@ class TestInvert:
         assert main(["invert", "--config", str(cfg_path)]) == 2
         assert not (out_dir / "beta.json").exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("sim_nx", "41"), ("sim_nt", "400"), ("sim_nx", 41.0), ("sim_nt", True),
+         ("sim_nx", None)],
+        ids=["nx-text", "nt-text", "nx-float", "nt-bool", "nx-null"],
+    )
+    def test_bad_grid_record_exits_2(self, simulated, key, value):
+        # A text grid record used to exit 0: the inverse-crime check compared
+        # 41 with "41" and skipped the refusal. An absent record is allowed.
+        cfg_path, out_dir = simulated
+        meta = out_dir / "meta.json"
+        record = json.loads(meta.read_text())
+        record[key] = value
+        meta.write_text(json.dumps(record))
+        assert main(["invert", "--config", str(cfg_path)]) == 2
+        assert not (out_dir / "beta.json").exists()
+
     def test_noisy_row_of_wrong_length_exits_2(self, simulated):
         # Formerly reported as a non-numeric cell.
         cfg_path, out_dir = simulated

@@ -10,7 +10,9 @@ The file formats live in `cli` (measurement and result files) and `config`
 `DivergenceError`. No module imports a `_`-prefixed name from another
 module of the package. No module imports scipy: every tridiagonal solve
 runs in the compiled loops, on the library's own port of LAPACK's dgtsv,
-and scipy is a dependency of the tests and the benchmark only.
+and scipy is a dependency of the tests and the benchmark only. The march
+pipeline (`forward`, `observation`, `adjoint`) calls no BLAS either, whose
+summation order depends on the CPU's kernel.
 """
 
 import ast
@@ -27,6 +29,8 @@ NUMERIC_MODULES = ["pchip", "material", "forward", "observation", "adjoint", "op
 FILE_MODULES = {"csv", "io", "json"}
 NATIVE_MODULES = {"ctypes", "subprocess"}
 STOP_CODES = {"DONE", "ALARM", "SINGULAR"}
+MARCH_MODULES = ["forward", "observation", "adjoint"]
+BLAS_NAMES = {"dot", "vdot", "linalg"}
 PACKAGE = Path(heatflux.__file__).parent
 
 
@@ -102,3 +106,18 @@ def test_only_the_loader_reads_the_stop_codes():
             if name in STOP_CODES or isinstance(node, ast.alias) and node.name in STOP_CODES:
                 users.add(path.stem)
     assert users == {"marchlib"}
+
+
+@pytest.mark.parametrize("module", MARCH_MODULES)
+def test_march_pipeline_calls_no_blas(module):
+    # No matrix product and no np.dot, np.vdot or np.linalg: OpenBLAS picks
+    # the order of such a sum by CPU, so the marches' bytes would too.
+    uses = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            uses.add(f"@ at line {node.lineno}")
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            uses.add(f"{node.attr} at line {node.lineno}")
+        elif isinstance(node, ast.alias) and set(node.name.split(".")) & BLAS_NAMES:
+            uses.add(f"import {node.name} at line {node.lineno}")
+    assert uses == set()

@@ -15,11 +15,16 @@ step's frozen coefficients from the trajectory level the step starts from:
 the diffusivity and its slope, the same band fill and the flux slopes; then
 the transport, wall, Robin and source factors in the order the numpy
 products used. The adjoint sums each level's point sources into a zero row
-in list order. `adjoint.assemble_gradient` sums the at most four band
-entries of each level's `pchip.grad_wrt_values_many` row, compiled, and
-must give the bytes of the dense reduction it replaced (`dense_gradient`)
-on every case, on walls on flux knots, outside the partition, with knots
-no wall reaches and on non-finite input. Every march solves each step in
+in list order. Both linearized boundary terms read one compiled row of
+value sensitivities, with the operations of `pchip.grad_wrt_values_many`:
+the tangent march's wall sources are that whole row times the direction,
+summed in column order from +0.0 (`in_order_dot` in the plain march), so
+they have the same bytes under any BLAS kernel, and a non-finite entry of
+the direction outside the row's band still stops the march.
+`adjoint.assemble_gradient` sums the at most four band entries of each
+level's row, and must give the bytes of the dense reduction it replaced
+(`dense_gradient`) on every case, on walls on flux knots, outside the
+partition, with knots no wall reaches and on non-finite input. Every march solves each step in
 place and stops by one rule: its back substitution tests every entry it
 solves, and the compiled loop stops at a singular step or at its first
 non-finite solved level, at an interior node as on a wall, and `marchlib`
@@ -56,6 +61,10 @@ step is the volume-weighted transpose of a tangent step.
 """
 
 import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,6 +235,17 @@ def adjoint_levels(u, m, fp, source):
     return phi
 
 
+def in_order_dot(row, v):
+    """sum(row[j] v[j]) added in column order to an accumulator that starts
+    at +0.0, as Python floats (`sum` compensates since Python 3.12, and
+    `np.cumsum` starts from the first term, keeping a -0.0 that +0.0
+    drops)."""
+    total = 0.0
+    for a, b in zip(row.tolist(), v.tolist()):
+        total += a * b
+    return total
+
+
 def plain_solve_sensitivity(u, m, fp, h, g):
     b0, bL = pchip.flux_interpolants(fp)
     n = fp.n
@@ -240,8 +260,8 @@ def plain_solve_sensitivity(u, m, fp, h, g):
         wn = W[k]
         plain_bands(ab, amid[k], r)
         rhs = wn - plain_transport_apply(ap[k], du[k + 1], wn, r)
-        rhs[0] -= c * (b0p[k] * wn[0] + float(G0[k] @ h[:n]))
-        rhs[-1] -= c * (bLp[k] * wn[-1] + float(GL[k] @ h[n:]))
+        rhs[0] -= c * (b0p[k] * wn[0] + in_order_dot(G0[k], h[:n]))
+        rhs[-1] -= c * (bLp[k] * wn[-1] + in_order_dot(GL[k], h[n:]))
         W[k + 1] = plain_step(ab, rhs, k + 1)
     return W
 
@@ -357,6 +377,72 @@ def test_tangent_march_matches_plain_code(marches, name):
     got = adjoint.solve_sensitivity(field, m, fp, h)
     want = plain_solve_sensitivity(field, m, fp, h, GRID)
     assert got.values.tobytes() == want.tobytes()
+
+
+def test_tangent_march_sums_the_dense_row_of_each_wall_source(marches):
+    # The only non-finite entry of the direction lies outside both wall
+    # bands of the first step: there, at the exact fluxes, both walls sit in
+    # the last interval of the partition, whose band reaches back to the
+    # third last value only. The row's zeros still multiply h, and 0 inf is
+    # NaN, as a dot product gives it, so the march stops at its first step.
+    m, fp, field, _, _ = marches["exact"]
+    assert (field.values[0, [0, -1]] >= fp.partition[-2]).all()
+    h = np.zeros(2 * fp.n)
+    h[0] = np.inf
+    with pytest.raises(DivergenceError, match="non-finite at time step 1$"):
+        adjoint.solve_sensitivity(field, m, fp, h)
+    with pytest.raises(DivergenceError, match="non-finite at time step 1$"):
+        plain_solve_sensitivity(field, m, fp, h, GRID)
+
+
+KERNEL_PROGRAM = """
+import hashlib, sys
+import numpy as np
+from heatflux import adjoint, config, forward, material
+from heatflux.forward import Grid
+cfg = config.ExperimentConfig()
+m = material.builtin_material()
+g = Grid(L=0.05, T=3.3, nx=31, nt=120)
+fp = config.exact_flux_parameter(cfg)
+u = forward.solve_ibvp(m, fp, np.full(g.nx, cfg.u0), g)
+h = np.random.default_rng(9).standard_normal(2 * fp.n)
+sys.stdout.write(hashlib.sha256(adjoint.solve_sensitivity(u, m, fp, h).values.tobytes()).hexdigest())
+"""
+
+
+def cpu_flags():
+    """The CPU's feature flags as Linux lists them, or an empty set."""
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    return {flag for line in text.splitlines() if line.startswith("flags")
+            for flag in line.split(":", 1)[1].split()}
+
+
+def test_tangent_march_is_the_same_under_two_blas_kernels():
+    # An OpenBLAS built with DYNAMIC_ARCH picks its kernels by CPU at run
+    # time, and OPENBLAS_CORETYPE forces one. The SSE2 kernel (Prescott)
+    # and an AVX one sum a dot product in different orders; the march uses
+    # no BLAS, so the tangent field at the exact fluxes, in a random
+    # direction, has the same bytes under both.
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        pytest.skip("numpy's BLAS is not an OpenBLAS DYNAMIC_ARCH build")
+    flags = cpu_flags()
+    wide = "Haswell" if "avx2" in flags else "Sandybridge" if "avx" in flags else None
+    if wide is None:
+        pytest.skip("the CPU offers no AVX kernel to compare with the SSE2 one")
+    source = str(Path(adjoint.__file__).parent.parent)
+    digests = []
+    for kernel in ("Prescott", wide):
+        env = {**os.environ, "PYTHONPATH": source, "OPENBLAS_CORETYPE": kernel,
+               "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-c", KERNEL_PROGRAM], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout)
+    assert digests[0] == digests[1]
 
 
 def assert_dual(field, m, fp, pair, dense):

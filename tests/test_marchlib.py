@@ -296,11 +296,12 @@ def test_adjoint_march_refuses_an_index_out_of_range(name, index, value, message
 
 def tangent_args(nt=3, nx=5):
     """Valid arguments of `marchlib.tangent_march`: nt steps on nx nodes
-    along a flat trajectory, with a wall source on the first step."""
+    along a flat trajectory at the left knot of `FLAT`, where the row of
+    value sensitivities is (1, 0, 0), in a direction that gives each step
+    the wall sources 1 and -1."""
     p = marchlib.interpolant(FLAT)
-    src = np.zeros((nt, 2))
-    src[0] = 1.0, -1.0
-    return dict(W=np.zeros((nt + 1, nx)), U=np.zeros((nt + 1, nx)), src=src,
+    h = np.array([1.0, 0.0, 0.0, -1.0, 0.0, 0.0])
+    return dict(W=np.zeros((nt + 1, nx)), U=np.zeros((nt + 1, nx)), h=h,
                 r=1.0, c=1.0, alpha=p, b0=p, bL=p)
 
 
@@ -316,13 +317,13 @@ def test_tangent_march_runs_on_valid_arguments():
     [
         ("W", np.zeros((4, 6))),  # more nodes than the trajectory
         ("U", np.zeros((3, 5))),  # as many trajectory levels as steps, not one more
-        ("src", np.zeros((4, 2))),  # a source row for the last level too
-        ("src", np.zeros((3, 3))),  # three walls
+        ("h", np.zeros(5)),  # one flux value short
+        ("h", np.zeros((2, 3))),  # the two fluxes' values as rows
         ("W", np.zeros((4, 5), dtype=np.float32)),
         ("U", np.zeros((4, 5), order="F")),
-        ("src", np.zeros((2, 3)).T),
+        ("h", np.zeros(12)[::2]),
     ],
-    ids=["W-shape", "U-levels", "src-levels", "src-walls", "W-dtype", "U-fortran", "src-fortran"],
+    ids=["W-shape", "U-levels", "h-length", "h-2d", "W-dtype", "U-fortran", "h-strided"],
 )
 def test_tangent_march_refuses_a_misshapen_array(name, value):
     args = tangent_args()
@@ -334,17 +335,18 @@ def test_tangent_march_refuses_a_misshapen_array(name, value):
 def test_marches_stop_at_a_level_that_overflows_at_one_node():
     # Two steps on 5 nodes with r = 1 on the flat diffusivity, and a wall
     # term of 1.5e308 at x = 0 on the first step of each march (the flux
-    # there, the tangent's wall source, the adjoint's point source): the
+    # there; the tangent's wall source, the row (1, 0, 0) of a wall at the
+    # left knot of FLAT times h; the adjoint's point source): the
     # elimination stays finite and only the back substitution's last
     # division, at node 0, overflows. Each march must stop at that level,
     # step 1, not at the next one, which the infinite wall entry spoils.
     p, hot = marchlib.interpolant(FLAT), pchip.Pchip([0.0, 1.0, 2.0], [1.5e308] * 3)
     U, W, phi = np.zeros((3, 5)), np.zeros((3, 5)), np.zeros((3, 5))
-    src = np.array([[1.5e308, 0.0], [0.0, 0.0]])
+    h = np.array([1.5e308, 0.0, 0.0, 0.0, 0.0, 0.0])
     start, node = np.array([0, 0, 0, 1], dtype=marchlib.INDEX), np.zeros(1, dtype=marchlib.INDEX)
     marches = [
         (lambda: marchlib.forward_march(U, 1.0, 1.0, p, marchlib.interpolant(hot), p), U[1]),
-        (lambda: marchlib.tangent_march(W, np.zeros((3, 5)), src, 1.0, 1.0, p, p, p), W[1]),
+        (lambda: marchlib.tangent_march(W, np.zeros((3, 5)), h, 1.0, 1.0, p, p, p), W[1]),
         (lambda: marchlib.adjoint_march(np.zeros((3, 5)), start, node, np.array([0.75e308]),
                                         1.0, 1.0, 1.0, p, p, p, np.empty((3, 2)), phi), phi[1]),
     ]
