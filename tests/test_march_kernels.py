@@ -24,11 +24,11 @@ the direction outside the row's band still stops the march.
 `adjoint.assemble_gradient` sums the at most four band entries of each
 level's row, and must give the bytes of the dense reduction it replaced
 (`dense_gradient`) on every case, on walls on flux knots, outside the
-partition, with knots no wall reaches and on non-finite input. Every march solves each step in
-place and stops by one rule: its back substitution tests every entry it
-solves, and the compiled loop stops at a singular step or at its first
-non-finite solved level, at an interior node as on a wall, and `marchlib`
-raises `DivergenceError` at that step.
+partition, with knots no wall reaches and on non-finite input. Every
+march solves each step in place and stops by one rule: its back
+substitution tests every entry it solves, and the compiled loop stops at
+a singular step or at its first non-finite solved level, at an interior
+node as on a wall, and `marchlib` raises `DivergenceError` at that step.
 The adjoint keeps only its wall traces; the tests read every level of phi
 through the window `solve_adjoint` fills when given one, and feed it a
 source on every level or, as the sensors do, on some levels only: every
