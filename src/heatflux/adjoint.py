@@ -71,6 +71,11 @@ their first non-finite solved level, where `marchlib` raises
 compiled pass per wall, one band of at most four entries per level, with
 the bits of the dense rows of `pchip.grad_wrt_values_many` summed by numpy.
 Neither linearized boundary term builds an nt x n matrix.
+
+Each function here hands `marchlib` the diffusivity and flux interpolants
+it holds, with the field, the direction or the traces made C-contiguous;
+`marchlib` refuses with `ValidationError` a direction, a source, a `phi`
+or traces that do not fit the grid, so nothing here checks them again.
 """
 
 from __future__ import annotations
@@ -78,7 +83,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import marchlib
-from .errors import ValidationError
 from .forward import EnthalpyField, Grid, solve_ibvp
 from .material import MaterialModel
 from .observation import Measurement, adjoint_source, observe
@@ -111,13 +115,10 @@ def solve_sensitivity(
     non-finite, and the march stops at step 1.
     """
     g = u.grid
-    h = np.ascontiguousarray(h, dtype=float)
-    if h.shape != (2 * fp.n,):
-        raise ValidationError(f"direction must have shape ({2 * fp.n},)")
     W = np.zeros((g.nt + 1, g.nx))
-    interps = [marchlib.interpolant(p) for p in (m.diffusivity, *flux_interpolants(fp))]
-    marchlib.tangent_march(W, np.ascontiguousarray(u.values), h, g.dt / g.dx**2,
-                           2.0 * g.dt / g.dx, *interps)
+    marchlib.tangent_march(W, np.ascontiguousarray(u.values), np.ascontiguousarray(h, dtype=float),
+                           g.dt / g.dx**2, 2.0 * g.dt / g.dx, m.diffusivity,
+                           *flux_interpolants(fp))
     return EnthalpyField(g, W)
 
 
@@ -135,18 +136,10 @@ def solve_adjoint(u: EnthalpyField, m: MaterialModel, fp: FluxParameter, source,
     """
     g = u.grid
     start, node, value = map(np.asarray, source)
-    b0, bL = flux_interpolants(fp)
-    interps = [marchlib.interpolant(p) for p in (m.diffusivity, b0, bL)]
     traces = np.empty((g.nt + 1, 2))
-    try:
-        marchlib.adjoint_march(
-            np.ascontiguousarray(u.values), start, node, value, g.dt / g.dx**2,
-            2.0 * g.dt / g.dx, g.dt, *interps, traces, phi,
-        )
-    except ValueError as exc:
-        raise ValidationError(
-            f"source or phi does not fit the {g.nt + 1} x {g.nx} grid: {exc}"
-        ) from None
+    marchlib.adjoint_march(np.ascontiguousarray(u.values), start, node, value, g.dt / g.dx**2,
+                           2.0 * g.dt / g.dx, g.dt, m.diffusivity, *flux_interpolants(fp),
+                           traces, phi)
     return traces
 
 
@@ -169,14 +162,9 @@ def assemble_gradient(traces: np.ndarray, u: EnthalpyField, fp: FluxParameter) -
     wall value or a non-finite trace, and then added too), which leave such
     a sum as it is; so the result has the dense reduction's bits.
     """
-    g = u.grid
-    traces = np.ascontiguousarray(traces, dtype=float)
-    if traces.shape != (g.nt + 1, 2):
-        raise ValidationError(f"traces must have shape {(g.nt + 1, 2)}")
-    b0, bL = flux_interpolants(fp)
-    return marchlib.assemble_gradient(
-        np.ascontiguousarray(u.values), traces, g.dt, *map(marchlib.interpolant, (b0, bL))
-    )
+    return marchlib.assemble_gradient(np.ascontiguousarray(u.values),
+                                      np.ascontiguousarray(traces, dtype=float), u.grid.dt,
+                                      *flux_interpolants(fp))
 
 
 def compute_gradient(

@@ -15,17 +15,19 @@ trapezoid weights the scheme satisfies the discrete energy identity
 
 exactly, which mirrors the continuous energy balance of the model.
 
-The step loop runs compiled (`marchlib`, `_march.c`). Per step it
-fills the bands of I + r K from the sums of neighbouring diffusivities,
-evaluates the two boundary fluxes as `pchip.eval` does (clamped, from the
-interval table the interpolant was built with), forms the right-hand side
-in the next level of the output field and solves it there with the
-library's port of LAPACK's dgtsv, whose back substitution evaluates the
-diffusivity of each node of the new level as soon as the node is solved,
-for the next step: the numpy march's operations in its order, so every
-level keeps its bits. Its linearization, the tangent march and its
-transpose, lives in `adjoint`; both of those compiled marches fill each
-step's bands with the state march's band fill.
+The step loop runs compiled (`marchlib`, `_march.c`): `solve_ibvp`
+validates the initial level and hands `marchlib` the field, the step
+constants and the interpolants of the diffusivity and the two fluxes. Per
+step the loop fills the bands of I + r K from the sums of neighbouring
+diffusivities, evaluates the two boundary fluxes as `pchip.eval` does
+(clamped, from the interval table the interpolant was built with), forms
+the right-hand side in the next level of the output field and solves it
+there with the library's port of LAPACK's dgtsv, whose back substitution
+evaluates the diffusivity of each node of the new level as soon as the
+node is solved, for the next step: the numpy march's operations in its
+order, so every level keeps its bits. Its linearization, the tangent march
+and its transpose, lives in `adjoint`; both of those compiled marches fill
+each step's bands with the state march's band fill.
 
 All three marches solve alike and stop alike: each right-hand side is
 formed in the buffer it is solved in and solved there by the dgtsv port,
@@ -111,13 +113,10 @@ def solve_ibvp(m: MaterialModel, fp: FluxParameter, u0, g: Grid) -> EnthalpyFiel
     if (u0 < umin - 1e-9 * umax).any() or (u0 > umax * (1 + 1e-12)).any():
         raise ValidationError("u0 outside the material enthalpy range")
 
-    b0, bL = flux_interpolants(fp)
-    r = g.dt / g.dx**2
-    c = 2.0 * g.dt / g.dx
-
     U = np.empty((g.nt + 1, g.nx))
     U[0] = u0
-    marchlib.forward_march(U, r, c, *(marchlib.interpolant(p) for p in (m.diffusivity, b0, bL)))
+    marchlib.forward_march(U, g.dt / g.dx**2, 2.0 * g.dt / g.dx, m.diffusivity,
+                           *flux_interpolants(fp))
     return EnthalpyField(g, U)
 
 

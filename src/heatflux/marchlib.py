@@ -5,20 +5,23 @@ adjoint marches, and the compiled gradient assembly (`_march.c`).
 its whole tangent march, `adjoint.solve_adjoint` its whole adjoint march,
 point sources included, and `adjoint.assemble_gradient` its sum over the
 levels, one C call each; this module builds that library, loads it and
-calls it, and keeps each interpolant's C view (`interpolant`) on the
-interpolant. The C code does the numpy code's operations in the same
-order, with no fused multiply-adds, and the loops solve with the library's
-own port of LAPACK's `dgtsv`, which does dgtsv's operations in dgtsv's
-order, so the marches and the gradient keep every bit of the numpy code
-that called LAPACK. No module of the package imports LAPACK or scipy; the
+calls it. Its wrappers take the diffusivity and the two fluxes as
+`pchip.Pchip`s and make their C views themselves (`interpolant`, built once
+and kept on the interpolant), so the callers hand over what they hold and
+know nothing of the library's types. The C code does the numpy code's
+operations in the same order, with no fused multiply-adds, and the loops
+solve with the library's own port of LAPACK's `dgtsv`, which does dgtsv's
+operations in dgtsv's order, so the marches and the gradient keep every
+bit of the numpy code that called LAPACK. No module of the package imports LAPACK or scipy; the
 library also exports the port as `tridiagonal_solve(n, dl, d, du, b)`,
 which returns dgtsv's info, for the tests that hold it to LAPACK's dgtsv.
 
 The three marches stop by one rule: the back substitution tests every
 entry it solves, and a loop stops at a singular step or at its first
 non-finite solved level and returns a stop code with that step, counted
-from 1 in march order. This module alone reads the codes: each march
-wrapper raises `DivergenceError` at that step (`_raise_on_stop`) and
+from 1 in march order. This module alone reads the codes: the three march
+wrappers make their call through one function (`_march`), which passes
+the work buffer and the stop, raises `DivergenceError` at that step and
 returns None when the march ran to its end.
 
 The library is compiled on first use with `COMPILE` (`-O3`, no fused
@@ -36,7 +39,8 @@ failed build raises `BuildError`, which names the command.
 The C code writes through raw pointers, so every wrapper here checks the
 shape, dtype and contiguity of each array it passes (`_addr`) and the range
 of every index the C code follows (the adjoint's level pointers and
-contribution nodes), and raises `ValueError` before the call.
+contribution nodes), and raises `ValidationError` before the call; the
+callers do not check again.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BuildError, DivergenceError
+from .errors import BuildError, DivergenceError, ValidationError
 from .pchip import EQUIDISTANT_RTOL, Pchip
 
 SOURCE = Path(__file__).with_name("_march.c")
@@ -62,7 +66,7 @@ SOURCE = Path(__file__).with_name("_march.c")
 # depend on the CPU that built it.
 COMPILE = ("cc", "-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
-# Stop codes of the C loops (`_raise_on_stop`), and the type of the adjoint's
+# Stop codes of the C loops (`_march`), and the type of the adjoint's
 # level pointers and contribution nodes (ptrdiff_t in C).
 DONE, ALARM, SINGULAR = 0, 1, 2
 INDEX = np.dtype(np.intp)
@@ -148,8 +152,8 @@ def _addr(a: np.ndarray, shape: tuple, dtype=np.float64) -> int:
     """The address of `a`, checked to be the C-contiguous array of this shape
     and type that the C loops read or write."""
     if a.shape != shape or a.dtype != dtype or not a.flags.c_contiguous:
-        raise ValueError(f"the compiled marches need a C-contiguous {np.dtype(dtype)} "
-                         f"array of shape {shape}, got {a.dtype} {a.shape}")
+        raise ValidationError(f"the compiled marches need a C-contiguous {np.dtype(dtype)} "
+                              f"array of shape {shape}, got {a.dtype} {a.shape}")
     return a.ctypes.data
 
 
@@ -168,73 +172,65 @@ def interpolant(p: Pchip) -> Interp:
     return built
 
 
-def _raise_on_stop(code: int, stop: ctypes.c_int) -> None:
-    """Raise `DivergenceError` for a C loop that returned `code` with the
-    step it stopped at, counted from 1 in march order, in `stop`: its step
-    matrix was singular (SINGULAR) or its solved level not finite (ALARM).
-    Return when it ran to the end (DONE)."""
+def _march(name: str, size: int, *args) -> None:
+    """Call the C march `name` with `args`, then a work buffer of `size`
+    doubles and the stop step. Raise `DivergenceError` when the march
+    stopped, counted from 1 in march order: its step matrix was singular
+    (SINGULAR) or its solved level not finite (ALARM). Return when it ran
+    to the end (DONE)."""
+    work, stop = np.empty(size), ctypes.c_int()  # both live until the call returns
+    code = getattr(_library(), name)(*args, work.ctypes.data, stop)
     if code != DONE:
         what = "singular step matrix" if code == SINGULAR else "solution became non-finite"
         raise DivergenceError(f"{what} at time step {stop.value}", step=stop.value)
 
 
-def forward_march(U, r: float, c: float, alpha: Interp, b0: Interp, bL: Interp) -> None:
+def forward_march(U, r: float, c: float, alpha: Pchip, b0: Pchip, bL: Pchip) -> None:
     """Run `forward_march` of `_march.c` on the field U, whose level 0 is
-    set and finite."""
-    lib, stop = _library(), ctypes.c_int()
+    set and finite, with the diffusivity `alpha` and the fluxes `b0` and
+    `bL`."""
     nt, nx = U.shape[0] - 1, U.shape[1]
-    work = np.empty(5 * nx - 3)
-    code = lib.forward_march(nx, nt, r, c, alpha, b0, bL, _addr(U, U.shape),
-                             _addr(work, work.shape), stop)
-    _raise_on_stop(code, stop)
+    _march("forward_march", 5 * nx - 3, nx, nt, r, c, *map(interpolant, (alpha, b0, bL)),
+           _addr(U, U.shape))
 
 
-def tangent_march(W, U, h, r: float, c: float, alpha: Interp, b0: Interp,
-                  bL: Interp) -> None:
+def tangent_march(W, U, h, r: float, c: float, alpha: Pchip, b0: Pchip, bL: Pchip) -> None:
     """Run `tangent_march` of `_march.c` on the field W, whose level 0 is
     set, along the trajectory U of its shape, in the direction h of the
     flux values, those at x = 0 first; the march forms each step's two wall
     sources, grad_beta(u) . h, from h."""
-    lib, stop = _library(), ctypes.c_int()
     nt, nx = W.shape[0] - 1, W.shape[1]
-    work = np.empty(7 * nx - 4)
-    code = lib.tangent_march(nx, nt, r, c, alpha, b0, bL, _addr(U, W.shape),
-                             _addr(W, W.shape), _addr(h, (b0.intervals + bL.intervals + 2,)),
-                             _addr(work, work.shape), stop)
-    _raise_on_stop(code, stop)
+    _march("tangent_march", 7 * nx - 4, nx, nt, r, c, *map(interpolant, (alpha, b0, bL)),
+           _addr(U, W.shape), _addr(W, W.shape), _addr(h, (b0.n + bL.n,)))
 
 
-def adjoint_march(U, start, node, value, r: float, c: float, dt: float, alpha: Interp,
-                  b0: Interp, bL: Interp, traces, phi=None) -> None:
+def adjoint_march(U, start, node, value, r: float, c: float, dt: float, alpha: Pchip,
+                  b0: Pchip, bL: Pchip, traces, phi=None) -> None:
     """Run `adjoint_march` of `_march.c` along the trajectory U with the
     point sources (start, node, value): the (nt+1, 2) `traces` receive the
     wall entries of every level of phi, and `phi`, when given, every level
     (U's shape), up to the level it stops at."""
-    lib, stop = _library(), ctypes.c_int()
     levels, nx = U.shape
     k = node.size
-    work = np.empty(11 * nx - 4)
     addrs = [_addr(U, U.shape), _addr(start, (levels + 1,), INDEX), _addr(node, (k,), INDEX),
              _addr(value, (k,)), _addr(traces, (levels, 2)),
              None if phi is None else _addr(phi, U.shape)]
     if k and (node.min() < 0 or node.max() >= nx):
-        raise ValueError(f"contribution node outside [0, {nx})")
+        raise ValidationError(f"contribution node outside [0, {nx})")
     if (np.diff(start) < 0).any():
-        raise ValueError("level pointer decreases")
+        raise ValidationError("level pointer decreases")
     if start[0] < 0 or start[-1] > k:
-        raise ValueError(f"level pointer outside the {k} contributions")
-    code = lib.adjoint_march(nx, levels - 1, r, c, dt, alpha, b0, bL, *addrs,
-                             _addr(work, work.shape), stop)
-    _raise_on_stop(code, stop)
+        raise ValidationError(f"level pointer outside the {k} contributions")
+    _march("adjoint_march", 11 * nx - 4, nx, levels - 1, r, c, dt,
+           *map(interpolant, (alpha, b0, bL)), *addrs)
 
 
-def assemble_gradient(U, traces, dt: float, b0: Interp, bL: Interp) -> np.ndarray:
+def assemble_gradient(U, traces, dt: float, b0: Pchip, bL: Pchip) -> np.ndarray:
     """Run `assemble_gradient` of `_march.c` on the trajectory U and the
     (levels, 2) wall traces; returns the gradient, the values of the flux
     at x = 0 first."""
-    lib = _library()
     levels, nx = U.shape
-    grad = np.empty((b0.intervals + 1) + (bL.intervals + 1))
-    lib.assemble_gradient(levels, nx, dt, _addr(U, U.shape), _addr(traces, (levels, 2)),
-                          b0, bL, _addr(grad, grad.shape))
+    grad = np.empty(b0.n + bL.n)
+    _library().assemble_gradient(levels, nx, dt, _addr(U, U.shape), _addr(traces, (levels, 2)),
+                                 interpolant(b0), interpolant(bL), grad.ctypes.data)
     return grad

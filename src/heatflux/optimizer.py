@@ -335,10 +335,16 @@ def make_pde_problem(
     The most recent state solve is cached by parameter bytes, so the
     gradient call following an accepted line-search trial reuses its field
     instead of repeating the forward solve.
+
+    Raises `ValidationError` when the readings' squared norm is zero or
+    overflows, since the objective cannot be normalized by it.
     """
     partition = np.asarray(partition, dtype=float)
     u0 = np.asarray(u0, dtype=float)
-    norm_y = float(np.sum(data.data**2))
+    with np.errstate(over="ignore"):
+        norm_y = float(np.sum(data.data**2))
+    if not 0.0 < norm_y < math.inf:
+        raise ValidationError(f"the readings' squared norm is {norm_y}, not finite and positive")
     scale = float(beta_max)
     cache: dict = {}
 

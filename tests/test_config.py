@@ -1,9 +1,10 @@
-"""Config parsing, derived experiment objects, and builtin flux profiles."""
+"""Config parsing, derived experiment objects, builtin flux profiles, and the
+flux and material tables the config reads."""
 
 import numpy as np
 import pytest
 
-from heatflux import config as config_mod, pchip
+from heatflux import config as config_mod, material, pchip
 from heatflux.config import ExperimentConfig, parse_config_text
 from heatflux.errors import ValidationError
 
@@ -284,3 +285,77 @@ class TestTables:
         cfg = ExperimentConfig(material_source=str(path))
         with pytest.raises(ValidationError, match="row 4 has 4 cells, not 3"):
             config_mod.load_configured_material(cfg)
+
+
+class TestFluxTables:
+    """Flux tables as the config reads them (`fluxes.source = csv`)."""
+
+    @staticmethod
+    def load(path) -> pchip.Pchip:
+        """The interpolant configured from the flux table at `path`."""
+        cfg = ExperimentConfig(
+            flux_source="csv", flux_beta0_csv=str(path), flux_betaL_csv=str(path)
+        )
+        return pchip.flux_interpolants(config_mod.exact_flux_parameter(cfg))[0]
+
+    def test_save_load_round_trip(self, write_csv):
+        p = pchip.Pchip(np.linspace(0.0, 2.0, 5), [0.0, 1.0, 0.5, 2.0, 2.0])
+        path = write_csv("p.csv", config_mod.FLUX_CSV_HEADER, zip(p.knots, p.values, p.slopes))
+        q = self.load(path)
+        assert np.array_equal(p.knots, q.knots)
+        assert np.array_equal(p.values, q.values)
+        assert np.array_equal(p.slopes, q.slopes)
+
+    def test_loaded_interpolant_is_the_built_one(self, write_csv):
+        # The slope column is not read: slopes that disagree with the values
+        # would make the value sensitivities differentiate another interpolant.
+        knots = np.linspace(0.0, 2.0, 5)
+        values = np.array([0.0, 1.0, 0.5, 2.0, 2.0])
+        path = write_csv(
+            "zero_slopes.csv", config_mod.FLUX_CSV_HEADER, zip(knots, values, np.zeros(5))
+        )
+        q = self.load(path)
+        p = pchip.Pchip(knots, values)
+        assert np.array_equal(q.slopes, p.slopes)
+        xs = np.linspace(0.0, 2.0, 41)
+        vq, dq = pchip.eval(q, xs)
+        vp, dp = pchip.eval(p, xs)
+        assert np.array_equal(vq, vp) and np.array_equal(dq, dp)
+        G = pchip.grad_wrt_values_many(q, xs)
+        assert np.abs(G @ values - vq).max() / np.abs(values).max() <= 1e-13
+
+    def test_load_rejects_wrong_header(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b,c\n1,2,3\n")
+        with pytest.raises(ValidationError):
+            self.load(path)
+
+    def test_load_rejects_non_numeric(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("knot,value,slope\n0.0,x,0.0\n")
+        with pytest.raises(ValidationError):
+            self.load(path)
+
+
+class TestMaterialTables:
+    """Material tables as the config reads them (`material.source = PATH`)."""
+
+    @staticmethod
+    def load(path) -> material.MaterialModel:
+        return config_mod.load_configured_material(ExperimentConfig(material_source=str(path)))
+
+    def test_save_load_round_trip(self, write_csv):
+        theta = material.THETA_REF + 100.0 * np.arange(6)
+        cap, cond = np.full(6, 2.0e6), np.full(6, 20.0)
+        cond = cond + np.linspace(0.0, 5.0, 6)
+        m = material.build_material(theta, cap, cond)
+        path = write_csv("mat.csv", config_mod.MATERIAL_CSV_HEADER, zip(theta, cap, cond))
+        q = self.load(path)
+        assert np.array_equal(m.diffusivity.knots, q.diffusivity.knots)
+        assert np.array_equal(m.diffusivity.values, q.diffusivity.values)
+
+    def test_load_rejects_wrong_header(self, tmp_path):
+        path = tmp_path / "mat.csv"
+        path.write_text("a,b\n1,2\n")
+        with pytest.raises(ValidationError):
+            self.load(path)

@@ -5,9 +5,10 @@ names.
 The file formats live in `cli` (measurement and result files) and `config`
 (config files and input tables); the pipeline's modules see arrays only.
 `marchlib` alone starts the compiler and talks to the compiled library;
-`forward`, `adjoint` and `pchip` reach it through `marchlib` only, and only
-`marchlib` reads the C loops' stop codes, which it turns into
-`DivergenceError`. No module imports a `_`-prefixed name from another
+`forward` and `adjoint` reach it through `marchlib` only, handing it the
+`pchip.Pchip`s they hold: only `marchlib` makes their C views
+(`interpolant`, `Interp`) and reads the C loops' stop codes, which it
+turns into `DivergenceError`. No module imports a `_`-prefixed name from another
 module of the package. No module imports scipy: every tridiagonal solve
 runs in the compiled loops, on the library's own port of LAPACK's dgtsv,
 and scipy is a dependency of the tests and the benchmark only. The march
@@ -29,6 +30,7 @@ NUMERIC_MODULES = ["pchip", "material", "forward", "observation", "adjoint", "op
 FILE_MODULES = {"csv", "io", "json"}
 NATIVE_MODULES = {"ctypes", "subprocess"}
 STOP_CODES = {"DONE", "ALARM", "SINGULAR"}
+C_VIEWS = {"interpolant", "Interp"}
 MARCH_MODULES = ["forward", "observation", "adjoint"]
 BLAS_NAMES = {"dot", "vdot", "linalg"}
 PACKAGE = Path(heatflux.__file__).parent
@@ -98,14 +100,25 @@ def test_no_module_imports_a_private_name_of_another():
     assert private == set()
 
 
-def test_only_the_loader_reads_the_stop_codes():
+def modules_naming(names: set) -> set:
+    """The modules of the package that name one of `names`: as a variable,
+    an attribute or an import."""
     users = set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             name = getattr(node, "id", None) or getattr(node, "attr", None)
-            if name in STOP_CODES or isinstance(node, ast.alias) and node.name in STOP_CODES:
+            if name in names or isinstance(node, ast.alias) and node.name in names:
                 users.add(path.stem)
-    assert users == {"marchlib"}
+    return users
+
+
+def test_only_the_loader_reads_the_stop_codes():
+    assert modules_naming(STOP_CODES) == {"marchlib"}
+
+
+def test_only_the_loader_makes_the_c_views():
+    # The march wrappers take `pchip.Pchip`s; their C views stay inside.
+    assert modules_naming(C_VIEWS) == {"marchlib"}
 
 
 @pytest.mark.parametrize("module", MARCH_MODULES)

@@ -3,9 +3,9 @@ compile of its source with warnings as errors, the shipped optimized build
 held to an unoptimized one bit for bit and at every stop, a run of the march
 tests on a build under the address and undefined-behaviour sanitizers, the
 interpolants it keeps and the argument checks that guard the C code's raw
-pointers; and the library's tridiagonal solve, the port of LAPACK's dgtsv
-that every march step calls, held to scipy's dgtsv bit for bit (scipy is
-imported by the tests only)."""
+pointers, each a `ValidationError`; and the library's tridiagonal solve, the
+port of LAPACK's dgtsv that every march step calls, held to scipy's dgtsv
+bit for bit (scipy is imported by the tests only)."""
 
 import itertools
 import os
@@ -19,7 +19,7 @@ from scipy.linalg.lapack import dgtsv
 
 from heatflux import adjoint, forward, marchlib, observation, pchip
 from heatflux.config import ExperimentConfig, exact_flux_parameter, inversion_partition
-from heatflux.errors import BuildError, DivergenceError
+from heatflux.errors import BuildError, DivergenceError, ValidationError
 from heatflux.forward import EnthalpyField, Grid
 
 
@@ -220,11 +220,11 @@ def test_unwritable_cache_builds_in_a_temporary_directory(tmp_path, monkeypatch)
     ],
 )
 def test_addr_refuses_an_array_the_c_code_cannot_read(a):
-    with pytest.raises(ValueError, match="C-contiguous float64 array of shape \\(4, 3\\)"):
+    with pytest.raises(ValidationError, match="C-contiguous float64 array of shape \\(4, 3\\)"):
         marchlib._addr(a, (4, 3))
 
 
-# One interpolant for the wrapper calls below; it must outlive its Interp.
+# One interpolant for the wrapper calls below, as diffusivity and both fluxes.
 FLAT = pchip.Pchip([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
 
 
@@ -232,10 +232,9 @@ def adjoint_args():
     """Valid arguments of `marchlib.adjoint_march`: 3 steps on 5 nodes along
     a flat trajectory, with a point source on level 1 and two on level 3,
     which the first step reads."""
-    p = marchlib.interpolant(FLAT)
     return dict(U=np.zeros((4, 5)), start=np.array([0, 0, 1, 1, 3], dtype=marchlib.INDEX),
                 node=np.array([2, 0, 4], dtype=marchlib.INDEX), value=np.array([1.0, 2.0, -1.0]),
-                r=1.0, c=1.0, dt=1.0, alpha=p, b0=p, bL=p, traces=np.empty((4, 2)))
+                r=1.0, c=1.0, dt=1.0, alpha=FLAT, b0=FLAT, bL=FLAT, traces=np.empty((4, 2)))
 
 
 def test_adjoint_march_runs_on_valid_arguments():
@@ -271,7 +270,7 @@ def test_adjoint_march_runs_on_valid_arguments():
 def test_adjoint_march_refuses_a_misshapen_array(name, value):
     args = adjoint_args()
     args[name] = value
-    with pytest.raises(ValueError, match="C-contiguous"):
+    with pytest.raises(ValidationError, match="C-contiguous"):
         marchlib.adjoint_march(**args)
 
 
@@ -290,7 +289,7 @@ def test_adjoint_march_refuses_a_misshapen_array(name, value):
 def test_adjoint_march_refuses_an_index_out_of_range(name, index, value, message):
     args = adjoint_args()
     args[name][index] = value
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValidationError, match=message):
         marchlib.adjoint_march(**args)
 
 
@@ -299,10 +298,9 @@ def tangent_args(nt=3, nx=5):
     along a flat trajectory at the left knot of `FLAT`, where the row of
     value sensitivities is (1, 0, 0), in a direction that gives each step
     the wall sources 1 and -1."""
-    p = marchlib.interpolant(FLAT)
     h = np.array([1.0, 0.0, 0.0, -1.0, 0.0, 0.0])
     return dict(W=np.zeros((nt + 1, nx)), U=np.zeros((nt + 1, nx)), h=h,
-                r=1.0, c=1.0, alpha=p, b0=p, bL=p)
+                r=1.0, c=1.0, alpha=FLAT, b0=FLAT, bL=FLAT)
 
 
 def test_tangent_march_runs_on_valid_arguments():
@@ -328,7 +326,7 @@ def test_tangent_march_runs_on_valid_arguments():
 def test_tangent_march_refuses_a_misshapen_array(name, value):
     args = tangent_args()
     args[name] = value
-    with pytest.raises(ValueError, match="C-contiguous"):
+    with pytest.raises(ValidationError, match="C-contiguous"):
         marchlib.tangent_march(**args)
 
 
@@ -340,12 +338,12 @@ def test_marches_stop_at_a_level_that_overflows_at_one_node():
     # elimination stays finite and only the back substitution's last
     # division, at node 0, overflows. Each march must stop at that level,
     # step 1, not at the next one, which the infinite wall entry spoils.
-    p, hot = marchlib.interpolant(FLAT), pchip.Pchip([0.0, 1.0, 2.0], [1.5e308] * 3)
+    p, hot = FLAT, pchip.Pchip([0.0, 1.0, 2.0], [1.5e308] * 3)
     U, W, phi = np.zeros((3, 5)), np.zeros((3, 5)), np.zeros((3, 5))
     h = np.array([1.5e308, 0.0, 0.0, 0.0, 0.0, 0.0])
     start, node = np.array([0, 0, 0, 1], dtype=marchlib.INDEX), np.zeros(1, dtype=marchlib.INDEX)
     marches = [
-        (lambda: marchlib.forward_march(U, 1.0, 1.0, p, marchlib.interpolant(hot), p), U[1]),
+        (lambda: marchlib.forward_march(U, 1.0, 1.0, p, hot, p), U[1]),
         (lambda: marchlib.tangent_march(W, np.zeros((3, 5)), h, 1.0, 1.0, p, p, p), W[1]),
         (lambda: marchlib.adjoint_march(np.zeros((3, 5)), start, node, np.array([0.75e308]),
                                         1.0, 1.0, 1.0, p, p, p, np.empty((3, 2)), phi), phi[1]),
@@ -357,16 +355,14 @@ def test_marches_stop_at_a_level_that_overflows_at_one_node():
 
 
 def test_forward_march_refuses_a_fortran_ordered_field():
-    p = marchlib.interpolant(FLAT)
-    with pytest.raises(ValueError, match="C-contiguous"):
-        marchlib.forward_march(np.zeros((4, 5), order="F"), 1.0, 1.0, p, p, p)
+    with pytest.raises(ValidationError, match="C-contiguous"):
+        marchlib.forward_march(np.zeros((4, 5), order="F"), 1.0, 1.0, FLAT, FLAT, FLAT)
 
 
 @pytest.mark.parametrize("traces", [np.zeros((4, 3)), np.zeros((3, 2)), np.zeros((2, 4)).T])
 def test_assemble_gradient_refuses_misshapen_traces(traces):
-    p = marchlib.interpolant(FLAT)
-    with pytest.raises(ValueError, match="C-contiguous"):
-        marchlib.assemble_gradient(np.zeros((4, 5)), traces, 1.0, p, p)
+    with pytest.raises(ValidationError, match="C-contiguous"):
+        marchlib.assemble_gradient(np.zeros((4, 5)), traces, 1.0, FLAT, FLAT)
 
 
 def port_solve(dl, d, du, b):

@@ -1,11 +1,9 @@
-"""Material tables to the enthalpy-indexed diffusivity, and table files read
-by the config."""
+"""Material tables to the enthalpy-indexed diffusivity."""
 
 import numpy as np
 import pytest
 
-from heatflux import config, material, pchip
-from heatflux.config import ExperimentConfig
+from heatflux import material, pchip
 from heatflux.errors import ValidationError
 
 
@@ -105,26 +103,3 @@ class TestBuiltin:
 
     def test_cached_instance_is_shared(self):
         assert material.builtin_material() is material.builtin_material()
-
-
-class TestSerialization:
-    """Material tables as the config reads them (`material.source = PATH`)."""
-
-    @staticmethod
-    def load(path) -> material.MaterialModel:
-        return config.load_configured_material(ExperimentConfig(material_source=str(path)))
-
-    def test_save_load_round_trip(self, write_csv):
-        theta, cap, cond = simple_tables(n=6)
-        cond = cond + np.linspace(0.0, 5.0, 6)
-        m = material.build_material(theta, cap, cond)
-        path = write_csv("mat.csv", config.MATERIAL_CSV_HEADER, zip(theta, cap, cond))
-        q = self.load(path)
-        assert np.array_equal(m.diffusivity.knots, q.diffusivity.knots)
-        assert np.array_equal(m.diffusivity.values, q.diffusivity.values)
-
-    def test_load_rejects_wrong_header(self, tmp_path):
-        path = tmp_path / "mat.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValidationError):
-            self.load(path)

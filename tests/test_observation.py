@@ -1,15 +1,13 @@
-"""Sensor sampling, noise bookkeeping, the sampling/injection transpose pair,
-and the measurement files they are written to."""
+"""Sensor sampling, noise bookkeeping and the sampling/injection transpose
+pair."""
 
 import gc
-import json
 import weakref
 
 import numpy as np
 import pytest
 
-from heatflux import cli, observation
-from heatflux.config import ExperimentConfig
+from heatflux import observation
 from heatflux.errors import ValidationError
 from heatflux.forward import EnthalpyField, Grid
 from heatflux.observation import Measurement, ObservationSpec
@@ -306,85 +304,3 @@ class TestDuality:
         assert src.start.tolist() == [0, 0, 0, 2, 4, 4]
         assert src.node.tolist() == [2, 3, 2, 3]
         assert src.value.tolist() == [1.0 / (g.dx * g.dt), 0.0, 0.0, 0.0]
-
-
-class TestSerialization:
-    """The measurement files: `simulate` writes clean.csv, noisy.csv and
-    meta.json through the CLI's writers, and `invert` reads noisy.csv and
-    meta.json back with `cli._read_measurement`."""
-
-    @staticmethod
-    def write(monkeypatch, out_dir, meas, clean=None):
-        """Write `meas` (and `clean`, default its own data) as `simulate` does."""
-        clean = meas.data if clean is None else clean
-        monkeypatch.setattr(cli, "_simulate_measurement", lambda cfg: (clean, meas))
-        assert cli.cmd_simulate(ExperimentConfig(), out_dir) == 0
-
-    def test_csv_roundtrip_is_exact(self, tmp_path, monkeypatch):
-        spec = ObservationSpec(
-            positions=np.array([0.002, 0.01, 0.025]),
-            times=np.linspace(0.1, 30.0, 7),
-        )
-        rng = np.random.default_rng(5)
-        data = rng.uniform(1.0e9, 5.0e9, size=(spec.d, spec.m))
-        meas = Measurement(data=data, spec=spec, delta=0.0, seed=0, amplitude=0.0)
-        self.write(monkeypatch, tmp_path, meas)
-        back, _ = cli._read_measurement(tmp_path)
-        assert (back.data == data).all()
-        assert (back.spec.positions == spec.positions).all()
-        assert (back.spec.times == spec.times).all()
-
-    def test_parse_rejects_malformed_csv(self, tmp_path):
-        (tmp_path / "meta.json").write_text('{"delta": 0.0, "seed": 1, "amplitude": 0.0}\n')
-        for text in ("just-one-cell\n", ",1.0,2.0\n0.1,alpha,3.0\n", ",1.0,2.0\n0.1,1.0\n"):
-            (tmp_path / "noisy.csv").write_text(text)
-            with pytest.raises(ValidationError):
-                cli._read_measurement(tmp_path)
-
-    def test_measurement_files_roundtrip(self, tmp_path, monkeypatch):
-        spec = ObservationSpec(
-            positions=np.array([0.002, 0.01]), times=np.linspace(0.1, 5.0, 9)
-        )
-        rng = np.random.default_rng(9)
-        clean = rng.uniform(1.0e9, 5.0e9, size=(spec.d, spec.m))
-        meas = observation.add_noise(clean, spec, amplitude=1.0e6, seed=13)
-        self.write(monkeypatch, tmp_path, meas, clean)
-        back, sim = cli._read_measurement(tmp_path)
-        assert (back.data == meas.data).all()
-        assert back.delta == meas.delta
-        assert back.seed == meas.seed and back.amplitude == meas.amplitude
-        assert sim == (101, 3000)
-        meta = json.loads((tmp_path / "meta.json").read_text())
-        assert meta == {
-            "delta": meas.delta, "seed": 13, "amplitude": 1.0e6, "sim_nx": 101, "sim_nt": 3000
-        }
-
-    @staticmethod
-    def one_reading(monkeypatch, out_dir):
-        """Write a one-sensor, one-sample measurement as `simulate` does."""
-        spec = ObservationSpec(positions=np.array([0.002]), times=np.array([1.0]))
-        meas = Measurement(data=np.array([[1.0]]), spec=spec, delta=0.0, seed=1, amplitude=0.0)
-        TestSerialization.write(monkeypatch, out_dir, meas)
-
-    @pytest.mark.parametrize(
-        "meta",
-        [
-            '{"delta": NaN, "seed": 1, "amplitude": 0.0}',
-            '{"delta": Infinity, "seed": 1, "amplitude": 0.0}',
-            '{"delta": 0.1, "seed": 1, "amp',
-            '{"delta": "abc", "seed": 1, "amplitude": 0.0}',
-            '[0.1, 1, 0.0]',
-        ],
-        ids=["nan", "infinity", "truncated", "text", "list"],
-    )
-    def test_malformed_meta_is_a_validation_error(self, tmp_path, monkeypatch, meta):
-        self.one_reading(monkeypatch, tmp_path)
-        (tmp_path / "meta.json").write_text(meta + "\n")
-        with pytest.raises(ValidationError):
-            cli._read_measurement(tmp_path)
-
-    def test_meta_missing_key_is_reported(self, tmp_path, monkeypatch):
-        self.one_reading(monkeypatch, tmp_path)
-        (tmp_path / "meta.json").write_text('{"delta": 0.0, "seed": 1}\n')
-        with pytest.raises(ValidationError, match="missing key"):
-            cli._read_measurement(tmp_path)

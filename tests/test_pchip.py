@@ -1,12 +1,11 @@
-"""Shape-preserving interpolation: construction, evaluation, sensitivities,
-and flux tables read into interpolants."""
+"""Shape-preserving interpolation: construction, evaluation, sensitivities
+and refinement."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from heatflux import config, pchip
-from heatflux.config import ExperimentConfig
+from heatflux import pchip
 from heatflux.errors import RefinementError, ValidationError
 
 VALUES = st.lists(
@@ -538,53 +537,3 @@ class TestFluxParameter:
             pchip.FluxParameter(
                 beta=np.zeros(6), partition=np.linspace(1.0, 10.0, 3), beta_max=4.0
             )
-
-
-class TestSerialization:
-    """Flux tables as the config reads them (`fluxes.source = csv`)."""
-
-    @staticmethod
-    def load(path) -> pchip.Pchip:
-        """The interpolant configured from the flux table at `path`."""
-        cfg = ExperimentConfig(
-            flux_source="csv", flux_beta0_csv=str(path), flux_betaL_csv=str(path)
-        )
-        return pchip.flux_interpolants(config.exact_flux_parameter(cfg))[0]
-
-    def test_save_load_round_trip(self, write_csv):
-        p = pchip.Pchip(np.linspace(0.0, 2.0, 5), [0.0, 1.0, 0.5, 2.0, 2.0])
-        path = write_csv("p.csv", config.FLUX_CSV_HEADER, zip(p.knots, p.values, p.slopes))
-        q = self.load(path)
-        assert np.array_equal(p.knots, q.knots)
-        assert np.array_equal(p.values, q.values)
-        assert np.array_equal(p.slopes, q.slopes)
-
-    def test_loaded_interpolant_is_the_built_one(self, write_csv):
-        # The slope column is not read: slopes that disagree with the values
-        # would make the value sensitivities differentiate another interpolant.
-        knots = np.linspace(0.0, 2.0, 5)
-        values = np.array([0.0, 1.0, 0.5, 2.0, 2.0])
-        path = write_csv(
-            "zero_slopes.csv", config.FLUX_CSV_HEADER, zip(knots, values, np.zeros(5))
-        )
-        q = self.load(path)
-        p = pchip.Pchip(knots, values)
-        assert np.array_equal(q.slopes, p.slopes)
-        xs = np.linspace(0.0, 2.0, 41)
-        vq, dq = pchip.eval(q, xs)
-        vp, dp = pchip.eval(p, xs)
-        assert np.array_equal(vq, vp) and np.array_equal(dq, dp)
-        G = pchip.grad_wrt_values_many(q, xs)
-        assert np.abs(G @ values - vq).max() / np.abs(values).max() <= 1e-13
-
-    def test_load_rejects_wrong_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValidationError):
-            self.load(path)
-
-    def test_load_rejects_non_numeric(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("knot,value,slope\n0.0,x,0.0\n")
-        with pytest.raises(ValidationError):
-            self.load(path)
