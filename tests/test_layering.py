@@ -7,11 +7,11 @@ The file formats live in `cli` (measurement and result files) and `config`
 `marchlib` alone starts the compiler and talks to the compiled library;
 `forward` and `adjoint` reach it through `marchlib` only, handing it the
 `pchip.Pchip`s they hold: only `marchlib` makes their C views
-(`interpolant`, `Interp`) and reads the C loops' stop codes, which it
-turns into `DivergenceError`. No module imports a `_`-prefixed name from another
-module of the package. No module imports scipy: every tridiagonal solve
-runs in the compiled loops, on the library's own port of LAPACK's dgtsv,
-and scipy is a dependency of the tests and the benchmark only. The march
+(`interpolant`, `Interp`) and reads the C loops' stop codes, which it turns
+into `DivergenceError`. No module imports a `_`-prefixed name from another
+module of the package. No module imports scipy: every tridiagonal solve runs
+in the compiled loops, on the library's own port of LAPACK's dgtsv, and
+scipy is a dependency of the tests and the benchmark only. The march
 pipeline (`forward`, `observation`, `adjoint`) calls no BLAS either, whose
 summation order depends on the CPU's kernel.
 """
