@@ -316,7 +316,8 @@ static void wall_slopes(int nx, const interp *b0, const interp *bL,
 }
 
 /* The row d p(x) / d values of the interpolant's values at the point x
- * (clamped), with the operations of `pchip.grad_wrt_values_many`: t = (xc
+ * (clamped), with the operations of the numpy rows `grad_wrt_values_many`
+ * of tests/pchip_rows.py, the plain reference it is held to: t = (xc
  * - x_i) / h, the Hermite weights, and H3 J[i] + H4 J[i+1] over columns i
  * - 1 .. i + 2 with phi_s and phi_t added after them. Sets *i to the
  * interval and band to those <= 4 entries (a column outside [0, n) is not

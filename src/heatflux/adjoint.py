@@ -69,7 +69,8 @@ their first non-finite solved level, where `marchlib` raises
 `DivergenceError`.
 `assemble_gradient` sums the weighted traces over the levels in one
 compiled pass per wall, one band of at most four entries per level, with
-the bits of the dense rows of `pchip.grad_wrt_values_many` summed by numpy.
+the bits of the dense value-sensitivity rows (the plain numpy reference in
+`tests/pchip_rows.py`) summed by numpy.
 Neither linearized boundary term builds an nt x n matrix.
 
 Each function here hands `marchlib` the diffusivity and flux interpolants
@@ -154,13 +155,14 @@ def assemble_gradient(traces: np.ndarray, u: EnthalpyField, fp: FluxParameter) -
     discrete objective's gradient to rounding, not just to quadrature order.
 
     The sum runs compiled (`marchlib`), one pass per wall over the levels:
-    each level adds the at most four nonzero entries of its
-    `pchip.grad_wrt_values_many` row, formed with that function's
-    operations and times the weighted trace, to an accumulator that starts
-    at +0.0, in level order. That is how numpy's axis-0 sum adds the dense
-    rows, and the dense rows' other entries are zeros (NaN only on a NaN
-    wall value or a non-finite trace, and then added too), which leave such
-    a sum as it is; so the result has the dense reduction's bits.
+    each level adds the at most four nonzero entries of its value-sensitivity
+    row, formed with the operations of the plain numpy rows
+    (`tests/pchip_rows.py`) and times the weighted trace, to an
+    accumulator that starts at +0.0, in level order. That is how numpy's
+    axis-0 sum adds the dense rows, and the dense rows' other entries are
+    zeros (NaN only on a NaN wall value or a non-finite trace, and then
+    added too), which leave such a sum as it is; so the result has the
+    dense reduction's bits.
     """
     return marchlib.assemble_gradient(np.ascontiguousarray(u.values),
                                       np.ascontiguousarray(traces, dtype=float), u.grid.dt,

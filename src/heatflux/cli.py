@@ -90,10 +90,12 @@ def _convergence_rows(state: optimizer.OptimizerState, data_norm_sq: float) -> l
     ]
 
 
-def _state_json(state: optimizer.OptimizerState, param_scale: float) -> str:
+def _state_json(state: optimizer.OptimizerState, fluxes: pchip.FluxParameter) -> str:
+    """`beta.json`: the flux values of the final iterate, `fluxes`, its
+    iteration count and stop reason."""
     return _json_text(
         {
-            "beta": [float(param_scale * v) for v in state.beta],
+            "beta": [float(v) for v in fluxes.beta],
             "k_star": int(state.iteration),
             "stop_reason": state.stop_reason,
         }
@@ -170,10 +172,9 @@ def _read_measurement(data_dir: Path) -> tuple[observation.Measurement, tuple]:
 
 def _check_inverse_crime(cfg: ExperimentConfig, sim: tuple, allow: bool) -> None:
     """Refuse an inversion grid sharing `nx` or `nt` with the simulation
-    grid `sim` = (nx, nt) of the data, unless `allow`; skip an unknown grid."""
-    if allow or None in sim:
-        return
-    if cfg.inv_nx == sim[0] or cfg.inv_nt == sim[1]:
+    grid `sim` = (nx, nt) of the data, unless `allow`; a resolution that
+    `sim` leaves unknown (None) matches none."""
+    if not allow and (cfg.inv_nx == sim[0] or cfg.inv_nt == sim[1]):
         raise ValidationError(
             f"inversion grid {cfg.inv_nx}x{cfg.inv_nt} shares a resolution with the "
             f"simulation grid {sim[0]}x{sim[1]}; pass --allow-inverse-crime to override"
@@ -205,20 +206,17 @@ def _solve(cfg: ExperimentConfig, problem: optimizer.Problem, method: str):
     return state
 
 
-def _run_inversion(cfg: ExperimentConfig, meas: observation.Measurement):
+def _inversion_problem(cfg: ExperimentConfig, meas: observation.Measurement):
+    """The dimensionless problem of fitting `meas` on the inversion grid."""
     material, grid, partition, u0 = _inversion_setup(cfg)
-    problem = optimizer.make_pde_problem(material, meas, u0, grid, partition, cfg.beta_max)
-    state = _solve(cfg, problem, cfg.method)
-    norm_y = float(np.sum(meas.data**2))
-    return state, problem, partition, norm_y
+    return optimizer.make_pde_problem(material, meas, u0, grid, partition, cfg.beta_max)
 
 
-def _write_inversion_outputs(cfg, out_dir: Path, state, problem, partition, norm_y) -> None:
-    _atomic_write(out_dir / "beta.json", _state_json(state, problem.param_scale))
-    convergence = _convergence_rows(state, norm_y)
+def _write_inversion_outputs(cfg, out_dir: Path, state, problem) -> None:
+    fp = problem.fluxes(state.beta)
+    _atomic_write(out_dir / "beta.json", _state_json(state, fp))
+    convergence = _convergence_rows(state, problem.data_norm_sq)
     _atomic_write(out_dir / "convergence.csv", _csv_text(CONVERGENCE_COLUMNS, convergence))
-    beta_phys = problem.param_scale * state.beta
-    fp = pchip.FluxParameter(beta=beta_phys, partition=partition, beta_max=cfg.beta_max)
     b0, bL = pchip.flux_interpolants(fp)
     dense = np.linspace(0.0, cfg.u_max, 501)
     r0, rL = pchip.eval(b0, dense)[0], pchip.eval(bL, dense)[0]
@@ -247,8 +245,9 @@ def cmd_invert(cfg: ExperimentConfig, out_dir: Path, allow_crime: bool) -> int:
     data_dir = Path(cfg.data_dir) if cfg.data_dir else Path(cfg.output_dir)
     meas, sim = _read_measurement(data_dir)
     _check_inverse_crime(cfg, sim, allow_crime)
-    state, problem, partition, norm_y = _run_inversion(cfg, meas)
-    _write_inversion_outputs(cfg, out_dir, state, problem, partition, norm_y)
+    problem = _inversion_problem(cfg, meas)
+    state = _solve(cfg, problem, cfg.method)
+    _write_inversion_outputs(cfg, out_dir, state, problem)
     return 0
 
 
@@ -336,15 +335,12 @@ def _iterations_to_levels(pqn_min: np.ndarray, lw_min: np.ndarray):
 def cmd_compare(cfg: ExperimentConfig, out_dir: Path, allow_crime: bool) -> int:
     _check_inverse_crime(cfg, (cfg.sim_nx, cfg.sim_nt), allow_crime)
     _, meas = _simulate_measurement(cfg)
-    material, grid, partition, u0 = _inversion_setup(cfg)
-    problem = optimizer.make_pde_problem(material, meas, u0, grid, partition, cfg.beta_max)
+    problem = _inversion_problem(cfg, meas)
     pqn_state = _solve(cfg, problem, "pqn")
     lw_state = _solve(cfg, problem, "landweber")
 
-    norm_y = float(np.sum(meas.data**2))
-
     def cells(f):
-        return ("", "") if f is None else (_fmt(f * norm_y), _fmt(f))
+        return ("", "") if f is None else (_fmt(f * problem.data_norm_sq), _fmt(f))
 
     pqn_hist, lw_hist = pqn_state.residual_history, lw_state.residual_history
     rows = [

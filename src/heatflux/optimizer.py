@@ -53,9 +53,11 @@ class Problem:
     `gradient` returns the pair (objective value, gradient vector) at a
     point; `objective` just the value. `delta` feeds the discrepancy test
     f <= rho * delta, so f must be normalized the way `delta` is.
-    `param_scale` maps an iterate back to physical flux values; problems
-    built by `make_pde_problem` are dimensionless (see there): their box is
-    [0, 1] and their f is the misfit over the squared data norm.
+    Problems built by `make_pde_problem` are dimensionless (see there):
+    their box is [0, 1], their f is the misfit over `data_norm_sq`, the
+    squared norm of the readings, and `fluxes` maps an iterate to the
+    physical `FluxParameter` the objective solves with. Their callers read
+    both from here rather than derive them again.
     """
 
     dim: int
@@ -63,7 +65,8 @@ class Problem:
     objective: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], tuple[float, np.ndarray]]
     delta: float = 0.0
-    param_scale: float = 1.0
+    data_norm_sq: float = 1.0
+    fluxes: Callable[[np.ndarray], FluxParameter] | None = None
 
 
 @dataclass
@@ -330,7 +333,9 @@ def make_pde_problem(
     magnitude and leaves the line search comparing objective differences at
     the floating-point noise floor. In the scaled variables unit steps are
     meaningful and the curvature pairs feeding the BFGS update are O(1).
-    `param_scale` (= beta_max) converts an iterate back to flux values.
+    The problem carries that norm (`data_norm_sq`) and the map back to flux
+    values (`fluxes`: beta_max times the iterate, on `partition`), which the
+    objective's own solves go through as well.
 
     The most recent state solve is cached by parameter bytes, so the
     gradient call following an accepted line-search trial reuses its field
@@ -348,12 +353,13 @@ def make_pde_problem(
     scale = float(beta_max)
     cache: dict = {}
 
+    def fluxes(b: np.ndarray) -> FluxParameter:
+        return FluxParameter(beta=scale * b, partition=partition, beta_max=beta_max)
+
     def _solve(b: np.ndarray):
         key = b.tobytes()
         if cache.get("key") != key:
-            fp = FluxParameter(
-                beta=scale * b, partition=partition, beta_max=beta_max
-            )
+            fp = fluxes(b)
             f, residual, field = adjoint.objective(fp, data, m, u0, g)
             cache.update(key=key, fp=fp, f=f, residual=residual, field=field)
         return cache
@@ -372,6 +378,7 @@ def make_pde_problem(
         objective=objective_fn,
         gradient=gradient_fn,
         delta=float(data.delta),
-        param_scale=scale,
+        data_norm_sq=norm_y,
+        fluxes=fluxes,
     )
 

@@ -20,12 +20,13 @@ operation as `eval` gives them.
 Overflow-prone products in `_slope_rule` are taken on secants scaled by a
 power of two, so huge values give finite slopes with the bits of exact
 arithmetic; values near the float range whose secants, end slopes or cubic
-coefficients overflow even so are refused. The module also
-provides the sensitivity of the interpolated value with respect to the data
-values (`grad_wrt_values_many`, from the stored banded slope Jacobian), the
-reference for the compiled row (`value_row` in `_march.c`) that the tangent
-march's wall sources and the adjoint gradient assembly read with its
-operations, and a nested-partition refinement loop (`refine_to_tolerance`).
+coefficients overflow even so are refused. Construction also stores the
+slopes' banded Jacobian with respect to the values, from which the compiled
+row (`value_row` in `_march.c`) forms the sensitivity of the interpolated
+value to the data values for the tangent march's wall sources and the
+adjoint gradient assembly; its plain numpy reference lives with the tests
+(`tests/pchip_rows.py`). The module also provides a nested-partition
+refinement loop (`refine_to_tolerance`).
 
 `FluxParameter` bundles the two boundary heat-flux value vectors that the
 inverse solver optimizes, together with their shared enthalpy partition and
@@ -68,8 +69,8 @@ class Pchip:
 
     Built from its knots and values alone; the slopes follow from the values
     by the shape-preserving rule (`_slope_rule`). The per-interval table that
-    the evaluators read and the banded slope Jacobian that
-    `grad_wrt_values_many` reads are built here too, once.
+    the evaluators read and the banded slope Jacobian that the compiled value
+    row reads are built here too, once.
     """
 
     knots: np.ndarray
@@ -251,40 +252,6 @@ def eval(p: Pchip, x, clamp: bool = False):
     if value.ndim == 0:
         return float(value), float(slope)
     return value, slope
-
-
-def grad_wrt_values_many(p: Pchip, x, clamp: bool = False) -> np.ndarray:
-    """Rows of sensitivities d p(x_q) / d values for many query points.
-
-    Returns an array of shape (len(x), n). Each row has at most 4 consecutive
-    nonzero entries because a point in interval i only sees values i-1..i+2
-    through the two interval slopes.
-    """
-    xc, idx, _ = _locate(p, np.atleast_1d(x), clamp)
-    h = p.interval_width
-    # Divided by h where `eval` multiplies by 1/h. The two can differ in the
-    # last bit, and a last-bit change of the gradient sends the default twin
-    # inversion to a flux that fails acceptance criterion 4.
-    t = (xc - p.knots[idx]) / h
-    s = 1.0 - t
-    phi_s = s * s * (3.0 - 2.0 * s)
-    phi_t = t * t * (3.0 - 2.0 * t)
-    H3 = -h * s * s * (s - 1.0)
-    H4 = h * t * t * (t - 1.0)
-    J = p._slope_jac
-    # Row q is H3 J[idx] + H4 J[idx + 1] plus the value weights. The two slope
-    # rows reach columns idx-1..idx+2 only; every other column is H3*0 + H4*0,
-    # formed as such so that its zero keeps its sign (-0.0 where t = 0).
-    G = np.empty((idx.size, p.n))
-    G[:] = (H3 * 0.0 + H4 * 0.0)[:, None]
-    cols = idx[:, None] + np.arange(-1, 3)
-    band = H3[:, None] * J[idx, 1:] + H4[:, None] * J[idx + 1, :-1]
-    q, j = np.nonzero((cols >= 0) & (cols < p.n))
-    G[q, cols[q, j]] = band[q, j]
-    rows = np.arange(idx.size)
-    G[rows, idx] += phi_s
-    G[rows, idx + 1] += phi_t
-    return G
 
 
 def _sample(fn, xs: np.ndarray) -> np.ndarray:

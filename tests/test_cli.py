@@ -1,12 +1,15 @@
 """End-to-end CLI behavior on small twin configurations, and the measurement
 files `simulate` writes and `invert` reads."""
 
+import functools
 import json
 
 import numpy as np
 import pytest
 
-from heatflux import adjoint, cli, config as config_mod, forward, material, observation
+from heatflux import (
+    adjoint, cli, config as config_mod, forward, marchlib, material, observation, pchip,
+)
 from heatflux.config import ExperimentConfig
 from heatflux.errors import ValidationError
 from heatflux.observation import Measurement, ObservationSpec
@@ -192,6 +195,19 @@ class TestInvert:
         )
         assert (out_dir / "beta.json").exists()
 
+    def test_partial_grid_record_still_guards_the_recorded_resolution(self, tmp_path):
+        # A record without sim_nt used to skip the check altogether, and
+        # `invert` exited 0 on the data's own nx.
+        cfg_path, out_dir = write_config(tmp_path, extra="grids.inv.nx = 41\n")
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        meta = out_dir / "meta.json"
+        record = json.loads(meta.read_text())
+        assert record["sim_nx"] == 41
+        del record["sim_nt"]
+        meta.write_text(json.dumps(record))
+        assert main(["invert", "--config", str(cfg_path)]) == 2
+        assert not (out_dir / "beta.json").exists()
+
     def test_missing_measurements_exit_2(self, tmp_path):
         cfg_path, _ = write_config(tmp_path)
         assert main(["invert", "--config", str(cfg_path)]) == 2
@@ -298,6 +314,9 @@ class TestInvert:
 
 
 class TestCompare:
+    # One quasi-Newton step cannot match thirty baseline steps.
+    SHORT_PQN = "optimizer.max_iter = 1\noptimizer.landweber_max_iter = 30\n"
+
     def test_bad_landweber_damping_exits_2_before_any_solve(self, tmp_path, solves):
         # Formerly `compare` ran the whole PQN solve before Landweber refused
         # the damping.
@@ -305,6 +324,24 @@ class TestCompare:
         assert main(["compare", "--config", str(cfg_path)]) == 2
         assert solves == []
 
+    def test_pqn_short_of_the_baseline_exits_4(self, tmp_path):
+        cfg_path, out_dir = write_config(tmp_path, extra=self.SHORT_PQN)
+        assert main(["compare", "--config", str(cfg_path)]) == 4
+        assert not json.loads((out_dir / "summary.json").read_text())["pqn_superior"]
+
+    def test_table_f_is_normalized_times_data_norm(self, tmp_path):
+        cfg_path, out_dir = write_config(tmp_path, extra=self.SHORT_PQN)
+        main(["compare", "--config", str(cfg_path)])
+        _, meas = cli._simulate_measurement(config_mod.load_config(cfg_path))
+        norm = float(np.sum(meas.data**2))
+        head, *rows = (out_dir / "table.csv").read_text().splitlines()
+        assert head == "k,pqn_f,pqn_normalized,landweber_f,landweber_normalized"
+        assert len(rows) == 31
+        for row in rows:
+            _, pf, pn, lf, ln = row.split(",")
+            for f, nf in ((pf, pn), (lf, ln)):
+                assert (f == nf == "") or float(f) == float(nf) * norm
+        assert rows[-1].split(",")[1:3] == ["", ""]
 
 class TestInverseCrime:
     # `compare` and `gradcheck` simulate their data on the config's own
@@ -399,14 +436,40 @@ class TestRendering:
 
     def test_state_json_rescales_beta(self):
         state = OptimizerState(
-            beta=np.array([0.25, 1.0]), inv_hessian=np.eye(2), beta_max=1.0
+            beta=np.array([0.25, 1.0, 0.5, 0.0, 0.125, 1.0]), inv_hessian=np.eye(6),
+            beta_max=1.0,
         )
         state.iteration = 4
         state.stop_reason = "discrepancy"
-        payload = json.loads(cli._state_json(state, param_scale=8.0))
-        assert payload["beta"] == [2.0, 8.0]
+        fluxes = pchip.FluxParameter(8.0 * state.beta, np.linspace(0.0, 1.0, 3), 8.0)
+        payload = json.loads(cli._state_json(state, fluxes))
+        assert payload["beta"] == [2.0, 8.0, 4.0, 0.0, 1.0, 8.0]
         assert payload["k_star"] == 4
         assert payload["stop_reason"] == "discrepancy"
+
+
+class TestFailureExitCodes:
+    def test_divergent_march_exits_3(self, tmp_path):
+        # Fluxes near the float range overflow the first step.
+        cfg_path, out_dir = write_config(tmp_path, extra="box.beta_max = 1.7e308\n")
+        assert main(["simulate", "--config", str(cfg_path)]) == 3
+        assert not (out_dir / "noisy.csv").exists()
+
+    def test_unwritable_output_exits_2(self, tmp_path):
+        cfg_path, _ = write_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(taken)]) == 2
+        assert taken.read_text() == "a file, not a directory\n"
+
+    def test_missing_compiler_exits_2(self, tmp_path, monkeypatch):
+        # A fresh process with an empty library cache and no compiler.
+        cfg_path, out_dir = write_config(tmp_path)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setattr(marchlib, "COMPILE", ("heatflux-no-such-cc", *marchlib.COMPILE[1:]))
+        monkeypatch.setattr(marchlib, "_library", functools.cache(marchlib._library.__wrapped__))
+        assert main(["simulate", "--config", str(cfg_path)]) == 2
+        assert not (out_dir / "noisy.csv").exists()
 
 
 class TestParser:

@@ -1,12 +1,15 @@
 """Config parsing, derived experiment objects, builtin flux profiles, and the
 flux and material tables the config reads."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from heatflux import config as config_mod, material, pchip
 from heatflux.config import ExperimentConfig, parse_config_text
 from heatflux.errors import ValidationError
+from pchip_rows import grad_wrt_values_many
 
 
 class TestParsing:
@@ -20,6 +23,15 @@ class TestParsing:
         assert len(cfg.sensor_positions) == 5
         assert cfg.sample_interval == 0.1 and cfg.noise_amplitude == 2e6
         assert cfg.method == "pqn" and cfg.rho == 2.0
+
+    def test_readme_block_is_the_defaults_with_every_key(self):
+        # README's `ini` block must keep up with the keys and defaults.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        lines = [line.split("#", 1)[0] for line in block.splitlines()]
+        keys = [line.split("=")[0].strip() for line in lines if "=" in line]
+        assert sorted(keys) == sorted(config_mod._KEYMAP)
+        assert parse_config_text(block) == ExperimentConfig(output_dir="out")
 
     def test_every_key_parses(self):
         text = """
@@ -321,7 +333,7 @@ class TestFluxTables:
         vq, dq = pchip.eval(q, xs)
         vp, dp = pchip.eval(p, xs)
         assert np.array_equal(vq, vp) and np.array_equal(dq, dp)
-        G = pchip.grad_wrt_values_many(q, xs)
+        G = grad_wrt_values_many(q, xs)
         assert np.abs(G @ values - vq).max() / np.abs(values).max() <= 1e-13
 
     def test_load_rejects_wrong_header(self, tmp_path):

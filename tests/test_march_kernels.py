@@ -16,7 +16,8 @@ the diffusivity and its slope, the same band fill and the flux slopes; then
 the transport, wall, Robin and source factors in the order the numpy
 products used. The adjoint sums each level's point sources into a zero row
 in list order. Both linearized boundary terms read one compiled row of
-value sensitivities, with the operations of `pchip.grad_wrt_values_many`:
+value sensitivities, with the operations of `grad_wrt_values_many`
+(`tests/pchip_rows.py`, the plain numpy rows):
 the tangent march's wall sources are that whole row times the direction,
 summed in column order from +0.0 (`in_order_dot` in the plain march), so
 they have the same bytes under any BLAS kernel, and a non-finite entry of
@@ -74,6 +75,7 @@ from heatflux import adjoint, forward, material, observation, pchip
 from heatflux.config import ExperimentConfig, exact_flux_parameter, inversion_partition
 from heatflux.errors import DivergenceError
 from heatflux.forward import Grid
+from pchip_rows import grad_wrt_values_many
 
 # c = 2 dt/dx = 33, the inversion grid's boundary number (32.7).
 GRID = Grid(L=0.05, T=3.3, nx=31, nt=120)
@@ -254,8 +256,8 @@ def plain_solve_sensitivity(u, m, fp, h, g):
     W = np.zeros((g.nt + 1, g.nx))
     ab = np.zeros((3, g.nx))
     du, ap, amid, b0p, bLp = plain_coefficients(u, m, b0, bL)
-    G0 = pchip.grad_wrt_values_many(b0, u.values[:, 0], clamp=True)
-    GL = pchip.grad_wrt_values_many(bL, u.values[:, -1], clamp=True)
+    G0 = grad_wrt_values_many(b0, u.values[:, 0], clamp=True)
+    GL = grad_wrt_values_many(bL, u.values[:, -1], clamp=True)
     for k in range(g.nt):
         wn = W[k]
         plain_bands(ab, amid[k], r)
@@ -268,14 +270,14 @@ def plain_solve_sensitivity(u, m, fp, h, g):
 
 def dense_gradient(traces, u, fp, g):
     """The dense reduction `adjoint.assemble_gradient` replaced: every row
-    of `pchip.grad_wrt_values_many` at the wall values of every level,
+    of `grad_wrt_values_many` at the wall values of every level,
     weighted by dt times the trace (0 at the last level) and summed over the
     levels by numpy."""
     b0, bL = pchip.flux_interpolants(fp)
     w = np.full(g.nt + 1, g.dt)
     w[-1] = 0.0
-    G0 = pchip.grad_wrt_values_many(b0, u.values[:, 0], clamp=True)
-    GL = pchip.grad_wrt_values_many(bL, u.values[:, -1], clamp=True)
+    G0 = grad_wrt_values_many(b0, u.values[:, 0], clamp=True)
+    GL = grad_wrt_values_many(bL, u.values[:, -1], clamp=True)
     g0 = -(G0 * (w * traces[:, 0])[:, None]).sum(axis=0)
     gL = -(GL * (w * traces[:, 1])[:, None]).sum(axis=0)
     return np.concatenate([g0, gL])

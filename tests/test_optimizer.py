@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatflux import forward, observation, pchip
+from heatflux import adjoint, forward, observation, pchip
 from heatflux.errors import DivergenceError, LineSearchError, OptimizerError, ValidationError
 from heatflux.forward import Grid
 from heatflux.observation import ObservationSpec
@@ -252,6 +252,18 @@ class TestPqnSolve:
         state = pqn_solve(prob, SolveConfig(max_iter=500, beta0=np.full(2, 0.5)))
         assert state.stop_reason == "stationary"
 
+    def test_uphill_gradient_ends_in_line_search_failure(self):
+        # Every trial along the reported descent direction climbs, so the
+        # step underflows: a stop reason, not an error.
+        base = quadratic_problem(np.eye(2), np.full(2, 0.4))
+        uphill = Problem(
+            dim=2, beta_max=1.0, objective=base.objective,
+            gradient=lambda x: (base.objective(x), -base.gradient(x)[1]),
+        )
+        state = pqn_solve(uphill, SolveConfig(max_iter=50, beta0=np.full(2, 0.5)))
+        assert state.stop_reason == "line_search_failure"
+        assert state.iteration == 0
+
     def test_diverging_trial_is_rejected_not_fatal(self):
         # The first direction (0.5, 5) overshoots into x_2 > 0.8, where the
         # "march" blows up; those trials must shrink the step like a failed
@@ -404,8 +416,34 @@ class TestPdeProblem:
         prob, meas = pde
         assert prob.dim == 8
         assert prob.beta_max == 1.0
-        assert prob.param_scale == 2.0e6
+        top = prob.fluxes(np.ones(prob.dim))
+        assert np.array_equal(top.beta, np.full(prob.dim, 2.0e6)) and top.beta_max == 2.0e6
         assert prob.delta == meas.delta
+
+    def test_data_norm_is_the_readings_squared_norm(self, pde):
+        prob, meas = pde
+        assert prob.data_norm_sq == float(np.sum(meas.data**2))
+
+    def test_fluxes_are_the_parameter_the_objective_solves_with(self, pde, monkeypatch):
+        # The objective's misfit, over the carried norm, at the very
+        # parameter `fluxes` gives for the same iterate.
+        prob, _ = pde
+        objective, solved = adjoint.objective, []
+
+        def recorded(fp, *args):
+            out = objective(fp, *args)
+            solved.append((fp, out[0]))
+            return out
+
+        monkeypatch.setattr(adjoint, "objective", recorded)
+        b = np.linspace(0.2, 0.9, prob.dim)
+        f = prob.objective(b)
+        fp = prob.fluxes(b)
+        [(used, misfit)] = solved
+        assert used.beta.tobytes() == fp.beta.tobytes()
+        assert used.partition.tobytes() == fp.partition.tobytes()
+        assert used.beta_max == fp.beta_max
+        assert f == misfit / prob.data_norm_sq
 
     def test_gradient_matches_finite_differences(self, pde):
         prob, _ = pde
