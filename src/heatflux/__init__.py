@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .errors import (
     DivergenceError,
     HeatfluxError,
-    LineSearchError,
     OptimizerError,
     RefinementError,
     ValidationError,
@@ -20,7 +19,6 @@ from .errors import (
 __all__ = [
     "DivergenceError",
     "HeatfluxError",
-    "LineSearchError",
     "OptimizerError",
     "RefinementError",
     "ValidationError",

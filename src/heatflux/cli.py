@@ -152,16 +152,18 @@ def _read_measurement(data_dir: Path) -> tuple[observation.Measurement, tuple]:
     try:
         with open(meta_path) as fh:
             meta = json.load(fh)
+        delta, seed, amplitude = meta["delta"], meta["seed"], meta["amplitude"]
+        if type(seed) is not int or not {type(delta), type(amplitude)} <= {int, float}:
+            raise ValidationError(
+                f"{meta_path}: delta and amplitude must be numbers and seed an integer, "
+                f"got {delta!r}, {amplitude!r} and {seed!r}"
+            )
         meas = observation.Measurement(
-            data=table[:, 1:],
-            spec=spec,
-            delta=float(meta["delta"]),
-            seed=int(meta["seed"]),
-            amplitude=float(meta["amplitude"]),
+            data=table[:, 1:], spec=spec, delta=float(delta), seed=seed, amplitude=float(amplitude)
         )
     except KeyError as exc:
         raise ValidationError(f"{meta_path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{meta_path}: malformed noise record ({exc})") from exc
     sim = (meta.get("sim_nx"), meta.get("sim_nt"))
     for key, value in zip(("sim_nx", "sim_nt"), sim):

@@ -177,9 +177,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text)
 
@@ -212,11 +212,15 @@ def observation_spec(cfg: ExperimentConfig) -> ObservationSpec:
 def read_table(path, header=None) -> tuple[list, np.ndarray]:
     """The first row of the CSV file at `path` and the rows under it as floats.
 
-    Blank lines are skipped. Every other row must have as many cells as the
-    first, and the first must be `header` when one is given.
+    The file must be UTF-8 text. Blank lines are skipped. Every other row
+    must have as many cells as the first, and the first must be `header`
+    when one is given.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
     head = [c.strip() for c in rows[0]] if rows else []
     if header is not None and head != header:
         raise ValidationError(f"{path}: expected header {','.join(header)}")

@@ -35,10 +35,6 @@ class OptimizerError(HeatfluxError):
     """Optimization could not proceed (bad damping, inconsistent setup, ...)."""
 
 
-class LineSearchError(OptimizerError):
-    """Projected Armijo backtracking underflowed the step length."""
-
-
 class BuildError(HeatfluxError):
     """The compiled march library could not be built (no C compiler `cc`, or
     the compile failed); the message names the command."""

@@ -1,16 +1,24 @@
 """Box-constrained projected quasi-Newton solver and Landweber baseline.
 
+Both solvers work on the unit box [0, 1]^dim: `make_pde_problem` scales the
+flux values by their physical bound, and a start point `SolveConfig.beta0`
+is given in those unit-box coordinates.
+
 The projected quasi-Newton (PQN) iteration keeps a dense BFGS approximation
 S of the inverse Hessian. Before each step two index sets are masked out of
 S: variables pinned at a bound whose gradient pushes outward, and variables
 that the once-masked matrix would still push outward. The step direction is
-the masked matrix applied to the negative gradient, the step length comes
-from Armijo backtracking on the projected trial points, and iterations stop
-once the normalized residual falls below rho times the recorded noise level
+the masked matrix applied to the negative gradient, and the step length
+comes from one backtracking loop over the projected trial points, lambda =
+1, 1/2, ... down to `LAMBDA_MIN` (projected Armijo backtracking; Nocedal &
+Wright, *Numerical Optimization*, sections 3.1 and 16.7). A trial passes
+when its objective satisfies the Armijo test and its gradient is finite and
+within `GRAD_GUARD_FACTOR` of the running gradient scale; a trial whose
+objective or gradient raises `DivergenceError` is rejected like one that
+fails either test, not the end of the run. Iterations stop once the
+normalized residual falls below rho times the recorded noise level
 (discrepancy principle), the iteration budget runs out, the iterate is
-stationary, or the line search stalls. A trial point whose forward march
-diverges is a rejected trial, not the end of the run, and so is an accepted
-trial whose gradient diverges or comes back non-finite.
+stationary, or the step underflows (`line_search_failure`).
 
 The attenuated Landweber baseline iterates projected gradient descent with a
 constant damping factor, serving as the comparison method; a streak of ten
@@ -27,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import adjoint
-from .errors import DivergenceError, LineSearchError, OptimizerError, ValidationError
+from .errors import DivergenceError, OptimizerError, ValidationError
 from .forward import Grid
 from .material import MaterialModel
 from .observation import Measurement
@@ -41,8 +49,8 @@ LAMBDA_MIN = 1e-12
 CURVATURE_RTOL = 1e-12
 STATIONARITY_RTOL = 1e-14
 DIVERGENCE_STREAK = 10
-# An accepted trial whose gradient exceeds the running gradient scale by this
-# factor is treated as a line-search rejection; see pqn_solve.
+# A trial whose gradient exceeds the running gradient scale by this factor is
+# rejected like one that fails the Armijo test; see _backtrack.
 GRAD_GUARD_FACTOR = 1e5
 
 
@@ -53,15 +61,15 @@ class Problem:
     `gradient` returns the pair (objective value, gradient vector) at a
     point; `objective` just the value. `delta` feeds the discrepancy test
     f <= rho * delta, so f must be normalized the way `delta` is.
-    Problems built by `make_pde_problem` are dimensionless (see there):
-    their box is [0, 1], their f is the misfit over `data_norm_sq`, the
-    squared norm of the readings, and `fluxes` maps an iterate to the
-    physical `FluxParameter` the objective solves with. Their callers read
-    both from here rather than derive them again.
+    The solvers search the unit box [0, 1]^dim. Problems built by
+    `make_pde_problem` are dimensionless (see there): their f is the misfit
+    over `data_norm_sq`, the squared norm of the readings, and `fluxes`
+    maps a unit-box iterate to the physical `FluxParameter` the objective
+    solves with. Their callers read both from here rather than derive them
+    again.
     """
 
     dim: int
-    beta_max: float
     objective: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], tuple[float, np.ndarray]]
     delta: float = 0.0
@@ -71,6 +79,10 @@ class Problem:
 
 @dataclass
 class SolveConfig:
+    """Iteration budget, discrepancy factor rho, start point and Landweber
+    damping. `beta0` is in unit-box coordinates (None: all zeros) and is
+    projected onto the box before the first step."""
+
     max_iter: int = 500
     rho: float = 2.0
     beta0: np.ndarray | None = None
@@ -79,8 +91,10 @@ class SolveConfig:
 
 @dataclass
 class OptimizerState:
+    """The record of one run: the final iterate and metric, the stop
+    reason, and the per-iteration histories."""
+
     beta: np.ndarray
-    beta_max: float
     # The quasi-Newton metric; None for Landweber, which has none.
     inv_hessian: np.ndarray | None = None
     iteration: int = 0
@@ -91,23 +105,22 @@ class OptimizerState:
     iterate_history: list = field(default_factory=list)
 
 
-def project_box(beta: np.ndarray, beta_max: float) -> np.ndarray:
-    """Componentwise clamp onto [0, beta_max]."""
-    return np.clip(beta, 0.0, beta_max)
+def project_box(beta: np.ndarray) -> np.ndarray:
+    """Componentwise clamp onto the unit box [0, 1]."""
+    return np.clip(beta, 0.0, 1.0)
 
 
-def search_direction(state: OptimizerState, grad: np.ndarray):
+def search_direction(beta: np.ndarray, S: np.ndarray, grad: np.ndarray):
     """Masked quasi-Newton direction with the two active index sets.
 
     I1 holds variables sitting on a bound with the raw gradient pointing
     outward; I2 holds variables that S masked by I1 would still push
     outward. Rows and columns of both sets are zeroed before applying the
-    matrix, so the direction never points out of the box at an active bound.
+    matrix S, so the direction never points out of the box at an active
+    bound. Returns the direction and the indices of I1 and I2.
     """
-    beta = state.beta
-    S = state.inv_hessian
     at_lo = beta == 0.0
-    at_hi = beta == state.beta_max
+    at_hi = beta == 1.0
     in_I1 = (at_lo & (grad > 0.0)) | (at_hi & (grad < 0.0))
     S_bar = S.copy()
     S_bar[in_I1, :] = 0.0
@@ -119,35 +132,6 @@ def search_direction(state: OptimizerState, grad: np.ndarray):
     S_hat[:, in_I2] = 0.0
     p = -(S_hat @ grad)
     return p, np.flatnonzero(in_I1), np.flatnonzero(in_I2)
-
-
-def armijo_projected(
-    state: OptimizerState, objective_fn, p: np.ndarray, grad: np.ndarray, lam: float = 1.0
-):
-    """Backtracking line search on projected trial points.
-
-    Starting from step `lam`, halve until f(beta) - f(P(beta + lam p)) >=
-    -c lam grad.p; a trial whose objective raises DivergenceError is
-    rejected like one that fails the test. Raises LineSearchError when the
-    step underflows. Returns (accepted step, projected point, its objective
-    value).
-    """
-    if not state.residual_history:
-        raise OptimizerError("line search requires the current objective value")
-    f0 = state.residual_history[-1]
-    slope = float(grad @ p)
-    while True:
-        if lam < LAMBDA_MIN:
-            raise LineSearchError(f"no acceptable step above {LAMBDA_MIN:g}")
-        trial = project_box(state.beta + lam * p, state.beta_max)
-        try:
-            f_trial = objective_fn(trial)
-        except DivergenceError as exc:
-            log.info("trial step %.3g rejected: %s", lam, exc)
-        else:
-            if f0 - f_trial >= -ARMIJO_C * lam * slope:
-                return lam, trial, f_trial
-        lam *= ARMIJO_TAU
 
 
 def bfgs_inverse_update(S: np.ndarray, s_k: np.ndarray, g_k: np.ndarray) -> np.ndarray:
@@ -184,9 +168,9 @@ def _start(problem: Problem, config: SolveConfig):
     beta = (
         np.zeros(problem.dim)
         if config.beta0 is None
-        else project_box(np.asarray(config.beta0, dtype=float), problem.beta_max)
+        else project_box(np.asarray(config.beta0, dtype=float))
     )
-    state = OptimizerState(beta=beta, beta_max=problem.beta_max)
+    state = OptimizerState(beta=beta)
     f, grad = problem.gradient(beta)
     state.residual_history.append(f)
     state.iterate_history.append(beta.copy())
@@ -210,6 +194,36 @@ def _budget_spent(state: OptimizerState, f: float, problem: Problem, config: Sol
     return state
 
 
+def _backtrack(problem: Problem, beta, f: float, p, grad, grad_scale: float):
+    """The first passing trial P(beta + lam p), lam = 1, 1/2, ... >= LAMBDA_MIN.
+
+    A trial passes when f - f(trial) >= -c lam grad.p (Armijo, with f the
+    objective at beta), and its gradient is finite and at most
+    GRAD_GUARD_FACTOR times `grad_scale`. A trial whose objective or
+    gradient raises DivergenceError fails. Returns (lam, trial, its
+    objective, its gradient), or None when the step underflows.
+    """
+    slope = float(grad @ p)
+    lam = 1.0
+    while lam >= LAMBDA_MIN:
+        trial = project_box(beta + lam * p)
+        try:
+            f_trial = problem.objective(trial)
+            if f - f_trial >= -ARMIJO_C * lam * slope:
+                f_trial, grad_trial = problem.gradient(trial)
+                gmax = float(np.abs(grad_trial).max())
+                if math.isfinite(gmax) and gmax <= GRAD_GUARD_FACTOR * grad_scale:
+                    return lam, trial, f_trial, grad_trial
+                log.info(
+                    "trial step %.3g rejected: gradient %.3e above scale %.3e",
+                    lam, gmax, grad_scale,
+                )
+        except DivergenceError as exc:
+            log.info("trial step %.3g rejected: %s", lam, exc)
+        lam *= ARMIJO_TAU
+    return None
+
+
 def pqn_solve(problem: Problem, config: SolveConfig) -> OptimizerState:
     """Projected quasi-Newton iteration with discrepancy stopping.
 
@@ -218,6 +232,14 @@ def pqn_solve(problem: Problem, config: SolveConfig) -> OptimizerState:
     tried and rejected: the larger early steps it produces walk the iterate
     into flux configurations whose linearized boundary recursion amplifies,
     where the gradient guard can only shrink the step to underflow.
+
+    The guard is there because the linearized boundary recursion amplifies
+    perturbations at iterates whose flux curve has a steep falling flank
+    where the boundary enthalpy lingers: the adjoint (and hence the
+    gradient) can come back many orders of magnitude too large, non-finite,
+    or overflow altogether, even though the objective at the trial looks
+    fine. Ingesting such a pair would poison the quasi-Newton metric and
+    permanently stall the iteration.
     """
     state, f, grad = _start(problem, config)
     state.inv_hessian = np.eye(problem.dim)
@@ -227,41 +249,18 @@ def pqn_solve(problem: Problem, config: SolveConfig) -> OptimizerState:
         if _discrepancy_reached(f, problem, config.rho):
             state.stop_reason = "discrepancy"
             return state
-        p, I1, I2 = search_direction(state, grad)
+        p, I1, I2 = search_direction(state.beta, state.inv_hessian, grad)
         free = problem.dim - I1.size - I2.size
-        if free == 0 or np.abs(p).max() < STATIONARITY_RTOL * problem.beta_max:
+        if free == 0 or np.abs(p).max() < STATIONARITY_RTOL:
             log.info("stationary point reached at iteration %d", state.iteration)
             state.stop_reason = "stationary"
             return state
-        # The linearized boundary recursion amplifies perturbations at
-        # iterates whose flux curve has a steep falling flank where the
-        # boundary enthalpy lingers, so the adjoint (and hence the gradient)
-        # can come back many orders of magnitude too large, non-finite, or
-        # overflow altogether, even though the objective at the trial looks
-        # fine. Ingesting such a pair would poison the quasi-Newton metric
-        # and permanently stall the iteration; treat the trial as rejected
-        # and keep shrinking.
-        lam = 1.0
-        try:
-            while True:
-                lam, beta_new, _ = armijo_projected(state, problem.objective, p, grad, lam)
-                try:
-                    f_new, grad_new = problem.gradient(beta_new)
-                except DivergenceError as exc:
-                    log.info("pqn k=%d: gradient diverged (%s), shrinking step", state.iteration, exc)
-                else:
-                    gmax = float(np.abs(grad_new).max())
-                    if math.isfinite(gmax) and gmax <= GRAD_GUARD_FACTOR * grad_scale:
-                        break
-                    log.info(
-                        "pqn k=%d: gradient %.3e above scale %.3e, shrinking step",
-                        state.iteration, gmax, grad_scale,
-                    )
-                lam *= ARMIJO_TAU
-        except LineSearchError:
+        step = _backtrack(problem, state.beta, f, p, grad, grad_scale)
+        if step is None:
             state.stop_reason = "line_search_failure"
             return state
-        grad_scale = max(grad_scale, gmax)
+        lam, beta_new, f_new, grad_new = step
+        grad_scale = max(grad_scale, float(np.abs(grad_new).max()))
         state.inv_hessian = bfgs_inverse_update(
             state.inv_hessian, beta_new - state.beta, grad_new - grad
         )
@@ -279,12 +278,12 @@ def landweber_solve(problem: Problem, config: SolveConfig) -> OptimizerState:
     """Projected gradient descent with constant damping.
 
     `config.damping` of None selects an automatic factor scaled so the first
-    step moves the largest component by a tenth of the box width.
+    step moves the largest component by a tenth of the unit box's width.
     """
     state, f, grad = _start(problem, config)
     if config.damping is None:
         gmax = float(np.abs(grad).max())
-        damping = 0.1 * problem.beta_max / gmax if gmax > 0 else 1.0
+        damping = 0.1 / gmax if gmax > 0 else 1.0
         log.info("auto landweber damping: %.6g", damping)
     else:
         damping = float(config.damping)
@@ -299,7 +298,7 @@ def landweber_solve(problem: Problem, config: SolveConfig) -> OptimizerState:
         if np.abs(grad).max() == 0.0:
             state.stop_reason = "stationary"
             return state
-        beta = project_box(state.beta - damping * grad, problem.beta_max)
+        beta = project_box(state.beta - damping * grad)
         f_new, grad = problem.gradient(beta)
         streak = streak + 1 if f_new > f else 0
         if streak >= DIVERGENCE_STREAK:
@@ -308,7 +307,7 @@ def landweber_solve(problem: Problem, config: SolveConfig) -> OptimizerState:
                 f"damping {damping:g} too large"
             )
         f = f_new
-        active = int((beta == 0.0).sum() + (beta == problem.beta_max).sum())
+        active = int((beta == 0.0).sum() + (beta == 1.0).sum())
         _advance(state, beta, f, damping, active)
 
     return _budget_spent(state, f, problem, config)
@@ -374,7 +373,6 @@ def make_pde_problem(
 
     return Problem(
         dim=2 * partition.size,
-        beta_max=1.0,
         objective=objective_fn,
         gradient=gradient_fn,
         delta=float(data.delta),

@@ -290,7 +290,6 @@ def test_criterion_6_algebraic_suites(builtin_material, monkeypatch):
     xstar = np.array([0.3, 0.9, 0.5, 0.2])
     prob = optimizer.Problem(
         dim=4,
-        beta_max=1.0,
         objective=lambda x: 0.5 * float((x - xstar) @ (A @ (x - xstar))),
         gradient=lambda x: (
             0.5 * float((x - xstar) @ (A @ (x - xstar))),
@@ -305,12 +304,12 @@ def test_criterion_6_algebraic_suites(builtin_material, monkeypatch):
     # projection idempotence + feasibility of every iterate
     for it in state.iterate_history:
         assert (it >= 0.0).all() and (it <= 1.0).all()
-        assert (optimizer.project_box(it, 1.0) == it).all()
+        assert (optimizer.project_box(it) == it).all()
     for _ in range(200):
         x = rng.uniform(-2.0, 3.0, 6)
-        once = optimizer.project_box(x, 1.0)
+        once = optimizer.project_box(x)
         assert (once >= 0.0).all() and (once <= 1.0).all()
-        assert (optimizer.project_box(once, 1.0) == once).all()
+        assert (optimizer.project_box(once) == once).all()
 
     # active-set masks against a brute-force reimplementation, 500 states
     for _ in range(500):
@@ -322,8 +321,7 @@ def test_criterion_6_algebraic_suites(builtin_material, monkeypatch):
         beta[pins < 0.3] = 0.0
         beta[pins > 0.7] = 1.0
         grad = rng.standard_normal(n)
-        st = optimizer.OptimizerState(beta=beta, inv_hessian=S, beta_max=1.0)
-        p, I1, I2 = optimizer.search_direction(st, grad)
+        p, I1, I2 = optimizer.search_direction(beta, S, grad)
         at_lo, at_hi = beta == 0.0, beta == 1.0
         ref1 = (at_lo & (grad > 0)) | (at_hi & (grad < 0))
         S1 = S.copy()

@@ -424,7 +424,7 @@ class TestLevels:
 
 class TestRendering:
     def test_convergence_csv_denormalizes_f(self):
-        state = OptimizerState(beta=np.zeros(2), inv_hessian=np.eye(2), beta_max=1.0)
+        state = OptimizerState(beta=np.zeros(2), inv_hessian=np.eye(2))
         state.residual_history = [0.5, 0.125]
         state.step_history = [1.0]
         state.active_counts = [1]
@@ -436,8 +436,7 @@ class TestRendering:
 
     def test_state_json_rescales_beta(self):
         state = OptimizerState(
-            beta=np.array([0.25, 1.0, 0.5, 0.0, 0.125, 1.0]), inv_hessian=np.eye(6),
-            beta_max=1.0,
+            beta=np.array([0.25, 1.0, 0.5, 0.0, 0.125, 1.0]), inv_hessian=np.eye(6)
         )
         state.iteration = 4
         state.stop_reason = "discrepancy"
@@ -470,6 +469,42 @@ class TestFailureExitCodes:
         monkeypatch.setattr(marchlib, "_library", functools.cache(marchlib._library.__wrapped__))
         assert main(["simulate", "--config", str(cfg_path)]) == 2
         assert not (out_dir / "noisy.csv").exists()
+
+
+    @pytest.mark.parametrize("bad", ["config", "noisy.csv", "material.source", "fluxes.beta0_csv"])
+    def test_input_that_is_not_utf8_exits_2(self, tmp_path, write_csv, caplog, bad):
+        # One 0xff byte in a file read as text; formerly a UnicodeDecodeError
+        # traceback (exit 1).
+        extra, command = "", "simulate"
+        if bad == "material.source":
+            theta = material.THETA_REF + 50.0 * np.arange(31)
+            path = write_csv(
+                "steel.csv", config_mod.MATERIAL_CSV_HEADER,
+                zip(theta, np.full(31, 3.8e6), np.full(31, 34.0)),
+            )
+            extra = f"material.source = {path}\n"
+        elif bad == "fluxes.beta0_csv":
+            cfg = ExperimentConfig()
+            path, pL = (
+                write_csv(name, config_mod.FLUX_CSV_HEADER, zip(p.knots, p.values, p.slopes))
+                for name, p in zip(
+                    ("b0.csv", "bL.csv"), config_mod.leidenfrost_profiles(cfg.u_max, cfg.beta_max)
+                )
+            )
+            extra = f"fluxes.source = csv\nfluxes.beta0_csv = {path}\nfluxes.betaL_csv = {pL}\n"
+        cfg_path, out_dir = write_config(tmp_path, extra=extra)
+        if bad == "config":
+            path = cfg_path
+        elif bad == "noisy.csv":
+            assert main(["simulate", "--config", str(cfg_path)]) == 0
+            path, command = out_dir / "noisy.csv", "invert"
+        path.write_bytes(path.read_bytes() + b"\xff")
+        outputs = lambda: sorted(out_dir.rglob("*")) if out_dir.exists() else []
+        before = outputs()
+        caplog.clear()
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert "validation error" in caplog.text
+        assert outputs() == before
 
 
 class TestParser:
@@ -550,8 +585,13 @@ class TestMeasurementFiles:
             '{"delta": 0.1, "seed": 1, "amp',
             '{"delta": "abc", "seed": 1, "amplitude": 0.0}',
             '[0.1, 1, 0.0]',
+            '{"delta": true, "seed": 1, "amplitude": 0.0}',
+            '{"delta": "5e-8", "seed": 1, "amplitude": 0.0}',
+            '{"delta": 0.0, "seed": 7.5, "amplitude": 0.0}',
+            '{"delta": 0.0, "seed": 1, "amplitude": 1' + 400 * '0' + '}',
         ],
-        ids=["nan", "infinity", "truncated", "text", "list"],
+        ids=["nan", "infinity", "truncated", "text", "list", "bool", "numeric-text",
+             "fractional-seed", "huge-int"],
     )
     def test_malformed_meta_is_a_validation_error(self, tmp_path, monkeypatch, meta):
         self.one_reading(monkeypatch, tmp_path)

@@ -13,7 +13,8 @@ module of the package. No module imports scipy: every tridiagonal solve runs
 in the compiled loops, on the library's own port of LAPACK's dgtsv, and
 scipy is a dependency of the tests and the benchmark only. The march
 pipeline (`forward`, `observation`, `adjoint`) calls no BLAS either, whose
-summation order depends on the CPU's kernel.
+summation order depends on the CPU's kernel. Every exception class in
+`errors` is raised by some package module.
 """
 
 import ast
@@ -134,3 +135,20 @@ def test_march_pipeline_calls_no_blas(module):
         elif isinstance(node, ast.alias) and set(node.name.split(".")) & BLAS_NAMES:
             uses.add(f"import {node.name} at line {node.lineno}")
     assert uses == set()
+
+
+def test_every_package_error_is_raised():
+    # Each subclass of HeatfluxError in `errors` is raised by some package
+    # module, so that no exception class outlives its last `raise`.
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    errors = {"HeatfluxError"}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and {ast.unparse(b) for b in node.bases} & errors:
+            errors.add(node.name)
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(ast.unparse(exc).split(".")[-1])
+    assert errors - {"HeatfluxError"} - raised == set()

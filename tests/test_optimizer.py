@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatflux import adjoint, forward, observation, pchip
-from heatflux.errors import DivergenceError, LineSearchError, OptimizerError, ValidationError
+from heatflux import adjoint, forward, observation, optimizer, pchip
+from heatflux.errors import DivergenceError, OptimizerError, ValidationError
 from heatflux.forward import Grid
 from heatflux.observation import ObservationSpec
 from heatflux.optimizer import (
-    OptimizerState,
     Problem,
     SolveConfig,
-    armijo_projected,
     bfgs_inverse_update,
     landweber_solve,
     make_pde_problem,
@@ -37,7 +35,6 @@ def quadratic_problem(A, xstar, delta=0.0, lift=0.0):
 
     return Problem(
         dim=xstar.size,
-        beta_max=1.0,
         objective=objective,
         gradient=gradient,
         delta=delta,
@@ -46,8 +43,8 @@ def quadratic_problem(A, xstar, delta=0.0, lift=0.0):
 
 class TestProjection:
     def test_clamps_componentwise(self):
-        out = project_box(np.array([-1.0, 0.3, 2.5]), 2.0)
-        assert out.tolist() == [0.0, 0.3, 2.0]
+        out = project_box(np.array([-1.0, 0.3, 2.5]))
+        assert out.tolist() == [0.0, 0.3, 1.0]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -56,22 +53,21 @@ class TestProjection:
             min_size=1,
             max_size=8,
         ),
-        st.floats(min_value=1e-6, max_value=1e9, allow_nan=False),
     )
-    def test_idempotent_and_feasible(self, values, beta_max):
+    def test_idempotent_and_feasible(self, values):
         x = np.asarray(values)
-        once = project_box(x, beta_max)
-        assert (once >= 0.0).all() and (once <= beta_max).all()
-        assert (project_box(once, beta_max) == once).all()
+        once = project_box(x)
+        assert (once >= 0.0).all() and (once <= 1.0).all()
+        assert (project_box(once) == once).all()
 
     def test_interior_points_unchanged(self):
         x = np.array([0.0, 0.5, 1.0])
-        assert (project_box(x, 1.0) == x).all()
+        assert (project_box(x) == x).all()
 
 
-def reference_masks(beta, beta_max, S, grad):
+def reference_masks(beta, S, grad):
     at_lo = beta == 0.0
-    at_hi = beta == beta_max
+    at_hi = beta == 1.0
     I1 = (at_lo & (grad > 0.0)) | (at_hi & (grad < 0.0))
     S1 = S.copy()
     S1[I1, :] = 0.0
@@ -92,19 +88,16 @@ def random_state(rng, n=7):
     beta[pins < 0.25] = 0.0
     beta[pins > 0.75] = 1.0
     grad = rng.standard_normal(n)
-    state = OptimizerState(beta=beta, inv_hessian=S, beta_max=1.0)
-    return state, grad
+    return beta, S, grad
 
 
 class TestSearchDirection:
     def test_matches_reference_masking(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
-            state, grad = random_state(rng)
-            p, I1, I2 = search_direction(state, grad)
-            p_ref, I1_ref, I2_ref = reference_masks(
-                state.beta, state.beta_max, state.inv_hessian, grad
-            )
+            beta, S, grad = random_state(rng)
+            p, I1, I2 = search_direction(beta, S, grad)
+            p_ref, I1_ref, I2_ref = reference_masks(beta, S, grad)
             assert (I1 == I1_ref).all() and (I2 == I2_ref).all()
             assert np.allclose(p, p_ref, rtol=0, atol=1e-14 * np.abs(p_ref).max())
 
@@ -115,8 +108,8 @@ class TestSearchDirection:
         # detected sets and a non-ascent slope from the masked PSD metric.
         rng = np.random.default_rng(29)
         for _ in range(100):
-            state, grad = random_state(rng)
-            p, I1, I2 = search_direction(state, grad)
+            beta, S, grad = random_state(rng)
+            p, I1, I2 = search_direction(beta, S, grad)
             masked = np.concatenate([I1, I2])
             assert (p[masked] == 0.0).all()
             assert float(grad @ p) <= 0.0
@@ -128,8 +121,7 @@ class TestSearchDirection:
         S = M @ M.T + np.eye(n)
         beta = rng.uniform(0.2, 0.8, n)
         grad = rng.standard_normal(n)
-        state = OptimizerState(beta=beta, inv_hessian=S, beta_max=1.0)
-        p, I1, I2 = search_direction(state, grad)
+        p, I1, I2 = search_direction(beta, S, grad)
         assert I1.size == 0 and I2.size == 0
         assert np.allclose(p, -(S @ grad), rtol=1e-15, atol=0)
 
@@ -174,39 +166,56 @@ class TestBfgsUpdate:
 
 
 class TestArmijo:
+    """The Armijo test inside `pqn_solve`'s backtracking, on its first step."""
+
     def test_full_step_accepted_on_well_scaled_quadratic(self):
         prob = quadratic_problem(np.eye(3), np.full(3, 0.5))
-        beta = np.zeros(3)
-        f, grad = prob.gradient(beta)
-        state = OptimizerState(beta=beta, inv_hessian=np.eye(3), beta_max=1.0)
-        state.residual_history.append(f)
-        lam, trial, f_trial = armijo_projected(state, prob.objective, -grad, grad)
-        assert lam == 1.0
-        assert np.allclose(trial, np.full(3, 0.5), rtol=0, atol=1e-15)
+        state = pqn_solve(prob, SolveConfig(max_iter=1))
+        assert state.step_history[0] == 1.0
+        assert np.allclose(state.iterate_history[1], np.full(3, 0.5), rtol=0, atol=1e-15)
 
     def test_backtracks_on_stiff_quadratic(self):
         stiff = 64.0
         prob = quadratic_problem(stiff * np.eye(2), np.full(2, 0.5))
-        beta = np.zeros(2)
-        f, grad = prob.gradient(beta)
-        state = OptimizerState(beta=beta, inv_hessian=np.eye(2), beta_max=1.0)
-        state.residual_history.append(f)
-        lam, _, f_trial = armijo_projected(state, prob.objective, -grad, grad)
-        assert lam < 1.0
+        state = pqn_solve(prob, SolveConfig(max_iter=1))
+        f, f_trial = state.residual_history
+        assert state.step_history[0] < 1.0
         assert f_trial < f
 
-    def test_underflow_raises_line_search_error(self):
-        beta = np.full(2, 0.5)
-        state = OptimizerState(beta=beta, inv_hessian=np.eye(2), beta_max=1.0)
-        state.residual_history.append(1.0)
-        rising = lambda x: 2.0
-        with pytest.raises(LineSearchError):
-            armijo_projected(state, rising, np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
 
-    def test_requires_current_objective(self):
-        state = OptimizerState(beta=np.zeros(2), inv_hessian=np.eye(2), beta_max=1.0)
-        with pytest.raises(OptimizerError):
-            armijo_projected(state, lambda x: 0.0, np.ones(2), np.ones(2))
+def diverging_problem():
+    """A quadratic whose first direction (0.5, 5) overshoots into x_2 > 0.8,
+    where the "march" blows up; and the list of points that diverged."""
+    base = quadratic_problem(np.diag([1.0, 10.0]), np.full(2, 0.5))
+    diverged = []
+
+    def guarded(fn):
+        def call(x):
+            if (x > 0.8).any():
+                diverged.append(x.copy())
+                raise DivergenceError("non-finite trial march", step=1)
+            return fn(x)
+        return call
+
+    prob = Problem(dim=2, objective=guarded(base.objective), gradient=guarded(base.gradient))
+    return prob, diverged
+
+
+def spiking_problem():
+    """A quadratic whose gradient is 1e9 times too large inside the band
+    0.1 < x_2 < 0.13 while the objective stays smooth, as at a trial whose
+    boundary march chatters; and the list of points where it spiked."""
+    base = quadratic_problem(np.diag([1.0, 10.0]), np.array([0.5, 0.2]))
+    spikes = []
+
+    def gradient(x):
+        f, g = base.gradient(x)
+        if 0.1 < x[1] < 0.13:
+            spikes.append(x.copy())
+            return f, 1e9 * g
+        return f, g
+
+    return Problem(dim=2, objective=base.objective, gradient=gradient), spikes
 
 
 class TestPqnSolve:
@@ -257,7 +266,7 @@ class TestPqnSolve:
         # step underflows: a stop reason, not an error.
         base = quadratic_problem(np.eye(2), np.full(2, 0.4))
         uphill = Problem(
-            dim=2, beta_max=1.0, objective=base.objective,
+            dim=2, objective=base.objective,
             gradient=lambda x: (base.objective(x), -base.gradient(x)[1]),
         )
         state = pqn_solve(uphill, SolveConfig(max_iter=50, beta0=np.full(2, 0.5)))
@@ -265,51 +274,63 @@ class TestPqnSolve:
         assert state.iteration == 0
 
     def test_diverging_trial_is_rejected_not_fatal(self):
-        # The first direction (0.5, 5) overshoots into x_2 > 0.8, where the
-        # "march" blows up; those trials must shrink the step like a failed
-        # Armijo test instead of ending the run.
-        base = quadratic_problem(np.diag([1.0, 10.0]), np.full(2, 0.5))
-        diverged = []
-
-        def guarded(fn):
-            def call(x):
-                if (x > 0.8).any():
-                    diverged.append(x.copy())
-                    raise DivergenceError("non-finite trial march", step=1)
-                return fn(x)
-            return call
-
-        prob = Problem(
-            dim=2,
-            beta_max=1.0,
-            objective=guarded(base.objective),
-            gradient=guarded(base.gradient),
-        )
+        # The trials that blow up must shrink the step like a failed Armijo
+        # test instead of ending the run.
+        prob, diverged = diverging_problem()
         state = pqn_solve(prob, SolveConfig(max_iter=200))
         assert diverged
         assert (state.beta >= 0.0).all() and (state.beta <= 0.8).all()
         assert np.abs(state.beta - 0.5).max() <= 1e-7
 
     def test_gradient_guard_keeps_spiking_trials_out(self):
-        # Inside the band 0.1 < x_2 < 0.13 the gradient is 1e9 times too large
-        # while the objective stays smooth, as at a trial whose boundary march
-        # chatters. The guard must reject such trials instead of feeding the
-        # gradient to the BFGS update.
-        base = quadratic_problem(np.diag([1.0, 10.0]), np.array([0.5, 0.2]))
-        spikes = []
-
-        def gradient(x):
-            f, g = base.gradient(x)
-            if 0.1 < x[1] < 0.13:
-                spikes.append(x.copy())
-                return f, 1e9 * g
-            return f, g
-
-        prob = Problem(dim=2, beta_max=1.0, objective=base.objective, gradient=gradient)
+        # The guard must reject the trials whose gradient spikes instead of
+        # feeding the gradient to the BFGS update.
+        prob, spikes = spiking_problem()
         state = pqn_solve(prob, SolveConfig(max_iter=200))
         assert spikes
         assert not any(0.1 < it[1] < 0.13 for it in state.iterate_history)
         assert np.abs(state.beta - np.array([0.5, 0.2])).max() <= 1e-7
+
+    @pytest.mark.parametrize(
+        "make", [diverging_problem, spiking_problem], ids=["divergence", "guard"]
+    )
+    def test_gradient_follows_its_objective_and_trials_halve(self, make, monkeypatch):
+        # After the start, each gradient call is at the bytes of the
+        # objective call just before it, which `make_pde_problem`'s
+        # one-entry solve cache relies on; within an iteration the k-th
+        # objective trial is P(beta + 2^-k p), k = 0, 1, ...
+        prob, rejected = make()
+        calls = []
+        objective, gradient = prob.objective, prob.gradient
+        direction = optimizer.search_direction
+
+        def recorded(kind, fn):
+            def call(x):
+                calls.append((kind, x.tobytes()))
+                return fn(x)
+            return call
+
+        def recorded_direction(beta, S, grad):
+            p, I1, I2 = direction(beta, S, grad)
+            calls.append(("direction", beta.copy(), p))
+            return p, I1, I2
+
+        prob.objective = recorded("objective", objective)
+        prob.gradient = recorded("gradient", gradient)
+        monkeypatch.setattr(optimizer, "search_direction", recorded_direction)
+        pqn_solve(prob, SolveConfig(max_iter=200))
+        assert rejected
+        assert calls[0][0] == "gradient"
+        halvings = 0
+        for before, (kind, *args) in zip(calls, calls[1:]):
+            if kind == "direction":
+                (beta, p), k = args, 0
+            elif kind == "objective":
+                assert args[0] == project_box(beta + 2.0**-k * p).tobytes()
+                halvings, k = max(halvings, k), k + 1
+            else:
+                assert before[0] == "objective" and before[1] == args[0]
+        assert halvings > 0
 
     @pytest.mark.parametrize("failure", ["raises", "nan"])
     def test_failing_gradient_at_accepted_trial_is_rejected_not_fatal(self, failure):
@@ -331,7 +352,7 @@ class TestPqnSolve:
                 return f, np.array([g[0], np.nan])
             return f, g
 
-        prob = Problem(dim=2, beta_max=1.0, objective=base.objective, gradient=gradient)
+        prob = Problem(dim=2, objective=base.objective, gradient=gradient)
         state = pqn_solve(prob, SolveConfig(max_iter=200))
         assert failed
         assert not any(0.1 < it[1] < 0.13 for it in state.iterate_history)
@@ -415,7 +436,7 @@ class TestPdeProblem:
     def test_wrapper_reports_dimensionless_box(self, pde):
         prob, meas = pde
         assert prob.dim == 8
-        assert prob.beta_max == 1.0
+        assert not prob.fluxes(np.zeros(prob.dim)).beta.any()
         top = prob.fluxes(np.ones(prob.dim))
         assert np.array_equal(top.beta, np.full(prob.dim, 2.0e6)) and top.beta_max == 2.0e6
         assert prob.delta == meas.delta
