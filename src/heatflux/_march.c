@@ -18,7 +18,13 @@
  * the adjoint step, both read. Each loop is one call per solve: the
  * adjoint march walks the whole trajectory backward, adds each level's
  * sensor residual from a list of point sources as it goes, and keeps only
- * the level it solves and the wall traces. One row function (`value_row`)
+ * the level it solves and the wall traces. Each adjoint step solves the
+ * matrix of the state step from the same level, so the state march can
+ * keep each step's pivots, the diagonal its elimination leaves, and the
+ * adjoint then runs only the right-hand side's half of the elimination
+ * (`substitute`) before its back substitution, with the same bits; a step
+ * whose elimination swapped rows keeps no pivots and is eliminated again.
+ * One row function (`value_row`)
  * gives both linearized boundary terms, the tangent's wall sources and the
  * gradient assembly, their row of value sensitivities.
  *
@@ -148,17 +154,21 @@ static void fill_bands(int nx, double r, const double *alpha, double *s,
  * the old du[i+1] and du[i+1] = -(dl[i] fact) (neither on the last row).
  * Returns dgtsv's info: 0, or the 1-based row of the first zero pivot, n
  * when only the last one is zero; the system is then left as dgtsv leaves
- * it. The pivot and the right-hand side of the row below are carried in
- * registers while no rows swap, off the store-to-load path of the chain.
+ * it. Unless swapped is NULL, a return of 0 sets *swapped to 1 when some
+ * rows swapped and to 0 when none did; d then holds the n pivots, none of
+ * them 0, which `substitute` reads. The pivot and the right-hand side of
+ * the row below are carried in registers while no rows swap, off the
+ * store-to-load path of the chain.
  *
  * IEEE 754 does not say which of two NaN operands a product returns, and C
  * leaves it to the compiler's choice of registers; each product here names
  * its operands in the order of the compiled dgtsv that scipy ships, and
  * compiled with `marchlib.COMPILE` the port returns its NaNs too, signs
  * included (the tests check it on `tridiagonal_solve`). */
-static int eliminate(int n, double *dl, double *d, double *du, double *b)
+static int eliminate(int n, double *dl, double *d, double *du, double *b, int *swapped)
 {
     double di = d[0], bi = b[0];
+    int swap = 0;
     for (int i = 0; i < n - 1; i++) {
         int last = i == n - 2;
         if (fabs(di) >= fabs(dl[i])) {
@@ -172,6 +182,7 @@ static int eliminate(int n, double *dl, double *d, double *du, double *b)
             if (!last)
                 dl[i] = 0.0;
         } else {
+            swap = 1;
             double fact = d[i] / dl[i];
             d[i] = dl[i];
             double temp = d[i + 1];
@@ -188,7 +199,27 @@ static int eliminate(int n, double *dl, double *d, double *du, double *b)
             bi = b[i + 1];
         }
     }
+    if (swapped)
+        *swapped = swap;
     return di == 0.0 ? n : 0;
+}
+
+/* The right-hand-side half of `eliminate` on a system it eliminated before
+ * without swapping rows, from the n pivots d it left: fact = dl[i] / d[i],
+ * b[i+1] - fact b[i] and dl[i] = 0 row by row, the operations `eliminate`
+ * does there in its order, so b and dl are left with its bits. The
+ * divisions read no earlier result, so they run off the chain, which is
+ * one product and one difference per row. */
+static void substitute(int n, double *dl, const double *d, double *b)
+{
+    double bi = b[0];
+    for (int i = 0; i < n - 1; i++) {
+        double fact = dl[i] / d[i];
+        bi = b[i + 1] - fact * bi;
+        b[i + 1] = bi;
+        if (i < n - 2)
+            dl[i] = 0.0;
+    }
 }
 
 /* Node i of the level the next step reads, as `back_substitute` takes it:
@@ -244,7 +275,7 @@ int tridiagonal_solve(int n, double *dl, double *d, double *du, double *b)
 {
     if (n < 1)
         return 0;
-    int info = eliminate(n, dl, d, du, b);
+    int info = eliminate(n, dl, d, du, b, NULL);
     if (info == 0)
         back_substitute(n, dl, d, du, b, NULL, NULL, NULL, NULL);
     return info;
@@ -265,13 +296,20 @@ static int stopped(int *stop, int step, int code)
  * diffusivity of level 0 is evaluated before the first step. `work` holds
  * 5 nx - 3 doubles.
  *
+ * Unless piv is NULL, step n fills its diagonal into row n of the nt x nx
+ * block piv and eliminates it there, so that row keeps the step's pivots
+ * for the adjoint step that solves the same matrix (`adjoint_march`); a
+ * step whose elimination swapped rows has no pivots to reuse and is marked
+ * by 0.0 in the first entry of its row, which a step without a swap never
+ * leaves there.
+ *
  * Returns DONE after step nt - 1; SINGULAR with *stop = n + 1 when the
  * matrix of step n is singular; ALARM with *stop = n + 1 when level n + 1
  * is not finite, before any step reads it, so the fluxes are evaluated on
  * finite walls only. */
 int forward_march(int nx, int nt, double r, double c, const interp *alpha_p,
-                  const interp *b0, const interp *bL, double *U, double *work,
-                  int *stop)
+                  const interp *b0, const interp *bL, double *U, double *piv,
+                  double *work, int *stop)
 {
     double *alpha = work, *s = alpha + nx, *sup = s + nx - 1;
     double *sub = sup + nx - 1, *diag = sub + nx - 1;
@@ -281,17 +319,21 @@ int forward_march(int nx, int nt, double r, double c, const interp *alpha_p,
     for (int n = 0; n < nt; n++) {
         double *un = U + (long)n * nx, *rhs = un + nx;
         double u0 = un[0], uL = un[nx - 1];
-        fill_bands(nx, r, alpha, s, sup, sub, diag);
+        double *d = piv ? piv + (long)n * nx : diag;
+        int swapped = 0;
+        fill_bands(nx, r, alpha, s, sup, sub, d);
         double beta0 = march_eval(b0, u0, NULL), betaL = march_eval(bL, uL, NULL);
         for (int j = 1; j < nx - 1; j++)
             rhs[j] = un[j];
         rhs[0] = u0 - c * beta0;
         rhs[nx - 1] = uL - c * betaL;
-        if (eliminate(nx, sub, diag, sup, rhs) != 0)
+        if (eliminate(nx, sub, d, sup, rhs, &swapped) != 0)
             return stopped(stop, n + 1, SINGULAR);
-        if (!back_substitute(nx, sub, diag, sup, rhs, alpha_p,
+        if (!back_substitute(nx, sub, d, sup, rhs, alpha_p,
                              n + 1 < nt ? rhs : NULL, alpha, NULL))
             return stopped(stop, n + 1, ALARM);
+        if (swapped)
+            d[0] = 0.0;
     }
     return DONE;
 }
@@ -395,7 +437,7 @@ int tangent_march(int nx, int nt, double r, double c, const interp *alpha_p,
         rhs[nx - 1] = w[nx - 1] - (r * (un[nx - 1] - un[nx - 2])) * pw2[nx - 2];
         rhs[0] -= c * (b0p * w[0] + wall_source(b0, u[0], h));
         rhs[nx - 1] -= c * (bLp * w[nx - 1] + wall_source(bL, u[nx - 1], hL));
-        if (eliminate(nx, sub, diag, sup, rhs) != 0)
+        if (eliminate(nx, sub, diag, sup, rhs, NULL) != 0)
             return stopped(stop, k + 1, SINGULAR);
         if (!back_substitute(nx, sub, diag, sup, rhs, alpha_p,
                              k + 1 < nt ? un : NULL, alpha, ap))
@@ -421,6 +463,13 @@ int tangent_march(int nx, int nt, double r, double c, const interp *alpha_p,
  * into the second of two slope buffers because the carry still reads level
  * s's. Level nt - 1 is evaluated before the first step.
  *
+ * That step solves the matrix of the state step from level s. Given the
+ * state march's pivot block piv (NULL for none), a step whose row s of piv
+ * is not marked takes those pivots: it substitutes (`substitute`) and back
+ * substitutes on them, and so skips the elimination's chain of divisions
+ * and gives its bits. A marked step, or any step of a march without piv,
+ * eliminates.
+ *
  * Each solved level's two wall entries go to traces[2s] and traces[2s + 1],
  * and the whole level to row s of phi unless phi is NULL; level nt is
  * zeros in both. `work` holds 11 nx - 4 doubles.
@@ -433,7 +482,7 @@ int adjoint_march(int nx, int nt, double r, double c, double dt,
                   const interp *alpha_p, const interp *b0, const interp *bL,
                   const double *U, const ptrdiff_t *start, const ptrdiff_t *node,
                   const double *value, double *traces, double *phi,
-                  double *work, int *stop)
+                  const double *piv, double *work, int *stop)
 {
     const double half_r = 0.5 * r;
     double *alpha = work, *ap = alpha + nx, *s = ap + nx, *sup = s + nx - 1;
@@ -450,6 +499,7 @@ int adjoint_march(int nx, int nt, double r, double c, double dt,
     level_coefficients(nx, alpha_p, U + (long)(nt - 1) * nx, alpha, ap);
     for (int lv = nt - 1; lv >= 0; lv--) {
         const double *u = U + (long)lv * nx, *un = u + nx;
+        const double *d = piv && piv[(long)lv * nx] != 0.0 ? piv + (long)lv * nx : NULL;
         double b0p, bLp;
         fill_bands(nx, r, alpha, s, sup, sub, diag);
         wall_slopes(nx, b0, bL, u, &b0p, &bLp);
@@ -461,9 +511,11 @@ int adjoint_march(int nx, int nt, double r, double c, double dt,
         for (int j = 1; j < nx - 1; j++)
             q[j] = psi[j] + dt * row[j];
         q[nx - 1] = psi[nx - 1] + (dt * row[nx - 1]) * 2.0;
-        if (eliminate(nx, sub, diag, sup, q) != 0)
+        if (d)
+            substitute(nx, sub, d, q);
+        else if (eliminate(nx, sub, diag, sup, q, NULL) != 0)
             return stopped(stop, nt - lv, SINGULAR);
-        int finite = back_substitute(nx, sub, diag, sup, q, alpha_p,
+        int finite = back_substitute(nx, sub, d ? d : diag, sup, q, alpha_p,
                                      lv > 0 ? u - nx : NULL, alpha, ap_next);
         traces[2 * (long)lv] = q[0];
         traces[2 * (long)lv + 1] = q[nx - 1];

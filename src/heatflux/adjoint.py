@@ -62,7 +62,13 @@ over the whole trajectory: per step it sums the point sources of the level
 (`observation.adjoint_source`) into a zero row in list order, adds the
 weighted row to the carried level, solves, keeps the solved level's two
 wall entries and carries it through the transposed transport correction
-and the two Robin walls. No level of phi is stored;
+and the two Robin walls. Its step from level s solves the matrix the state
+step from level s eliminated, so along a field that carries the state
+march's pivots (`objective` records them) it solves on those and skips the
+elimination's chain of divisions, with the same bits; a step the state
+march marked as swapping rows, a field without pivots, or pivots recorded
+with another diffusivity than the one given, eliminates as the state march
+did. No level of phi is stored;
 the tests read every level through the `phi` window the call fills when
 given one. Both stop as the state march does, at a singular step or at
 their first non-finite solved level, where `marchlib` raises
@@ -94,7 +100,7 @@ def objective(
     fp: FluxParameter, data: Measurement, m: MaterialModel, u0, g: Grid
 ) -> tuple[float, np.ndarray, EnthalpyField]:
     """Misfit value plus the residual matrix and state field for reuse."""
-    field = solve_ibvp(m, fp, u0, g)
+    field = solve_ibvp(m, fp, u0, g, pivots=True)
     residual = observe(field, data.spec) - data.data
     f = 0.5 * float(np.sum(residual**2))
     return f, residual, field
@@ -133,14 +139,18 @@ def solve_adjoint(u: EnthalpyField, m: MaterialModel, fp: FluxParameter, source,
     those of level s at start[s] <= k < start[s + 1]. The result is the
     (nt+1, 2) array of phi at x = 0 (column 0) and x = L (column 1), with
     its last row 0 exactly. `phi`, when given, is an (nt+1) x nx array that
-    receives every level of phi as well.
+    receives every level of phi as well. The march solves on the pivots
+    `u` carries when they were recorded with the diffusivity of `m`, and
+    eliminates every step itself otherwise; the result is the same.
     """
     g = u.grid
     start, node, value = map(np.asarray, source)
     traces = np.empty((g.nt + 1, 2))
+    piv = u.pivots
+    rows = piv.rows if piv is not None and piv.diffusivity is m.diffusivity else None
     marchlib.adjoint_march(np.ascontiguousarray(u.values), start, node, value, g.dt / g.dx**2,
                            2.0 * g.dt / g.dx, g.dt, m.diffusivity, *flux_interpolants(fp),
-                           traces, phi)
+                           traces, phi, rows)
     return traces
 
 

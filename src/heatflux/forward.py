@@ -29,6 +29,18 @@ order, so every level keeps its bits. Its linearization, the tangent march
 and its transpose, lives in `adjoint`; both of those compiled marches fill
 each step's bands with the state march's band fill.
 
+The adjoint march solves, level by level, the matrices the state march
+eliminated. Asked to (`solve_ibvp(..., pivots=True)`, which
+`adjoint.objective` does for every solve that may take a gradient), the
+march keeps each step's pivots, the diagonal its elimination leaves, in
+nt more rows of the block it solves the field in, and the field carries
+them (`EnthalpyField.pivots`, with the diffusivity they belong to) for the
+adjoint to solve on. A step whose elimination swapped rows is marked
+instead, and the adjoint eliminates it again. Such a field's values and
+pivots are read-only, so the two cannot part. Other solves, `simulate`'s
+among them, keep no pivots: they would take as much memory again as the
+field, and no adjoint reads them.
+
 All three marches solve alike and stop alike: each right-hand side is
 formed in the buffer it is solved in and solved there by the dgtsv port,
 whose back substitution tests every entry it solves, and the march stops
@@ -41,13 +53,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import marchlib
 from .errors import ValidationError
 from .material import MaterialModel
-from .pchip import FluxParameter, flux_interpolants
+from .pchip import FluxParameter, Pchip, flux_interpolants
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -78,12 +91,24 @@ class Grid:
         return self.T / self.nt
 
 
+class Pivots(NamedTuple):
+    """The nt x nx pivots a state march recorded (`rows`: row n the pivots
+    of step n, or 0.0 first on a step whose elimination swapped rows) and
+    the diffusivity whose bands they eliminate."""
+
+    diffusivity: Pchip
+    rows: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class EnthalpyField:
-    """Grid plus the (nt+1) x nx matrix of nodal enthalpies."""
+    """Grid plus the (nt+1) x nx matrix of nodal enthalpies, and the
+    pivots of the march that computed them when it recorded them
+    (`solve_ibvp` makes both read-only then, so the two cannot part)."""
 
     grid: Grid
     values: np.ndarray
+    pivots: Pivots | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -93,7 +118,8 @@ class EnthalpyField:
             raise ValidationError(f"field shape {vals.shape} != grid shape {expected}")
 
 
-def solve_ibvp(m: MaterialModel, fp: FluxParameter, u0, g: Grid) -> EnthalpyField:
+def solve_ibvp(m: MaterialModel, fp: FluxParameter, u0, g: Grid, *,
+               pivots: bool = False) -> EnthalpyField:
     """March the nonlinear state equation forward over the whole grid.
 
     `u0` is the initial enthalpy profile (length nx, finite, inside the
@@ -103,6 +129,10 @@ def solve_ibvp(m: MaterialModel, fp: FluxParameter, u0, g: Grid) -> EnthalpyFiel
     stops with `DivergenceError` at a singular step or at the first
     non-finite level, so the boundary fluxes are only ever evaluated at
     finite wall values.
+
+    With `pivots`, the field also carries each step's pivots, for the
+    adjoint march along it (`adjoint.solve_adjoint`) to solve on. They take
+    nt more levels, allocated with the field in one block.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (g.nx,):
@@ -113,11 +143,15 @@ def solve_ibvp(m: MaterialModel, fp: FluxParameter, u0, g: Grid) -> EnthalpyFiel
     if (u0 < umin - 1e-9 * umax).any() or (u0 > umax * (1 + 1e-12)).any():
         raise ValidationError("u0 outside the material enthalpy range")
 
-    U = np.empty((g.nt + 1, g.nx))
+    block = np.empty((2 * g.nt + 1 if pivots else g.nt + 1, g.nx))
+    U, rows = block[: g.nt + 1], block[g.nt + 1 :]
     U[0] = u0
     marchlib.forward_march(U, g.dt / g.dx**2, 2.0 * g.dt / g.dx, m.diffusivity,
-                           *flux_interpolants(fp))
-    return EnthalpyField(g, U)
+                           *flux_interpolants(fp), rows if pivots else None)
+    if not pivots:
+        return EnthalpyField(g, U)
+    U.flags.writeable = rows.flags.writeable = False
+    return EnthalpyField(g, U, Pivots(m.diffusivity, rows))
 
 
 def total_enthalpy(f: EnthalpyField, step: int) -> float:

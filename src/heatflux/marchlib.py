@@ -16,6 +16,12 @@ bit of the numpy code that called LAPACK. No module of the package imports LAPAC
 library also exports the port as `tridiagonal_solve(n, dl, d, du, b)`,
 which returns dgtsv's info, for the tests that hold it to LAPACK's dgtsv.
 
+`forward_march` can record each step's pivots in a block the caller
+passes, and `adjoint_march` can take that block back, along the same
+trajectory with the same diffusivity and step constants, to solve on it;
+the caller (`adjoint.solve_adjoint`) makes sure the block belongs to the
+trajectory, and this module checks its shape as it checks every array.
+
 The three marches stop by one rule: the back substitution tests every
 entry it solves, and a loop stops at a singular step or at its first
 non-finite solved level and returns a stop code with that step, counted
@@ -123,9 +129,9 @@ def _load(path: Path) -> ctypes.CDLL:
     lib = ctypes.CDLL(str(path))
     pointer, index, interp = ctypes.c_void_p, ctypes.c_int, ctypes.POINTER(Interp)
     head, stop = [index, index, ctypes.c_double, ctypes.c_double], ctypes.POINTER(index)
-    lib.forward_march.argtypes = head + [interp] * 3 + [pointer] * 2 + [stop]
+    lib.forward_march.argtypes = head + [interp] * 3 + [pointer] * 3 + [stop]
     lib.tangent_march.argtypes = head + [interp] * 3 + [pointer] * 4 + [stop]
-    lib.adjoint_march.argtypes = head + [ctypes.c_double] + [interp] * 3 + [pointer] * 7 + [stop]
+    lib.adjoint_march.argtypes = head + [ctypes.c_double] + [interp] * 3 + [pointer] * 8 + [stop]
     lib.assemble_gradient.argtypes = [index, index, ctypes.c_double, pointer, pointer,
                                       interp, interp, pointer]
     lib.tridiagonal_solve.argtypes = [index] + [pointer] * 4
@@ -185,13 +191,14 @@ def _march(name: str, size: int, *args) -> None:
         raise DivergenceError(f"{what} at time step {stop.value}", step=stop.value)
 
 
-def forward_march(U, r: float, c: float, alpha: Pchip, b0: Pchip, bL: Pchip) -> None:
+def forward_march(U, r: float, c: float, alpha: Pchip, b0: Pchip, bL: Pchip, piv=None) -> None:
     """Run `forward_march` of `_march.c` on the field U, whose level 0 is
     set and finite, with the diffusivity `alpha` and the fluxes `b0` and
-    `bL`."""
+    `bL`. `piv`, when given, is an (nt, nx) block that receives each step's
+    pivots, its first entry 0.0 on a step whose elimination swapped rows."""
     nt, nx = U.shape[0] - 1, U.shape[1]
     _march("forward_march", 5 * nx - 3, nx, nt, r, c, *map(interpolant, (alpha, b0, bL)),
-           _addr(U, U.shape))
+           _addr(U, U.shape), None if piv is None else _addr(piv, (nt, nx)))
 
 
 def tangent_march(W, U, h, r: float, c: float, alpha: Pchip, b0: Pchip, bL: Pchip) -> None:
@@ -205,16 +212,19 @@ def tangent_march(W, U, h, r: float, c: float, alpha: Pchip, b0: Pchip, bL: Pchi
 
 
 def adjoint_march(U, start, node, value, r: float, c: float, dt: float, alpha: Pchip,
-                  b0: Pchip, bL: Pchip, traces, phi=None) -> None:
+                  b0: Pchip, bL: Pchip, traces, phi=None, piv=None) -> None:
     """Run `adjoint_march` of `_march.c` along the trajectory U with the
     point sources (start, node, value): the (nt+1, 2) `traces` receive the
     wall entries of every level of phi, and `phi`, when given, every level
-    (U's shape), up to the level it stops at."""
+    (U's shape), up to the level it stops at. `piv`, when given, is the
+    pivot block `forward_march` recorded for U with the same `alpha` and r;
+    each step whose row it does not mark solves on that row."""
     levels, nx = U.shape
     k = node.size
     addrs = [_addr(U, U.shape), _addr(start, (levels + 1,), INDEX), _addr(node, (k,), INDEX),
              _addr(value, (k,)), _addr(traces, (levels, 2)),
-             None if phi is None else _addr(phi, U.shape)]
+             None if phi is None else _addr(phi, U.shape),
+             None if piv is None else _addr(piv, (levels - 1, nx))]
     if k and (node.min() < 0 or node.max() >= nx):
         raise ValidationError(f"contribution node outside [0, {nx})")
     if (np.diff(start) < 0).any():

@@ -338,7 +338,8 @@ def make_pde_problem(
 
     The most recent state solve is cached by parameter bytes, so the
     gradient call following an accepted line-search trial reuses its field
-    instead of repeating the forward solve.
+    (and the pivots its march recorded) instead of repeating the forward
+    solve. The entry is dropped before a new point is solved.
 
     Raises `ValidationError` when the readings' squared norm is zero or
     overflows, since the objective cannot be normalized by it.
@@ -358,6 +359,7 @@ def make_pde_problem(
     def _solve(b: np.ndarray):
         key = b.tobytes()
         if cache.get("key") != key:
+            cache.clear()  # one field and its pivots alive at a time
             fp = fluxes(b)
             f, residual, field = adjoint.objective(fp, data, m, u0, g)
             cache.update(key=key, fp=fp, f=f, residual=residual, field=field)

@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from heatflux import adjoint, cli, config, forward, observation, pchip
+from heatflux import adjoint, cli, config, forward, material, observation, pchip
 from heatflux.errors import ValidationError
-from heatflux.forward import Grid
+from heatflux.forward import EnthalpyField, Grid, Pivots
 from heatflux.observation import ObservationSpec
 
 
@@ -121,6 +121,67 @@ class TestExactness:
         assert np.abs(grad[:7]).max() > 0.0
         for half in (grad[:10], grad[10:]):
             assert (half[7:] == 0.0).all()
+
+
+def default_box_point(corner: bool) -> pchip.FluxParameter:
+    """A point of the default inversion's box: PQN's zero start, or the
+    steep-flank corner, each flux beta_max on its last knot and 0 on every
+    other one."""
+    cfg = config.ExperimentConfig()
+    part = config.inversion_partition(cfg)
+    beta = np.zeros((2, part.size))
+    beta[:, -1] = cfg.beta_max if corner else 0.0
+    return pchip.FluxParameter(beta.ravel(), part, cfg.beta_max)
+
+
+class TestRecordedPivots:
+    @pytest.mark.parametrize("corner", [False, True], ids=["zero", "flank"])
+    def test_pivots_change_no_bit_of_the_adjoint_or_the_gradient(self, case, corner):
+        # The objective's field carries the state march's pivots; the same
+        # trajectory without them makes every adjoint step eliminate. From
+        # the default u0 the corner's walls cool down its flank, where
+        # c*beta' reaches 2.5.
+        m, g, _, spec, meas, _ = case
+        fp = default_box_point(corner)
+        u0 = np.full(g.nx, config.ExperimentConfig().u0)
+        _, residual, field = adjoint.objective(fp, meas, m, u0, g)
+        plain = EnthalpyField(g, field.values)
+        assert field.pivots is not None and plain.pivots is None
+        src = observation.adjoint_source(residual, spec, g)
+        phis = [np.full_like(field.values, np.nan) for _ in range(2)]
+        traces = [adjoint.solve_adjoint(u, m, fp, src, phi) for u, phi in zip((field, plain), phis)]
+        assert traces[0].tobytes() == traces[1].tobytes()
+        assert phis[0].tobytes() == phis[1].tobytes()
+        grads = [adjoint.compute_gradient(fp, meas, m, u, residual) for u in (field, plain)]
+        assert grads[0].tobytes() == grads[1].tobytes()
+
+    def test_pivots_are_read_only_with_their_field(self, case):
+        m, g, u0, _, _, fp = case
+        field = forward.solve_ibvp(m, fp, u0, g, pivots=True)
+        assert field.pivots.diffusivity is m.diffusivity
+        assert field.pivots.rows.shape == (g.nt, g.nx)
+        for a in (field.values, field.pivots.rows):
+            with pytest.raises(ValueError, match="read-only"):
+                a[1, 1] = 0.0
+        assert forward.solve_ibvp(m, fp, u0, g).values.flags.writeable
+
+    def test_pivots_serve_only_the_diffusivity_they_were_recorded_for(self, case):
+        # Pivots scaled by 2 change the adjoint where they are used: with
+        # the diffusivity they were recorded for. With an equal diffusivity
+        # that is another interpolant the march eliminates every step, and
+        # gives what it gives along the field without pivots.
+        m, g, u0, spec, meas, fp = case
+        _, residual, field = adjoint.objective(fp, meas, m, u0, g)
+        src = observation.adjoint_source(residual, spec, g)
+        stale = EnthalpyField(g, field.values, Pivots(m.diffusivity, 2.0 * field.pivots.rows))
+        plain = EnthalpyField(g, field.values)
+        want = adjoint.solve_adjoint(plain, m, fp, src)
+        assert adjoint.solve_adjoint(stale, m, fp, src).tobytes() != want.tobytes()
+        other = material.MaterialModel(
+            diffusivity=pchip.Pchip(m.diffusivity.knots, m.diffusivity.values))
+        want = adjoint.solve_adjoint(plain, other, fp, src)
+        for u in (stale, field):
+            assert adjoint.solve_adjoint(u, other, fp, src).tobytes() == want.tobytes()
 
 
 class TestAdjointField:

@@ -43,9 +43,9 @@ def solves(monkeypatch):
     calls = []
     solve_ibvp = forward.solve_ibvp
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return solve_ibvp(*args)
+        return solve_ibvp(*args, **kwargs)
 
     for module in (forward, cli, adjoint):
         monkeypatch.setattr(module, "solve_ibvp", counted)

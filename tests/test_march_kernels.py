@@ -71,7 +71,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dgtsv
 
-from heatflux import adjoint, forward, material, observation, pchip
+from heatflux import adjoint, forward, marchlib, material, observation, pchip
 from heatflux.config import ExperimentConfig, exact_flux_parameter, inversion_partition
 from heatflux.errors import DivergenceError
 from heatflux.forward import Grid
@@ -360,6 +360,69 @@ def test_adjoint_march_matches_plain_code(marches, name):
     got = adjoint_levels(field, m, fp, dense_pair(source))
     want = plain_solve_adjoint(field, m, fp, source, GRID)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.fixture(scope="module")
+def recorded(marches):
+    """name -> the state field of `marches` solved again with its pivots."""
+    return {name: forward.solve_ibvp(m, fp, field.values[0], GRID, pivots=True)
+            for name, (m, fp, field, _, _) in marches.items()}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_recorded_pivots_are_the_diagonal_the_solve_leaves(marches, recorded, name):
+    # Recording the pivots leaves the field as it was, and row n of them is
+    # the diagonal that the library's dgtsv port leaves on the bands of step
+    # n; GRID swaps no rows, so no step is marked.
+    m, _, field, _, _ = marches[name]
+    u = recorded[name]
+    assert u.values.tobytes() == field.values.tobytes()
+    alpha = pchip.eval(m.diffusivity, field.values[:-1], clamp=True)[0]
+    amid = 0.5 * (alpha[:, :-1] + alpha[:, 1:])
+    ab = np.zeros((3, GRID.nx))
+    solve = marchlib._library().tridiagonal_solve
+    for n, row in enumerate(u.pivots.rows):
+        plain_bands(ab, amid[n], GRID.dt / GRID.dx**2)
+        dl, d, du, b = (a.copy() for a in (ab[2, :-1], ab[1], ab[0, 1:], field.values[n]))
+        assert solve(GRID.nx, *(a.ctypes.data for a in (dl, d, du, b))) == 0
+        assert (dl[:-1] == 0.0).all()  # no row swapped
+        assert row.tobytes() == d.tobytes()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_adjoint_march_on_recorded_pivots_matches_plain_code(marches, recorded, name):
+    # Every step substitutes on the state march's pivots instead of
+    # eliminating, with the bits of the plain code's dgtsv.
+    m, fp, field, _, source = marches[name]
+    got = adjoint_levels(recorded[name], m, fp, dense_pair(source))
+    assert got.tobytes() == plain_solve_adjoint(field, m, fp, source, GRID).tobytes()
+
+
+# r alpha = 3.2 at u0 (0.09 on GRID).
+SWAP_GRID = Grid(L=0.05, T=20.0, nx=31, nt=20)
+
+
+def test_marches_match_plain_code_through_row_interchanges(builtin_material):
+    # Where r alpha >= 3, the pivot the elimination leaves for the second
+    # last row is smaller than the last row's doubled off-diagonal, so dgtsv
+    # swaps the two rows at every step, a branch GRID never reaches. The
+    # state march marks every step, so the adjoint eliminates each one
+    # again, with recorded pivots as without; all three marches keep the
+    # plain code's bytes.
+    g, m, fp = SWAP_GRID, builtin_material, exact_flux_parameter(CFG)
+    u0 = np.full(g.nx, CFG.u0)
+    alpha0 = pchip.eval(m.diffusivity, u0[:1], clamp=True)[0][0]
+    assert g.dt / g.dx**2 * alpha0 >= 3.0
+    field = forward.solve_ibvp(m, fp, u0, g, pivots=True)
+    assert (field.pivots.rows[:, 0] == 0.0).all()
+    assert field.values.tobytes() == plain_solve_ibvp(m, fp, u0, g).tobytes()
+    h = np.random.default_rng(9).standard_normal(2 * fp.n)
+    W = adjoint.solve_sensitivity(field, m, fp, h)
+    assert W.values.tobytes() == plain_solve_sensitivity(field, m, fp, h, g).tobytes()
+    source = np.random.default_rng(5).standard_normal((g.nt + 1, g.nx))
+    want = plain_solve_adjoint(field, m, fp, source, g)
+    for u in (field, forward.EnthalpyField(g, field.values)):
+        assert adjoint_levels(u, m, fp, dense_pair(source)).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", CASES)

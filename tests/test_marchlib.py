@@ -85,14 +85,17 @@ def unoptimized(tmp_path_factory):
 
 def march_outputs(m, fp, u0, g, source):
     """Every array the four compiled functions give on one case: the state
-    field, the tangent field along it in a random direction, every level of
-    phi with the wall traces, and the assembled gradient."""
-    field = forward.solve_ibvp(m, fp, u0, g)
+    field and its pivots, the tangent field along it in a random direction,
+    every level of phi with the wall traces, solved on the pivots and
+    eliminated, and the assembled gradient."""
+    field = forward.solve_ibvp(m, fp, u0, g, pivots=True)
     h = np.random.default_rng(23).standard_normal(2 * fp.n)
     W = adjoint.solve_sensitivity(field, m, fp, h)
-    phi = np.empty_like(field.values)
+    phi, eliminated = np.empty_like(field.values), np.empty_like(field.values)
     traces = adjoint.solve_adjoint(field, m, fp, source, phi)
-    return [field.values, W.values, phi, traces, adjoint.assemble_gradient(traces, field, fp)]
+    adjoint.solve_adjoint(EnthalpyField(g, field.values), m, fp, source, eliminated)
+    return [field.values, field.pivots.rows, W.values, phi, eliminated, traces,
+            adjoint.assemble_gradient(traces, field, fp)]
 
 
 def test_marches_match_an_unoptimized_build_bitwise(monkeypatch, builtin_material, unoptimized):
@@ -116,7 +119,8 @@ def test_marches_match_an_unoptimized_build_bitwise(monkeypatch, builtin_materia
     monkeypatch.setattr(marchlib, "_library", lambda: unoptimized)
     for fp, want in zip(fluxes, shipped):
         got = march_outputs(builtin_material, fp, u0, g, source)
-        for name, a, b in zip(("state", "tangent", "phi", "traces", "gradient"), got, want):
+        names = ("state", "pivots", "tangent", "phi", "eliminated phi", "traces", "gradient")
+        for name, a, b in zip(names, got, want):
             assert a.tobytes() == b.tobytes(), name
 
 
@@ -132,8 +136,9 @@ def test_march_stops_match_an_unoptimized_build(monkeypatch, builtin_material,
                                                 singular_level_case, unoptimized):
     # Each march's stop on both builds: the state march where c*beta
     # overflows (both fluxes 1e307 below 5.2e9), the adjoint at an inf in
-    # its source, and the tangent march, in a direction whose boundary
-    # source overflows, at a non-finite level and at a singular step.
+    # its source, eliminating and on the state march's pivots, and the
+    # tangent march, in a direction whose boundary source overflows, at a
+    # non-finite level and at a singular step.
     cfg = ExperimentConfig()
     g = Grid(L=0.05, T=3.3, nx=31, nt=120)
     exact = exact_flux_parameter(cfg)
@@ -141,7 +146,7 @@ def test_march_stops_match_an_unoptimized_build(monkeypatch, builtin_material,
     u0 = np.full(g.nx, cfg.u0)
     with np.errstate(over="ignore", invalid="ignore"):
         hot = pchip.FluxParameter(np.where(np.tile(part, 2) < 5.2e9, 1e307, exact.beta), part, 1e307)
-    field = forward.solve_ibvp(builtin_material, exact, u0, g)
+    field = forward.solve_ibvp(builtin_material, exact, u0, g, pivots=True)
     levels = g.nt + 1
     value = np.random.default_rng(19).standard_normal(levels * g.nx)
     value[40 * g.nx + 3] = np.inf
@@ -154,13 +159,16 @@ def test_march_stops_match_an_unoptimized_build(monkeypatch, builtin_material,
     hot_level[2] = 2.0
     cases = [
         lambda: forward.solve_ibvp(builtin_material, hot, u0, g),
+        lambda: adjoint.solve_adjoint(EnthalpyField(g, field.values), builtin_material, exact,
+                                      source),
         lambda: adjoint.solve_adjoint(field, builtin_material, exact, source),
         lambda: adjoint.solve_sensitivity(EnthalpyField(sg, hot_level), sm, sfp, h),
         lambda: adjoint.solve_sensitivity(su, sm, sfp, h),
     ]
     shipped = [divergence(case) for case in cases]
     assert [message.split(" at ")[0] for _, message in shipped] == [
-        "solution became non-finite"] * 3 + ["singular step matrix"]
+        "solution became non-finite"] * 4 + ["singular step matrix"]
+    assert shipped[1] == shipped[2]
     monkeypatch.setattr(marchlib, "_library", lambda: unoptimized)
     assert [divergence(case) for case in cases] == shipped
 
@@ -263,9 +271,13 @@ def test_adjoint_march_runs_on_valid_arguments():
         ("traces", np.empty((2, 4)).T),
         ("phi", np.empty((4, 6))),
         ("phi", np.empty((4, 5), dtype=np.float32)),
+        ("piv", np.ones((4, 5))),  # a row for the last level, which no step solves from
+        ("piv", np.ones((3, 5), dtype=np.float32)),
+        ("piv", np.ones((3, 5), order="F")),
     ],
     ids=["U-fortran", "start-levels", "start-dtype", "node-count", "node-2d", "value-dtype",
-         "value-strided", "traces-levels", "traces-fortran", "phi-shape", "phi-dtype"],
+         "value-strided", "traces-levels", "traces-fortran", "phi-shape", "phi-dtype",
+         "piv-shape", "piv-dtype", "piv-fortran"],
 )
 def test_adjoint_march_refuses_a_misshapen_array(name, value):
     args = adjoint_args()
@@ -357,6 +369,19 @@ def test_marches_stop_at_a_level_that_overflows_at_one_node():
 def test_forward_march_refuses_a_fortran_ordered_field():
     with pytest.raises(ValidationError, match="C-contiguous"):
         marchlib.forward_march(np.zeros((4, 5), order="F"), 1.0, 1.0, FLAT, FLAT, FLAT)
+
+
+@pytest.mark.parametrize(
+    "piv",
+    [np.empty((4, 5)), np.empty((3, 5), dtype=np.float32), np.empty((3, 5), order="F")],
+    ids=["shape", "dtype", "fortran"],
+)
+def test_forward_march_refuses_a_misshapen_pivot_block(piv):
+    # Three steps on 5 nodes record a (3, 5) block.
+    U = np.zeros((4, 5))
+    with pytest.raises(ValidationError, match="C-contiguous float64 array of shape \\(3, 5\\)"):
+        marchlib.forward_march(U, 1.0, 1.0, FLAT, FLAT, FLAT, piv)
+    assert not U[1:].any()  # refused before the march ran
 
 
 @pytest.mark.parametrize("traces", [np.zeros((4, 3)), np.zeros((3, 2)), np.zeros((2, 4)).T])

@@ -1,5 +1,7 @@
 """Projected quasi-Newton pieces, Landweber baseline, and the PDE problem wrapper."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -465,6 +467,28 @@ class TestPdeProblem:
         assert used.partition.tobytes() == fp.partition.tobytes()
         assert used.beta_max == fp.beta_max
         assert f == misfit / prob.data_norm_sq
+
+    def test_a_new_point_releases_the_previous_field(self, pde, monkeypatch):
+        # The one-entry solve cache drops its field, with the pivots it
+        # carries, before the next point's solve: a gradient at the cached
+        # point solves nothing, and a new point's solve finds the previous
+        # field gone.
+        prob, _ = pde
+        objective, fields = adjoint.objective, []
+
+        def recorded(*args):
+            assert all(field() is None for field in fields)
+            out = objective(*args)
+            fields.append(weakref.ref(out[2]))
+            return out
+
+        monkeypatch.setattr(adjoint, "objective", recorded)
+        b = np.full(prob.dim, 0.3)
+        prob.objective(b)
+        prob.gradient(b)
+        assert len(fields) == 1 and fields[0]().pivots is not None
+        prob.objective(b + 0.1)
+        assert len(fields) == 2 and fields[0]() is None and fields[1]() is not None
 
     def test_gradient_matches_finite_differences(self, pde):
         prob, _ = pde
