@@ -1,6 +1,8 @@
 """Objective, linearized marches and adjoint-state gradient assembly.
 
-The misfit functional is f(beta) = 0.5 * ||observe(S(beta)) - data||_F^2.
+The misfit functional is f(beta) = 0.5 * ||observe(S(beta)) - data||_F^2:
+`misfit` of the state field S(beta), which `objective` solves with the
+diffusivity interpolant `alpha` (`material.build_material`).
 
 `solve_sensitivity` integrates the linearization of the parameter-to-state
 map: w_t = (alpha'(u) w)_xx with boundary terms beta'(u) w + grad_beta(u) . h,
@@ -91,23 +93,28 @@ import numpy as np
 
 from . import marchlib
 from .forward import EnthalpyField, Grid, solve_ibvp
-from .material import MaterialModel
 from .observation import Measurement, adjoint_source, observe
-from .pchip import FluxParameter, flux_interpolants
+from .pchip import FluxParameter, Pchip, flux_interpolants
+
+
+def misfit(field: EnthalpyField, data: Measurement) -> tuple[float, np.ndarray]:
+    """Misfit value of a state field against the readings, and its sensor
+    residual matrix."""
+    residual = observe(field, data.spec) - data.data
+    return 0.5 * float(np.sum(residual**2)), residual
 
 
 def objective(
-    fp: FluxParameter, data: Measurement, m: MaterialModel, u0, g: Grid
+    fp: FluxParameter, data: Measurement, alpha: Pchip, u0, g: Grid
 ) -> tuple[float, np.ndarray, EnthalpyField]:
-    """Misfit value plus the residual matrix and state field for reuse."""
-    field = solve_ibvp(m, fp, u0, g, pivots=True)
-    residual = observe(field, data.spec) - data.data
-    f = 0.5 * float(np.sum(residual**2))
-    return f, residual, field
+    """Misfit value plus the residual matrix and state field for reuse; the
+    field carries its march's pivots, for the gradient's adjoint solve."""
+    field = solve_ibvp(alpha, fp, u0, g, pivots=True)
+    return *misfit(field, data), field
 
 
 def solve_sensitivity(
-    u: EnthalpyField, m: MaterialModel, fp: FluxParameter, h
+    u: EnthalpyField, alpha: Pchip, fp: FluxParameter, h
 ) -> EnthalpyField:
     """Directional derivative of the state with respect to the flux values.
 
@@ -124,12 +131,12 @@ def solve_sensitivity(
     g = u.grid
     W = np.zeros((g.nt + 1, g.nx))
     marchlib.tangent_march(W, np.ascontiguousarray(u.values), np.ascontiguousarray(h, dtype=float),
-                           g.dt / g.dx**2, 2.0 * g.dt / g.dx, m.diffusivity,
+                           g.dt / g.dx**2, 2.0 * g.dt / g.dx, alpha,
                            *flux_interpolants(fp))
     return EnthalpyField(g, W)
 
 
-def solve_adjoint(u: EnthalpyField, m: MaterialModel, fp: FluxParameter, source,
+def solve_adjoint(u: EnthalpyField, alpha: Pchip, fp: FluxParameter, source,
                   phi: np.ndarray | None = None) -> np.ndarray:
     """Backward adjoint solve along the trajectory `u`; returns the wall
     traces of phi in original time orientation.
@@ -140,16 +147,16 @@ def solve_adjoint(u: EnthalpyField, m: MaterialModel, fp: FluxParameter, source,
     (nt+1, 2) array of phi at x = 0 (column 0) and x = L (column 1), with
     its last row 0 exactly. `phi`, when given, is an (nt+1) x nx array that
     receives every level of phi as well. The march solves on the pivots
-    `u` carries when they were recorded with the diffusivity of `m`, and
-    eliminates every step itself otherwise; the result is the same.
+    `u` carries when they were recorded with the diffusivity `alpha`
+    itself, and eliminates every step otherwise; the result is the same.
     """
     g = u.grid
     start, node, value = map(np.asarray, source)
     traces = np.empty((g.nt + 1, 2))
     piv = u.pivots
-    rows = piv.rows if piv is not None and piv.diffusivity is m.diffusivity else None
+    rows = piv.rows if piv is not None and piv.diffusivity is alpha else None
     marchlib.adjoint_march(np.ascontiguousarray(u.values), start, node, value, g.dt / g.dx**2,
-                           2.0 * g.dt / g.dx, g.dt, m.diffusivity, *flux_interpolants(fp),
+                           2.0 * g.dt / g.dx, g.dt, alpha, *flux_interpolants(fp),
                            traces, phi, rows)
     return traces
 
@@ -180,12 +187,12 @@ def assemble_gradient(traces: np.ndarray, u: EnthalpyField, fp: FluxParameter) -
 
 
 def compute_gradient(
-    fp: FluxParameter, data: Measurement, m: MaterialModel,
+    fp: FluxParameter, data: Measurement, alpha: Pchip,
     field: EnthalpyField, residual: np.ndarray,
 ) -> np.ndarray:
     """Gradient of the misfit at `fp` from its state `field` and sensor
     `residual`, as `objective` returns them: residual injection, adjoint
     solve along the field, and assembly. The objective value stays with the
     caller."""
-    traces = solve_adjoint(field, m, fp, adjoint_source(residual, data.spec, field.grid))
+    traces = solve_adjoint(field, alpha, fp, adjoint_source(residual, data.spec, field.grid))
     return assemble_gradient(traces, field, fp)

@@ -31,7 +31,7 @@ import numpy as np
 from . import pchip
 from .errors import ValidationError
 from .forward import Grid
-from .material import MaterialModel, build_material, builtin_material
+from .material import build_material, builtin_material
 from .observation import ObservationSpec
 
 # Headers of the input tables: one row per knot of an exact flux (the slope
@@ -235,7 +235,9 @@ def read_table(path, header=None) -> tuple[list, np.ndarray]:
     return head, table.reshape(len(body), len(head))
 
 
-def load_configured_material(cfg: ExperimentConfig) -> MaterialModel:
+def load_configured_material(cfg: ExperimentConfig) -> pchip.Pchip:
+    """The diffusivity interpolant of the configured material: the builtin
+    one, or one built from the `material.source` table."""
     if cfg.material_source == "builtin":
         return builtin_material()
     _, table = read_table(cfg.material_source, MATERIAL_CSV_HEADER)

@@ -59,7 +59,6 @@ import numpy as np
 
 from . import marchlib
 from .errors import ValidationError
-from .material import MaterialModel
 from .pchip import FluxParameter, Pchip, flux_interpolants
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -118,12 +117,13 @@ class EnthalpyField:
             raise ValidationError(f"field shape {vals.shape} != grid shape {expected}")
 
 
-def solve_ibvp(m: MaterialModel, fp: FluxParameter, u0, g: Grid, *,
+def solve_ibvp(alpha: Pchip, fp: FluxParameter, u0, g: Grid, *,
                pivots: bool = False) -> EnthalpyField:
     """March the nonlinear state equation forward over the whole grid.
 
+    `alpha` is the diffusivity over enthalpy (`material.build_material`).
     `u0` is the initial enthalpy profile (length nx, finite, inside the
-    material's enthalpy range). Boundary fluxes and diffusivities are
+    diffusivity's knot range). Boundary fluxes and diffusivities are
     evaluated on the previous level with clamped interpolation, so transient
     excursions beyond the tabulated ranges stay well defined. The march
     stops with `DivergenceError` at a singular step or at the first
@@ -139,19 +139,19 @@ def solve_ibvp(m: MaterialModel, fp: FluxParameter, u0, g: Grid, *,
         raise ValidationError(f"u0 must have shape ({g.nx},)")
     if not np.isfinite(u0).all():
         raise ValidationError("u0 must be finite")
-    umin, umax = m.u_range
+    umin, umax = alpha.knots[0], alpha.knots[-1]
     if (u0 < umin - 1e-9 * umax).any() or (u0 > umax * (1 + 1e-12)).any():
         raise ValidationError("u0 outside the material enthalpy range")
 
     block = np.empty((2 * g.nt + 1 if pivots else g.nt + 1, g.nx))
     U, rows = block[: g.nt + 1], block[g.nt + 1 :]
     U[0] = u0
-    marchlib.forward_march(U, g.dt / g.dx**2, 2.0 * g.dt / g.dx, m.diffusivity,
+    marchlib.forward_march(U, g.dt / g.dx**2, 2.0 * g.dt / g.dx, alpha,
                            *flux_interpolants(fp), rows if pivots else None)
     if not pivots:
         return EnthalpyField(g, U)
     U.flags.writeable = rows.flags.writeable = False
-    return EnthalpyField(g, U, Pivots(m.diffusivity, rows))
+    return EnthalpyField(g, U, Pivots(alpha, rows))
 
 
 def total_enthalpy(f: EnthalpyField, step: int) -> float:

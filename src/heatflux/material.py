@@ -4,13 +4,15 @@ A material is described by tables of volumetric heat capacity C(theta) and
 conductivity k(theta). Integrating C from the reference temperature 273.15 K
 (trapezoidal cumulative integral) gives the enthalpy u, the state variable of
 the solvers; the interpolated ratio k/C over enthalpy is the diffusivity that
-drives conduction, and the only material quantity the marches read.
+drives conduction, and the only material quantity the marches read. So this
+module returns that interpolant itself, a `pchip.Pchip` on equidistant knots
+from 0 to the enthalpy of the table's top temperature, which the marches
+take as `alpha`; `config` calls it, and nothing downstream imports it.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,21 +22,9 @@ from .errors import ValidationError
 THETA_REF = 273.15
 
 
-@dataclass(frozen=True, eq=False)
-class MaterialModel:
-    """The diffusivity k/C over enthalpy, on equidistant knots from 0 to the
-    enthalpy of the table's top temperature."""
-
-    diffusivity: pchip.Pchip
-
-    @property
-    def u_range(self) -> tuple[float, float]:
-        knots = self.diffusivity.knots
-        return float(knots[0]), float(knots[-1])
-
-
-def build_material(theta_table, capacity_table, conductivity_table) -> MaterialModel:
-    """Validate tables, integrate capacity, and fit the diffusivity interpolant.
+def build_material(theta_table, capacity_table, conductivity_table) -> pchip.Pchip:
+    """Validate tables, integrate capacity, and return the diffusivity
+    interpolant.
 
     Tables starting above 273.15 K are extended downward with their first row
     held constant, so the enthalpy origin always sits at the reference
@@ -73,17 +63,16 @@ def build_material(theta_table, capacity_table, conductivity_table) -> MaterialM
     alpha = cond / cap
 
     try:
-        diffusivity = pchip.Pchip(enthalpy, alpha)
+        return pchip.Pchip(enthalpy, alpha)
     except ValidationError:
         grid = np.linspace(0.0, enthalpy[-1], max(theta.size, 65))
-        diffusivity = pchip.Pchip(grid, np.interp(grid, enthalpy, alpha))
-
-    return MaterialModel(diffusivity=diffusivity)
+        return pchip.Pchip(grid, np.interp(grid, enthalpy, alpha))
 
 
 @functools.cache
-def builtin_material() -> MaterialModel:
-    """Synthetic steel-like material used when no CSV table is supplied.
+def builtin_material() -> pchip.Pchip:
+    """Diffusivity of the synthetic steel-like material used when no CSV
+    table is supplied; cached, so every call returns the same interpolant.
 
     Constant volumetric capacity 3.8e6 J/(m3 K) and a conductivity curve with
     a dip around 1100 K, producing a diffusivity valley in the mid-enthalpy

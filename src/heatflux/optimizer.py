@@ -37,9 +37,8 @@ import numpy as np
 from . import adjoint
 from .errors import DivergenceError, OptimizerError, ValidationError
 from .forward import Grid
-from .material import MaterialModel
 from .observation import Measurement
-from .pchip import FluxParameter
+from .pchip import FluxParameter, Pchip
 
 log = logging.getLogger(__name__)
 
@@ -314,7 +313,7 @@ def landweber_solve(problem: Problem, config: SolveConfig) -> OptimizerState:
 
 
 def make_pde_problem(
-    m: MaterialModel,
+    alpha: Pchip,
     data: Measurement,
     u0,
     g: Grid,
@@ -361,7 +360,7 @@ def make_pde_problem(
         if cache.get("key") != key:
             cache.clear()  # one field and its pivots alive at a time
             fp = fluxes(b)
-            f, residual, field = adjoint.objective(fp, data, m, u0, g)
+            f, residual, field = adjoint.objective(fp, data, alpha, u0, g)
             cache.update(key=key, fp=fp, f=f, residual=residual, field=field)
         return cache
 
@@ -370,7 +369,7 @@ def make_pde_problem(
 
     def gradient_fn(b: np.ndarray):
         c = _solve(np.asarray(b, dtype=float))
-        grad = adjoint.compute_gradient(c["fp"], data, m, c["field"], c["residual"])
+        grad = adjoint.compute_gradient(c["fp"], data, alpha, c["field"], c["residual"])
         return c["f"] / norm_y, grad * (scale / norm_y)
 
     return Problem(

@@ -35,20 +35,18 @@ def constant_material():
 
 @pytest.fixture
 def singular_level_case():
-    """(grid, material, trajectory, flux): a made-up trajectory on three nodes
+    """(grid, diffusivity, trajectory, flux): a made-up trajectory on three nodes
     with r = 1 whose level 4 sits where the diffusivity is -1/4: the bands
     of the step from that level, 0.5 on the diagonal, 0.5 and 0.25 off it,
     make I + rK exactly singular (its eigenvalues are 1 + r*alpha*(0, 2,
     4)). Every other level sits at 0, where the diffusivity is 1. The
     fluxes are zero."""
     g = Grid(L=2.0, T=8.0, nx=3, nt=8)
-    m = material_mod.MaterialModel(
-        diffusivity=pchip.Pchip([0.0, 1.0, 2.0], [1.0, -0.25, 1.0])
-    )
+    alpha = pchip.Pchip([0.0, 1.0, 2.0], [1.0, -0.25, 1.0])
     U = np.zeros((g.nt + 1, g.nx))
     U[4] = 1.0
     fp = pchip.FluxParameter(np.zeros(6), np.linspace(0.0, 2.0, 3), 1.0)
-    return g, m, EnthalpyField(g, U), fp
+    return g, alpha, EnthalpyField(g, U), fp
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from heatflux import adjoint, cli, config, forward, material, observation, pchip
+from heatflux import adjoint, cli, config, forward, observation, pchip
 from heatflux.errors import ValidationError
 from heatflux.forward import EnthalpyField, Grid, Pivots
 from heatflux.observation import ObservationSpec
@@ -158,7 +158,7 @@ class TestRecordedPivots:
     def test_pivots_are_read_only_with_their_field(self, case):
         m, g, u0, _, _, fp = case
         field = forward.solve_ibvp(m, fp, u0, g, pivots=True)
-        assert field.pivots.diffusivity is m.diffusivity
+        assert field.pivots.diffusivity is m
         assert field.pivots.rows.shape == (g.nt, g.nx)
         for a in (field.values, field.pivots.rows):
             with pytest.raises(ValueError, match="read-only"):
@@ -173,12 +173,11 @@ class TestRecordedPivots:
         m, g, u0, spec, meas, fp = case
         _, residual, field = adjoint.objective(fp, meas, m, u0, g)
         src = observation.adjoint_source(residual, spec, g)
-        stale = EnthalpyField(g, field.values, Pivots(m.diffusivity, 2.0 * field.pivots.rows))
+        stale = EnthalpyField(g, field.values, Pivots(m, 2.0 * field.pivots.rows))
         plain = EnthalpyField(g, field.values)
         want = adjoint.solve_adjoint(plain, m, fp, src)
         assert adjoint.solve_adjoint(stale, m, fp, src).tobytes() != want.tobytes()
-        other = material.MaterialModel(
-            diffusivity=pchip.Pchip(m.diffusivity.knots, m.diffusivity.values))
+        other = pchip.Pchip(m.knots, m.values)
         want = adjoint.solve_adjoint(plain, other, fp, src)
         for u in (stale, field):
             assert adjoint.solve_adjoint(u, other, fp, src).tobytes() == want.tobytes()

@@ -386,6 +386,26 @@ class TestGradcheck:
         report = gradient_check(cfg)
         assert report["passed"] is False
 
+    def test_only_the_base_point_records_pivots(self, tmp_path, monkeypatch):
+        # The differences need only the misfit; pivots serve the one adjoint
+        # solve, along the base point's field.
+        cfg = config_mod.load_config(write_config(tmp_path)[0])
+        calls = []
+        solve_ibvp = forward.solve_ibvp
+
+        def recorded(alpha, fp, u0, g, **kwargs):
+            calls.append((fp.beta.copy(), kwargs.get("pivots", False)))
+            return solve_ibvp(alpha, fp, u0, g, **kwargs)
+
+        for module in (cli, adjoint):
+            monkeypatch.setattr(module, "solve_ibvp", recorded)
+        gradient_check(cfg)
+        dim = 2 * cfg.n
+        base = 0.25 * cfg.beta_max * (1.0 + 0.5 * np.sin(np.arange(dim)))
+        assert len(calls) == 2 * dim + 12
+        recording = [beta for beta, pivots in calls if pivots]
+        assert len(recording) == 1 and np.array_equal(recording[0], base)
+
     def test_directional_error_scale(self):
         rng = np.random.default_rng(0)
         fd = rng.standard_normal(16)

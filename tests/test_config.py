@@ -353,7 +353,7 @@ class TestMaterialTables:
     """Material tables as the config reads them (`material.source = PATH`)."""
 
     @staticmethod
-    def load(path) -> material.MaterialModel:
+    def load(path) -> pchip.Pchip:
         return config_mod.load_configured_material(ExperimentConfig(material_source=str(path)))
 
     def test_save_load_round_trip(self, write_csv):
@@ -363,8 +363,8 @@ class TestMaterialTables:
         m = material.build_material(theta, cap, cond)
         path = write_csv("mat.csv", config_mod.MATERIAL_CSV_HEADER, zip(theta, cap, cond))
         q = self.load(path)
-        assert np.array_equal(m.diffusivity.knots, q.diffusivity.knots)
-        assert np.array_equal(m.diffusivity.values, q.diffusivity.values)
+        assert np.array_equal(m.knots, q.knots)
+        assert np.array_equal(m.values, q.values)
 
     def test_load_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "mat.csv"

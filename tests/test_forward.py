@@ -186,6 +186,28 @@ class TestErrors:
         with pytest.raises(ValidationError):
             forward.solve_ibvp(builtin_material, fp, np.full(g.nx, 9.9e9), g)
 
+    @pytest.mark.parametrize("entry, accepted", [
+        (lambda lo, hi: lo, True),
+        (lambda lo, hi: hi, True),
+        (lambda lo, hi: lo - 1e-10 * hi, True),
+        (lambda lo, hi: hi * (1 + 1e-13), True),
+        (lambda lo, hi: lo - 1e-8 * hi, False),
+        (lambda lo, hi: hi * (1 + 1e-11), False),
+    ], ids=["lo", "hi", "below-lo-in-tol", "above-hi-in-tol", "below-lo", "above-hi"])
+    def test_u0_range_is_the_knot_range_with_tolerances(self, builtin_material, entry, accepted):
+        # One entry of u0 at or just past an end of the diffusivity's knots:
+        # 1e-9 of the top knot below the first, 1e-12 relative above the last.
+        g = Grid(L=0.05, T=1.0, nx=11, nt=5)
+        fp = constant_flux_parameter(0.0, beta_max=1.0)
+        lo, hi = builtin_material.knots[0], builtin_material.knots[-1]
+        u0 = np.full(g.nx, 0.5 * hi)
+        u0[3] = entry(lo, hi)
+        if accepted:
+            assert forward.solve_ibvp(builtin_material, fp, u0, g).values[0, 3] == u0[3]
+        else:
+            with pytest.raises(ValidationError, match="enthalpy range"):
+                forward.solve_ibvp(builtin_material, fp, u0, g)
+
     def test_non_finite_u0_rejected(self, builtin_material):
         g = Grid(L=0.05, T=1.0, nx=11, nt=5)
         fp = constant_flux_parameter(0.0, beta_max=1.0)

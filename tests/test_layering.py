@@ -13,8 +13,10 @@ module of the package. No module imports scipy: every tridiagonal solve runs
 in the compiled loops, on the library's own port of LAPACK's dgtsv, and
 scipy is a dependency of the tests and the benchmark only. The march
 pipeline (`forward`, `observation`, `adjoint`) calls no BLAS either, whose
-summation order depends on the CPU's kernel. Every exception class in
-`errors` is raised by some package module.
+summation order depends on the CPU's kernel. The pipeline, with `optimizer`
+and `marchlib`, imports nothing from `material`, which only builds the
+diffusivity interpolant the pipeline takes (`config` calls it). Every
+exception class in `errors` is raised by some package module.
 """
 
 import ast
@@ -135,6 +137,16 @@ def test_march_pipeline_calls_no_blas(module):
         elif isinstance(node, ast.alias) and set(node.name.split(".")) & BLAS_NAMES:
             uses.add(f"import {node.name} at line {node.lineno}")
     assert uses == set()
+
+
+@pytest.mark.parametrize("module", MARCH_MODULES + ["optimizer", "marchlib"])
+def test_march_pipeline_imports_nothing_from_material(module):
+    path = PACKAGE / f"{module}.py"
+    package = {name.split(".")[1] for name in imported_names(path) if name.startswith("heatflux.")}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            package.update([node.module] if node.module else [a.name for a in node.names])
+    assert "material" not in package
 
 
 def test_every_package_error_is_raised():

@@ -71,7 +71,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dgtsv
 
-from heatflux import adjoint, forward, marchlib, material, observation, pchip
+from heatflux import adjoint, forward, marchlib, observation, pchip
 from heatflux.config import ExperimentConfig, exact_flux_parameter, inversion_partition
 from heatflux.errors import DivergenceError
 from heatflux.forward import Grid
@@ -107,7 +107,7 @@ def plain_step(ab, rhs, step):
 
 def plain_coefficients(u, m, b0, bL):
     du = np.diff(u.values, axis=1)
-    alpha, ap = pchip.eval(m.diffusivity, u.values, clamp=True)
+    alpha, ap = pchip.eval(m, u.values, clamp=True)
     amid = 0.5 * (alpha[:, :-1] + alpha[:, 1:])
     b0p = pchip.eval(b0, u.values[:, 0], clamp=True)[1]
     bLp = pchip.eval(bL, u.values[:, -1], clamp=True)[1]
@@ -123,7 +123,7 @@ def plain_solve_ibvp(m, fp, u0, g):
     ab = np.zeros((3, g.nx))
     for n in range(g.nt):
         un = U[n]
-        alpha = pchip.eval(m.diffusivity, un, clamp=True)[0]
+        alpha = pchip.eval(m, un, clamp=True)[0]
         amid = 0.5 * (alpha[:-1] + alpha[1:])
         beta0 = pchip.eval(b0, un[0], clamp=True)[0]
         betaL = pchip.eval(bL, un[-1], clamp=True)[0]
@@ -314,18 +314,18 @@ def knot_material(m):
     a node there takes the evaluators' right-knot branch, and on two of them
     the cubic misses the knot's value in the last bit."""
     knots = np.linspace(0.0, 5.74e9, 31)
-    values = pchip.eval(m.diffusivity, knots, clamp=True)[0]
-    return material.MaterialModel(diffusivity=pchip.Pchip(knots, values))
+    values = pchip.eval(m, knots, clamp=True)[0]
+    return pchip.Pchip(knots, values)
 
 
 def knot_profile(m, nx):
     """Pairs of nodes on the diffusivity's knots, hottest at x = 0, and the
-    last node just below the material range (inside the tolerance
+    last node just below the first knot (inside the tolerance
     `solve_ibvp` allows), so the evaluators clamp it. A pair's interface
     mean is its diffusivity exactly, so a last-bit change of that value
     reaches the bands."""
-    u0 = np.repeat(m.diffusivity.knots[::-1], 2)[:nx]
-    u0[-1] = m.diffusivity.knots[0] - 1.0
+    u0 = np.repeat(m.knots[::-1], 2)[:nx]
+    u0[-1] = m.knots[0] - 1.0
     return u0
 
 
@@ -334,7 +334,7 @@ CASES = ["exact", "random", "steep", "knots"]
 
 @pytest.fixture(scope="module")
 def marches(builtin_material):
-    """name -> (material, flux, field, plain field, adjoint source)."""
+    """name -> (diffusivity, flux, field, plain field, adjoint source)."""
     g = GRID
     flat = np.full(g.nx, CFG.u0)
     source = np.random.default_rng(5).standard_normal((g.nt + 1, g.nx))
@@ -377,7 +377,7 @@ def test_recorded_pivots_are_the_diagonal_the_solve_leaves(marches, recorded, na
     m, _, field, _, _ = marches[name]
     u = recorded[name]
     assert u.values.tobytes() == field.values.tobytes()
-    alpha = pchip.eval(m.diffusivity, field.values[:-1], clamp=True)[0]
+    alpha = pchip.eval(m, field.values[:-1], clamp=True)[0]
     amid = 0.5 * (alpha[:, :-1] + alpha[:, 1:])
     ab = np.zeros((3, GRID.nx))
     solve = marchlib._library().tridiagonal_solve
@@ -411,7 +411,7 @@ def test_marches_match_plain_code_through_row_interchanges(builtin_material):
     # plain code's bytes.
     g, m, fp = SWAP_GRID, builtin_material, exact_flux_parameter(CFG)
     u0 = np.full(g.nx, CFG.u0)
-    alpha0 = pchip.eval(m.diffusivity, u0[:1], clamp=True)[0][0]
+    alpha0 = pchip.eval(m, u0[:1], clamp=True)[0][0]
     assert g.dt / g.dx**2 * alpha0 >= 3.0
     field = forward.solve_ibvp(m, fp, u0, g, pivots=True)
     assert (field.pivots.rows[:, 0] == 0.0).all()
@@ -563,8 +563,7 @@ def test_knot_case_takes_the_right_knot_and_clamp_branches(marches):
     # The levels the forward march evaluated its diffusivity on: some node
     # must round down onto the right knot of its interval (the branch that
     # takes the knot's value) and some must lie below the table.
-    m, _, field, _, _ = marches["knots"]
-    p = m.diffusivity
+    p, _, field, _, _ = marches["knots"]
     levels = field.values[:-1]
     xc, idx, _ = pchip._locate(p, levels, True)
     assert ((xc == p.knots[idx + 1]) & (idx + 1 < p.n - 1)).any()
@@ -600,7 +599,7 @@ def test_forward_march_takes_a_negative_zero_flux_value_on_its_knot():
     # `pchip.eval` does: c beta then cancels the wall's -0.0 to +0.0, and
     # the signs of the zeros of every level follow from it.
     g = Grid(L=1.0, T=1.0, nx=5, nt=4)
-    m = material.MaterialModel(diffusivity=pchip.Pchip([0.0, 1.0, 2.0], [1.0, 2.0, 1.0]))
+    m = pchip.Pchip([0.0, 1.0, 2.0], [1.0, 2.0, 1.0])
     fp = pchip.FluxParameter([-0.0, 1.0, 2.0] * 2, np.linspace(0.0, 2.0, 3), 2.0)
     u0 = np.full(g.nx, -0.0)
     got = forward.solve_ibvp(m, fp, u0, g)
@@ -644,7 +643,7 @@ def test_adjoint_march_adds_zero_on_a_negative_zero_level():
     # as the plain code's zero source row does (-0.0 + 0.0 is +0.0), not
     # pass psi through: the solved level then differs in the sign of a zero.
     g = Grid(L=2.0, T=4.0, nx=3, nt=4)
-    m = material.MaterialModel(diffusivity=pchip.Pchip([0.0, 1.0, 2.0], [1.0, 50.0, 1.0]))
+    m = pchip.Pchip([0.0, 1.0, 2.0], [1.0, 50.0, 1.0])
     U = np.repeat([[0.5], [2.0], [2.0], [0.0], [1.0]], 3, axis=1)
     u = forward.EnthalpyField(g, U)
     fp = pchip.FluxParameter([0.5, 1.0, 0.5, 0.5, 0.0, 0.5], np.linspace(0.0, 2.0, 3), 1.0)
@@ -662,31 +661,29 @@ def test_adjoint_march_takes_the_knot_slopes_on_the_knots(builtin_material):
     # top knot: the large increments between the two carry that bit into the
     # transport term. The march must take the knot's slope there, as
     # `pchip.eval` does.
-    m = knot_material(builtin_material)
-    p = m.diffusivity
+    p = knot_material(builtin_material)
     missed = p.knots[left_knot_slope_misses(p, p.knots)]
     assert missed.size >= 5
     profile = np.resize(np.stack([missed, np.full(missed.size, p.knots[-1])], 1), GRID.nx)
     u = forward.EnthalpyField(GRID, np.tile(profile, (GRID.nt + 1, 1)))
     fp = exact_flux_parameter(CFG)
     source = np.random.default_rng(5).standard_normal((GRID.nt + 1, GRID.nx))
-    got = adjoint_levels(u, m, fp, dense_pair(source))
-    assert got.tobytes() == plain_solve_adjoint(u, m, fp, source, GRID).tobytes()
+    got = adjoint_levels(u, p, fp, dense_pair(source))
+    assert got.tobytes() == plain_solve_adjoint(u, p, fp, source, GRID).tobytes()
 
 
 def test_tangent_march_takes_the_knot_slopes_on_the_knots(builtin_material):
     # The made-up trajectory above, in the tangent march: the knot's slope
     # must reach its transport term, whose large increments carry every bit
     # of it, also on the two wall rows.
-    m = knot_material(builtin_material)
-    p = m.diffusivity
+    p = knot_material(builtin_material)
     missed = p.knots[left_knot_slope_misses(p, p.knots)]
     profile = np.resize(np.stack([missed, np.full(missed.size, p.knots[-1])], 1), GRID.nx)
     u = forward.EnthalpyField(GRID, np.tile(profile, (GRID.nt + 1, 1)))
     fp = exact_flux_parameter(CFG)
     h = np.random.default_rng(9).standard_normal(2 * fp.n)
-    got = adjoint.solve_sensitivity(u, m, fp, h)
-    assert got.values.tobytes() == plain_solve_sensitivity(u, m, fp, h, GRID).tobytes()
+    got = adjoint.solve_sensitivity(u, p, fp, h)
+    assert got.values.tobytes() == plain_solve_sensitivity(u, p, fp, h, GRID).tobytes()
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -916,7 +913,7 @@ def test_marches_leave_no_reference_cycles(marches):
         forward.solve_ibvp(m, fp, field.values[0], GRID)
         adjoint.solve_adjoint(field, m, fp, dense_pair(source))
         adjoint.solve_sensitivity(field, m, fp, np.ones(2 * fp.n))
-        pchip.eval(m.diffusivity, field.values, clamp=True)
+        pchip.eval(m, field.values, clamp=True)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -20,12 +20,12 @@ def dense_points(p, per_interval=40):
     return np.linspace(p.knots[0], p.knots[-1], (p.n - 1) * per_interval + 1)
 
 
-def bitwise_cases(material):
+def bitwise_cases(diffusivity):
     """The builtin diffusivity and 400 random partitions, each with its every
     knot, the neighbouring floats on both sides, points beyond both ends and
     random interior points."""
     rng = np.random.default_rng(41)
-    cases = [material.diffusivity]
+    cases = [diffusivity]
     for _ in range(400):
         n = int(rng.integers(3, 40))
         lo = rng.uniform(-1e3, 1e3) * 10.0 ** rng.integers(-3, 7)
