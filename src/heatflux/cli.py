@@ -70,7 +70,7 @@ def _fmt(value) -> str:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 CONVERGENCE_COLUMNS = ["k", "f", "normalized_f", "lambda", "active_count"]
@@ -214,7 +214,7 @@ def _inversion_problem(cfg: ExperimentConfig, meas: observation.Measurement):
     return optimizer.make_pde_problem(material, meas, u0, grid, partition, cfg.beta_max)
 
 
-def _write_inversion_outputs(cfg, out_dir: Path, state, problem) -> None:
+def _write_inversion_outputs(cfg, out_dir: Path, state, problem, exact) -> None:
     fp = problem.fluxes(state.beta)
     _atomic_write(out_dir / "beta.json", _state_json(state, fp))
     convergence = _convergence_rows(state, problem.data_norm_sq)
@@ -229,10 +229,10 @@ def _write_inversion_outputs(cfg, out_dir: Path, state, problem) -> None:
         out_dir / "plotdata" / "residual_curve.csv",
         _csv_text(CONVERGENCE_COLUMNS[:3], [row[:3] for row in convergence]),
     )
-    exact = config_mod.exact_flux_parameter(cfg)
     if exact is not None:
+        # Held at the last knot's value beyond it, as the march holds it.
         e0, eL = pchip.flux_interpolants(exact)
-        x0, xL = pchip.eval(e0, dense)[0], pchip.eval(eL, dense)[0]
+        x0, xL = pchip.eval(e0, dense, clamp=True)[0], pchip.eval(eL, dense, clamp=True)[0]
         rows = [tuple(_fmt(v) for v in row) for row in zip(dense, r0, x0, rL, xL)]
         _atomic_write(
             out_dir / "plotdata" / "flux_comparison.csv",
@@ -247,9 +247,10 @@ def cmd_invert(cfg: ExperimentConfig, out_dir: Path, allow_crime: bool) -> int:
     data_dir = Path(cfg.data_dir) if cfg.data_dir else Path(cfg.output_dir)
     meas, sim = _read_measurement(data_dir)
     _check_inverse_crime(cfg, sim, allow_crime)
+    exact = config_mod.exact_flux_parameter(cfg)
     problem = _inversion_problem(cfg, meas)
     state = _solve(cfg, problem, cfg.method)
-    _write_inversion_outputs(cfg, out_dir, state, problem)
+    _write_inversion_outputs(cfg, out_dir, state, problem, exact)
     return 0
 
 
@@ -283,7 +284,7 @@ def gradient_check(cfg: ExperimentConfig) -> dict:
         bp[i] += eps
         bm[i] -= eps
         fd[i] = (objective_at(bp) - objective_at(bm)) / (2.0 * eps)
-    rel_l2 = float(np.linalg.norm(grad - fd) / np.linalg.norm(fd))
+    rel_l2 = float(np.linalg.norm(grad - fd)) / max(float(np.linalg.norm(fd)), 1e-30)
 
     rng = np.random.default_rng(cfg.seed + 1)
     directional = []

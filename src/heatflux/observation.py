@@ -184,14 +184,23 @@ def observe(f: EnthalpyField, spec: ObservationSpec) -> np.ndarray:
 
 
 def add_noise(clean: np.ndarray, spec: ObservationSpec, amplitude: float, seed: int) -> Measurement:
-    """Perturb clean readings with seeded uniform noise and record the level."""
+    """Perturb clean readings with seeded uniform noise and record the level.
+
+    Raises `ValidationError` when the amplitude is negative, or so large that
+    the noise range or the squared norms of the level overflow."""
     if amplitude < 0:
         raise ValidationError("noise amplitude must be nonnegative")
+    if not math.isfinite(2.0 * amplitude):
+        raise ValidationError(f"noise amplitude {amplitude} overflows the noise range")
     clean = np.asarray(clean, dtype=float)
     rng = np.random.default_rng(seed)
     noisy = clean + rng.uniform(-amplitude, amplitude, size=clean.shape)
-    diff_sq = float(np.sum((clean - noisy) ** 2))
-    delta = 0.0 if diff_sq == 0.0 else diff_sq / (2.0 * float(np.sum(noisy**2)))
+    with np.errstate(over="ignore"):
+        diff_sq = float(np.sum((clean - noisy) ** 2))
+        noisy_sq = float(np.sum(noisy**2))
+    if not (math.isfinite(diff_sq) and math.isfinite(noisy_sq)):
+        raise ValidationError(f"noise amplitude {amplitude} overflows the readings' squared norms")
+    delta = 0.0 if diff_sq == 0.0 else diff_sq / (2.0 * noisy_sq)
     return Measurement(data=noisy, spec=spec, delta=delta, seed=seed, amplitude=amplitude)
 
 

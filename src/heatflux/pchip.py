@@ -30,12 +30,11 @@ refinement loop (`refine_to_tolerance`).
 
 `FluxParameter` bundles the two boundary heat-flux value vectors that the
 inverse solver optimizes, together with their shared enthalpy partition and
-box bound.
+box bound, and builds their two interpolants with `Pchip` when it is made.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -85,19 +84,7 @@ class Pchip:
             raise ValidationError("values must match knots in shape")
         if not np.isfinite(values).all():
             raise ValidationError("values must be finite")
-        self._build(knots, _uniform_spacing(knots), values)
-
-    @classmethod
-    def _on_knots(cls, knots: np.ndarray, h: float, values: np.ndarray) -> Pchip:
-        """The interpolant of `values` on `knots`, which `_uniform_spacing`
-        has already accepted with spacing `h`; the values must be finite
-        floats of the knots' shape. Bit for bit `Pchip(knots, values)`,
-        without checking the knots again."""
-        p = object.__new__(cls)
-        p._build(knots, h, values)
-        return p
-
-    def _build(self, knots: np.ndarray, h: float, values: np.ndarray) -> None:
+        h = _uniform_spacing(knots)
         # One column per interval, read by both evaluators: left knot, the
         # cubic in the local coordinate t = (x - x_i)/h, p(t) = c0 + t (c1 +
         # t (c2 + t c3)), right knot, right value, left and right slope.
@@ -303,8 +290,10 @@ class FluxParameter:
     The first half of `beta` holds the values of the flux at x = 0, the second
     half the values of the flux at x = L, both tabulated on `partition` (which
     runs from 0 to u_max). All entries live in the box [0, beta_max]. Both
-    arrays are read-only copies, so the interpolants built from them once
-    (`flux_interpolants`) stay theirs.
+    arrays are read-only copies. The two interpolants (`flux_interpolants`)
+    are built here with `Pchip(partition, values)`, whose checks prove the
+    partition a knot vector, so a parameter whose values cannot be
+    interpolated is refused when it is made.
     """
 
     beta: np.ndarray
@@ -318,9 +307,6 @@ class FluxParameter:
         part.setflags(write=False)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "partition", part)
-        object.__setattr__(self, "_spacing", _uniform_spacing(part))
-        if abs(part[0]) > EQUIDISTANT_RTOL * part[-1]:
-            raise ValidationError("flux partition must start at 0")
         if beta.ndim != 1 or beta.size != 2 * part.size:
             raise ValidationError(
                 f"beta must have length {2 * part.size}, got {beta.size}"
@@ -331,24 +317,22 @@ class FluxParameter:
             raise ValidationError("beta_max must be finite and positive")
         if (beta < 0).any() or (beta > self.beta_max).any():
             raise ValidationError("beta outside the box [0, beta_max]")
+        n = part.size
+        object.__setattr__(self, "_interpolants", (Pchip(part, beta[:n]), Pchip(part, beta[n:])))
+        if abs(part[0]) > EQUIDISTANT_RTOL * part[-1]:
+            raise ValidationError("flux partition must start at 0")
 
     @property
     def n(self) -> int:
         """Number of knots per flux."""
         return self.partition.size
 
-    @functools.cached_property
-    def _interpolants(self) -> tuple[Pchip, Pchip]:
-        n, part, h = self.n, self.partition, self._spacing
-        return Pchip._on_knots(part, h, self.beta[:n]), Pchip._on_knots(part, h, self.beta[n:])
-
 
 def flux_interpolants(fp: FluxParameter) -> tuple[Pchip, Pchip]:
     """Interpolants (flux at x=0, flux at x=L) for the current parameters.
 
-    They are built on the first call and kept on `fp`, so the forward march,
-    the adjoint march and the gradient assembly at one parameter build them
-    once, on the partition `fp` has checked (about 0.05 ms each at 20-41
-    knots).
+    `fp` built them when it was made, so the forward march, the adjoint march
+    and the gradient assembly at one parameter share one pair (about 0.05 ms
+    each at 20-41 knots).
     """
     return fp._interpolants

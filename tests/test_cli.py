@@ -195,6 +195,42 @@ class TestInvert:
         )
         assert (out_dir / "beta.json").exists()
 
+    def test_exact_table_short_of_u_max_is_held_at_its_last_value(self, tmp_path, write_csv):
+        # Tables on [0, 4e9] under u_max = 5.5e9: the march holds each flux
+        # at its last knot's value, and so does the comparison file. `invert`
+        # used to write its outputs and then exit 2 on the unclamped samples.
+        cfg = ExperimentConfig()
+        knots = np.linspace(0.0, 4e9, 11)
+        lasts, paths = [], []
+        for name, p in zip(("b0.csv", "bL.csv"),
+                           config_mod.leidenfrost_profiles(cfg.u_max, cfg.beta_max)):
+            values = pchip.eval(p, knots)[0]
+            lasts.append(values[-1])
+            paths.append(write_csv(name, config_mod.FLUX_CSV_HEADER,
+                                   zip(knots, values, np.zeros(knots.size))))
+        cfg_path, out_dir = write_config(
+            tmp_path, extra="fluxes.source = csv\nfluxes.beta0_csv = {}\n"
+                            "fluxes.betaL_csv = {}\n".format(*paths),
+        )
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        assert main(["invert", "--config", str(cfg_path)]) == 0
+        _, table = config_mod.read_table(out_dir / "plotdata" / "flux_comparison.csv")
+        past = table[:, 0] > 4e9
+        assert past.any()
+        assert (table[past, 2] == lasts[0]).all() and (table[past, 4] == lasts[1]).all()
+
+    def test_missing_exact_table_exits_2_before_any_output(self, simulated, tmp_path, solves):
+        # It used to exit 2 only after the whole inversion had written its files.
+        cfg_path, out_dir = simulated
+        missing = tmp_path / "missing.csv"
+        cfg_path.write_text(cfg_path.read_text() + f"fluxes.source = csv\n"
+                            f"fluxes.beta0_csv = {missing}\nfluxes.betaL_csv = {missing}\n")
+        before = sorted(out_dir.rglob("*"))
+        solves.clear()
+        assert main(["invert", "--config", str(cfg_path)]) == 2
+        assert sorted(out_dir.rglob("*")) == before
+        assert solves == []
+
     def test_partial_grid_record_still_guards_the_recorded_resolution(self, tmp_path):
         # A record without sim_nt used to skip the check altogether, and
         # `invert` exited 0 on the data's own nx.
@@ -371,6 +407,26 @@ class TestGradcheck:
         assert report["rel_l2_error"] <= 1e-2
         assert report["max_directional_error"] <= 1e-2
         assert len(report["directional_errors"]) == 5
+
+    def test_vanishing_differences_give_a_finite_strict_report(self, tmp_path):
+        # In 1 ms the walls' heat does not reach the sensor, so the central
+        # differences are exactly 0; their norm used to divide rel_l2 and the
+        # report held Infinity, which is not JSON.
+        path, out_dir = tmp_path / "exp.cfg", tmp_path / "out"
+        path.write_text(
+            "domain.T = 0.001\ngrids.sim.nx = 41\ngrids.sim.nt = 20\n"
+            "grids.inv.nx = 31\ngrids.inv.nt = 15\npartition.n = 6\n"
+            "sensors.positions = 0.025\nsensors.sample_interval = 0.001\n"
+            f"output.dir = {out_dir}\n"
+        )
+        assert main(["gradcheck", "--config", str(path)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        report = json.loads((out_dir / "gradcheck.json").read_text(), parse_constant=refuse)
+        assert np.isfinite(report["rel_l2_error"])
+        assert np.isfinite(report["directional_errors"]).all()
 
     def test_corrupted_trace_is_caught(self, tmp_path, monkeypatch):
         cfg_path, _ = write_config(tmp_path)

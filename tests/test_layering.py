@@ -149,6 +149,16 @@ def test_march_pipeline_imports_nothing_from_material(module):
     assert "material" not in package
 
 
+def test_no_module_makes_an_object_past_its_constructor():
+    # `object.__new__` would make a `Pchip` without its knot and value checks.
+    calls = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__new__":
+                calls.add(f"{path.stem}: line {node.lineno}")
+    assert calls == set()
+
+
 def test_every_package_error_is_raised():
     # Each subclass of HeatfluxError in `errors` is raised by some package
     # module, so that no exception class outlives its last `raise`.

@@ -220,6 +220,14 @@ class TestNoise:
         with pytest.raises(ValidationError):
             observation.add_noise(data, spec, amplitude=-1.0, seed=7)
 
+    @pytest.mark.parametrize("amplitude", [1e160, 1e308])
+    def test_overflowing_amplitude_is_named(self, clean, amplitude):
+        # 1e160 overflows the squared norms and was blamed on delta; 1e308
+        # overflows the noise range, an OverflowError from the generator.
+        data, spec = clean
+        with pytest.raises(ValidationError, match="amplitude"):
+            observation.add_noise(data, spec, amplitude=amplitude, seed=7)
+
 
 def dense_adjoint_source(residual, spec, g):
     """The whole (nt+1) x nx source, summed sensor by sensor, weight term by

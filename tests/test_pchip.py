@@ -498,15 +498,15 @@ class TestFluxParameter:
     @settings(max_examples=300, deadline=None)
     @given(runs=RUNS, u_max=st.floats(min_value=1e-3, max_value=1e12))
     def test_interpolants_are_the_public_constructor_bitwise(self, runs, u_max):
-        # `flux_interpolants` builds on the partition the parameter checked;
-        # each interpolant must equal `Pchip(partition, values)` byte for
-        # byte, or both must be refused as too large.
+        # A parameter is refused exactly when `Pchip(partition, half)` refuses
+        # either half, with that refusal's message; otherwise its interpolants
+        # equal those `Pchip`s byte for byte.
         n = len(runs) // 2
         assume(n >= 3)
         part = np.linspace(0.0, u_max, n)
-        fp = pchip.FluxParameter(np.array(runs[: 2 * n]), part, 1.7e308)
-        wants = [built(lambda v=v: pchip.Pchip(part, v)) for v in (fp.beta[:n], fp.beta[n:])]
-        got = built(lambda: pchip.flux_interpolants(fp))
+        beta = np.array(runs[: 2 * n])
+        wants = [built(lambda v=v: pchip.Pchip(part, v)) for v in (beta[:n], beta[n:])]
+        got = built(lambda: pchip.flux_interpolants(pchip.FluxParameter(beta, part, 1.7e308)))
         refused = [w for w in wants if isinstance(w, str)]
         if refused:
             assert got == refused[0]
@@ -515,6 +515,12 @@ class TestFluxParameter:
             for name in ("knots", "values", "slopes", "_slope_jac", "_table"):
                 assert getattr(p, name).tobytes() == getattr(want, name).tobytes(), name
             assert (p.interval_width, p._inv_h) == (want.interval_width, want._inv_h)
+
+    def test_overflowing_values_are_refused_when_made(self):
+        # The hump's cubic coefficient 3 (f1 - f0) overflows: no parameter
+        # exists that its first march would refuse.
+        with pytest.raises(ValidationError, match="too large"):
+            pchip.FluxParameter([0.0, 1.7e308, 0.0, 0.0, 1.0, 0.0], np.linspace(0.0, 1.0, 3), 1.7e308)
 
     def test_rejects_out_of_box_values(self):
         part = np.linspace(0.0, 10.0, 3)
@@ -538,3 +544,14 @@ class TestFluxParameter:
             pchip.FluxParameter(
                 beta=np.zeros(6), partition=np.linspace(1.0, 10.0, 3), beta_max=4.0
             )
+
+    @pytest.mark.parametrize(
+        "part", [np.zeros(0), np.linspace(0.0, 1.0, 6).reshape(2, 3), np.linspace(0.0, 1.0, 2),
+                 np.array([0.0, 0.4, 1.0]), np.array([0.0, np.nan, 1.0])],
+        ids=["empty", "2-d", "two-knots", "uneven", "nan"],
+    )
+    def test_rejects_a_partition_that_is_no_knot_vector(self, part):
+        # The start-at-0 check reads part[0] only after the constructors have
+        # proved the partition a knot vector.
+        with pytest.raises(ValidationError):
+            pchip.FluxParameter(np.zeros(2 * part.size), part, 4.0)
