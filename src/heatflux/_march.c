@@ -5,14 +5,17 @@
  * `marchlib` compiles this file with `-O3 -ffp-contract=off` and calls it
  * through ctypes. Each function does the operations of the numpy code it
  * replaced in the same order, one IEEE operation per numpy operation and no
- * contraction into fused multiply-adds, and every step solves with a port
- * of LAPACK's dgtsv for one right-hand side that does dgtsv's operations in
- * dgtsv's order (`eliminate`, `back_substitute`). So every level and every
- * gradient entry has the bits the numpy code, which called LAPACK, gave.
+ * contraction into fused multiply-adds. Every step solves with one
+ * elimination without pivoting for one right-hand side, which does LAPACK
+ * dgtsv's operations in dgtsv's order wherever dgtsv keeps its pivots in
+ * place (`eliminate`, `back_substitute`; `eliminate` says why the marches
+ * need no pivoting). Where dgtsv keeps them in place, as on every grid a
+ * default run solves, every level and every gradient entry has the bits
+ * the numpy code, which called LAPACK, gave.
  * One evaluator (`march_eval`) gives every interpolated value and slope.
  * The back substitution of a step evaluates the diffusivity (and for the
  * linearized marches its slope) on the level the next step reads, node by
- * node as the nodes are solved, so that work runs beside dgtsv's chain of
+ * node as the nodes are solved, so that work runs beside the chain of
  * divisions instead of before it; `fill_bands` and `wall_slopes` give the
  * rest of the frozen coefficients that a tangent step and its transpose,
  * the adjoint step, both read. Each loop is one call per solve: the
@@ -22,11 +25,10 @@
  * matrix of the state step from the same level, so the state march can
  * keep each step's pivots, the diagonal its elimination leaves, and the
  * adjoint then runs only the right-hand side's half of the elimination
- * (`substitute`) before its back substitution, with the same bits; a step
- * whose elimination swapped rows keeps no pivots and is eliminated again.
- * One row function (`value_row`)
- * gives both linearized boundary terms, the tangent's wall sources and the
- * gradient assembly, their row of value sensitivities.
+ * (`substitute`) before its back substitution on every step, with the same
+ * bits. One row function (`value_row`) gives both linearized boundary
+ * terms, the tangent's wall sources and the gradient assembly, their row
+ * of value sensitivities.
  *
  * One stop rule for the three loops: the back substitution tests every
  * entry it solves, and a loop stops at a singular step (SINGULAR) or at
@@ -144,72 +146,46 @@ static void fill_bands(int nx, double r, const double *alpha, double *s,
 }
 
 /* The tridiagonal system (dl, d, du) x = b of order n >= 1 (dl and du the
- * n - 1 entries below and above the diagonal d) as LAPACK's dgtsv
- * eliminates it for one right-hand side: Gaussian elimination with
- * partial pivoting, overwriting d and du with the upper triangle, dl with
- * its second superdiagonal, and b. Row i keeps its pivot when |d[i]| >=
- * |dl[i]| (NaN takes the interchange), and then fact = dl[i] / d[i],
- * d[i+1] - du[i] fact, b[i+1] - fact b[i] and dl[i] = 0 (not on the last
- * row); else rows i and i + 1 swap, with fact = d[i] / dl[i], dl[i] set to
- * the old du[i+1] and du[i+1] = -(dl[i] fact) (neither on the last row).
- * Returns dgtsv's info: 0, or the 1-based row of the first zero pivot, n
- * when only the last one is zero; the system is then left as dgtsv leaves
- * it. Unless swapped is NULL, a return of 0 sets *swapped to 1 when some
- * rows swapped and to 0 when none did; d then holds the n pivots, none of
- * them 0, which `substitute` reads. The pivot and the right-hand side of
- * the row below are carried in registers while no rows swap, off the
- * store-to-load path of the chain.
+ * n - 1 entries below and above the diagonal d) eliminated for one
+ * right-hand side as LAPACK's dgtsv eliminates it where it keeps every
+ * pivot in place: row by row fact = dl[i] / d[i], d[i+1] - du[i] fact,
+ * b[i+1] - fact b[i] and dl[i] = 0 (not on the last row), overwriting d
+ * with the n pivots, which `substitute` reads, and b. Returns dgtsv's
+ * info: 0, or the 1-based row of the first zero pivot, n when only the
+ * last one is zero, with the system left as the elimination reached it.
+ * The pivot and the right-hand side of the row below are carried in
+ * registers, off the store-to-load path of the chain.
  *
- * IEEE 754 does not say which of two NaN operands a product returns, and C
- * leaves it to the compiler's choice of registers; each product here names
- * its operands in the order of the compiled dgtsv that scipy ships, and
- * compiled with `marchlib.COMPILE` the port returns its NaNs too, signs
- * included (the tests check it on `tridiagonal_solve`). */
-static int eliminate(int n, double *dl, double *d, double *du, double *b, int *swapped)
+ * No rows are interchanged. Every march solves I + r K with K from
+ * positive diffusivities (`fill_bands`): in each row the diagonal exceeds
+ * the sum of the off-diagonal magnitudes by exactly 1, so the matrix is
+ * strictly diagonally dominant by rows and an M-matrix, and Gaussian
+ * elimination without pivoting is backward stable on such a tridiagonal
+ * matrix (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+ * SIAM 2002, sec. 9.6); its pivots stay at least 1. */
+static int eliminate(int n, double *dl, double *d, const double *du, double *b)
 {
     double di = d[0], bi = b[0];
-    int swap = 0;
     for (int i = 0; i < n - 1; i++) {
-        int last = i == n - 2;
-        if (fabs(di) >= fabs(dl[i])) {
-            if (di == 0.0)
-                return i + 1;
-            double fact = dl[i] / di;
-            di = d[i + 1] - du[i] * fact;
-            bi = b[i + 1] - fact * bi;
-            d[i + 1] = di;
-            b[i + 1] = bi;
-            if (!last)
-                dl[i] = 0.0;
-        } else {
-            swap = 1;
-            double fact = d[i] / dl[i];
-            d[i] = dl[i];
-            double temp = d[i + 1];
-            d[i + 1] = du[i] - fact * temp;
-            if (!last) {
-                dl[i] = du[i + 1];
-                du[i + 1] = -(dl[i] * fact);
-            }
-            du[i] = temp;
-            temp = b[i];
-            b[i] = b[i + 1];
-            b[i + 1] = temp - fact * b[i + 1];
-            di = d[i + 1];
-            bi = b[i + 1];
-        }
+        if (di == 0.0)
+            return i + 1;
+        double fact = dl[i] / di;
+        di = d[i + 1] - du[i] * fact;
+        bi = b[i + 1] - fact * bi;
+        d[i + 1] = di;
+        b[i + 1] = bi;
+        if (i < n - 2)
+            dl[i] = 0.0;
     }
-    if (swapped)
-        *swapped = swap;
     return di == 0.0 ? n : 0;
 }
 
-/* The right-hand-side half of `eliminate` on a system it eliminated before
- * without swapping rows, from the n pivots d it left: fact = dl[i] / d[i],
- * b[i+1] - fact b[i] and dl[i] = 0 row by row, the operations `eliminate`
- * does there in its order, so b and dl are left with its bits. The
- * divisions read no earlier result, so they run off the chain, which is
- * one product and one difference per row. */
+/* The right-hand-side half of `eliminate` on a system it eliminated before,
+ * from the n pivots d it left: fact = dl[i] / d[i], b[i+1] - fact b[i] and
+ * dl[i] = 0 row by row, the operations `eliminate` does there in its order,
+ * so b and dl are left with its bits. The divisions read no earlier
+ * result, so they run off the chain, which is one product and one
+ * difference per row. */
 static void substitute(int n, double *dl, const double *d, double *b)
 {
     double bi = b[0];
@@ -267,15 +243,16 @@ static inline int back_substitute(int n, const double *dl, const double *d,
     return finite;
 }
 
-/* dgtsv for one right-hand side: the solution in b and info returned, with
- * dl, d and du overwritten as dgtsv overwrites them. The marches call its
- * two halves; this whole is exported for the tests, which hold it to
- * LAPACK's own dgtsv bit for bit. */
+/* The whole solve for one right-hand side: the solution in b and dgtsv's
+ * info returned, with dl and d overwritten by `eliminate`. The marches call
+ * its two halves; this whole is exported for the tests, which hold it to
+ * LAPACK's own dgtsv bit for bit where dgtsv keeps its pivots in place and
+ * to a plain reference elimination everywhere. */
 int tridiagonal_solve(int n, double *dl, double *d, double *du, double *b)
 {
     if (n < 1)
         return 0;
-    int info = eliminate(n, dl, d, du, b, NULL);
+    int info = eliminate(n, dl, d, du, b);
     if (info == 0)
         back_substitute(n, dl, d, du, b, NULL, NULL, NULL, NULL);
     return info;
@@ -298,10 +275,7 @@ static int stopped(int *stop, int step, int code)
  *
  * Unless piv is NULL, step n fills its diagonal into row n of the nt x nx
  * block piv and eliminates it there, so that row keeps the step's pivots
- * for the adjoint step that solves the same matrix (`adjoint_march`); a
- * step whose elimination swapped rows has no pivots to reuse and is marked
- * by 0.0 in the first entry of its row, which a step without a swap never
- * leaves there.
+ * for the adjoint step that solves the same matrix (`adjoint_march`).
  *
  * Returns DONE after step nt - 1; SINGULAR with *stop = n + 1 when the
  * matrix of step n is singular; ALARM with *stop = n + 1 when level n + 1
@@ -320,20 +294,17 @@ int forward_march(int nx, int nt, double r, double c, const interp *alpha_p,
         double *un = U + (long)n * nx, *rhs = un + nx;
         double u0 = un[0], uL = un[nx - 1];
         double *d = piv ? piv + (long)n * nx : diag;
-        int swapped = 0;
         fill_bands(nx, r, alpha, s, sup, sub, d);
         double beta0 = march_eval(b0, u0, NULL), betaL = march_eval(bL, uL, NULL);
         for (int j = 1; j < nx - 1; j++)
             rhs[j] = un[j];
         rhs[0] = u0 - c * beta0;
         rhs[nx - 1] = uL - c * betaL;
-        if (eliminate(nx, sub, d, sup, rhs, &swapped) != 0)
+        if (eliminate(nx, sub, d, sup, rhs) != 0)
             return stopped(stop, n + 1, SINGULAR);
         if (!back_substitute(nx, sub, d, sup, rhs, alpha_p,
                              n + 1 < nt ? rhs : NULL, alpha, NULL))
             return stopped(stop, n + 1, ALARM);
-        if (swapped)
-            d[0] = 0.0;
     }
     return DONE;
 }
@@ -437,7 +408,7 @@ int tangent_march(int nx, int nt, double r, double c, const interp *alpha_p,
         rhs[nx - 1] = w[nx - 1] - (r * (un[nx - 1] - un[nx - 2])) * pw2[nx - 2];
         rhs[0] -= c * (b0p * w[0] + wall_source(b0, u[0], h));
         rhs[nx - 1] -= c * (bLp * w[nx - 1] + wall_source(bL, u[nx - 1], hL));
-        if (eliminate(nx, sub, diag, sup, rhs, NULL) != 0)
+        if (eliminate(nx, sub, diag, sup, rhs) != 0)
             return stopped(stop, k + 1, SINGULAR);
         if (!back_substitute(nx, sub, diag, sup, rhs, alpha_p,
                              k + 1 < nt ? un : NULL, alpha, ap))
@@ -464,11 +435,10 @@ int tangent_march(int nx, int nt, double r, double c, const interp *alpha_p,
  * s's. Level nt - 1 is evaluated before the first step.
  *
  * That step solves the matrix of the state step from level s. Given the
- * state march's pivot block piv (NULL for none), a step whose row s of piv
- * is not marked takes those pivots: it substitutes (`substitute`) and back
- * substitutes on them, and so skips the elimination's chain of divisions
- * and gives its bits. A marked step, or any step of a march without piv,
- * eliminates.
+ * state march's pivot block piv (NULL for none), every step takes the
+ * pivots of its row s: it substitutes (`substitute`) and back substitutes
+ * on them, and so skips the elimination's chain of divisions and gives its
+ * bits. Every step of a march without piv eliminates.
  *
  * Each solved level's two wall entries go to traces[2s] and traces[2s + 1],
  * and the whole level to row s of phi unless phi is NULL; level nt is
@@ -499,7 +469,7 @@ int adjoint_march(int nx, int nt, double r, double c, double dt,
     level_coefficients(nx, alpha_p, U + (long)(nt - 1) * nx, alpha, ap);
     for (int lv = nt - 1; lv >= 0; lv--) {
         const double *u = U + (long)lv * nx, *un = u + nx;
-        const double *d = piv && piv[(long)lv * nx] != 0.0 ? piv + (long)lv * nx : NULL;
+        const double *d = piv ? piv + (long)lv * nx : NULL;
         double b0p, bLp;
         fill_bands(nx, r, alpha, s, sup, sub, diag);
         wall_slopes(nx, b0, bL, u, &b0p, &bLp);
@@ -513,7 +483,7 @@ int adjoint_march(int nx, int nt, double r, double c, double dt,
         q[nx - 1] = psi[nx - 1] + (dt * row[nx - 1]) * 2.0;
         if (d)
             substitute(nx, sub, d, q);
-        else if (eliminate(nx, sub, diag, sup, q, NULL) != 0)
+        else if (eliminate(nx, sub, diag, sup, q) != 0)
             return stopped(stop, nt - lv, SINGULAR);
         int finite = back_substitute(nx, sub, d ? d : diag, sup, q, alpha_p,
                                      lv > 0 ? u - nx : NULL, alpha, ap_next);

@@ -48,10 +48,10 @@ trajectory they linearize about. Each step reads its frozen coefficients
 from the trajectory level it starts from, computed with the same C code in
 both marches: the diffusivity and its slope, evaluated during the back
 substitution of the step before (the first level's before the first step)
-by the solve both marches and the state march share, a port of LAPACK's
-dgtsv; then the bands of the state step and the two flux slopes, just
-before the step; the increments of the later level and their products
-with the step constants follow. So each adjoint step is the transpose of
+by the solve both marches and the state march share, LAPACK dgtsv's
+elimination without pivoting; then the bands of the state step and the
+two flux slopes, just before the step; the increments of the later level
+and their products with the step constants follow. So each adjoint step is the transpose of
 the tangent step on the same numbers by construction. The tangent march
 (`solve_sensitivity`; only tests call it) is one C call per solve: per
 step it subtracts the transport correction, takes the linearized wall
@@ -66,10 +66,10 @@ weighted row to the carried level, solves, keeps the solved level's two
 wall entries and carries it through the transposed transport correction
 and the two Robin walls. Its step from level s solves the matrix the state
 step from level s eliminated, so along a field that carries the state
-march's pivots (`objective` records them) it solves on those and skips the
-elimination's chain of divisions, with the same bits; a step the state
-march marked as swapping rows, a field without pivots, or pivots recorded
-with another diffusivity than the one given, eliminates as the state march
+march's pivots (`objective` records them) it solves on those at every
+step and skips the elimination's chain of divisions, with the same bits;
+along a field without pivots, or with pivots recorded with another
+diffusivity than the one given, every step eliminates as the state march
 did. No level of phi is stored;
 the tests read every level through the `phi` window the call fills when
 given one. Both stop as the state march does, at a singular step or at

@@ -22,12 +22,15 @@ step the loop fills the bands of I + r K from the sums of neighbouring
 diffusivities, evaluates the two boundary fluxes as `pchip.eval` does
 (clamped, from the interval table the interpolant was built with), forms
 the right-hand side in the next level of the output field and solves it
-there with the library's port of LAPACK's dgtsv, whose back substitution
-evaluates the diffusivity of each node of the new level as soon as the
-node is solved, for the next step: the numpy march's operations in its
-order, so every level keeps its bits. Its linearization, the tangent march
-and its transpose, lives in `adjoint`; both of those compiled marches fill
-each step's bands with the state march's band fill.
+there with the library's one elimination, LAPACK dgtsv's operations in
+dgtsv's order without pivoting, which I + r K never needs; its back
+substitution evaluates the diffusivity of each node of the new level as
+soon as the node is solved, for the next step: the numpy march's
+operations in its order, so every level keeps its bits wherever dgtsv
+kept its pivots in place, as on every grid a default run solves. Its
+linearization, the tangent march and its transpose, lives in `adjoint`;
+both of those compiled marches fill each step's bands with the state
+march's band fill.
 
 The adjoint march solves, level by level, the matrices the state march
 eliminated. Asked to (`solve_ibvp(..., pivots=True)`, which
@@ -35,18 +38,17 @@ eliminated. Asked to (`solve_ibvp(..., pivots=True)`, which
 march keeps each step's pivots, the diagonal its elimination leaves, in
 nt more rows of the block it solves the field in, and the field carries
 them (`EnthalpyField.pivots`, with the diffusivity they belong to) for the
-adjoint to solve on. A step whose elimination swapped rows is marked
-instead, and the adjoint eliminates it again. Such a field's values and
-pivots are read-only, so the two cannot part. Other solves, `simulate`'s
-among them, keep no pivots: they would take as much memory again as the
-field, and no adjoint reads them.
+adjoint to solve on at every step. Such a field's values and pivots are
+read-only, so the two cannot part. Other solves, `simulate`'s among them,
+keep no pivots: they would take as much memory again as the field, and no
+adjoint reads them.
 
 All three marches solve alike and stop alike: each right-hand side is
-formed in the buffer it is solved in and solved there by the dgtsv port,
-whose back substitution tests every entry it solves, and the march stops
-at a singular step or at its first non-finite solved level, where
-`marchlib` raises `DivergenceError`. So the state march evaluates the
-boundary fluxes on finite wall values only.
+formed in the buffer it is solved in and solved there by the one
+elimination, whose back substitution tests every entry it solves, and the
+march stops at a singular step or at its first non-finite solved level,
+where `marchlib` raises `DivergenceError`. So the state march evaluates
+the boundary fluxes on finite wall values only.
 """
 
 from __future__ import annotations
@@ -92,8 +94,7 @@ class Grid:
 
 class Pivots(NamedTuple):
     """The nt x nx pivots a state march recorded (`rows`: row n the pivots
-    of step n, or 0.0 first on a step whose elimination swapped rows) and
-    the diffusivity whose bands they eliminate."""
+    of step n) and the diffusivity whose bands they eliminate."""
 
     diffusivity: Pchip
     rows: np.ndarray

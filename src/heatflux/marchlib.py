@@ -10,17 +10,22 @@ calls it. Its wrappers take the diffusivity and the two fluxes as
 and kept on the interpolant), so the callers hand over what they hold and
 know nothing of the library's types. The C code does the numpy code's
 operations in the same order, with no fused multiply-adds, and the loops
-solve with the library's own port of LAPACK's `dgtsv`, which does dgtsv's
-operations in dgtsv's order, so the marches and the gradient keep every
-bit of the numpy code that called LAPACK. No module of the package imports LAPACK or scipy; the
-library also exports the port as `tridiagonal_solve(n, dl, d, du, b)`,
-which returns dgtsv's info, for the tests that hold it to LAPACK's dgtsv.
+solve with one elimination of the library's own: LAPACK `dgtsv`'s
+operations in dgtsv's order, without pivoting, which the matrices I + r K
+of the marches never need (`eliminate` in `_march.c` says why). Wherever
+dgtsv keeps its pivots in place, as on every grid a default run solves,
+the marches and the gradient keep every bit of the numpy code that called
+LAPACK. No module of the package imports LAPACK or scipy; the
+library also exports the solve as `tridiagonal_solve(n, dl, d, du, b)`,
+which returns dgtsv's info, for the tests that hold it to LAPACK's dgtsv
+and to a plain reference.
 
 `forward_march` can record each step's pivots in a block the caller
 passes, and `adjoint_march` can take that block back, along the same
-trajectory with the same diffusivity and step constants, to solve on it;
-the caller (`adjoint.solve_adjoint`) makes sure the block belongs to the
-trajectory, and this module checks its shape as it checks every array.
+trajectory with the same diffusivity and step constants, to solve on it
+at every step; the caller (`adjoint.solve_adjoint`) makes sure the block
+belongs to the trajectory, and this module checks its shape as it checks
+every array.
 
 The three marches stop by one rule: the back substitution tests every
 entry it solves, and a loop stops at a singular step or at its first
@@ -195,7 +200,7 @@ def forward_march(U, r: float, c: float, alpha: Pchip, b0: Pchip, bL: Pchip, piv
     """Run `forward_march` of `_march.c` on the field U, whose level 0 is
     set and finite, with the diffusivity `alpha` and the fluxes `b0` and
     `bL`. `piv`, when given, is an (nt, nx) block that receives each step's
-    pivots, its first entry 0.0 on a step whose elimination swapped rows."""
+    pivots."""
     nt, nx = U.shape[0] - 1, U.shape[1]
     _march("forward_march", 5 * nx - 3, nx, nt, r, c, *map(interpolant, (alpha, b0, bL)),
            _addr(U, U.shape), None if piv is None else _addr(piv, (nt, nx)))
@@ -218,7 +223,7 @@ def adjoint_march(U, start, node, value, r: float, c: float, dt: float, alpha: P
     wall entries of every level of phi, and `phi`, when given, every level
     (U's shape), up to the level it stops at. `piv`, when given, is the
     pivot block `forward_march` recorded for U with the same `alpha` and r;
-    each step whose row it does not mark solves on that row."""
+    every step solves on its row."""
     levels, nx = U.shape
     k = node.size
     addrs = [_addr(U, U.shape), _addr(start, (levels + 1,), INDEX), _addr(node, (k,), INDEX),

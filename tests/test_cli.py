@@ -404,6 +404,7 @@ class TestGradcheck:
         assert main(["gradcheck", "--config", str(cfg_path)]) == 0
         report = json.loads((out_dir / "gradcheck.json").read_text())
         assert report["passed"] is True
+        assert report["differences_all_zero"] is False
         assert report["rel_l2_error"] <= 1e-2
         assert report["max_directional_error"] <= 1e-2
         assert len(report["directional_errors"]) == 5
@@ -411,7 +412,8 @@ class TestGradcheck:
     def test_vanishing_differences_give_a_finite_strict_report(self, tmp_path):
         # In 1 ms the walls' heat does not reach the sensor, so the central
         # differences are exactly 0; their norm used to divide rel_l2 and the
-        # report held Infinity, which is not JSON.
+        # report held Infinity, which is not JSON. The errors are then tiny,
+        # but a check that compared nothing fails, and says why.
         path, out_dir = tmp_path / "exp.cfg", tmp_path / "out"
         path.write_text(
             "domain.T = 0.001\ngrids.sim.nx = 41\ngrids.sim.nt = 20\n"
@@ -427,6 +429,8 @@ class TestGradcheck:
         report = json.loads((out_dir / "gradcheck.json").read_text(), parse_constant=refuse)
         assert np.isfinite(report["rel_l2_error"])
         assert np.isfinite(report["directional_errors"]).all()
+        assert report["differences_all_zero"] is True
+        assert report["passed"] is False
 
     def test_corrupted_trace_is_caught(self, tmp_path, monkeypatch):
         cfg_path, _ = write_config(tmp_path)

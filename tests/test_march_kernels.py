@@ -4,14 +4,16 @@ they replace, bit for bit.
 Every march runs its step loop compiled (`marchlib`, `_march.c`), and one
 C evaluator gives every interpolated value and slope there with the
 operations of `pchip.eval` (its knot and outside fix-ups included). Every
-march solves with the library's port of LAPACK's dgtsv, whose back
-substitution evaluates the diffusivity (with its slope, for the linearized
-marches) on the level the next step reads; `tests/test_marchlib.py` holds
-the port to scipy's dgtsv. The state march evaluates the two wall fluxes
-per step, fills the bands from the sums of neighbouring diffusivities, and
-solves. The tangent march (`adjoint.solve_sensitivity`) and the adjoint
-march (`adjoint.solve_adjoint`), one C call per solve each, read each
-step's frozen coefficients from the trajectory level the step starts from:
+march solves with the library's one elimination, without pivoting and in
+dgtsv's order, whose back substitution evaluates the diffusivity (with its
+slope, for the linearized marches) on the level the next step reads;
+`tests/test_marchlib.py` holds the solve to the plain reference
+(`tests/plain_solve.py`) and to scipy's dgtsv. The state march evaluates
+the two wall fluxes per step, fills the bands from the sums of
+neighbouring diffusivities, and solves. The tangent march
+(`adjoint.solve_sensitivity`) and the adjoint march
+(`adjoint.solve_adjoint`), one C call per solve each, read each step's
+frozen coefficients from the trajectory level the step starts from:
 the diffusivity and its slope, the same band fill and the flux slopes; then
 the transport, wall, Robin and source factors in the order the numpy
 products used. The adjoint sums each level's point sources into a zero row
@@ -39,9 +41,12 @@ for every coefficient (on the whole trajectory in one call; the tests of
 `pchip` hold the evaluator to plain numpy code), each band written from
 `amid` inside the step, every product formed inside the step (the tangent's
 transport term by `plain_transport_apply`, the numpy function the compiled
-tangent step replaced), every step solved by scipy's LAPACK dgtsv, the
-reference the compiled port must match, and every solved level checked at
-its step (`plain_step`).
+tangent step replaced), every step solved by the plain elimination
+(`plain_tridiagonal_solve`), which on every step of GRID gives the bytes of
+scipy's LAPACK dgtsv, the solver the numpy marches called, and every solved
+level checked at its step (`plain_step`). On a grid where dgtsv would
+interchange rows, the marches keep the plain code's bytes and stay within
+1e-12 of dgtsv's solves.
 Both must give the same bytes on every case, including a steep box-corner
 iterate whose boundary stability number c*beta' exceeds 2 and a profile
 whose nodes sit on the diffusivity's knots and below its range, walls on
@@ -71,11 +76,12 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dgtsv
 
-from heatflux import adjoint, forward, marchlib, observation, pchip
+from heatflux import adjoint, forward, observation, pchip
 from heatflux.config import ExperimentConfig, exact_flux_parameter, inversion_partition
 from heatflux.errors import DivergenceError
 from heatflux.forward import Grid
 from pchip_rows import grad_wrt_values_many
+from plain_solve import plain_tridiagonal_solve
 
 # c = 2 dt/dx = 33, the inversion grid's boundary number (32.7).
 GRID = Grid(L=0.05, T=3.3, nx=31, nt=120)
@@ -93,11 +99,11 @@ def plain_bands(ab, amid, r):
     return ab
 
 
-def plain_step(ab, rhs, step):
+def plain_step(ab, rhs, step, solve=plain_tridiagonal_solve):
     """Solve one step on bands in LAPACK's banded layout (ab[0, j] = A[j-1, j],
-    ab[1, j] = A[j, j], ab[2, j] = A[j+1, j]), checked as a per-step march
-    checks it."""
-    _, _, _, out, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
+    ab[1, j] = A[j, j], ab[2, j] = A[j+1, j]) with `solve`, the plain
+    elimination or scipy's dgtsv, checked as a per-step march checks it."""
+    _, _, _, out, info = solve(ab[2, :-1], ab[1], ab[0, 1:], rhs)
     if info != 0:
         raise DivergenceError(f"singular step matrix at time step {step}", step=step)
     if not np.isfinite(out).all():
@@ -114,7 +120,7 @@ def plain_coefficients(u, m, b0, bL):
     return du, ap, amid, b0p, bLp
 
 
-def plain_solve_ibvp(m, fp, u0, g):
+def plain_solve_ibvp(m, fp, u0, g, solve=plain_tridiagonal_solve):
     b0, bL = pchip.flux_interpolants(fp)
     r = g.dt / g.dx**2
     c = 2.0 * g.dt / g.dx
@@ -131,7 +137,7 @@ def plain_solve_ibvp(m, fp, u0, g):
         rhs = un.copy()
         rhs[0] -= c * beta0
         rhs[-1] -= c * betaL
-        U[n + 1] = plain_step(ab, rhs, n + 1)
+        U[n + 1] = plain_step(ab, rhs, n + 1, solve)
     return U
 
 
@@ -164,7 +170,7 @@ def plain_transport_apply(
     return out
 
 
-def plain_solve_adjoint(u, m, fp, source, g):
+def plain_solve_adjoint(u, m, fp, source, g, solve=plain_tridiagonal_solve):
     b0, bL = pchip.flux_interpolants(fp)
     r = g.dt / g.dx**2
     c = 2.0 * g.dt / g.dx
@@ -178,7 +184,7 @@ def plain_solve_adjoint(u, m, fp, source, g):
     for step in range(g.nt):
         s = g.nt - step - 1
         plain_bands(ab, amid[s], r)
-        psi = plain_step(ab, psi + weighted_src[s + 1], step + 1)
+        psi = plain_step(ab, psi + weighted_src[s + 1], step + 1, solve)
         phi[s] = psi
         psi = psi - plain_transport_apply_t(ap[s], du[s + 1], psi, r)
         psi[0] -= c * b0p[s] * phi[s, 0]
@@ -248,7 +254,7 @@ def in_order_dot(row, v):
     return total
 
 
-def plain_solve_sensitivity(u, m, fp, h, g):
+def plain_solve_sensitivity(u, m, fp, h, g, solve=plain_tridiagonal_solve):
     b0, bL = pchip.flux_interpolants(fp)
     n = fp.n
     r = g.dt / g.dx**2
@@ -264,7 +270,7 @@ def plain_solve_sensitivity(u, m, fp, h, g):
         rhs = wn - plain_transport_apply(ap[k], du[k + 1], wn, r)
         rhs[0] -= c * (b0p[k] * wn[0] + in_order_dot(G0[k], h[:n]))
         rhs[-1] -= c * (bLp[k] * wn[-1] + in_order_dot(GL[k], h[n:]))
-        W[k + 1] = plain_step(ab, rhs, k + 1)
+        W[k + 1] = plain_step(ab, rhs, k + 1, solve)
     return W
 
 
@@ -369,24 +375,40 @@ def recorded(marches):
             for name, (m, fp, field, _, _) in marches.items()}
 
 
+def step_bands(m, values, g):
+    """The bands (dl, d, du) of every step of the state march that computed
+    `values`, each from the diffusivity of the level the step starts from."""
+    alpha = pchip.eval(m, values[:-1], clamp=True)[0]
+    ab = np.zeros((3, g.nx))
+    for a in 0.5 * (alpha[:, :-1] + alpha[:, 1:]):
+        plain_bands(ab, a, g.dt / g.dx**2)
+        yield ab[2, :-1].copy(), ab[1].copy(), ab[0, 1:].copy()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_plain_solve_is_lapacks_dgtsv_on_every_step_of_grid(marches, name):
+    # On the bands of every step of GRID, with the step's level as the
+    # right-hand side, the plain elimination leaves every byte scipy's
+    # dgtsv leaves: dgtsv keeps every pivot of these matrices in place.
+    m, _, field, _, _ = marches[name]
+    bands = step_bands(m, field.values, GRID)
+    for (dl, d, du), b in zip(bands, field.values[:-1], strict=True):
+        got, want = plain_tridiagonal_solve(dl, d, du, b), dgtsv(dl, d, du, b)
+        assert got[4] == want[4] == 0
+        for g, w in zip(got[:4], want[:4]):
+            assert g.tobytes() == w.tobytes()
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_recorded_pivots_are_the_diagonal_the_solve_leaves(marches, recorded, name):
     # Recording the pivots leaves the field as it was, and row n of them is
-    # the diagonal that the library's dgtsv port leaves on the bands of step
-    # n; GRID swaps no rows, so no step is marked.
+    # the diagonal the plain elimination leaves on the bands of step n.
     m, _, field, _, _ = marches[name]
     u = recorded[name]
     assert u.values.tobytes() == field.values.tobytes()
-    alpha = pchip.eval(m, field.values[:-1], clamp=True)[0]
-    amid = 0.5 * (alpha[:, :-1] + alpha[:, 1:])
-    ab = np.zeros((3, GRID.nx))
-    solve = marchlib._library().tridiagonal_solve
-    for n, row in enumerate(u.pivots.rows):
-        plain_bands(ab, amid[n], GRID.dt / GRID.dx**2)
-        dl, d, du, b = (a.copy() for a in (ab[2, :-1], ab[1], ab[0, 1:], field.values[n]))
-        assert solve(GRID.nx, *(a.ctypes.data for a in (dl, d, du, b))) == 0
-        assert (dl[:-1] == 0.0).all()  # no row swapped
-        assert row.tobytes() == d.tobytes()
+    bands = step_bands(m, field.values, GRID)
+    for (dl, d, du), b, row in zip(bands, field.values[:-1], u.pivots.rows, strict=True):
+        assert row.tobytes() == plain_tridiagonal_solve(dl, d, du, b)[1].tobytes()
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -402,27 +424,37 @@ def test_adjoint_march_on_recorded_pivots_matches_plain_code(marches, recorded, 
 SWAP_GRID = Grid(L=0.05, T=20.0, nx=31, nt=20)
 
 
+def relative_gap(got, want):
+    """max |got - want| over max |want|."""
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
 def test_marches_match_plain_code_through_row_interchanges(builtin_material):
     # Where r alpha >= 3, the pivot the elimination leaves for the second
     # last row is smaller than the last row's doubled off-diagonal, so dgtsv
-    # swaps the two rows at every step, a branch GRID never reaches. The
-    # state march marks every step, so the adjoint eliminates each one
-    # again, with recorded pivots as without; all three marches keep the
-    # plain code's bytes.
+    # interchanges the two rows at every step, which it never does on GRID.
+    # The marches eliminate in order all the same: every step records its
+    # pivots, none below 1, the adjoint on them has the bits of the adjoint
+    # without them, all three marches keep the plain code's bytes, and they
+    # stay within 1e-12 of the plain code that solves with dgtsv.
     g, m, fp = SWAP_GRID, builtin_material, exact_flux_parameter(CFG)
     u0 = np.full(g.nx, CFG.u0)
     alpha0 = pchip.eval(m, u0[:1], clamp=True)[0][0]
     assert g.dt / g.dx**2 * alpha0 >= 3.0
     field = forward.solve_ibvp(m, fp, u0, g, pivots=True)
-    assert (field.pivots.rows[:, 0] == 0.0).all()
+    assert (field.pivots.rows >= 1.0).all()
     assert field.values.tobytes() == plain_solve_ibvp(m, fp, u0, g).tobytes()
+    assert relative_gap(field.values, plain_solve_ibvp(m, fp, u0, g, dgtsv)) <= 1e-12
     h = np.random.default_rng(9).standard_normal(2 * fp.n)
     W = adjoint.solve_sensitivity(field, m, fp, h)
     assert W.values.tobytes() == plain_solve_sensitivity(field, m, fp, h, g).tobytes()
+    assert relative_gap(W.values, plain_solve_sensitivity(field, m, fp, h, g, dgtsv)) <= 1e-12
     source = np.random.default_rng(5).standard_normal((g.nt + 1, g.nx))
-    want = plain_solve_adjoint(field, m, fp, source, g)
-    for u in (field, forward.EnthalpyField(g, field.values)):
-        assert adjoint_levels(u, m, fp, dense_pair(source)).tobytes() == want.tobytes()
+    got = adjoint_levels(field, m, fp, dense_pair(source))
+    unrecorded = adjoint_levels(forward.EnthalpyField(g, field.values), m, fp, dense_pair(source))
+    assert got.tobytes() == unrecorded.tobytes()
+    assert got.tobytes() == plain_solve_adjoint(field, m, fp, source, g).tobytes()
+    assert relative_gap(got, plain_solve_adjoint(field, m, fp, source, g, dgtsv)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", CASES)

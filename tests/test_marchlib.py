@@ -3,24 +3,29 @@ compile of its source with warnings as errors, the shipped optimized build
 held to an unoptimized one bit for bit and at every stop, a run of the march
 tests on a build under the address and undefined-behaviour sanitizers, the
 interpolants it keeps and the argument checks that guard the C code's raw
-pointers, each a `ValidationError`; and the library's tridiagonal solve, the
-port of LAPACK's dgtsv that every march step calls, held to scipy's dgtsv
-bit for bit (scipy is imported by the tests only)."""
+pointers, each a `ValidationError`; and the library's tridiagonal solve,
+the one elimination every march step calls, held to scipy's dgtsv bit for
+bit where dgtsv keeps every pivot in place, to the plain reference
+(`tests/plain_solve.py`) on every system, and shown to need no pivoting on
+the matrices the marches build (scipy is imported by the tests only)."""
 
 import itertools
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg.lapack import dgtsv
 
 from heatflux import adjoint, forward, marchlib, observation, pchip
 from heatflux.config import ExperimentConfig, exact_flux_parameter, inversion_partition
 from heatflux.errors import BuildError, DivergenceError, ValidationError
 from heatflux.forward import EnthalpyField, Grid
+from plain_solve import plain_tridiagonal_solve
 
 
 @pytest.mark.parametrize("command", [("false",), ("heatflux-no-such-compiler", "-O2")])
@@ -178,10 +183,7 @@ def test_march_tests_pass_under_the_sanitizers(tmp_path):
     # address and undefined-behaviour sanitizers (float casts that overflow
     # included), every report fatal, and put where the loader finds the
     # shipped build; the march, state and adjoint tests then run on it in
-    # a fresh interpreter. The dgtsv port's comparison with LAPACK on
-    # non-finite systems (`tests/test_marchlib.py`) stays out: which NaN a
-    # product returns hangs on the registers the compiler picks, and the
-    # sanitizer build picks others.
+    # a fresh interpreter.
     runtime = Path(subprocess.run(["cc", "-print-file-name=libasan.so"], capture_output=True,
                                   text=True, timeout=120).stdout.strip())
     if not (runtime.is_absolute() and runtime.is_file()):
@@ -390,7 +392,7 @@ def test_assemble_gradient_refuses_misshapen_traces(traces):
         marchlib.assemble_gradient(np.zeros((4, 5)), traces, 1.0, FLAT, FLAT)
 
 
-def port_solve(dl, d, du, b):
+def library_solve(dl, d, du, b):
     """The library's `tridiagonal_solve` on copies of the system, returned
     as scipy's dgtsv returns its outputs: (dl, d, du, x, info)."""
     dl, d, du, b = (np.array(a, dtype=float) for a in (dl, d, du, b))
@@ -399,10 +401,10 @@ def port_solve(dl, d, du, b):
 
 
 def assert_solves_as_lapack(dl, d, du, b):
-    """The port leaves every output array with LAPACK's bytes (signed zeros,
-    infinities and NaNs included) and returns its info; returns the port's
-    outputs."""
-    got = port_solve(dl, d, du, b)
+    """The solve leaves every output array with LAPACK's bytes (signed
+    zeros, infinities and NaNs included) and returns its info; returns the
+    solve's outputs."""
+    got = library_solve(dl, d, du, b)
     with np.errstate(all="ignore"):
         want = dgtsv(*(np.array(a, dtype=float) for a in (dl, d, du, b)))
     assert got[4] == want[4]
@@ -419,21 +421,7 @@ def test_tridiagonal_solve_matches_lapack_on_dominant_systems(n, seed):
     d[rng.uniform(size=n) < 0.5] *= -1
     for scale in (1.0, 1e-300, 1e300):
         got = assert_solves_as_lapack(dl * scale, d * scale, du * scale, rng.standard_normal(n))
-        assert got[4] == 0 and (got[0][:-1] == 0.0).all()  # no row swapped
-
-
-@pytest.mark.parametrize("row", [0, 2, 3], ids=["first", "middle", "last"])
-def test_tridiagonal_solve_matches_lapack_through_a_row_interchange(row):
-    # Five rows; row `row` has a pivot smaller than the entry below it, so
-    # rows `row` and `row` + 1 swap (row 3 is the last row that can).
-    dl = np.array([0.5, -1.0, 0.25, 2.0])
-    d = np.array([4.0, -3.0, 5.0, 4.5, 3.0])
-    du = np.array([1.0, 0.75, -1.5, 0.5])
-    d[row], dl[row] = 0.125, -6.0
-    got = assert_solves_as_lapack(dl, d, du, [1.0, -2.0, 0.5, 3.0, -1.0])
-    assert got[1][row] == -6.0  # the swapped-in row's entry is the pivot
-    if row < 3:
-        assert got[0][row] == du[row + 1]  # the second superdiagonal
+        assert got[4] == 0 and (got[0][:-1] == 0.0).all()  # eliminated below the diagonal
 
 
 @pytest.mark.parametrize(
@@ -452,15 +440,24 @@ def test_tridiagonal_solve_reports_the_singular_row_lapack_reports(dl, d, du, in
 
 def test_tridiagonal_solve_matches_lapack_on_non_finite_entries():
     # Random systems whose entries are drawn from a pool of zeros of both
-    # signs, infinities, NaNs of both signs and tiny and huge numbers: every
-    # branch of the elimination, with NaN and inf in every position.
+    # signs, infinities, NaNs of both signs and tiny and huge numbers, with
+    # NaN and inf in every position: the solve leaves NaN where the plain
+    # reference does and every other byte as it does. IEEE 754 does not say
+    # which of two NaN operands an operation returns, so the signs of NaNs
+    # are not compared.
     rng = np.random.default_rng(5)
     pool = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -3.0, np.inf, -np.inf, np.nan, -np.nan,
                      1e-300, 1e300])
     for _ in range(3000):
         n = int(rng.integers(2, 7))
-        dl, d, du, b = (pool[rng.integers(0, pool.size, k)] for k in (n - 1, n, n - 1, n))
-        assert_solves_as_lapack(dl, d, du, b)
+        system = [pool[rng.integers(0, pool.size, k)] for k in (n - 1, n, n - 1, n)]
+        got = library_solve(*system)
+        want = plain_tridiagonal_solve(*system)
+        assert got[4] == want[4]
+        for name, g, w in zip(("dl", "d", "du", "x"), got[:4], want[:4]):
+            nan = np.isnan(w)
+            assert (np.isnan(g) == nan).all(), f"{name}: {g} != {w}"
+            assert g[~nan].tobytes() == w[~nan].tobytes(), f"{name}: {g} != {w}"
 
 
 def test_tridiagonal_solve_keeps_the_signs_of_zeros():
@@ -473,3 +470,48 @@ def test_tridiagonal_solve_keeps_the_signs_of_zeros():
     for signs in itertools.product((0.0, -0.0), repeat=4):
         x = assert_solves_as_lapack(dl, d, du, signs)[3]
         assert (x == 0.0).all()
+
+
+def march_bands(r, alpha):
+    """The bands (dl, d, du) of I + r K from the nodal diffusivities alpha,
+    with the operations of `fill_bands` in `_march.c`."""
+    s = alpha[:-1] + alpha[1:]
+    du, dl = s * (-0.5 * r), s * (-0.5 * r)
+    du[0], dl[-1] = s[0] * -r, s[-1] * -r
+    d = np.concatenate([[s[0] + s[0]], s[:-1] + s[1:], [s[-1] + s[-1]]]) * (0.5 * r) + 1.0
+    return dl, d, du
+
+
+def backward_error(dl, d, du, b, x):
+    """The componentwise backward error max_i |b - A x|_i / (|A| |x| + |b|)_i
+    of x for the tridiagonal A = (dl, d, du), its residual summed exactly."""
+    n, worst = d.size, 0.0
+    for i in range(n):
+        terms = [Fraction(d[i]) * Fraction(x[i])]
+        if i > 0:
+            terms.append(Fraction(dl[i - 1]) * Fraction(x[i - 1]))
+        if i < n - 1:
+            terms.append(Fraction(du[i]) * Fraction(x[i + 1]))
+        residual = abs(Fraction(b[i]) - sum(terms))
+        scale = abs(Fraction(b[i])) + sum(abs(t) for t in terms)
+        worst = max(worst, float(residual / scale))
+    return worst
+
+
+@settings(max_examples=150, deadline=None)
+@given(first=st.floats(min_value=-3.0, max_value=8.0),
+       steps=st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=2, max_size=199),
+       r=st.floats(min_value=1e-2, max_value=1e2), seed=st.integers(0, 2**32 - 1))
+def test_march_matrices_need_no_pivoting(first, steps, r, seed):
+    # The invariant the elimination without pivoting rests on: on the
+    # matrix I + r K of any positive diffusivity, here r alpha from 1e-3 to
+    # 1e8 with neighbouring nodes up to 1e3 apart on 3 to 200 nodes, every
+    # pivot is at least 1 and the solve is backward stable componentwise.
+    log_ra = np.clip(first + np.concatenate([[0.0], np.cumsum(steps)]), -3.0, 8.0)
+    alpha = 10.0**log_ra / r
+    dl, d, du = march_bands(r, alpha)
+    b = np.random.default_rng(seed).standard_normal(d.size)
+    _, pivots, _, x, info = library_solve(dl, d, du, b)
+    assert info == 0
+    assert pivots.min() >= 1.0
+    assert backward_error(dl, d, du, b, x) <= 4 * np.finfo(float).eps
