@@ -5,13 +5,19 @@
  * `marchlib` compiles this file with `-O3 -ffp-contract=off` and calls it
  * through ctypes. Each function does the operations of the numpy code it
  * replaced in the same order, one IEEE operation per numpy operation and no
- * contraction into fused multiply-adds. Every step solves with one
+ * contraction into fused multiply-adds. Each state step solves with one
  * elimination without pivoting for one right-hand side, which does LAPACK
  * dgtsv's operations in dgtsv's order wherever dgtsv keeps its pivots in
  * place (`eliminate`, `back_substitute`; `eliminate` says why the marches
- * need no pivoting). Where dgtsv keeps them in place, as on every grid a
- * default run solves, every level and every gradient entry has the bits
- * the numpy code, which called LAPACK, gave.
+ * need no pivoting). Only the state march eliminates: a tangent step and
+ * its transpose, the adjoint step, solve the matrix of the state step from
+ * the same level, so the state march keeps each step's pivots, the
+ * diagonal its elimination leaves, and both linearized marches run only
+ * the right-hand side's half of the elimination on them (`substitute`)
+ * before their back substitution, with the bits of a fresh elimination.
+ * Where dgtsv keeps its pivots in place, as on every grid a default run
+ * solves, every level and every gradient entry has the bits the numpy
+ * code, which called LAPACK, gave.
  * One evaluator (`march_eval`) gives every interpolated value and slope.
  * The back substitution of a step evaluates the diffusivity (and for the
  * linearized marches its slope) on the level the next step reads, node by
@@ -21,20 +27,16 @@
  * the adjoint step, both read. Each loop is one call per solve: the
  * adjoint march walks the whole trajectory backward, adds each level's
  * sensor residual from a list of point sources as it goes, and keeps only
- * the level it solves and the wall traces. Each adjoint step solves the
- * matrix of the state step from the same level, so the state march can
- * keep each step's pivots, the diagonal its elimination leaves, and the
- * adjoint then runs only the right-hand side's half of the elimination
- * (`substitute`) before its back substitution on every step, with the same
- * bits. One row function (`value_row`) gives both linearized boundary
- * terms, the tangent's wall sources and the gradient assembly, their row
- * of value sensitivities.
+ * the level it solves and the wall traces. One row function (`value_row`)
+ * gives both linearized boundary terms, the tangent's wall sources and the
+ * gradient assembly, their row of value sensitivities.
  *
  * One stop rule for the three loops: the back substitution tests every
- * entry it solves, and a loop stops at a singular step (SINGULAR) or at
- * its first non-finite solved level (ALARM), with *stop set to that step,
- * counted from 1 in march order. No loop raises: `marchlib` turns the stop
- * into `DivergenceError`.
+ * entry it solves, and a loop stops at its first non-finite solved level
+ * (ALARM), with *stop set to that step, counted from 1 in march order.
+ * Only the state march, which eliminates, can also meet a singular step
+ * (SINGULAR); a march it completed recorded no zero pivot. No loop raises:
+ * `marchlib` turns the stop into `DivergenceError`.
  */
 
 #include <float.h>
@@ -127,7 +129,9 @@ static inline double march_eval(const interp *p, double x, double *slope)
  * s/2, the wall rows are half-cell balances. These are the bands written
  * from the means bit for bit (halving and doubling are exact) unless half a
  * sum is subnormal or a sum of two sums overflows. The matrix is symmetric
- * under the half-cell volume weights, so it is the adjoint's operator too. */
+ * under the half-cell volume weights, so it is the adjoint's operator too.
+ * No diagonal where diag is NULL: the linearized marches solve on the
+ * state march's pivots, the diagonal its elimination left. */
 static void fill_bands(int nx, double r, const double *alpha, double *s,
                        double *sup, double *sub, double *diag)
 {
@@ -139,6 +143,8 @@ static void fill_bands(int nx, double r, const double *alpha, double *s,
     }
     sup[0] = s[0] * wall_r;
     sub[nx - 2] = s[nx - 2] * wall_r;
+    if (!diag)
+        return;
     diag[0] = (s[0] + s[0]) * half_r + 1.0;
     for (int j = 1; j < nx - 1; j++)
         diag[j] = (s[j - 1] + s[j]) * half_r + 1.0;
@@ -185,7 +191,8 @@ static int eliminate(int n, double *dl, double *d, const double *du, double *b)
  * dl[i] = 0 row by row, the operations `eliminate` does there in its order,
  * so b and dl are left with its bits. The divisions read no earlier
  * result, so they run off the chain, which is one product and one
- * difference per row. */
+ * difference per row. Every step of both linearized marches solves this
+ * way, on the pivots the state march recorded for the same matrix. */
 static void substitute(int n, double *dl, const double *d, double *b)
 {
     double bi = b[0];
@@ -244,10 +251,10 @@ static inline int back_substitute(int n, const double *dl, const double *d,
 }
 
 /* The whole solve for one right-hand side: the solution in b and dgtsv's
- * info returned, with dl and d overwritten by `eliminate`. The marches call
- * its two halves; this whole is exported for the tests, which hold it to
- * LAPACK's own dgtsv bit for bit where dgtsv keeps its pivots in place and
- * to a plain reference elimination everywhere. */
+ * info returned, with dl and d overwritten by `eliminate`. The state
+ * march calls its two halves; this whole is exported for the tests, which
+ * hold it to LAPACK's own dgtsv bit for bit where dgtsv keeps its pivots in
+ * place and to a plain reference elimination everywhere. */
 int tridiagonal_solve(int n, double *dl, double *d, double *du, double *b)
 {
     if (n < 1)
@@ -275,7 +282,8 @@ static int stopped(int *stop, int step, int code)
  *
  * Unless piv is NULL, step n fills its diagonal into row n of the nt x nx
  * block piv and eliminates it there, so that row keeps the step's pivots
- * for the adjoint step that solves the same matrix (`adjoint_march`).
+ * for the tangent and adjoint steps that solve the same matrix
+ * (`tangent_march`, `adjoint_march`).
  *
  * Returns DONE after step nt - 1; SINGULAR with *stop = n + 1 when the
  * matrix of step n is singular; ALARM with *stop = n + 1 when level n + 1
@@ -369,35 +377,38 @@ static double wall_source(const interp *p, double x, const double *h)
 }
 
 /* The tangent march on the (nt+1) x nx field W, whose level 0 is given,
- * along the trajectory U of the same shape, in the direction h of the flux
- * values, those of b0 first and those of bL after them. Step k takes the
+ * along the trajectory U of the same shape and the nt x nx pivot block piv
+ * its state march recorded, in the direction h of the flux values, those
+ * of b0 first and those of bL after them. Step k takes the
  * coefficients of level k of U and the increments du of level k + 1, and
  * forms in level k + 1 of W the level k less its transport correction,
  * with pw2[j] = ap[j] w[j] + ap[j+1] w[j+1]: ((-r) du[0]) pw2[0] on the
  * first row, (r/2) (du[j-1] pw2[j-1] - du[j] pw2[j]) inside and
  * (r du[nx-2]) pw2[nx-2] on the last; then it takes c (beta' w + src) off
- * each wall entry, src the `wall_source` of level k, and solves there.
- * Its back substitution evaluates the diffusivity and its slope on level
- * k + 1 of U, which pw2 no longer needs. `work` holds 7 nx - 4 doubles.
+ * each wall entry, src the `wall_source` of level k, and solves there on
+ * row k of piv, the pivots of the state step from level k, which solves
+ * the same matrix: `substitute`, then the back substitution, which
+ * evaluates the diffusivity and its slope on level k + 1 of U, which pw2
+ * no longer needs. `work` holds 6 nx - 4 doubles.
  *
- * Returns DONE after step nt - 1; SINGULAR with *stop = k + 1 when the
- * matrix of step k is singular; ALARM with *stop = k + 1 when level k + 1
- * of W is not finite. */
+ * Returns DONE after step nt - 1; ALARM with *stop = k + 1 when level
+ * k + 1 of W is not finite. */
 int tangent_march(int nx, int nt, double r, double c, const interp *alpha_p,
                   const interp *b0, const interp *bL, const double *U,
-                  double *W, const double *h, double *work, int *stop)
+                  const double *piv, double *W, const double *h, double *work,
+                  int *stop)
 {
     const double half_r = 0.5 * r;
     double *alpha = work, *ap = alpha + nx, *s = ap + nx, *sup = s + nx - 1;
-    double *sub = sup + nx - 1, *diag = sub + nx - 1, *pw2 = diag + nx;
+    double *sub = sup + nx - 1, *pw2 = sub + nx - 1;
     const double *hL = h + b0->intervals + 1;
 
     level_coefficients(nx, alpha_p, U, alpha, ap);
     for (int k = 0; k < nt; k++) {
         const double *u = U + (long)k * nx, *un = u + nx;
-        const double *w = W + (long)k * nx;
+        const double *w = W + (long)k * nx, *d = piv + (long)k * nx;
         double *rhs = W + (long)(k + 1) * nx, b0p, bLp;
-        fill_bands(nx, r, alpha, s, sup, sub, diag);
+        fill_bands(nx, r, alpha, s, sup, sub, NULL);
         wall_slopes(nx, b0, bL, u, &b0p, &bLp);
         for (int j = 0; j < nx - 1; j++)
             pw2[j] = ap[j] * w[j] + ap[j + 1] * w[j + 1];
@@ -408,17 +419,17 @@ int tangent_march(int nx, int nt, double r, double c, const interp *alpha_p,
         rhs[nx - 1] = w[nx - 1] - (r * (un[nx - 1] - un[nx - 2])) * pw2[nx - 2];
         rhs[0] -= c * (b0p * w[0] + wall_source(b0, u[0], h));
         rhs[nx - 1] -= c * (bLp * w[nx - 1] + wall_source(bL, u[nx - 1], hL));
-        if (eliminate(nx, sub, diag, sup, rhs) != 0)
-            return stopped(stop, k + 1, SINGULAR);
-        if (!back_substitute(nx, sub, diag, sup, rhs, alpha_p,
+        substitute(nx, sub, d, rhs);
+        if (!back_substitute(nx, sub, d, sup, rhs, alpha_p,
                              k + 1 < nt ? un : NULL, alpha, ap))
             return stopped(stop, k + 1, ALARM);
     }
     return DONE;
 }
 
-/* The adjoint march along the trajectory U ((nt+1) x nx), backward from
- * level nt, where phi is 0, to level 0. The source is a list of point
+/* The adjoint march along the trajectory U ((nt+1) x nx) and the nt x nx
+ * pivot block piv its state march recorded, backward from level nt, where
+ * phi is 0, to level 0. The source is a list of point
  * contributions in level order: those of level s are node[k] and value[k]
  * for start[s] <= k < start[s + 1] (start has nt + 2 entries).
  *
@@ -434,29 +445,27 @@ int tangent_march(int nx, int nt, double r, double c, const interp *alpha_p,
  * into the second of two slope buffers because the carry still reads level
  * s's. Level nt - 1 is evaluated before the first step.
  *
- * That step solves the matrix of the state step from level s. Given the
- * state march's pivot block piv (NULL for none), every step takes the
- * pivots of its row s: it substitutes (`substitute`) and back substitutes
- * on them, and so skips the elimination's chain of divisions and gives its
- * bits. Every step of a march without piv eliminates.
+ * That step solves the matrix of the state step from level s, so it
+ * substitutes (`substitute`) and back substitutes on the pivots of row s
+ * of piv, and so skips the elimination's chain of divisions and gives its
+ * bits.
  *
  * Each solved level's two wall entries go to traces[2s] and traces[2s + 1],
  * and the whole level to row s of phi unless phi is NULL; level nt is
- * zeros in both. `work` holds 11 nx - 4 doubles.
+ * zeros in both. `work` holds 10 nx - 4 doubles.
  *
- * Returns DONE after the step that solves level 0; SINGULAR with *stop =
- * nt - s when the matrix of the step that solves level s is singular;
- * ALARM with *stop = nt - s when the solved level s is not finite, after
- * writing its traces and its row of phi. */
+ * Returns DONE after the step that solves level 0; ALARM with *stop =
+ * nt - s when the solved level s is not finite, after writing its traces
+ * and its row of phi. */
 int adjoint_march(int nx, int nt, double r, double c, double dt,
                   const interp *alpha_p, const interp *b0, const interp *bL,
-                  const double *U, const ptrdiff_t *start, const ptrdiff_t *node,
-                  const double *value, double *traces, double *phi,
-                  const double *piv, double *work, int *stop)
+                  const double *U, const double *piv, const ptrdiff_t *start,
+                  const ptrdiff_t *node, const double *value, double *traces,
+                  double *phi, double *work, int *stop)
 {
     const double half_r = 0.5 * r;
     double *alpha = work, *ap = alpha + nx, *s = ap + nx, *sup = s + nx - 1;
-    double *sub = sup + nx - 1, *diag = sub + nx - 1, *pd = diag + nx;
+    double *sub = sup + nx - 1, *pd = sub + nx - 1;
     double *ap_next = pd + nx - 1, *psi = ap_next + nx, *q = psi + nx;
     double *row = q + nx;
 
@@ -469,9 +478,9 @@ int adjoint_march(int nx, int nt, double r, double c, double dt,
     level_coefficients(nx, alpha_p, U + (long)(nt - 1) * nx, alpha, ap);
     for (int lv = nt - 1; lv >= 0; lv--) {
         const double *u = U + (long)lv * nx, *un = u + nx;
-        const double *d = piv ? piv + (long)lv * nx : NULL;
+        const double *d = piv + (long)lv * nx;
         double b0p, bLp;
-        fill_bands(nx, r, alpha, s, sup, sub, diag);
+        fill_bands(nx, r, alpha, s, sup, sub, NULL);
         wall_slopes(nx, b0, bL, u, &b0p, &bLp);
         for (int j = 0; j < nx; j++)
             row[j] = 0.0;
@@ -481,11 +490,8 @@ int adjoint_march(int nx, int nt, double r, double c, double dt,
         for (int j = 1; j < nx - 1; j++)
             q[j] = psi[j] + dt * row[j];
         q[nx - 1] = psi[nx - 1] + (dt * row[nx - 1]) * 2.0;
-        if (d)
-            substitute(nx, sub, d, q);
-        else if (eliminate(nx, sub, diag, sup, q) != 0)
-            return stopped(stop, nt - lv, SINGULAR);
-        int finite = back_substitute(nx, sub, d ? d : diag, sup, q, alpha_p,
+        substitute(nx, sub, d, q);
+        int finite = back_substitute(nx, sub, d, sup, q, alpha_p,
                                      lv > 0 ? u - nx : NULL, alpha, ap_next);
         traces[2 * (long)lv] = q[0];
         traces[2 * (long)lv + 1] = q[nx - 1];

@@ -47,14 +47,20 @@ numpy code's operations in their order, and take their grid from the
 trajectory they linearize about. Each step reads its frozen coefficients
 from the trajectory level it starts from, computed with the same C code in
 both marches: the diffusivity and its slope, evaluated during the back
-substitution of the step before (the first level's before the first step)
-by the solve both marches and the state march share, LAPACK dgtsv's
-elimination without pivoting; then the bands of the state step and the
-two flux slopes, just before the step; the increments of the later level
-and their products with the step constants follow. So each adjoint step is the transpose of
-the tangent step on the same numbers by construction. The tangent march
-(`solve_sensitivity`; only tests call it) is one C call per solve: per
-step it subtracts the transport correction, takes the linearized wall
+substitution of the step before (the first level's before the first
+step); then the bands of the state step and the two flux slopes, just
+before the step; the increments of the later level and their products
+with the step constants follow. So each adjoint step is the transpose of
+the tangent step on the same numbers by construction. A tangent step and
+the adjoint step from the same level solve the matrix the state step from
+that level eliminated, so neither eliminates: both solve on the pivots the
+state march recorded (`solve_ibvp(..., pivots=True)`, which `objective`
+asks for), running only the right-hand side's half of the elimination on
+them before the back substitution, with the bits of a fresh elimination.
+Both refuse with `ValidationError` a field that carries no pivots, or
+pivots recorded with another diffusivity than the one given. The tangent
+march (`solve_sensitivity`; only tests call it) is one C call per solve:
+per step it subtracts the transport correction, takes the linearized wall
 fluxes off the wall entries, and solves in the next level of its field.
 It forms each wall source, grad_beta(u) . h, inside the loop: the row of
 value sensitivities at the wall value, the row the gradient assembly reads
@@ -64,17 +70,11 @@ over the whole trajectory: per step it sums the point sources of the level
 (`observation.adjoint_source`) into a zero row in list order, adds the
 weighted row to the carried level, solves, keeps the solved level's two
 wall entries and carries it through the transposed transport correction
-and the two Robin walls. Its step from level s solves the matrix the state
-step from level s eliminated, so along a field that carries the state
-march's pivots (`objective` records them) it solves on those at every
-step and skips the elimination's chain of divisions, with the same bits;
-along a field without pivots, or with pivots recorded with another
-diffusivity than the one given, every step eliminates as the state march
-did. No level of phi is stored;
-the tests read every level through the `phi` window the call fills when
-given one. Both stop as the state march does, at a singular step or at
-their first non-finite solved level, where `marchlib` raises
-`DivergenceError`.
+and the two Robin walls. No level of phi is stored; the tests read every
+level through the `phi` window the call fills when given one. Both stop
+at their first non-finite solved level, where `marchlib` raises
+`DivergenceError`; only the state march, which eliminates, can meet a
+singular step.
 `assemble_gradient` sums the weighted traces over the levels in one
 compiled pass per wall, one band of at most four entries per level, with
 the bits of the dense value-sensitivity rows (the plain numpy reference in
@@ -83,8 +83,10 @@ Neither linearized boundary term builds an nt x n matrix.
 
 Each function here hands `marchlib` the diffusivity and flux interpolants
 it holds, with the field, the direction or the traces made C-contiguous;
-`marchlib` refuses with `ValidationError` a direction, a source, a `phi`
-or traces that do not fit the grid, so nothing here checks them again.
+`marchlib` refuses with `ValidationError` a direction, a source, a `phi`,
+traces or pivots that do not fit the grid, so nothing here checks them
+again. The one check here is that the field carries pivots recorded with
+the diffusivity given, which both linearized marches share.
 """
 
 from __future__ import annotations
@@ -92,6 +94,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import marchlib
+from .errors import ValidationError
 from .forward import EnthalpyField, Grid, solve_ibvp
 from .observation import Measurement, adjoint_source, observe
 from .pchip import FluxParameter, Pchip, flux_interpolants
@@ -113,6 +116,15 @@ def objective(
     return *misfit(field, data), field
 
 
+def _pivot_rows(u: EnthalpyField, alpha: Pchip) -> np.ndarray:
+    """The pivots the state march along `u` recorded with `alpha`, which
+    both linearized marches solve on; refused when `u` carries none."""
+    if u.pivots is None or u.pivots.diffusivity is not alpha:
+        raise ValidationError("the linearized marches need the pivots the state march recorded "
+                              "with this diffusivity: solve_ibvp(..., pivots=True)")
+    return u.pivots.rows
+
+
 def solve_sensitivity(
     u: EnthalpyField, alpha: Pchip, fp: FluxParameter, h
 ) -> EnthalpyField:
@@ -126,13 +138,16 @@ def solve_sensitivity(
     linearization frozen at the previous level. Linearity in `h` is exact.
     The field lives on the trajectory's grid. A non-finite entry of `h`,
     in the band of the wall value or not, makes that wall's source
-    non-finite, and the march stops at step 1.
+    non-finite, and the march stops at step 1. `u` must carry the pivots
+    its state march recorded with `alpha` (`solve_ibvp(..., pivots=True)`),
+    on which every step solves; a field without them is refused with
+    `ValidationError`.
     """
     g = u.grid
     W = np.zeros((g.nt + 1, g.nx))
-    marchlib.tangent_march(W, np.ascontiguousarray(u.values), np.ascontiguousarray(h, dtype=float),
-                           g.dt / g.dx**2, 2.0 * g.dt / g.dx, alpha,
-                           *flux_interpolants(fp))
+    marchlib.tangent_march(W, np.ascontiguousarray(u.values), _pivot_rows(u, alpha),
+                           np.ascontiguousarray(h, dtype=float), g.dt / g.dx**2,
+                           2.0 * g.dt / g.dx, alpha, *flux_interpolants(fp))
     return EnthalpyField(g, W)
 
 
@@ -146,18 +161,17 @@ def solve_adjoint(u: EnthalpyField, alpha: Pchip, fp: FluxParameter, source,
     those of level s at start[s] <= k < start[s + 1]. The result is the
     (nt+1, 2) array of phi at x = 0 (column 0) and x = L (column 1), with
     its last row 0 exactly. `phi`, when given, is an (nt+1) x nx array that
-    receives every level of phi as well. The march solves on the pivots
-    `u` carries when they were recorded with the diffusivity `alpha`
-    itself, and eliminates every step otherwise; the result is the same.
+    receives every level of phi as well. `u` must carry the pivots its
+    state march recorded with `alpha` (`solve_ibvp(..., pivots=True)`), on
+    which every step solves; a field without them is refused with
+    `ValidationError`.
     """
     g = u.grid
     start, node, value = map(np.asarray, source)
     traces = np.empty((g.nt + 1, 2))
-    piv = u.pivots
-    rows = piv.rows if piv is not None and piv.diffusivity is alpha else None
-    marchlib.adjoint_march(np.ascontiguousarray(u.values), start, node, value, g.dt / g.dx**2,
-                           2.0 * g.dt / g.dx, g.dt, alpha, *flux_interpolants(fp),
-                           traces, phi, rows)
+    marchlib.adjoint_march(np.ascontiguousarray(u.values), _pivot_rows(u, alpha), start, node,
+                           value, g.dt / g.dx**2, 2.0 * g.dt / g.dx, g.dt, alpha,
+                           *flux_interpolants(fp), traces, phi)
     return traces
 
 

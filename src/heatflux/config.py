@@ -8,10 +8,12 @@ allowed. Keys use dotted section prefixes, e.g.::
     sensors.positions = 0.002, 0.01, 0.025, 0.04, 0.048
     optimizer.method = pqn
 
-Unknown keys are rejected so typos fail loudly. All defaults reproduce the
-reference twin experiment: a 50 mm plate cooling for 30 s from a uniform
-enthalpy of 5.5e9 J/m3, five interior sensors sampled every 0.1 s, uniform
-noise of amplitude 2e6, a 20-knot flux partition with box bound 16e6, and
+Unknown keys are rejected so typos fail loudly. A key given twice takes
+its last value, so a line appended to a file overrides the file's own;
+every line is still checked. All defaults reproduce the reference twin
+experiment: a 50 mm plate cooling for 30 s from a uniform enthalpy of
+5.5e9 J/m3, five interior sensors sampled every 0.1 s, uniform noise of
+amplitude 2e6, a 20-knot flux partition with box bound 16e6, and
 discrepancy factor rho = 2.
 
 The builtin exact fluxes synthesize a Leidenfrost signature on a partition

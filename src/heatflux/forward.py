@@ -32,23 +32,26 @@ linearization, the tangent march and its transpose, lives in `adjoint`;
 both of those compiled marches fill each step's bands with the state
 march's band fill.
 
-The adjoint march solves, level by level, the matrices the state march
-eliminated. Asked to (`solve_ibvp(..., pivots=True)`, which
-`adjoint.objective` does for every solve that may take a gradient), the
-march keeps each step's pivots, the diagonal its elimination leaves, in
-nt more rows of the block it solves the field in, and the field carries
-them (`EnthalpyField.pivots`, with the diffusivity they belong to) for the
-adjoint to solve on at every step. Such a field's values and pivots are
-read-only, so the two cannot part. Other solves, `simulate`'s among them,
-keep no pivots: they would take as much memory again as the field, and no
-adjoint reads them.
+The tangent and adjoint marches solve, level by level, the matrices the
+state march eliminated, and they solve only on its pivots. Asked to
+(`solve_ibvp(..., pivots=True)`, which `adjoint.objective` does for every
+solve that may take a gradient), the march keeps each step's pivots, the
+diagonal its elimination leaves, in nt more rows of the block it solves
+the field in, and the field carries them (`EnthalpyField.pivots`, with
+the diffusivity they belong to) for both linearized marches to solve on
+at every step; they refuse a field without them. Such a field's values
+and pivots are read-only, so the two cannot part. Other solves,
+`simulate`'s and `gradcheck`'s difference solves among them, keep no
+pivots: they would take as much memory again as the field, and nothing
+linearizes about those fields.
 
-All three marches solve alike and stop alike: each right-hand side is
-formed in the buffer it is solved in and solved there by the one
-elimination, whose back substitution tests every entry it solves, and the
-march stops at a singular step or at its first non-finite solved level,
-where `marchlib` raises `DivergenceError`. So the state march evaluates
-the boundary fluxes on finite wall values only.
+All three marches stop alike: each right-hand side is formed in the
+buffer it is solved in and solved there, by the one elimination in the
+state march and on the recorded pivots in the linearized ones, and the
+back substitution tests every entry it solves. A march stops at its
+first non-finite solved level, and the state march also at a singular
+step, where `marchlib` raises `DivergenceError`. So the state march
+evaluates the boundary fluxes on finite wall values only.
 """
 
 from __future__ import annotations
@@ -132,8 +135,9 @@ def solve_ibvp(alpha: Pchip, fp: FluxParameter, u0, g: Grid, *,
     finite wall values.
 
     With `pivots`, the field also carries each step's pivots, for the
-    adjoint march along it (`adjoint.solve_adjoint`) to solve on. They take
-    nt more levels, allocated with the field in one block.
+    tangent and adjoint marches along it (`adjoint.solve_sensitivity`,
+    `adjoint.solve_adjoint`) to solve on; those refuse a field without
+    them. They take nt more levels, allocated with the field in one block.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (g.nx,):

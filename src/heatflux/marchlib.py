@@ -9,8 +9,8 @@ calls it. Its wrappers take the diffusivity and the two fluxes as
 `pchip.Pchip`s and make their C views themselves (`interpolant`, built once
 and kept on the interpolant), so the callers hand over what they hold and
 know nothing of the library's types. The C code does the numpy code's
-operations in the same order, with no fused multiply-adds, and the loops
-solve with one elimination of the library's own: LAPACK `dgtsv`'s
+operations in the same order, with no fused multiply-adds, and the state
+march solves with one elimination of the library's own: LAPACK `dgtsv`'s
 operations in dgtsv's order, without pivoting, which the matrices I + r K
 of the marches never need (`eliminate` in `_march.c` says why). Wherever
 dgtsv keeps its pivots in place, as on every grid a default run solves,
@@ -21,19 +21,20 @@ which returns dgtsv's info, for the tests that hold it to LAPACK's dgtsv
 and to a plain reference.
 
 `forward_march` can record each step's pivots in a block the caller
-passes, and `adjoint_march` can take that block back, along the same
-trajectory with the same diffusivity and step constants, to solve on it
-at every step; the caller (`adjoint.solve_adjoint`) makes sure the block
-belongs to the trajectory, and this module checks its shape as it checks
-every array.
+passes. `tangent_march` and `adjoint_march` take that block back, along
+the same trajectory with the same diffusivity and step constants, and
+solve every step on it, with the bits of an elimination; neither
+eliminates. The caller (`adjoint`) makes sure the block belongs to the
+trajectory, and this module checks its shape as it checks every array.
 
 The three marches stop by one rule: the back substitution tests every
-entry it solves, and a loop stops at a singular step or at its first
-non-finite solved level and returns a stop code with that step, counted
-from 1 in march order. This module alone reads the codes: the three march
-wrappers make their call through one function (`_march`), which passes
-the work buffer and the stop, raises `DivergenceError` at that step and
-returns None when the march ran to its end.
+entry it solves, and a loop stops at its first non-finite solved level
+(the state march also at a singular step) and returns a stop code with
+that step, counted from 1 in march order. This module alone reads the
+codes: the three march wrappers make their call through one function
+(`_march`), which passes the work buffer and the stop, raises
+`DivergenceError` at that step and returns None when the march ran to its
+end.
 
 The library is compiled on first use with `COMPILE` (`-O3`, no fused
 multiply-adds; a C compiler `cc` must be on the path) and cached as
@@ -135,7 +136,7 @@ def _load(path: Path) -> ctypes.CDLL:
     pointer, index, interp = ctypes.c_void_p, ctypes.c_int, ctypes.POINTER(Interp)
     head, stop = [index, index, ctypes.c_double, ctypes.c_double], ctypes.POINTER(index)
     lib.forward_march.argtypes = head + [interp] * 3 + [pointer] * 3 + [stop]
-    lib.tangent_march.argtypes = head + [interp] * 3 + [pointer] * 4 + [stop]
+    lib.tangent_march.argtypes = head + [interp] * 3 + [pointer] * 5 + [stop]
     lib.adjoint_march.argtypes = head + [ctypes.c_double] + [interp] * 3 + [pointer] * 8 + [stop]
     lib.assemble_gradient.argtypes = [index, index, ctypes.c_double, pointer, pointer,
                                       interp, interp, pointer]
@@ -186,9 +187,9 @@ def interpolant(p: Pchip) -> Interp:
 def _march(name: str, size: int, *args) -> None:
     """Call the C march `name` with `args`, then a work buffer of `size`
     doubles and the stop step. Raise `DivergenceError` when the march
-    stopped, counted from 1 in march order: its step matrix was singular
-    (SINGULAR) or its solved level not finite (ALARM). Return when it ran
-    to the end (DONE)."""
+    stopped, counted from 1 in march order: the state march's step matrix
+    was singular (SINGULAR) or a solved level not finite (ALARM). Return
+    when it ran to the end (DONE)."""
     work, stop = np.empty(size), ctypes.c_int()  # both live until the call returns
     code = getattr(_library(), name)(*args, work.ctypes.data, stop)
     if code != DONE:
@@ -206,37 +207,38 @@ def forward_march(U, r: float, c: float, alpha: Pchip, b0: Pchip, bL: Pchip, piv
            _addr(U, U.shape), None if piv is None else _addr(piv, (nt, nx)))
 
 
-def tangent_march(W, U, h, r: float, c: float, alpha: Pchip, b0: Pchip, bL: Pchip) -> None:
+def tangent_march(W, U, piv, h, r: float, c: float, alpha: Pchip, b0: Pchip, bL: Pchip) -> None:
     """Run `tangent_march` of `_march.c` on the field W, whose level 0 is
-    set, along the trajectory U of its shape, in the direction h of the
-    flux values, those at x = 0 first; the march forms each step's two wall
-    sources, grad_beta(u) . h, from h."""
+    set, along the trajectory U of its shape and the (nt, nx) pivot block
+    `piv` that `forward_march` recorded for U with the same `alpha` and r,
+    in the direction h of the flux values, those at x = 0 first; the march
+    forms each step's two wall sources, grad_beta(u) . h, from h, and
+    solves each step on its row of `piv`."""
     nt, nx = W.shape[0] - 1, W.shape[1]
-    _march("tangent_march", 7 * nx - 4, nx, nt, r, c, *map(interpolant, (alpha, b0, bL)),
-           _addr(U, W.shape), _addr(W, W.shape), _addr(h, (b0.n + bL.n,)))
+    _march("tangent_march", 6 * nx - 4, nx, nt, r, c, *map(interpolant, (alpha, b0, bL)),
+           _addr(U, W.shape), _addr(piv, (nt, nx)), _addr(W, W.shape), _addr(h, (b0.n + bL.n,)))
 
 
-def adjoint_march(U, start, node, value, r: float, c: float, dt: float, alpha: Pchip,
-                  b0: Pchip, bL: Pchip, traces, phi=None, piv=None) -> None:
-    """Run `adjoint_march` of `_march.c` along the trajectory U with the
-    point sources (start, node, value): the (nt+1, 2) `traces` receive the
+def adjoint_march(U, piv, start, node, value, r: float, c: float, dt: float, alpha: Pchip,
+                  b0: Pchip, bL: Pchip, traces, phi=None) -> None:
+    """Run `adjoint_march` of `_march.c` along the trajectory U and the
+    (nt, nx) pivot block `piv` that `forward_march` recorded for U with the
+    same `alpha` and r, with the point sources (start, node, value): every
+    step solves on its row of `piv`, the (nt+1, 2) `traces` receive the
     wall entries of every level of phi, and `phi`, when given, every level
-    (U's shape), up to the level it stops at. `piv`, when given, is the
-    pivot block `forward_march` recorded for U with the same `alpha` and r;
-    every step solves on its row."""
+    (U's shape), up to the level it stops at."""
     levels, nx = U.shape
     k = node.size
-    addrs = [_addr(U, U.shape), _addr(start, (levels + 1,), INDEX), _addr(node, (k,), INDEX),
-             _addr(value, (k,)), _addr(traces, (levels, 2)),
-             None if phi is None else _addr(phi, U.shape),
-             None if piv is None else _addr(piv, (levels - 1, nx))]
+    addrs = [_addr(U, U.shape), _addr(piv, (levels - 1, nx)), _addr(start, (levels + 1,), INDEX),
+             _addr(node, (k,), INDEX), _addr(value, (k,)), _addr(traces, (levels, 2)),
+             None if phi is None else _addr(phi, U.shape)]
     if k and (node.min() < 0 or node.max() >= nx):
         raise ValidationError(f"contribution node outside [0, {nx})")
     if (np.diff(start) < 0).any():
         raise ValidationError("level pointer decreases")
     if start[0] < 0 or start[-1] > k:
         raise ValidationError(f"level pointer outside the {k} contributions")
-    _march("adjoint_march", 11 * nx - 4, nx, levels - 1, r, c, dt,
+    _march("adjoint_march", 10 * nx - 4, nx, levels - 1, r, c, dt,
            *map(interpolant, (alpha, b0, bL)), *addrs)
 
 

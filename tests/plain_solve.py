@@ -1,4 +1,5 @@
-"""The tridiagonal solve of `_march.c` in plain Python.
+"""The tridiagonal solve of `_march.c` in plain Python, and the pivots a
+state march records.
 
 `plain_tridiagonal_solve` is the one reference for the library's
 `tridiagonal_solve` and for every step of the plain marches in
@@ -8,9 +9,48 @@ keeps every pivot in place, then dgtsv's back substitution with its dl
 term. The tests hold it to scipy's dgtsv bit for bit on every step of the
 march tests' grid, and the compiled solve and marches to it. No package
 module calls it.
+
+`plain_bands` writes the bands of a step's matrix I + r K from the interface
+means of the level's diffusivity, and `plain_pivots` eliminates them with
+the plain solve: the pivot block a state march along a trajectory records,
+which the tangent and adjoint marches solve on. The tests give it to
+made-up trajectories that no state march computed, and hold the pivots a
+march records to it bit for bit.
 """
 
 import numpy as np
+
+from heatflux import forward, pchip
+
+
+def plain_bands(ab, amid, r):
+    """The bands of I + r K from the interface means `amid` into `ab`, in
+    LAPACK's banded layout (ab[0, j] = A[j-1, j], ab[1, j] = A[j, j],
+    ab[2, j] = A[j+1, j]); returns ab."""
+    ab[0, 1] = -2.0 * r * amid[0]
+    ab[0, 2:] = -r * amid[1:]
+    ab[1, 0] = 1.0 + 2.0 * r * amid[0]
+    ab[1, 1:-1] = 1.0 + r * (amid[:-1] + amid[1:])
+    ab[1, -1] = 1.0 + 2.0 * r * amid[-1]
+    ab[2, :-2] = -r * amid[:-1]
+    ab[2, -2] = -2.0 * r * amid[-1]
+    return ab
+
+
+def plain_pivots(alpha, values, r):
+    """The pivots of the state steps along the trajectory `values` with the
+    diffusivity `alpha` and r = dt/dx^2, as `forward.Pivots(alpha, rows)`:
+    row n is the diagonal `plain_tridiagonal_solve` leaves on the bands of
+    the step from level n, whose diffusivity `pchip.eval` gives. On a
+    singular step's bands that is the diagonal as far as the elimination
+    reached."""
+    a = pchip.eval(alpha, np.asarray(values)[:-1], clamp=True)[0]
+    ab = np.zeros((3, a.shape[1]))
+    rows = []
+    for amid in 0.5 * (a[:, :-1] + a[:, 1:]):
+        plain_bands(ab, amid, r)
+        rows.append(plain_tridiagonal_solve(ab[2, :-1], ab[1], ab[0, 1:], np.zeros(ab.shape[1]))[1])
+    return forward.Pivots(alpha, np.array(rows))
 
 
 def plain_tridiagonal_solve(dl, d, du, b):

@@ -10,6 +10,7 @@ from heatflux import adjoint, cli, config, forward, observation, pchip
 from heatflux.errors import ValidationError
 from heatflux.forward import EnthalpyField, Grid, Pivots
 from heatflux.observation import ObservationSpec
+from test_march_kernels import plain_solve_adjoint
 
 
 PART = np.linspace(0.0, 8.0e9, 6)
@@ -134,26 +135,52 @@ def default_box_point(corner: bool) -> pchip.FluxParameter:
     return pchip.FluxParameter(beta.ravel(), part, cfg.beta_max)
 
 
+def dense_rows(source, g):
+    """The point sources as the dense (nt+1) x nx rows the plain adjoint
+    takes: each level's contributions added in list order to a zero row,
+    as the march adds them."""
+    start, node, value = source
+    rows = np.zeros((g.nt + 1, g.nx))
+    for s in range(g.nt + 1):
+        for k in range(start[s], start[s + 1]):
+            rows[s, node[k]] += value[k]
+    return rows
+
+
+def linearize(march, u, alpha, case):
+    """Along the field u with the diffusivity alpha, the adjoint traces of
+    the residual of u against the case's readings, or the tangent field in
+    a random direction, at the case's evaluation point."""
+    _, _, _, spec, meas, fp = case
+    if march == "adjoint":
+        residual = adjoint.misfit(u, meas)[1]
+        return adjoint.solve_adjoint(u, alpha, fp, observation.adjoint_source(residual, spec, u.grid))
+    h = np.random.default_rng(17).standard_normal(2 * fp.n)
+    return adjoint.solve_sensitivity(u, alpha, fp, h).values
+
+
+MARCHES = ["adjoint", "tangent"]
+
+
 class TestRecordedPivots:
     @pytest.mark.parametrize("corner", [False, True], ids=["zero", "flank"])
     def test_pivots_change_no_bit_of_the_adjoint_or_the_gradient(self, case, corner):
-        # The objective's field carries the state march's pivots; the same
-        # trajectory without them makes every adjoint step eliminate. From
-        # the default u0 the corner's walls cool down its flank, where
-        # c*beta' reaches 2.5.
+        # The objective's field carries the state march's pivots, on which
+        # every adjoint step solves, while the plain adjoint eliminates every
+        # step. From the default u0 the corner's walls cool down its flank,
+        # where c*beta' reaches 2.5.
         m, g, _, spec, meas, _ = case
         fp = default_box_point(corner)
         u0 = np.full(g.nx, config.ExperimentConfig().u0)
         _, residual, field = adjoint.objective(fp, meas, m, u0, g)
-        plain = EnthalpyField(g, field.values)
-        assert field.pivots is not None and plain.pivots is None
         src = observation.adjoint_source(residual, spec, g)
-        phis = [np.full_like(field.values, np.nan) for _ in range(2)]
-        traces = [adjoint.solve_adjoint(u, m, fp, src, phi) for u, phi in zip((field, plain), phis)]
-        assert traces[0].tobytes() == traces[1].tobytes()
-        assert phis[0].tobytes() == phis[1].tobytes()
-        grads = [adjoint.compute_gradient(fp, meas, m, u, residual) for u in (field, plain)]
-        assert grads[0].tobytes() == grads[1].tobytes()
+        phi = np.full_like(field.values, np.nan)
+        traces = adjoint.solve_adjoint(field, m, fp, src, phi)
+        want = plain_solve_adjoint(field, m, fp, dense_rows(src, g), g)
+        assert phi.tobytes() == want.tobytes()
+        assert traces.tobytes() == want[:, [0, -1]].tobytes()
+        grad = adjoint.compute_gradient(fp, meas, m, field, residual)
+        assert grad.tobytes() == adjoint.assemble_gradient(want[:, [0, -1]], field, fp).tobytes()
 
     def test_pivots_are_read_only_with_their_field(self, case):
         m, g, u0, _, _, fp = case
@@ -165,22 +192,32 @@ class TestRecordedPivots:
                 a[1, 1] = 0.0
         assert forward.solve_ibvp(m, fp, u0, g).values.flags.writeable
 
-    def test_pivots_serve_only_the_diffusivity_they_were_recorded_for(self, case):
-        # Pivots scaled by 2 change the adjoint where they are used: with
-        # the diffusivity they were recorded for. With an equal diffusivity
-        # that is another interpolant the march eliminates every step, and
-        # gives what it gives along the field without pivots.
-        m, g, u0, spec, meas, fp = case
-        _, residual, field = adjoint.objective(fp, meas, m, u0, g)
-        src = observation.adjoint_source(residual, spec, g)
-        stale = EnthalpyField(g, field.values, Pivots(m, 2.0 * field.pivots.rows))
-        plain = EnthalpyField(g, field.values)
-        want = adjoint.solve_adjoint(plain, m, fp, src)
-        assert adjoint.solve_adjoint(stale, m, fp, src).tobytes() != want.tobytes()
+    @pytest.mark.parametrize("march", MARCHES)
+    def test_a_field_without_pivots_is_refused(self, case, march):
+        m, g, u0, _, _, fp = case
+        bare = forward.solve_ibvp(m, fp, u0, g)
+        with pytest.raises(ValidationError, match=r"solve_ibvp\(\.\.\., pivots=True\)"):
+            linearize(march, bare, m, case)
+
+    @pytest.mark.parametrize("march", MARCHES)
+    def test_pivots_of_another_diffusivity_are_refused(self, case, march):
+        # An interpolant equal to the one the pivots were recorded with, but
+        # another object: the pivots are refused, not trusted on its values.
+        m, g, u0, _, _, fp = case
+        field = forward.solve_ibvp(m, fp, u0, g, pivots=True)
         other = pchip.Pchip(m.knots, m.values)
-        want = adjoint.solve_adjoint(plain, other, fp, src)
-        for u in (stale, field):
-            assert adjoint.solve_adjoint(u, other, fp, src).tobytes() == want.tobytes()
+        assert other is not m and other.values.tobytes() == m.values.tobytes()
+        with pytest.raises(ValidationError, match=r"pivots=True"):
+            linearize(march, field, other, case)
+
+    @pytest.mark.parametrize("march", MARCHES)
+    def test_the_marches_solve_on_the_pivots_they_are_given(self, case, march):
+        # Pivots scaled by 2 change the result: the march reads them.
+        m, g, u0, _, _, fp = case
+        field = forward.solve_ibvp(m, fp, u0, g, pivots=True)
+        stale = EnthalpyField(g, field.values, Pivots(m, 2.0 * field.pivots.rows))
+        want = linearize(march, field, m, case)
+        assert linearize(march, stale, m, case).tobytes() != want.tobytes()
 
 
 class TestAdjointField:
@@ -196,7 +233,7 @@ class TestAdjointField:
         m, g, u0, spec, meas, fp = case
         with pytest.raises(ValidationError):
             observation.adjoint_source(np.zeros((3, 25)), spec, g)
-        field = forward.solve_ibvp(m, fp, u0, g)
+        field = forward.solve_ibvp(m, fp, u0, g, pivots=True)
         # Two point sources on level 3 and two on the last level, 80.
         start = np.zeros(g.nt + 2, dtype=np.intp)
         start[4:], start[-1] = 2, 4
@@ -233,7 +270,7 @@ class TestAdjointField:
         cfg = config.ExperimentConfig()
         g = config.inv_grid(cfg)
         fp = config.exact_flux_parameter(cfg)
-        field = forward.solve_ibvp(builtin_material, fp, np.full(g.nx, cfg.u0), g)
+        field = forward.solve_ibvp(builtin_material, fp, np.full(g.nx, cfg.u0), g, pivots=True)
         dense = np.random.default_rng(4).standard_normal(field.values.shape)
         src = observation.PointSources(
             np.arange(g.nt + 2) * g.nx, np.tile(np.arange(g.nx), g.nt + 1), dense.ravel()
@@ -251,7 +288,7 @@ class TestAdjointField:
         cfg = config.ExperimentConfig()
         g = config.inv_grid(cfg)
         fp = config.exact_flux_parameter(cfg)
-        field = forward.solve_ibvp(builtin_material, fp, np.full(g.nx, cfg.u0), g)
+        field = forward.solve_ibvp(builtin_material, fp, np.full(g.nx, cfg.u0), g, pivots=True)
         h = np.random.default_rng(4).standard_normal(2 * fp.n)
         peak, W = heap_peak(adjoint.solve_sensitivity, field, builtin_material, fp, h)
         assert W.values.shape == field.values.shape
@@ -285,7 +322,7 @@ class TestAdjointField:
         cfg = config.ExperimentConfig(T=10.0, inv_nt=1100, sample_interval=0.02)
         g = config.inv_grid(cfg)
         fp = config.exact_flux_parameter(cfg)
-        field = forward.solve_ibvp(builtin_material, fp, np.full(g.nx, cfg.u0), g)
+        field = forward.solve_ibvp(builtin_material, fp, np.full(g.nx, cfg.u0), g, pivots=True)
         residual = np.random.default_rng(2).standard_normal((5, 500))
 
         def gradient():

@@ -79,6 +79,13 @@ class TestParsing:
         cfg = parse_config_text("# header\n\nnoise.seed = 3  # trailing\n")
         assert cfg.seed == 3
 
+    def test_a_key_given_twice_takes_its_last_value(self):
+        # `tests/test_cli.py` appends lines to a config that sets the same
+        # keys; a bad value is reported even where a later line overrides it.
+        assert parse_config_text("noise.seed = 3\nnoise.seed = 5\n").seed == 5
+        with pytest.raises(ValidationError, match="line 1"):
+            parse_config_text("noise.seed = seven\nnoise.seed = 5\n")
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError, match="unknown key"):
             parse_config_text("grids.sim.resolution = 50\n")

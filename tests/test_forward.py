@@ -122,7 +122,7 @@ class TestSensitivity:
     def setup(self, builtin_material):
         g = Grid(L=0.05, T=2.0, nx=21, nt=40)
         fp = ramp_flux_parameter(top=1.0e6, n=6)
-        u = forward.solve_ibvp(builtin_material, fp, np.full(g.nx, 5.0e9), g)
+        u = forward.solve_ibvp(builtin_material, fp, np.full(g.nx, 5.0e9), g, pivots=True)
         return builtin_material, fp, u, g
 
     def test_zero_direction_gives_zero_field(self, setup):
@@ -150,7 +150,7 @@ class TestSensitivity:
         part = np.linspace(0.0, 8.0e9, 6)
         beta = 1.0e6 * (0.5 + 0.3 * np.sin(np.arange(12, dtype=float)))
         fp = pchip.FluxParameter(beta=beta, partition=part, beta_max=2.0e6)
-        u = forward.solve_ibvp(m, fp, np.full(g.nx, 5.0e9), g)
+        u = forward.solve_ibvp(m, fp, np.full(g.nx, 5.0e9), g, pivots=True)
         rng = np.random.default_rng(6)
         h = rng.standard_normal(2 * fp.n)
         w = adjoint.solve_sensitivity(u, m, fp, h).values

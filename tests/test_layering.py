@@ -16,11 +16,14 @@ pipeline (`forward`, `observation`, `adjoint`) calls no BLAS either, whose
 summation order depends on the CPU's kernel. The pipeline, with `optimizer`
 and `marchlib`, imports nothing from `material`, which only builds the
 diffusivity interpolant the pipeline takes (`config` calls it). Every
-exception class in `errors` is raised by some package module.
+exception class in `errors` is raised by some package module. In
+`_march.c` only the state march and the exported solve eliminate: the
+tangent and adjoint marches solve on the pivots the state march recorded.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -174,3 +177,21 @@ def test_every_package_error_is_raised():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(ast.unparse(exc).split(".")[-1])
     assert errors - {"HeatfluxError"} - raised == set()
+
+
+def c_functions(source: str) -> dict:
+    """The function definitions of a C source, name -> body, as `_march.c`
+    writes them: the definition starts at column 0 and its body ends at the
+    next "}" at column 0."""
+    pattern = r"^[a-z][^;{}()]*?\b(\w+)\([^;{]*\)\s*\{(.*?)^\}"
+    return {m.group(1): m.group(2) for m in re.finditer(pattern, source, re.M | re.S)}
+
+
+def test_only_the_state_march_eliminates():
+    # A tangent step and the adjoint step solve the matrix the state step
+    # from the same level eliminated, on the pivots it recorded: one solve
+    # path for the linearized marches, with no elimination of their own.
+    bodies = c_functions((PACKAGE / "_march.c").read_text())
+    assert {"eliminate", "forward_march", "tangent_march", "adjoint_march"} <= bodies.keys()
+    callers = {name for name, body in bodies.items() if re.search(r"\beliminate\(", body)}
+    assert callers == {"forward_march", "tridiagonal_solve"}

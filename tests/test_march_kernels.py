@@ -3,14 +3,16 @@ they replace, bit for bit.
 
 Every march runs its step loop compiled (`marchlib`, `_march.c`), and one
 C evaluator gives every interpolated value and slope there with the
-operations of `pchip.eval` (its knot and outside fix-ups included). Every
-march solves with the library's one elimination, without pivoting and in
-dgtsv's order, whose back substitution evaluates the diffusivity (with its
-slope, for the linearized marches) on the level the next step reads;
-`tests/test_marchlib.py` holds the solve to the plain reference
-(`tests/plain_solve.py`) and to scipy's dgtsv. The state march evaluates
-the two wall fluxes per step, fills the bands from the sums of
-neighbouring diffusivities, and solves. The tangent march
+operations of `pchip.eval` (its knot and outside fix-ups included). The
+state march solves with the library's one elimination, without pivoting
+and in dgtsv's order, and records each step's pivots; the tangent and
+adjoint marches solve on those pivots, which a made-up trajectory gets
+from the plain elimination (`plain_pivots`). Every back substitution
+evaluates the diffusivity (with its slope, for the linearized marches) on
+the level the next step reads; `tests/test_marchlib.py` holds the solve to
+the plain reference (`tests/plain_solve.py`) and to scipy's dgtsv. The
+state march evaluates the two wall fluxes per step, fills the bands from
+the sums of neighbouring diffusivities, and solves. The tangent march
 (`adjoint.solve_sensitivity`) and the adjoint march
 (`adjoint.solve_adjoint`), one C call per solve each, read each step's
 frozen coefficients from the trajectory level the step starts from:
@@ -30,8 +32,9 @@ level's row, and must give the bytes of the dense reduction it replaced
 partition, with knots no wall reaches and on non-finite input. Every
 march solves each step in place and stops by one rule: its back
 substitution tests every entry it solves, and the compiled loop stops at
-a singular step or at its first non-finite solved level, at an interior
-node as on a wall, and `marchlib` raises `DivergenceError` at that step.
+its first non-finite solved level, at an interior node as on a wall (the
+state march also at a singular step), and `marchlib` raises
+`DivergenceError` at that step.
 The adjoint keeps only its wall traces; the tests read every level of phi
 through the window `solve_adjoint` fills when given one, and feed it a
 source on every level or, as the sensors do, on some levels only: every
@@ -55,10 +58,9 @@ where Horner's slope misses the knot's slope, and a carried adjoint level
 with a negative zero where the samples miss the level, and must stop with
 `DivergenceError` at the same step when a level goes non-finite, on the
 first, an inner and the last step of the march, at the edge of a block of
-non-finite inputs, and when a finite level's carry overflows. An adjoint or tangent step whose matrix is exactly
-singular raises at its step, or at an earlier non-finite level.
-The compiled marches must also leave their inputs alone and hand out a new
-field on every call.
+non-finite inputs, and when a finite level's carry overflows. The compiled
+marches must also leave their inputs alone and hand out a new field on
+every call.
 
 On the same cases the co-located pair is checked for duality: the adjoint
 gradient of a dense random source, applied to a direction h, equals the
@@ -81,22 +83,11 @@ from heatflux.config import ExperimentConfig, exact_flux_parameter, inversion_pa
 from heatflux.errors import DivergenceError
 from heatflux.forward import Grid
 from pchip_rows import grad_wrt_values_many
-from plain_solve import plain_tridiagonal_solve
+from plain_solve import plain_bands, plain_pivots, plain_tridiagonal_solve
 
 # c = 2 dt/dx = 33, the inversion grid's boundary number (32.7).
 GRID = Grid(L=0.05, T=3.3, nx=31, nt=120)
 CFG = ExperimentConfig()
-
-
-def plain_bands(ab, amid, r):
-    ab[0, 1] = -2.0 * r * amid[0]
-    ab[0, 2:] = -r * amid[1:]
-    ab[1, 0] = 1.0 + 2.0 * r * amid[0]
-    ab[1, 1:-1] = 1.0 + r * (amid[:-1] + amid[1:])
-    ab[1, -1] = 1.0 + 2.0 * r * amid[-1]
-    ab[2, :-2] = -r * amid[:-1]
-    ab[2, -2] = -2.0 * r * amid[-1]
-    return ab
 
 
 def plain_step(ab, rhs, step, solve=plain_tridiagonal_solve):
@@ -243,6 +234,12 @@ def adjoint_levels(u, m, fp, source):
     return phi
 
 
+def made_up_field(m, U, g):
+    """The made-up trajectory U on the grid g with the pivots a state march
+    with the diffusivity m would record along it (`plain_pivots`)."""
+    return forward.EnthalpyField(g, U, plain_pivots(m, U, g.dt / g.dx**2))
+
+
 def in_order_dot(row, v):
     """sum(row[j] v[j]) added in column order to an accumulator that starts
     at +0.0, as Python floats (`sum` compensates since Python 3.12, and
@@ -349,7 +346,7 @@ def marches(builtin_material):
     cases["knots"] = (knot_m, exact_flux_parameter(CFG), knot_profile(knot_m, g.nx))
     out = {}
     for name, (m, fp, u0) in cases.items():
-        field = forward.solve_ibvp(m, fp, u0, g)
+        field = forward.solve_ibvp(m, fp, u0, g, pivots=True)
         out[name] = (m, fp, field, plain_solve_ibvp(m, fp, u0, g), source)
     return out
 
@@ -366,13 +363,6 @@ def test_adjoint_march_matches_plain_code(marches, name):
     got = adjoint_levels(field, m, fp, dense_pair(source))
     want = plain_solve_adjoint(field, m, fp, source, GRID)
     assert got.tobytes() == want.tobytes()
-
-
-@pytest.fixture(scope="module")
-def recorded(marches):
-    """name -> the state field of `marches` solved again with its pivots."""
-    return {name: forward.solve_ibvp(m, fp, field.values[0], GRID, pivots=True)
-            for name, (m, fp, field, _, _) in marches.items()}
 
 
 def step_bands(m, values, g):
@@ -400,24 +390,27 @@ def test_plain_solve_is_lapacks_dgtsv_on_every_step_of_grid(marches, name):
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_recorded_pivots_are_the_diagonal_the_solve_leaves(marches, recorded, name):
-    # Recording the pivots leaves the field as it was, and row n of them is
-    # the diagonal the plain elimination leaves on the bands of step n.
-    m, _, field, _, _ = marches[name]
-    u = recorded[name]
-    assert u.values.tobytes() == field.values.tobytes()
-    bands = step_bands(m, field.values, GRID)
-    for (dl, d, du), b, row in zip(bands, field.values[:-1], u.pivots.rows, strict=True):
-        assert row.tobytes() == plain_tridiagonal_solve(dl, d, du, b)[1].tobytes()
+def test_recorded_pivots_are_the_diagonal_the_solve_leaves(marches, name):
+    # Recording the pivots leaves the field as a march without them solves
+    # it, and row n of them is the diagonal the plain elimination leaves on
+    # the bands of step n (`plain_pivots`).
+    m, fp, field, _, _ = marches[name]
+    bare = forward.solve_ibvp(m, fp, field.values[0], GRID)
+    assert bare.pivots is None and bare.values.tobytes() == field.values.tobytes()
+    want = plain_pivots(m, field.values, GRID.dt / GRID.dx**2)
+    assert field.pivots.diffusivity is want.diffusivity is m
+    assert field.pivots.rows.tobytes() == want.rows.tobytes()
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_adjoint_march_on_recorded_pivots_matches_plain_code(marches, recorded, name):
+def test_adjoint_march_on_recorded_pivots_matches_plain_code(marches, name):
     # Every step substitutes on the state march's pivots instead of
-    # eliminating, with the bits of the plain code's dgtsv.
+    # eliminating, with the bits of the plain code that solves every step
+    # with scipy's dgtsv, the solver the numpy march called: on GRID dgtsv
+    # keeps every pivot in place.
     m, fp, field, _, source = marches[name]
-    got = adjoint_levels(recorded[name], m, fp, dense_pair(source))
-    assert got.tobytes() == plain_solve_adjoint(field, m, fp, source, GRID).tobytes()
+    got = adjoint_levels(field, m, fp, dense_pair(source))
+    assert got.tobytes() == plain_solve_adjoint(field, m, fp, source, GRID, dgtsv).tobytes()
 
 
 # r alpha = 3.2 at u0 (0.09 on GRID).
@@ -433,10 +426,10 @@ def test_marches_match_plain_code_through_row_interchanges(builtin_material):
     # Where r alpha >= 3, the pivot the elimination leaves for the second
     # last row is smaller than the last row's doubled off-diagonal, so dgtsv
     # interchanges the two rows at every step, which it never does on GRID.
-    # The marches eliminate in order all the same: every step records its
-    # pivots, none below 1, the adjoint on them has the bits of the adjoint
-    # without them, all three marches keep the plain code's bytes, and they
-    # stay within 1e-12 of the plain code that solves with dgtsv.
+    # The state march eliminates in order all the same: every step records
+    # its pivots, none below 1, the tangent and the adjoint solve on them,
+    # all three marches keep the plain code's bytes, and they stay within
+    # 1e-12 of the plain code that solves with dgtsv.
     g, m, fp = SWAP_GRID, builtin_material, exact_flux_parameter(CFG)
     u0 = np.full(g.nx, CFG.u0)
     alpha0 = pchip.eval(m, u0[:1], clamp=True)[0][0]
@@ -451,8 +444,6 @@ def test_marches_match_plain_code_through_row_interchanges(builtin_material):
     assert relative_gap(W.values, plain_solve_sensitivity(field, m, fp, h, g, dgtsv)) <= 1e-12
     source = np.random.default_rng(5).standard_normal((g.nt + 1, g.nx))
     got = adjoint_levels(field, m, fp, dense_pair(source))
-    unrecorded = adjoint_levels(forward.EnthalpyField(g, field.values), m, fp, dense_pair(source))
-    assert got.tobytes() == unrecorded.tobytes()
     assert got.tobytes() == plain_solve_adjoint(field, m, fp, source, g).tobytes()
     assert relative_gap(got, plain_solve_adjoint(field, m, fp, source, g, dgtsv)) <= 1e-12
 
@@ -501,7 +492,7 @@ cfg = config.ExperimentConfig()
 m = material.builtin_material()
 g = Grid(L=0.05, T=3.3, nx=31, nt=120)
 fp = config.exact_flux_parameter(cfg)
-u = forward.solve_ibvp(m, fp, np.full(g.nx, cfg.u0), g)
+u = forward.solve_ibvp(m, fp, np.full(g.nx, cfg.u0), g, pivots=True)
 h = np.random.default_rng(9).standard_normal(2 * fp.n)
 sys.stdout.write(hashlib.sha256(adjoint.solve_sensitivity(u, m, fp, h).values.tobytes()).hexdigest())
 """
@@ -677,7 +668,7 @@ def test_adjoint_march_adds_zero_on_a_negative_zero_level():
     g = Grid(L=2.0, T=4.0, nx=3, nt=4)
     m = pchip.Pchip([0.0, 1.0, 2.0], [1.0, 50.0, 1.0])
     U = np.repeat([[0.5], [2.0], [2.0], [0.0], [1.0]], 3, axis=1)
-    u = forward.EnthalpyField(g, U)
+    u = made_up_field(m, U, g)
     fp = pchip.FluxParameter([0.5, 1.0, 0.5, 0.5, 0.0, 0.5], np.linspace(0.0, 2.0, 3), 1.0)
     source = np.zeros((g.nt + 1, g.nx))
     source[4, 1] = -1e-323
@@ -697,7 +688,7 @@ def test_adjoint_march_takes_the_knot_slopes_on_the_knots(builtin_material):
     missed = p.knots[left_knot_slope_misses(p, p.knots)]
     assert missed.size >= 5
     profile = np.resize(np.stack([missed, np.full(missed.size, p.knots[-1])], 1), GRID.nx)
-    u = forward.EnthalpyField(GRID, np.tile(profile, (GRID.nt + 1, 1)))
+    u = made_up_field(p, np.tile(profile, (GRID.nt + 1, 1)), GRID)
     fp = exact_flux_parameter(CFG)
     source = np.random.default_rng(5).standard_normal((GRID.nt + 1, GRID.nx))
     got = adjoint_levels(u, p, fp, dense_pair(source))
@@ -711,7 +702,7 @@ def test_tangent_march_takes_the_knot_slopes_on_the_knots(builtin_material):
     p = knot_material(builtin_material)
     missed = p.knots[left_knot_slope_misses(p, p.knots)]
     profile = np.resize(np.stack([missed, np.full(missed.size, p.knots[-1])], 1), GRID.nx)
-    u = forward.EnthalpyField(GRID, np.tile(profile, (GRID.nt + 1, 1)))
+    u = made_up_field(p, np.tile(profile, (GRID.nt + 1, 1)), GRID)
     fp = exact_flux_parameter(CFG)
     h = np.random.default_rng(9).standard_normal(2 * fp.n)
     got = adjoint.solve_sensitivity(u, p, fp, h)
@@ -855,51 +846,38 @@ def test_forward_divergence_at_the_last_step_matches_plain_code(builtin_material
     assert got.value.step == want.value.step == g.nt
 
 
-@pytest.mark.parametrize(
-    "source_level, row, step, message",
-    [
-        # Every level solved before it is finite: the step itself raises.
-        (8, [1.0, 2.0, 3.0], 4, "singular step matrix"),
-        # Level 5 is non-finite, solved one step earlier: the march stops
-        # there and reports that step, as a per-step check would have.
-        (6, [np.inf, 0.0, 0.0], 3, "non-finite"),
-    ],
-)
-def test_adjoint_singular_step_raises_at_its_step(
-    singular_level_case, source_level, row, step, message
-):
+def test_adjoint_stops_at_its_first_non_finite_level(singular_level_case):
+    # The source row of level 6 makes level 5 non-finite, solved two steps
+    # before the step that solves level 4, whose last pivot is 0: the march
+    # stops at level 5 and reports its step, as a per-step check would have.
     g, m, u, fp = singular_level_case
-    source = point_sources([source_level], [row], g.nt)
-    with pytest.raises(DivergenceError, match=message) as got:
+    u = made_up_field(m, u.values, g)
+    assert u.pivots.rows[4, -1] == 0.0
+    source = point_sources([6], [[np.inf, 0.0, 0.0]], g.nt)
+    with pytest.raises(DivergenceError, match="non-finite") as got:
         adjoint.solve_adjoint(u, m, fp, source)
-    assert got.value.step == step
+    assert got.value.step == 3
 
 
-@pytest.mark.parametrize(
-    "hot_level, step, message",
-    [
-        # Every level solved before it is finite: the step from level 4 raises.
-        (None, 5, "singular step matrix"),
-        # Level 3 is non-finite, solved two steps earlier: the march reports
-        # that step, as the per-step check does.
-        (2, 3, "non-finite"),
-    ],
-)
-def test_tangent_singular_step_raises_at_its_step(singular_level_case, hot_level, step, message):
+def test_tangent_stops_at_its_first_non_finite_level(singular_level_case):
     # The direction weighs only the last knot of the flux at x = 0, with a
-    # weight whose boundary source c*h overflows. A wall on that knot (the
-    # hot level) gives a non-finite next level; at 0 the weight drops out.
+    # weight whose boundary source c*h overflows. A wall on that knot, on
+    # level 2, makes level 3 non-finite, two steps before the step from
+    # level 4, whose last pivot is 0: the march reports level 3's step, as
+    # the per-step check does.
     g, m, u, fp = singular_level_case
-    if hot_level is not None:
-        u.values[hot_level] = 2.0
+    U = u.values.copy()
+    U[2] = 2.0
+    u = made_up_field(m, U, g)
+    assert u.pivots.rows[4, -1] == 0.0
     h = np.zeros(2 * fp.n)
     h[fp.n - 1] = 1e308
-    with pytest.raises(DivergenceError, match=message) as got:
+    with pytest.raises(DivergenceError, match="non-finite") as got:
         adjoint.solve_sensitivity(u, m, fp, h)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError, match=message) as want:
+        with pytest.raises(DivergenceError, match="non-finite") as want:
             plain_solve_sensitivity(u, m, fp, h, g)
-    assert got.value.step == want.value.step == step
+    assert got.value.step == want.value.step == 3
 
 
 @pytest.mark.parametrize(
@@ -924,7 +902,7 @@ def test_tangent_divergence_step_at_block_edges(marches, levels, s, node):
     m, fp, field, _, _ = marches["exact"]
     U = field.values.copy()
     U[s : s + levels, node] = np.inf
-    u = forward.EnthalpyField(GRID, U)
+    u = made_up_field(m, U, GRID)
     h = np.random.default_rng(9).standard_normal(2 * fp.n)
     with pytest.raises(DivergenceError, match="non-finite") as got:
         adjoint.solve_sensitivity(u, m, fp, h)

@@ -4,7 +4,7 @@ held to an unoptimized one bit for bit and at every stop, a run of the march
 tests on a build under the address and undefined-behaviour sanitizers, the
 interpolants it keeps and the argument checks that guard the C code's raw
 pointers, each a `ValidationError`; and the library's tridiagonal solve,
-the one elimination every march step calls, held to scipy's dgtsv bit for
+the one elimination every state step calls, held to scipy's dgtsv bit for
 bit where dgtsv keeps every pivot in place, to the plain reference
 (`tests/plain_solve.py`) on every system, and shown to need no pivoting on
 the matrices the marches build (scipy is imported by the tests only)."""
@@ -25,7 +25,7 @@ from heatflux import adjoint, forward, marchlib, observation, pchip
 from heatflux.config import ExperimentConfig, exact_flux_parameter, inversion_partition
 from heatflux.errors import BuildError, DivergenceError, ValidationError
 from heatflux.forward import EnthalpyField, Grid
-from plain_solve import plain_tridiagonal_solve
+from plain_solve import plain_pivots, plain_tridiagonal_solve
 
 
 @pytest.mark.parametrize("command", [("false",), ("heatflux-no-such-compiler", "-O2")])
@@ -90,16 +90,15 @@ def unoptimized(tmp_path_factory):
 
 def march_outputs(m, fp, u0, g, source):
     """Every array the four compiled functions give on one case: the state
-    field and its pivots, the tangent field along it in a random direction,
-    every level of phi with the wall traces, solved on the pivots and
-    eliminated, and the assembled gradient."""
+    field and its pivots, the tangent field along it in a random direction
+    and every level of phi with the wall traces, both solved on the
+    pivots, and the assembled gradient."""
     field = forward.solve_ibvp(m, fp, u0, g, pivots=True)
     h = np.random.default_rng(23).standard_normal(2 * fp.n)
     W = adjoint.solve_sensitivity(field, m, fp, h)
-    phi, eliminated = np.empty_like(field.values), np.empty_like(field.values)
+    phi = np.empty_like(field.values)
     traces = adjoint.solve_adjoint(field, m, fp, source, phi)
-    adjoint.solve_adjoint(EnthalpyField(g, field.values), m, fp, source, eliminated)
-    return [field.values, field.pivots.rows, W.values, phi, eliminated, traces,
+    return [field.values, field.pivots.rows, W.values, phi, traces,
             adjoint.assemble_gradient(traces, field, fp)]
 
 
@@ -124,7 +123,7 @@ def test_marches_match_an_unoptimized_build_bitwise(monkeypatch, builtin_materia
     monkeypatch.setattr(marchlib, "_library", lambda: unoptimized)
     for fp, want in zip(fluxes, shipped):
         got = march_outputs(builtin_material, fp, u0, g, source)
-        names = ("state", "pivots", "tangent", "phi", "eliminated phi", "traces", "gradient")
+        names = ("state", "pivots", "tangent", "phi", "traces", "gradient")
         for name, a, b in zip(names, got, want):
             assert a.tobytes() == b.tobytes(), name
 
@@ -140,10 +139,10 @@ def divergence(solve):
 def test_march_stops_match_an_unoptimized_build(monkeypatch, builtin_material,
                                                 singular_level_case, unoptimized):
     # Each march's stop on both builds: the state march where c*beta
-    # overflows (both fluxes 1e307 below 5.2e9), the adjoint at an inf in
-    # its source, eliminating and on the state march's pivots, and the
-    # tangent march, in a direction whose boundary source overflows, at a
-    # non-finite level and at a singular step.
+    # overflows (both fluxes 1e307 below 5.2e9) and at a singular step, the
+    # adjoint at an inf in its source, and the tangent march, in a direction
+    # whose boundary source overflows, at a non-finite level; the linearized
+    # marches on the pivots of their trajectories.
     cfg = ExperimentConfig()
     g = Grid(L=0.05, T=3.3, nx=31, nt=120)
     exact = exact_flux_parameter(cfg)
@@ -162,18 +161,16 @@ def test_march_stops_match_an_unoptimized_build(monkeypatch, builtin_material,
     h[sfp.n - 1] = 1e308
     hot_level = su.values.copy()
     hot_level[2] = 2.0
+    hot_field = EnthalpyField(sg, hot_level, plain_pivots(sm, hot_level, sg.dt / sg.dx**2))
     cases = [
         lambda: forward.solve_ibvp(builtin_material, hot, u0, g),
-        lambda: adjoint.solve_adjoint(EnthalpyField(g, field.values), builtin_material, exact,
-                                      source),
+        lambda: forward.solve_ibvp(sm, sfp, np.ones(sg.nx), sg),
         lambda: adjoint.solve_adjoint(field, builtin_material, exact, source),
-        lambda: adjoint.solve_sensitivity(EnthalpyField(sg, hot_level), sm, sfp, h),
-        lambda: adjoint.solve_sensitivity(su, sm, sfp, h),
+        lambda: adjoint.solve_sensitivity(hot_field, sm, sfp, h),
     ]
     shipped = [divergence(case) for case in cases]
     assert [message.split(" at ")[0] for _, message in shipped] == [
-        "solution became non-finite"] * 4 + ["singular step matrix"]
-    assert shipped[1] == shipped[2]
+        "solution became non-finite", "singular step matrix"] + ["solution became non-finite"] * 2
     monkeypatch.setattr(marchlib, "_library", lambda: unoptimized)
     assert [divergence(case) for case in cases] == shipped
 
@@ -238,11 +235,18 @@ def test_addr_refuses_an_array_the_c_code_cannot_read(a):
 FLAT = pchip.Pchip([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
 
 
+def flat_pivots(nt, nx):
+    """The pivot block of nt state steps with r = 1 on nx nodes along a
+    trajectory of `FLAT`, whose every step has the same bands."""
+    return plain_pivots(FLAT, np.zeros((nt + 1, nx)), 1.0).rows
+
+
 def adjoint_args():
     """Valid arguments of `marchlib.adjoint_march`: 3 steps on 5 nodes along
-    a flat trajectory, with a point source on level 1 and two on level 3,
-    which the first step reads."""
-    return dict(U=np.zeros((4, 5)), start=np.array([0, 0, 1, 1, 3], dtype=marchlib.INDEX),
+    a flat trajectory and its pivots, with a point source on level 1 and
+    two on level 3, which the first step reads."""
+    return dict(U=np.zeros((4, 5)), piv=flat_pivots(3, 5),
+                start=np.array([0, 0, 1, 1, 3], dtype=marchlib.INDEX),
                 node=np.array([2, 0, 4], dtype=marchlib.INDEX), value=np.array([1.0, 2.0, -1.0]),
                 r=1.0, c=1.0, dt=1.0, alpha=FLAT, b0=FLAT, bL=FLAT, traces=np.empty((4, 2)))
 
@@ -309,11 +313,11 @@ def test_adjoint_march_refuses_an_index_out_of_range(name, index, value, message
 
 def tangent_args(nt=3, nx=5):
     """Valid arguments of `marchlib.tangent_march`: nt steps on nx nodes
-    along a flat trajectory at the left knot of `FLAT`, where the row of
-    value sensitivities is (1, 0, 0), in a direction that gives each step
-    the wall sources 1 and -1."""
+    along a flat trajectory at the left knot of `FLAT` and its pivots,
+    where the row of value sensitivities is (1, 0, 0), in a direction that
+    gives each step the wall sources 1 and -1."""
     h = np.array([1.0, 0.0, 0.0, -1.0, 0.0, 0.0])
-    return dict(W=np.zeros((nt + 1, nx)), U=np.zeros((nt + 1, nx)), h=h,
+    return dict(W=np.zeros((nt + 1, nx)), U=np.zeros((nt + 1, nx)), piv=flat_pivots(nt, nx), h=h,
                 r=1.0, c=1.0, alpha=FLAT, b0=FLAT, bL=FLAT)
 
 
@@ -334,8 +338,12 @@ def test_tangent_march_runs_on_valid_arguments():
         ("W", np.zeros((4, 5), dtype=np.float32)),
         ("U", np.zeros((4, 5), order="F")),
         ("h", np.zeros(12)[::2]),
+        ("piv", np.ones((4, 5))),  # a row for the last level, which no step solves from
+        ("piv", np.ones((3, 5), dtype=np.float32)),
+        ("piv", np.ones((3, 5), order="F")),
     ],
-    ids=["W-shape", "U-levels", "h-length", "h-2d", "W-dtype", "U-fortran", "h-strided"],
+    ids=["W-shape", "U-levels", "h-length", "h-2d", "W-dtype", "U-fortran", "h-strided",
+         "piv-shape", "piv-dtype", "piv-fortran"],
 )
 def test_tangent_march_refuses_a_misshapen_array(name, value):
     args = tangent_args()
@@ -349,17 +357,19 @@ def test_marches_stop_at_a_level_that_overflows_at_one_node():
     # term of 1.5e308 at x = 0 on the first step of each march (the flux
     # there; the tangent's wall source, the row (1, 0, 0) of a wall at the
     # left knot of FLAT times h; the adjoint's point source): the
-    # elimination stays finite and only the back substitution's last
-    # division, at node 0, overflows. Each march must stop at that level,
+    # elimination, or the substitution on the pivots in the linearized
+    # marches, stays finite and only the back substitution's last division,
+    # at node 0, overflows. Each march must stop at that level,
     # step 1, not at the next one, which the infinite wall entry spoils.
     p, hot = FLAT, pchip.Pchip([0.0, 1.0, 2.0], [1.5e308] * 3)
     U, W, phi = np.zeros((3, 5)), np.zeros((3, 5)), np.zeros((3, 5))
+    piv = flat_pivots(2, 5)
     h = np.array([1.5e308, 0.0, 0.0, 0.0, 0.0, 0.0])
     start, node = np.array([0, 0, 0, 1], dtype=marchlib.INDEX), np.zeros(1, dtype=marchlib.INDEX)
     marches = [
         (lambda: marchlib.forward_march(U, 1.0, 1.0, p, hot, p), U[1]),
-        (lambda: marchlib.tangent_march(W, np.zeros((3, 5)), h, 1.0, 1.0, p, p, p), W[1]),
-        (lambda: marchlib.adjoint_march(np.zeros((3, 5)), start, node, np.array([0.75e308]),
+        (lambda: marchlib.tangent_march(W, np.zeros((3, 5)), piv, h, 1.0, 1.0, p, p, p), W[1]),
+        (lambda: marchlib.adjoint_march(np.zeros((3, 5)), piv, start, node, np.array([0.75e308]),
                                         1.0, 1.0, 1.0, p, p, p, np.empty((3, 2)), phi), phi[1]),
     ]
     for march, level in marches:
