@@ -219,7 +219,14 @@ static inline void evaluate_node(const interp *p, const double *v, double *alpha
  * / d[n-1], (b[n-2] - x[n-1] du[n-2]) / d[n-2], then (b[i] - du[i] x[i+1]
  * - dl[i] x[i+2]) / d[i] upward, the dl term kept where dl[i] is 0 because
  * it decides the sign of a zero and carries an inf or NaN of x[i+2]; x[i+1]
- * is carried in a register and x[i+2] read back from b. As node i is
+ * is carried in a register and x[i+2] read back from b. The loop subtracts
+ * the dl term first, ((b[i] - dl[i] x[i+2]) - du[i] x[i+1]), so that only
+ * one product and one difference wait on x[i+1]. That keeps dgtsv's bits:
+ * every row the loop reaches has dl[i] = +0 (`eliminate` and `substitute`
+ * zero it), so for a finite x[i+2] the term z = dl[i] x[i+2] is a zero,
+ * and (b - z) - y equals (b - y) - z for every b and y, zeros of both
+ * signs included. Only for a non-finite x[i+2] can the two orders carry
+ * different NaN payloads, and the march stops at that level. As node i is
  * solved it evaluates the diffusivity `p` at v[i] into alpha[i] and,
  * unless ap is NULL, its slope into ap[i] (`evaluate_node`): v is the level
  * the next step reads, the solution b itself for the state march and the
@@ -242,7 +249,7 @@ static inline int back_substitute(int n, const double *dl, const double *d,
     }
     double x = b[n > 1 ? n - 2 : 0];
     for (int i = n - 3; i >= 0; i--) {
-        x = (b[i] - du[i] * x - dl[i] * b[i + 2]) / d[i];
+        x = ((b[i] - dl[i] * b[i + 2]) - du[i] * x) / d[i];
         b[i] = x;
         finite &= fabs(x) <= DBL_MAX;
         evaluate_node(p, v, alpha, ap, i);

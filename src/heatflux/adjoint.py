@@ -57,11 +57,16 @@ that level eliminated, so neither eliminates: both solve on the pivots the
 state march recorded (`solve_ibvp(..., pivots=True)`, which `objective`
 asks for), running only the right-hand side's half of the elimination on
 them before the back substitution, with the bits of a fresh elimination.
-Both refuse with `ValidationError` a field that carries no pivots, or
-pivots recorded with another diffusivity than the one given. The tangent
-march (`solve_sensitivity`; only tests call it) is one C call per solve:
-per step it subtracts the transport correction, takes the linearized wall
-fluxes off the wall entries, and solves in the next level of its field.
+The field keeps those pivots in one record (`forward.Pivots`) with the
+diffusivity and the fluxes its march ran with, which is the point every
+linearization here is taken at: each function reads all three from the
+field, and none takes a diffusivity or fluxes beside it, so a field and
+the point it is linearized at cannot be mismatched. Both marches and the
+assembly refuse with `ValidationError` a field without that record. The
+tangent march (`solve_sensitivity`; only tests call it) is one C call per
+solve: per step it subtracts the transport correction, takes the
+linearized wall fluxes off the wall entries, and solves in the next level
+of its field.
 It forms each wall source, grad_beta(u) . h, inside the loop: the row of
 value sensitivities at the wall value, the row the gradient assembly reads
 too, times h, summed in column order, so no BLAS kernel decides its bits.
@@ -82,11 +87,11 @@ the bits of the dense value-sensitivity rows (the plain numpy reference in
 Neither linearized boundary term builds an nt x n matrix.
 
 Each function here hands `marchlib` the diffusivity and flux interpolants
-it holds, with the field, the direction or the traces made C-contiguous;
-`marchlib` refuses with `ValidationError` a direction, a source, a `phi`,
-traces or pivots that do not fit the grid, so nothing here checks them
-again. The one check here is that the field carries pivots recorded with
-the diffusivity given, which both linearized marches share.
+of the field's record, with the field, the direction or the traces made
+C-contiguous; `marchlib` refuses with `ValidationError` a direction, a
+source, a `phi`, traces or pivots that do not fit the grid, so nothing
+here checks them again. The one check here is that the field carries its
+record (`_linearization`), which all three share.
 """
 
 from __future__ import annotations
@@ -95,7 +100,7 @@ import numpy as np
 
 from . import marchlib
 from .errors import ValidationError
-from .forward import EnthalpyField, Grid, solve_ibvp
+from .forward import EnthalpyField, Grid, Pivots, solve_ibvp
 from .observation import Measurement, adjoint_source, observe
 from .pchip import FluxParameter, Pchip, flux_interpolants
 
@@ -111,23 +116,23 @@ def objective(
     fp: FluxParameter, data: Measurement, alpha: Pchip, u0, g: Grid
 ) -> tuple[float, np.ndarray, EnthalpyField]:
     """Misfit value plus the residual matrix and state field for reuse; the
-    field carries its march's pivots, for the gradient's adjoint solve."""
+    field carries its march's record (pivots, `alpha` and `fp`), so the
+    gradient at `fp` needs the field alone (`compute_gradient`)."""
     field = solve_ibvp(alpha, fp, u0, g, pivots=True)
     return *misfit(field, data), field
 
 
-def _pivot_rows(u: EnthalpyField, alpha: Pchip) -> np.ndarray:
-    """The pivots the state march along `u` recorded with `alpha`, which
-    both linearized marches solve on; refused when `u` carries none."""
-    if u.pivots is None or u.pivots.diffusivity is not alpha:
-        raise ValidationError("the linearized marches need the pivots the state march recorded "
-                              "with this diffusivity: solve_ibvp(..., pivots=True)")
-    return u.pivots.rows
+def _linearization(u: EnthalpyField) -> Pivots:
+    """The record the state march along `u` kept: its pivots, with the
+    diffusivity and fluxes it marched with, the point both linearized
+    marches and the gradient linearize at; refused when `u` has none."""
+    if u.pivots is None:
+        raise ValidationError("linearizing along a field needs the record its state march keeps "
+                              "of its pivots, diffusivity and fluxes: solve_ibvp(..., pivots=True)")
+    return u.pivots
 
 
-def solve_sensitivity(
-    u: EnthalpyField, alpha: Pchip, fp: FluxParameter, h
-) -> EnthalpyField:
+def solve_sensitivity(u: EnthalpyField, h) -> EnthalpyField:
     """Directional derivative of the state with respect to the flux values.
 
     Solves the linear problem w_t = (alpha'(u) w)_xx with w(0, .) = 0 and
@@ -138,21 +143,21 @@ def solve_sensitivity(
     linearization frozen at the previous level. Linearity in `h` is exact.
     The field lives on the trajectory's grid. A non-finite entry of `h`,
     in the band of the wall value or not, makes that wall's source
-    non-finite, and the march stops at step 1. `u` must carry the pivots
-    its state march recorded with `alpha` (`solve_ibvp(..., pivots=True)`),
-    on which every step solves; a field without them is refused with
+    non-finite, and the march stops at step 1. `u` must carry the record
+    of its state march (`solve_ibvp(..., pivots=True)`): the march
+    linearizes at the diffusivity and fluxes it holds and solves every
+    step on its pivots; a field without it is refused with
     `ValidationError`.
     """
-    g = u.grid
+    g, (alpha, fp, rows) = u.grid, _linearization(u)
     W = np.zeros((g.nt + 1, g.nx))
-    marchlib.tangent_march(W, np.ascontiguousarray(u.values), _pivot_rows(u, alpha),
-                           np.ascontiguousarray(h, dtype=float), g.dt / g.dx**2,
-                           2.0 * g.dt / g.dx, alpha, *flux_interpolants(fp))
+    marchlib.tangent_march(W, np.ascontiguousarray(u.values), rows,
+                           np.ascontiguousarray(h, dtype=float), g.r, g.c, alpha,
+                           *flux_interpolants(fp))
     return EnthalpyField(g, W)
 
 
-def solve_adjoint(u: EnthalpyField, alpha: Pchip, fp: FluxParameter, source,
-                  phi: np.ndarray | None = None) -> np.ndarray:
+def solve_adjoint(u: EnthalpyField, source, phi: np.ndarray | None = None) -> np.ndarray:
     """Backward adjoint solve along the trajectory `u`; returns the wall
     traces of phi in original time orientation.
 
@@ -161,23 +166,22 @@ def solve_adjoint(u: EnthalpyField, alpha: Pchip, fp: FluxParameter, source,
     those of level s at start[s] <= k < start[s + 1]. The result is the
     (nt+1, 2) array of phi at x = 0 (column 0) and x = L (column 1), with
     its last row 0 exactly. `phi`, when given, is an (nt+1) x nx array that
-    receives every level of phi as well. `u` must carry the pivots its
-    state march recorded with `alpha` (`solve_ibvp(..., pivots=True)`), on
-    which every step solves; a field without them is refused with
-    `ValidationError`.
+    receives every level of phi as well. `u` must carry the record of its
+    state march (`solve_ibvp(..., pivots=True)`): the march linearizes at
+    the diffusivity and fluxes it holds and solves every step on its
+    pivots; a field without it is refused with `ValidationError`.
     """
-    g = u.grid
+    g, (alpha, fp, rows) = u.grid, _linearization(u)
     start, node, value = map(np.asarray, source)
     traces = np.empty((g.nt + 1, 2))
-    marchlib.adjoint_march(np.ascontiguousarray(u.values), _pivot_rows(u, alpha), start, node,
-                           value, g.dt / g.dx**2, 2.0 * g.dt / g.dx, g.dt, alpha,
-                           *flux_interpolants(fp), traces, phi)
+    marchlib.adjoint_march(np.ascontiguousarray(u.values), rows, start, node, value, g.r, g.c,
+                           g.dt, alpha, *flux_interpolants(fp), traces, phi)
     return traces
 
 
-def assemble_gradient(traces: np.ndarray, u: EnthalpyField, fp: FluxParameter) -> np.ndarray:
+def assemble_gradient(traces: np.ndarray, u: EnthalpyField) -> np.ndarray:
     """Time integral of the weighted adjoint boundary traces, as
-    `solve_adjoint` returns them.
+    `solve_adjoint` returns them, with the fluxes the record of `u` holds.
 
     Left-rectangle weights (dt per step, nothing at t = T where phi vanishes)
     make this the exact transpose of the lagged-flux state march: each step's
@@ -197,16 +201,13 @@ def assemble_gradient(traces: np.ndarray, u: EnthalpyField, fp: FluxParameter) -
     """
     return marchlib.assemble_gradient(np.ascontiguousarray(u.values),
                                       np.ascontiguousarray(traces, dtype=float), u.grid.dt,
-                                      *flux_interpolants(fp))
+                                      *flux_interpolants(_linearization(u).fluxes))
 
 
-def compute_gradient(
-    fp: FluxParameter, data: Measurement, alpha: Pchip,
-    field: EnthalpyField, residual: np.ndarray,
-) -> np.ndarray:
-    """Gradient of the misfit at `fp` from its state `field` and sensor
-    `residual`, as `objective` returns them: residual injection, adjoint
-    solve along the field, and assembly. The objective value stays with the
-    caller."""
-    traces = solve_adjoint(field, alpha, fp, adjoint_source(residual, data.spec, field.grid))
-    return assemble_gradient(traces, field, fp)
+def compute_gradient(data: Measurement, field: EnthalpyField, residual: np.ndarray) -> np.ndarray:
+    """Gradient of the misfit at the fluxes `field` was solved with, from
+    that state field and its sensor `residual`, as `objective` returns them:
+    residual injection, adjoint solve along the field, and assembly. The
+    objective value stays with the caller."""
+    traces = solve_adjoint(field, adjoint_source(residual, data.spec, field.grid))
+    return assemble_gradient(traces, field)

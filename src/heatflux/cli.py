@@ -273,7 +273,7 @@ def gradient_check(cfg: ExperimentConfig) -> dict:
     beta = 0.25 * cfg.beta_max * (1.0 + 0.5 * np.sin(np.arange(dim)))
     fp = pchip.FluxParameter(beta=beta, partition=partition, beta_max=cfg.beta_max)
     f0, residual, field = adjoint.objective(fp, meas, material, u0, grid)
-    grad = adjoint.compute_gradient(fp, meas, material, field, residual)
+    grad = adjoint.compute_gradient(meas, field, residual)
 
     def objective_at(b):
         # A difference needs only the misfit: no pivots, no adjoint.

@@ -38,8 +38,9 @@ state march eliminated, and they solve only on its pivots. Asked to
 solve that may take a gradient), the march keeps each step's pivots, the
 diagonal its elimination leaves, in nt more rows of the block it solves
 the field in, and the field carries them (`EnthalpyField.pivots`, with
-the diffusivity they belong to) for both linearized marches to solve on
-at every step; they refuse a field without them. Such a field's values
+the diffusivity and the fluxes it marched with) for both linearized
+marches to solve on at every step and to linearize at; they take the
+field alone and refuse one without that record. Such a field's values
 and pivots are read-only, so the two cannot part. Other solves,
 `simulate`'s and `gradcheck`'s difference solves among them, keep no
 pivots: they would take as much memory again as the field, and nothing
@@ -94,12 +95,24 @@ class Grid:
     def dt(self) -> float:
         return self.T / self.nt
 
+    @property
+    def r(self) -> float:
+        """dt/dx^2, the diffusion number of every march step."""
+        return self.dt / self.dx**2
+
+    @property
+    def c(self) -> float:
+        """2 dt/dx, the boundary number of every march step."""
+        return 2.0 * self.dt / self.dx
+
 
 class Pivots(NamedTuple):
     """The nt x nx pivots a state march recorded (`rows`: row n the pivots
-    of step n) and the diffusivity whose bands they eliminate."""
+    of step n), with the diffusivity whose bands they eliminate and the
+    fluxes it marched with: the point the linearized marches linearize at."""
 
     diffusivity: Pchip
+    fluxes: FluxParameter
     rows: np.ndarray
 
 
@@ -134,10 +147,11 @@ def solve_ibvp(alpha: Pchip, fp: FluxParameter, u0, g: Grid, *,
     non-finite level, so the boundary fluxes are only ever evaluated at
     finite wall values.
 
-    With `pivots`, the field also carries each step's pivots, for the
-    tangent and adjoint marches along it (`adjoint.solve_sensitivity`,
-    `adjoint.solve_adjoint`) to solve on; those refuse a field without
-    them. They take nt more levels, allocated with the field in one block.
+    With `pivots`, the field also carries each step's pivots, with `alpha`
+    and `fp` (`Pivots`), for the tangent and adjoint marches along it
+    (`adjoint.solve_sensitivity`, `adjoint.solve_adjoint`) to solve on and
+    linearize at; those refuse a field without them. The pivots take nt
+    more levels, allocated with the field in one block.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (g.nx,):
@@ -151,12 +165,12 @@ def solve_ibvp(alpha: Pchip, fp: FluxParameter, u0, g: Grid, *,
     block = np.empty((2 * g.nt + 1 if pivots else g.nt + 1, g.nx))
     U, rows = block[: g.nt + 1], block[g.nt + 1 :]
     U[0] = u0
-    marchlib.forward_march(U, g.dt / g.dx**2, 2.0 * g.dt / g.dx, alpha,
-                           *flux_interpolants(fp), rows if pivots else None)
+    marchlib.forward_march(U, g.r, g.c, alpha, *flux_interpolants(fp),
+                           rows if pivots else None)
     if not pivots:
         return EnthalpyField(g, U)
     U.flags.writeable = rows.flags.writeable = False
-    return EnthalpyField(g, U, Pivots(alpha, rows))
+    return EnthalpyField(g, U, Pivots(alpha, fp, rows))
 
 
 def total_enthalpy(f: EnthalpyField, step: int) -> float:

@@ -24,8 +24,10 @@ and to a plain reference.
 passes. `tangent_march` and `adjoint_march` take that block back, along
 the same trajectory with the same diffusivity and step constants, and
 solve every step on it, with the bits of an elimination; neither
-eliminates. The caller (`adjoint`) makes sure the block belongs to the
-trajectory, and this module checks its shape as it checks every array.
+eliminates. The caller (`adjoint`) passes the block with the trajectory,
+diffusivity and fluxes of the record it came in (`forward.Pivots`), so it
+belongs to them, and this module checks its shape as it checks every
+array.
 
 The three marches stop by one rule: the back substitution tests every
 entry it solves, and a loop stops at its first non-finite solved level

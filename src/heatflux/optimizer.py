@@ -337,8 +337,10 @@ def make_pde_problem(
 
     The most recent state solve is cached by parameter bytes, so the
     gradient call following an accepted line-search trial reuses its field
-    (and the pivots its march recorded) instead of repeating the forward
-    solve. The entry is dropped before a new point is solved.
+    instead of repeating the forward solve; the field's record holds the
+    pivots, diffusivity and fluxes the gradient linearizes at, so the entry
+    keeps no fluxes of its own. The entry is dropped before a new point is
+    solved.
 
     Raises `ValidationError` when the readings' squared norm is zero or
     overflows, since the objective cannot be normalized by it.
@@ -359,9 +361,8 @@ def make_pde_problem(
         key = b.tobytes()
         if cache.get("key") != key:
             cache.clear()  # one field and its pivots alive at a time
-            fp = fluxes(b)
-            f, residual, field = adjoint.objective(fp, data, alpha, u0, g)
-            cache.update(key=key, fp=fp, f=f, residual=residual, field=field)
+            f, residual, field = adjoint.objective(fluxes(b), data, alpha, u0, g)
+            cache.update(key=key, f=f, residual=residual, field=field)
         return cache
 
     def objective_fn(b: np.ndarray) -> float:
@@ -369,7 +370,7 @@ def make_pde_problem(
 
     def gradient_fn(b: np.ndarray):
         c = _solve(np.asarray(b, dtype=float))
-        grad = adjoint.compute_gradient(c["fp"], data, alpha, c["field"], c["residual"])
+        grad = adjoint.compute_gradient(data, c["field"], c["residual"])
         return c["f"] / norm_y, grad * (scale / norm_y)
 
     return Problem(

@@ -37,20 +37,21 @@ def plain_bands(ab, amid, r):
     return ab
 
 
-def plain_pivots(alpha, values, r):
-    """The pivots of the state steps along the trajectory `values` with the
-    diffusivity `alpha` and r = dt/dx^2, as `forward.Pivots(alpha, rows)`:
-    row n is the diagonal `plain_tridiagonal_solve` leaves on the bands of
-    the step from level n, whose diffusivity `pchip.eval` gives. On a
-    singular step's bands that is the diagonal as far as the elimination
-    reached."""
+def plain_pivots(alpha, fluxes, values, r):
+    """The record a state march along the trajectory `values` with the
+    diffusivity `alpha`, the fluxes `fluxes` and r = dt/dx^2 keeps, as
+    `forward.Pivots(alpha, fluxes, rows)`: row n is the diagonal
+    `plain_tridiagonal_solve` leaves on the bands of the step from level n,
+    whose diffusivity `pchip.eval` gives (the fluxes do not enter the
+    bands). On a singular step's bands that is the diagonal as far as the
+    elimination reached."""
     a = pchip.eval(alpha, np.asarray(values)[:-1], clamp=True)[0]
     ab = np.zeros((3, a.shape[1]))
     rows = []
     for amid in 0.5 * (a[:, :-1] + a[:, 1:]):
         plain_bands(ab, amid, r)
         rows.append(plain_tridiagonal_solve(ab[2, :-1], ab[1], ab[0, 1:], np.zeros(ab.shape[1]))[1])
-    return forward.Pivots(alpha, np.array(rows))
+    return forward.Pivots(alpha, fluxes, np.array(rows))
 
 
 def plain_tridiagonal_solve(dl, d, du, b):

@@ -53,7 +53,7 @@ def heap_peak(fn, *args):
 
 def gradient_at(fp, meas, m, u0, g):
     _, residual, field = adjoint.objective(fp, meas, m, u0, g)
-    return adjoint.compute_gradient(fp, meas, m, field, residual)
+    return adjoint.compute_gradient(meas, field, residual)
 
 
 class TestExactness:
@@ -63,12 +63,12 @@ class TestExactness:
             1.0e6 * (0.6 + 0.3 * np.sin(np.arange(12, dtype=float))), PART, BETA_MAX
         )
         f, residual, field = adjoint.objective(fp_true, meas, m, u0, g)
-        grad = adjoint.compute_gradient(fp_true, meas, m, field, residual)
+        grad = adjoint.compute_gradient(meas, field, residual)
         assert f == 0.0
         assert (grad == 0.0).all()
         src = observation.adjoint_source(residual, spec, g)
         phi = np.full_like(field.values, np.nan)
-        adjoint.solve_adjoint(field, m, fp_true, src, phi)
+        adjoint.solve_adjoint(field, src, phi)
         assert (phi == 0.0).all()
 
     def test_directional_duality_with_tangent_solver(self, case):
@@ -77,11 +77,11 @@ class TestExactness:
         # tangent march.
         m, g, u0, spec, meas, fp = case
         _, residual, field = adjoint.objective(fp, meas, m, u0, g)
-        grad = adjoint.compute_gradient(fp, meas, m, field, residual)
+        grad = adjoint.compute_gradient(meas, field, residual)
         rng = np.random.default_rng(17)
         for _ in range(5):
             h = rng.standard_normal(12)
-            W = adjoint.solve_sensitivity(field, m, fp, h)
+            W = adjoint.solve_sensitivity(field, h)
             pairing = float(np.sum(residual * observation.observe(W, spec)))
             assert float(grad @ h) == pytest.approx(pairing, rel=1e-12)
 
@@ -147,16 +147,16 @@ def dense_rows(source, g):
     return rows
 
 
-def linearize(march, u, alpha, case):
-    """Along the field u with the diffusivity alpha, the adjoint traces of
-    the residual of u against the case's readings, or the tangent field in
-    a random direction, at the case's evaluation point."""
+def linearize(march, u, case):
+    """Along the field u, at the diffusivity and fluxes of its record, the
+    adjoint traces of the residual of u against the case's readings, or the
+    tangent field in a random direction."""
     _, _, _, spec, meas, fp = case
     if march == "adjoint":
         residual = adjoint.misfit(u, meas)[1]
-        return adjoint.solve_adjoint(u, alpha, fp, observation.adjoint_source(residual, spec, u.grid))
+        return adjoint.solve_adjoint(u, observation.adjoint_source(residual, spec, u.grid))
     h = np.random.default_rng(17).standard_normal(2 * fp.n)
-    return adjoint.solve_sensitivity(u, alpha, fp, h).values
+    return adjoint.solve_sensitivity(u, h).values
 
 
 MARCHES = ["adjoint", "tangent"]
@@ -175,17 +175,17 @@ class TestRecordedPivots:
         _, residual, field = adjoint.objective(fp, meas, m, u0, g)
         src = observation.adjoint_source(residual, spec, g)
         phi = np.full_like(field.values, np.nan)
-        traces = adjoint.solve_adjoint(field, m, fp, src, phi)
+        traces = adjoint.solve_adjoint(field, src, phi)
         want = plain_solve_adjoint(field, m, fp, dense_rows(src, g), g)
         assert phi.tobytes() == want.tobytes()
         assert traces.tobytes() == want[:, [0, -1]].tobytes()
-        grad = adjoint.compute_gradient(fp, meas, m, field, residual)
-        assert grad.tobytes() == adjoint.assemble_gradient(want[:, [0, -1]], field, fp).tobytes()
+        grad = adjoint.compute_gradient(meas, field, residual)
+        assert grad.tobytes() == adjoint.assemble_gradient(want[:, [0, -1]], field).tobytes()
 
     def test_pivots_are_read_only_with_their_field(self, case):
         m, g, u0, _, _, fp = case
         field = forward.solve_ibvp(m, fp, u0, g, pivots=True)
-        assert field.pivots.diffusivity is m
+        assert field.pivots.diffusivity is m and field.pivots.fluxes is fp
         assert field.pivots.rows.shape == (g.nt, g.nx)
         for a in (field.values, field.pivots.rows):
             with pytest.raises(ValueError, match="read-only"):
@@ -197,27 +197,32 @@ class TestRecordedPivots:
         m, g, u0, _, _, fp = case
         bare = forward.solve_ibvp(m, fp, u0, g)
         with pytest.raises(ValidationError, match=r"solve_ibvp\(\.\.\., pivots=True\)"):
-            linearize(march, bare, m, case)
-
-    @pytest.mark.parametrize("march", MARCHES)
-    def test_pivots_of_another_diffusivity_are_refused(self, case, march):
-        # An interpolant equal to the one the pivots were recorded with, but
-        # another object: the pivots are refused, not trusted on its values.
-        m, g, u0, _, _, fp = case
-        field = forward.solve_ibvp(m, fp, u0, g, pivots=True)
-        other = pchip.Pchip(m.knots, m.values)
-        assert other is not m and other.values.tobytes() == m.values.tobytes()
-        with pytest.raises(ValidationError, match=r"pivots=True"):
-            linearize(march, field, other, case)
+            linearize(march, bare, case)
 
     @pytest.mark.parametrize("march", MARCHES)
     def test_the_marches_solve_on_the_pivots_they_are_given(self, case, march):
         # Pivots scaled by 2 change the result: the march reads them.
         m, g, u0, _, _, fp = case
         field = forward.solve_ibvp(m, fp, u0, g, pivots=True)
-        stale = EnthalpyField(g, field.values, Pivots(m, 2.0 * field.pivots.rows))
-        want = linearize(march, field, m, case)
-        assert linearize(march, stale, m, case).tobytes() != want.tobytes()
+        stale = EnthalpyField(g, field.values, Pivots(m, fp, 2.0 * field.pivots.rows))
+        want = linearize(march, field, case)
+        assert linearize(march, stale, case).tobytes() != want.tobytes()
+
+    @pytest.mark.parametrize("march", MARCHES)
+    def test_the_marches_linearize_at_the_fluxes_of_the_record(self, case, march):
+        # The same values and pivots recorded with other fluxes change the
+        # result, and for the adjoint the gradient too: the marches and the
+        # assembly read the fluxes from the record.
+        m, g, u0, _, meas, fp = case
+        field = forward.solve_ibvp(m, fp, u0, g, pivots=True)
+        moved = EnthalpyField(g, field.values, field.pivots._replace(
+            fluxes=pchip.FluxParameter(1.5 * fp.beta, PART, BETA_MAX)))
+        want = linearize(march, field, case)
+        assert linearize(march, moved, case).tobytes() != want.tobytes()
+        if march == "adjoint":
+            residual = adjoint.misfit(field, meas)[1]
+            grads = [adjoint.compute_gradient(meas, u, residual).tobytes() for u in (field, moved)]
+            assert grads[0] != grads[1]
 
 
 class TestAdjointField:
@@ -225,7 +230,7 @@ class TestAdjointField:
         m, g, u0, spec, meas, fp = case
         _, residual, field = adjoint.objective(fp, meas, m, u0, g)
         src = observation.adjoint_source(residual, spec, g)
-        traces = adjoint.solve_adjoint(field, m, fp, src)
+        traces = adjoint.solve_adjoint(field, src)
         assert (traces[-1] == 0.0).all()
         assert traces.shape == (g.nt + 1, 2)
 
@@ -251,15 +256,15 @@ class TestAdjointField:
         ]
         for source in bad:
             with pytest.raises(ValidationError):
-                adjoint.solve_adjoint(field, m, fp, source)
-        traces = adjoint.solve_adjoint(field, m, fp, good)
+                adjoint.solve_adjoint(field, source)
+        traces = adjoint.solve_adjoint(field, good)
         assert traces.shape == (g.nt + 1, 2)
 
     def test_assembly_shapes_are_validated(self, case):
         m, g, u0, spec, meas, fp = case
-        field = forward.solve_ibvp(m, fp, u0, g)
-        with pytest.raises(ValidationError):
-            adjoint.assemble_gradient(np.zeros((2, 2)), field, fp)
+        field = forward.solve_ibvp(m, fp, u0, g, pivots=True)
+        with pytest.raises(ValidationError, match="shape"):
+            adjoint.assemble_gradient(np.zeros((2, 2)), field)
 
     def test_solve_holds_one_level_of_phi(self, builtin_material):
         # On the default inversion grid (91 x 3300) the march computes each
@@ -275,7 +280,7 @@ class TestAdjointField:
         src = observation.PointSources(
             np.arange(g.nt + 2) * g.nx, np.tile(np.arange(g.nx), g.nt + 1), dense.ravel()
         )
-        peak, traces = heap_peak(adjoint.solve_adjoint, field, builtin_material, fp, src)
+        peak, traces = heap_peak(adjoint.solve_adjoint, field, src)
         assert traces.shape == (g.nt + 1, 2)
         assert peak <= 2 * traces.nbytes
 
@@ -290,7 +295,7 @@ class TestAdjointField:
         fp = config.exact_flux_parameter(cfg)
         field = forward.solve_ibvp(builtin_material, fp, np.full(g.nx, cfg.u0), g, pivots=True)
         h = np.random.default_rng(4).standard_normal(2 * fp.n)
-        peak, W = heap_peak(adjoint.solve_sensitivity, field, builtin_material, fp, h)
+        peak, W = heap_peak(adjoint.solve_sensitivity, field, h)
         assert W.values.shape == field.values.shape
         assert peak <= 1.1 * W.values.nbytes
 
@@ -307,9 +312,7 @@ class TestAdjointField:
         fp = config.exact_flux_parameter(cfg)
         u0 = np.full(g.nx, cfg.u0)
         _, residual, field = adjoint.objective(fp, meas, builtin_material, u0, g)
-        peak, grad = heap_peak(
-            adjoint.compute_gradient, fp, meas, builtin_material, field, residual
-        )
+        peak, grad = heap_peak(adjoint.compute_gradient, meas, field, residual)
         assert grad.shape == (2 * fp.n,)
         assert peak <= 0.25 * field.values.nbytes
 
@@ -328,7 +331,7 @@ class TestAdjointField:
         def gradient():
             spec = config.observation_spec(cfg)
             meas = observation.Measurement(np.zeros(residual.shape), spec, 0.0, 0, 0.0)
-            return adjoint.compute_gradient(fp, meas, builtin_material, field, residual)
+            return adjoint.compute_gradient(meas, field, residual)
 
         first = gradient()
         tracemalloc.start()

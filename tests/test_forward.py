@@ -127,7 +127,7 @@ class TestSensitivity:
 
     def test_zero_direction_gives_zero_field(self, setup):
         m, fp, u, g = setup
-        w = adjoint.solve_sensitivity(u, m, fp, np.zeros(2 * fp.n))
+        w = adjoint.solve_sensitivity(u, np.zeros(2 * fp.n))
         assert np.abs(w.values).max() == 0.0
 
     def test_linearity_in_direction(self, setup):
@@ -135,9 +135,9 @@ class TestSensitivity:
         rng = np.random.default_rng(5)
         h1 = rng.standard_normal(2 * fp.n)
         h2 = rng.standard_normal(2 * fp.n)
-        w1 = adjoint.solve_sensitivity(u, m, fp, h1).values
-        w2 = adjoint.solve_sensitivity(u, m, fp, h2).values
-        w12 = adjoint.solve_sensitivity(u, m, fp, 2.0 * h1 - 3.0 * h2).values
+        w1 = adjoint.solve_sensitivity(u, h1).values
+        w2 = adjoint.solve_sensitivity(u, h2).values
+        w12 = adjoint.solve_sensitivity(u, 2.0 * h1 - 3.0 * h2).values
         ref = 2.0 * w1 - 3.0 * w2
         scale = np.abs(ref).max()
         assert np.abs(w12 - ref).max() <= 1e-12 * scale
@@ -153,7 +153,7 @@ class TestSensitivity:
         u = forward.solve_ibvp(m, fp, np.full(g.nx, 5.0e9), g, pivots=True)
         rng = np.random.default_rng(6)
         h = rng.standard_normal(2 * fp.n)
-        w = adjoint.solve_sensitivity(u, m, fp, h).values
+        w = adjoint.solve_sensitivity(u, h).values
         eps = 1.0e-3 * fp.beta_max / np.abs(h).max()
         up = forward.solve_ibvp(
             m,
@@ -174,7 +174,7 @@ class TestSensitivity:
     def test_direction_length_is_validated(self, setup):
         m, fp, u, g = setup
         with pytest.raises(ValidationError):
-            adjoint.solve_sensitivity(u, m, fp, np.zeros(3))
+            adjoint.solve_sensitivity(u, np.zeros(3))
 
 
 class TestErrors:

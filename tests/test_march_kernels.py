@@ -5,12 +5,14 @@ Every march runs its step loop compiled (`marchlib`, `_march.c`), and one
 C evaluator gives every interpolated value and slope there with the
 operations of `pchip.eval` (its knot and outside fix-ups included). The
 state march solves with the library's one elimination, without pivoting
-and in dgtsv's order, and records each step's pivots; the tangent and
-adjoint marches solve on those pivots, which a made-up trajectory gets
-from the plain elimination (`plain_pivots`). Every back substitution
-evaluates the diffusivity (with its slope, for the linearized marches) on
-the level the next step reads; `tests/test_marchlib.py` holds the solve to
-the plain reference (`tests/plain_solve.py`) and to scipy's dgtsv. The
+and in dgtsv's order, and records each step's pivots with its diffusivity
+and fluxes; the tangent and adjoint marches solve on those pivots and
+linearize at that diffusivity and those fluxes, a record that a made-up
+trajectory gets from the plain elimination (`plain_pivots`). Every back
+substitution evaluates the diffusivity (with its slope, for the linearized
+marches) on the level the next step reads; `tests/test_marchlib.py` holds
+the solve to the plain reference (`tests/plain_solve.py`) and to scipy's
+dgtsv. The
 state march evaluates the two wall fluxes per step, fills the bands from
 the sums of neighbouring diffusivities, and solves. The tangent march
 (`adjoint.solve_sensitivity`) and the adjoint march
@@ -113,8 +115,7 @@ def plain_coefficients(u, m, b0, bL):
 
 def plain_solve_ibvp(m, fp, u0, g, solve=plain_tridiagonal_solve):
     b0, bL = pchip.flux_interpolants(fp)
-    r = g.dt / g.dx**2
-    c = 2.0 * g.dt / g.dx
+    r, c = g.r, g.c
     U = np.empty((g.nt + 1, g.nx))
     U[0] = u0
     ab = np.zeros((3, g.nx))
@@ -163,8 +164,7 @@ def plain_transport_apply(
 
 def plain_solve_adjoint(u, m, fp, source, g, solve=plain_tridiagonal_solve):
     b0, bL = pchip.flux_interpolants(fp)
-    r = g.dt / g.dx**2
-    c = 2.0 * g.dt / g.dx
+    r, c = g.r, g.c
     phi = np.zeros((g.nt + 1, g.nx))
     psi = np.zeros(g.nx)
     ab = np.zeros((3, g.nx))
@@ -223,21 +223,22 @@ def seven_level_blocks(source):
     return rows_at(source, levels[levels // 7 % 2 == 0])
 
 
-def adjoint_levels(u, m, fp, source):
+def adjoint_levels(u, source):
     """Every level of phi, as the adjoint march writes it when given a
     window onto the levels, after checking that the traces it returns are
     their wall columns."""
     phi = np.full_like(u.values, np.nan)
-    traces = adjoint.solve_adjoint(u, m, fp, source, phi)
+    traces = adjoint.solve_adjoint(u, source, phi)
     assert traces.tobytes() == phi[:, [0, -1]].tobytes()
-    assert traces.tobytes() == adjoint.solve_adjoint(u, m, fp, source).tobytes()
+    assert traces.tobytes() == adjoint.solve_adjoint(u, source).tobytes()
     return phi
 
 
-def made_up_field(m, U, g):
-    """The made-up trajectory U on the grid g with the pivots a state march
-    with the diffusivity m would record along it (`plain_pivots`)."""
-    return forward.EnthalpyField(g, U, plain_pivots(m, U, g.dt / g.dx**2))
+def made_up_field(m, fp, U, g):
+    """The made-up trajectory U on the grid g with the record a state march
+    with the diffusivity m and the fluxes fp would keep along it
+    (`plain_pivots`)."""
+    return forward.EnthalpyField(g, U, plain_pivots(m, fp, U, g.r))
 
 
 def in_order_dot(row, v):
@@ -254,8 +255,7 @@ def in_order_dot(row, v):
 def plain_solve_sensitivity(u, m, fp, h, g, solve=plain_tridiagonal_solve):
     b0, bL = pchip.flux_interpolants(fp)
     n = fp.n
-    r = g.dt / g.dx**2
-    c = 2.0 * g.dt / g.dx
+    r, c = g.r, g.c
     W = np.zeros((g.nt + 1, g.nx))
     ab = np.zeros((3, g.nx))
     du, ap, amid, b0p, bLp = plain_coefficients(u, m, b0, bL)
@@ -360,7 +360,7 @@ def test_forward_march_matches_plain_code(marches, name):
 @pytest.mark.parametrize("name", CASES)
 def test_adjoint_march_matches_plain_code(marches, name):
     m, fp, field, _, source = marches[name]
-    got = adjoint_levels(field, m, fp, dense_pair(source))
+    got = adjoint_levels(field, dense_pair(source))
     want = plain_solve_adjoint(field, m, fp, source, GRID)
     assert got.tobytes() == want.tobytes()
 
@@ -371,7 +371,7 @@ def step_bands(m, values, g):
     alpha = pchip.eval(m, values[:-1], clamp=True)[0]
     ab = np.zeros((3, g.nx))
     for a in 0.5 * (alpha[:, :-1] + alpha[:, 1:]):
-        plain_bands(ab, a, g.dt / g.dx**2)
+        plain_bands(ab, a, g.r)
         yield ab[2, :-1].copy(), ab[1].copy(), ab[0, 1:].copy()
 
 
@@ -397,8 +397,9 @@ def test_recorded_pivots_are_the_diagonal_the_solve_leaves(marches, name):
     m, fp, field, _, _ = marches[name]
     bare = forward.solve_ibvp(m, fp, field.values[0], GRID)
     assert bare.pivots is None and bare.values.tobytes() == field.values.tobytes()
-    want = plain_pivots(m, field.values, GRID.dt / GRID.dx**2)
+    want = plain_pivots(m, fp, field.values, GRID.r)
     assert field.pivots.diffusivity is want.diffusivity is m
+    assert field.pivots.fluxes is want.fluxes is fp
     assert field.pivots.rows.tobytes() == want.rows.tobytes()
 
 
@@ -409,7 +410,7 @@ def test_adjoint_march_on_recorded_pivots_matches_plain_code(marches, name):
     # with scipy's dgtsv, the solver the numpy march called: on GRID dgtsv
     # keeps every pivot in place.
     m, fp, field, _, source = marches[name]
-    got = adjoint_levels(field, m, fp, dense_pair(source))
+    got = adjoint_levels(field, dense_pair(source))
     assert got.tobytes() == plain_solve_adjoint(field, m, fp, source, GRID, dgtsv).tobytes()
 
 
@@ -433,17 +434,17 @@ def test_marches_match_plain_code_through_row_interchanges(builtin_material):
     g, m, fp = SWAP_GRID, builtin_material, exact_flux_parameter(CFG)
     u0 = np.full(g.nx, CFG.u0)
     alpha0 = pchip.eval(m, u0[:1], clamp=True)[0][0]
-    assert g.dt / g.dx**2 * alpha0 >= 3.0
+    assert g.r * alpha0 >= 3.0
     field = forward.solve_ibvp(m, fp, u0, g, pivots=True)
     assert (field.pivots.rows >= 1.0).all()
     assert field.values.tobytes() == plain_solve_ibvp(m, fp, u0, g).tobytes()
     assert relative_gap(field.values, plain_solve_ibvp(m, fp, u0, g, dgtsv)) <= 1e-12
     h = np.random.default_rng(9).standard_normal(2 * fp.n)
-    W = adjoint.solve_sensitivity(field, m, fp, h)
+    W = adjoint.solve_sensitivity(field, h)
     assert W.values.tobytes() == plain_solve_sensitivity(field, m, fp, h, g).tobytes()
     assert relative_gap(W.values, plain_solve_sensitivity(field, m, fp, h, g, dgtsv)) <= 1e-12
     source = np.random.default_rng(5).standard_normal((g.nt + 1, g.nx))
-    got = adjoint_levels(field, m, fp, dense_pair(source))
+    got = adjoint_levels(field, dense_pair(source))
     assert got.tobytes() == plain_solve_adjoint(field, m, fp, source, g).tobytes()
     assert relative_gap(got, plain_solve_adjoint(field, m, fp, source, g, dgtsv)) <= 1e-12
 
@@ -454,7 +455,7 @@ def test_adjoint_march_on_a_sparse_source_matches_plain_code(marches, name):
     # the plain code's zero rows do.
     m, fp, field, _, source = marches[name]
     pair, dense = sparse_pair(source)
-    got = adjoint_levels(field, m, fp, pair)
+    got = adjoint_levels(field, pair)
     assert got.tobytes() == plain_solve_adjoint(field, m, fp, dense, GRID).tobytes()
 
 
@@ -462,7 +463,7 @@ def test_adjoint_march_on_a_sparse_source_matches_plain_code(marches, name):
 def test_tangent_march_matches_plain_code(marches, name):
     m, fp, field, _, _ = marches[name]
     h = np.random.default_rng(9).standard_normal(2 * fp.n)
-    got = adjoint.solve_sensitivity(field, m, fp, h)
+    got = adjoint.solve_sensitivity(field, h)
     want = plain_solve_sensitivity(field, m, fp, h, GRID)
     assert got.values.tobytes() == want.tobytes()
 
@@ -478,7 +479,7 @@ def test_tangent_march_sums_the_dense_row_of_each_wall_source(marches):
     h = np.zeros(2 * fp.n)
     h[0] = np.inf
     with pytest.raises(DivergenceError, match="non-finite at time step 1$"):
-        adjoint.solve_sensitivity(field, m, fp, h)
+        adjoint.solve_sensitivity(field, h)
     with pytest.raises(DivergenceError, match="non-finite at time step 1$"):
         plain_solve_sensitivity(field, m, fp, h, GRID)
 
@@ -494,7 +495,7 @@ g = Grid(L=0.05, T=3.3, nx=31, nt=120)
 fp = config.exact_flux_parameter(cfg)
 u = forward.solve_ibvp(m, fp, np.full(g.nx, cfg.u0), g, pivots=True)
 h = np.random.default_rng(9).standard_normal(2 * fp.n)
-sys.stdout.write(hashlib.sha256(adjoint.solve_sensitivity(u, m, fp, h).values.tobytes()).hexdigest())
+sys.stdout.write(hashlib.sha256(adjoint.solve_sensitivity(u, h).values.tobytes()).hexdigest())
 """
 
 
@@ -533,15 +534,16 @@ def test_tangent_march_is_the_same_under_two_blas_kernels():
     assert digests[0] == digests[1]
 
 
-def assert_dual(field, m, fp, pair, dense):
+def assert_dual(field, pair, dense):
     """<grad, h> = sum(W_h * S) dx dt for the source S that `pair` stands
-    for, on five random directions h."""
-    traces = adjoint.solve_adjoint(field, m, fp, pair)
-    grad = adjoint.assemble_gradient(traces, field, fp)
+    for, on five random directions h of the fluxes the field was solved
+    with."""
+    traces = adjoint.solve_adjoint(field, pair)
+    grad = adjoint.assemble_gradient(traces, field)
     rng = np.random.default_rng(21)
     for _ in range(5):
-        h = rng.standard_normal(2 * fp.n)
-        W = adjoint.solve_sensitivity(field, m, fp, h).values
+        h = rng.standard_normal(2 * field.pivots.fluxes.n)
+        W = adjoint.solve_sensitivity(field, h).values
         pairing = float(np.sum(W * dense)) * GRID.dx * GRID.dt
         assert float(grad @ h) == pytest.approx(pairing, rel=1e-12)
 
@@ -552,7 +554,7 @@ def test_adjoint_gradient_is_dual_to_tangent_march(marches, name):
     # transpose of the tangent march, also at the box corner where
     # c*beta' > 2.
     m, fp, field, _, source = marches[name]
-    assert_dual(field, m, fp, dense_pair(source), source)
+    assert_dual(field, dense_pair(source), source)
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -561,19 +563,19 @@ def test_marches_match_plain_code_in_seven_level_blocks(marches, name):
     # level pointer standing still across each empty run.
     m, fp, field, _, source = marches[name]
     pair, dense = seven_level_blocks(source)
-    got = adjoint_levels(field, m, fp, pair)
+    got = adjoint_levels(field, pair)
     assert got.tobytes() == plain_solve_adjoint(field, m, fp, dense, GRID).tobytes()
 
 
 @pytest.mark.parametrize("name", ["exact", "random", "steep"])
 def test_duality_holds_in_seven_level_blocks(marches, name):
     m, fp, field, _, source = marches[name]
-    assert_dual(field, m, fp, *seven_level_blocks(source))
+    assert_dual(field, *seven_level_blocks(source))
 
 
 def test_steep_case_reaches_the_chattering_regime(marches):
     _, fp, field, _, _ = marches["steep"]
-    c = 2.0 * GRID.dt / GRID.dx
+    c = GRID.c
     b0, bL = pchip.flux_interpolants(fp)
     worst = max(
         np.abs(pchip.eval(b0, field.values[:, 0], clamp=True)[1]).max(),
@@ -653,7 +655,7 @@ def test_adjoint_divergence_step_matches_plain_code(marches):
     source[40, 3] = np.inf
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as got:
-            adjoint.solve_adjoint(field, m, fp, dense_pair(source))
+            adjoint.solve_adjoint(field, dense_pair(source))
         with pytest.raises(DivergenceError) as want:
             plain_solve_adjoint(field, m, fp, source, GRID)
     assert got.value.step == want.value.step == GRID.nt - 39
@@ -668,11 +670,11 @@ def test_adjoint_march_adds_zero_on_a_negative_zero_level():
     g = Grid(L=2.0, T=4.0, nx=3, nt=4)
     m = pchip.Pchip([0.0, 1.0, 2.0], [1.0, 50.0, 1.0])
     U = np.repeat([[0.5], [2.0], [2.0], [0.0], [1.0]], 3, axis=1)
-    u = made_up_field(m, U, g)
     fp = pchip.FluxParameter([0.5, 1.0, 0.5, 0.5, 0.0, 0.5], np.linspace(0.0, 2.0, 3), 1.0)
+    u = made_up_field(m, fp, U, g)
     source = np.zeros((g.nt + 1, g.nx))
     source[4, 1] = -1e-323
-    got = adjoint_levels(u, m, fp, point_sources([4], source[4:], g.nt))
+    got = adjoint_levels(u, point_sources([4], source[4:], g.nt))
     assert got.tobytes() == plain_solve_adjoint(u, m, fp, source, g).tobytes()
 
 
@@ -688,10 +690,10 @@ def test_adjoint_march_takes_the_knot_slopes_on_the_knots(builtin_material):
     missed = p.knots[left_knot_slope_misses(p, p.knots)]
     assert missed.size >= 5
     profile = np.resize(np.stack([missed, np.full(missed.size, p.knots[-1])], 1), GRID.nx)
-    u = made_up_field(p, np.tile(profile, (GRID.nt + 1, 1)), GRID)
     fp = exact_flux_parameter(CFG)
+    u = made_up_field(p, fp, np.tile(profile, (GRID.nt + 1, 1)), GRID)
     source = np.random.default_rng(5).standard_normal((GRID.nt + 1, GRID.nx))
-    got = adjoint_levels(u, p, fp, dense_pair(source))
+    got = adjoint_levels(u, dense_pair(source))
     assert got.tobytes() == plain_solve_adjoint(u, p, fp, source, GRID).tobytes()
 
 
@@ -702,30 +704,32 @@ def test_tangent_march_takes_the_knot_slopes_on_the_knots(builtin_material):
     p = knot_material(builtin_material)
     missed = p.knots[left_knot_slope_misses(p, p.knots)]
     profile = np.resize(np.stack([missed, np.full(missed.size, p.knots[-1])], 1), GRID.nx)
-    u = made_up_field(p, np.tile(profile, (GRID.nt + 1, 1)), GRID)
     fp = exact_flux_parameter(CFG)
+    u = made_up_field(p, fp, np.tile(profile, (GRID.nt + 1, 1)), GRID)
     h = np.random.default_rng(9).standard_normal(2 * fp.n)
-    got = adjoint.solve_sensitivity(u, p, fp, h)
+    got = adjoint.solve_sensitivity(u, h)
     assert got.values.tobytes() == plain_solve_sensitivity(u, p, fp, h, GRID).tobytes()
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_assembly_matches_the_dense_reduction(marches, name):
     m, fp, field, _, source = marches[name]
-    traces = adjoint.solve_adjoint(field, m, fp, dense_pair(source))
-    got = adjoint.assemble_gradient(traces, field, fp)
+    traces = adjoint.solve_adjoint(field, dense_pair(source))
+    got = adjoint.assemble_gradient(traces, field)
     assert got.tobytes() == dense_gradient(traces, field, fp, GRID).tobytes()
 
 
-def wall_case(walls):
+def wall_case(walls, fp):
     """A made-up trajectory on GRID whose two walls take the values `walls`
     (cycled over the levels; the interior is irrelevant to the assembly),
-    and random traces, nonzero at the last level too, whose weight is 0."""
+    recorded with the fluxes fp and no diffusivity or pivots, which the
+    assembly does not read, and random traces, nonzero at the last level
+    too, whose weight is 0."""
     U = np.zeros((GRID.nt + 1, GRID.nx))
     U[:, 0] = np.resize(walls, GRID.nt + 1)
     U[:, -1] = np.resize(walls[::-1], GRID.nt + 1)
     traces = np.random.default_rng(31).standard_normal((GRID.nt + 1, 2))
-    return forward.EnthalpyField(GRID, U), traces
+    return forward.EnthalpyField(GRID, U, forward.Pivots(None, fp, None)), traces
 
 
 def test_assembly_matches_the_dense_reduction_on_flux_knots():
@@ -739,8 +743,8 @@ def test_assembly_matches_the_dense_reduction_on_flux_knots():
     _, idx, _ = pchip._locate(pchip.flux_interpolants(fp)[0], part, True)
     inner = np.arange(1, part.size - 1)
     assert (idx[inner] == inner).any() and (idx[inner] == inner - 1).any()
-    u, traces = wall_case(part)
-    got = adjoint.assemble_gradient(traces, u, fp)
+    u, traces = wall_case(part, fp)
+    got = adjoint.assemble_gradient(traces, u)
     assert got.tobytes() == dense_gradient(traces, u, fp, GRID).tobytes()
 
 
@@ -750,8 +754,8 @@ def test_assembly_matches_the_dense_reduction_outside_the_partition():
     fp = exact_flux_parameter(CFG)
     top = fp.partition[-1]
     walls = np.array([-1e9, -1e-3, -1e-9, top + 1e-3, top + 1e9, 0.5 * top])
-    u, traces = wall_case(walls)
-    got = adjoint.assemble_gradient(traces, u, fp)
+    u, traces = wall_case(walls, fp)
+    got = adjoint.assemble_gradient(traces, u)
     assert got.tobytes() == dense_gradient(traces, u, fp, GRID).tobytes()
 
 
@@ -761,8 +765,8 @@ def test_assembly_matches_the_dense_reduction_with_zero_entries():
     fp = exact_flux_parameter(CFG)
     part = fp.partition
     walls = np.linspace(part[10], part[12], 7)[1:-1]
-    u, traces = wall_case(walls)
-    got = adjoint.assemble_gradient(traces, u, fp)
+    u, traces = wall_case(walls, fp)
+    got = adjoint.assemble_gradient(traces, u)
     want = dense_gradient(traces, u, fp, GRID)
     assert (want == 0.0).sum() >= fp.n and got.tobytes() == want.tobytes()
 
@@ -771,10 +775,10 @@ def test_assembly_matches_the_dense_reduction_on_non_finite_input():
     # A NaN wall value and an infinite trace make the dense row entries of
     # their level NaN off the band, where the assembly adds no band entry.
     fp = exact_flux_parameter(CFG)
-    u, traces = wall_case(fp.partition)
+    u, traces = wall_case(fp.partition, fp)
     u.values[5, 0] = np.nan
     traces[9, 1] = np.inf
-    got = adjoint.assemble_gradient(traces, u, fp)
+    got = adjoint.assemble_gradient(traces, u)
     with np.errstate(invalid="ignore"):
         want = dense_gradient(traces, u, fp, GRID)
     assert np.isnan(want).sum() >= 2 * fp.n - 4 and got.tobytes() == want.tobytes()
@@ -799,7 +803,7 @@ def test_adjoint_divergence_step_at_block_edges(marches, levels, s):
     source = source.copy()
     source[max(s + 2 - levels, 0) : s + 2, 3] = np.inf
     with pytest.raises(DivergenceError, match="non-finite") as got:
-        adjoint.solve_adjoint(field, m, fp, dense_pair(source))
+        adjoint.solve_adjoint(field, dense_pair(source))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as want:
             plain_solve_adjoint(field, m, fp, source, GRID)
@@ -816,7 +820,7 @@ def test_adjoint_divergence_from_an_overflowing_carry(marches):
     source[61, 0] = 1e302
     phi = np.zeros_like(field.values)
     with pytest.raises(DivergenceError, match="non-finite") as got:
-        adjoint.solve_adjoint(field, m, fp, dense_pair(source), phi)
+        adjoint.solve_adjoint(field, dense_pair(source), phi)
     assert np.isfinite(phi[60]).all() and not np.isfinite(phi[59]).all()
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as want:
@@ -851,11 +855,11 @@ def test_adjoint_stops_at_its_first_non_finite_level(singular_level_case):
     # before the step that solves level 4, whose last pivot is 0: the march
     # stops at level 5 and reports its step, as a per-step check would have.
     g, m, u, fp = singular_level_case
-    u = made_up_field(m, u.values, g)
+    u = made_up_field(m, fp, u.values, g)
     assert u.pivots.rows[4, -1] == 0.0
     source = point_sources([6], [[np.inf, 0.0, 0.0]], g.nt)
     with pytest.raises(DivergenceError, match="non-finite") as got:
-        adjoint.solve_adjoint(u, m, fp, source)
+        adjoint.solve_adjoint(u, source)
     assert got.value.step == 3
 
 
@@ -868,12 +872,12 @@ def test_tangent_stops_at_its_first_non_finite_level(singular_level_case):
     g, m, u, fp = singular_level_case
     U = u.values.copy()
     U[2] = 2.0
-    u = made_up_field(m, U, g)
+    u = made_up_field(m, fp, U, g)
     assert u.pivots.rows[4, -1] == 0.0
     h = np.zeros(2 * fp.n)
     h[fp.n - 1] = 1e308
     with pytest.raises(DivergenceError, match="non-finite") as got:
-        adjoint.solve_sensitivity(u, m, fp, h)
+        adjoint.solve_sensitivity(u, h)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError, match="non-finite") as want:
             plain_solve_sensitivity(u, m, fp, h, g)
@@ -902,10 +906,10 @@ def test_tangent_divergence_step_at_block_edges(marches, levels, s, node):
     m, fp, field, _, _ = marches["exact"]
     U = field.values.copy()
     U[s : s + levels, node] = np.inf
-    u = made_up_field(m, U, GRID)
+    u = made_up_field(m, fp, U, GRID)
     h = np.random.default_rng(9).standard_normal(2 * fp.n)
     with pytest.raises(DivergenceError, match="non-finite") as got:
-        adjoint.solve_sensitivity(u, m, fp, h)
+        adjoint.solve_sensitivity(u, h)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as want:
             plain_solve_sensitivity(u, m, fp, h, GRID)
@@ -921,8 +925,8 @@ def test_marches_leave_no_reference_cycles(marches):
     gc.disable()
     try:
         forward.solve_ibvp(m, fp, field.values[0], GRID)
-        adjoint.solve_adjoint(field, m, fp, dense_pair(source))
-        adjoint.solve_sensitivity(field, m, fp, np.ones(2 * fp.n))
+        adjoint.solve_adjoint(field, dense_pair(source))
+        adjoint.solve_sensitivity(field, np.ones(2 * fp.n))
         pchip.eval(m, field.values, clamp=True)
         assert gc.collect() == 0
     finally:
@@ -932,7 +936,7 @@ def test_marches_leave_no_reference_cycles(marches):
 def test_adjoint_march_leaves_its_inputs_alone(marches):
     m, fp, field, _, source = marches["steep"]
     before = (source.tobytes(), field.values.tobytes())
-    adjoint.solve_adjoint(field, m, fp, dense_pair(source))
+    adjoint.solve_adjoint(field, dense_pair(source))
     assert (source.tobytes(), field.values.tobytes()) == before
 
 
